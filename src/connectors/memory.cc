@@ -1,6 +1,8 @@
 #include "connectors/memory.h"
 
 #include <algorithm>
+#include <bit>
+#include <string_view>
 
 #include "common/logging.h"
 #include "testing/failpoints.h"
@@ -112,11 +114,14 @@ Status MemorySink::CommitEpoch(int64_t epoch, OutputMode mode,
             "update mode requires key columns for upsert");
       }
       for (const auto& b : batches) {
-        for (int64_t i = 0; i < b->num_rows(); ++i) {
-          Row row = b->RowAt(i);
-          Row key(row.begin(), row.begin() + num_key_columns);
-          update_table_[std::move(key)] = std::move(row);
+        if (num_key_columns > b->num_columns()) {
+          return Status::InvalidArgument(
+              "update mode has more key columns than the batch");
         }
+      }
+      if (epoch <= last_epoch_) break;  // stale recommit of an applied epoch
+      for (const auto& b : batches) {
+        update_table_.Upsert(*b, num_key_columns);
       }
       break;
     }
@@ -139,6 +144,58 @@ Status MemorySink::CommitEpoch(int64_t epoch, OutputMode mode,
   return Status::OK();
 }
 
+void MemorySink::UpdateTable::Upsert(const RecordBatch& batch,
+                                     int num_key_columns) {
+  const int num_columns = batch.num_columns();
+  std::string key;
+  for (int64_t i = 0; i < batch.num_rows(); ++i) {
+    const int64_t phys = batch.PhysIndex(i);
+    key.clear();
+    for (int c = 0; c < num_key_columns; ++c) {
+      batch.column(c)->EncodeValueTo(phys, &key);
+    }
+    const uint64_t hash = HashBytes(key.data(), key.size(), 0);
+    if ((rows_.size() + 1) * 2 > slots_.size()) Grow();
+    const size_t mask = slots_.size() - 1;
+    for (size_t s = Home(hash);; s = (s + 1) & mask) {
+      Slot& slot = slots_[s];
+      if (slot.row < 0) {
+        slot.hash = hash;
+        slot.row = static_cast<int64_t>(rows_.size());
+        rows_.push_back(batch.RowAt(i));
+        keys_ += key;
+        key_offsets_.push_back(keys_.size());
+        break;
+      }
+      if (slot.hash != hash) continue;
+      const size_t r = static_cast<size_t>(slot.row);
+      const size_t begin = key_offsets_[r];
+      if (std::string_view(keys_).substr(begin, key_offsets_[r + 1] - begin) !=
+          key) {
+        continue;
+      }
+      Row& row = rows_[r];
+      for (int c = num_key_columns; c < num_columns; ++c) {
+        row[static_cast<size_t>(c)] = batch.column(c)->ValueAt(phys);
+      }
+      break;
+    }
+  }
+}
+
+void MemorySink::UpdateTable::Grow() {
+  std::vector<Slot> old = std::move(slots_);
+  slots_.assign(old.empty() ? 16 : old.size() * 2, Slot{});
+  shift_ = 64 - std::countr_zero(slots_.size());
+  const size_t mask = slots_.size() - 1;
+  for (const Slot& slot : old) {
+    if (slot.row < 0) continue;
+    size_t s = Home(slot.hash);
+    while (slots_[s].row >= 0) s = (s + 1) & mask;
+    slots_[s] = slot;
+  }
+}
+
 std::vector<Row> MemorySink::Snapshot() const {
   std::lock_guard<std::mutex> lock(mu_);
   std::vector<Row> out;
@@ -146,10 +203,8 @@ std::vector<Row> MemorySink::Snapshot() const {
     (void)epoch;
     out.insert(out.end(), rows.begin(), rows.end());
   }
-  for (const auto& [key, row] : update_table_) {
-    (void)key;
-    out.push_back(row);
-  }
+  const std::vector<Row>& updated = update_table_.rows();
+  out.insert(out.end(), updated.begin(), updated.end());
   out.insert(out.end(), complete_table_.begin(), complete_table_.end());
   return out;
 }

@@ -1,6 +1,7 @@
 #ifndef SSTREAMING_CONNECTORS_MEMORY_H_
 #define SSTREAMING_CONNECTORS_MEMORY_H_
 
+#include <cstdint>
 #include <map>
 #include <mutex>
 #include <string>
@@ -10,6 +11,7 @@
 #include "common/thread_annotations.h"
 #include "connectors/sink.h"
 #include "connectors/source.h"
+#include "types/record_batch.h"
 #include "types/row.h"
 
 namespace sstreaming {
@@ -57,6 +59,15 @@ class MemoryStream : public Source {
 /// An in-memory table sink that exposes only *committed* epochs — the
 /// mechanism behind the paper's "interactive queries on consistent snapshots
 /// of stream output" (§1): a reader always sees a prefix-consistent table.
+///
+/// Update mode keeps the upserted result table. A row's identity is the
+/// encoded bytes of its first `num_key_columns` columns (Column::EncodeValueTo,
+/// the bytes the state store groups by), so NaN keys are well defined and
+/// -0.0 and 0.0 stay distinct, exactly as the stateful aggregate keeps them.
+/// Commits of an epoch at or below the last committed one are ignored in
+/// update and complete mode: recovery re-delivers epochs the sink already
+/// applied, and re-applying an older epoch would show a table that matches
+/// no prefix.
 class MemorySink : public Sink {
  public:
   bool SupportsMode(OutputMode) const override { return true; }
@@ -64,7 +75,8 @@ class MemorySink : public Sink {
   Status CommitEpoch(int64_t epoch, OutputMode mode, int num_key_columns,
                      const std::vector<RecordBatchPtr>& batches) override;
 
-  /// The committed result table (order unspecified for update/complete).
+  /// The committed result table: append rows in epoch order, update rows in
+  /// the order their keys were first inserted, complete rows as delivered.
   std::vector<Row> Snapshot() const;
   /// Rows sorted for deterministic assertions.
   std::vector<Row> SortedSnapshot() const;
@@ -72,11 +84,38 @@ class MemorySink : public Sink {
   int64_t last_committed_epoch() const;
 
  private:
+  /// Update-mode table: an insertion-ordered slab of rows plus a
+  /// linear-probing index from encoded key bytes to slab position. An upsert
+  /// costs one probe; a known key overwrites its non-key values in place.
+  class UpdateTable {
+   public:
+    void Upsert(const RecordBatch& batch, int num_key_columns);
+    const std::vector<Row>& rows() const { return rows_; }
+
+   private:
+    struct Slot {
+      uint64_t hash = 0;
+      int64_t row = -1;  // index into rows_; -1 = empty
+    };
+    // First slot to probe for `hash` (Fibonacci hashing: the top bits of
+    // the product, so FNV's weak low bits don't pick the slot).
+    size_t Home(uint64_t hash) const {
+      return static_cast<size_t>((hash * 0x9E3779B97F4A7C15ULL) >> shift_);
+    }
+    void Grow();
+
+    std::vector<Row> rows_;
+    // rows_[r]'s encoded key is keys_[key_offsets_[r], key_offsets_[r + 1]).
+    std::string keys_;
+    std::vector<size_t> key_offsets_{0};
+    std::vector<Slot> slots_;  // power-of-two size, at most half full
+    int shift_ = 64;           // 64 - log2(slots_.size())
+  };
+
   mutable std::mutex mu_;
   // Append mode: per-epoch row sets (idempotent re-commit replaces).
   std::map<int64_t, std::vector<Row>> append_epochs_ SS_GUARDED_BY(mu_);
-  // Update mode: table keyed by the first num_key_columns columns.
-  std::map<Row, Row, RowLess> update_table_ SS_GUARDED_BY(mu_);
+  UpdateTable update_table_ SS_GUARDED_BY(mu_);
   // Complete mode: the latest table.
   std::vector<Row> complete_table_ SS_GUARDED_BY(mu_);
   int64_t last_epoch_ SS_GUARDED_BY(mu_) = -1;

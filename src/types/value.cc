@@ -111,10 +111,13 @@ uint64_t Value::Hash() const {
     case TypeId::kFloat64: {
       double d = float64_value();
       // Hash integral doubles like the equal int64 so 3.0 and 3 agree
-      // (Compare treats them as equal, so Hash must too).
-      int64_t as_int = static_cast<int64_t>(d);
-      if (static_cast<double>(as_int) == d) {
-        return HashMix(2, static_cast<uint64_t>(as_int));
+      // (Compare treats them as equal, so Hash must too). The range check
+      // keeps NaN and out-of-range values out of the undefined cast.
+      if (d >= -0x1p63 && d < 0x1p63) {
+        int64_t as_int = static_cast<int64_t>(d);
+        if (static_cast<double>(as_int) == d) {
+          return HashMix(2, static_cast<uint64_t>(as_int));
+        }
       }
       uint64_t bits;
       std::memcpy(&bits, &d, sizeof(bits));

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+#include <map>
+#include <string>
+
 #include "connectors/memory.h"
 #include "exec/batch_executor.h"
 #include "storage/fs.h"
@@ -92,6 +97,90 @@ TEST(StreamingQueryTest, UpdateModeAggregation) {
   ASSERT_EQ(rows.size(), 2u);
   EXPECT_EQ(rows[0][1], Value::Int64(3));  // ca -> 3
   EXPECT_EQ(rows[1][1], Value::Int64(1));  // ny unchanged
+}
+
+// Forwards to a MemorySink and records every row committed to it, so a test
+// can derive what the table must hold from what the query emitted.
+class RecordingSink : public Sink {
+ public:
+  explicit RecordingSink(std::shared_ptr<MemorySink> table)
+      : table_(std::move(table)) {}
+  bool SupportsMode(OutputMode mode) const override {
+    return table_->SupportsMode(mode);
+  }
+  Status CommitEpoch(int64_t epoch, OutputMode mode, int num_key_columns,
+                     const std::vector<RecordBatchPtr>& batches) override {
+    for (const auto& b : batches) {
+      for (int64_t i = 0; i < b->num_rows(); ++i) {
+        emitted.push_back(b->RowAt(i));
+      }
+    }
+    return table_->CommitEpoch(epoch, mode, num_key_columns, batches);
+  }
+  std::vector<Row> emitted;
+
+ private:
+  std::shared_ptr<MemorySink> table_;
+};
+
+// NaN, -0.0 and 0.0 are distinct state keys (the aggregate groups by encoded
+// bytes); the update-mode table must hold exactly one row per state key —
+// the last one the aggregate emitted for it.
+TEST(StreamingQueryTest, UpdateModeFloatKeysFollowStateKeys) {
+  SchemaPtr schema = Schema::Make({{"x", TypeId::kFloat64, false}});
+  auto stream = std::make_shared<MemoryStream>("xs", schema, 2);
+  auto table = std::make_shared<MemorySink>();
+  auto sink = std::make_shared<RecordingSink>(table);
+  DataFrame df = DataFrame::ReadStream(stream).GroupBy({"x"}).Count();
+  auto query = StreamingQuery::Start(df, sink, Ephemeral(OutputMode::kUpdate));
+  ASSERT_TRUE(query.ok()) << query.status().ToString();
+
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  auto rows_of = [](std::initializer_list<double> xs) {
+    std::vector<Row> rows;
+    for (double x : xs) rows.push_back({Value::Float64(x)});
+    return rows;
+  };
+  ASSERT_TRUE(stream->AddData(rows_of({nan, -0.0, 0.0, 1.5})).ok());
+  ASSERT_TRUE((*query)->ProcessAllAvailable().ok());
+  ASSERT_TRUE(stream->AddData(rows_of({nan, 0.0, 1.5, 1.5})).ok());
+  ASSERT_TRUE((*query)->ProcessAllAvailable().ok());
+
+  // Last emitted row per encoded key, byte for byte.
+  auto key_of = [](const Row& row) {
+    std::string key;
+    row[0].EncodeTo(&key);
+    return key;
+  };
+  auto bytes_of = [](const Row& row) {
+    std::string bytes;
+    EncodeRow(row, &bytes);
+    return bytes;
+  };
+  std::map<std::string, std::string> want;
+  for (const Row& row : sink->emitted) want[key_of(row)] = bytes_of(row);
+  std::map<std::string, std::string> got;
+  for (const Row& row : table->Snapshot()) {
+    EXPECT_TRUE(got.emplace(key_of(row), bytes_of(row)).second)
+        << "duplicate key " << RowToString(row);
+  }
+  EXPECT_EQ(got, want);
+
+  ASSERT_EQ(got.size(), 4u);
+  for (const Row& row : table->Snapshot()) {
+    double x = row[0].float64_value();
+    int64_t count = row[1].int64_value();
+    if (std::isnan(x)) {
+      EXPECT_EQ(count, 2);
+    } else if (x == 0.0 && std::signbit(x)) {
+      EXPECT_EQ(count, 1);
+    } else if (x == 0.0) {
+      EXPECT_EQ(count, 2);
+    } else {
+      EXPECT_EQ(x, 1.5);
+      EXPECT_EQ(count, 3);
+    }
+  }
 }
 
 TEST(StreamingQueryTest, CompleteModeRewritesTable) {

@@ -13,6 +13,8 @@ cd "$(dirname "$0")/.."
 # Directories and files that belong at the top level. BENCH_<n>.json is the
 # per-PR bench ledger (EXPERIMENTS.md), so it matches as a pattern.
 ALLOWED_REGEX='^(\.clang-tidy|\.claude|\.github|\.gitignore|CMakeLists\.txt|BENCH_[0-9]+\.json|CHANGES\.md|DESIGN\.md|EXPERIMENTS\.md|ISSUE\.md|PAPER\.md|PAPERS\.md|README\.md|ROADMAP\.md|SNIPPETS\.md|bench|docs|examples|src|tests|tools)$'
+# BENCHMARK.json declares the wall-clock benchmark in perfbench/.
+ALLOWED_REGEX+='|^(BENCHMARK\.json|perfbench)$'
 
 STRAY=0
 while IFS= read -r entry; do

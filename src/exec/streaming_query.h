@@ -160,6 +160,9 @@ class StreamingQuery {
   int64_t last_epoch() const { return last_epoch_; }
   int64_t watermark_micros() const { return watermark_micros_; }
   const PhysicalPlan& physical_plan() const { return plan_; }
+  /// The stateful operators' keyed state. Like recent_progress(), only safe
+  /// while no trigger runs concurrently.
+  const StateManager& state() const { return *state_; }
 
   /// EXPLAIN ANALYZE (§7.4): the physical plan annotated with cumulative
   /// per-operator actuals — rows, batches, self CPU, output bytes, live and

@@ -71,8 +71,16 @@ Status StateManager::PreopenExisting() {
 }
 
 Status StateManager::CommitAll(int64_t epoch) {
-  if (!durable_) return Status::OK();
   std::lock_guard<std::mutex> lock(mu_);
+  if (!durable_) {
+    // Nothing to checkpoint, but the stores still track this epoch's
+    // changes; drop them or they accumulate for the life of the query.
+    for (auto& [key, store] : stores_) {
+      (void)key;
+      store->ForgetChanges();
+    }
+    return Status::OK();
+  }
   int64_t bytes_before = 0, entries = 0;
   for (auto& [key, store] : stores_) {
     (void)key;
@@ -166,6 +174,16 @@ int64_t StateManager::TotalApproxBytes() const {
   for (const auto& [key, store] : stores_) {
     (void)key;
     total += store->ApproxBytes();
+  }
+  return total;
+}
+
+int64_t StateManager::TotalTrackedChanges() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  int64_t total = 0;
+  for (const auto& [key, store] : stores_) {
+    (void)key;
+    total += store->tracked_changes();
   }
   return total;
 }

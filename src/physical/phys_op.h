@@ -26,7 +26,8 @@ class MetricsRegistry;
 /// partition), and commits them together at epoch boundaries (paper §6.1
 /// step 2) — each store checkpointing its shards independently.
 /// When `durable` is false (batch runs, tests without recovery), stores live
-/// in a throwaway temp directory and commits are skipped.
+/// in a throwaway temp directory and commits only drop the stores' change
+/// tracking.
 class StateManager {
  public:
   /// `dir`: checkpoint state root. `version`: epoch whose state to restore
@@ -46,7 +47,8 @@ class StateManager {
   /// far behind the durable state really is before any epoch runs.
   Status PreopenExisting();
 
-  /// Commits every opened store at `epoch`. No-op when ephemeral.
+  /// Commits every opened store at `epoch`. When ephemeral, writes nothing
+  /// and only drops each store's change tracking (StateStore::ForgetChanges).
   Status CommitAll(int64_t epoch);
 
   /// Optional instrumentation: when set, CommitAll records checkpoint bytes
@@ -62,6 +64,8 @@ class StateManager {
 
   int64_t TotalEntries() const;
   int64_t TotalBytesWritten() const;
+  /// Entries changed since their store's last commit, over all stores.
+  int64_t TotalTrackedChanges() const;
 
   /// Live state size for one operator, summed over its partitions.
   struct OpStateSize {

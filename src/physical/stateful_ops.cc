@@ -4,7 +4,6 @@
 #include <cstring>
 #include <string_view>
 #include <unordered_map>
-#include <unordered_set>
 
 #include "common/logging.h"
 
@@ -94,18 +93,6 @@ Status ForEachEntry(const KeyedEntries& e, Fn&& fn) {
   return Status::OK();
 }
 
-/// Heterogeneous-lookup hash so fold loops can probe string-keyed maps with
-/// string_views into the bucket's key arena (no per-probe allocation).
-struct TransparentStringHash {
-  using is_transparent = void;
-  size_t operator()(std::string_view s) const noexcept {
-    return std::hash<std::string_view>{}(s);
-  }
-  size_t operator()(const std::string& s) const noexcept {
-    return std::hash<std::string_view>{}(s);
-  }
-};
-
 /// Split-stage chunk count: enough chunks to split big partitions in
 /// parallel without paying per-task overhead on small ones.
 int SplitChunks(int64_t rows, int num_shards) {
@@ -175,6 +162,77 @@ StatefulAggExec::StatefulAggExec(int op_id, PhysOpPtr child,
   }
 }
 
+// One (partition, shard)'s fold for the current epoch: the keys it touched
+// in first-touch order, each with its state decoded once, and an
+// open-addressing index over them. The first row for a key finds or creates
+// its store entry (one probe); later rows update the decoded state; the end
+// of the fold encodes each state back into its entry once. Entries past
+// `num_touched` are earlier epochs' leftovers, kept for their Row storage.
+struct StatefulAggExec::ShardFold {
+  struct Touched {
+    StateStore::Slot slot;
+    uint64_t hash;   // StableHashKey of the key
+    int64_t wstart;  // window start; 0 when not windowed
+    Row state;
+  };
+  StateShardProtocol* shard = nullptr;
+  std::vector<Touched> touched;
+  size_t num_touched = 0;
+  std::vector<uint32_t> index;  // 0 = empty, else position in touched + 1
+  std::string key_buf;
+
+  static size_t Home(uint64_t hash, size_t mask) {
+    // The low hash bits also pick the shard; mix before masking.
+    return static_cast<size_t>((hash * 0x9E3779B97F4A7C15ull) >> 32) & mask;
+  }
+
+  void Reset(StateShardProtocol* s) {
+    shard = s;
+    num_touched = 0;
+    std::fill(index.begin(), index.end(), 0);
+  }
+
+  /// The touched entry for `key`, or null; `*home` becomes the index slot
+  /// where a new entry for it goes.
+  Touched* Find(std::string_view key, uint64_t hash, size_t* home) {
+    if (2 * (num_touched + 1) > index.size()) Grow();
+    const size_t mask = index.size() - 1;
+    for (size_t i = Home(hash, mask);; i = (i + 1) & mask) {
+      const uint32_t e = index[i];
+      if (e == 0) {
+        *home = i;
+        return nullptr;
+      }
+      Touched& t = touched[e - 1];
+      if (t.hash == hash && *t.slot.key == key) return &t;
+    }
+  }
+
+  /// Appends a touched entry at index slot `home` (from Find).
+  Touched& Add(size_t home, StateStore::Slot slot, uint64_t hash,
+               int64_t wstart) {
+    if (num_touched == touched.size()) touched.emplace_back();
+    Touched& t = touched[num_touched++];
+    t.slot = slot;
+    t.hash = hash;
+    t.wstart = wstart;
+    index[home] = static_cast<uint32_t>(num_touched);
+    return t;
+  }
+
+  void Grow() {
+    index.assign(std::max<size_t>(64, 2 * index.size()), 0);
+    const size_t mask = index.size() - 1;
+    for (size_t j = 0; j < num_touched; ++j) {
+      size_t i = Home(touched[j].hash, mask);
+      while (index[i] != 0) i = (i + 1) & mask;
+      index[i] = static_cast<uint32_t>(j + 1);
+    }
+  }
+};
+
+StatefulAggExec::~StatefulAggExec() = default;
+
 int StatefulAggExec::num_output_key_columns() const {
   int n = 0;
   for (const NamedExpr& g : group_exprs_) {
@@ -209,6 +267,14 @@ Result<std::vector<RecordBatchPtr>> StatefulAggExec::ExecuteImpl(
     SS_ASSIGN_OR_RETURN(stores[p],
                         ctx->state->GetStore(op_id_, static_cast<int>(p)));
   }
+  folds_.resize(P);
+  for (size_t p = 0; p < P; ++p) {
+    const int S = stores[p]->num_shards();
+    folds_[p].resize(static_cast<size_t>(S));
+    for (int s = 0; s < S; ++s) {
+      folds_[p][static_cast<size_t>(s)].Reset(stores[p]->shard(s));
+    }
+  }
 
   // Dictionary-encoded string key column (docs/VECTORIZED_EXEC.md): the
   // state-key encoding of each distinct value is precooked once, and the
@@ -227,7 +293,9 @@ Result<std::vector<RecordBatchPtr>> StatefulAggExec::ExecuteImpl(
     std::vector<std::unique_ptr<KeyDict>> key_dicts;
     int chunks = 1;
     std::vector<KeyedEntries> buckets;         // chunks x shards
-    std::vector<std::vector<Row>> shard_rows;  // per-shard output rows
+    // Output in shard-index order: one batch on the fused path, one per
+    // shard on the staged path.
+    std::vector<RecordBatchPtr> shard_out;
   };
   std::vector<PartitionWork> work(P);
 
@@ -298,42 +366,62 @@ Result<std::vector<RecordBatchPtr>> StatefulAggExec::ExecuteImpl(
   // end, finalize aggregates).
   auto finalize = [&](const std::string& enc_key,
                       const Row& state) -> Result<Row> {
-    SS_ASSIGN_OR_RETURN(Row key, DecodeRow(enc_key));
     Row out_row;
-    for (size_t g = 0; g < key.size(); ++g) {
-      if (static_cast<int>(g) == window_key_index_) {
-        out_row.push_back(key[g]);  // window_start
-        out_row.push_back(Value::Timestamp(key[g].int64_value() +
-                                           window_size));  // window_end
-      } else {
-        out_row.push_back(key[g]);
-      }
+    out_row.reserve(static_cast<size_t>(schema_->num_fields()));
+    size_t pos = 0;
+    SS_RETURN_IF_ERROR(DecodeRowInto(enc_key, &pos, &out_row));  // the keys
+    if (windowed) {
+      const auto start = out_row.begin() + window_key_index_;
+      out_row.insert(start + 1, Value::Timestamp(start->int64_value() +
+                                                 window_size));  // window_end
     }
     Row finals = FinalizeAggState(aggregates_, state);
-    out_row.insert(out_row.end(), finals.begin(), finals.end());
+    out_row.insert(out_row.end(), std::make_move_iterator(finals.begin()),
+                   std::make_move_iterator(finals.end()));
     return out_row;
   };
 
-  // Keys touched this batch -> updated state, one map per shard. In both
-  // execution paths below a shard's insertion order is the input-row order
-  // restricted to that shard (the staged path iterates chunk buckets in
-  // chunk order, and chunks are contiguous in-order row ranges), so with
-  // the same map type and key sequence the iteration order — and therefore
-  // update-mode emission order — is identical between the paths.
-  using ChangedMap = std::unordered_map<std::string, Row,
-                                        TransparentStringHash,
-                                        std::equal_to<>>;
+  // Late data: rows for a window already closed by the watermark are
+  // dropped before they reach state, and closed windows are evicted.
+  auto closed = [&](int64_t wstart) {
+    return windowed && watermark != INT64_MIN &&
+           wstart + window_size <= watermark;
+  };
 
-  // Flush + emit for one shard, shared by both paths: write back the
-  // changed states, then emit per output mode (batch/complete: everything;
-  // append: finals of windows closed by the watermark; update: changed
-  // minus evicted), evicting closed windows along the way.
-  auto apply_shard = [&](StateShardProtocol* shard, const ChangedMap& changed,
-                         std::vector<Row>& out_rows) -> Status {
-    for (const auto& [enc, state] : changed) {
-      std::string buf;
-      EncodeRow(state, &buf);
-      shard->Put(enc, std::move(buf));
+  // The fold body, shared by both execution paths (see ShardFold). Both
+  // paths feed a shard's rows in input order (the staged path's chunks are
+  // contiguous in-order row ranges visited in chunk order), so the touched
+  // order, and with it update-mode emission order, is the same on both.
+  const Row init_state = InitAggState(aggregates_);
+  auto fold_row = [&](ShardFold& f, std::string_view enc, uint64_t hash,
+                      int64_t wstart, const Row& args) -> Status {
+    size_t home = 0;
+    ShardFold::Touched* t = f.Find(enc, hash, &home);
+    if (t == nullptr) {
+      f.key_buf.assign(enc);
+      StateStore::Slot slot = f.shard->FindOrCreate(f.key_buf);
+      t = &f.Add(home, slot, hash, wstart);
+      if (slot.created) {
+        t->state = init_state;
+      } else {
+        size_t pos = 0;
+        SS_RETURN_IF_ERROR(DecodeRowInto(*slot.value, &pos, &t->state));
+      }
+    }
+    UpdateAggState(aggregates_, args, &t->state);
+    return Status::OK();
+  };
+
+  // Encode the touched states back, then emit per output mode
+  // (batch/complete: everything; append: finals of windows closed by the
+  // watermark; update: the touched keys minus evicted ones), evicting
+  // closed windows along the way.
+  auto finish_shard = [&](ShardFold& f, std::vector<Row>& out_rows) -> Status {
+    StateShardProtocol* shard = f.shard;
+    for (size_t j = 0; j < f.num_touched; ++j) {
+      ShardFold::Touched& t = f.touched[j];
+      t.slot.value->clear();
+      EncodeRow(t.state, t.slot.value);
     }
 
     if (ctx->is_batch) {
@@ -357,8 +445,8 @@ Result<std::vector<RecordBatchPtr>> StatefulAggExec::ExecuteImpl(
 
     // Eviction of closed windows (and append-mode emission of their
     // finals), shard-local.
-    std::vector<std::string> evict;
     if (windowed && watermark != INT64_MIN) {
+      std::vector<std::string> evict;
       Status iter_status;
       shard->ForEach([&](const std::string& k, const std::string& v) {
         auto key = DecodeRow(k);
@@ -366,9 +454,8 @@ Result<std::vector<RecordBatchPtr>> StatefulAggExec::ExecuteImpl(
           iter_status = key.status();
           return;
         }
-        int64_t wstart =
-            (*key)[static_cast<size_t>(window_key_index_)].int64_value();
-        if (wstart + window_size <= watermark) {
+        if (closed((*key)[static_cast<size_t>(window_key_index_)]
+                       .int64_value())) {
           if (ctx->mode == OutputMode::kAppend) {
             auto state = DecodeRow(v);
             if (!state.ok()) {
@@ -390,10 +477,10 @@ Result<std::vector<RecordBatchPtr>> StatefulAggExec::ExecuteImpl(
     }
 
     if (ctx->mode == OutputMode::kUpdate) {
-      std::unordered_set<std::string> evicted(evict.begin(), evict.end());
-      for (const auto& [enc, state] : changed) {
-        if (evicted.count(enc)) continue;  // closed; never re-emit
-        SS_ASSIGN_OR_RETURN(Row row, finalize(enc, state));
+      for (size_t j = 0; j < f.num_touched; ++j) {
+        const ShardFold::Touched& t = f.touched[j];
+        if (closed(t.wstart)) continue;  // evicted above; never re-emit
+        SS_ASSIGN_OR_RETURN(Row row, finalize(*t.slot.key, t.state));
         out_rows.push_back(std::move(row));
       }
     } else if (ctx->mode == OutputMode::kComplete) {
@@ -416,24 +503,35 @@ Result<std::vector<RecordBatchPtr>> StatefulAggExec::ExecuteImpl(
     return Status::OK();
   };
 
+  // Aggregate arguments of input row i (count(*) needs none; its slot
+  // stays null).
+  auto load_args = [&](const PartitionWork& w, int64_t i, Row* args) {
+    if (!needs_args) return;
+    for (size_t a = 0; a < aggregates_.size(); ++a) {
+      if (aggregates_[a].func != AggFunc::kCountAll) {
+        (*args)[a] = w.arg_cols[a]->ValueAt(i);
+      }
+    }
+  };
+
   // When partition parallelism alone saturates the scheduler, per-shard
   // tasks buy no extra concurrency and the staged split's key
   // materialization is an extra full pass over the data for nothing. Fuse
   // instead: one task per partition routes rows straight into per-shard
-  // changed maps and applies each shard in index order — byte-identical to
-  // the staged path (see the ChangedMap note above).
+  // folds and finishes each shard in index order — byte-identical to the
+  // staged path (see the fold body above).
   const bool fused = ctx->scheduler->parallelism() <= static_cast<int>(P);
   if (fused) {
     std::vector<std::function<Status()>> tasks;
     for (size_t p = 0; p < P; ++p) {
       const int S = stores[p]->num_shards();
       const int64_t n = in[p]->num_rows();
-      work[p].shard_rows.resize(static_cast<size_t>(S));
-      tasks.push_back([this, &work, &stores, &apply_shard, p, S, n, windowed,
-                       watermark, window_size, needs_args]() -> Status {
+      work[p].shard_out.resize(1);
+      tasks.push_back([this, &work, &fold_row, &finish_shard, &load_args,
+                       &closed, p, S, n, windowed]() -> Status {
         PartitionWork& w = work[p];
-        std::vector<ChangedMap> changed(static_cast<size_t>(S));
-        Row args(aggregates_.size());  // all-null is correct for count(*)
+        std::vector<ShardFold>& folds = folds_[p];
+        Row args(aggregates_.size());
         std::vector<int64_t> window_starts;
         std::string enc;
         for (int64_t i = 0; i < n; ++i) {
@@ -447,18 +545,9 @@ Result<std::vector<RecordBatchPtr>> StatefulAggExec::ExecuteImpl(
           } else {
             window_starts.push_back(0);  // one dummy iteration
           }
-          if (needs_args) {
-            for (size_t a = 0; a < aggregates_.size(); ++a) {
-              if (aggregates_[a].func != AggFunc::kCountAll) {
-                args[a] = w.arg_cols[a]->ValueAt(i);
-              }
-            }
-          }
+          load_args(w, i, &args);
           for (int64_t wstart : window_starts) {
-            if (windowed && watermark != INT64_MIN &&
-                wstart + window_size <= watermark) {
-              continue;  // late data for an already-closed window: dropped
-            }
+            if (closed(wstart)) continue;  // late data: dropped
             enc.clear();
             enc.push_back(static_cast<char>(group_exprs_.size()));
             for (size_t g = 0; g < group_exprs_.size(); ++g) {
@@ -475,28 +564,18 @@ Result<std::vector<RecordBatchPtr>> StatefulAggExec::ExecuteImpl(
                 w.key_cols[g]->EncodeValueTo(i, &enc);
               }
             }
-            const int s = ShardOfKey(enc, S);
-            ChangedMap& cm = changed[static_cast<size_t>(s)];
-            auto it = cm.find(enc);
-            if (it == cm.end()) {
-              Row state;
-              std::optional<std::string> stored =
-                  stores[p]->shard(s)->Get(enc);
-              if (stored.has_value()) {
-                SS_ASSIGN_OR_RETURN(state, DecodeRow(*stored));
-              } else {
-                state = InitAggState(aggregates_);
-              }
-              it = cm.emplace(enc, std::move(state)).first;
-            }
-            UpdateAggState(aggregates_, args, &it->second);
+            const uint64_t hash = ShardedStateStore::StableHashKey(enc);
+            SS_RETURN_IF_ERROR(fold_row(
+                folds[static_cast<size_t>(hash % static_cast<uint64_t>(S))],
+                enc, hash, wstart, args));
           }
         }
-        for (int s = 0; s < S; ++s) {
-          SS_RETURN_IF_ERROR(
-              apply_shard(stores[p]->shard(s), changed[static_cast<size_t>(s)],
-                          w.shard_rows[static_cast<size_t>(s)]));
+        std::vector<Row> rows;
+        for (ShardFold& fold : folds) {
+          SS_RETURN_IF_ERROR(finish_shard(fold, rows));
         }
+        SS_ASSIGN_OR_RETURN(w.shard_out[0],
+                            RecordBatch::FromRows(schema_, rows));
         return Status::OK();
       });
     }
@@ -515,14 +594,14 @@ Result<std::vector<RecordBatchPtr>> StatefulAggExec::ExecuteImpl(
       work[p].chunks = SplitChunks(n, S);
       work[p].buckets.resize(static_cast<size_t>(work[p].chunks) *
                              static_cast<size_t>(S));
-      work[p].shard_rows.resize(static_cast<size_t>(S));
+      work[p].shard_out.resize(static_cast<size_t>(S));
       const int C = work[p].chunks;
       const int64_t per = (n + C - 1) / C;
       for (int c = 0; c < C; ++c) {
         const int64_t lo = c * per;
         const int64_t hi = std::min(n, lo + per);
-        tasks.push_back([this, &work, p, c, lo, hi, S, windowed, watermark,
-                         window_size]() -> Status {
+        tasks.push_back([this, &work, &closed, p, c, lo, hi, S,
+                         windowed]() -> Status {
           PartitionWork& w = work[p];
           KeyedEntries* buckets =
               &w.buckets[static_cast<size_t>(c) * static_cast<size_t>(S)];
@@ -540,10 +619,7 @@ Result<std::vector<RecordBatchPtr>> StatefulAggExec::ExecuteImpl(
               window_starts.push_back(0);  // one dummy iteration
             }
             for (int64_t wstart : window_starts) {
-              if (windowed && watermark != INT64_MIN &&
-                  wstart + window_size <= watermark) {
-                continue;  // late data for an already-closed window: dropped
-              }
+              if (closed(wstart)) continue;  // late data: dropped
               enc.clear();
               enc.push_back(static_cast<char>(group_exprs_.size()));
               for (size_t g = 0; g < group_exprs_.size(); ++g) {
@@ -580,45 +656,30 @@ Result<std::vector<RecordBatchPtr>> StatefulAggExec::ExecuteImpl(
     for (size_t p = 0; p < P; ++p) {
       const int S = stores[p]->num_shards();
       for (int s = 0; s < S; ++s) {
-        tasks.push_back([this, &work, &stores, &apply_shard, p, s, S,
-                         needs_args]() -> Status {
+        tasks.push_back([this, &work, &fold_row, &finish_shard, &load_args,
+                         p, s, S]() -> Status {
           PartitionWork& w = work[p];
-          StateShardProtocol* shard = stores[p]->shard(s);
-          ChangedMap changed;
-          Row args(aggregates_.size());  // all-null is correct for count(*)
+          ShardFold& fold = folds_[p][static_cast<size_t>(s)];
+          Row args(aggregates_.size());
           for (int c = 0; c < w.chunks; ++c) {
             const KeyedEntries& bucket =
                 w.buckets[static_cast<size_t>(c) * static_cast<size_t>(S) +
                           static_cast<size_t>(s)];
             SS_RETURN_IF_ERROR(ForEachEntry(
                 bucket,
-                [&](int32_t i, int64_t, std::string_view enc) -> Status {
-                  if (needs_args) {
-                    for (size_t a = 0; a < aggregates_.size(); ++a) {
-                      if (aggregates_[a].func != AggFunc::kCountAll) {
-                        args[a] = w.arg_cols[a]->ValueAt(i);
-                      }
-                    }
-                  }
-                  auto it = changed.find(enc);
-                  if (it == changed.end()) {
-                    std::string key(enc);
-                    Row state;
-                    std::optional<std::string> stored = shard->Get(key);
-                    if (stored.has_value()) {
-                      SS_ASSIGN_OR_RETURN(state, DecodeRow(*stored));
-                    } else {
-                      state = InitAggState(aggregates_);
-                    }
-                    it = changed.emplace(std::move(key), std::move(state))
-                             .first;
-                  }
-                  UpdateAggState(aggregates_, args, &it->second);
-                  return Status::OK();
+                [&](int32_t i, int64_t wstart, std::string_view enc)
+                    -> Status {
+                  load_args(w, i, &args);
+                  return fold_row(fold, enc,
+                                  ShardedStateStore::StableHashKey(enc),
+                                  wstart, args);
                 }));
           }
-          return apply_shard(shard, changed,
-                             w.shard_rows[static_cast<size_t>(s)]);
+          std::vector<Row> rows;
+          SS_RETURN_IF_ERROR(finish_shard(fold, rows));
+          SS_ASSIGN_OR_RETURN(w.shard_out[static_cast<size_t>(s)],
+                              RecordBatch::FromRows(schema_, rows));
+          return Status::OK();
         });
       }
     }
@@ -629,15 +690,7 @@ Result<std::vector<RecordBatchPtr>> StatefulAggExec::ExecuteImpl(
   // Deterministic merge: shard outputs concatenated in shard-index order.
   std::vector<RecordBatchPtr> out(P);
   for (size_t p = 0; p < P; ++p) {
-    std::vector<Row> merged;
-    size_t total = 0;
-    for (const auto& sr : work[p].shard_rows) total += sr.size();
-    merged.reserve(total);
-    for (auto& sr : work[p].shard_rows) {
-      merged.insert(merged.end(), std::make_move_iterator(sr.begin()),
-                    std::make_move_iterator(sr.end()));
-    }
-    SS_ASSIGN_OR_RETURN(out[p], RecordBatch::FromRows(schema_, merged));
+    out[p] = RecordBatch::Concat(schema_, work[p].shard_out);
   }
   return out;
 }

@@ -28,6 +28,7 @@ class StatefulAggExec : public PhysOp {
   StatefulAggExec(int op_id, PhysOpPtr child, SchemaPtr out_schema,
                   std::vector<NamedExpr> group_exprs,
                   std::vector<AggSpec> aggregates);
+  ~StatefulAggExec() override;
 
   std::string name() const override { return "StatefulAggregate"; }
   Result<std::vector<RecordBatchPtr>> ExecuteImpl(ExecContext* ctx) override;
@@ -42,6 +43,10 @@ class StatefulAggExec : public PhysOp {
   // Set when one group key is a window() expression.
   int window_key_index_ = -1;  // position within group_exprs_
   const WindowExpr* window_expr_ = nullptr;
+  // Fold scratch per [partition][shard], kept across epochs so a warm fold
+  // reuses its buffers instead of allocating per key (see the .cc).
+  struct ShardFold;
+  std::vector<std::vector<ShardFold>> folds_;
 };
 
 /// Streaming SELECT DISTINCT: emits each row the first time it is seen,

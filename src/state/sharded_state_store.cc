@@ -37,7 +37,7 @@ std::vector<int> ListShardDirs(const std::string& dir) {
 
 }  // namespace
 
-uint64_t ShardedStateStore::StableHashKey(const std::string& key) {
+uint64_t ShardedStateStore::StableHashKey(std::string_view key) {
   // FNV-1a, 64-bit: stable across platforms and standard libraries, unlike
   // std::hash — routing is part of the durable layout.
   uint64_t h = 14695981039346656037ull;
@@ -119,6 +119,10 @@ Status ShardedStateStore::Commit(int64_t version) {
   return Status::OK();
 }
 
+void ShardedStateStore::ForgetChanges() {
+  for (const auto& shard : shards_) shard->ForgetChanges();
+}
+
 int64_t ShardedStateStore::size() const {
   int64_t total = 0;
   for (const auto& shard : shards_) total += shard->rows();
@@ -134,6 +138,12 @@ int64_t ShardedStateStore::ApproxBytes() const {
 int64_t ShardedStateStore::bytes_written() const {
   int64_t total = 0;
   for (const auto& shard : shards_) total += shard->bytes_written();
+  return total;
+}
+
+int64_t ShardedStateStore::tracked_changes() const {
+  int64_t total = 0;
+  for (const auto& shard : shards_) total += shard->tracked_changes();
   return total;
 }
 

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/status.h"
@@ -55,7 +56,7 @@ class ShardedStateStore {
   int num_shards() const { return static_cast<int>(shards_.size()); }
 
   /// Stable 64-bit FNV-1a of the encoded key; shard = hash % num_shards.
-  static uint64_t StableHashKey(const std::string& key);
+  static uint64_t StableHashKey(std::string_view key);
   int ShardOf(const std::string& key) const {
     return static_cast<int>(StableHashKey(key) %
                             static_cast<uint64_t>(shards_.size()));
@@ -92,11 +93,15 @@ class ShardedStateStore {
 
   /// Snapshots every shard at `version`, in shard order.
   Status Commit(int64_t version);
+  /// Non-durable epoch end: every shard drops its change tracking.
+  void ForgetChanges();
 
   // Aggregated accounting across shards.
   int64_t size() const;
   int64_t ApproxBytes() const;
   int64_t bytes_written() const;
+  /// StateStore::tracked_changes summed over shards.
+  int64_t tracked_changes() const;
 
   /// Per-shard live state sizes, indexed by shard.
   struct ShardSize {

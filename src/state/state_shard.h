@@ -15,8 +15,8 @@ namespace sstreaming {
 /// The narrow per-shard state protocol: everything a stateful operator (or
 /// the checkpoint machinery) may ask of one shard of keyed state. The split
 /// mirrors faabric's StateServer verbs — pull (Get/Contains/ForEach), push
-/// (Put/Append/Remove), and snapshot/restore — so a shard's backing can
-/// later move out of process without touching the operators.
+/// (Put/Append/Remove/FindOrCreate), and snapshot/restore — so a shard's
+/// backing can later move out of process without touching the operators.
 ///
 /// A shard is single-writer: within one epoch exactly one scheduler task
 /// touches a given shard, so implementations need no internal locking.
@@ -39,6 +39,10 @@ class StateShardProtocol {
   /// one most likely to fail partially once shards go remote.
   virtual Status Append(const std::string& key, const std::string& tail) = 0;
   virtual void Remove(const std::string& key) = 0;
+  /// Find-or-create for in-place update (StateStore::FindOrCreate): one
+  /// probe, then the caller may rewrite the value through the returned
+  /// slot until the next Snapshot; the snapshot records the final bytes.
+  virtual StateStore::Slot FindOrCreate(const std::string& key) = 0;
 
   // -- snapshot / restore --
   /// Durably checkpoints all changes since the last snapshot as `version`.
@@ -80,11 +84,17 @@ class LocalStateShard : public StateShardProtocol {
   }
   Status Append(const std::string& key, const std::string& tail) override;
   void Remove(const std::string& key) override { store_->Remove(key); }
+  StateStore::Slot FindOrCreate(const std::string& key) override {
+    return store_->FindOrCreate(key);
+  }
 
   Status Snapshot(int64_t version) override;
   int64_t restored_version() const override {
     return store_->loaded_version();
   }
+  /// Ends an epoch of non-durable state: StateStore::ForgetChanges.
+  void ForgetChanges() { store_->ForgetChanges(); }
+  int64_t tracked_changes() const { return store_->tracked_changes(); }
 
   int64_t rows() const override { return store_->size(); }
   int64_t ApproxBytes() const override { return store_->ApproxBytes(); }

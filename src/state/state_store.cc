@@ -42,8 +42,8 @@ void AppendRemove(std::string* out, const std::string& key) {
   out->append(key);
 }
 
-Status ApplyLog(const std::string& data,
-                std::unordered_map<std::string, std::string>* map) {
+template <typename Map>
+Status ApplyLog(const std::string& data, Map* map) {
   size_t pos = 0;
   while (pos < data.size()) {
     char op = data[pos++];
@@ -58,7 +58,7 @@ Status ApplyLog(const std::string& data,
       if (!GetFixed64(data, &pos, &vlen) || pos + vlen > data.size()) {
         return Status::IOError("corrupt state file (value)");
       }
-      (*map)[std::move(key)] = data.substr(pos, vlen);
+      (*map)[std::move(key)].value = data.substr(pos, vlen);
       pos += vlen;
     } else if (op == kOpRemove) {
       map->erase(key);
@@ -113,12 +113,9 @@ Result<std::unique_ptr<StateStore>> StateStore::Open(const std::string& dir,
   if (version > 0) {
     SS_RETURN_IF_ERROR(store->LoadUpTo(version));
     // ApplyLog fills data_ directly; charge the restored contents once here
-    // so the incremental accounting in Put/Remove starts from truth.
-    for (const auto& [key, value] : store->data_) {
-      store->approx_bytes_ +=
-          static_cast<int64_t>(key.size() + value.size()) +
-          kEntryOverheadBytes;
-    }
+    // so the incremental accounting starts from truth.
+    for (const Node& node : store->data_) store->clean_bytes_ += Charge(node);
+    store->live_ = static_cast<int64_t>(store->data_.size());
   }
   store->last_commit_version_ = store->loaded_version_;
   return store;
@@ -151,54 +148,81 @@ Status StateStore::LoadUpTo(int64_t version) {
 
 std::optional<std::string> StateStore::Get(const std::string& key) const {
   auto it = data_.find(key);
-  if (it == data_.end()) return std::nullopt;
-  return it->second;
+  if (it == data_.end() || it->second.removed) return std::nullopt;
+  return it->second.value;
+}
+
+void StateStore::MarkDirty(Node& node) {
+  if (node.second.dirty) return;
+  if (!node.second.removed) clean_bytes_ -= Charge(node);
+  node.second.dirty = true;
+  dirty_.push_back(&node);
+}
+
+StateStore::Slot StateStore::FindOrCreate(const std::string& key) {
+  auto [it, inserted] = data_.try_emplace(key);
+  Node& node = *it;
+  if (inserted) node.second.removed = true;  // not live until revived below
+  MarkDirty(node);
+  const bool created = node.second.removed;
+  if (created) {
+    node.second.removed = false;
+    ++live_;
+  }
+  return Slot{&node.first, &node.second.value, created};
 }
 
 void StateStore::Put(const std::string& key, std::string value) {
-  auto it = data_.find(key);
-  if (it == data_.end()) {
-    approx_bytes_ +=
-        static_cast<int64_t>(key.size() + value.size()) + kEntryOverheadBytes;
-    data_.emplace(key, value);
-  } else {
-    approx_bytes_ += static_cast<int64_t>(value.size()) -
-                     static_cast<int64_t>(it->second.size());
-    it->second = value;
-  }
-  pending_[key] = std::move(value);
+  *FindOrCreate(key).value = std::move(value);
 }
 
 void StateStore::Append(const std::string& key, const std::string& tail) {
-  auto it = data_.find(key);
-  if (it == data_.end()) {
-    Put(key, tail);
-    return;
-  }
-  approx_bytes_ += static_cast<int64_t>(tail.size());
-  it->second.append(tail);
-  pending_[key] = it->second;
+  FindOrCreate(key).value->append(tail);
 }
 
 void StateStore::Remove(const std::string& key) {
+  // An absent key was not live at the last commit either (committed
+  // entries stay in the map until removed and committed), so there is
+  // nothing to record.
   auto it = data_.find(key);
-  if (it != data_.end()) {
-    approx_bytes_ -=
-        static_cast<int64_t>(key.size() + it->second.size()) +
-        kEntryOverheadBytes;
-    data_.erase(it);
-  }
-  pending_[key] = std::nullopt;
+  if (it == data_.end() || it->second.removed) return;
+  MarkDirty(*it);
+  it->second.removed = true;
+  it->second.value.clear();  // a revived tombstone starts empty
+  --live_;
 }
 
 bool StateStore::Contains(const std::string& key) const {
-  return data_.find(key) != data_.end();
+  auto it = data_.find(key);
+  return it != data_.end() && !it->second.removed;
+}
+
+int64_t StateStore::ApproxBytes() const {
+  int64_t bytes = clean_bytes_;
+  for (const Node* node : dirty_) {
+    if (!node->second.removed) bytes += Charge(*node);
+  }
+  return bytes;
 }
 
 void StateStore::ForEach(
     const std::function<void(const std::string&, const std::string&)>& fn)
     const {
-  for (const auto& [key, value] : data_) fn(key, value);
+  for (const auto& [key, entry] : data_) {
+    if (!entry.removed) fn(key, entry.value);
+  }
+}
+
+void StateStore::ForgetChanges() {
+  for (Node* node : dirty_) {
+    if (node->second.removed) {
+      data_.erase(data_.find(node->first));
+      continue;
+    }
+    node->second.dirty = false;
+    clean_bytes_ += Charge(*node);
+  }
+  dirty_.clear();
 }
 
 Status StateStore::Commit(int64_t version) {
@@ -214,27 +238,34 @@ Status StateStore::Commit(int64_t version) {
   if (snapshot) SS_FAILPOINT("state.snapshot.before_write");
   std::string buf;
   if (snapshot) {
-    for (const auto& [key, value] : data_) AppendPut(&buf, key, value);
-    ++snapshot_commits_;
-    commits_since_snapshot_ = 0;
+    for (const Node& node : data_) {
+      if (!node.second.removed) AppendPut(&buf, node.first, node.second.value);
+    }
   } else {
-    for (const auto& [key, value] : pending_) {
-      if (value.has_value()) {
-        AppendPut(&buf, key, *value);
+    for (const Node* node : dirty_) {
+      if (node->second.removed) {
+        AppendRemove(&buf, node->first);
       } else {
-        AppendRemove(&buf, key);
+        AppendPut(&buf, node->first, node->second.value);
       }
     }
-    ++delta_commits_;
-    ++commits_since_snapshot_;
   }
   SS_RETURN_IF_ERROR(
       WriteFileAtomic(VersionPath(dir_, version, snapshot), buf));
   // Crash window after the version file is durable but before the store
   // adopts it: recovery must treat the on-disk version as authoritative.
   SS_FAILPOINT("state.commit.after_write");
+  // Only an adopted write advances the snapshot schedule: a failed
+  // snapshot is retried as a snapshot, not demoted to a delta.
+  if (snapshot) {
+    ++snapshot_commits_;
+    commits_since_snapshot_ = 0;
+  } else {
+    ++delta_commits_;
+    ++commits_since_snapshot_;
+  }
   bytes_written_ += static_cast<int64_t>(buf.size());
-  pending_.clear();
+  ForgetChanges();
   last_commit_version_ = version;
   loaded_version_ = version;
   return Status::OK();

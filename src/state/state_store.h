@@ -7,6 +7,7 @@
 #include <optional>
 #include <string>
 #include <unordered_map>
+#include <vector>
 
 #include "common/status.h"
 
@@ -22,9 +23,21 @@ namespace sstreaming {
 /// engine can replay the missing epochs from the write-ahead log (checkpoints
 /// may legally lag the sink, §3 "written asynchronously ... may be behind").
 ///
+/// Change tracking: state is held once. Each working-copy entry carries its
+/// own dirty and removed marks, and a list of the dirty entries (in
+/// first-change order) replaces a second map of pending changes. Put, Append,
+/// Remove and FindOrCreate are one hash probe each; Remove leaves a
+/// tombstone (an entry marked removed) so the next commit can record the
+/// deletion. Commit writes the delta by walking the dirty list, then clears
+/// the marks and erases the tombstones. State that is never checkpointed
+/// (non-durable queries, batch runs) must call ForgetChanges() at each epoch
+/// end instead, or the dirty list and the tombstones grow for the life of
+/// the store.
+///
 /// Layout under `dir`:
 ///   <version>.snapshot  - full contents at `version`
-///   <version>.delta     - changes from the previous committed version
+///   <version>.delta     - changes from the previous committed version, in
+///                         first-change order
 class StateStore {
  public:
   struct Options {
@@ -51,13 +64,37 @@ class StateStore {
   void Append(const std::string& key, const std::string& tail);
   void Remove(const std::string& key);
   bool Contains(const std::string& key) const;
-  int64_t size() const { return static_cast<int64_t>(data_.size()); }
+  int64_t size() const { return live_; }
+
+  /// An entry handed out for in-place update by FindOrCreate.
+  struct Slot {
+    const std::string* key;  // the store's copy of the key
+    std::string* value;      // the stored value, writable in place
+    bool created;            // the key was absent; *value is empty
+  };
+  /// Finds `key`'s entry, creating an empty one when absent, and marks it
+  /// changed: the next commit records whatever the caller leaves in
+  /// *value. One probe. Both pointers stay valid until the next Commit or
+  /// ForgetChanges; do not write through them after removing the key.
+  Slot FindOrCreate(const std::string& key);
 
   /// Approximate in-memory footprint of the working copy: key and value
-  /// payloads plus a fixed per-entry overhead. Maintained incrementally on
-  /// Put/Remove (O(1) per call), so the epoch loop can publish state-size
-  /// gauges without walking the map.
-  int64_t ApproxBytes() const { return approx_bytes_; }
+  /// payloads plus a fixed per-entry overhead, over live entries. Exact
+  /// even while FindOrCreate callers rewrite values in place: unchanged
+  /// entries are charged incrementally and changed ones are summed on
+  /// demand, so a call costs O(entries changed since the last commit) —
+  /// nothing right after a commit, where the epoch loop reads it.
+  int64_t ApproxBytes() const;
+
+  /// Accounting charge per map entry beyond the payload (hash-map node,
+  /// string headers). A rough constant — the gauges are approximations.
+  static constexpr int64_t kEntryOverheadBytes = 64;
+
+  /// Entries changed since the last commit (or ForgetChanges), removed
+  /// ones included.
+  int64_t tracked_changes() const {
+    return static_cast<int64_t>(dirty_.size());
+  }
 
   /// Visits every live entry. Do not mutate during iteration; collect keys
   /// first when evicting.
@@ -65,8 +102,14 @@ class StateStore {
                                         const std::string& value)>& fn) const;
 
   /// Durably commits all changes since the last commit as `version`.
-  /// Versions must be strictly increasing across commits.
+  /// Versions must be strictly increasing across commits. A failed commit
+  /// keeps its changes (and the snapshot schedule) for the retry.
   Status Commit(int64_t version);
+
+  /// Drops the change tracking (dirty marks, tombstones) without writing
+  /// anything; the live contents are unchanged. Commit does this after its
+  /// write; non-durable state calls it at each epoch end instead.
+  void ForgetChanges();
 
   /// Removes durable versions > `version` (manual rollback support).
   static Status TruncateAfter(const std::string& dir, int64_t version);
@@ -84,26 +127,43 @@ class StateStore {
   StateStore(std::string dir, Options options)
       : dir_(std::move(dir)), options_(options) {}
 
+  struct Entry {
+    std::string value;
+    bool dirty = false;    // listed in dirty_ (changed since the last commit)
+    bool removed = false;  // tombstone; erased by the next commit
+  };
+  using Map = std::unordered_map<std::string, Entry>;
+  using Node = Map::value_type;
+
   Status LoadUpTo(int64_t version);
 
-  /// Accounting charge per map entry beyond the payload (hash-map node,
-  /// string headers). A rough constant — the gauges are approximations.
-  static constexpr int64_t kEntryOverheadBytes = 64;
+  /// Lists `node` in dirty_ unless it already is, moving its charge out of
+  /// clean_bytes_.
+  void MarkDirty(Node& node);
+
+  static int64_t Charge(const Node& node) {
+    return static_cast<int64_t>(node.first.size() + node.second.value.size()) +
+           kEntryOverheadBytes;
+  }
 
   std::string dir_;
   Options options_;
   int64_t loaded_version_ = 0;
-  int64_t approx_bytes_ = 0;
+  int64_t live_ = 0;
+  // Charge of the live entries that are not dirty; ApproxBytes adds the
+  // dirty live ones.
+  int64_t clean_bytes_ = 0;
   int64_t last_commit_version_ = 0;
   int commits_since_snapshot_ = 0;
   int64_t bytes_written_ = 0;
   int64_t delta_commits_ = 0;
   int64_t snapshot_commits_ = 0;
 
-  std::unordered_map<std::string, std::string> data_;
-  // Pending changes since the last commit: value present = put, absent =
-  // delete.
-  std::unordered_map<std::string, std::optional<std::string>> pending_;
+  // Working copy, tombstones included. Nodes never move, so dirty_ can
+  // point into it.
+  Map data_;
+  // Entries changed since the last commit, in first-change order.
+  std::vector<Node*> dirty_;
 };
 
 }  // namespace sstreaming

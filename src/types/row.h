@@ -36,17 +36,24 @@ inline void EncodeRow(const Row& row, std::string* out) {
   for (const Value& v : row) v.EncodeTo(out);
 }
 
-inline Result<Row> DecodeRow(const std::string& data, size_t* pos) {
+/// Decodes into `row`, replacing its contents but reusing its storage.
+inline Status DecodeRowInto(const std::string& data, size_t* pos, Row* row) {
   if (*pos >= data.size()) {
     return Status::InvalidArgument("row decode: truncated arity byte");
   }
   size_t n = static_cast<unsigned char>(data[(*pos)++]);
-  Row row;
-  row.reserve(n);
+  row->clear();
+  row->reserve(n);
   for (size_t i = 0; i < n; ++i) {
     SS_ASSIGN_OR_RETURN(Value v, Value::DecodeFrom(data, pos));
-    row.push_back(std::move(v));
+    row->push_back(std::move(v));
   }
+  return Status::OK();
+}
+
+inline Result<Row> DecodeRow(const std::string& data, size_t* pos) {
+  Row row;
+  SS_RETURN_IF_ERROR(DecodeRowInto(data, pos, &row));
   return row;
 }
 

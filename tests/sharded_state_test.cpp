@@ -182,9 +182,10 @@ TEST_F(ShardedStateStoreTest, TruncateAfterFallsBackToFlatLayout) {
 // Differential equivalence battery.
 // ---------------------------------------------------------------------------
 
-/// Records each epoch's first delivery (sorted) while delegating table
-/// semantics to MemorySink, so runs at different shard counts can be
-/// compared epoch by epoch, byte for byte.
+/// Records each epoch's delivery, sorted and in arrival order, while
+/// delegating table semantics to MemorySink, so runs at different shard
+/// counts can be compared epoch by epoch, byte for byte, and runs at the
+/// same shard count row for row in order.
 class EpochRecordingSink : public Sink {
  public:
   bool SupportsMode(OutputMode mode) const override {
@@ -199,6 +200,7 @@ class EpochRecordingSink : public Sink {
       auto brows = b->ToRows();
       rows.insert(rows.end(), brows.begin(), brows.end());
     }
+    arrivals_[epoch] = rows;
     std::sort(rows.begin(), rows.end(), RowLess());
     auto it = epochs_.find(epoch);
     if (it != epochs_.end() && it->second != rows) {
@@ -211,18 +213,23 @@ class EpochRecordingSink : public Sink {
   }
   std::vector<Row> SortedSnapshot() const { return inner_.SortedSnapshot(); }
   const std::map<int64_t, std::vector<Row>>& epochs() const { return epochs_; }
+  const std::map<int64_t, std::vector<Row>>& arrivals() const {
+    return arrivals_;
+  }
   int64_t redelivery_mismatches() const { return redelivery_mismatches_; }
 
  private:
   MemorySink inner_;
-  std::map<int64_t, std::vector<Row>> epochs_;
+  std::map<int64_t, std::vector<Row>> epochs_;    // sorted
+  std::map<int64_t, std::vector<Row>> arrivals_;  // as delivered
   int64_t redelivery_mismatches_ = 0;
 };
 
 enum class Pipeline { kWindowedAgg, kDedup, kJoin };
 
 struct DifferentialRun {
-  std::map<int64_t, std::vector<Row>> epochs;
+  std::map<int64_t, std::vector<Row>> epochs;    // sorted per epoch
+  std::map<int64_t, std::vector<Row>> arrivals;  // delivery order per epoch
   std::vector<Row> final_rows;
   int64_t state_rows = 0;   // summed over stateful operators
   int64_t state_bytes = 0;
@@ -349,6 +356,7 @@ DifferentialRun RunPipeline(Pipeline pipeline, int num_shards, uint64_t seed,
   EXPECT_EQ(sink->redelivery_mismatches(), 0)
       << "recovery replay re-committed an epoch with different rows";
   result.epochs = sink->epochs();
+  result.arrivals = sink->arrivals();
   result.final_rows = sink->SortedSnapshot();
   query->reset();
   RemoveDirRecursive(*dir).ok();
@@ -388,7 +396,9 @@ TEST_P(ShardedDifferentialTest, StagedPathMatchesFusedGolden) {
   // golden below), and a staged split/fold when spare cores make per-shard
   // tasks worthwhile. A pool scheduler wider than the partition count
   // forces the staged path — with real cross-thread execution — and the
-  // output must still be byte-identical to the fused golden.
+  // output must still be byte-identical to the fused golden. At the same
+  // shard count the rows must also arrive in the same order: both paths
+  // run one fold body that emits each shard's keys in first-touch order.
   DifferentialRun golden = RunPipeline(GetParam(), 4, 20260810, false);
   ASSERT_FALSE(golden.epochs.empty());
   for (int shards : {1, 4, 7}) {
@@ -397,6 +407,13 @@ TEST_P(ShardedDifferentialTest, StagedPathMatchesFusedGolden) {
                                       &pool);
     if (shards == 4) {
       ExpectEquivalent(golden, run, shards);
+      ASSERT_EQ(run.arrivals.size(), golden.arrivals.size());
+      for (const auto& [epoch, rows] : golden.arrivals) {
+        auto it = run.arrivals.find(epoch);
+        ASSERT_NE(it, run.arrivals.end()) << "missing epoch " << epoch;
+        EXPECT_EQ(it->second, rows)
+            << "epoch " << epoch << " arrived in a different order";
+      }
     } else {
       // Different shard counts change the accounting vector but never the
       // rows.

@@ -6,6 +6,7 @@
 
 #include "common/random.h"
 #include "storage/fs.h"
+#include "testing/failpoints.h"
 
 namespace sstreaming {
 namespace {
@@ -17,10 +18,31 @@ class StateStoreTest : public ::testing::Test {
     ASSERT_TRUE(dir.ok());
     dir_ = *dir;
   }
-  void TearDown() override { RemoveDirRecursive(dir_).ok(); }
+  void TearDown() override {
+    Failpoints::Instance().DisarmAll();
+    RemoveDirRecursive(dir_).ok();
+  }
 
   std::string dir_;
 };
+
+using Model = std::map<std::string, std::string>;
+
+/// The store's live view (size, ApproxBytes, ForEach) equals `model`.
+void ExpectMatchesModel(const StateStore& store, const Model& model) {
+  EXPECT_EQ(store.size(), static_cast<int64_t>(model.size()));
+  int64_t bytes = 0;
+  for (const auto& [k, v] : model) {
+    bytes += static_cast<int64_t>(k.size() + v.size()) +
+             StateStore::kEntryOverheadBytes;
+  }
+  EXPECT_EQ(store.ApproxBytes(), bytes);
+  Model seen;
+  store.ForEach([&](const std::string& k, const std::string& v) {
+    EXPECT_TRUE(seen.emplace(k, v).second) << "visited twice: " << k;
+  });
+  EXPECT_EQ(seen, model);
+}
 
 TEST_F(StateStoreTest, EmptyOpen) {
   auto store = StateStore::Open(dir_, 0);
@@ -180,8 +202,89 @@ TEST_F(StateStoreTest, ForEachVisitsAll) {
   EXPECT_EQ(count, 2);
 }
 
-// Property test: random op sequences with commits at random epochs recover
-// identically to an in-memory model, at every committed version.
+TEST_F(StateStoreTest, FindOrCreateUpdatesInPlace) {
+  auto store = StateStore::Open(dir_, 0).TakeValue();
+  StateStore::Slot a = store->FindOrCreate("a");
+  EXPECT_TRUE(a.created);
+  EXPECT_EQ(*a.key, "a");
+  EXPECT_EQ(*a.value, "");
+  EXPECT_EQ(store->size(), 1);
+  *a.value = "first";
+  store->Put("b", "2");
+  // Later writes through the slot are seen by reads, the accounting and
+  // the next commit.
+  a.value->append("+more");
+  EXPECT_EQ(*store->Get("a"), "first+more");
+  ExpectMatchesModel(*store, {{"a", "first+more"}, {"b", "2"}});
+  ASSERT_TRUE(store->Commit(1).ok());
+  StateStore::Slot again = store->FindOrCreate("a");
+  EXPECT_FALSE(again.created);
+  EXPECT_EQ(*again.value, "first+more");
+  *again.value = "x";
+  ASSERT_TRUE(store->Commit(2).ok());
+  auto reread = StateStore::Open(dir_, 2).TakeValue();
+  ExpectMatchesModel(*reread, {{"a", "x"}, {"b", "2"}});
+}
+
+TEST_F(StateStoreTest, CommitAndForgetDropTrackedChanges) {
+  auto store = StateStore::Open(dir_, 0).TakeValue();
+  store->Put("a", "1");
+  store->Put("b", "2");
+  store->Remove("b");
+  store->Remove("never-existed");  // nothing to track
+  EXPECT_EQ(store->tracked_changes(), 2);
+  ASSERT_TRUE(store->Commit(1).ok());
+  EXPECT_EQ(store->tracked_changes(), 0);
+  ExpectMatchesModel(*store, {{"a", "1"}});
+
+  // Non-durable epoch end: the marks and the tombstone go, the contents
+  // stay.
+  store->Put("c", "3");
+  store->Remove("a");
+  EXPECT_EQ(store->tracked_changes(), 2);
+  store->ForgetChanges();
+  EXPECT_EQ(store->tracked_changes(), 0);
+  ExpectMatchesModel(*store, {{"c", "3"}});
+  store->Put("a", "again");
+  ExpectMatchesModel(*store, {{"a", "again"}, {"c", "3"}});
+}
+
+TEST_F(StateStoreTest, FailedSnapshotWriteIsRetriedAsSnapshot) {
+  // A snapshot whose write fails must not count: the retry is a snapshot
+  // again, so the next full image is not postponed by a whole interval.
+  // Both the snapshot seam and a failed file write are covered.
+  for (const char* failpoint : {"state.snapshot.before_write", "fs.write"}) {
+    SCOPED_TRACE(failpoint);
+    RemoveDirRecursive(dir_).ok();
+    StateStore::Options opts;
+    opts.snapshot_interval = 3;
+    auto store = StateStore::Open(dir_, 0, opts).TakeValue();
+    for (int64_t v = 1; v <= 3; ++v) {  // snapshot, delta, delta
+      store->Put(std::string("k") + std::to_string(v), "v");
+      ASSERT_TRUE(store->Commit(v).ok());
+    }
+    ASSERT_EQ(store->snapshot_commits(), 1);
+    ASSERT_EQ(store->delta_commits(), 2);
+    store->Put("k4", "v");
+    ASSERT_TRUE(Failpoints::Instance().Arm(failpoint, FailpointSpec()).ok());
+    EXPECT_FALSE(store->Commit(4).ok());  // version 4 is due a snapshot
+    Failpoints::Instance().DisarmAll();
+    EXPECT_EQ(store->snapshot_commits(), 1);
+    EXPECT_FALSE(FileExists(dir_ + "/4.snapshot"));
+    ASSERT_TRUE(store->Commit(5).ok());
+    EXPECT_EQ(store->snapshot_commits(), 2);
+    EXPECT_EQ(store->delta_commits(), 2);
+    EXPECT_TRUE(FileExists(dir_ + "/5.snapshot"));
+    auto reread = StateStore::Open(dir_, 5, opts).TakeValue();
+    ExpectMatchesModel(
+        *reread, {{"k1", "v"}, {"k2", "v"}, {"k3", "v"}, {"k4", "v"}});
+  }
+}
+
+// Property test: random Put / Append / Remove / FindOrCreate sequences with
+// commits at random epochs. After every op the live view (size, ApproxBytes,
+// ForEach) matches an in-memory model, and every committed version recovers
+// to the model as of that commit.
 class StateStoreFuzzTest : public StateStoreTest,
                            public ::testing::WithParamInterface<int> {};
 
@@ -189,34 +292,89 @@ TEST_P(StateStoreFuzzTest, RandomOpsMatchModel) {
   Random rng(static_cast<uint64_t>(GetParam()));
   StateStore::Options opts;
   opts.snapshot_interval = 1 + static_cast<int>(rng.Uniform(6));
-  std::map<int64_t, std::map<std::string, std::string>> committed_models;
+  std::map<int64_t, Model> committed_models;
   {
     auto store = StateStore::Open(dir_, 0, opts).TakeValue();
-    std::map<std::string, std::string> model;
+    Model model;
+    // Slots handed out since the last commit, by key. Values are later
+    // rewritten through them, as the aggregate fold does at epoch end.
+    std::map<std::string, StateStore::Slot> held;
     int64_t version = 0;
-    for (int i = 0; i < 400; ++i) {
+    for (int i = 0; i < 600; ++i) {
       std::string key = std::string("k") + std::to_string(rng.Uniform(30));
-      if (rng.OneIn(0.7)) {
-        std::string value =
-            std::string("v") + std::to_string(rng.Next() % 1000);
-        store->Put(key, value);
-        model[key] = value;
-      } else {
-        store->Remove(key);
-        model.erase(key);
+      // Variable lengths so rewrites change the byte accounting.
+      std::string value = std::string("v") +
+                          std::string(rng.Uniform(12), 'x') +
+                          std::to_string(rng.Next() % 1000);
+      const uint64_t op = rng.Uniform(8);
+      SCOPED_TRACE("op " + std::to_string(i) + " kind " + std::to_string(op) +
+                   " key " + key);
+      switch (op) {
+        case 0:
+        case 1:
+          store->Put(key, value);
+          model[key] = value;
+          break;
+        case 2:
+          store->Append(key, value);
+          model[key] += value;
+          break;
+        case 3:
+          store->Remove(key);
+          model.erase(key);
+          held.erase(key);
+          break;
+        case 4: {
+          StateStore::Slot slot = store->FindOrCreate(key);
+          auto it = model.find(key);
+          EXPECT_EQ(slot.created, it == model.end());
+          EXPECT_EQ(*slot.key, key);
+          EXPECT_EQ(*slot.value, it == model.end() ? "" : it->second);
+          model[key] = *slot.value;
+          held[key] = slot;
+          break;
+        }
+        case 5: {
+          if (held.empty()) break;
+          auto it = held.begin();
+          std::advance(it, static_cast<long>(rng.Uniform(held.size())));
+          if (rng.OneIn(0.5)) {
+            *it->second.value = value;
+          } else {
+            it->second.value->append(value);
+          }
+          model[it->first] = *it->second.value;
+          break;
+        }
+        case 6:
+          // Put -> remove -> put of one key between two commits.
+          store->Put(key, value);
+          store->Remove(key);
+          store->Put(key, value + "!");
+          model[key] = value + "!";
+          held.erase(key);
+          break;
+        case 7:
+          store->Remove(std::string("absent") + std::to_string(i));
+          break;
       }
-      if (rng.OneIn(0.15)) {
+      ExpectMatchesModel(*store, model);
+      if (rng.OneIn(0.12)) {
         version += 1 + static_cast<int64_t>(rng.Uniform(3));
         ASSERT_TRUE(store->Commit(version).ok());
+        EXPECT_EQ(store->tracked_changes(), 0);
+        held.clear();
         committed_models[version] = model;
+        ExpectMatchesModel(*store, model);
       }
     }
   }
+  ASSERT_FALSE(committed_models.empty());
   for (const auto& [version, model] : committed_models) {
+    SCOPED_TRACE("version " + std::to_string(version));
     auto store = StateStore::Open(dir_, version, opts).TakeValue();
     ASSERT_EQ(store->loaded_version(), version);
-    ASSERT_EQ(store->size(), static_cast<int64_t>(model.size()))
-        << "version " << version;
+    ExpectMatchesModel(*store, model);
     for (const auto& [k, v] : model) {
       ASSERT_TRUE(store->Get(k).has_value());
       EXPECT_EQ(*store->Get(k), v);

@@ -263,6 +263,51 @@ TEST(StreamingQueryTest, WindowedAppendWithWatermark) {
       << "late record must not reopen a closed window";
 }
 
+TEST(StreamingQueryTest, EphemeralStateDropsTrackedChangesEachEpoch) {
+  // A query without a checkpoint never commits its state stores, so the
+  // epoch end must still drop their change tracking; otherwise every key
+  // ever written and every evicted window stays tracked for the life of
+  // the query.
+  auto stream = std::make_shared<MemoryStream>("clicks", ClickSchema(), 2);
+  auto sink = std::make_shared<MemorySink>();
+  DataFrame df =
+      DataFrame::ReadStream(stream)
+          .WithWatermark("time", 5 * kSec)
+          .GroupBy({As(TumblingWindow(Col("time"), 10 * kSec), "window"),
+                    NamedExpr{Col("country"), "country"}})
+          .Count();
+  auto query = StreamingQuery::Start(df, sink, Ephemeral(OutputMode::kUpdate));
+  ASSERT_TRUE(query.ok()) << query.status().ToString();
+  const char* kCountries[] = {"ca", "ny", "tx"};
+  const int kEpochs = 60;
+  for (int e = 0; e < kEpochs; ++e) {
+    std::vector<Row> rows;
+    for (const char* c : kCountries) {
+      rows.push_back(Click(c, 1, 10 * e + 1));
+      rows.push_back(Click(c, 1, 10 * e + 3));
+    }
+    rows.push_back(Click("late", 1, 0));  // dropped once [0,10) closes
+    ASSERT_TRUE(stream->AddData(rows).ok());
+    ASSERT_TRUE((*query)->ProcessAllAvailable().ok());
+    EXPECT_EQ((*query)->state().TotalTrackedChanges(), 0) << "epoch " << e;
+  }
+  // The last epoch ran under watermark 10 * 58 + 3 - 5 = 578 s, which
+  // closed every window up to [560, 570): only windows 57..59 stay live.
+  EXPECT_EQ((*query)->state().TotalEntries(), 3 * 3);
+  QueryProgress last;
+  ASSERT_TRUE((*query)->GetLastProgress(&last));
+  int64_t state_rows = 0;
+  for (const OperatorProgress& op : last.operators) state_rows += op.state_rows;
+  EXPECT_EQ(state_rows, 3 * 3);
+  // One upserted row per (window, country), each counting its two events.
+  auto table = sink->SortedSnapshot();
+  ASSERT_EQ(table.size(), static_cast<size_t>(kEpochs * 3 + 1));
+  for (const Row& row : table) {
+    if (row[2] == Value::Str("late")) continue;  // before [0,10) closed
+    EXPECT_EQ(row[3], Value::Int64(2));
+  }
+}
+
 TEST(StreamingQueryTest, SlidingWindowCounts) {
   auto stream = std::make_shared<MemoryStream>("clicks", ClickSchema(), 1);
   auto sink = std::make_shared<MemorySink>();

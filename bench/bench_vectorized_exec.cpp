@@ -8,9 +8,10 @@
 
 // The second half benchmarks the selection-vector + pipeline-fusion hot
 // path (docs/VECTORIZED_EXEC.md): the same filter -> project -> aggregate
-// chain executed operator-at-a-time with materialized intermediates versus
-// as one fused pass carrying a selection vector, plus the dictionary
-// encoding of string group-by keys used by the stateful aggregate.
+// chain executed operator-at-a-time with materialized intermediates (built
+// here from RecordBatch primitives) versus as the engine's one fused pass
+// carrying a selection vector, plus the dictionary encoding of string
+// group-by keys used by the stateful aggregate.
 
 #include <benchmark/benchmark.h>
 
@@ -22,7 +23,6 @@
 #include "common/arena.h"
 #include "expr/expression.h"
 #include "physical/fused_pipeline.h"
-#include "physical/operators.h"
 #include "runtime/scheduler.h"
 #include "types/record_batch.h"
 
@@ -178,30 +178,64 @@ RecordBatchPtr MakeWideBatch(int64_t n) {
                            {a, b, tag, url, ua, p0, p1, p2});
 }
 
-/// source -> Filter(a*3+b > 100 AND b < 6) -> Project(x = a*2 + b, a).
+/// Filter(a*3+b > 100 AND b < 6) -> Project(x = a*2 + b, a).
 /// A cheap numeric predicate with high survival (~83%): the dominant cost
 /// difference is what each engine does with the survivors. The projection
 /// references neither `tag` nor the payload columns, so the fused pass
 /// never touches them, while the materializing filter copies all eight
 /// columns (three of them strings) for every surviving row.
-PhysOpPtr MakeChain(const RecordBatchPtr& batch, bool emit_selection) {
+struct Chain {
+  ExprPtr predicate;
+  SchemaPtr out_schema;
+  std::vector<NamedExpr> exprs;
+};
+
+Chain MakeChain(const Schema& schema) {
+  Chain chain;
+  chain.predicate = And(Gt(Add(Mul(Col("a"), Lit(3)), Col("b")), Lit(100)),
+                        Lt(Col("b"), Lit(6)))
+                        ->Resolve(schema)
+                        .TakeValue();
+  chain.out_schema = Schema::Make(
+      {{"x", TypeId::kInt64, false}, {"a", TypeId::kInt64, false}});
+  chain.exprs = {
+      {Add(Mul(Col("a"), Lit(2)), Col("b"))->Resolve(schema).TakeValue(),
+       "x"},
+      {Col("a")->Resolve(schema).TakeValue(), "a"}};
+  return chain;
+}
+
+/// Operator-at-a-time execution of the chain from RecordBatch primitives:
+/// the filter materializes every column of its survivors, then the
+/// projection evaluates over that intermediate batch.
+RecordBatchPtr RunMaterializing(const Chain& chain,
+                                const RecordBatchPtr& batch) {
+  ColumnPtr mask_col = chain.predicate->EvalBatch(*batch).TakeValue();
+  std::vector<uint8_t> mask(static_cast<size_t>(batch->num_rows()));
+  for (int64_t i = 0; i < batch->num_rows(); ++i) {
+    // NULL predicate results drop the row (SQL semantics).
+    mask[static_cast<size_t>(i)] =
+        !mask_col->IsNull(i) && mask_col->BoolAt(i) ? 1 : 0;
+  }
+  RecordBatchPtr survivors = batch->Filter(mask);
+  std::vector<ColumnPtr> columns;
+  columns.reserve(chain.exprs.size());
+  for (const NamedExpr& e : chain.exprs) {
+    columns.push_back(e.expr->EvalBatch(*survivors).TakeValue());
+  }
+  return RecordBatch::Make(chain.out_schema, std::move(columns));
+}
+
+/// The engine's execution of the same chain: one fused pipeline.
+PhysOpPtr MakeFusedChain(const Chain& chain, const RecordBatchPtr& batch) {
   auto source = std::make_shared<FixedOp>(
       0, batch->schema(), std::vector<RecordBatchPtr>{batch});
-  ExprPtr pred =
-      And(Gt(Add(Mul(Col("a"), Lit(3)), Col("b")), Lit(100)),
-          Lt(Col("b"), Lit(6)))
-          ->Resolve(*batch->schema())
-          .TakeValue();
-  auto filter =
-      std::make_shared<FilterExec>(1, source, pred, emit_selection);
-  SchemaPtr out_schema = Schema::Make(
-      {{"x", TypeId::kInt64, false}, {"a", TypeId::kInt64, false}});
-  std::vector<NamedExpr> exprs = {
-      {Add(Mul(Col("a"), Lit(2)), Col("b"))->Resolve(*batch->schema())
-           .TakeValue(),
-       "x"},
-      {Col("a")->Resolve(*batch->schema()).TakeValue(), "a"}};
-  return std::make_shared<ProjectExec>(2, filter, out_schema, exprs);
+  return std::make_shared<FusedPipelineExec>(
+      3, source,
+      std::vector<FusedPipelineExec::Stage>{
+          FusedPipelineExec::Stage::Filter(1, chain.predicate),
+          FusedPipelineExec::Stage::Project(2, chain.out_schema,
+                                            chain.exprs)});
 }
 
 struct BenchExec {
@@ -233,16 +267,10 @@ int64_t SumFirstColumn(const std::vector<RecordBatchPtr>& batches) {
 void BM_OperatorAtATimeMaterializing(benchmark::State& state) {
   // Pre-fusion engine: each operator materializes its full output batch.
   RecordBatchPtr batch = MakeWideBatch(state.range(0));
-  PhysOpPtr root = MakeChain(batch, /*emit_selection=*/false);
-  BenchExec exec;
+  const Chain chain = MakeChain(*batch->schema());
   for (auto _ : state) {
-    {
-      auto out = root->Execute(&exec.ctx);
-      benchmark::DoNotOptimize(SumFirstColumn(*out));
-    }
-    // Output (and its arena-backed selection views) released before the
-    // epoch-boundary Reset, as the engine does — so chunks recycle.
-    exec.arena.Reset();
+    RecordBatchPtr out = RunMaterializing(chain, batch);
+    benchmark::DoNotOptimize(SumFirstColumn({out}));
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
@@ -252,9 +280,7 @@ void BM_FusedSelectionPipeline(benchmark::State& state) {
   // Fused engine: one pass per batch, selection vector through the filter,
   // gather restricted to the columns the projection references.
   RecordBatchPtr batch = MakeWideBatch(state.range(0));
-  PhysOpPtr chain = MakeChain(batch, /*emit_selection=*/true);
-  int next_id = 3;
-  PhysOpPtr root = FusePipelines(chain, &next_id, /*emit_selection=*/true);
+  PhysOpPtr root = MakeFusedChain(MakeChain(*batch->schema()), batch);
   BenchExec exec;
   for (auto _ : state) {
     {

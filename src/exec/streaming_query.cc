@@ -112,12 +112,8 @@ Result<std::unique_ptr<StreamingQuery>> StreamingQuery::Start(
     Profiler::Instance().Arm(options.profile_hz);
     query->profiler_armed_ = true;
   }
-  IncrementalizeOptions inc_options;
-  inc_options.fuse_pipelines = options.fuse_pipelines;
-  inc_options.selection_vectors = options.selection_vectors;
-  SS_ASSIGN_OR_RETURN(
-      query->plan_,
-      Incrementalize(analyzed, options.num_partitions, inc_options));
+  SS_ASSIGN_OR_RETURN(query->plan_,
+                      Incrementalize(analyzed, options.num_partitions));
   query->BuildOpIndex();
 
   // Initialize per-source consumed offsets to zero.

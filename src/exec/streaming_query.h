@@ -72,19 +72,14 @@ struct QueryOptions {
   /// across this many independent shards; stateful operators process shards
   /// as parallel scheduler tasks and checkpoint/restore them independently
   /// (docs/STATE_SHARDING.md). Results are byte-identical for any count.
-  /// Existing on-disk layouts keep the count they were created with.
+  /// The count is fixed when a checkpoint's state is created: restarting
+  /// with a different count fails with SS3004 unless
+  /// allow_checkpoint_incompatibility is set, which adopts the on-disk
+  /// count instead.
   int num_state_shards = 4;
   const Clock* clock = nullptr;           // default: SystemClock
   TaskScheduler* scheduler = nullptr;     // default: InlineScheduler
   bool run_optimizer = true;
-  /// Collapse chains of stateless operators into single-pass fused
-  /// pipelines (docs/VECTORIZED_EXEC.md). Off reproduces the one-batch-per-
-  /// operator execution; output is byte-identical either way.
-  bool fuse_pipelines = true;
-  /// Filters emit zero-copy selection views instead of copying survivors;
-  /// the engine materializes views at operator boundaries that need compact
-  /// storage and before the sink. Byte-identical output either way.
-  bool selection_vectors = true;
   /// Intentional-migration escape hatch for the pre-recovery checkpoint
   /// compatibility gate (docs/UPGRADES.md): SS3xxx errors — key-schema or
   /// output-mode changes, stateful-operator removal, shard/partition count

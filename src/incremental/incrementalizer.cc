@@ -14,8 +14,7 @@ namespace {
 
 class Builder {
  public:
-  Builder(int num_partitions, const IncrementalizeOptions& options)
-      : num_partitions_(num_partitions), options_(options) {}
+  explicit Builder(int num_partitions) : num_partitions_(num_partitions) {}
 
   Result<PhysOpPtr> Build(const PlanPtr& plan) {
     switch (plan->kind()) {
@@ -33,8 +32,8 @@ class Builder {
       case LogicalPlan::Kind::kFilter: {
         const auto& node = static_cast<const FilterNode&>(*plan);
         SS_ASSIGN_OR_RETURN(PhysOpPtr child, Build(node.children()[0]));
-        return PhysOpPtr(std::make_shared<FilterExec>(
-            NextId(), child, node.predicate(), options_.selection_vectors));
+        return AppendStage(child, FusedPipelineExec::Stage::Filter(
+                                      NextId(), node.predicate()));
       }
       case LogicalPlan::Kind::kProject: {
         const auto& node = static_cast<const ProjectNode&>(*plan);
@@ -60,16 +59,16 @@ class Builder {
           }
         }
         SS_ASSIGN_OR_RETURN(PhysOpPtr child, Build(node.children()[0]));
-        return PhysOpPtr(std::make_shared<ProjectExec>(
-            NextId(), child, node.schema(), node.exprs()));
+        return AppendStage(child, FusedPipelineExec::Stage::Project(
+                                      NextId(), node.schema(), node.exprs()));
       }
       case LogicalPlan::Kind::kWithWatermark: {
         const auto& node = static_cast<const WithWatermarkNode&>(*plan);
         SS_ASSIGN_OR_RETURN(PhysOpPtr child, Build(node.children()[0]));
         int idx = node.schema()->IndexOf(node.column());
         SS_CHECK(idx >= 0);
-        return PhysOpPtr(std::make_shared<WatermarkExec>(
-            NextId(), child, idx, node.delay_micros()));
+        return AppendStage(child, FusedPipelineExec::Stage::Watermark(
+                                      NextId(), idx, node.delay_micros()));
       }
       case LogicalPlan::Kind::kDistinct: {
         const auto& node = static_cast<const DistinctNode&>(*plan);
@@ -130,10 +129,32 @@ class Builder {
   const std::vector<SourcePtr>& sources() const { return sources_; }
   bool has_stateful() const { return has_stateful_; }
   int top_level_key_columns() const { return top_level_key_columns_; }
-  int* mutable_next_id() { return &next_id_; }
+
+  /// Gives every fused pipeline an op_id above the range Build handed out,
+  /// in creation order, so operators keep the ids they would have without
+  /// fusion nodes in the plan: checkpoint state directories (op<N>/p<M>),
+  /// watermark maps and per-operator metrics depend on them.
+  void NumberFusedPipelines() {
+    for (const auto& fused : fused_) fused->set_op_id(NextId());
+  }
 
  private:
   int NextId() { return next_id_++; }
+
+  /// Stateless operators become stages of a fused pipeline: a new one over
+  /// `child`, or, when `child` is the pipeline built just before, one more
+  /// stage on top of it. A pipeline's child is never itself a pipeline.
+  PhysOpPtr AppendStage(const PhysOpPtr& child,
+                        FusedPipelineExec::Stage stage) {
+    if (!fused_.empty() && fused_.back() == child) {
+      fused_.back()->AppendStage(std::move(stage));
+    } else {
+      fused_.push_back(std::make_shared<FusedPipelineExec>(
+          /*op_id=*/-1, child,
+          std::vector<FusedPipelineExec::Stage>{std::move(stage)}));
+    }
+    return fused_.back();
+  }
 
   Result<PhysOpPtr> BuildAggregate(const AggregateNode& node) {
     SS_ASSIGN_OR_RETURN(PhysOpPtr child, Build(node.children()[0]));
@@ -257,8 +278,8 @@ class Builder {
   }
 
   int num_partitions_;
-  IncrementalizeOptions options_;
   int next_id_ = 0;
+  std::vector<std::shared_ptr<FusedPipelineExec>> fused_;
   std::vector<SourcePtr> sources_;
   bool has_stateful_ = false;
   int top_level_key_columns_ = 0;
@@ -267,20 +288,13 @@ class Builder {
 }  // namespace
 
 Result<PhysicalPlan> Incrementalize(const PlanPtr& analyzed,
-                                    int num_partitions,
-                                    const IncrementalizeOptions& options) {
+                                    int num_partitions) {
   if (!analyzed->analyzed()) {
     return Status::InvalidArgument("plan must be analyzed first");
   }
-  Builder builder(num_partitions, options);
+  Builder builder(num_partitions);
   SS_ASSIGN_OR_RETURN(PhysOpPtr root, builder.Build(analyzed));
-  if (options.fuse_pipelines) {
-    // Fused nodes take fresh op_ids above the existing range, so original
-    // operators keep theirs — checkpoint state directories (op<N>/p<M>),
-    // watermark maps, and per-operator metrics stay stable under fusion.
-    root = FusePipelines(root, builder.mutable_next_id(),
-                         options.selection_vectors);
-  }
+  builder.NumberFusedPipelines();
   PhysicalPlan plan;
   plan.root = std::move(root);
   plan.sources = builder.sources();

@@ -23,15 +23,6 @@ struct PhysicalPlan {
   bool has_stateful = false;
 };
 
-/// Physical-planning knobs (docs/VECTORIZED_EXEC.md). Both default on; the
-/// differential tests run the cross-product to prove output equivalence.
-struct IncrementalizeOptions {
-  /// Collapse chains of stateless operators into FusedPipelineExec nodes.
-  bool fuse_pipelines = true;
-  /// Filters emit zero-copy selection views instead of gathering survivors.
-  bool selection_vectors = true;
-};
-
 /// Maps an *analyzed* logical plan to physical operators. `num_partitions`
 /// is the shuffle fan-out for stateful stages. Works for both streaming
 /// plans (incremental operators over the state store) and static plans (the
@@ -41,9 +32,7 @@ struct IncrementalizeOptions {
 /// Static subtrees under a join are evaluated eagerly here (the broadcast
 /// side of a stream-static join is materialized once per query start).
 Result<PhysicalPlan> Incrementalize(const PlanPtr& analyzed,
-                                    int num_partitions,
-                                    const IncrementalizeOptions& options =
-                                        IncrementalizeOptions());
+                                    int num_partitions);
 
 /// Fully evaluates a static (non-streaming) analyzed plan to rows by running
 /// its physical form once in batch mode.

@@ -118,11 +118,12 @@ void CheckSchedulerSaturated(const std::vector<const QueryProgress*>& win,
   f.suggestion =
       parallelism > 0
           ? Fmt("the task pool is oversubscribed: raise scheduler "
-                "parallelism (currently %d) or enable fuse_pipelines to "
-                "shrink the per-epoch task count",
+                "parallelism (currently %d), or lower num_partitions / "
+                "num_state_shards to shrink the per-epoch task count",
                 parallelism)
-          : "the task pool is oversubscribed: raise scheduler parallelism "
-            "or enable fuse_pipelines to shrink the per-epoch task count";
+          : "the task pool is oversubscribed: raise scheduler parallelism, "
+            "or lower num_partitions / num_state_shards to shrink the "
+            "per-epoch task count";
   f.evidence.Set("queueWaitNanos", Json::Int(queued));
   f.evidence.Set("taskRunNanos", Json::Int(ran));
   f.evidence.Set("queuedFraction", Json::Double(ratio));

@@ -1,29 +1,14 @@
 #include "physical/fused_pipeline.h"
 
-#include <algorithm>
-#include <map>
 #include <utility>
 
 #include "common/arena.h"
 #include "common/clock.h"
 #include "common/logging.h"
-#include "physical/operators.h"
 
 namespace sstreaming {
 
 namespace {
-
-// Output schema of the chain: the topmost projection wins; a chain of pure
-// filters/watermarks keeps the child's schema.
-SchemaPtr ChainSchema(const PhysOpPtr& child,
-                      const std::vector<FusedPipelineExec::Stage>& stages) {
-  for (auto it = stages.rbegin(); it != stages.rend(); ++it) {
-    if (it->kind == FusedPipelineExec::Stage::Kind::kProject) {
-      return it->schema;
-    }
-  }
-  return child->schema();
-}
 
 // Survivor indices of `mask_col` (logical length n) written through `idx`;
 // returns the count. NULL predicate results drop the row (SQL semantics).
@@ -67,13 +52,55 @@ RecordBatchPtr GatherReferenced(const RecordBatchPtr& batch,
   return out;
 }
 
+FusedPipelineExec::Stage FusedPipelineExec::Stage::Filter(int op_id,
+                                                          ExprPtr predicate) {
+  Stage stage;
+  stage.kind = Kind::kFilter;
+  stage.op_id = op_id;
+  stage.name = "Filter " + predicate->ToString();
+  predicate->CollectColumnIndices(&stage.referenced);
+  stage.predicate = std::move(predicate);
+  return stage;
+}
+
+FusedPipelineExec::Stage FusedPipelineExec::Stage::Project(
+    int op_id, SchemaPtr schema, std::vector<NamedExpr> exprs) {
+  Stage stage;
+  stage.kind = Kind::kProject;
+  stage.op_id = op_id;
+  stage.name = "Project";
+  for (const NamedExpr& e : exprs) {
+    e.expr->CollectColumnIndices(&stage.referenced);
+  }
+  stage.exprs = std::move(exprs);
+  stage.schema = std::move(schema);
+  return stage;
+}
+
+FusedPipelineExec::Stage FusedPipelineExec::Stage::Watermark(
+    int op_id, int column_index, int64_t delay_micros) {
+  Stage stage;
+  stage.kind = Kind::kWatermark;
+  stage.op_id = op_id;
+  stage.name = "Watermark";
+  stage.column_index = column_index;
+  stage.delay_micros = delay_micros;
+  stage.referenced.push_back(column_index);
+  return stage;
+}
+
 FusedPipelineExec::FusedPipelineExec(int op_id, PhysOpPtr child,
-                                     std::vector<Stage> stages,
-                                     bool emit_selection)
-    : PhysOp(op_id, ChainSchema(child, stages), {child}),
-      stages_(std::move(stages)),
-      emit_selection_(emit_selection) {
-  SS_CHECK(stages_.size() >= 2) << "fusing a chain of fewer than 2 stages";
+                                     std::vector<Stage> stages)
+    : PhysOp(op_id, child->schema(), {child}) {
+  SS_CHECK(!stages.empty()) << "a fused pipeline needs at least one stage";
+  for (Stage& stage : stages) AppendStage(std::move(stage));
+}
+
+void FusedPipelineExec::AppendStage(Stage stage) {
+  // The topmost projection sets the output schema; filters and watermarks
+  // keep their input's.
+  if (stage.kind == Stage::Kind::kProject) schema_ = stage.schema;
+  stages_.push_back(std::move(stage));
 }
 
 std::string FusedPipelineExec::name() const {
@@ -94,8 +121,8 @@ void FusedPipelineExec::CollectProfileNodes(
   fused.child_ids.push_back(stages_.back().op_id);
   out->push_back(std::move(fused));
   // Stages top to bottom, each fed by the stage below; the bottom stage is
-  // fed by the fused node's actual child. This reproduces the unfused
-  // chain's profile topology, so rows_in/rows_out still tie out per stage.
+  // fed by the fused node's actual child. Each stage thus appears as its
+  // own operator, and rows_in/rows_out tie out per stage.
   for (size_t i = stages_.size(); i-- > 0;) {
     OpProfileNode node;
     node.op_id = stages_[i].op_id;
@@ -204,17 +231,15 @@ Result<std::vector<RecordBatchPtr>> FusedPipelineExec::ExecuteImpl(
         cell.bytes = cur->ApproxBytes();
         cell.nanos = MonotonicNanos() - t0;
       }
-      if (!emit_selection_) cur = RecordBatch::Materialize(cur);
       out[p] = std::move(cur);
       return Status::OK();
     });
   }
   SS_RETURN_IF_ERROR(ctx->RunStage(op_id_, name(), std::move(tasks)));
 
-  // Fold per-stage stats under the stages' ORIGINAL op_ids, mirroring what
-  // each operator's own Execute would have recorded unfused. Walls are
-  // inclusive: child time plus the cumulative stage time up to and
-  // including this stage.
+  // Fold per-stage stats under the stages' own op_ids. Walls are inclusive:
+  // child time plus the cumulative stage time up to and including this
+  // stage.
   {
     std::lock_guard<std::mutex> lock(ctx->metrics_mu);
     int64_t cumulative = 0;
@@ -232,85 +257,6 @@ Result<std::vector<RecordBatchPtr>> FusedPipelineExec::ExecuteImpl(
     }
   }
   return out;
-}
-
-namespace {
-
-bool IsFusable(const PhysOp* op) {
-  return dynamic_cast<const FilterExec*>(op) != nullptr ||
-         dynamic_cast<const ProjectExec*>(op) != nullptr ||
-         dynamic_cast<const WatermarkExec*>(op) != nullptr;
-}
-
-FusedPipelineExec::Stage MakeStage(const PhysOpPtr& op) {
-  FusedPipelineExec::Stage stage;
-  stage.op_id = op->op_id();
-  stage.name = op->name();
-  if (auto* filter = dynamic_cast<const FilterExec*>(op.get())) {
-    stage.kind = FusedPipelineExec::Stage::Kind::kFilter;
-    stage.predicate = filter->predicate();
-    stage.predicate->CollectColumnIndices(&stage.referenced);
-  } else if (auto* project = dynamic_cast<const ProjectExec*>(op.get())) {
-    stage.kind = FusedPipelineExec::Stage::Kind::kProject;
-    stage.exprs = project->exprs();
-    stage.schema = op->schema();
-    for (const NamedExpr& e : stage.exprs) {
-      e.expr->CollectColumnIndices(&stage.referenced);
-    }
-  } else {
-    auto* wm = dynamic_cast<const WatermarkExec*>(op.get());
-    SS_CHECK(wm != nullptr) << "unfusable op in chain: " << op->name();
-    stage.kind = FusedPipelineExec::Stage::Kind::kWatermark;
-    stage.column_index = wm->column_index();
-    stage.delay_micros = wm->delay_micros();
-    stage.referenced.push_back(wm->column_index());
-  }
-  return stage;
-}
-
-PhysOpPtr Rewrite(const PhysOpPtr& op, int* next_id, bool emit_selection,
-                  std::map<const PhysOp*, PhysOpPtr>* memo) {
-  auto it = memo->find(op.get());
-  if (it != memo->end()) return it->second;
-
-  // A fusable op whose only child is also fusable starts a maximal chain.
-  if (IsFusable(op.get()) && op->children().size() == 1 &&
-      IsFusable(op->children()[0].get())) {
-    std::vector<PhysOpPtr> chain;  // top to bottom
-    PhysOpPtr cursor = op;
-    while (IsFusable(cursor.get())) {
-      chain.push_back(cursor);
-      cursor = cursor->children()[0];
-    }
-    PhysOpPtr below = Rewrite(cursor, next_id, emit_selection, memo);
-    std::vector<FusedPipelineExec::Stage> stages;
-    stages.reserve(chain.size());
-    for (size_t i = chain.size(); i-- > 0;) {  // bottom to top
-      stages.push_back(MakeStage(chain[i]));
-    }
-    auto fused = std::make_shared<FusedPipelineExec>(
-        (*next_id)++, std::move(below), std::move(stages), emit_selection);
-    (*memo)[op.get()] = fused;
-    return fused;
-  }
-
-  for (size_t i = 0; i < op->children().size(); ++i) {
-    PhysOpPtr rewritten =
-        Rewrite(op->children()[i], next_id, emit_selection, memo);
-    if (rewritten != op->children()[i]) {
-      op->ReplaceChild(i, std::move(rewritten));
-    }
-  }
-  (*memo)[op.get()] = op;
-  return op;
-}
-
-}  // namespace
-
-PhysOpPtr FusePipelines(const PhysOpPtr& root, int* next_id,
-                        bool emit_selection) {
-  std::map<const PhysOp*, PhysOpPtr> memo;
-  return Rewrite(root, next_id, emit_selection, &memo);
 }
 
 }  // namespace sstreaming

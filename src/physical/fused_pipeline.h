@@ -9,27 +9,28 @@
 
 namespace sstreaming {
 
-/// A maximal chain of stateless row-shape operators (Filter / Project /
-/// Watermark) collapsed into one pass per batch (docs/VECTORIZED_EXEC.md).
-/// Instead of each operator materializing an intermediate batch, the fused
-/// pipeline carries a selection vector through the filter stages and, at a
-/// projection, gathers only the columns the projection actually references.
+/// The one execution path of stateless row-shape operators: a chain of
+/// Filter / Project / Watermark stages (length >= 1) run as one pass per
+/// batch (docs/VECTORIZED_EXEC.md). Instead of each operator materializing
+/// an intermediate batch, the pipeline carries a selection vector through
+/// the filter stages and, at a projection, gathers only the columns the
+/// projection actually references.
 ///
-/// Observability contract: the fused node has its own (fresh) op_id, but
-/// every stage keeps the op_id of the operator it replaced — per-stage
-/// OpStats are recorded under those original ids and CollectProfileNodes
-/// exposes the stages as chained profile nodes, so EXPLAIN ANALYZE row
-/// accounting and the sstreaming_operator_rows_* counters tie out exactly
-/// as they did unfused. Watermark stages likewise observe event times under
-/// their original op_id, keeping the engine's watermark map stable.
+/// Observability contract: the fused node has its own op_id, but every
+/// stage carries the op_id the incrementalizer gave that operator — per-stage
+/// OpStats are recorded under those ids and CollectProfileNodes exposes the
+/// stages as chained profile nodes, so EXPLAIN ANALYZE row accounting and
+/// the sstreaming_operator_rows_* counters report each operator separately.
+/// Watermark stages likewise observe event times under their own op_id,
+/// which keys the engine's watermark map.
 class FusedPipelineExec : public PhysOp {
  public:
   struct Stage {
     enum class Kind { kFilter, kProject, kWatermark };
     Kind kind;
-    /// op_id of the operator this stage replaced (stats + watermark key).
+    /// The operator's own op_id (stats + watermark key).
     int op_id = 0;
-    /// Original operator name (profile rendering).
+    /// Operator name (profile rendering).
     std::string name;
     // kFilter
     ExprPtr predicate;
@@ -41,13 +42,19 @@ class FusedPipelineExec : public PhysOp {
     int64_t delay_micros = 0;
     /// Column ordinals of the stage's input that its expressions read.
     std::vector<int> referenced;
+
+    /// Keeps the rows for which `predicate` is true (NULL drops the row).
+    static Stage Filter(int op_id, ExprPtr predicate);
+    /// Evaluates `exprs` into a batch of `schema`.
+    static Stage Project(int op_id, SchemaPtr schema,
+                         std::vector<NamedExpr> exprs);
+    /// Records the max event time of `column_index`, less `delay_micros`,
+    /// so the engine can advance the query watermark (paper §4.3.1).
+    static Stage Watermark(int op_id, int column_index, int64_t delay_micros);
   };
 
-  /// `stages` are ordered bottom (nearest `child`) to top. `emit_selection`
-  /// false compacts the final output (used when selection vectors are
-  /// disabled but fusion is on).
-  FusedPipelineExec(int op_id, PhysOpPtr child, std::vector<Stage> stages,
-                    bool emit_selection);
+  /// `stages` are ordered bottom (nearest `child`) to top.
+  FusedPipelineExec(int op_id, PhysOpPtr child, std::vector<Stage> stages);
 
   std::string name() const override;
   Result<std::vector<RecordBatchPtr>> ExecuteImpl(ExecContext* ctx) override;
@@ -55,9 +62,14 @@ class FusedPipelineExec : public PhysOp {
 
   const std::vector<Stage>& stages() const { return stages_; }
 
+  /// Plan construction only, before execution starts: adds a stage on top
+  /// of the chain, and gives the node its final op_id once the rest of the
+  /// plan is numbered.
+  void AppendStage(Stage stage);
+  void set_op_id(int op_id) { op_id_ = op_id; }
+
  private:
   std::vector<Stage> stages_;
-  bool emit_selection_;
 };
 
 /// Gathers the logical rows of `batch` (through its selection, if any) for
@@ -66,14 +78,6 @@ class FusedPipelineExec : public PhysOp {
 /// `batch` unchanged when it has no selection. Preserves ingest_micros.
 RecordBatchPtr GatherReferenced(const RecordBatchPtr& batch,
                                 const std::vector<int>& referenced);
-
-/// Rewrites `root`, collapsing every maximal chain of >= 2 fusable
-/// stateless operators (FilterExec / ProjectExec / WatermarkExec) into a
-/// FusedPipelineExec. Fused nodes get fresh op_ids from `next_id`; shared
-/// subtrees (DAG-shaped plans) are rewritten once. `emit_selection` is
-/// forwarded to the fused nodes.
-PhysOpPtr FusePipelines(const PhysOpPtr& root, int* next_id,
-                        bool emit_selection);
 
 }  // namespace sstreaming
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "common/arena.h"
 #include "common/logging.h"
 
 namespace sstreaming {
@@ -98,126 +97,6 @@ Result<std::vector<RecordBatchPtr>> StaticSourceExec::ExecuteImpl(
     out.push_back(all->Filter(masks[static_cast<size_t>(p)]));
   }
   return out;
-}
-
-FilterExec::FilterExec(int op_id, PhysOpPtr child, ExprPtr predicate,
-                       bool emit_selection)
-    : PhysOp(op_id, child->schema(), {child}),
-      predicate_(std::move(predicate)),
-      emit_selection_(emit_selection) {}
-
-Result<std::vector<RecordBatchPtr>> FilterExec::ExecuteImpl(ExecContext* ctx) {
-  SS_ASSIGN_OR_RETURN(std::vector<RecordBatchPtr> in,
-                      children_[0]->Execute(ctx));
-  std::vector<RecordBatchPtr> out(in.size());
-  std::vector<std::function<Status()>> tasks;
-  for (size_t p = 0; p < in.size(); ++p) {
-    tasks.push_back([this, ctx, &in, &out, p]() -> Status {
-      // EvalBatch requires a selection-free batch; upstream views (e.g. an
-      // unfused filter chain) are compacted first.
-      const RecordBatchPtr batch = RecordBatch::Materialize(in[p]);
-      const int64_t n = batch->num_rows();
-      SS_ASSIGN_OR_RETURN(ColumnPtr mask_col, predicate_->EvalBatch(*batch));
-      if (!emit_selection_) {
-        std::vector<uint8_t> mask(static_cast<size_t>(n));
-        for (int64_t i = 0; i < n; ++i) {
-          // NULL predicate results drop the row (SQL semantics).
-          mask[static_cast<size_t>(i)] =
-              !mask_col->IsNull(i) && mask_col->BoolAt(i) ? 1 : 0;
-        }
-        out[p] = batch->Filter(mask);
-        return Status::OK();
-      }
-      // Selection mode: record survivor indices instead of gathering
-      // survivor rows — one int32 write per kept row, zero column copies.
-      int32_t* idx = nullptr;
-      std::shared_ptr<const void> keepalive;
-      std::vector<int32_t> heap_idx;
-      if (ctx->arena != nullptr) {
-        auto span = ctx->arena->AllocSpan<int32_t>(static_cast<size_t>(n));
-        idx = span.first;
-        keepalive = std::move(span.second);
-      } else {
-        heap_idx.resize(static_cast<size_t>(n));
-        idx = heap_idx.data();
-      }
-      int64_t kept = 0;
-      for (int64_t i = 0; i < n; ++i) {
-        if (!mask_col->IsNull(i) && mask_col->BoolAt(i)) {
-          idx[kept++] = static_cast<int32_t>(i);
-        }
-      }
-      if (kept == n) {
-        out[p] = batch;  // every row survived: pass through, no copy
-        return Status::OK();
-      }
-      SelectionVector sel =
-          keepalive != nullptr
-              ? SelectionVector::FromOwned(idx, kept, std::move(keepalive))
-              : SelectionVector::FromVector(std::vector<int32_t>(
-                    heap_idx.begin(), heap_idx.begin() + kept));
-      out[p] = RecordBatch::MakeView(batch, std::move(sel));
-      return Status::OK();
-    });
-  }
-  SS_RETURN_IF_ERROR(ctx->RunStage(op_id_, name(), std::move(tasks)));
-  return out;
-}
-
-ProjectExec::ProjectExec(int op_id, PhysOpPtr child, SchemaPtr schema,
-                         std::vector<NamedExpr> exprs)
-    : PhysOp(op_id, std::move(schema), {std::move(child)}),
-      exprs_(std::move(exprs)) {}
-
-Result<std::vector<RecordBatchPtr>> ProjectExec::ExecuteImpl(ExecContext* ctx) {
-  SS_ASSIGN_OR_RETURN(std::vector<RecordBatchPtr> in,
-                      children_[0]->Execute(ctx));
-  std::vector<RecordBatchPtr> out(in.size());
-  std::vector<std::function<Status()>> tasks;
-  for (size_t p = 0; p < in.size(); ++p) {
-    tasks.push_back([this, &in, &out, p]() -> Status {
-      // EvalBatch requires a selection-free batch (fused pipelines avoid
-      // this compaction by gathering only referenced columns).
-      const RecordBatchPtr batch = RecordBatch::Materialize(in[p]);
-      std::vector<ColumnPtr> columns;
-      columns.reserve(exprs_.size());
-      for (const NamedExpr& e : exprs_) {
-        SS_ASSIGN_OR_RETURN(ColumnPtr col, e.expr->EvalBatch(*batch));
-        columns.push_back(std::move(col));
-      }
-      auto projected = RecordBatch::Make(schema_, std::move(columns));
-      projected->set_ingest_micros(batch->ingest_micros());
-      out[p] = std::move(projected);
-      return Status::OK();
-    });
-  }
-  SS_RETURN_IF_ERROR(ctx->RunStage(op_id_, name(), std::move(tasks)));
-  return out;
-}
-
-WatermarkExec::WatermarkExec(int op_id, PhysOpPtr child, int column_index,
-                             int64_t delay_micros)
-    : PhysOp(op_id, child->schema(), {child}),
-      column_index_(column_index),
-      delay_micros_(delay_micros) {}
-
-Result<std::vector<RecordBatchPtr>> WatermarkExec::ExecuteImpl(ExecContext* ctx) {
-  SS_ASSIGN_OR_RETURN(std::vector<RecordBatchPtr> in,
-                      children_[0]->Execute(ctx));
-  for (const RecordBatchPtr& batch : in) {
-    const Column& col = *batch->column(column_index_);
-    int64_t max_ts = INT64_MIN;
-    // Scan logical rows only: a selection view's dropped rows must not
-    // advance the watermark.
-    for (int64_t li = 0; li < batch->num_rows(); ++li) {
-      const int64_t i = batch->PhysIndex(li);
-      if (!col.IsNull(i) && col.Int64At(i) > max_ts) max_ts = col.Int64At(i);
-    }
-    if (max_ts != INT64_MIN) {
-      ctx->ObserveEventTime(op_id_, max_ts - delay_micros_);
-    }
-  }
-  return in;
 }
 
 ShuffleExec::ShuffleExec(int op_id, PhysOpPtr child, std::vector<ExprPtr> keys,

@@ -50,62 +50,6 @@ class StaticSourceExec : public PhysOp {
   int num_partitions_;
 };
 
-/// Vectorized filter. With `emit_selection` (the default under
-/// QueryOptions::selection_vectors), survivors are not copied: the output is
-/// a zero-copy selection view over the input batch
-/// (docs/VECTORIZED_EXEC.md). When every row survives, the input batch is
-/// passed through untouched.
-class FilterExec : public PhysOp {
- public:
-  FilterExec(int op_id, PhysOpPtr child, ExprPtr predicate,
-             bool emit_selection = true);
-
-  std::string name() const override {
-    return "Filter " + predicate_->ToString();
-  }
-  Result<std::vector<RecordBatchPtr>> ExecuteImpl(ExecContext* ctx) override;
-
-  const ExprPtr& predicate() const { return predicate_; }
-  bool emit_selection() const { return emit_selection_; }
-
- private:
-  ExprPtr predicate_;
-  bool emit_selection_;
-};
-
-/// Vectorized projection.
-class ProjectExec : public PhysOp {
- public:
-  ProjectExec(int op_id, PhysOpPtr child, SchemaPtr schema,
-              std::vector<NamedExpr> exprs);
-
-  std::string name() const override { return "Project"; }
-  Result<std::vector<RecordBatchPtr>> ExecuteImpl(ExecContext* ctx) override;
-
-  const std::vector<NamedExpr>& exprs() const { return exprs_; }
-
- private:
-  std::vector<NamedExpr> exprs_;
-};
-
-/// Pass-through operator that records the max event time of a watermarked
-/// column so the engine can advance the query watermark (paper §4.3.1).
-class WatermarkExec : public PhysOp {
- public:
-  WatermarkExec(int op_id, PhysOpPtr child, int column_index,
-                int64_t delay_micros);
-
-  std::string name() const override { return "Watermark"; }
-  Result<std::vector<RecordBatchPtr>> ExecuteImpl(ExecContext* ctx) override;
-
-  int64_t delay_micros() const { return delay_micros_; }
-  int column_index() const { return column_index_; }
-
- private:
-  int column_index_;
-  int64_t delay_micros_;
-};
-
 /// Hash repartitioning on key expressions: the "exchange" between map and
 /// reduce stages of the microbatch job (paper §6.2).
 class ShuffleExec : public PhysOp {

@@ -239,12 +239,6 @@ class PhysOp {
 
   virtual std::string name() const = 0;
 
-  /// Swaps a child subtree in place. For plan rewrites (pipeline fusion)
-  /// only, before execution starts.
-  void ReplaceChild(size_t i, std::shared_ptr<PhysOp> child) {
-    children_[i] = std::move(child);
-  }
-
   /// Instrumented entry point: runs ExecuteImpl, accumulating this
   /// operator's wall time, output rows, and batch count into
   /// `ctx->op_stats[op_id()]` and recording a tracer span when

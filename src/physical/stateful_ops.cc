@@ -514,6 +514,46 @@ Result<std::vector<RecordBatchPtr>> StatefulAggExec::ExecuteImpl(
     }
   };
 
+  // The state keys of input row i: one per window of the row's event time
+  // that the watermark has not closed (none for a null event time; one
+  // dummy window when not windowed), each encoded byte-identically to
+  // EncodeRow but without boxing, and passed to emit(wstart, enc). Both
+  // execution paths key rows through this one loop.
+  auto for_each_key = [&](const PartitionWork& w, int64_t i,
+                          std::vector<int64_t>& window_starts,
+                          std::string& enc, auto&& emit) -> Status {
+    window_starts.clear();
+    if (windowed) {
+      const Column& time_col =
+          *w.key_cols[static_cast<size_t>(window_key_index_)];
+      if (time_col.IsNull(i)) return Status::OK();  // no event time
+      window_expr_->EnumerateWindowStarts(time_col.Int64At(i),
+                                          &window_starts);
+    } else {
+      window_starts.push_back(0);  // one dummy iteration
+    }
+    for (int64_t wstart : window_starts) {
+      if (closed(wstart)) continue;  // late data: dropped
+      enc.clear();
+      enc.push_back(static_cast<char>(group_exprs_.size()));
+      for (size_t g = 0; g < group_exprs_.size(); ++g) {
+        if (static_cast<int>(g) == window_key_index_) {
+          enc.push_back(static_cast<char>(TypeId::kTimestamp));
+          char buf[8];
+          std::memcpy(buf, &wstart, 8);
+          enc.append(buf, 8);
+        } else if (const KeyDict* dict = w.key_dicts[g].get()) {
+          enc.append(dict->encoded[static_cast<size_t>(
+              dict->codes[static_cast<size_t>(i)])]);
+        } else {
+          w.key_cols[g]->EncodeValueTo(i, &enc);
+        }
+      }
+      SS_RETURN_IF_ERROR(emit(wstart, enc));
+    }
+    return Status::OK();
+  };
+
   // When partition parallelism alone saturates the scheduler, per-shard
   // tasks buy no extra concurrency and the staged split's key
   // materialization is an extra full pass over the data for nothing. Fuse
@@ -528,47 +568,22 @@ Result<std::vector<RecordBatchPtr>> StatefulAggExec::ExecuteImpl(
       const int64_t n = in[p]->num_rows();
       work[p].shard_out.resize(1);
       tasks.push_back([this, &work, &fold_row, &finish_shard, &load_args,
-                       &closed, p, S, n, windowed]() -> Status {
+                       &for_each_key, p, S, n]() -> Status {
         PartitionWork& w = work[p];
         std::vector<ShardFold>& folds = folds_[p];
         Row args(aggregates_.size());
         std::vector<int64_t> window_starts;
         std::string enc;
         for (int64_t i = 0; i < n; ++i) {
-          window_starts.clear();
-          if (windowed) {
-            const Column& time_col =
-                *w.key_cols[static_cast<size_t>(window_key_index_)];
-            if (time_col.IsNull(i)) continue;  // no event time -> no window
-            window_expr_->EnumerateWindowStarts(time_col.Int64At(i),
-                                                &window_starts);
-          } else {
-            window_starts.push_back(0);  // one dummy iteration
-          }
           load_args(w, i, &args);
-          for (int64_t wstart : window_starts) {
-            if (closed(wstart)) continue;  // late data: dropped
-            enc.clear();
-            enc.push_back(static_cast<char>(group_exprs_.size()));
-            for (size_t g = 0; g < group_exprs_.size(); ++g) {
-              if (static_cast<int>(g) == window_key_index_) {
-                enc.push_back(static_cast<char>(TypeId::kTimestamp));
-                char buf[8];
-                std::memcpy(buf, &wstart, 8);
-                enc.append(buf, 8);
-              } else if (const KeyDict* dict = w.key_dicts[g].get()) {
-                enc.append(
-                    dict->encoded[static_cast<size_t>(
-                        dict->codes[static_cast<size_t>(i)])]);
-              } else {
-                w.key_cols[g]->EncodeValueTo(i, &enc);
-              }
-            }
-            const uint64_t hash = ShardedStateStore::StableHashKey(enc);
-            SS_RETURN_IF_ERROR(fold_row(
-                folds[static_cast<size_t>(hash % static_cast<uint64_t>(S))],
-                enc, hash, wstart, args));
-          }
+          SS_RETURN_IF_ERROR(for_each_key(
+              w, i, window_starts, enc,
+              [&](int64_t wstart, const std::string& key) -> Status {
+                const uint64_t hash = ShardedStateStore::StableHashKey(key);
+                return fold_row(
+                    folds[static_cast<size_t>(hash % static_cast<uint64_t>(S))],
+                    key, hash, wstart, args);
+              }));
         }
         std::vector<Row> rows;
         for (ShardFold& fold : folds) {
@@ -600,44 +615,20 @@ Result<std::vector<RecordBatchPtr>> StatefulAggExec::ExecuteImpl(
       for (int c = 0; c < C; ++c) {
         const int64_t lo = c * per;
         const int64_t hi = std::min(n, lo + per);
-        tasks.push_back([this, &work, &closed, p, c, lo, hi, S,
-                         windowed]() -> Status {
+        tasks.push_back([&work, &for_each_key, p, c, lo, hi,
+                         S]() -> Status {
           PartitionWork& w = work[p];
           KeyedEntries* buckets =
               &w.buckets[static_cast<size_t>(c) * static_cast<size_t>(S)];
           std::vector<int64_t> window_starts;
           std::string enc;
           for (int64_t i = lo; i < hi; ++i) {
-            window_starts.clear();
-            if (windowed) {
-              const Column& time_col =
-                  *w.key_cols[static_cast<size_t>(window_key_index_)];
-              if (time_col.IsNull(i)) continue;  // no event time -> no window
-              window_expr_->EnumerateWindowStarts(time_col.Int64At(i),
-                                                  &window_starts);
-            } else {
-              window_starts.push_back(0);  // one dummy iteration
-            }
-            for (int64_t wstart : window_starts) {
-              if (closed(wstart)) continue;  // late data: dropped
-              enc.clear();
-              enc.push_back(static_cast<char>(group_exprs_.size()));
-              for (size_t g = 0; g < group_exprs_.size(); ++g) {
-                if (static_cast<int>(g) == window_key_index_) {
-                  enc.push_back(static_cast<char>(TypeId::kTimestamp));
-                  char buf[8];
-                  std::memcpy(buf, &wstart, 8);
-                  enc.append(buf, 8);
-                } else if (const KeyDict* dict = w.key_dicts[g].get()) {
-                  enc.append(
-                      dict->encoded[static_cast<size_t>(
-                          dict->codes[static_cast<size_t>(i)])]);
-                } else {
-                  w.key_cols[g]->EncodeValueTo(i, &enc);
-                }
-              }
-              buckets[ShardOfKey(enc, S)].Add(i, wstart, enc);
-            }
+            SS_RETURN_IF_ERROR(for_each_key(
+                w, i, window_starts, enc,
+                [&](int64_t wstart, const std::string& key) -> Status {
+                  buckets[ShardOfKey(key, S)].Add(i, wstart, key);
+                  return Status::OK();
+                }));
           }
           return Status::OK();
         });

@@ -159,21 +159,14 @@ std::vector<ShardedStateStore::ShardSize> ShardedStateStore::PerShardSizes()
 
 Status ShardedStateStore::TruncateAfter(const std::string& dir,
                                         int64_t version) {
-  std::vector<int> shards = ListShardDirs(dir);
-  if (shards.empty()) {
-    // Flat (pre-sharding) layout: version files live directly under `dir`.
-    return StateStore::TruncateAfter(dir, version);
-  }
-  for (int s : shards) {
+  for (int s : ListShardDirs(dir)) {
     SS_RETURN_IF_ERROR(StateStore::TruncateAfter(ShardDir(dir, s), version));
   }
   return Status::OK();
 }
 
 Status ShardedStateStore::PurgeBefore(const std::string& dir, int64_t keep) {
-  std::vector<int> shards = ListShardDirs(dir);
-  if (shards.empty()) return StateStore::PurgeBefore(dir, keep);
-  for (int s : shards) {
+  for (int s : ListShardDirs(dir)) {
     SS_RETURN_IF_ERROR(StateStore::PurgeBefore(ShardDir(dir, s), keep));
   }
   return Status::OK();

@@ -111,8 +111,7 @@ class ShardedStateStore {
   std::vector<ShardSize> PerShardSizes() const;
 
   /// Removes durable versions > `version` in every shard under `dir`
-  /// (rollback). Also handles a pre-sharding flat layout, where the version
-  /// files sit directly in `dir`.
+  /// (rollback).
   static Status TruncateAfter(const std::string& dir, int64_t version);
 
   /// Drops durable files not needed to restore versions >= `keep`, per

@@ -6,6 +6,7 @@
 #include "incremental/incrementalizer.h"
 #include "logical/dataframe.h"
 #include "optimizer/optimizer.h"
+#include "physical/fused_pipeline.h"
 #include "physical/operators.h"
 
 namespace sstreaming {
@@ -181,6 +182,28 @@ TEST(IncrementalizerTest, OperatorIdsAreDeterministic) {
   EXPECT_EQ(plan1.root->TreeString(), plan2.root->TreeString());
   EXPECT_TRUE(plan1.has_stateful);
   EXPECT_EQ(plan1.num_key_columns, 1);
+
+  // A filter below the aggregate runs as a one-stage fused pipeline, and
+  // the aggregate keeps op id 3 (source 0, filter 1, shuffle 2): its state
+  // lives under state/op3/, so checkpoints from builds that ran the filter
+  // as a standalone operator still restore.
+  DataFrame filtered = DataFrame::ReadStream(stream)
+                           .Where(Gt(Col("v"), Lit(0.5)))
+                           .GroupBy({"k"})
+                           .Count();
+  auto filtered_plan =
+      Incrementalize(Analyzer::Analyze(filtered.plan()).TakeValue(), 2)
+          .TakeValue();
+  EXPECT_EQ(filtered_plan.root->op_id(), 3) << filtered_plan.root->TreeString();
+  const PhysOp* shuffle = filtered_plan.root->children()[0].get();
+  ASSERT_EQ(shuffle->children().size(), 1u);
+  const auto* fused =
+      dynamic_cast<const FusedPipelineExec*>(shuffle->children()[0].get());
+  ASSERT_NE(fused, nullptr) << filtered_plan.root->TreeString();
+  ASSERT_EQ(fused->stages().size(), 1u);
+  EXPECT_EQ(fused->stages()[0].kind, FusedPipelineExec::Stage::Kind::kFilter);
+  EXPECT_EQ(fused->stages()[0].op_id, 1);
+  EXPECT_EQ(fused->op_id(), 4);
 }
 
 TEST(PhysOpTest, SortAndLimitOverPartitions) {

@@ -163,21 +163,6 @@ TEST_F(ShardedStateStoreTest, TruncateAfterWalksShardDirs) {
   EXPECT_EQ(store->size(), 2);
 }
 
-TEST_F(ShardedStateStoreTest, TruncateAfterFallsBackToFlatLayout) {
-  // A pre-sharding checkpoint has version files directly in the partition
-  // dir; TruncateAfter must still prune it.
-  {
-    auto flat = StateStore::Open(dir_, 0).TakeValue();
-    flat->Put("a", "1");
-    ASSERT_TRUE(flat->Commit(1).ok());
-    flat->Put("b", "2");
-    ASSERT_TRUE(flat->Commit(2).ok());
-  }
-  ASSERT_TRUE(ShardedStateStore::TruncateAfter(dir_, 1).ok());
-  auto flat = StateStore::Open(dir_, 2).TakeValue();
-  EXPECT_EQ(flat->loaded_version(), 1);
-}
-
 // ---------------------------------------------------------------------------
 // Differential equivalence battery.
 // ---------------------------------------------------------------------------

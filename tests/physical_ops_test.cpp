@@ -183,10 +183,10 @@ TEST(IncrementalizerTest, OperatorIdsAreDeterministic) {
   EXPECT_TRUE(plan1.has_stateful);
   EXPECT_EQ(plan1.num_key_columns, 1);
 
-  // A filter below the aggregate runs as a one-stage fused pipeline, and
-  // the aggregate keeps op id 3 (source 0, filter 1, shuffle 2): its state
-  // lives under state/op3/, so checkpoints from builds that ran the filter
-  // as a standalone operator still restore.
+  // A filter below the aggregate runs as a one-stage fused pipeline
+  // numbered after every other operator, so the aggregate's id is 3
+  // (source 0, filter 1, shuffle 2), as it was when the filter ran on its
+  // own: its state lives under state/op3/, and such checkpoints restore.
   DataFrame filtered = DataFrame::ReadStream(stream)
                            .Where(Gt(Col("v"), Lit(0.5)))
                            .GroupBy({"k"})

@@ -1,5 +1,8 @@
 #include "bus/message_bus.h"
 
+#include <algorithm>
+#include <span>
+
 namespace sstreaming {
 
 Status MessageBus::CreateTopic(const std::string& topic, int num_partitions) {
@@ -34,6 +37,15 @@ Result<const MessageBus::Topic*> MessageBus::FindTopic(
   return const_cast<const Topic*>(&it->second);
 }
 
+Result<MessageBus::Partition*> MessageBus::FindPartition(
+    const std::string& topic, int partition) const {
+  SS_ASSIGN_OR_RETURN(const Topic* t, FindTopic(topic));
+  if (partition < 0 || partition >= static_cast<int>(t->partitions.size())) {
+    return Status::OutOfRange("partition out of range");
+  }
+  return t->partitions[static_cast<size_t>(partition)].get();
+}
+
 Result<int> MessageBus::NumPartitions(const std::string& topic) const {
   SS_ASSIGN_OR_RETURN(const Topic* t, FindTopic(topic));
   return static_cast<int>(t->partitions.size());
@@ -41,126 +53,75 @@ Result<int> MessageBus::NumPartitions(const std::string& topic) const {
 
 Result<int64_t> MessageBus::Append(const std::string& topic, int partition,
                                    Row row) {
-  SS_ASSIGN_OR_RETURN(const Topic* t, FindTopic(topic));
-  if (partition < 0 || partition >= static_cast<int>(t->partitions.size())) {
-    return Status::OutOfRange("partition out of range");
-  }
-  Partition& p = *t->partitions[static_cast<size_t>(partition)];
+  SS_ASSIGN_OR_RETURN(Partition * p, FindPartition(topic, partition));
   int64_t now = ingest_clock_ ? ingest_clock_->NowMicros() : 0;
-  std::lock_guard<std::mutex> lock(p.mu);
-  p.log.push_back(std::move(row));
-  p.ingest.push_back(now);
-  return static_cast<int64_t>(p.log.size()) - 1;
+  std::lock_guard<std::mutex> lock(p->mu);
+  const int64_t offset = p->log.size();
+  SS_RETURN_IF_ERROR(p->log.AppendRows(std::span<const Row>(&row, 1), now));
+  return offset;
 }
 
 Result<int64_t> MessageBus::AppendBatch(const std::string& topic,
                                         int partition,
                                         std::vector<Row> rows) {
-  SS_ASSIGN_OR_RETURN(const Topic* t, FindTopic(topic));
-  if (partition < 0 || partition >= static_cast<int>(t->partitions.size())) {
-    return Status::OutOfRange("partition out of range");
-  }
-  Partition& p = *t->partitions[static_cast<size_t>(partition)];
+  SS_ASSIGN_OR_RETURN(Partition * p, FindPartition(topic, partition));
   int64_t now = ingest_clock_ ? ingest_clock_->NowMicros() : 0;
-  std::lock_guard<std::mutex> lock(p.mu);
-  int64_t first = static_cast<int64_t>(p.log.size());
-  for (Row& r : rows) p.log.push_back(std::move(r));
-  p.ingest.resize(p.log.size(), now);
+  std::lock_guard<std::mutex> lock(p->mu);
+  const int64_t first = p->log.size();
+  SS_RETURN_IF_ERROR(p->log.AppendRows(rows, now));
+  return first;
+}
+
+Result<int64_t> MessageBus::AppendBatch(const std::string& topic,
+                                        int partition,
+                                        const RecordBatch& batch) {
+  SS_ASSIGN_OR_RETURN(Partition * p, FindPartition(topic, partition));
+  int64_t now = ingest_clock_ ? ingest_clock_->NowMicros() : 0;
+  std::lock_guard<std::mutex> lock(p->mu);
+  const int64_t first = p->log.size();
+  SS_RETURN_IF_ERROR(p->log.AppendBatch(batch, now));
   return first;
 }
 
 Result<std::vector<Row>> MessageBus::Read(const std::string& topic,
                                           int partition, int64_t start,
                                           int64_t end) const {
-  SS_ASSIGN_OR_RETURN(const Topic* t, FindTopic(topic));
-  if (partition < 0 || partition >= static_cast<int>(t->partitions.size())) {
-    return Status::OutOfRange("partition out of range");
-  }
-  const Partition& p = *t->partitions[static_cast<size_t>(partition)];
-  std::lock_guard<std::mutex> lock(p.mu);
-  int64_t log_end = static_cast<int64_t>(p.log.size());
+  SS_ASSIGN_OR_RETURN(const Partition* p, FindPartition(topic, partition));
+  std::lock_guard<std::mutex> lock(p->mu);
+  const int64_t log_end = p->log.size();
   if (start < 0 || start > log_end) {
     return Status::OutOfRange("start offset " + std::to_string(start) +
                               " outside log [0, " + std::to_string(log_end) +
                               "]");
   }
-  if (end > log_end) end = log_end;
-  std::vector<Row> out;
-  if (end > start) {
-    out.assign(p.log.begin() + start, p.log.begin() + end);
-  }
-  return out;
+  return p->log.ReadRows(start, std::min(end, log_end));
 }
 
 Result<RecordBatchPtr> MessageBus::ReadBatch(
     const std::string& topic, int partition, int64_t start, int64_t end,
     const SchemaPtr& schema, const std::vector<int>* projection) const {
-  SS_ASSIGN_OR_RETURN(const Topic* t, FindTopic(topic));
-  if (partition < 0 || partition >= static_cast<int>(t->partitions.size())) {
-    return Status::OutOfRange("partition out of range");
-  }
-  const Partition& p = *t->partitions[static_cast<size_t>(partition)];
-  std::lock_guard<std::mutex> lock(p.mu);
-  int64_t log_end = static_cast<int64_t>(p.log.size());
+  SS_ASSIGN_OR_RETURN(const Partition* p, FindPartition(topic, partition));
+  std::lock_guard<std::mutex> lock(p->mu);
+  const int64_t log_end = p->log.size();
   if (start < 0 || start > log_end) {
     return Status::OutOfRange("start offset outside log");
   }
-  if (end > log_end) end = log_end;
-  const int num_fields = schema->num_fields();
-  std::vector<ColumnPtr> columns;
-  columns.reserve(static_cast<size_t>(num_fields));
-  for (const Field& f : schema->fields()) {
-    ColumnPtr col = Column::Make(f.type);
-    col->Reserve(end > start ? end - start : 0);
-    columns.push_back(std::move(col));
-  }
-  for (int64_t i = start; i < end; ++i) {
-    const Row& row = p.log[static_cast<size_t>(i)];
-    for (int c = 0; c < num_fields; ++c) {
-      size_t src = projection == nullptr
-                       ? static_cast<size_t>(c)
-                       : static_cast<size_t>((*projection)[
-                             static_cast<size_t>(c)]);
-      if (src >= row.size()) {
-        return Status::InvalidArgument("record arity does not match schema");
-      }
-      columns[static_cast<size_t>(c)]->AppendValue(row[src]);
-    }
-  }
-  return RecordBatch::Make(schema, std::move(columns));
+  return p->log.ReadBatch(start, std::min(end, log_end), schema, projection);
 }
 
 Result<int64_t> MessageBus::OldestIngestMicros(const std::string& topic,
                                                int partition, int64_t start,
                                                int64_t end) const {
-  SS_ASSIGN_OR_RETURN(const Topic* t, FindTopic(topic));
-  if (partition < 0 || partition >= static_cast<int>(t->partitions.size())) {
-    return Status::OutOfRange("partition out of range");
-  }
-  const Partition& p = *t->partitions[static_cast<size_t>(partition)];
-  std::lock_guard<std::mutex> lock(p.mu);
-  if (start < 0) start = 0;
-  if (end > static_cast<int64_t>(p.ingest.size())) {
-    end = static_cast<int64_t>(p.ingest.size());
-  }
-  // Undated records (stamp 0) don't pull the minimum to zero.
-  int64_t oldest = 0;
-  for (int64_t i = start; i < end; ++i) {
-    int64_t s = p.ingest[static_cast<size_t>(i)];
-    if (s > 0 && (oldest == 0 || s < oldest)) oldest = s;
-  }
-  return oldest;
+  SS_ASSIGN_OR_RETURN(const Partition* p, FindPartition(topic, partition));
+  std::lock_guard<std::mutex> lock(p->mu);
+  return p->log.OldestIngestMicros(start, end);
 }
 
 Result<int64_t> MessageBus::EndOffset(const std::string& topic,
                                       int partition) const {
-  SS_ASSIGN_OR_RETURN(const Topic* t, FindTopic(topic));
-  if (partition < 0 || partition >= static_cast<int>(t->partitions.size())) {
-    return Status::OutOfRange("partition out of range");
-  }
-  const Partition& p = *t->partitions[static_cast<size_t>(partition)];
-  std::lock_guard<std::mutex> lock(p.mu);
-  return static_cast<int64_t>(p.log.size());
+  SS_ASSIGN_OR_RETURN(const Partition* p, FindPartition(topic, partition));
+  std::lock_guard<std::mutex> lock(p->mu);
+  return p->log.size();
 }
 
 Result<std::vector<int64_t>> MessageBus::EndOffsets(
@@ -170,7 +131,7 @@ Result<std::vector<int64_t>> MessageBus::EndOffsets(
   out.reserve(t->partitions.size());
   for (const auto& p : t->partitions) {
     std::lock_guard<std::mutex> lock(p->mu);
-    out.push_back(static_cast<int64_t>(p->log.size()));
+    out.push_back(p->log.size());
   }
   return out;
 }

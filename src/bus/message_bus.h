@@ -8,6 +8,7 @@
 #include <string>
 #include <vector>
 
+#include "bus/partition_log.h"
 #include "common/clock.h"
 #include "common/status.h"
 #include "common/thread_annotations.h"
@@ -19,9 +20,14 @@ namespace sstreaming {
 /// An in-process, Kafka-like replayable message bus: topics divided into
 /// partitions, each an append-only log addressed by offset. This is the only
 /// property the engine requires of its sources (paper §3: "input sources must
-/// be replayable") and stands in for Kafka/Kinesis. Records are Rows (the
-/// real Kafka stores bytes; both the engine and the baselines would pay the
-/// same codec cost, so we elide it equally for all of them).
+/// be replayable") and stands in for Kafka/Kinesis. Each partition stores its
+/// records column-major as typed engine Columns (a PartitionLog), the way
+/// Kafka keeps producer batches as contiguous record batches: the engine's
+/// source copies a range of the projected columns with one bulk copy per
+/// column and never builds a per-record object. A column takes the type of
+/// its first non-null value; appends whose arity or value types disagree
+/// with the partition are rejected whole. Producers may still hand in Rows,
+/// and Read() boxes Rows back out for the record-at-a-time baselines.
 ///
 /// Thread safety: all operations are safe under concurrent producers and
 /// consumers; each partition has its own lock.
@@ -43,23 +49,35 @@ class MessageBus {
   Result<int> NumPartitions(const std::string& topic) const;
 
   /// Appends one record; returns its offset within the partition.
+  /// InvalidArgument (nothing appended) when its arity or a value's type
+  /// disagrees with the partition's columns.
   Result<int64_t> Append(const std::string& topic, int partition, Row row);
 
   /// Appends many records (single lock acquisition — the batched-producer
-  /// path). Returns the offset of the first appended record.
+  /// path). Returns the offset of the first appended record. All-or-nothing:
+  /// one mismatched record rejects the whole batch.
   Result<int64_t> AppendBatch(const std::string& topic, int partition,
                               std::vector<Row> rows);
 
-  /// Reads records [start, end) from a partition. `end` beyond the log end
-  /// is clamped.
+  /// Appends a batch's rows column by column (no boxing). A column holding
+  /// only nulls fits any partition column; otherwise types must match
+  /// exactly. Returns the offset of the first appended record.
+  Result<int64_t> AppendBatch(const std::string& topic, int partition,
+                              const RecordBatch& batch);
+
+  /// Reads records [start, end) from a partition, boxed as Rows. `end`
+  /// beyond the log end is clamped.
   Result<std::vector<Row>> Read(const std::string& topic, int partition,
                                 int64_t start, int64_t end) const;
 
-  /// Reads records [start, end) directly into a columnar batch (single
-  /// pass, no intermediate row vector) — the batched-consumer path used by
-  /// the engine's source.
+  /// Reads records [start, end) directly into a columnar batch (a bulk
+  /// range copy per column) — the batched-consumer path used by the
+  /// engine's source.
   /// `projection`: indices into the stored record to materialize (schema
   /// must describe exactly those fields, in order); null = all fields.
+  /// A field reads a stored column of the same physical kind (int64 and
+  /// timestamp share one); an all-null column reads as nulls of any type;
+  /// any other mismatch is InvalidArgument.
   Result<RecordBatchPtr> ReadBatch(const std::string& topic, int partition,
                                    int64_t start, int64_t end,
                                    const SchemaPtr& schema,
@@ -84,9 +102,7 @@ class MessageBus {
  private:
   struct Partition {
     mutable std::mutex mu;
-    std::vector<Row> log SS_GUARDED_BY(mu);
-    // Parallel to log: arrival stamp per record (0 = undated).
-    std::vector<int64_t> ingest SS_GUARDED_BY(mu);
+    PartitionLog log SS_GUARDED_BY(mu);
   };
   struct Topic {
     // The vector is append-never after CreateTopic; partitions synchronize
@@ -95,6 +111,9 @@ class MessageBus {
   };
 
   Result<const Topic*> FindTopic(const std::string& topic) const
+      SS_EXCLUDES(topics_mu_);
+  Result<Partition*> FindPartition(const std::string& topic,
+                                   int partition) const
       SS_EXCLUDES(topics_mu_);
 
   const Clock* ingest_clock_ = nullptr;

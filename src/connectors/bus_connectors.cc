@@ -51,22 +51,24 @@ Status BusSink::CommitEpoch(int64_t epoch, OutputMode /*mode*/,
     committed_[epoch] = true;
   }
   SS_ASSIGN_OR_RETURN(int num_partitions, bus_->NumPartitions(topic_));
-  std::vector<std::vector<Row>> per_partition(
+  if (batches.empty()) return Status::OK();
+  RecordBatchPtr all = RecordBatch::Materialize(
+      RecordBatch::Concat(batches[0]->schema(), batches));
+  // Row hashes exactly as HashRow computes them over the boxed row.
+  std::vector<uint64_t> hashes(static_cast<size_t>(all->num_rows()),
+                               0x811C9DC5ULL);
+  for (const ColumnPtr& column : all->columns()) column->HashInto(&hashes);
+  std::vector<std::vector<int32_t>> per_partition(
       static_cast<size_t>(num_partitions));
-  for (const auto& b : batches) {
-    for (int64_t i = 0; i < b->num_rows(); ++i) {
-      Row row = b->RowAt(i);
-      int p = static_cast<int>(HashRow(row) %
-                               static_cast<uint64_t>(num_partitions));
-      per_partition[static_cast<size_t>(p)].push_back(std::move(row));
-    }
+  for (size_t i = 0; i < hashes.size(); ++i) {
+    per_partition[hashes[i] % static_cast<uint64_t>(num_partitions)]
+        .push_back(static_cast<int32_t>(i));
   }
   for (int p = 0; p < num_partitions; ++p) {
-    if (per_partition[static_cast<size_t>(p)].empty()) continue;
+    const std::vector<int32_t>& rows = per_partition[static_cast<size_t>(p)];
+    if (rows.empty()) continue;
     SS_RETURN_IF_ERROR(
-        bus_->AppendBatch(topic_, p,
-                          std::move(per_partition[static_cast<size_t>(p)]))
-            .status());
+        bus_->AppendBatch(topic_, p, *all->Gather(rows)).status());
   }
   return Status::OK();
 }

@@ -42,8 +42,9 @@ class BusSource : public Source {
   int num_partitions_ = 0;
 };
 
-/// Sink writing result rows back to a MessageBus topic, partitioned by a
-/// hash of the row. Like the real Kafka sink, cross-restart delivery is
+/// Sink writing result rows back to a MessageBus topic, partitioned by
+/// HashRow of the row (computed column by column with Column::HashInto) and
+/// appended as one columnar batch per partition. Like the real Kafka sink, cross-restart delivery is
 /// at-least-once (the bus has no atomic multi-partition commit); within one
 /// process lifetime re-commits of an epoch are suppressed, so tests observe
 /// exactly-once under task retries.

@@ -11,37 +11,44 @@ namespace sstreaming {
 
 MemoryStream::MemoryStream(std::string name, SchemaPtr schema,
                            int num_partitions)
-    : name_(std::move(name)), schema_(std::move(schema)) {
+    : name_(std::move(name)),
+      schema_(std::move(schema)),
+      num_partitions_(num_partitions) {
   SS_CHECK(num_partitions >= 1);
   partitions_.resize(static_cast<size_t>(num_partitions));
-  ingest_micros_.resize(static_cast<size_t>(num_partitions));
 }
 
 Status MemoryStream::AddData(const std::vector<Row>& rows) {
+  SS_ASSIGN_OR_RETURN(RecordBatchPtr batch,
+                      RecordBatch::FromRows(schema_, rows));
+  const int n = num_partitions_;
   std::lock_guard<std::mutex> lock(mu_);
   int64_t now = ingest_clock_ ? ingest_clock_->NowMicros() : 0;
-  for (const Row& row : rows) {
-    if (static_cast<int>(row.size()) != schema_->num_fields()) {
-      return Status::InvalidArgument("row arity mismatch in AddData");
+  // Row k goes to partition (next_partition_ + k) % n.
+  for (int k = 0; k < n && k < batch->num_rows(); ++k) {
+    std::vector<int32_t> indices;
+    for (int64_t i = k; i < batch->num_rows(); i += n) {
+      indices.push_back(static_cast<int32_t>(i));
     }
-    partitions_[static_cast<size_t>(next_partition_)].push_back(row);
-    ingest_micros_[static_cast<size_t>(next_partition_)].push_back(now);
-    next_partition_ = (next_partition_ + 1) % num_partitions();
+    const int p = (next_partition_ + k) % n;
+    SS_RETURN_IF_ERROR(partitions_[static_cast<size_t>(p)].AppendBatch(
+        *batch->Gather(indices), now));
   }
+  next_partition_ =
+      static_cast<int>((next_partition_ + batch->num_rows()) % n);
   return Status::OK();
 }
 
 Status MemoryStream::AddDataToPartition(int partition,
                                         const std::vector<Row>& rows) {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (partition < 0 || partition >= num_partitions()) {
+  if (partition < 0 || partition >= num_partitions_) {
     return Status::OutOfRange("bad partition");
   }
+  SS_ASSIGN_OR_RETURN(RecordBatchPtr batch,
+                      RecordBatch::FromRows(schema_, rows));
+  std::lock_guard<std::mutex> lock(mu_);
   int64_t now = ingest_clock_ ? ingest_clock_->NowMicros() : 0;
-  auto& log = partitions_[static_cast<size_t>(partition)];
-  log.insert(log.end(), rows.begin(), rows.end());
-  ingest_micros_[static_cast<size_t>(partition)].resize(log.size(), now);
-  return Status::OK();
+  return partitions_[static_cast<size_t>(partition)].AppendBatch(*batch, now);
 }
 
 Result<std::vector<int64_t>> MemoryStream::LatestOffsets() const {
@@ -49,9 +56,7 @@ Result<std::vector<int64_t>> MemoryStream::LatestOffsets() const {
   std::lock_guard<std::mutex> lock(mu_);
   std::vector<int64_t> out;
   out.reserve(partitions_.size());
-  for (const auto& p : partitions_) {
-    out.push_back(static_cast<int64_t>(p.size()));
-  }
+  for (const PartitionLog& log : partitions_) out.push_back(log.size());
   return out;
 }
 
@@ -59,37 +64,23 @@ Result<RecordBatchPtr> MemoryStream::ReadPartition(int partition,
                                                    int64_t start,
                                                    int64_t end) const {
   SS_FAILPOINT("source.get_batch");
-  std::lock_guard<std::mutex> lock(mu_);
-  if (partition < 0 || partition >= num_partitions()) {
+  if (partition < 0 || partition >= num_partitions_) {
     return Status::OutOfRange("bad partition");
   }
-  const auto& log = partitions_[static_cast<size_t>(partition)];
-  if (start < 0 || start > static_cast<int64_t>(log.size()) || end < start) {
+  std::lock_guard<std::mutex> lock(mu_);
+  const PartitionLog& log = partitions_[static_cast<size_t>(partition)];
+  if (start < 0 || start > log.size() || end < start) {
     return Status::OutOfRange("bad offset range");
   }
-  if (end > static_cast<int64_t>(log.size())) {
-    end = static_cast<int64_t>(log.size());
-  }
-  std::vector<Row> rows(log.begin() + start, log.begin() + end);
-  return RecordBatch::FromRows(schema_, rows);
+  return log.ReadBatch(start, std::min(end, log.size()), schema_, nullptr);
 }
 
 int64_t MemoryStream::OldestIngestMicros(int partition, int64_t start,
                                          int64_t end) const {
+  if (partition < 0 || partition >= num_partitions_) return 0;
   std::lock_guard<std::mutex> lock(mu_);
-  if (partition < 0 || partition >= num_partitions()) return 0;
-  const auto& stamps = ingest_micros_[static_cast<size_t>(partition)];
-  if (start < 0) start = 0;
-  if (end > static_cast<int64_t>(stamps.size())) {
-    end = static_cast<int64_t>(stamps.size());
-  }
-  // Undated rows (stamp 0) don't pull the minimum to zero.
-  int64_t oldest = 0;
-  for (int64_t i = start; i < end; ++i) {
-    int64_t s = stamps[static_cast<size_t>(i)];
-    if (s > 0 && (oldest == 0 || s < oldest)) oldest = s;
-  }
-  return oldest;
+  return partitions_[static_cast<size_t>(partition)].OldestIngestMicros(
+      start, end);
 }
 
 Status MemorySink::CommitEpoch(int64_t epoch, OutputMode mode,

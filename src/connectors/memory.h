@@ -7,6 +7,7 @@
 #include <string>
 #include <vector>
 
+#include "bus/partition_log.h"
 #include "common/clock.h"
 #include "common/thread_annotations.h"
 #include "connectors/sink.h"
@@ -18,7 +19,9 @@ namespace sstreaming {
 
 /// An in-memory replayable source, primarily for tests and examples: data is
 /// added explicitly with AddData() and retained forever, so any offset range
-/// can be re-read (the strongest form of replayability).
+/// can be re-read (the strongest form of replayability). Added rows are
+/// checked against the schema and stored in typed PartitionLogs, the same
+/// column-major storage as a MessageBus partition.
 class MemoryStream : public Source {
  public:
   MemoryStream(std::string name, SchemaPtr schema, int num_partitions = 1);
@@ -29,16 +32,16 @@ class MemoryStream : public Source {
   /// the stream does not take ownership and the clock must outlive it.
   void set_ingest_clock(const Clock* clock) { ingest_clock_ = clock; }
 
-  /// Appends rows round-robin across partitions (deterministic).
+  /// Appends rows round-robin across partitions (deterministic). Rows whose
+  /// arity or value types do not fit the schema (RecordBatch::FromRows)
+  /// are rejected with InvalidArgument and nothing is added.
   Status AddData(const std::vector<Row>& rows);
-  /// Appends rows to one partition.
+  /// Appends rows to one partition (same checks as AddData).
   Status AddDataToPartition(int partition, const std::vector<Row>& rows);
 
   const std::string& name() const override { return name_; }
   SchemaPtr schema() const override { return schema_; }
-  int num_partitions() const override {
-    return static_cast<int>(partitions_.size());
-  }
+  int num_partitions() const override { return num_partitions_; }
   Result<std::vector<int64_t>> LatestOffsets() const override;
   Result<RecordBatchPtr> ReadPartition(int partition, int64_t start,
                                        int64_t end) const override;
@@ -49,10 +52,9 @@ class MemoryStream : public Source {
   std::string name_;
   SchemaPtr schema_;
   const Clock* ingest_clock_ = nullptr;
+  const int num_partitions_;
   mutable std::mutex mu_;
-  std::vector<std::vector<Row>> partitions_ SS_GUARDED_BY(mu_);
-  // Parallel to partitions_: arrival stamp per row (0 = undated).
-  std::vector<std::vector<int64_t>> ingest_micros_ SS_GUARDED_BY(mu_);
+  std::vector<PartitionLog> partitions_ SS_GUARDED_BY(mu_);
   int next_partition_ SS_GUARDED_BY(mu_) = 0;
 };
 

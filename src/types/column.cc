@@ -1,5 +1,6 @@
 #include "types/column.h"
 
+#include <algorithm>
 #include <cstring>
 
 namespace sstreaming {
@@ -38,6 +39,28 @@ void Column::AppendNull() {
       break;
     case PhysicalKind::kString:
       strings_.emplace_back();
+      break;
+    case PhysicalKind::kNone:
+      break;
+  }
+}
+
+void Column::AppendNulls(int64_t n) {
+  const size_t count = static_cast<size_t>(n);
+  validity_.resize(validity_.size() + count, 0);
+  null_count_ += n;
+  switch (PhysicalKindOf(type_)) {
+    case PhysicalKind::kBool:
+      bools_.resize(bools_.size() + count, 0);
+      break;
+    case PhysicalKind::kInt64:
+      ints_.resize(ints_.size() + count, 0);
+      break;
+    case PhysicalKind::kFloat64:
+      doubles_.resize(doubles_.size() + count, 0);
+      break;
+    case PhysicalKind::kString:
+      strings_.resize(strings_.size() + count);
       break;
     case PhysicalKind::kNone:
       break;
@@ -139,6 +162,46 @@ void Column::AppendFrom(const Column& src, int64_t i) {
       break;
     case PhysicalKind::kNone:
       AppendNull();
+      break;
+  }
+}
+
+void Column::AppendRange(const Column& src, int64_t start, int64_t length) {
+  SS_DCHECK(&src != this);
+  SS_DCHECK(start >= 0 && length >= 0 && start + length <= src.size());
+  const PhysicalKind kind = PhysicalKindOf(type_);
+  if (PhysicalKindOf(src.type_) != kind) {
+    for (int64_t i = start; i < start + length; ++i) AppendFrom(src, i);
+    return;
+  }
+  const auto begin = static_cast<std::ptrdiff_t>(start);
+  const auto end = begin + static_cast<std::ptrdiff_t>(length);
+  auto copy = [begin, end](auto* dst, const auto& from) {
+    dst->insert(dst->end(), from.begin() + begin, from.begin() + end);
+  };
+  copy(&validity_, src.validity_);
+  if (src.null_count_ > 0) {
+    null_count_ += std::count(src.validity_.begin() + begin,
+                              src.validity_.begin() + end, 0);
+  }
+  switch (kind) {
+    case PhysicalKind::kBool:
+      copy(&bools_, src.bools_);
+      break;
+    case PhysicalKind::kInt64:
+      copy(&ints_, src.ints_);
+      break;
+    case PhysicalKind::kFloat64:
+      copy(&doubles_, src.doubles_);
+      break;
+    case PhysicalKind::kString:
+      copy(&strings_, src.strings_);
+      for (auto it = src.strings_.begin() + begin;
+           it != src.strings_.begin() + end; ++it) {
+        string_bytes_ += static_cast<int64_t>(it->size());
+      }
+      break;
+    case PhysicalKind::kNone:
       break;
   }
 }

@@ -50,6 +50,7 @@ class Column {
 
   // --- Builders ---
   void AppendNull();
+  void AppendNulls(int64_t n);
   void AppendBool(bool v);
   void AppendInt64(int64_t v);
   void AppendFloat64(double v);
@@ -65,6 +66,12 @@ class Column {
   /// Appends value i of `src` to this column with matching physical type
   /// (no boxing) — the gather kernel used by shuffle and joins.
   void AppendFrom(const Column& src, int64_t i);
+
+  /// Appends values [start, start+length) of `src` with one bulk copy per
+  /// storage array — the range kernel behind bus reads, Slice and Concat.
+  /// Same result as AppendFrom over the range; a source of another physical
+  /// type (e.g. an all-null kNull column) takes that per-value path.
+  void AppendRange(const Column& src, int64_t start, int64_t length);
 
   /// Serializes value i exactly as Value::EncodeTo would (byte-identical),
   /// without boxing — used to build state-store keys from columns.

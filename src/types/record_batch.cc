@@ -182,11 +182,28 @@ std::shared_ptr<RecordBatch> RecordBatch::SelectColumns(
 std::shared_ptr<RecordBatch> RecordBatch::Slice(int64_t start,
                                                 int64_t length) const {
   SS_CHECK(start >= 0 && start + length <= num_rows_);
-  std::vector<uint8_t> mask(static_cast<size_t>(num_rows_), 0);
-  for (int64_t i = start; i < start + length; ++i) {
-    mask[static_cast<size_t>(i)] = 1;
+  std::vector<ColumnPtr> out_columns;
+  out_columns.reserve(columns_.size());
+  for (int c = 0; c < num_columns(); ++c) {
+    ColumnPtr out = Column::Make(columns_[static_cast<size_t>(c)]->type());
+    AppendColumnRange(c, start, length, out.get());
+    out_columns.push_back(std::move(out));
   }
-  return Filter(mask);
+  auto sliced = Make(schema_, std::move(out_columns));
+  sliced->set_ingest_micros(ingest_micros_);
+  return sliced;
+}
+
+void RecordBatch::AppendColumnRange(int c, int64_t start, int64_t length,
+                                    Column* out) const {
+  const Column& in = *columns_[static_cast<size_t>(c)];
+  if (!has_selection_) {
+    out->AppendRange(in, start, length);
+    return;
+  }
+  for (int64_t i = start; i < start + length; ++i) {
+    out->AppendFrom(in, PhysIndex(i));
+  }
 }
 
 std::shared_ptr<RecordBatch> RecordBatch::Gather(
@@ -209,35 +226,15 @@ std::shared_ptr<RecordBatch> RecordBatch::Concat(
     SchemaPtr schema,
     const std::vector<std::shared_ptr<RecordBatch>>& batches) {
   if (batches.size() == 1) return batches[0];
+  int64_t total_rows = 0;
+  for (const auto& batch : batches) total_rows += batch->num_rows();
   std::vector<ColumnPtr> columns;
+  columns.reserve(static_cast<size_t>(schema->num_fields()));
   for (int ci = 0; ci < schema->num_fields(); ++ci) {
     ColumnPtr out = Column::Make(schema->field(ci).type);
+    out->Reserve(total_rows);
     for (const auto& batch : batches) {
-      const Column& in = *batch->column(ci);
-      for (int64_t li = 0; li < batch->num_rows(); ++li) {
-        const int64_t i = batch->PhysIndex(li);
-        if (in.IsNull(i)) {
-          out->AppendNull();
-          continue;
-        }
-        switch (PhysicalKindOf(in.type())) {
-          case PhysicalKind::kBool:
-            out->AppendBool(in.BoolAt(i));
-            break;
-          case PhysicalKind::kInt64:
-            out->AppendInt64(in.Int64At(i));
-            break;
-          case PhysicalKind::kFloat64:
-            out->AppendFloat64(in.Float64At(i));
-            break;
-          case PhysicalKind::kString:
-            out->AppendString(in.StringAt(i));
-            break;
-          case PhysicalKind::kNone:
-            out->AppendNull();
-            break;
-        }
-      }
+      batch->AppendColumnRange(ci, 0, batch->num_rows(), out.get());
     }
     columns.push_back(std::move(out));
   }

@@ -72,6 +72,12 @@ class RecordBatch {
   std::shared_ptr<RecordBatch> Gather(
       const std::vector<int32_t>& indices) const;
 
+  /// Appends logical rows [start, start+length) of column `c` to `out`: one
+  /// bulk range copy (Column::AppendRange) without a selection, a typed
+  /// gather through it otherwise.
+  void AppendColumnRange(int c, int64_t start, int64_t length,
+                         Column* out) const;
+
   /// Concatenates batches sharing a schema. Empty input yields Empty(schema).
   static std::shared_ptr<RecordBatch> Concat(
       SchemaPtr schema,

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <iostream>
 #include <map>
 #include <string>
@@ -19,6 +21,38 @@ namespace {
 SchemaPtr TwoColSchema() {
   return Schema::Make(
       {{"k", TypeId::kString, true}, {"v", TypeId::kInt64, true}});
+}
+
+TEST(MemoryStreamTest, RoundRobinContinuesAcrossCalls) {
+  MemoryStream s("m", TwoColSchema(), 3);
+  auto row = [](int64_t v) { return Row{Value::Str("k"), Value::Int64(v)}; };
+  ASSERT_TRUE(s.AddData({row(0), row(1)}).ok());
+  ASSERT_TRUE(s.AddData({row(2), row(3), row(4), row(5)}).ok());
+  EXPECT_EQ(*s.LatestOffsets(), (std::vector<int64_t>{2, 2, 2}));
+  for (int p = 0; p < 3; ++p) {
+    auto batch = s.ReadPartition(p, 0, 2);
+    ASSERT_TRUE(batch.ok());
+    EXPECT_EQ((*batch)->RowAt(0)[1], Value::Int64(p));
+    EXPECT_EQ((*batch)->RowAt(1)[1], Value::Int64(p + 3));
+  }
+}
+
+TEST(MemoryStreamTest, AddDataChecksTypesAgainstTheSchema) {
+  MemoryStream s("m",
+                 Schema::Make({{"x", TypeId::kFloat64, true},
+                               {"t", TypeId::kTimestamp, true}}),
+                 1);
+  // Widening int64 -> float64 and int64 -> timestamp, as RecordBatch::FromRows.
+  ASSERT_TRUE(s.AddData({{Value::Int64(2), Value::Int64(5)}}).ok());
+  EXPECT_EQ(s.AddData({{Value::Float64(1.0), Value::Int64(1)},
+                       {Value::Str("no"), Value::Null()}})
+                .code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ((*s.LatestOffsets())[0], 1);
+  auto batch = s.ReadPartition(0, 0, 1);
+  ASSERT_TRUE(batch.ok());
+  EXPECT_EQ((*batch)->RowAt(0)[0], Value::Float64(2.0));
+  EXPECT_EQ((*batch)->RowAt(0)[1], Value::Timestamp(5));
 }
 
 TEST(MemoryStreamTest, RoundRobinAcrossPartitions) {
@@ -244,6 +278,67 @@ TEST(BusConnectorsTest, SinkWritesAndSuppressesRecommit) {
   ASSERT_TRUE(sink.CommitEpoch(1, OutputMode::kAppend, 0, {b}).ok());
   ASSERT_TRUE(sink.CommitEpoch(1, OutputMode::kAppend, 0, {b}).ok());
   EXPECT_EQ(*bus.TotalRecords("out"), 2);
+}
+
+// The columnar sink must route every row exactly as HashRow over the boxed
+// row would, including nulls, NaN, -0.0, integral doubles (which hash like
+// the equal int64) and strings, and for batches that are selection views.
+TEST(BusConnectorsTest, SinkPartitionsRowsLikeHashRow) {
+  SchemaPtr schema = Schema::Make({{"s", TypeId::kString, true},
+                                   {"i", TypeId::kInt64, true},
+                                   {"d", TypeId::kFloat64, true},
+                                   {"t", TypeId::kTimestamp, true}});
+  Random rng(7);
+  std::vector<Row> rows;
+  for (int i = 0; i < 400; ++i) {
+    const double doubles[] = {std::nan(""), -0.0, 0.0, 3.0, 2.5};
+    rows.push_back(
+        {rng.OneIn(0.2) ? Value::Null()
+                        : Value::Str(std::string(rng.Uniform(5), 'a' + i % 7)),
+         rng.OneIn(0.2) ? Value::Null() : Value::Int64(i % 13),
+         rng.OneIn(0.2) ? Value::Null() : Value::Float64(doubles[i % 5]),
+         rng.OneIn(0.2) ? Value::Null() : Value::Timestamp(i)});
+  }
+  auto plain = RecordBatch::FromRows(
+                   schema, std::vector<Row>(rows.begin(), rows.begin() + 300))
+                   .TakeValue();
+  auto tail = RecordBatch::FromRows(
+                  schema, std::vector<Row>(rows.begin() + 300, rows.end()))
+                  .TakeValue();
+  std::vector<int32_t> odd;
+  for (int32_t i = 1; i < 100; i += 2) odd.push_back(i);
+  auto view = RecordBatch::MakeView(tail, SelectionVector::FromVector(odd));
+
+  constexpr int kPartitions = 5;
+  MessageBus bus;
+  ASSERT_TRUE(bus.CreateTopic("out", kPartitions).ok());
+  BusSink sink(&bus, "out");
+  ASSERT_TRUE(sink.CommitEpoch(0, OutputMode::kAppend, 0, {plain, view}).ok());
+
+  // Compared as sorted encodings: Value ordering is not total over NaN.
+  auto encode = [](const Row& row) {
+    std::string bytes;
+    EncodeRow(row, &bytes);
+    return bytes;
+  };
+  std::vector<std::string> expected;
+  for (int i = 0; i < 300; ++i) expected.push_back(encode(rows[i]));
+  for (int32_t i : odd) {
+    expected.push_back(encode(rows[300 + static_cast<size_t>(i)]));
+  }
+  std::vector<std::string> written;
+  for (int p = 0; p < kPartitions; ++p) {
+    auto out = bus.Read("out", p, 0, *bus.EndOffset("out", p));
+    ASSERT_TRUE(out.ok());
+    for (const Row& row : *out) {
+      EXPECT_EQ(HashRow(row) % kPartitions, static_cast<uint64_t>(p))
+          << RowToString(row);
+      written.push_back(encode(row));
+    }
+  }
+  std::sort(written.begin(), written.end());
+  std::sort(expected.begin(), expected.end());
+  EXPECT_EQ(written, expected);
 }
 
 class FileConnectorsTest : public ::testing::Test {

@@ -77,6 +77,36 @@ TEST(RecordBatchTest, ConcatMergesBatches) {
   EXPECT_EQ(merged->RowAt(3)[0], Value::Int64(1));
 }
 
+TEST(RecordBatchTest, SliceOfViewUsesLogicalRows) {
+  RecordBatchPtr view =
+      RecordBatch::MakeView(TestBatch(), SelectionVector::FromVector({2, 0}));
+  RecordBatchPtr s = view->Slice(1, 1);
+  ASSERT_EQ(s->num_rows(), 1);
+  EXPECT_FALSE(s->has_selection());
+  EXPECT_EQ(s->RowAt(0)[0], Value::Int64(1));
+}
+
+TEST(RecordBatchTest, ConcatMixesPlainBatchesAndViews) {
+  RecordBatchPtr b = TestBatch();
+  b->set_ingest_micros(50);
+  RecordBatchPtr view =
+      RecordBatch::MakeView(TestBatch(), SelectionVector::FromVector({2, 1}));
+  view->set_ingest_micros(20);
+  RecordBatchPtr merged = RecordBatch::Concat(TestSchema(), {b, view, b});
+  std::vector<Row> expected = b->ToRows();
+  for (const Row& r : view->ToRows()) expected.push_back(r);
+  for (const Row& r : b->ToRows()) expected.push_back(r);
+  ASSERT_EQ(merged->num_rows(), 8);
+  for (int64_t i = 0; i < merged->num_rows(); ++i) {
+    EXPECT_EQ(CompareRows(merged->RowAt(i),
+                          expected[static_cast<size_t>(i)]),
+              0)
+        << "row " << i;
+  }
+  EXPECT_EQ(merged->column(1)->null_count(), 3);
+  EXPECT_EQ(merged->ingest_micros(), 20);
+}
+
 TEST(RecordBatchTest, ConcatEmptyInput) {
   RecordBatchPtr merged = RecordBatch::Concat(TestSchema(), {});
   EXPECT_EQ(merged->num_rows(), 0);

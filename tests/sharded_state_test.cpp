@@ -1,10 +1,10 @@
 // Sharded keyed state: unit tests for ShardedStateStore's routing, sticky
 // layout, and per-shard checkpointing, plus the differential equivalence
 // battery — randomized stateful pipelines (windowed aggregation, dedup,
-// stream-stream join) swept across shard counts {1, 2, 4, 7}, asserting the
-// sink output is byte-identical to the 1-shard golden run per epoch, that
-// merged state accounting agrees, and that both survive a crash-restart
-// mid-run (docs/STATE_SHARDING.md).
+// stream-stream join, flatMapGroupsWithState) swept across shard counts
+// {1, 2, 4, 7}, asserting the sink output is byte-identical to the 1-shard
+// golden run per epoch, that merged state accounting agrees, and that both
+// survive a crash-restart mid-run (docs/STATE_SHARDING.md).
 
 #include <gtest/gtest.h>
 
@@ -210,7 +210,7 @@ class EpochRecordingSink : public Sink {
   int64_t redelivery_mismatches_ = 0;
 };
 
-enum class Pipeline { kWindowedAgg, kDedup, kJoin };
+enum class Pipeline { kWindowedAgg, kDedup, kJoin, kMapGroups };
 
 struct DifferentialRun {
   std::map<int64_t, std::vector<Row>> epochs;    // sorted per epoch
@@ -249,6 +249,33 @@ std::vector<Row> MakeRound(Random* rng, int round, int rows) {
   return out;
 }
 
+/// Update function of the kMapGroups pipeline: count and sum of v per key,
+/// emitted on every invocation, with an event-time timeout 3 s after the
+/// key's latest event; a timed-out key emits its totals once and drops its
+/// state. Pure, so it may run concurrently for different keys.
+GroupUpdateFn CountUntilIdle() {
+  return [](const Row& key, const std::vector<Row>& values,
+            GroupState* state) -> Result<std::vector<Row>> {
+    int64_t n = state->exists() ? state->get()[0].int64_value() : 0;
+    int64_t total = state->exists() ? state->get()[1].int64_value() : 0;
+    if (state->HasTimedOut()) {
+      state->remove();
+      return std::vector<Row>{{key[0], Value::Int64(n), Value::Int64(total),
+                               Value::Bool(true)}};
+    }
+    int64_t latest = INT64_MIN;
+    for (const Row& v : values) {
+      ++n;
+      total += v[1].int64_value();
+      latest = std::max(latest, v[2].int64_value());
+    }
+    state->update({Value::Int64(n), Value::Int64(total)});
+    state->SetTimeoutTimestamp(latest + 3 * kSec);
+    return std::vector<Row>{{key[0], Value::Int64(n), Value::Int64(total),
+                             Value::Bool(false)}};
+  };
+}
+
 DifferentialRun RunPipeline(Pipeline pipeline, int num_shards, uint64_t seed,
                             bool restart_midway,
                             TaskScheduler* scheduler = nullptr) {
@@ -279,6 +306,18 @@ DifferentialRun RunPipeline(Pipeline pipeline, int num_shards, uint64_t seed,
                                                                 5 * kSec),
                      {"k"});
       mode = OutputMode::kAppend;
+      break;
+    case Pipeline::kMapGroups:
+      df = df.WithWatermark("time", 5 * kSec)
+               .GroupByKey({As(Col("k"), "k")})
+               .FlatMapGroupsWithState(
+                   CountUntilIdle(),
+                   Schema::Make({{"k", TypeId::kString, false},
+                                 {"n", TypeId::kInt64, false},
+                                 {"total", TypeId::kInt64, false},
+                                 {"timed_out", TypeId::kBool, false}}),
+                   GroupStateTimeout::kEventTime);
+      mode = OutputMode::kUpdate;
       break;
   }
 
@@ -430,13 +469,14 @@ TEST_P(ShardedDifferentialTest, EquivalenceHoldsAcrossRestartRecovery) {
 
 INSTANTIATE_TEST_SUITE_P(AllPipelines, ShardedDifferentialTest,
                          ::testing::Values(Pipeline::kWindowedAgg,
-                                           Pipeline::kDedup,
-                                           Pipeline::kJoin),
+                                           Pipeline::kDedup, Pipeline::kJoin,
+                                           Pipeline::kMapGroups),
                          [](const auto& info) {
                            switch (info.param) {
                              case Pipeline::kWindowedAgg: return "WindowedAgg";
                              case Pipeline::kDedup: return "Dedup";
                              case Pipeline::kJoin: return "Join";
+                             case Pipeline::kMapGroups: return "MapGroups";
                            }
                            return "Unknown";
                          });

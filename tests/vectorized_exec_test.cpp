@@ -1,7 +1,7 @@
 // Vectorized hot path: selection-vector semantics on RecordBatch, the
 // filter stage's zero-copy contract, the per-epoch Arena, how the
 // incrementalizer builds fused pipelines and their per-stage accounting,
-// and the golden battery: all three stateful pipelines must reproduce the
+// and the golden battery: all four stateful pipelines must reproduce the
 // checked-in outputs in tests/golden/ byte for byte, including across a
 // crash-restart and on a thread pool (docs/VECTORIZED_EXEC.md).
 
@@ -542,7 +542,7 @@ TEST(PipelineFusionTest, OneStageRowAccountingTiesOutUnderItsOwnId) {
 }
 
 // ---------------------------------------------------------------------------
-// Golden battery: the three stateful pipelines must reproduce the outputs
+// Golden battery: the four stateful pipelines must reproduce the outputs
 // checked in under tests/golden/, per epoch and in final state accounting.
 // ---------------------------------------------------------------------------
 
@@ -578,7 +578,7 @@ class EpochRecordingSink : public Sink {
   int64_t redelivery_mismatches_ = 0;
 };
 
-enum class Pipeline { kWindowedAgg, kDedup, kJoin };
+enum class Pipeline { kWindowedAgg, kDedup, kJoin, kMapGroups };
 
 struct DifferentialRun {
   std::map<int64_t, std::vector<Row>> epochs;
@@ -612,6 +612,41 @@ std::vector<Row> MakeRound(Random* rng, int round, int rows) {
                    Value::Timestamp(sec * kSec)});
   }
   return out;
+}
+
+/// flatMapGroupsWithState update function of the kMapGroups pipeline: a
+/// count and sum of v per key, emitted on every invocation, with an
+/// event-time timeout 3 s after the key's latest event; a timed-out key
+/// emits its final totals once and drops its state. Pure, so it may run
+/// concurrently for different keys.
+GroupUpdateFn CountUntilIdle() {
+  return [](const Row& key, const std::vector<Row>& values,
+            GroupState* state) -> Result<std::vector<Row>> {
+    int64_t n = state->exists() ? state->get()[0].int64_value() : 0;
+    int64_t total = state->exists() ? state->get()[1].int64_value() : 0;
+    if (state->HasTimedOut()) {
+      state->remove();
+      return std::vector<Row>{{key[0], Value::Int64(n), Value::Int64(total),
+                               Value::Bool(true)}};
+    }
+    int64_t latest = INT64_MIN;
+    for (const Row& v : values) {
+      ++n;
+      total += v[1].int64_value();
+      latest = std::max(latest, v[2].int64_value());
+    }
+    state->update({Value::Int64(n), Value::Int64(total)});
+    state->SetTimeoutTimestamp(latest + 3 * kSec);
+    return std::vector<Row>{{key[0], Value::Int64(n), Value::Int64(total),
+                             Value::Bool(false)}};
+  };
+}
+
+SchemaPtr CountUntilIdleSchema() {
+  return Schema::Make({{"k", TypeId::kString, false},
+                       {"n", TypeId::kInt64, false},
+                       {"total", TypeId::kInt64, false},
+                       {"timed_out", TypeId::kBool, false}});
 }
 
 /// Every pipeline carries a stateless prefix (Where + Watermark or Where +
@@ -649,6 +684,15 @@ DifferentialRun RunPipeline(Pipeline pipeline, uint64_t seed,
                                                                 5 * kSec),
                      {"k"});
       mode = OutputMode::kAppend;
+      break;
+    case Pipeline::kMapGroups:
+      // Event-time timeout behind a watermark: no clock involved.
+      df = df.WithWatermark("time", 5 * kSec)
+               .GroupByKey({As(Col("k"), "k")})
+               .FlatMapGroupsWithState(CountUntilIdle(),
+                                       CountUntilIdleSchema(),
+                                       GroupStateTimeout::kEventTime);
+      mode = OutputMode::kUpdate;
       break;
   }
 
@@ -751,6 +795,7 @@ const char* PipelineName(Pipeline pipeline) {
     case Pipeline::kWindowedAgg: return "windowed_agg";
     case Pipeline::kDedup: return "dedup";
     case Pipeline::kJoin: return "join";
+    case Pipeline::kMapGroups: return "map_groups";
   }
   return "unknown";
 }
@@ -817,12 +862,14 @@ TEST_P(VectorizedGoldenTest, OutputMatchesGoldenOnAThreadPool) {
 
 INSTANTIATE_TEST_SUITE_P(AllPipelines, VectorizedGoldenTest,
                          ::testing::Values(Pipeline::kWindowedAgg,
-                                           Pipeline::kDedup, Pipeline::kJoin),
+                                           Pipeline::kDedup, Pipeline::kJoin,
+                                           Pipeline::kMapGroups),
                          [](const auto& info) {
                            switch (info.param) {
                              case Pipeline::kWindowedAgg: return "WindowedAgg";
                              case Pipeline::kDedup: return "Dedup";
                              case Pipeline::kJoin: return "Join";
+                             case Pipeline::kMapGroups: return "MapGroups";
                            }
                            return "Unknown";
                          });

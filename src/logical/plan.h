@@ -85,7 +85,10 @@ class GroupState {
 
 /// User update function for (flat)mapGroupsWithState: receives the group
 /// key, the new values for that key this trigger (empty on timeout), and the
-/// state handle; returns zero or more output rows (paper Figure 3).
+/// state handle; returns zero or more output rows (paper Figure 3). The
+/// engine may call it concurrently for different keys (across partitions
+/// and across a partition's state shards) and visits keys in unspecified
+/// order, so it must be safe to call from several threads at once.
 using GroupUpdateFn = std::function<Result<std::vector<Row>>(
     const Row& key, const std::vector<Row>& values, GroupState* state)>;
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstring>
 #include <string_view>
+#include <type_traits>
 #include <unordered_map>
 
 #include "common/logging.h"
@@ -49,49 +50,72 @@ bool GetFixed64(const std::string& data, size_t* pos, uint64_t* v) {
   return true;
 }
 
+/// Appends the state key of row i over `cols`: the arity byte, then each
+/// column's value. Byte-identical to EncodeRow of the boxed row, without
+/// boxing it.
+void EncodeKeyTo(const std::vector<ColumnPtr>& cols, int64_t i,
+                 std::string* out) {
+  out->push_back(static_cast<char>(cols.size()));
+  for (const ColumnPtr& col : cols) col->EncodeValueTo(i, out);
+}
+
+/// Runs `child` and materializes its batches: the operators below evaluate
+/// expressions and encode keys over whole batches, so selection views
+/// compact here (docs/VECTORIZED_EXEC.md).
+Result<std::vector<RecordBatchPtr>> ExecuteMaterialized(const PhysOpPtr& child,
+                                                        ExecContext* ctx) {
+  SS_ASSIGN_OR_RETURN(std::vector<RecordBatchPtr> in, child->Execute(ctx));
+  for (RecordBatchPtr& b : in) b = RecordBatch::Materialize(b);
+  return in;
+}
+
 // ---------------------------------------------------------------------------
-// Shard routing (docs/STATE_SHARDING.md)
+// The keyed-shard driver (docs/STATE_SHARDING.md)
 //
-// Stateful operators run in up to three scheduler stages per epoch:
-//   [eval]  per partition: vectorized evaluation of key/argument columns;
-//   [split] per (partition, chunk): encode each row's state key and route it
-//           to a shard bucket by StableHashKey(key) % num_shards;
-//   <name>  per (partition, shard): fold the bucketed rows into that shard's
-//           state and emit output rows.
-// Buckets preserve input order (chunks are contiguous row ranges, visited in
-// chunk order by the fold), so everything an operator emits is a
-// deterministic function of the input regardless of shard count; shard
-// outputs are merged in shard-index order.
+// Every stateful operator runs an epoch the same way; RunKeyedShards is that
+// sequence, and the operators supply only callbacks:
+//   setup    open each partition's store serially and Open one shard
+//            context per (partition, shard);
+//   prepare  optional, stage `<name>[eval]`, one task per partition;
+//   route    the operator encodes the state keys of a row range and emits
+//            (row, aux, key); the driver hashes each key (StableHashKey)
+//            and picks its shard (ShardOf);
+//   fold     the operator folds (row, aux, key, hash) into that shard;
+//   finish   per shard, in shard-index order: the operator emits output
+//            rows;
+//   merge    each partition's shard outputs, concatenated in shard order.
+//
+// The grain rule turns those steps into scheduler tasks. When partition
+// parallelism alone covers the scheduler (parallelism <= partitions), one
+// task per partition routes each row straight into its shard's fold, then
+// finishes the shards in index order (inline grain, stage `<name>`).
+// Otherwise stage `<name>[split]` routes row chunks into per-shard buckets
+// and stage `<name>` runs one fold task per (partition, shard), packed onto
+// the scheduler's cores (split grain). Buckets keep input order (chunks are
+// contiguous row ranges, visited in chunk order), so on either grain each
+// shard folds its rows in input order: an operator's output is a
+// deterministic function of the input, the same on both grains.
 // ---------------------------------------------------------------------------
 
-/// One (chunk, shard) bucket of pre-routed rows: parallel vectors of the
-/// row's index in the partition batch, an operator-specific auxiliary value,
-/// and the row's encoded state key (concatenated, delimited by key_len).
+/// One (chunk, shard) bucket of routed rows: parallel vectors of the row's
+/// index in the partition, the operator's auxiliary value, the key's hash,
+/// and the encoded state key (concatenated, delimited by key_len).
 struct KeyedEntries {
   std::vector<int32_t> rows;
   std::vector<int64_t> aux;
+  std::vector<uint64_t> hashes;
   std::vector<uint32_t> key_len;
   std::string keys;
 
-  void Add(int64_t row, int64_t aux_value, const std::string& key) {
+  void Add(int64_t row, int64_t aux_value, std::string_view key,
+           uint64_t hash) {
     rows.push_back(static_cast<int32_t>(row));
     aux.push_back(aux_value);
+    hashes.push_back(hash);
     key_len.push_back(static_cast<uint32_t>(key.size()));
     keys.append(key);
   }
 };
-
-/// Calls fn(row_index, aux, key_view) for each bucketed entry, in order.
-template <typename Fn>
-Status ForEachEntry(const KeyedEntries& e, Fn&& fn) {
-  size_t off = 0;
-  for (size_t j = 0; j < e.rows.size(); ++j) {
-    std::string_view key(e.keys.data() + off, e.key_len[j]);
-    off += e.key_len[j];
-    SS_RETURN_IF_ERROR(fn(e.rows[j], e.aux[j], key));
-  }
-  return Status::OK();
-}
 
 /// Split-stage chunk count: enough chunks to split big partitions in
 /// parallel without paying per-task overhead on small ones.
@@ -99,18 +123,11 @@ int SplitChunks(int64_t rows, int num_shards) {
   return rows >= 4096 ? num_shards : 1;
 }
 
-int ShardOfKey(const std::string& key, int num_shards) {
-  return static_cast<int>(ShardedStateStore::StableHashKey(key) %
-                          static_cast<uint64_t>(num_shards));
-}
-
 /// Packs fine-grained (partition, shard) tasks into at most `max_tasks`
-/// scheduler tasks, round-robin. Sharding multiplies the stateful stages'
-/// task count by the shard count; when partition parallelism alone already
-/// covers the scheduler's cores, the extra tasks buy no parallelism and
-/// only pay per-task launch overhead. Grouping is purely a scheduling
-/// change: each inner task still owns its shard and output slot, so results
-/// are byte-identical to the unpacked run.
+/// scheduler tasks, round-robin: tasks beyond the cores that can run them
+/// buy no parallelism and only pay per-task launch overhead. Each inner task
+/// still owns its shard and output slot, so results are byte-identical to
+/// the unpacked run.
 std::vector<std::function<Status()>> CoalesceTasks(
     std::vector<std::function<Status()>> tasks, int max_tasks) {
   if (max_tasks <= 0 || tasks.size() <= static_cast<size_t>(max_tasks)) {
@@ -133,12 +150,164 @@ std::vector<std::function<Status()>> CoalesceTasks(
   return out;
 }
 
-/// Task cap for a sharded stage over `num_partitions` partitions: never
-/// fewer tasks than the unsharded operator had, never more than can run at
-/// once.
-int ShardStageTaskCap(ExecContext* ctx, size_t num_partitions) {
-  return std::max(ctx->scheduler->parallelism(),
-                  static_cast<int>(num_partitions));
+/// Base of the operators' shard contexts: what setup hands each one.
+struct KeyedShard {
+  size_t partition = 0;
+  StateShardProtocol* state = nullptr;
+
+  void Open(size_t p, StateShardProtocol* s) {
+    partition = p;
+    state = s;
+  }
+};
+
+/// The `prepare` of operators without an [eval] step.
+struct NoPrepare {};
+
+/// Runs one epoch of a keyed-state operator over partitions of
+/// `num_rows[p]` rows (see the section comment). `shards` holds the shard
+/// contexts, [partition][shard]; an operator that keeps it across epochs
+/// keeps their buffers warm. Callbacks (template parameters, so the per-row
+/// calls inline):
+///   prepare(p) -> Status, or NoPrepare;
+///   route(p, lo, hi, emit) -> Status, calling emit(row, aux, key) -> Status
+///     for each state key of the rows in [lo, hi), in row order;
+///   fold(shard, row, aux, key, hash) -> Status;
+///   finish(shard, std::vector<Row>* out) -> Status.
+/// Returns one batch per partition of op's schema.
+template <typename Shard, typename Prepare, typename Route, typename Fold,
+          typename Finish>
+Result<std::vector<RecordBatchPtr>> RunKeyedShards(
+    ExecContext* ctx, const PhysOp& op, const std::vector<int64_t>& num_rows,
+    std::vector<std::vector<Shard>>* shards, const Prepare& prepare,
+    const Route& route, const Fold& fold, const Finish& finish) {
+  const size_t P = num_rows.size();
+  const int op_id = op.op_id();
+  const std::string name = op.name();
+
+  // Stores open serially (lazy open does recovery I/O under the manager
+  // lock); the tasks below then touch disjoint shards lock-free.
+  shards->resize(P);
+  for (size_t p = 0; p < P; ++p) {
+    SS_ASSIGN_OR_RETURN(ShardedStateStore * store,
+                        ctx->state->GetStore(op_id, static_cast<int>(p)));
+    std::vector<Shard>& row = (*shards)[p];
+    row.resize(static_cast<size_t>(store->num_shards()));
+    for (int s = 0; s < store->num_shards(); ++s) {
+      row[static_cast<size_t>(s)].Open(p, store->shard(s));
+    }
+  }
+
+  if constexpr (!std::is_same_v<Prepare, NoPrepare>) {
+    std::vector<std::function<Status()>> tasks;
+    for (size_t p = 0; p < P; ++p) {
+      tasks.push_back([&prepare, p]() -> Status { return prepare(p); });
+    }
+    SS_RETURN_IF_ERROR(
+        ctx->RunStage(op_id, name + "[eval]", std::move(tasks)));
+  }
+
+  // Output batches per partition in shard-index order, each built by the
+  // task that finished its shards; the merge only concatenates them.
+  std::vector<std::vector<RecordBatchPtr>> pieces(P);
+  auto finish_into = [&](Shard* first, size_t count,
+                         RecordBatchPtr* piece) -> Status {
+    std::vector<Row> rows;
+    for (size_t s = 0; s < count; ++s) {
+      SS_RETURN_IF_ERROR(finish(first[s], &rows));
+    }
+    if (rows.empty()) return Status::OK();
+    SS_ASSIGN_OR_RETURN(*piece, RecordBatch::FromRows(op.schema(), rows));
+    return Status::OK();
+  };
+
+  // The grain rule: per-shard tasks only pay off on cores that partition
+  // parallelism leaves idle; otherwise the split's bucketing is an extra
+  // pass over the data for nothing.
+  const int cores = ctx->scheduler->parallelism();
+  std::vector<std::function<Status()>> tasks;
+  if (cores <= static_cast<int>(P)) {
+    for (size_t p = 0; p < P; ++p) {
+      pieces[p].resize(1);
+      tasks.push_back([&, p]() -> Status {
+        std::vector<Shard>& ps = (*shards)[p];
+        const int S = static_cast<int>(ps.size());
+        SS_RETURN_IF_ERROR(route(
+            p, int64_t{0}, num_rows[p],
+            [&](int64_t row, int64_t aux, std::string_view key) -> Status {
+              const uint64_t hash = ShardedStateStore::StableHashKey(key);
+              return fold(ps[static_cast<size_t>(
+                              ShardedStateStore::ShardOf(hash, S))],
+                          row, aux, key, hash);
+            }));
+        return finish_into(ps.data(), ps.size(), &pieces[p][0]);
+      });
+    }
+    SS_RETURN_IF_ERROR(ctx->RunStage(op_id, name, std::move(tasks)));
+  } else {
+    std::vector<int> chunks(P);
+    std::vector<std::vector<KeyedEntries>> buckets(P);  // chunks x shards
+    for (size_t p = 0; p < P; ++p) {
+      const int S = static_cast<int>((*shards)[p].size());
+      const int64_t n = num_rows[p];
+      const int C = chunks[p] = SplitChunks(n, S);
+      buckets[p].resize(static_cast<size_t>(C) * static_cast<size_t>(S));
+      pieces[p].resize(static_cast<size_t>(S));
+      const int64_t per = (n + C - 1) / C;
+      for (int c = 0; c < C; ++c) {
+        const int64_t lo = c * per;
+        const int64_t hi = std::min(n, lo + per);
+        tasks.push_back([&, p, c, S, lo, hi]() -> Status {
+          KeyedEntries* out =
+              &buckets[p][static_cast<size_t>(c) * static_cast<size_t>(S)];
+          return route(
+              p, lo, hi,
+              [&](int64_t row, int64_t aux, std::string_view key) -> Status {
+                const uint64_t hash = ShardedStateStore::StableHashKey(key);
+                out[ShardedStateStore::ShardOf(hash, S)].Add(row, aux, key,
+                                                             hash);
+                return Status::OK();
+              });
+        });
+      }
+    }
+    SS_RETURN_IF_ERROR(ctx->RunStage(op_id, name + "[split]",
+                                     CoalesceTasks(std::move(tasks), cores)));
+
+    tasks.clear();
+    for (size_t p = 0; p < P; ++p) {
+      const size_t S = (*shards)[p].size();
+      for (size_t s = 0; s < S; ++s) {
+        tasks.push_back([&, p, s, S]() -> Status {
+          Shard& shard = (*shards)[p][s];
+          for (int c = 0; c < chunks[p]; ++c) {
+            const KeyedEntries& e =
+                buckets[p][static_cast<size_t>(c) * S + s];
+            size_t off = 0;
+            for (size_t j = 0; j < e.rows.size(); ++j) {
+              const std::string_view key(e.keys.data() + off, e.key_len[j]);
+              off += e.key_len[j];
+              SS_RETURN_IF_ERROR(
+                  fold(shard, e.rows[j], e.aux[j], key, e.hashes[j]));
+            }
+          }
+          return finish_into(&shard, 1, &pieces[p][s]);
+        });
+      }
+    }
+    SS_RETURN_IF_ERROR(ctx->RunStage(op_id, name,
+                                     CoalesceTasks(std::move(tasks), cores)));
+  }
+
+  std::vector<RecordBatchPtr> out(P);
+  for (size_t p = 0; p < P; ++p) {
+    std::vector<RecordBatchPtr> parts;
+    for (RecordBatchPtr& piece : pieces[p]) {
+      if (piece != nullptr) parts.push_back(std::move(piece));
+    }
+    out[p] = RecordBatch::Concat(op.schema(), parts);
+  }
+  return out;
 }
 
 }  // namespace
@@ -168,26 +337,26 @@ StatefulAggExec::StatefulAggExec(int op_id, PhysOpPtr child,
 // its store entry (one probe); later rows update the decoded state; the end
 // of the fold encodes each state back into its entry once. Entries past
 // `num_touched` are earlier epochs' leftovers, kept for their Row storage.
-struct StatefulAggExec::ShardFold {
+struct StatefulAggExec::ShardFold : KeyedShard {
   struct Touched {
     StateStore::Slot slot;
     uint64_t hash;   // StableHashKey of the key
     int64_t wstart;  // window start; 0 when not windowed
     Row state;
   };
-  StateShardProtocol* shard = nullptr;
   std::vector<Touched> touched;
   size_t num_touched = 0;
   std::vector<uint32_t> index;  // 0 = empty, else position in touched + 1
   std::string key_buf;
+  Row args;  // the aggregate arguments of the row being folded
 
   static size_t Home(uint64_t hash, size_t mask) {
     // The low hash bits also pick the shard; mix before masking.
     return static_cast<size_t>((hash * 0x9E3779B97F4A7C15ull) >> 32) & mask;
   }
 
-  void Reset(StateShardProtocol* s) {
-    shard = s;
+  void Open(size_t p, StateShardProtocol* s) {
+    KeyedShard::Open(p, s);
     num_touched = 0;
     std::fill(index.begin(), index.end(), 0);
   }
@@ -244,11 +413,7 @@ int StatefulAggExec::num_output_key_columns() const {
 Result<std::vector<RecordBatchPtr>> StatefulAggExec::ExecuteImpl(
     ExecContext* ctx) {
   SS_ASSIGN_OR_RETURN(std::vector<RecordBatchPtr> in,
-                      children_[0]->Execute(ctx));
-  // Materialize-on-demand boundary: stateful operators evaluate
-  // expressions and encode state keys over whole batches, so selection
-  // views compact here (docs/VECTORIZED_EXEC.md).
-  for (RecordBatchPtr& b : in) b = RecordBatch::Materialize(b);
+                      ExecuteMaterialized(children_[0], ctx));
   const size_t P = in.size();
   const bool windowed = window_expr_ != nullptr;
   const int64_t watermark = ctx->watermark_micros;
@@ -259,22 +424,6 @@ Result<std::vector<RecordBatchPtr>> StatefulAggExec::ExecuteImpl(
     }
     return false;
   }();
-
-  // Stores open serially (lazy open does recovery I/O under the manager
-  // lock); the shard tasks below then touch disjoint shards lock-free.
-  std::vector<ShardedStateStore*> stores(P);
-  for (size_t p = 0; p < P; ++p) {
-    SS_ASSIGN_OR_RETURN(stores[p],
-                        ctx->state->GetStore(op_id_, static_cast<int>(p)));
-  }
-  folds_.resize(P);
-  for (size_t p = 0; p < P; ++p) {
-    const int S = stores[p]->num_shards();
-    folds_[p].resize(static_cast<size_t>(S));
-    for (int s = 0; s < S; ++s) {
-      folds_[p][static_cast<size_t>(s)].Reset(stores[p]->shard(s));
-    }
-  }
 
   // Dictionary-encoded string key column (docs/VECTORIZED_EXEC.md): the
   // state-key encoding of each distinct value is precooked once, and the
@@ -291,79 +440,148 @@ Result<std::vector<RecordBatchPtr>> StatefulAggExec::ExecuteImpl(
     std::vector<ColumnPtr> arg_cols;
     /// One dict per string-typed scalar group key column, else null.
     std::vector<std::unique_ptr<KeyDict>> key_dicts;
-    int chunks = 1;
-    std::vector<KeyedEntries> buckets;         // chunks x shards
-    // Output in shard-index order: one batch on the fused path, one per
-    // shard on the staged path.
-    std::vector<RecordBatchPtr> shard_out;
   };
   std::vector<PartitionWork> work(P);
+  std::vector<int64_t> num_rows(P);
+  for (size_t p = 0; p < P; ++p) num_rows[p] = in[p]->num_rows();
 
-  // Stage 1 [eval]: vectorized evaluation of group keys and agg arguments.
-  {
-    std::vector<std::function<Status()>> tasks;
-    for (size_t p = 0; p < P; ++p) {
-      tasks.push_back([this, &in, &work, p]() -> Status {
-        const RecordBatch& input = *in[p];
-        PartitionWork& w = work[p];
-        w.key_cols.resize(group_exprs_.size());
+  // [eval]: vectorized evaluation of group keys and agg arguments.
+  auto prepare = [&](size_t p) -> Status {
+    const RecordBatch& input = *in[p];
+    PartitionWork& w = work[p];
+    w.key_cols.resize(group_exprs_.size());
+    for (size_t g = 0; g < group_exprs_.size(); ++g) {
+      if (static_cast<int>(g) == window_key_index_) {
+        SS_ASSIGN_OR_RETURN(w.key_cols[g],
+                            window_expr_->time()->EvalBatch(input));
+      } else {
+        SS_ASSIGN_OR_RETURN(w.key_cols[g],
+                            group_exprs_[g].expr->EvalBatch(input));
+      }
+    }
+    w.arg_cols.resize(aggregates_.size());
+    for (size_t a = 0; a < aggregates_.size(); ++a) {
+      if (aggregates_[a].func == AggFunc::kCountAll) continue;
+      SS_ASSIGN_OR_RETURN(w.arg_cols[a], aggregates_[a].arg->EvalBatch(input));
+    }
+    // Dictionary-encode string key columns for the route loop below.
+    w.key_dicts.resize(group_exprs_.size());
+    for (size_t g = 0; g < group_exprs_.size(); ++g) {
+      if (static_cast<int>(g) == window_key_index_) continue;
+      const Column& col = *w.key_cols[g];
+      if (PhysicalKindOf(col.type()) != PhysicalKind::kString) continue;
+      auto dict = std::make_unique<KeyDict>();
+      const int64_t rows = col.size();
+      dict->codes.resize(static_cast<size_t>(rows));
+      std::unordered_map<std::string_view, int32_t> index;
+      int32_t null_code = -1;
+      for (int64_t i = 0; i < rows; ++i) {
+        if (col.IsNull(i)) {
+          if (null_code < 0) {
+            null_code = static_cast<int32_t>(dict->encoded.size());
+            dict->encoded.emplace_back();
+            col.EncodeValueTo(i, &dict->encoded.back());
+          }
+          dict->codes[static_cast<size_t>(i)] = null_code;
+          continue;
+        }
+        const std::string& v = col.StringAt(i);
+        auto [it, inserted] = index.emplace(
+            std::string_view(v), static_cast<int32_t>(dict->encoded.size()));
+        if (inserted) {
+          dict->encoded.emplace_back();
+          col.EncodeValueTo(i, &dict->encoded.back());
+        }
+        dict->codes[static_cast<size_t>(i)] = it->second;
+      }
+      w.key_dicts[g] = std::move(dict);
+    }
+    return Status::OK();
+  };
+
+  // Late data: rows for a window already closed by the watermark are
+  // dropped before they reach state, and closed windows are evicted.
+  auto closed = [&](int64_t wstart) {
+    return windowed && watermark != INT64_MIN &&
+           wstart + window_size <= watermark;
+  };
+
+  // Route: the state keys of each input row, one per window of the row's
+  // event time that the watermark has not closed (none for a null event
+  // time; one dummy window when not windowed), each encoded byte-identically
+  // to EncodeRow but without boxing. The window start rides as aux.
+  auto route = [&](size_t p, int64_t lo, int64_t hi, auto&& emit) -> Status {
+    const PartitionWork& w = work[p];
+    std::vector<int64_t> window_starts;
+    std::string enc;
+    for (int64_t i = lo; i < hi; ++i) {
+      window_starts.clear();
+      if (windowed) {
+        const Column& time_col =
+            *w.key_cols[static_cast<size_t>(window_key_index_)];
+        if (time_col.IsNull(i)) continue;  // no event time
+        window_expr_->EnumerateWindowStarts(time_col.Int64At(i),
+                                            &window_starts);
+      } else {
+        window_starts.push_back(0);  // one dummy iteration
+      }
+      for (int64_t wstart : window_starts) {
+        if (closed(wstart)) continue;  // late data: dropped
+        enc.clear();
+        enc.push_back(static_cast<char>(group_exprs_.size()));
         for (size_t g = 0; g < group_exprs_.size(); ++g) {
           if (static_cast<int>(g) == window_key_index_) {
-            SS_ASSIGN_OR_RETURN(w.key_cols[g],
-                                window_expr_->time()->EvalBatch(input));
+            enc.push_back(static_cast<char>(TypeId::kTimestamp));
+            char buf[8];
+            std::memcpy(buf, &wstart, 8);
+            enc.append(buf, 8);
+          } else if (const KeyDict* dict = w.key_dicts[g].get()) {
+            enc.append(dict->encoded[static_cast<size_t>(
+                dict->codes[static_cast<size_t>(i)])]);
           } else {
-            SS_ASSIGN_OR_RETURN(w.key_cols[g],
-                                group_exprs_[g].expr->EvalBatch(input));
+            w.key_cols[g]->EncodeValueTo(i, &enc);
           }
         }
-        w.arg_cols.resize(aggregates_.size());
-        for (size_t a = 0; a < aggregates_.size(); ++a) {
-          if (aggregates_[a].func == AggFunc::kCountAll) continue;
-          SS_ASSIGN_OR_RETURN(w.arg_cols[a],
-                              aggregates_[a].arg->EvalBatch(input));
-        }
-        // Dictionary-encode string key columns for the encode loops below.
-        w.key_dicts.resize(group_exprs_.size());
-        for (size_t g = 0; g < group_exprs_.size(); ++g) {
-          if (static_cast<int>(g) == window_key_index_) continue;
-          const Column& col = *w.key_cols[g];
-          if (PhysicalKindOf(col.type()) != PhysicalKind::kString) continue;
-          auto dict = std::make_unique<KeyDict>();
-          const int64_t rows = col.size();
-          dict->codes.resize(static_cast<size_t>(rows));
-          std::unordered_map<std::string_view, int32_t> index;
-          int32_t null_code = -1;
-          for (int64_t i = 0; i < rows; ++i) {
-            if (col.IsNull(i)) {
-              if (null_code < 0) {
-                null_code = static_cast<int32_t>(dict->encoded.size());
-                dict->encoded.emplace_back();
-                col.EncodeValueTo(i, &dict->encoded.back());
-              }
-              dict->codes[static_cast<size_t>(i)] = null_code;
-              continue;
-            }
-            const std::string& v = col.StringAt(i);
-            auto [it, inserted] = index.emplace(
-                std::string_view(v),
-                static_cast<int32_t>(dict->encoded.size()));
-            if (inserted) {
-              dict->encoded.emplace_back();
-              col.EncodeValueTo(i, &dict->encoded.back());
-            }
-            dict->codes[static_cast<size_t>(i)] = it->second;
-          }
-          w.key_dicts[g] = std::move(dict);
-        }
-        return Status::OK();
-      });
+        SS_RETURN_IF_ERROR(emit(i, wstart, enc));
+      }
     }
-    SS_RETURN_IF_ERROR(
-        ctx->RunStage(op_id_, name() + "[eval]", std::move(tasks)));
-  }
+    return Status::OK();
+  };
 
-  // Finalizer shared by the shard tasks (pure: decode key, append window
-  // end, finalize aggregates).
+  // Fold (see ShardFold): find or create the key's touched entry, then
+  // update its decoded state with the row's aggregate arguments (count(*)
+  // needs none; its slot stays null).
+  const Row init_state = InitAggState(aggregates_);
+  auto fold = [&](ShardFold& f, int64_t i, int64_t wstart,
+                  std::string_view enc, uint64_t hash) -> Status {
+    if (f.args.size() != aggregates_.size()) f.args.resize(aggregates_.size());
+    if (needs_args) {
+      const PartitionWork& w = work[f.partition];
+      for (size_t a = 0; a < aggregates_.size(); ++a) {
+        if (aggregates_[a].func != AggFunc::kCountAll) {
+          f.args[a] = w.arg_cols[a]->ValueAt(i);
+        }
+      }
+    }
+    size_t home = 0;
+    ShardFold::Touched* t = f.Find(enc, hash, &home);
+    if (t == nullptr) {
+      f.key_buf.assign(enc);
+      StateStore::Slot slot = f.state->FindOrCreate(f.key_buf);
+      t = &f.Add(home, slot, hash, wstart);
+      if (slot.created) {
+        t->state = init_state;
+      } else {
+        size_t pos = 0;
+        SS_RETURN_IF_ERROR(DecodeRowInto(*slot.value, &pos, &t->state));
+      }
+    }
+    UpdateAggState(aggregates_, f.args, &t->state);
+    return Status::OK();
+  };
+
+  // Output row of one group: decode the key, append the window end,
+  // finalize the aggregates.
   auto finalize = [&](const std::string& enc_key,
                       const Row& state) -> Result<Row> {
     Row out_row;
@@ -380,100 +598,62 @@ Result<std::vector<RecordBatchPtr>> StatefulAggExec::ExecuteImpl(
                    std::make_move_iterator(finals.end()));
     return out_row;
   };
-
-  // Late data: rows for a window already closed by the watermark are
-  // dropped before they reach state, and closed windows are evicted.
-  auto closed = [&](int64_t wstart) {
-    return windowed && watermark != INT64_MIN &&
-           wstart + window_size <= watermark;
-  };
-
-  // The fold body, shared by both execution paths (see ShardFold). Both
-  // paths feed a shard's rows in input order (the staged path's chunks are
-  // contiguous in-order row ranges visited in chunk order), so the touched
-  // order, and with it update-mode emission order, is the same on both.
-  const Row init_state = InitAggState(aggregates_);
-  auto fold_row = [&](ShardFold& f, std::string_view enc, uint64_t hash,
-                      int64_t wstart, const Row& args) -> Status {
-    size_t home = 0;
-    ShardFold::Touched* t = f.Find(enc, hash, &home);
-    if (t == nullptr) {
-      f.key_buf.assign(enc);
-      StateStore::Slot slot = f.shard->FindOrCreate(f.key_buf);
-      t = &f.Add(home, slot, hash, wstart);
-      if (slot.created) {
-        t->state = init_state;
-      } else {
-        size_t pos = 0;
-        SS_RETURN_IF_ERROR(DecodeRowInto(*slot.value, &pos, &t->state));
+  // Appends the finalized row of every stored group for which `pick(key)`
+  // holds; `evict` collects the keys of the picked groups when non-null.
+  auto emit_stored = [&](StateShardProtocol* shard, std::vector<Row>* out,
+                         auto&& pick,
+                         std::vector<std::string>* evict) -> Status {
+    Status iter_status;
+    shard->ForEach([&](const std::string& k, const std::string& v) {
+      if (!iter_status.ok()) return;
+      auto picked = pick(k);
+      if (!picked.ok()) {
+        iter_status = picked.status();
+        return;
       }
-    }
-    UpdateAggState(aggregates_, args, &t->state);
-    return Status::OK();
+      if (!*picked) return;
+      if (evict != nullptr) evict->push_back(k);
+      if (out == nullptr) return;
+      auto state = DecodeRow(v);
+      if (!state.ok()) {
+        iter_status = state.status();
+        return;
+      }
+      auto row = finalize(k, *state);
+      if (!row.ok()) {
+        iter_status = row.status();
+        return;
+      }
+      out->push_back(std::move(*row));
+    });
+    return iter_status;
   };
+  auto every = [](const std::string&) -> Result<bool> { return true; };
 
-  // Encode the touched states back, then emit per output mode
+  // Finish: encode the touched states back, then emit per output mode
   // (batch/complete: everything; append: finals of windows closed by the
   // watermark; update: the touched keys minus evicted ones), evicting
   // closed windows along the way.
-  auto finish_shard = [&](ShardFold& f, std::vector<Row>& out_rows) -> Status {
-    StateShardProtocol* shard = f.shard;
+  auto finish = [&](ShardFold& f, std::vector<Row>* out) -> Status {
     for (size_t j = 0; j < f.num_touched; ++j) {
       ShardFold::Touched& t = f.touched[j];
       t.slot.value->clear();
       EncodeRow(t.state, t.slot.value);
     }
+    // One-shot batch run: emit everything, no eviction needed.
+    if (ctx->is_batch) return emit_stored(f.state, out, every, nullptr);
 
-    if (ctx->is_batch) {
-      // One-shot batch run: emit everything, no eviction needed.
-      Status iter_status;
-      shard->ForEach([&](const std::string& k, const std::string& v) {
-        auto state = DecodeRow(v);
-        if (!state.ok()) {
-          iter_status = state.status();
-          return;
-        }
-        auto row = finalize(k, *state);
-        if (!row.ok()) {
-          iter_status = row.status();
-          return;
-        }
-        out_rows.push_back(std::move(*row));
-      });
-      return iter_status;
-    }
-
-    // Eviction of closed windows (and append-mode emission of their
-    // finals), shard-local.
     if (windowed && watermark != INT64_MIN) {
       std::vector<std::string> evict;
-      Status iter_status;
-      shard->ForEach([&](const std::string& k, const std::string& v) {
-        auto key = DecodeRow(k);
-        if (!key.ok()) {
-          iter_status = key.status();
-          return;
-        }
-        if (closed((*key)[static_cast<size_t>(window_key_index_)]
-                       .int64_value())) {
-          if (ctx->mode == OutputMode::kAppend) {
-            auto state = DecodeRow(v);
-            if (!state.ok()) {
-              iter_status = state.status();
-              return;
-            }
-            auto row = finalize(k, *state);
-            if (!row.ok()) {
-              iter_status = row.status();
-              return;
-            }
-            out_rows.push_back(std::move(*row));
-          }
-          evict.push_back(k);
-        }
-      });
-      SS_RETURN_IF_ERROR(iter_status);
-      for (const std::string& k : evict) shard->Remove(k);
+      SS_RETURN_IF_ERROR(emit_stored(
+          f.state, ctx->mode == OutputMode::kAppend ? out : nullptr,
+          [&](const std::string& k) -> Result<bool> {
+            SS_ASSIGN_OR_RETURN(Row key, DecodeRow(k));
+            return closed(
+                key[static_cast<size_t>(window_key_index_)].int64_value());
+          },
+          &evict));
+      for (const std::string& k : evict) f.state->Remove(k);
     }
 
     if (ctx->mode == OutputMode::kUpdate) {
@@ -481,209 +661,16 @@ Result<std::vector<RecordBatchPtr>> StatefulAggExec::ExecuteImpl(
         const ShardFold::Touched& t = f.touched[j];
         if (closed(t.wstart)) continue;  // evicted above; never re-emit
         SS_ASSIGN_OR_RETURN(Row row, finalize(*t.slot.key, t.state));
-        out_rows.push_back(std::move(row));
+        out->push_back(std::move(row));
       }
     } else if (ctx->mode == OutputMode::kComplete) {
-      Status iter_status;
-      shard->ForEach([&](const std::string& k, const std::string& v) {
-        auto state = DecodeRow(v);
-        if (!state.ok()) {
-          iter_status = state.status();
-          return;
-        }
-        auto row = finalize(k, *state);
-        if (!row.ok()) {
-          iter_status = row.status();
-          return;
-        }
-        out_rows.push_back(std::move(*row));
-      });
-      SS_RETURN_IF_ERROR(iter_status);
+      return emit_stored(f.state, out, every, nullptr);
     }
     return Status::OK();
   };
 
-  // Aggregate arguments of input row i (count(*) needs none; its slot
-  // stays null).
-  auto load_args = [&](const PartitionWork& w, int64_t i, Row* args) {
-    if (!needs_args) return;
-    for (size_t a = 0; a < aggregates_.size(); ++a) {
-      if (aggregates_[a].func != AggFunc::kCountAll) {
-        (*args)[a] = w.arg_cols[a]->ValueAt(i);
-      }
-    }
-  };
-
-  // The state keys of input row i: one per window of the row's event time
-  // that the watermark has not closed (none for a null event time; one
-  // dummy window when not windowed), each encoded byte-identically to
-  // EncodeRow but without boxing, and passed to emit(wstart, enc). Both
-  // execution paths key rows through this one loop.
-  auto for_each_key = [&](const PartitionWork& w, int64_t i,
-                          std::vector<int64_t>& window_starts,
-                          std::string& enc, auto&& emit) -> Status {
-    window_starts.clear();
-    if (windowed) {
-      const Column& time_col =
-          *w.key_cols[static_cast<size_t>(window_key_index_)];
-      if (time_col.IsNull(i)) return Status::OK();  // no event time
-      window_expr_->EnumerateWindowStarts(time_col.Int64At(i),
-                                          &window_starts);
-    } else {
-      window_starts.push_back(0);  // one dummy iteration
-    }
-    for (int64_t wstart : window_starts) {
-      if (closed(wstart)) continue;  // late data: dropped
-      enc.clear();
-      enc.push_back(static_cast<char>(group_exprs_.size()));
-      for (size_t g = 0; g < group_exprs_.size(); ++g) {
-        if (static_cast<int>(g) == window_key_index_) {
-          enc.push_back(static_cast<char>(TypeId::kTimestamp));
-          char buf[8];
-          std::memcpy(buf, &wstart, 8);
-          enc.append(buf, 8);
-        } else if (const KeyDict* dict = w.key_dicts[g].get()) {
-          enc.append(dict->encoded[static_cast<size_t>(
-              dict->codes[static_cast<size_t>(i)])]);
-        } else {
-          w.key_cols[g]->EncodeValueTo(i, &enc);
-        }
-      }
-      SS_RETURN_IF_ERROR(emit(wstart, enc));
-    }
-    return Status::OK();
-  };
-
-  // When partition parallelism alone saturates the scheduler, per-shard
-  // tasks buy no extra concurrency and the staged split's key
-  // materialization is an extra full pass over the data for nothing. Fuse
-  // instead: one task per partition routes rows straight into per-shard
-  // folds and finishes each shard in index order — byte-identical to the
-  // staged path (see the fold body above).
-  const bool fused = ctx->scheduler->parallelism() <= static_cast<int>(P);
-  if (fused) {
-    std::vector<std::function<Status()>> tasks;
-    for (size_t p = 0; p < P; ++p) {
-      const int S = stores[p]->num_shards();
-      const int64_t n = in[p]->num_rows();
-      work[p].shard_out.resize(1);
-      tasks.push_back([this, &work, &fold_row, &finish_shard, &load_args,
-                       &for_each_key, p, S, n]() -> Status {
-        PartitionWork& w = work[p];
-        std::vector<ShardFold>& folds = folds_[p];
-        Row args(aggregates_.size());
-        std::vector<int64_t> window_starts;
-        std::string enc;
-        for (int64_t i = 0; i < n; ++i) {
-          load_args(w, i, &args);
-          SS_RETURN_IF_ERROR(for_each_key(
-              w, i, window_starts, enc,
-              [&](int64_t wstart, const std::string& key) -> Status {
-                const uint64_t hash = ShardedStateStore::StableHashKey(key);
-                return fold_row(
-                    folds[static_cast<size_t>(hash % static_cast<uint64_t>(S))],
-                    key, hash, wstart, args);
-              }));
-        }
-        std::vector<Row> rows;
-        for (ShardFold& fold : folds) {
-          SS_RETURN_IF_ERROR(finish_shard(fold, rows));
-        }
-        SS_ASSIGN_OR_RETURN(w.shard_out[0],
-                            RecordBatch::FromRows(schema_, rows));
-        return Status::OK();
-      });
-    }
-    SS_RETURN_IF_ERROR(ctx->RunStage(op_id_, name(), std::move(tasks)));
-  }
-
-  // Stage 2 [split]: enumerate window starts, drop late rows, serialize
-  // each row's group key (byte-identical to EncodeRow but without boxing),
-  // and route it to a shard bucket by key hash. Chunked so one big
-  // partition still splits in parallel. Skipped on the fused path.
-  if (!fused) {
-    std::vector<std::function<Status()>> tasks;
-    for (size_t p = 0; p < P; ++p) {
-      const int S = stores[p]->num_shards();
-      const int64_t n = in[p]->num_rows();
-      work[p].chunks = SplitChunks(n, S);
-      work[p].buckets.resize(static_cast<size_t>(work[p].chunks) *
-                             static_cast<size_t>(S));
-      work[p].shard_out.resize(static_cast<size_t>(S));
-      const int C = work[p].chunks;
-      const int64_t per = (n + C - 1) / C;
-      for (int c = 0; c < C; ++c) {
-        const int64_t lo = c * per;
-        const int64_t hi = std::min(n, lo + per);
-        tasks.push_back([&work, &for_each_key, p, c, lo, hi,
-                         S]() -> Status {
-          PartitionWork& w = work[p];
-          KeyedEntries* buckets =
-              &w.buckets[static_cast<size_t>(c) * static_cast<size_t>(S)];
-          std::vector<int64_t> window_starts;
-          std::string enc;
-          for (int64_t i = lo; i < hi; ++i) {
-            SS_RETURN_IF_ERROR(for_each_key(
-                w, i, window_starts, enc,
-                [&](int64_t wstart, const std::string& key) -> Status {
-                  buckets[ShardOfKey(key, S)].Add(i, wstart, key);
-                  return Status::OK();
-                }));
-          }
-          return Status::OK();
-        });
-      }
-    }
-    SS_RETURN_IF_ERROR(ctx->RunStage(op_id_,
-        name() + "[split]",
-        CoalesceTasks(std::move(tasks), ShardStageTaskCap(ctx, P))));
-  }
-
-  // Stage 3: fold each shard's bucketed rows into its state and emit. One
-  // task per (partition, shard); a shard is only touched by its own task.
-  // Skipped on the fused path.
-  if (!fused) {
-    std::vector<std::function<Status()>> tasks;
-    for (size_t p = 0; p < P; ++p) {
-      const int S = stores[p]->num_shards();
-      for (int s = 0; s < S; ++s) {
-        tasks.push_back([this, &work, &fold_row, &finish_shard, &load_args,
-                         p, s, S]() -> Status {
-          PartitionWork& w = work[p];
-          ShardFold& fold = folds_[p][static_cast<size_t>(s)];
-          Row args(aggregates_.size());
-          for (int c = 0; c < w.chunks; ++c) {
-            const KeyedEntries& bucket =
-                w.buckets[static_cast<size_t>(c) * static_cast<size_t>(S) +
-                          static_cast<size_t>(s)];
-            SS_RETURN_IF_ERROR(ForEachEntry(
-                bucket,
-                [&](int32_t i, int64_t wstart, std::string_view enc)
-                    -> Status {
-                  load_args(w, i, &args);
-                  return fold_row(fold, enc,
-                                  ShardedStateStore::StableHashKey(enc),
-                                  wstart, args);
-                }));
-          }
-          std::vector<Row> rows;
-          SS_RETURN_IF_ERROR(finish_shard(fold, rows));
-          SS_ASSIGN_OR_RETURN(w.shard_out[static_cast<size_t>(s)],
-                              RecordBatch::FromRows(schema_, rows));
-          return Status::OK();
-        });
-      }
-    }
-    SS_RETURN_IF_ERROR(ctx->RunStage(op_id_,
-        name(), CoalesceTasks(std::move(tasks), ShardStageTaskCap(ctx, P))));
-  }
-
-  // Deterministic merge: shard outputs concatenated in shard-index order.
-  std::vector<RecordBatchPtr> out(P);
-  for (size_t p = 0; p < P; ++p) {
-    out[p] = RecordBatch::Concat(schema_, work[p].shard_out);
-  }
-  return out;
+  return RunKeyedShards(ctx, *this, num_rows, &folds_, prepare, route, fold,
+                        finish);
 }
 
 // ---------------------------------------------------------------------------
@@ -695,95 +682,52 @@ DedupExec::DedupExec(int op_id, PhysOpPtr child)
 
 Result<std::vector<RecordBatchPtr>> DedupExec::ExecuteImpl(ExecContext* ctx) {
   SS_ASSIGN_OR_RETURN(std::vector<RecordBatchPtr> in,
-                      children_[0]->Execute(ctx));
-  // Materialize-on-demand boundary: stateful operators evaluate
-  // expressions and encode state keys over whole batches, so selection
-  // views compact here (docs/VECTORIZED_EXEC.md).
-  for (RecordBatchPtr& b : in) b = RecordBatch::Materialize(b);
+                      ExecuteMaterialized(children_[0], ctx));
   const size_t P = in.size();
-  std::vector<ShardedStateStore*> stores(P);
+  std::vector<int64_t> num_rows(P);
+  // Per partition, 1 for each row seen for the first time. Shards write
+  // disjoint bytes (a row routes to one shard), and filtering by the mask
+  // keeps input order whatever the shard count.
+  std::vector<std::vector<uint8_t>> masks(P);
   for (size_t p = 0; p < P; ++p) {
-    SS_ASSIGN_OR_RETURN(stores[p],
-                        ctx->state->GetStore(op_id_, static_cast<int>(p)));
+    num_rows[p] = in[p]->num_rows();
+    masks[p].assign(static_cast<size_t>(num_rows[p]), 0);
   }
-
-  struct PartitionWork {
-    int chunks = 1;
-    std::vector<KeyedEntries> buckets;  // chunks x shards
-    std::vector<uint8_t> mask;
+  struct DedupShard : KeyedShard {
+    std::string key;
   };
-  std::vector<PartitionWork> work(P);
+  std::vector<std::vector<DedupShard>> shards;
 
-  // Split: encode each row (the dedup key is the whole row) and route it to
-  // a shard bucket.
-  {
-    std::vector<std::function<Status()>> tasks;
-    for (size_t p = 0; p < P; ++p) {
-      const int S = stores[p]->num_shards();
-      const int64_t n = in[p]->num_rows();
-      work[p].chunks = SplitChunks(n, S);
-      work[p].buckets.resize(static_cast<size_t>(work[p].chunks) *
-                             static_cast<size_t>(S));
-      work[p].mask.assign(static_cast<size_t>(n), 0);
-      const int C = work[p].chunks;
-      const int64_t per = (n + C - 1) / C;
-      for (int c = 0; c < C; ++c) {
-        const int64_t lo = c * per;
-        const int64_t hi = std::min(n, lo + per);
-        tasks.push_back([&in, &work, p, c, lo, hi, S]() -> Status {
-          KeyedEntries* buckets =
-              &work[p].buckets[static_cast<size_t>(c) *
-                               static_cast<size_t>(S)];
-          std::string enc;
-          for (int64_t i = lo; i < hi; ++i) {
-            enc.clear();
-            EncodeRow(in[p]->RowAt(i), &enc);
-            buckets[ShardOfKey(enc, S)].Add(i, 0, enc);
-          }
-          return Status::OK();
-        });
-      }
+  // The dedup key is the whole row.
+  auto route = [&](size_t p, int64_t lo, int64_t hi, auto&& emit) -> Status {
+    std::string enc;
+    for (int64_t i = lo; i < hi; ++i) {
+      enc.clear();
+      EncodeKeyTo(in[p]->columns(), i, &enc);
+      SS_RETURN_IF_ERROR(emit(i, 0, enc));
     }
-    SS_RETURN_IF_ERROR(ctx->RunStage(op_id_,
-        name() + "[split]",
-        CoalesceTasks(std::move(tasks), ShardStageTaskCap(ctx, P))));
-  }
-
-  // Probe: each shard task marks its first-seen rows in the partition's
-  // shared mask. Writes land on disjoint bytes (a row routes to exactly one
-  // shard), and the mask preserves input order, so the output is
-  // byte-identical whatever the shard count.
-  {
-    std::vector<std::function<Status()>> tasks;
-    for (size_t p = 0; p < P; ++p) {
-      const int S = stores[p]->num_shards();
-      for (int s = 0; s < S; ++s) {
-        tasks.push_back([&work, &stores, p, s, S]() -> Status {
-          StateShardProtocol* shard = stores[p]->shard(s);
-          PartitionWork& w = work[p];
-          for (int c = 0; c < w.chunks; ++c) {
-            SS_RETURN_IF_ERROR(ForEachEntry(
-                w.buckets[static_cast<size_t>(c) * static_cast<size_t>(S) +
-                          static_cast<size_t>(s)],
-                [&](int32_t i, int64_t, std::string_view enc) -> Status {
-                  std::string key(enc);
-                  if (!shard->Contains(key)) {
-                    shard->Put(key, "");
-                    w.mask[static_cast<size_t>(i)] = 1;
-                  }
-                  return Status::OK();
-                }));
-          }
-          return Status::OK();
-        });
-      }
+    return Status::OK();
+  };
+  // Contains, then Put only for a new key: a re-seen duplicate leaves its
+  // entry clean, so it is never rewritten into the next delta.
+  auto fold = [&](DedupShard& f, int64_t i, int64_t, std::string_view enc,
+                  uint64_t) -> Status {
+    f.key.assign(enc);
+    if (!f.state->Contains(f.key)) {
+      f.state->Put(f.key, std::string());
+      masks[f.partition][static_cast<size_t>(i)] = 1;
     }
-    SS_RETURN_IF_ERROR(ctx->RunStage(op_id_,
-        name(), CoalesceTasks(std::move(tasks), ShardStageTaskCap(ctx, P))));
-  }
+    return Status::OK();
+  };
+  // The output is the input filtered by the masks, so finish emits no rows
+  // and the driver's (empty) batches are dropped.
+  auto finish = [](DedupShard&, std::vector<Row>*) { return Status::OK(); };
+  SS_RETURN_IF_ERROR(RunKeyedShards(ctx, *this, num_rows, &shards,
+                                    NoPrepare(), route, fold, finish)
+                         .status());
 
   std::vector<RecordBatchPtr> out(P);
-  for (size_t p = 0; p < P; ++p) out[p] = in[p]->Filter(work[p].mask);
+  for (size_t p = 0; p < P; ++p) out[p] = in[p]->Filter(masks[p]);
   return out;
 }
 
@@ -835,10 +779,7 @@ StreamStaticJoinExec::StreamStaticJoinExec(
 Result<std::vector<RecordBatchPtr>> StreamStaticJoinExec::ExecuteImpl(
     ExecContext* ctx) {
   SS_ASSIGN_OR_RETURN(std::vector<RecordBatchPtr> in,
-                      children_[0]->Execute(ctx));
-  // Materialize-on-demand boundary: join probing evaluates key expressions
-  // over whole batches, so selection views compact here.
-  for (RecordBatchPtr& b : in) b = RecordBatch::Materialize(b);
+                      ExecuteMaterialized(children_[0], ctx));
   std::vector<RecordBatchPtr> out(in.size());
   std::vector<std::function<Status()>> tasks;
   for (size_t p = 0; p < in.size(); ++p) {
@@ -954,10 +895,6 @@ Result<RecordBatchPtr> StreamStaticJoinExec::ExecutePartition(
   return RecordBatch::Make(schema_, std::move(columns));
 }
 
-// ---------------------------------------------------------------------------
-// StreamStreamJoinExec
-// ---------------------------------------------------------------------------
-
 namespace {
 
 // State value codec for one join side's rows under one key:
@@ -1027,252 +964,184 @@ Row StreamStreamJoinExec::JoinedRow(const Row* left, const Row* right) const {
 Result<std::vector<RecordBatchPtr>> StreamStreamJoinExec::ExecuteImpl(
     ExecContext* ctx) {
   SS_ASSIGN_OR_RETURN(std::vector<RecordBatchPtr> left_in,
-                      children_[0]->Execute(ctx));
+                      ExecuteMaterialized(children_[0], ctx));
   SS_ASSIGN_OR_RETURN(std::vector<RecordBatchPtr> right_in,
-                      children_[1]->Execute(ctx));
-  // Materialize-on-demand boundary (selection views compact here).
-  for (RecordBatchPtr& b : left_in) b = RecordBatch::Materialize(b);
-  for (RecordBatchPtr& b : right_in) b = RecordBatch::Materialize(b);
+                      ExecuteMaterialized(children_[1], ctx));
   if (left_in.size() != right_in.size()) {
     return Status::Internal("stream-stream join sides not co-partitioned");
   }
   const size_t P = left_in.size();
-  std::vector<ShardedStateStore*> stores(P);
+  // A partition's rows are its left rows, then its right rows: each shard
+  // folds this epoch's left rows before its right rows, the two passes of
+  // the symmetric hash join.
+  std::vector<int64_t> num_rows(P);
   for (size_t p = 0; p < P; ++p) {
-    SS_ASSIGN_OR_RETURN(stores[p],
-                        ctx->state->GetStore(op_id_, static_cast<int>(p)));
+    num_rows[p] = left_in[p]->num_rows() + right_in[p]->num_rows();
   }
+  std::vector<std::vector<ColumnPtr>> left_keys(P);
+  std::vector<std::vector<ColumnPtr>> right_keys(P);
 
-  struct PartitionWork {
-    // Per-shard buckets for each side. The shard is chosen by the hash of
-    // the join key *without* the 'L'/'R' side byte, so both sides of a key
-    // land in the same shard (the join needs them together); store keys
-    // keep the side prefix within the shard.
-    std::vector<KeyedEntries> left_buckets;
-    std::vector<KeyedEntries> right_buckets;
-    std::vector<std::vector<Row>> shard_rows;
+  // Decoded side state of one shard's touched keys. Tracks how many rows
+  // were already stored (`base_n`) and whether stored rows changed
+  // (`dirty`), so the flush can append just the new suffix for grow-only
+  // keys instead of rewriting the value.
+  struct CacheEntry {
+    std::vector<std::pair<bool, Row>> rows;
+    size_t base_n = 0;
+    bool dirty = false;
   };
-  std::vector<PartitionWork> work(P);
+  struct JoinShard : KeyedShard {
+    std::unordered_map<std::string, CacheEntry> cache;
+    std::vector<Row> joined;  // this epoch's matches, in fold order
 
-  // Split stage: evaluate join keys (vectorized) and route each side's rows
-  // to shard buckets. One task per (partition, side).
-  {
-    std::vector<std::function<Status()>> tasks;
-    for (size_t p = 0; p < P; ++p) {
-      const int S = stores[p]->num_shards();
-      work[p].left_buckets.resize(static_cast<size_t>(S));
-      work[p].right_buckets.resize(static_cast<size_t>(S));
-      work[p].shard_rows.resize(static_cast<size_t>(S));
-      for (int side = 0; side < 2; ++side) {
-        tasks.push_back([this, &left_in, &right_in, &work, p, side,
-                         S]() -> Status {
-          const RecordBatch& input =
-              side == 0 ? *left_in[p] : *right_in[p];
-          const std::vector<ExprPtr>& keys =
-              side == 0 ? left_keys_ : right_keys_;
-          std::vector<KeyedEntries>& buckets =
-              side == 0 ? work[p].left_buckets : work[p].right_buckets;
-          std::vector<ColumnPtr> key_cols(keys.size());
-          for (size_t k = 0; k < keys.size(); ++k) {
-            SS_ASSIGN_OR_RETURN(key_cols[k], keys[k]->EvalBatch(input));
-          }
-          std::string enc;
-          const int64_t n = input.num_rows();
-          for (int64_t i = 0; i < n; ++i) {
-            enc.clear();
-            enc.push_back(static_cast<char>(keys.size()));
-            for (size_t k = 0; k < key_cols.size(); ++k) {
-              key_cols[k]->EncodeValueTo(i, &enc);
-            }
-            buckets[static_cast<size_t>(ShardOfKey(enc, S))].Add(i, 0, enc);
-          }
-          return Status::OK();
-        });
+    Result<CacheEntry*> Load(const std::string& store_key) {
+      auto it = cache.find(store_key);
+      if (it == cache.end()) {
+        CacheEntry entry;
+        std::optional<std::string> stored = state->Get(store_key);
+        if (stored.has_value()) {
+          SS_ASSIGN_OR_RETURN(entry.rows, DecodeSideRows(*stored));
+          entry.base_n = entry.rows.size();
+        }
+        it = cache.emplace(store_key, std::move(entry)).first;
+      }
+      return &it->second;
+    }
+  };
+  std::vector<std::vector<JoinShard>> shards;
+
+  auto prepare = [&](size_t p) -> Status {
+    for (int side = 0; side < 2; ++side) {
+      const RecordBatch& input = side == 0 ? *left_in[p] : *right_in[p];
+      const std::vector<ExprPtr>& exprs = side == 0 ? left_keys_ : right_keys_;
+      std::vector<ColumnPtr>& cols = side == 0 ? left_keys[p] : right_keys[p];
+      cols.resize(exprs.size());
+      for (size_t k = 0; k < exprs.size(); ++k) {
+        SS_ASSIGN_OR_RETURN(cols[k], exprs[k]->EvalBatch(input));
       }
     }
-    SS_RETURN_IF_ERROR(ctx->RunStage(op_id_,
-        name() + "[split]",
-        CoalesceTasks(std::move(tasks), ShardStageTaskCap(ctx, P))));
-  }
+    return Status::OK();
+  };
 
-  // Shard stage: the symmetric-hash passes, restricted to each shard's
-  // bucketed rows, in input order — so the joined multiset per shard is
-  // shard-count-invariant.
-  {
-    std::vector<std::function<Status()>> tasks;
-    for (size_t p = 0; p < P; ++p) {
-      const int S = stores[p]->num_shards();
-      for (int s = 0; s < S; ++s) {
-        tasks.push_back([this, ctx, &left_in, &right_in, &work, &stores, p,
-                         s]() -> Status {
-          StateShardProtocol* shard = stores[p]->shard(s);
-          PartitionWork& w = work[p];
-          std::vector<Row>& out_rows = w.shard_rows[static_cast<size_t>(s)];
+  // The shard is picked by the join key *without* the 'L'/'R' side byte,
+  // so both sides of a key land in the same shard; store keys keep the
+  // side prefix within the shard.
+  auto route = [&](size_t p, int64_t lo, int64_t hi, auto&& emit) -> Status {
+    const int64_t n_left = left_in[p]->num_rows();
+    std::string enc;
+    for (int64_t i = lo; i < hi; ++i) {
+      enc.clear();
+      if (i < n_left) {
+        EncodeKeyTo(left_keys[p], i, &enc);
+      } else {
+        EncodeKeyTo(right_keys[p], i - n_left, &enc);
+      }
+      SS_RETURN_IF_ERROR(emit(i, 0, enc));
+    }
+    return Status::OK();
+  };
 
-          // Working cache of decoded side-state. Tracks how many rows were
-          // already stored (`base_n`) and whether stored rows changed
-          // (`dirty`), so the flush can append just the new suffix for
-          // grow-only keys instead of rewriting the value.
-          struct CacheEntry {
-            std::vector<std::pair<bool, Row>> rows;
-            size_t base_n = 0;
-            bool dirty = false;
-          };
-          std::unordered_map<std::string, CacheEntry> cache;
-          auto load = [&](const std::string& store_key)
-              -> Result<CacheEntry*> {
-            auto it = cache.find(store_key);
-            if (it == cache.end()) {
-              CacheEntry entry;
-              std::optional<std::string> stored = shard->Get(store_key);
-              if (stored.has_value()) {
-                SS_ASSIGN_OR_RETURN(entry.rows, DecodeSideRows(*stored));
-                entry.base_n = entry.rows.size();
-              }
-              it = cache.emplace(store_key, std::move(entry)).first;
-            }
-            return &it->second;
-          };
+  // Probe a new row against the other side's state (prior epochs, plus
+  // this epoch's left rows when probing with a right row, which covers
+  // intra-epoch matches exactly once), then append it to its own side.
+  auto fold = [&](JoinShard& f, int64_t i, int64_t, std::string_view enc,
+                  uint64_t) -> Status {
+    const size_t p = f.partition;
+    const int64_t n_left = left_in[p]->num_rows();
+    const bool is_left = i < n_left;
+    Row row = is_left ? left_in[p]->RowAt(i) : right_in[p]->RowAt(i - n_left);
+    std::string own_key(1, is_left ? 'L' : 'R');
+    own_key.append(enc);
+    std::string other_key = own_key;
+    other_key[0] = is_left ? 'R' : 'L';
+    SS_ASSIGN_OR_RETURN(CacheEntry * other, f.Load(other_key));
+    bool matched = false;
+    for (size_t k = 0; k < other->rows.size(); ++k) {
+      auto& [other_matched, other_row] = other->rows[k];
+      f.joined.push_back(is_left ? JoinedRow(&row, &other_row)
+                                 : JoinedRow(&other_row, &row));
+      if (!other_matched && k < other->base_n) {
+        other->dirty = true;  // stored flag flips
+      }
+      other_matched = true;
+      matched = true;
+    }
+    SS_ASSIGN_OR_RETURN(CacheEntry * own, f.Load(own_key));
+    own->rows.emplace_back(matched, std::move(row));
+    return Status::OK();
+  };
 
-          // Pass 1: probe new left rows against the stored right side
-          // (prior epochs), appending them to left state.
-          SS_RETURN_IF_ERROR(ForEachEntry(
-              w.left_buckets[static_cast<size_t>(s)],
-              [&](int32_t i, int64_t, std::string_view enc) -> Status {
-                Row lrow = left_in[p]->RowAt(i);
-                std::string lkey = "L";
-                lkey.append(enc);
-                std::string rkey = lkey;
-                rkey[0] = 'R';
-                SS_ASSIGN_OR_RETURN(CacheEntry * right_entry, load(rkey));
-                bool matched = false;
-                for (size_t k = 0; k < right_entry->rows.size(); ++k) {
-                  auto& [rmatched, rrow] = right_entry->rows[k];
-                  out_rows.push_back(JoinedRow(&lrow, &rrow));
-                  if (!rmatched && k < right_entry->base_n) {
-                    right_entry->dirty = true;  // stored flag flips
-                  }
-                  rmatched = true;
-                  matched = true;
-                }
-                SS_ASSIGN_OR_RETURN(CacheEntry * left_entry, load(lkey));
-                left_entry->rows.emplace_back(matched, std::move(lrow));
-                return Status::OK();
-              }));
-          // Pass 2: probe new right rows against left state (which now
-          // includes this epoch's left rows, covering intra-epoch matches
-          // exactly once).
-          SS_RETURN_IF_ERROR(ForEachEntry(
-              w.right_buckets[static_cast<size_t>(s)],
-              [&](int32_t i, int64_t, std::string_view enc) -> Status {
-                Row rrow = right_in[p]->RowAt(i);
-                std::string rkey = "R";
-                rkey.append(enc);
-                std::string lkey = rkey;
-                lkey[0] = 'L';
-                SS_ASSIGN_OR_RETURN(CacheEntry * left_entry, load(lkey));
-                bool matched = false;
-                for (size_t k = 0; k < left_entry->rows.size(); ++k) {
-                  auto& [lmatched, lrow] = left_entry->rows[k];
-                  out_rows.push_back(JoinedRow(&lrow, &rrow));
-                  if (!lmatched && k < left_entry->base_n) {
-                    left_entry->dirty = true;
-                  }
-                  lmatched = true;
-                  matched = true;
-                }
-                SS_ASSIGN_OR_RETURN(CacheEntry * right_entry, load(rkey));
-                right_entry->rows.emplace_back(matched, std::move(rrow));
-                return Status::OK();
-              }));
-
-          // Watermark-driven eviction: rows whose event time has fallen
-          // below the watermark can no longer match. Unmatched rows on a
-          // preserved outer side are emitted null-padded exactly once.
-          const int64_t watermark = ctx->watermark_micros;
-          const bool evicting =
-              watermark != INT64_MIN &&
-              (left_time_index_ >= 0 || right_time_index_ >= 0);
-          if (evicting || ctx->is_batch) {
-            // Pull every stored key of this shard into the cache so
-            // eviction sees all state.
-            std::vector<std::string> all_keys;
-            shard->ForEach([&](const std::string& k, const std::string&) {
-              all_keys.push_back(k);
-            });
-            for (const std::string& k : all_keys) {
-              SS_RETURN_IF_ERROR(load(k).status());
-            }
-            for (auto& [store_key, entry] : cache) {
-              const bool is_left = store_key[0] == 'L';
-              const int time_index =
-                  is_left ? left_time_index_ : right_time_index_;
-              const bool preserved =
-                  (is_left && join_type_ == JoinType::kLeftOuter) ||
-                  (!is_left && join_type_ == JoinType::kRightOuter);
-              std::vector<std::pair<bool, Row>> kept;
-              for (auto& [matched, row] : entry.rows) {
-                bool expire;
-                if (ctx->is_batch) {
-                  expire = true;  // batch run: finalize everything
-                } else {
-                  expire = time_index >= 0 &&
-                           !row[static_cast<size_t>(time_index)].is_null() &&
-                           row[static_cast<size_t>(time_index)]
-                                   .int64_value() < watermark;
-                }
-                if (expire) {
-                  if (preserved && !matched) {
-                    out_rows.push_back(is_left ? JoinedRow(&row, nullptr)
-                                               : JoinedRow(nullptr, &row));
-                  }
-                } else {
-                  kept.emplace_back(matched, std::move(row));
-                }
-              }
-              if (kept.size() != entry.rows.size()) entry.dirty = true;
-              entry.rows = std::move(kept);
-            }
+  auto finish = [&](JoinShard& f, std::vector<Row>* out) -> Status {
+    out->insert(out->end(), std::make_move_iterator(f.joined.begin()),
+                std::make_move_iterator(f.joined.end()));
+    // Watermark-driven eviction: rows whose event time has fallen below the
+    // watermark can no longer match. Unmatched rows on a preserved outer
+    // side are emitted null-padded exactly once.
+    const int64_t watermark = ctx->watermark_micros;
+    const bool evicting = watermark != INT64_MIN &&
+                          (left_time_index_ >= 0 || right_time_index_ >= 0);
+    if (evicting || ctx->is_batch) {
+      // Pull every stored key of this shard into the cache so eviction
+      // sees all state.
+      std::vector<std::string> all_keys;
+      f.state->ForEach([&](const std::string& k, const std::string&) {
+        all_keys.push_back(k);
+      });
+      for (const std::string& k : all_keys) {
+        SS_RETURN_IF_ERROR(f.Load(k).status());
+      }
+      for (auto& [store_key, entry] : f.cache) {
+        const bool is_left = store_key[0] == 'L';
+        const int time_index = is_left ? left_time_index_ : right_time_index_;
+        const bool preserved =
+            (is_left && join_type_ == JoinType::kLeftOuter) ||
+            (!is_left && join_type_ == JoinType::kRightOuter);
+        std::vector<std::pair<bool, Row>> kept;
+        for (auto& [matched, row] : entry.rows) {
+          bool expire;
+          if (ctx->is_batch) {
+            expire = true;  // batch run: finalize everything
+          } else {
+            expire = time_index >= 0 &&
+                     !row[static_cast<size_t>(time_index)].is_null() &&
+                     row[static_cast<size_t>(time_index)].int64_value() <
+                         watermark;
           }
-
-          // Flush: untouched entries are skipped, grow-only entries append
-          // their new suffix, everything else is rewritten.
-          for (const auto& [store_key, entry] : cache) {
-            if (entry.rows.empty()) {
-              if (entry.base_n > 0) shard->Remove(store_key);
-            } else if (entry.dirty) {
-              shard->Put(store_key, EncodeSideRows(entry.rows));
-            } else if (entry.rows.size() > entry.base_n) {
-              std::string tail;
-              for (size_t k = entry.base_n; k < entry.rows.size(); ++k) {
-                tail.push_back(entry.rows[k].first ? 1 : 0);
-                EncodeRow(entry.rows[k].second, &tail);
-              }
-              SS_RETURN_IF_ERROR(shard->Append(store_key, tail));
+          if (expire) {
+            if (preserved && !matched) {
+              out->push_back(is_left ? JoinedRow(&row, nullptr)
+                                     : JoinedRow(nullptr, &row));
             }
+          } else {
+            kept.emplace_back(matched, std::move(row));
           }
-          return Status::OK();
-        });
+        }
+        if (kept.size() != entry.rows.size()) entry.dirty = true;
+        entry.rows = std::move(kept);
       }
     }
-    SS_RETURN_IF_ERROR(ctx->RunStage(op_id_,
-        name(), CoalesceTasks(std::move(tasks), ShardStageTaskCap(ctx, P))));
-  }
 
-  // Deterministic merge in shard-index order.
-  std::vector<RecordBatchPtr> out(P);
-  for (size_t p = 0; p < P; ++p) {
-    std::vector<Row> merged;
-    size_t total = 0;
-    for (const auto& sr : work[p].shard_rows) total += sr.size();
-    merged.reserve(total);
-    for (auto& sr : work[p].shard_rows) {
-      merged.insert(merged.end(), std::make_move_iterator(sr.begin()),
-                    std::make_move_iterator(sr.end()));
+    // Flush: untouched entries are skipped, grow-only entries append their
+    // new suffix, everything else is rewritten.
+    for (const auto& [store_key, entry] : f.cache) {
+      if (entry.rows.empty()) {
+        if (entry.base_n > 0) f.state->Remove(store_key);
+      } else if (entry.dirty) {
+        f.state->Put(store_key, EncodeSideRows(entry.rows));
+      } else if (entry.rows.size() > entry.base_n) {
+        std::string tail;
+        for (size_t k = entry.base_n; k < entry.rows.size(); ++k) {
+          tail.push_back(entry.rows[k].first ? 1 : 0);
+          EncodeRow(entry.rows[k].second, &tail);
+        }
+        SS_RETURN_IF_ERROR(f.state->Append(store_key, tail));
+      }
     }
-    SS_ASSIGN_OR_RETURN(out[p], RecordBatch::FromRows(schema_, merged));
-  }
-  return out;
+    return Status::OK();
+  };
+
+  return RunKeyedShards(ctx, *this, num_rows, &shards, prepare, route, fold,
+                        finish);
 }
 
 // ---------------------------------------------------------------------------
@@ -1292,79 +1161,84 @@ FlatMapGroupsWithStateExec::FlatMapGroupsWithStateExec(
 Result<std::vector<RecordBatchPtr>> FlatMapGroupsWithStateExec::ExecuteImpl(
     ExecContext* ctx) {
   SS_ASSIGN_OR_RETURN(std::vector<RecordBatchPtr> in,
-                      children_[0]->Execute(ctx));
-  // Materialize-on-demand boundary (selection views compact here).
-  for (RecordBatchPtr& b : in) b = RecordBatch::Materialize(b);
-  std::vector<RecordBatchPtr> out(in.size());
-  std::vector<std::function<Status()>> tasks;
-  for (size_t p = 0; p < in.size(); ++p) {
-    tasks.push_back([this, ctx, &in, &out, p]() -> Status {
-      SS_ASSIGN_OR_RETURN(
-          RecordBatchPtr batch,
-          ExecutePartition(ctx, static_cast<int>(p), *in[p]));
-      out[p] = std::move(batch);
-      return Status::OK();
-    });
-  }
-  SS_RETURN_IF_ERROR(ctx->RunStage(op_id_, name(), std::move(tasks)));
-  return out;
-}
-
-Result<RecordBatchPtr> FlatMapGroupsWithStateExec::ExecutePartition(
-    ExecContext* ctx, int partition, const RecordBatch& input) {
-  SS_ASSIGN_OR_RETURN(ShardedStateStore * store,
-                      ctx->state->GetStore(op_id_, partition));
+                      ExecuteMaterialized(children_[0], ctx));
+  const size_t P = in.size();
   const int64_t now = ctx->clock != nullptr ? ctx->clock->NowMicros() : 0;
   const int64_t watermark = ctx->watermark_micros;
+  std::vector<int64_t> num_rows(P);
+  for (size_t p = 0; p < P; ++p) num_rows[p] = in[p]->num_rows();
+  std::vector<std::vector<ColumnPtr>> key_cols(P);
 
-  // Group the input rows by key.
-  std::vector<ColumnPtr> key_cols(key_exprs_.size());
-  for (size_t k = 0; k < key_exprs_.size(); ++k) {
-    SS_ASSIGN_OR_RETURN(key_cols[k], key_exprs_[k].expr->EvalBatch(input));
-  }
-  std::map<std::string, std::pair<Row, std::vector<Row>>> groups;
-  for (int64_t i = 0; i < input.num_rows(); ++i) {
-    Row key(key_exprs_.size());
-    for (size_t k = 0; k < key_cols.size(); ++k) {
-      key[k] = key_cols[k]->ValueAt(i);
+  // One shard's groups this epoch, in first-touch order.
+  struct Group {
+    const std::string* enc;  // the key's node in GroupShard::index
+    Row key;
+    std::vector<Row> values;
+  };
+  struct GroupShard : KeyedShard {
+    std::vector<Group> groups;
+    std::unordered_map<std::string, size_t> index;  // enc -> groups position
+    std::string key_buf;
+  };
+  std::vector<std::vector<GroupShard>> shards;
+
+  auto prepare = [&](size_t p) -> Status {
+    key_cols[p].resize(key_exprs_.size());
+    for (size_t k = 0; k < key_exprs_.size(); ++k) {
+      SS_ASSIGN_OR_RETURN(key_cols[p][k],
+                          key_exprs_[k].expr->EvalBatch(*in[p]));
     }
+    return Status::OK();
+  };
+  auto route = [&](size_t p, int64_t lo, int64_t hi, auto&& emit) -> Status {
     std::string enc;
-    EncodeRow(key, &enc);
-    auto& slot = groups[enc];
-    slot.first = std::move(key);
-    slot.second.push_back(input.RowAt(i));
-  }
-
-  std::vector<Row> out_rows;
-
-  // State value codec: [fixed64 timeout_at][encoded user row].
-  auto load_state = [&](const std::string& enc)
-      -> Result<std::pair<std::optional<Row>, int64_t>> {
-    std::optional<std::string> stored = store->Get(enc);
-    if (!stored.has_value()) {
-      return std::make_pair(std::optional<Row>(), INT64_MAX);
+    for (int64_t i = lo; i < hi; ++i) {
+      enc.clear();
+      EncodeKeyTo(key_cols[p], i, &enc);
+      SS_RETURN_IF_ERROR(emit(i, 0, enc));
     }
-    size_t pos = 0;
-    uint64_t timeout_at;
-    if (!GetFixed64(*stored, &pos, &timeout_at)) {
-      return Status::Internal("corrupt group state");
+    return Status::OK();
+  };
+  // Group the shard's rows by key.
+  auto fold = [&](GroupShard& f, int64_t i, int64_t, std::string_view enc,
+                  uint64_t) -> Status {
+    const size_t p = f.partition;
+    f.key_buf.assign(enc);
+    auto [it, inserted] = f.index.try_emplace(f.key_buf, f.groups.size());
+    if (inserted) {
+      Group& g = f.groups.emplace_back();
+      g.enc = &it->first;
+      g.key.reserve(key_cols[p].size());
+      for (const ColumnPtr& col : key_cols[p]) g.key.push_back(col->ValueAt(i));
     }
-    SS_ASSIGN_OR_RETURN(Row row, DecodeRow(*stored, &pos));
-    return std::make_pair(std::optional<Row>(std::move(row)),
-                          static_cast<int64_t>(timeout_at));
+    f.groups[it->second].values.push_back(in[p]->RowAt(i));
+    return Status::OK();
   };
 
-  auto invoke = [&](const std::string& enc, const Row& key,
-                    const std::vector<Row>& values,
-                    bool timed_out) -> Status {
-    SS_ASSIGN_OR_RETURN(auto loaded, load_state(enc));
-    GroupState state(std::move(loaded.first), watermark, now, timed_out);
+  // Calls the update function for one key and writes its state back.
+  // State value codec: [fixed64 timeout_at][encoded user row].
+  auto invoke = [&](StateShardProtocol* state, const std::string& enc,
+                    const Row& key, const std::vector<Row>& values,
+                    bool timed_out, std::vector<Row>* out) -> Status {
+    std::optional<Row> value;
+    int64_t timeout_at = INT64_MAX;
+    if (std::optional<std::string> stored = state->Get(enc)) {
+      size_t pos = 0;
+      uint64_t at;
+      if (!GetFixed64(*stored, &pos, &at)) {
+        return Status::Internal("corrupt group state");
+      }
+      SS_ASSIGN_OR_RETURN(Row row, DecodeRow(*stored, &pos));
+      value = std::move(row);
+      timeout_at = static_cast<int64_t>(at);
+    }
+    GroupState group_state(std::move(value), watermark, now, timed_out);
     if (!timed_out) {
       // A pre-armed timeout stays armed unless the function re-arms it.
-      state.SetTimeoutTimestamp(loaded.second);
+      group_state.SetTimeoutTimestamp(timeout_at);
     }
     SS_ASSIGN_OR_RETURN(std::vector<Row> results,
-                        update_fn_(key, values, &state));
+                        update_fn_(key, values, &group_state));
     if (require_single_output_ && results.size() != 1) {
       return Status::InvalidArgument(
           "mapGroupsWithState update function must return exactly one row, "
@@ -1375,39 +1249,42 @@ Result<RecordBatchPtr> FlatMapGroupsWithStateExec::ExecutePartition(
         return Status::InvalidArgument(
             "mapGroupsWithState output row arity mismatch");
       }
-      out_rows.push_back(std::move(r));
+      out->push_back(std::move(r));
     }
-    if (state.removed() || (timed_out && !state.updated())) {
+    if (group_state.removed() || (timed_out && !group_state.updated())) {
       // Timed-out state that the function did not refresh is dropped
       // (matching Spark: a timeout without update removes nothing
       // automatically, but keeping it would re-fire forever; Spark requires
       // the function to update or remove — we default to remove).
-      store->Remove(enc);
-    } else if (state.exists()) {
+      state->Remove(enc);
+    } else if (group_state.exists()) {
       std::string buf;
-      int64_t timeout_at =
-          timeout_ == GroupStateTimeout::kNone ? INT64_MAX
-                                               : state.timeout_at_micros();
-      PutFixed64(&buf, static_cast<uint64_t>(timeout_at));
-      EncodeRow(state.get(), &buf);
-      store->Put(enc, std::move(buf));
+      PutFixed64(&buf, static_cast<uint64_t>(
+                           timeout_ == GroupStateTimeout::kNone
+                               ? INT64_MAX
+                               : group_state.timeout_at_micros()));
+      EncodeRow(group_state.get(), &buf);
+      state->Put(enc, std::move(buf));
     }
     return Status::OK();
   };
 
-  for (const auto& [enc, group] : groups) {
-    SS_RETURN_IF_ERROR(invoke(enc, group.first, group.second, false));
-  }
-
-  // Timeout sweep: keys not updated this trigger whose deadline passed
-  // (processing time vs. watermark, §4.3.2).
-  if (timeout_ != GroupStateTimeout::kNone && !ctx->is_batch) {
+  // Update every touched group, then sweep the shard for timeouts: keys
+  // not updated this trigger whose deadline passed (processing time vs.
+  // watermark, §4.3.2).
+  auto finish = [&](GroupShard& f, std::vector<Row>* out) -> Status {
+    for (const Group& g : f.groups) {
+      SS_RETURN_IF_ERROR(invoke(f.state, *g.enc, g.key, g.values, false, out));
+    }
+    if (timeout_ == GroupStateTimeout::kNone || ctx->is_batch) {
+      return Status::OK();
+    }
     const int64_t deadline_clock =
         timeout_ == GroupStateTimeout::kProcessingTime ? now : watermark;
-    std::vector<std::pair<std::string, Row>> timed_out_keys;
+    std::vector<std::string> timed_out;
     Status iter_status;
-    store->ForEach([&](const std::string& enc, const std::string& v) {
-      if (groups.count(enc)) return;
+    f.state->ForEach([&](const std::string& enc, const std::string& v) {
+      if (f.index.count(enc)) return;
       size_t pos = 0;
       uint64_t timeout_at;
       if (!GetFixed64(v, &pos, &timeout_at)) {
@@ -1416,20 +1293,19 @@ Result<RecordBatchPtr> FlatMapGroupsWithStateExec::ExecutePartition(
       }
       if (deadline_clock != INT64_MIN &&
           static_cast<int64_t>(timeout_at) <= deadline_clock) {
-        auto key = DecodeRow(enc);
-        if (!key.ok()) {
-          iter_status = key.status();
-          return;
-        }
-        timed_out_keys.emplace_back(enc, std::move(*key));
+        timed_out.push_back(enc);
       }
     });
     SS_RETURN_IF_ERROR(iter_status);
-    for (const auto& [enc, key] : timed_out_keys) {
-      SS_RETURN_IF_ERROR(invoke(enc, key, {}, true));
+    for (const std::string& enc : timed_out) {
+      SS_ASSIGN_OR_RETURN(Row key, DecodeRow(enc));
+      SS_RETURN_IF_ERROR(invoke(f.state, enc, key, {}, true, out));
     }
-  }
-  return RecordBatch::FromRows(schema_, out_rows);
+    return Status::OK();
+  };
+
+  return RunKeyedShards(ctx, *this, num_rows, &shards, prepare, route, fold,
+                        finish);
 }
 
 }  // namespace sstreaming

@@ -147,9 +147,6 @@ class FlatMapGroupsWithStateExec : public PhysOp {
   Result<std::vector<RecordBatchPtr>> ExecuteImpl(ExecContext* ctx) override;
 
  private:
-  Result<RecordBatchPtr> ExecutePartition(ExecContext* ctx, int partition,
-                                          const RecordBatch& input);
-
   std::vector<NamedExpr> key_exprs_;
   GroupUpdateFn update_fn_;
   GroupStateTimeout timeout_;

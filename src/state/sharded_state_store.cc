@@ -93,12 +93,6 @@ Result<std::unique_ptr<ShardedStateStore>> ShardedStateStore::Open(
       new ShardedStateStore(std::move(shards)));
 }
 
-void ShardedStateStore::ForEach(
-    const std::function<void(const std::string&, const std::string&)>& fn)
-    const {
-  for (const auto& shard : shards_) shard->ForEach(fn);
-}
-
 int64_t ShardedStateStore::loaded_version() const {
   int64_t min_version = INT64_MAX;
   for (const auto& shard : shards_) {

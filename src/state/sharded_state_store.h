@@ -29,10 +29,10 @@ namespace sstreaming {
 /// only pins the layout, not the results.)
 ///
 /// Routing: StableHashKey (FNV-1a, fixed across platforms and std::hash
-/// implementations) of the encoded key, mod N. The routed facade
-/// (Get/Put/...) serves single-threaded callers; parallel operators instead
-/// partition their input with ShardOf and hand each shard() to its own task
-/// — shards are single-writer and unsynchronized.
+/// implementations) of the encoded key, mod N (ShardOf). Callers route each
+/// key themselves and use shard() directly; the stateful operators hand
+/// each shard to one task at a time — shards are single-writer and
+/// unsynchronized.
 class ShardedStateStore {
  public:
   struct Options {
@@ -55,37 +55,17 @@ class ShardedStateStore {
 
   int num_shards() const { return static_cast<int>(shards_.size()); }
 
-  /// Stable 64-bit FNV-1a of the encoded key; shard = hash % num_shards.
+  /// Stable 64-bit FNV-1a of the encoded key.
   static uint64_t StableHashKey(std::string_view key);
-  int ShardOf(const std::string& key) const {
-    return static_cast<int>(StableHashKey(key) %
-                            static_cast<uint64_t>(shards_.size()));
+  /// The shard of a key with hash `hash` (StableHashKey) among `num_shards`:
+  /// the one routing rule of the durable layout.
+  static int ShardOf(uint64_t hash, int num_shards) {
+    return static_cast<int>(hash % static_cast<uint64_t>(num_shards));
   }
   StateShardProtocol* shard(int i) { return shards_[static_cast<size_t>(i)].get(); }
   const StateShardProtocol* shard(int i) const {
     return shards_[static_cast<size_t>(i)].get();
   }
-
-  // Routed facade over the shards (single-threaded use).
-  std::optional<std::string> Get(const std::string& key) const {
-    return shards_[static_cast<size_t>(ShardOf(key))]->Get(key);
-  }
-  void Put(const std::string& key, std::string value) {
-    shards_[static_cast<size_t>(ShardOf(key))]->Put(key, std::move(value));
-  }
-  Status Append(const std::string& key, const std::string& tail) {
-    return shards_[static_cast<size_t>(ShardOf(key))]->Append(key, tail);
-  }
-  void Remove(const std::string& key) {
-    shards_[static_cast<size_t>(ShardOf(key))]->Remove(key);
-  }
-  bool Contains(const std::string& key) const {
-    return shards_[static_cast<size_t>(ShardOf(key))]->Contains(key);
-  }
-  /// Visits every entry, shard 0 first — a fixed iteration grouping, though
-  /// order within a shard follows the backing hash map.
-  void ForEach(const std::function<void(const std::string& key,
-                                        const std::string& value)>& fn) const;
 
   /// Oldest version any shard restored (shards checkpoint independently; a
   /// crash between shard snapshots is healed by replaying from the min).

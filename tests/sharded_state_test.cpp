@@ -37,6 +37,12 @@ class ShardedStateStoreTest : public ::testing::Test {
   std::string dir_;
 };
 
+/// The shard that owns `key`: the operators' routing rule.
+StateShardProtocol* ShardFor(ShardedStateStore* store, const std::string& key) {
+  return store->shard(ShardedStateStore::ShardOf(
+      ShardedStateStore::StableHashKey(key), store->num_shards()));
+}
+
 TEST_F(ShardedStateStoreTest, StableHashIsFixedForever) {
   // The hash routes durable keys to shard directories; changing it would
   // orphan existing checkpoints. These are the published FNV-1a 64 vectors.
@@ -50,11 +56,13 @@ TEST_F(ShardedStateStoreTest, RoutesAcrossShardsAndAggregatesAccounting) {
   auto store = ShardedStateStore::Open(dir_, 0, opts).TakeValue();
   ASSERT_EQ(store->num_shards(), 4);
   for (int i = 0; i < 100; ++i) {
-    store->Put("key" + std::to_string(i), "value" + std::to_string(i));
+    const std::string key = "key" + std::to_string(i);
+    ShardFor(store.get(), key)->Put(key, "value" + std::to_string(i));
   }
   EXPECT_EQ(store->size(), 100);
   for (int i = 0; i < 100; ++i) {
-    auto v = store->Get("key" + std::to_string(i));
+    const std::string key = "key" + std::to_string(i);
+    auto v = ShardFor(store.get(), key)->Get(key);
     ASSERT_TRUE(v.has_value());
     EXPECT_EQ(*v, "value" + std::to_string(i));
   }
@@ -70,22 +78,14 @@ TEST_F(ShardedStateStoreTest, RoutesAcrossShardsAndAggregatesAccounting) {
   }
   EXPECT_EQ(rows, store->size());
   EXPECT_EQ(bytes, store->ApproxBytes());
-  // ForEach visits every entry exactly once.
+  // Each key lives in exactly one shard: the shards' entries add up to the
+  // 100 keys.
   int64_t visited = 0;
-  store->ForEach([&](const std::string&, const std::string&) { ++visited; });
+  for (int s = 0; s < store->num_shards(); ++s) {
+    store->shard(s)->ForEach(
+        [&](const std::string&, const std::string&) { ++visited; });
+  }
   EXPECT_EQ(visited, 100);
-}
-
-TEST_F(ShardedStateStoreTest, AppendRoutesToTheSameShardAsPut) {
-  ShardedStateStore::Options opts;
-  opts.num_shards = 7;
-  auto store = ShardedStateStore::Open(dir_, 0, opts).TakeValue();
-  store->Put("k", "head");
-  ASSERT_TRUE(store->Append("k", "+tail").ok());
-  auto v = store->Get("k");
-  ASSERT_TRUE(v.has_value());
-  EXPECT_EQ(*v, "head+tail");
-  EXPECT_EQ(store->size(), 1);
 }
 
 TEST_F(ShardedStateStoreTest, ShardCountIsStickyAcrossReopen) {
@@ -96,7 +96,7 @@ TEST_F(ShardedStateStoreTest, ShardCountIsStickyAcrossReopen) {
     for (int i = 0; i < 20; ++i) {
       std::string key = "k";
       key += std::to_string(i);
-      store->Put(key, "v");
+      ShardFor(store.get(), key)->Put(key, "v");
     }
     ASSERT_TRUE(store->Commit(1).ok());
   }
@@ -121,11 +121,11 @@ TEST_F(ShardedStateStoreTest, ShardsCheckpointAndRestoreIndependently) {
   opts.num_shards = 3;
   {
     auto store = ShardedStateStore::Open(dir_, 0, opts).TakeValue();
-    store->Put("a", "1");
-    store->Put("b", "2");
-    store->Put("c", "3");
+    ShardFor(store.get(), "a")->Put("a", "1");
+    ShardFor(store.get(), "b")->Put("b", "2");
+    ShardFor(store.get(), "c")->Put("c", "3");
     ASSERT_TRUE(store->Commit(5).ok());
-    store->Put("d", "4");
+    ShardFor(store.get(), "d")->Put("d", "4");
     ASSERT_TRUE(store->Commit(6).ok());
   }
   // Each shard has its own directory with its own version files.
@@ -135,14 +135,14 @@ TEST_F(ShardedStateStoreTest, ShardsCheckpointAndRestoreIndependently) {
   // Restoring at 5 must not see the v6 write in any shard.
   auto v5 = ShardedStateStore::Open(dir_, 5, opts).TakeValue();
   EXPECT_EQ(v5->size(), 3);
-  EXPECT_FALSE(v5->Get("d").has_value());
+  EXPECT_FALSE(ShardFor(v5.get(), "d")->Get("d").has_value());
   EXPECT_EQ(v5->loaded_version(), 5);
   for (int s = 0; s < v5->num_shards(); ++s) {
     EXPECT_EQ(v5->shard(s)->restored_version(), 5);
   }
   auto v6 = ShardedStateStore::Open(dir_, 6, opts).TakeValue();
   EXPECT_EQ(v6->size(), 4);
-  EXPECT_TRUE(v6->Get("d").has_value());
+  EXPECT_TRUE(ShardFor(v6.get(), "d")->Get("d").has_value());
 }
 
 TEST_F(ShardedStateStoreTest, TruncateAfterWalksShardDirs) {
@@ -150,11 +150,11 @@ TEST_F(ShardedStateStoreTest, TruncateAfterWalksShardDirs) {
   opts.num_shards = 2;
   {
     auto store = ShardedStateStore::Open(dir_, 0, opts).TakeValue();
-    store->Put("a", "1");
+    ShardFor(store.get(), "a")->Put("a", "1");
     ASSERT_TRUE(store->Commit(1).ok());
-    store->Put("b", "2");
+    ShardFor(store.get(), "b")->Put("b", "2");
     ASSERT_TRUE(store->Commit(2).ok());
-    store->Put("c", "3");
+    ShardFor(store.get(), "c")->Put("c", "3");
     ASSERT_TRUE(store->Commit(3).ok());
   }
   ASSERT_TRUE(ShardedStateStore::TruncateAfter(dir_, 2).ok());
@@ -415,18 +415,20 @@ TEST_P(ShardedDifferentialTest, OutputIsByteIdenticalAcrossShardCounts) {
 }
 
 TEST_P(ShardedDifferentialTest, StagedPathMatchesFusedGolden) {
-  // The stateful aggregate has two execution strategies: a fused single
-  // pass when partition parallelism saturates the scheduler (the inline
-  // golden below), and a staged split/fold when spare cores make per-shard
-  // tasks worthwhile. A pool scheduler wider than the partition count
-  // forces the staged path — with real cross-thread execution — and the
-  // output must still be byte-identical to the fused golden. At the same
-  // shard count the rows must also arrive in the same order: both paths
-  // run one fold body that emits each shard's keys in first-touch order.
+  // Every stateful operator runs on one keyed-shard driver with two task
+  // grains: inline (one task per partition folds every shard) when
+  // partition parallelism covers the scheduler, as in the golden below,
+  // and split (a [split] stage, then one fold task per shard) when spare
+  // cores make per-shard tasks worthwhile. A pool scheduler wider than the
+  // partition count forces the split grain, with real cross-thread
+  // execution, and the output must still be byte-identical to the inline
+  // golden. At the same shard count the rows must also arrive in the same
+  // order: both grains fold each shard's rows in input order and merge
+  // shard outputs in shard-index order.
   DifferentialRun golden = RunPipeline(GetParam(), 4, 20260810, false);
   ASSERT_FALSE(golden.epochs.empty());
   for (int shards : {1, 4, 7}) {
-    PoolScheduler pool(8);  // parallelism 8 > 2 partitions -> staged
+    PoolScheduler pool(8);  // parallelism 8 > 2 partitions -> split grain
     DifferentialRun run = RunPipeline(GetParam(), shards, 20260810, false,
                                       &pool);
     if (shards == 4) {

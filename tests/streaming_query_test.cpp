@@ -482,6 +482,52 @@ TEST(StreamingQueryTest, DistinctStreaming) {
   EXPECT_EQ(sink->Snapshot().size(), 3u);
 }
 
+TEST(StreamingQueryTest, DistinctDuplicatesLeaveStateUnchanged) {
+  // A re-seen row is only probed: dedup must not mark its key changed, or
+  // every duplicate would be rewritten into the next state delta.
+  auto dir = MakeTempDir("distinct_duplicates");
+  ASSERT_TRUE(dir.ok());
+  auto stream = std::make_shared<MemoryStream>("clicks", ClickSchema(), 2);
+  auto sink = std::make_shared<MemorySink>();
+  DataFrame df = DataFrame::ReadStream(stream)
+                     .SelectColumns({"country", "latency"})
+                     .Distinct();
+  QueryOptions opts = Ephemeral(OutputMode::kAppend);
+  opts.checkpoint_dir = *dir;
+  opts.state_checkpoint_interval = 2;  // every other epoch commits
+  auto query = StreamingQuery::Start(df, sink, opts);
+  ASSERT_TRUE(query.ok()) << query.status().ToString();
+  std::vector<Row> rows;
+  for (int i = 0; i < 50; ++i) rows.push_back(Click("ca", i, i));
+  // New rows until an epoch has just committed them.
+  for (int e = 0; e < 2; ++e) {
+    std::vector<Row> fresh;
+    for (int i = 0; i < 50; ++i) fresh.push_back(Click("ny", 100 * e + i, i));
+    ASSERT_TRUE(stream->AddData(e == 0 ? rows : fresh).ok());
+    ASSERT_TRUE((*query)->ProcessAllAvailable().ok());
+    if (e == 0 && (*query)->state().TotalTrackedChanges() == 0) break;
+  }
+  const StateManager& state = (*query)->state();
+  ASSERT_EQ(state.TotalTrackedChanges(), 0);
+  const int64_t entries = state.TotalEntries();
+  const int64_t bytes = state.TotalBytesWritten();
+  const size_t emitted = sink->Snapshot().size();
+  ASSERT_GT(bytes, 0);
+  ASSERT_EQ(static_cast<int64_t>(emitted), entries);
+  // Two all-duplicate epochs: one ends without a commit, one commits a
+  // delta. Neither tracks a change, and the delta is empty.
+  for (int e = 0; e < 2; ++e) {
+    ASSERT_TRUE(stream->AddData(rows).ok());
+    ASSERT_TRUE((*query)->ProcessAllAvailable().ok());
+    EXPECT_EQ(state.TotalTrackedChanges(), 0) << "duplicate epoch " << e;
+  }
+  EXPECT_EQ(state.TotalBytesWritten(), bytes);
+  EXPECT_EQ(state.TotalEntries(), entries);
+  EXPECT_EQ(sink->Snapshot().size(), emitted);
+  query->reset();
+  RemoveDirRecursive(*dir).ok();
+}
+
 TEST(StreamingQueryTest, InvalidModeRejectedAtStart) {
   auto stream = std::make_shared<MemoryStream>("clicks", ClickSchema(), 1);
   auto sink = std::make_shared<MemorySink>();

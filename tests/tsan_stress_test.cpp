@@ -44,9 +44,10 @@ TEST(TsanStressTest, ShardedAggUnderPoolSchedulerAndConcurrentScrapes) {
   QueryManager manager;
   QueryOptions opts;
   opts.mode = OutputMode::kUpdate;
-  // Fewer partitions than pool threads forces the staged split/fold path
-  // (the one with cross-thread shard tasks); 2x8 shard tasks then race on
-  // the 4 pool threads.
+  // Fewer partitions than pool threads puts the keyed-shard driver on its
+  // split grain (the one with cross-thread shard tasks): the 2x8
+  // (partition, shard) folds are packed into 4 tasks that race on the 4
+  // pool threads.
   opts.num_partitions = 2;
   opts.num_state_shards = 8;  // shard tasks outnumber pool threads
   opts.scheduler = &pool;

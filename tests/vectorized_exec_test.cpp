@@ -853,8 +853,9 @@ TEST_P(VectorizedGoldenTest, OutputMatchesGoldenAcrossRestartRecovery) {
 }
 
 TEST_P(VectorizedGoldenTest, OutputMatchesGoldenOnAThreadPool) {
-  // Fused stages, shuffle and the staged per-shard fold (parallelism 4 >
-  // 2 partitions) run concurrently; a thread-sanitizer target.
+  // Fused stages, shuffle and the split grain's per-shard folds
+  // (parallelism 4 > 2 partitions) run concurrently, the mapGroupsWithState
+  // update function included; a thread-sanitizer target.
   PoolScheduler pool(4);
   ExpectMatchesGolden(GetParam(), false,
                       RunPipeline(GetParam(), kGoldenSeed, false, &pool));

@@ -104,11 +104,20 @@ Status MemorySink::CommitEpoch(int64_t epoch, OutputMode mode,
         return Status::InvalidArgument(
             "update mode requires key columns for upsert");
       }
+      // Validate every batch before applying any: a rejected commit
+      // leaves the table as it was.
+      int arity = update_table_.arity();
       for (const auto& b : batches) {
         if (num_key_columns > b->num_columns()) {
           return Status::InvalidArgument(
               "update mode has more key columns than the batch");
         }
+        if (arity >= 0 && b->num_columns() != arity) {
+          return Status::InvalidArgument(
+              "update mode batch has " + std::to_string(b->num_columns()) +
+              " columns, the table has " + std::to_string(arity));
+        }
+        arity = b->num_columns();
       }
       if (epoch <= last_epoch_) break;  // stale recommit of an applied epoch
       for (const auto& b : batches) {
@@ -137,23 +146,48 @@ Status MemorySink::CommitEpoch(int64_t epoch, OutputMode mode,
 
 void MemorySink::UpdateTable::Upsert(const RecordBatch& batch,
                                      int num_key_columns) {
-  const int num_columns = batch.num_columns();
-  std::string key;
-  for (int64_t i = 0; i < batch.num_rows(); ++i) {
+  const int64_t n = batch.num_rows();
+  if (n == 0) return;
+  arity_ = batch.num_columns();
+  // Encode and hash the whole batch's keys first: the probe loop then
+  // knows every home slot in advance and prefetches a fixed distance ahead.
+  batch_keys_.clear();
+  batch_ends_.clear();
+  batch_hashes_.clear();
+  for (int64_t i = 0; i < n; ++i) {
     const int64_t phys = batch.PhysIndex(i);
-    key.clear();
+    const size_t begin = batch_keys_.size();
     for (int c = 0; c < num_key_columns; ++c) {
-      batch.column(c)->EncodeValueTo(phys, &key);
+      batch.column(c)->EncodeValueTo(phys, &batch_keys_);
     }
-    const uint64_t hash = HashBytes(key.data(), key.size(), 0);
-    if ((rows_.size() + 1) * 2 > slots_.size()) Grow();
-    const size_t mask = slots_.size() - 1;
+    batch_ends_.push_back(batch_keys_.size());
+    batch_hashes_.push_back(HashBytes(batch_keys_.data() + begin,
+                                      batch_keys_.size() - begin, 0));
+  }
+  // Room for every row to be new, so no rehash moves the slots mid-batch.
+  while ((num_rows() + static_cast<size_t>(n)) * 2 > slots_.size()) Grow();
+  const size_t mask = slots_.size() - 1;
+  constexpr int64_t kPrefetchDistance = 16;
+  size_t key_begin = 0;
+  for (int64_t i = 0; i < n; ++i) {
+    if (i + kPrefetchDistance < n) {
+      const size_t ahead = static_cast<size_t>(i + kPrefetchDistance);
+      __builtin_prefetch(&slots_[Home(batch_hashes_[ahead])]);
+    }
+    const size_t key_end = batch_ends_[static_cast<size_t>(i)];
+    const std::string_view key(batch_keys_.data() + key_begin,
+                               key_end - key_begin);
+    key_begin = key_end;
+    const uint64_t hash = batch_hashes_[static_cast<size_t>(i)];
+    const int64_t phys = batch.PhysIndex(i);
     for (size_t s = Home(hash);; s = (s + 1) & mask) {
       Slot& slot = slots_[s];
       if (slot.row < 0) {
         slot.hash = hash;
-        slot.row = static_cast<int64_t>(rows_.size());
-        rows_.push_back(batch.RowAt(i));
+        slot.row = static_cast<int64_t>(num_rows());
+        for (int c = 0; c < arity_; ++c) {
+          cells_.push_back(batch.column(c)->ValueAt(phys));
+        }
         keys_ += key;
         key_offsets_.push_back(keys_.size());
         break;
@@ -165,12 +199,19 @@ void MemorySink::UpdateTable::Upsert(const RecordBatch& batch,
           key) {
         continue;
       }
-      Row& row = rows_[r];
-      for (int c = num_key_columns; c < num_columns; ++c) {
-        row[static_cast<size_t>(c)] = batch.column(c)->ValueAt(phys);
+      Value* row = &cells_[r * static_cast<size_t>(arity_)];
+      for (int c = num_key_columns; c < arity_; ++c) {
+        row[c] = batch.column(c)->ValueAt(phys);
       }
       break;
     }
+  }
+}
+
+void MemorySink::UpdateTable::AppendRowsTo(std::vector<Row>* out) const {
+  out->reserve(out->size() + num_rows());
+  for (auto cell = cells_.begin(); cell != cells_.end(); cell += arity_) {
+    out->emplace_back(cell, cell + arity_);
   }
 }
 
@@ -194,8 +235,7 @@ std::vector<Row> MemorySink::Snapshot() const {
     (void)epoch;
     out.insert(out.end(), rows.begin(), rows.end());
   }
-  const std::vector<Row>& updated = update_table_.rows();
-  out.insert(out.end(), updated.begin(), updated.end());
+  update_table_.AppendRowsTo(&out);
   out.insert(out.end(), complete_table_.begin(), complete_table_.end());
   return out;
 }

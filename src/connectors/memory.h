@@ -86,18 +86,24 @@ class MemorySink : public Sink {
   int64_t last_committed_epoch() const;
 
  private:
-  /// Update-mode table: an insertion-ordered slab of rows plus a
-  /// linear-probing index from encoded key bytes to slab position. An upsert
-  /// costs one probe; a known key overwrites its non-key values in place.
+  /// Update-mode table: a flat, insertion-ordered slab of cells (row r's
+  /// values are cells_[r * arity, (r + 1) * arity)) plus a linear-probing
+  /// index from encoded key bytes to slab row. An upsert costs one probe; a
+  /// known key overwrites its non-key cells in place.
   class UpdateTable {
    public:
+    /// Number of columns of the stored rows; -1 until the first row.
+    int arity() const { return arity_; }
+    /// Upserts every row of `batch`. Precondition: the batch has the
+    /// table's arity (or the table is empty).
     void Upsert(const RecordBatch& batch, int num_key_columns);
-    const std::vector<Row>& rows() const { return rows_; }
+    /// Boxes the rows from the slab, in first-insertion order, onto `out`.
+    void AppendRowsTo(std::vector<Row>* out) const;
 
    private:
     struct Slot {
       uint64_t hash = 0;
-      int64_t row = -1;  // index into rows_; -1 = empty
+      int64_t row = -1;  // slab row; -1 = empty
     };
     // First slot to probe for `hash` (Fibonacci hashing: the top bits of
     // the product, so FNV's weak low bits don't pick the slot).
@@ -105,13 +111,20 @@ class MemorySink : public Sink {
       return static_cast<size_t>((hash * 0x9E3779B97F4A7C15ULL) >> shift_);
     }
     void Grow();
+    size_t num_rows() const { return key_offsets_.size() - 1; }
 
-    std::vector<Row> rows_;
-    // rows_[r]'s encoded key is keys_[key_offsets_[r], key_offsets_[r + 1]).
+    int arity_ = -1;
+    std::vector<Value> cells_;
+    // Slab row r's encoded key is keys_[key_offsets_[r], key_offsets_[r+1]).
     std::string keys_;
     std::vector<size_t> key_offsets_{0};
     std::vector<Slot> slots_;  // power-of-two size, at most half full
     int shift_ = 64;           // 64 - log2(slots_.size())
+    // Per-batch scratch: each row's encoded key (delimited by batch_ends_)
+    // and its hash, computed before the probe loop so it can prefetch.
+    std::string batch_keys_;
+    std::vector<size_t> batch_ends_;
+    std::vector<uint64_t> batch_hashes_;
   };
 
   mutable std::mutex mu_;

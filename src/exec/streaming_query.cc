@@ -357,12 +357,18 @@ Status StreamingQuery::RunPlannedEpoch(const EpochPlan& plan) {
   // before commit, so no selection view can still alias the arena.
   arena_.Reset();
 
+  // State checkpoints on multiples of the interval. The fold tasks write
+  // them (paper §6.1: each task commits its own state version).
+  const int interval = options_.state_checkpoint_interval;
+  const bool checkpoint_epoch =
+      plan_.has_stateful && (interval <= 1 || plan.epoch % interval == 0);
   ExecContext ctx;
   ctx.epoch = plan.epoch;
   ctx.watermark_micros = plan.watermark_micros;
   ctx.mode = options_.mode;
   ctx.scheduler = scheduler_;
   ctx.state = state_.get();
+  if (checkpoint_epoch) ctx.state_commit_epoch = plan.epoch;
   ctx.clock = clock_;
   ctx.tracer = tracer_.get();
   ctx.arena = &arena_;
@@ -384,18 +390,17 @@ Status StreamingQuery::RunPlannedEpoch(const EpochPlan& plan) {
   // §6.1 commit protocol: checkpoint state, then commit the sink, then log
   // the commit. A crash between any two steps is repaired by replaying this
   // epoch (idempotent sink, state restored to the pre-epoch version). The
-  // epoch.* failpoints sit exactly in those crash windows; the chaos
-  // harness drives each of them.
+  // fold tasks have already written this epoch's state files; the driver's
+  // checkpoint step only backstops stores no task reached. The epoch.*
+  // failpoints sit exactly in those crash windows; the chaos harness drives
+  // each of them.
   SS_FAILPOINT("epoch.before_checkpoint");
   int64_t ckpt_t0 = MonotonicNanos();
   {
     ProfileStageScope prof_stage(kStageCheckpoint);
-    if (plan_.has_stateful) {
-      const int interval = options_.state_checkpoint_interval;
-      if (interval <= 1 || plan.epoch % interval == 0) {
-        SS_RETURN_IF_ERROR(state_->CommitAll(plan.epoch));
-        last_state_commit_ = plan.epoch;
-      }
+    if (checkpoint_epoch) {
+      SS_RETURN_IF_ERROR(state_->CommitAll(plan.epoch));
+      last_state_commit_ = plan.epoch;
     }
   }
   int64_t ckpt_end = MonotonicNanos();

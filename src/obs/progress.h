@@ -110,7 +110,9 @@ struct QueryProgress {
   int64_t plan_nanos = 0;         // offset planning + WAL plan write
   int64_t source_read_nanos = 0;  // time inside source scan operators
   int64_t exec_nanos = 0;         // operator DAG execution minus source read
-  int64_t checkpoint_nanos = 0;   // state store CommitAll
+  // The driver's leftover checkpoint window (StateManager::CommitAll); the
+  // fold tasks write state files inside exec_nanos.
+  int64_t checkpoint_nanos = 0;
   int64_t commit_nanos = 0;       // sink commit + WAL commit + retention
   int64_t other_nanos = 0;        // watermark/progress bookkeeping remainder
 

@@ -70,38 +70,48 @@ Status StateManager::PreopenExisting() {
   return Status::OK();
 }
 
-Status StateManager::CommitAll(int64_t epoch) {
-  std::lock_guard<std::mutex> lock(mu_);
+void StateManager::set_metrics(MetricsRegistry* metrics) {
+  metrics_ = metrics;
+  commit_nanos_ = metrics != nullptr
+                      ? metrics->GetHistogram("sstreaming_state_commit_nanos")
+                      : nullptr;
+}
+
+Status StateManager::EndShardEpoch(StateShardProtocol* shard,
+                                   std::optional<int64_t> commit_epoch) {
   if (!durable_) {
-    // Nothing to checkpoint, but the stores still track this epoch's
+    // Nothing to checkpoint, but the shard still tracks this epoch's
     // changes; drop them or they accumulate for the life of the query.
-    for (auto& [key, store] : stores_) {
-      (void)key;
-      store->ForgetChanges();
-    }
+    shard->ForgetChanges();
     return Status::OK();
   }
-  int64_t bytes_before = 0, entries = 0;
-  for (auto& [key, store] : stores_) {
-    (void)key;
-    bytes_before += store->bytes_written();
-  }
-  int64_t t0 = MonotonicNanos();
+  if (!commit_epoch.has_value()) return Status::OK();
+  const int64_t t0 = MonotonicNanos();
+  SS_RETURN_IF_ERROR(shard->Snapshot(*commit_epoch));
+  if (commit_nanos_ != nullptr) commit_nanos_->Record(MonotonicNanos() - t0);
+  return Status::OK();
+}
+
+Status StateManager::CommitAll(int64_t epoch) {
+  // Ephemeral stores are only opened by fold tasks, which end their epochs.
+  if (!durable_) return Status::OK();
+  std::lock_guard<std::mutex> lock(mu_);
+  // Fold tasks have checkpointed every shard they finished; this only
+  // writes the shards no task reached.
   for (auto& [key, store] : stores_) {
     (void)key;
     SS_RETURN_IF_ERROR(store->Commit(epoch));
   }
   if (metrics_ != nullptr) {
-    int64_t bytes_after = 0;
+    int64_t bytes = 0, entries = 0;
     for (auto& [key, store] : stores_) {
       (void)key;
-      bytes_after += store->bytes_written();
+      bytes += store->bytes_written();
       entries += store->size();
     }
-    metrics_->GetHistogram("sstreaming_state_commit_nanos")
-        ->Record(MonotonicNanos() - t0);
     metrics_->GetCounter("sstreaming_state_checkpoint_bytes_total")
-        ->Increment(bytes_after - bytes_before);
+        ->Increment(bytes - reported_bytes_);
+    reported_bytes_ = bytes;
     metrics_->GetCounter("sstreaming_state_commits_total")->Increment();
     metrics_->GetGauge("sstreaming_state_entries")->Set(entries);
   }

@@ -5,6 +5,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -20,14 +21,18 @@ namespace sstreaming {
 
 class Arena;
 class EpochTracer;
+class LogHistogram;
 class MetricsRegistry;
 
 /// Creates and caches one ShardedStateStore per (stateful operator,
-/// partition), and commits them together at epoch boundaries (paper §6.1
-/// step 2) — each store checkpointing its shards independently.
+/// partition). Each shard's epoch ends in the scheduler task that finished
+/// it (EndShardEpoch): as in the paper's commit protocol (§6.1 step 2), each
+/// task writes its own state version and the driver only logs the epoch.
+/// CommitAll, on the driver, backstops stores no task reached and records
+/// the checkpoint metrics.
 /// When `durable` is false (batch runs, tests without recovery), stores live
-/// in a throwaway temp directory and commits only drop the stores' change
-/// tracking.
+/// in a throwaway temp directory and epochs end by dropping the stores'
+/// change tracking.
 class StateManager {
  public:
   /// `dir`: checkpoint state root. `version`: epoch whose state to restore
@@ -47,13 +52,23 @@ class StateManager {
   /// far behind the durable state really is before any epoch runs.
   Status PreopenExisting();
 
-  /// Commits every opened store at `epoch`. When ephemeral, writes nothing
-  /// and only drops each store's change tracking (StateStore::ForgetChanges).
+  /// Ends one shard's epoch in the task that finished it: snapshots it at
+  /// `commit_epoch` when durable and one is given, drops its change tracking
+  /// when ephemeral, and does nothing otherwise (a durable epoch between
+  /// checkpoints). Safe to call concurrently for distinct shards.
+  Status EndShardEpoch(StateShardProtocol* shard,
+                       std::optional<int64_t> commit_epoch);
+
+  /// The driver's end of a checkpoint epoch: commits the shards of every
+  /// opened store not yet at `epoch` (stores no task reached, e.g. preopened
+  /// at recovery), then records the checkpoint metrics. Does nothing when
+  /// ephemeral.
   Status CommitAll(int64_t epoch);
 
-  /// Optional instrumentation: when set, CommitAll records checkpoint bytes
-  /// and per-commit latency, and entry counts, under `sstreaming_state_*`.
-  void set_metrics(MetricsRegistry* metrics) { metrics_ = metrics; }
+  /// Optional instrumentation, set before the first epoch: EndShardEpoch
+  /// records each shard snapshot's latency, and CommitAll the checkpoint
+  /// bytes, commits and entry counts, under `sstreaming_state_*`.
+  void set_metrics(MetricsRegistry* metrics);
 
   /// Removes durable state files older than needed to restore `keep`.
   Status PurgeBefore(int64_t keep);
@@ -97,9 +112,12 @@ class StateManager {
   bool durable_;
   std::string ephemeral_dir_;
   MetricsRegistry* metrics_ = nullptr;
+  LogHistogram* commit_nanos_ = nullptr;  // sstreaming_state_commit_nanos
   mutable std::mutex mu_;
   std::map<std::pair<int, int>, std::unique_ptr<ShardedStateStore>> stores_
       SS_GUARDED_BY(mu_);
+  // TotalBytesWritten() as of the last CommitAll: the bytes counter's base.
+  int64_t reported_bytes_ SS_GUARDED_BY(mu_) = 0;
 };
 
 /// Per-operator counters accumulated over one epoch (§7.4 monitoring).
@@ -138,6 +156,10 @@ struct ExecContext {
 
   TaskScheduler* scheduler = nullptr;
   StateManager* state = nullptr;
+  /// The version each keyed-state shard checkpoints at the end of its fold
+  /// task (StateManager::EndShardEpoch), or none when this epoch writes no
+  /// state checkpoint.
+  std::optional<int64_t> state_commit_epoch;
   const Clock* clock = nullptr;
   /// Per-epoch scratch allocator (selection vectors, survivor indices).
   /// Reset by the engine at epoch boundaries; may be null (operators fall

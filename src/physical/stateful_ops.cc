@@ -83,6 +83,9 @@ Result<std::vector<RecordBatchPtr>> ExecuteMaterialized(const PhysOpPtr& child,
 //   fold     the operator folds (row, aux, key, hash) into that shard;
 //   finish   per shard, in shard-index order: the operator emits output
 //            rows;
+//   commit   per shard, right after its finish and in the same task: the
+//            shard's epoch ends (StateManager::EndShardEpoch), so state
+//            files are written in parallel, not by the driver afterwards;
 //   merge    each partition's shard outputs, concatenated in shard order.
 //
 // The grain rule turns those steps into scheduler tasks. When partition
@@ -208,13 +211,16 @@ Result<std::vector<RecordBatchPtr>> RunKeyedShards(
   }
 
   // Output batches per partition in shard-index order, each built by the
-  // task that finished its shards; the merge only concatenates them.
+  // task that finished and committed its shards; the merge only
+  // concatenates them.
   std::vector<std::vector<RecordBatchPtr>> pieces(P);
   auto finish_into = [&](Shard* first, size_t count,
                          RecordBatchPtr* piece) -> Status {
     std::vector<Row> rows;
     for (size_t s = 0; s < count; ++s) {
       SS_RETURN_IF_ERROR(finish(first[s], &rows));
+      SS_RETURN_IF_ERROR(
+          ctx->state->EndShardEpoch(first[s].state, ctx->state_commit_epoch));
     }
     if (rows.empty()) return Status::OK();
     SS_ASSIGN_OR_RETURN(*piece, RecordBatch::FromRows(op.schema(), rows));

@@ -106,15 +106,13 @@ Status ShardedStateStore::Commit(int64_t version) {
   // marker crash-injection tests use to recognize injected faults. A commit
   // that fails midway leaves earlier shards checkpointed at `version` —
   // safe, because recovery restores from the WAL-committed epoch and newer
-  // shard files are ignored (then overwritten on replay).
+  // shard files are ignored (then overwritten on replay). Shards already at
+  // `version` (their fold task checkpointed them) are skipped.
   for (const auto& shard : shards_) {
+    if (shard->restored_version() >= version) continue;
     SS_RETURN_IF_ERROR(shard->Snapshot(version));
   }
   return Status::OK();
-}
-
-void ShardedStateStore::ForgetChanges() {
-  for (const auto& shard : shards_) shard->ForgetChanges();
 }
 
 int64_t ShardedStateStore::size() const {

@@ -71,10 +71,8 @@ class ShardedStateStore {
   /// crash between shard snapshots is healed by replaying from the min).
   int64_t loaded_version() const;
 
-  /// Snapshots every shard at `version`, in shard order.
+  /// Snapshots every shard not yet at `version`, in shard order.
   Status Commit(int64_t version);
-  /// Non-durable epoch end: every shard drops its change tracking.
-  void ForgetChanges();
 
   // Aggregated accounting across shards.
   int64_t size() const;

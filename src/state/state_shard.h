@@ -47,7 +47,11 @@ class StateShardProtocol {
   // -- snapshot / restore --
   /// Durably checkpoints all changes since the last snapshot as `version`.
   virtual Status Snapshot(int64_t version) = 0;
-  /// The version this shard actually restored when it was opened.
+  /// Ends an epoch of non-durable state: drops the change tracking without
+  /// writing anything.
+  virtual void ForgetChanges() = 0;
+  /// The newest durable version the shard's contents match: the version it
+  /// restored when opened, then each version it snapshots.
   virtual int64_t restored_version() const = 0;
 
   // -- accounting --
@@ -92,8 +96,7 @@ class LocalStateShard : public StateShardProtocol {
   int64_t restored_version() const override {
     return store_->loaded_version();
   }
-  /// Ends an epoch of non-durable state: StateStore::ForgetChanges.
-  void ForgetChanges() { store_->ForgetChanges(); }
+  void ForgetChanges() override { store_->ForgetChanges(); }
   int64_t tracked_changes() const { return store_->tracked_changes(); }
 
   int64_t rows() const override { return store_->size(); }

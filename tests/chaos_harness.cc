@@ -5,6 +5,7 @@
 
 #include "common/random.h"
 #include "obs/query_history.h"
+#include "runtime/scheduler.h"
 #include "state/sharded_state_store.h"
 #include "storage/fs.h"
 #include "wal/write_ahead_log.h"
@@ -242,6 +243,11 @@ ChaosHarness::RunResult ChaosHarness::Run(const std::string& failpoint,
   opts.num_state_shards = options_.num_state_shards;
   opts.enable_tracing = false;
   opts.query_name = "chaos";
+  std::unique_ptr<PoolScheduler> pool;
+  if (options_.pool_threads > 0) {
+    pool = std::make_unique<PoolScheduler>(options_.pool_threads);
+    opts.scheduler = pool.get();
+  }
 
   Failpoints& fps = Failpoints::Instance();
   fps.DisarmAll();

@@ -76,6 +76,10 @@ class ChaosHarness {
     /// recovery read path even in scenarios whose failpoint lives there.
     int planned_restart_after_round = 3;
     int max_crashes = 25;       // crash-loop circuit breaker
+    /// > 0: run on a PoolScheduler of this many threads, so the fold
+    /// tasks (and the state commits in them) run on pool threads; with
+    /// more threads than partitions that is the split grain. 0: inline.
+    int pool_threads = 0;
   };
 
   struct RunResult {

@@ -4,21 +4,29 @@
 // stream-stream join, flatMapGroupsWithState) swept across shard counts
 // {1, 2, 4, 7}, asserting the sink output is byte-identical to the 1-shard
 // golden run per epoch, that merged state accounting agrees, and that both
-// survive a crash-restart mid-run (docs/STATE_SHARDING.md).
+// survive a crash-restart mid-run (docs/STATE_SHARDING.md). The in-task
+// commit tests check that every shard writes its version file from the
+// task that folded it, before the driver's checkpoint step.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <filesystem>
 #include <map>
 #include <memory>
+#include <set>
+#include <tuple>
 #include <vector>
 
 #include "common/random.h"
 #include "connectors/memory.h"
 #include "exec/streaming_query.h"
+#include "obs/histogram.h"
+#include "obs/metrics.h"
 #include "runtime/scheduler.h"
 #include "state/sharded_state_store.h"
 #include "storage/fs.h"
+#include "testing/failpoints.h"
 
 namespace sstreaming {
 namespace {
@@ -276,6 +284,45 @@ GroupUpdateFn CountUntilIdle() {
   };
 }
 
+/// The query of `pipeline` over `left` (and, for the join, a second stream
+/// it creates in `*right`), with the output mode it runs in.
+DataFrame MakePipeline(Pipeline pipeline,
+                       const std::shared_ptr<MemoryStream>& left,
+                       std::shared_ptr<MemoryStream>* right,
+                       OutputMode* mode) {
+  DataFrame df = DataFrame::ReadStream(left);
+  switch (pipeline) {
+    case Pipeline::kWindowedAgg:
+      *mode = OutputMode::kUpdate;
+      return df.WithWatermark("time", 5 * kSec)
+          .GroupBy({As(TumblingWindow(Col("time"), 10 * kSec), "w"),
+                    NamedExpr{Col("k"), "k"}})
+          .Agg({SumOf(Col("v"), "total")});
+    case Pipeline::kDedup:
+      *mode = OutputMode::kAppend;
+      return df.SelectColumns({"k", "v"}).Distinct();
+    case Pipeline::kJoin:
+      *mode = OutputMode::kAppend;
+      *right = std::make_shared<MemoryStream>("right", RightSchema(), 2);
+      return df.WithWatermark("time", 5 * kSec)
+          .Join(DataFrame::ReadStream(*right).WithWatermark("rtime",
+                                                            5 * kSec),
+                {"k"});
+    case Pipeline::kMapGroups:
+      *mode = OutputMode::kUpdate;
+      return df.WithWatermark("time", 5 * kSec)
+          .GroupByKey({As(Col("k"), "k")})
+          .FlatMapGroupsWithState(
+              CountUntilIdle(),
+              Schema::Make({{"k", TypeId::kString, false},
+                            {"n", TypeId::kInt64, false},
+                            {"total", TypeId::kInt64, false},
+                            {"timed_out", TypeId::kBool, false}}),
+              GroupStateTimeout::kEventTime);
+  }
+  return df;
+}
+
 DifferentialRun RunPipeline(Pipeline pipeline, int num_shards, uint64_t seed,
                             bool restart_midway,
                             TaskScheduler* scheduler = nullptr) {
@@ -285,41 +332,8 @@ DifferentialRun RunPipeline(Pipeline pipeline, int num_shards, uint64_t seed,
 
   auto left = std::make_shared<MemoryStream>("left", LeftSchema(), 2);
   std::shared_ptr<MemoryStream> right;
-  DataFrame df = DataFrame::ReadStream(left);
   OutputMode mode = OutputMode::kAppend;
-  switch (pipeline) {
-    case Pipeline::kWindowedAgg:
-      df = df.WithWatermark("time", 5 * kSec)
-               .GroupBy({As(TumblingWindow(Col("time"), 10 * kSec), "w"),
-                         NamedExpr{Col("k"), "k"}})
-               .Agg({SumOf(Col("v"), "total")});
-      mode = OutputMode::kUpdate;
-      break;
-    case Pipeline::kDedup:
-      df = df.SelectColumns({"k", "v"}).Distinct();
-      mode = OutputMode::kAppend;
-      break;
-    case Pipeline::kJoin:
-      right = std::make_shared<MemoryStream>("right", RightSchema(), 2);
-      df = df.WithWatermark("time", 5 * kSec)
-               .Join(DataFrame::ReadStream(right).WithWatermark("rtime",
-                                                                5 * kSec),
-                     {"k"});
-      mode = OutputMode::kAppend;
-      break;
-    case Pipeline::kMapGroups:
-      df = df.WithWatermark("time", 5 * kSec)
-               .GroupByKey({As(Col("k"), "k")})
-               .FlatMapGroupsWithState(
-                   CountUntilIdle(),
-                   Schema::Make({{"k", TypeId::kString, false},
-                                 {"n", TypeId::kInt64, false},
-                                 {"total", TypeId::kInt64, false},
-                                 {"timed_out", TypeId::kBool, false}}),
-                   GroupStateTimeout::kEventTime);
-      mode = OutputMode::kUpdate;
-      break;
-  }
+  DataFrame df = MakePipeline(pipeline, left, &right, &mode);
 
   auto sink = std::make_shared<EpochRecordingSink>();
   QueryOptions opts;
@@ -482,6 +496,167 @@ INSTANTIATE_TEST_SUITE_P(AllPipelines, ShardedDifferentialTest,
                            }
                            return "Unknown";
                          });
+
+// ---------------------------------------------------------------------------
+// In-task state commits.
+// ---------------------------------------------------------------------------
+
+/// Every shard directory (op<N>/p<M>/s<K>) under a checkpoint's state root,
+/// with the versions of the state files it holds.
+std::map<std::string, std::set<int64_t>> ShardVersions(
+    const std::string& state_root) {
+  namespace fs = std::filesystem;
+  std::map<std::string, std::set<int64_t>> out;
+  std::error_code ec;
+  for (const auto& op : fs::directory_iterator(state_root, ec)) {
+    if (!op.is_directory()) continue;
+    for (const auto& part : fs::directory_iterator(op.path(), ec)) {
+      if (!part.is_directory()) continue;
+      for (const auto& shard : fs::directory_iterator(part.path(), ec)) {
+        if (!shard.is_directory()) continue;
+        std::set<int64_t>& versions = out[shard.path().string()];
+        for (const auto& file : fs::directory_iterator(shard.path(), ec)) {
+          const std::string ext = file.path().extension().string();
+          if (ext != ".delta" && ext != ".snapshot") continue;
+          versions.insert(std::stoll(file.path().stem().string()));
+        }
+      }
+    }
+  }
+  return out;
+}
+
+class InTaskCommitTest
+    : public ::testing::TestWithParam<std::tuple<Pipeline, bool>> {
+ protected:
+  void TearDown() override { Failpoints::Instance().DisarmAll(); }
+};
+
+TEST_P(InTaskCommitTest, EveryShardWritesItsVersionBeforeTheDriver) {
+  // epoch.before_checkpoint fires right after execution, before the
+  // driver's checkpoint step: with it armed to fail, whatever state files
+  // the epoch left on disk were written by the fold tasks. Each epoch runs
+  // into that failure, the files are checked, and a restart replays the
+  // epoch (rewriting its files) and commits it.
+  const auto [pipeline, use_pool] = GetParam();
+  PoolScheduler pool(4);  // 4 cores > 2 partitions: the split grain
+  auto dir = MakeTempDir("in_task_commit");
+  ASSERT_TRUE(dir.ok());
+  auto left = std::make_shared<MemoryStream>("left", LeftSchema(), 2);
+  std::shared_ptr<MemoryStream> right;
+  OutputMode mode = OutputMode::kAppend;
+  DataFrame df = MakePipeline(pipeline, left, &right, &mode);
+  auto sink = std::make_shared<MemorySink>();
+  QueryOptions opts;
+  opts.mode = mode;
+  opts.num_partitions = 2;
+  opts.checkpoint_dir = *dir;
+  opts.num_state_shards = 4;
+  opts.state_checkpoint_interval = 3;
+  opts.enable_tracing = false;
+  if (use_pool) opts.scheduler = &pool;
+
+  constexpr int kInterval = 3;
+  Random rng(20261017);
+  for (int epoch = 1; epoch <= 7; ++epoch) {
+    SCOPED_TRACE("epoch " + std::to_string(epoch));
+    // Odd epochs carry one key, so one partition and most shards get no
+    // rows; they must still write their version files.
+    std::vector<Row> rows = MakeRound(&rng, epoch, 8);
+    if (epoch % 2 == 1) {
+      for (Row& row : rows) row[0] = Value::Str("alpha");
+    }
+    ASSERT_TRUE(left->AddData(rows).ok());
+    if (right != nullptr) {
+      ASSERT_TRUE(right->AddData(rows).ok());
+    }
+
+    auto query = StreamingQuery::Start(df, sink, opts);
+    ASSERT_TRUE(query.ok()) << query.status().ToString();
+    FailpointSpec fail;
+    fail.sticky = true;
+    ASSERT_TRUE(Failpoints::Instance().Arm("epoch.before_checkpoint", fail)
+                    .ok());
+    Status st = (*query)->ProcessAllAvailable();
+    ASSERT_TRUE(Failpoints::IsInjected(st)) << st.ToString();
+    query->reset();
+    Failpoints::Instance().DisarmAll();
+
+    const auto shards = ShardVersions(*dir + "/state");
+    ASSERT_EQ(shards.size(), 8u) << "one store per partition, four shards";
+    std::set<int64_t> expected;
+    for (int64_t v = kInterval; v <= epoch; v += kInterval) expected.insert(v);
+    for (const auto& [shard_dir, versions] : shards) {
+      EXPECT_EQ(versions, expected) << shard_dir;
+    }
+
+    auto replay = StreamingQuery::Start(df, sink, opts);
+    ASSERT_TRUE(replay.ok()) << replay.status().ToString();
+    ASSERT_TRUE((*replay)->ProcessAllAvailable().ok());
+    EXPECT_EQ((*replay)->last_epoch(), epoch);
+  }
+  RemoveDirRecursive(*dir).ok();
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllPipelinesBothGrains, InTaskCommitTest,
+    ::testing::Combine(::testing::Values(Pipeline::kWindowedAgg,
+                                         Pipeline::kDedup, Pipeline::kJoin,
+                                         Pipeline::kMapGroups),
+                       ::testing::Bool()),
+    [](const auto& info) {
+      std::string name;
+      switch (std::get<0>(info.param)) {
+        case Pipeline::kWindowedAgg: name = "WindowedAgg"; break;
+        case Pipeline::kDedup: name = "Dedup"; break;
+        case Pipeline::kJoin: name = "Join"; break;
+        case Pipeline::kMapGroups: name = "MapGroups"; break;
+      }
+      return name + (std::get<1>(info.param) ? "Pool4" : "Inline");
+    });
+
+TEST(InTaskCommitMetricsTest, CheckpointCountersStayExact) {
+  // One commit-latency sample per shard snapshot, written by the fold
+  // tasks; the driver still counts one commit per checkpoint epoch, and
+  // the bytes counter and entries gauge match the stores.
+  PoolScheduler pool(4);
+  auto dir = MakeTempDir("in_task_commit_metrics");
+  ASSERT_TRUE(dir.ok());
+  auto left = std::make_shared<MemoryStream>("left", LeftSchema(), 2);
+  std::shared_ptr<MemoryStream> right;
+  OutputMode mode = OutputMode::kAppend;
+  DataFrame df = MakePipeline(Pipeline::kWindowedAgg, left, &right, &mode);
+  QueryOptions opts;
+  opts.mode = mode;
+  opts.num_partitions = 2;
+  opts.checkpoint_dir = *dir;
+  opts.num_state_shards = 4;
+  opts.state_checkpoint_interval = 3;
+  opts.enable_tracing = false;
+  opts.scheduler = &pool;
+  auto query =
+      StreamingQuery::Start(df, std::make_shared<MemorySink>(), opts);
+  ASSERT_TRUE(query.ok()) << query.status().ToString();
+  Random rng(7);
+  for (int epoch = 1; epoch <= 6; ++epoch) {
+    ASSERT_TRUE(left->AddData(MakeRound(&rng, epoch, 12)).ok());
+    ASSERT_TRUE((*query)->ProcessAllAvailable().ok());
+  }
+  ASSERT_EQ((*query)->last_epoch(), 6);
+  MetricsRegistry& m = *(*query)->metrics();
+  const StateManager& state = (*query)->state();
+  EXPECT_EQ(m.GetHistogram("sstreaming_state_commit_nanos")->count(),
+            2 * 2 * 4)  // epochs 3 and 6 x 2 partitions x 4 shards
+      << "every shard snapshot is timed in its task";
+  EXPECT_EQ(m.GetCounter("sstreaming_state_commits_total")->value(), 2);
+  EXPECT_EQ(m.GetCounter("sstreaming_state_checkpoint_bytes_total")->value(),
+            state.TotalBytesWritten());
+  EXPECT_GT(state.TotalBytesWritten(), 0);
+  EXPECT_EQ(m.GetGauge("sstreaming_state_entries")->value(),
+            state.TotalEntries());
+  query->reset();
+  RemoveDirRecursive(*dir).ok();
+}
 
 }  // namespace
 }  // namespace sstreaming

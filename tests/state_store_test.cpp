@@ -1,6 +1,11 @@
 #include "state/state_store.h"
 
+#include <algorithm>
+#include <cstring>
+#include <filesystem>
 #include <map>
+#include <tuple>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -384,6 +389,142 @@ TEST_P(StateStoreFuzzTest, RandomOpsMatchModel) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, StateStoreFuzzTest,
                          ::testing::Values(1, 2, 3, 4, 5));
+
+// Checked-in checkpoint files (tests/golden/state_store/): five versions
+// written by an earlier StateStore — snapshot, delta, delta (with
+// tombstones), snapshot, delta — by the ops of FixtureEpoch. The current
+// store must restore every version exactly and, replaying the same ops,
+// write byte-identical deltas and snapshots holding the same records (a
+// snapshot's record order is the table's iteration order, which may
+// change).
+constexpr int kFixtureVersions = 5;
+constexpr int kFixtureSnapshotInterval = 3;
+
+std::string FixtureDir() {
+  return std::string(SSTREAMING_SOURCE_DIR) + "/tests/golden/state_store";
+}
+
+/// Applies fixture epoch `v` (1-based) to `store` and `model`.
+void FixtureEpoch(int v, StateStore* store, Model* model) {
+  auto put = [&](const std::string& k, const std::string& val) {
+    store->Put(k, val);
+    (*model)[k] = val;
+  };
+  auto remove = [&](const std::string& k) {
+    store->Remove(k);
+    model->erase(k);
+  };
+  auto key = [](int i) { return std::string("key") + std::to_string(i); };
+  switch (v) {
+    case 1:
+      for (int i = 0; i < 24; ++i) put(key(i), "v1." + std::to_string(i));
+      put(std::string("bin\0key", 7), std::string("\x01\x00\xff", 3));
+      break;
+    case 2:
+      for (int i = 0; i < 24; i += 3) put(key(i), "v2." + std::to_string(i));
+      for (int i = 1; i < 24; i += 5) remove(key(i));
+      store->Append(key(2), "+tail");
+      (*model)[key(2)] += "+tail";
+      remove("never-stored");  // records nothing
+      break;
+    case 3: {
+      remove(key(0));
+      put(key(1), "revived");  // removed in version 2
+      StateStore::Slot slot = store->FindOrCreate(key(30));
+      *slot.value = "slot-written";
+      (*model)[key(30)] = "slot-written";
+      put(key(31), "x");  // put -> remove -> put between two commits
+      remove(key(31));
+      put(key(31), "y");
+      put(key(32), "short-lived");
+      remove(key(32));
+      break;
+    }
+    case 4:
+      for (int i = 40; i < 48; ++i) put(key(i), std::string(i - 39, 'z'));
+      remove(std::string("bin\0key", 7));
+      break;
+    case 5:
+      remove(key(40));
+      remove(key(41));
+      put(key(3), "");
+      break;
+  }
+}
+
+/// Parses a state file into its (op, key, value) records.
+std::vector<std::tuple<char, std::string, std::string>> ParseStateFile(
+    const std::string& data) {
+  std::vector<std::tuple<char, std::string, std::string>> records;
+  size_t pos = 0;
+  auto fixed64 = [&]() {
+    uint64_t v = 0;
+    EXPECT_LE(pos + 8, data.size());
+    if (pos + 8 <= data.size()) std::memcpy(&v, data.data() + pos, 8);
+    pos += 8;
+    return static_cast<size_t>(v);
+  };
+  while (pos < data.size()) {
+    const char op = data[pos++];
+    const size_t klen = fixed64();
+    std::string key = data.substr(pos, klen);
+    pos += klen;
+    std::string value;
+    if (op == 1) {
+      const size_t vlen = fixed64();
+      value = data.substr(pos, vlen);
+      pos += vlen;
+    }
+    records.emplace_back(op, std::move(key), std::move(value));
+  }
+  return records;
+}
+
+TEST_F(StateStoreTest, RestoresCheckedInFixture) {
+  std::filesystem::copy(FixtureDir(), dir_,
+                        std::filesystem::copy_options::recursive |
+                            std::filesystem::copy_options::overwrite_existing);
+  StateStore::Options opts;
+  opts.snapshot_interval = kFixtureSnapshotInterval;
+  auto scratch = StateStore::Open(dir_ + "/model", 0, opts).TakeValue();
+  Model model;
+  for (int v = 1; v <= kFixtureVersions; ++v) {
+    SCOPED_TRACE("version " + std::to_string(v));
+    FixtureEpoch(v, scratch.get(), &model);
+    auto store = StateStore::Open(dir_, v, opts).TakeValue();
+    ASSERT_EQ(store->loaded_version(), v);
+    ExpectMatchesModel(*store, model);
+    for (const auto& [k, val] : model) EXPECT_EQ(store->Get(k), val);
+  }
+}
+
+TEST_F(StateStoreTest, RewritesCheckedInFixture) {
+  StateStore::Options opts;
+  opts.snapshot_interval = kFixtureSnapshotInterval;
+  auto store = StateStore::Open(dir_, 0, opts).TakeValue();
+  Model model;
+  for (int v = 1; v <= kFixtureVersions; ++v) {
+    SCOPED_TRACE("version " + std::to_string(v));
+    FixtureEpoch(v, store.get(), &model);
+    ASSERT_TRUE(store->Commit(v).ok());
+    const bool snapshot = v == 1 || v == 4;
+    const std::string name =
+        std::to_string(v) + (snapshot ? ".snapshot" : ".delta");
+    ASSERT_TRUE(FileExists(dir_ + "/" + name));
+    const std::string written = ReadFile(dir_ + "/" + name).TakeValue();
+    const std::string golden =
+        ReadFile(FixtureDir() + "/" + name).TakeValue();
+    if (snapshot) {
+      auto a = ParseStateFile(written);
+      auto b = ParseStateFile(golden);
+      std::sort(a.begin(), a.end());
+      std::sort(b.begin(), b.end());
+      EXPECT_EQ(a, b);
+    } else {
+      EXPECT_EQ(written, golden);
+    }
+  }
+}
 
 }  // namespace
 }  // namespace sstreaming

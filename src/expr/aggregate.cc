@@ -227,4 +227,26 @@ Row FinalizeAggState(const std::vector<AggSpec>& specs, const Row& state) {
   return out;
 }
 
+Status AppendFinalAggState(const std::vector<AggSpec>& specs, const Row& state,
+                           int first, BatchBuilder* out) {
+  size_t slot = 0;
+  int col = first;
+  for (const AggSpec& s : specs) {
+    if (s.func == AggFunc::kAvg) {
+      const int64_t count = state[slot + 1].int64_value();
+      if (count == 0 || state[slot].is_null()) {
+        out->column(col).AppendNull();
+      } else {
+        out->column(col).AppendFloat64(state[slot].AsDouble() /
+                                       static_cast<double>(count));
+      }
+    } else {
+      SS_RETURN_IF_ERROR(out->AppendCell(col, state[slot]));
+    }
+    ++col;
+    slot += static_cast<size_t>(AggStateArity(s.func));
+  }
+  return Status::OK();
+}
+
 }  // namespace sstreaming

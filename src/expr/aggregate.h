@@ -6,6 +6,7 @@
 
 #include "common/status.h"
 #include "expr/expression.h"
+#include "types/record_batch.h"
 #include "types/row.h"
 #include "types/schema.h"
 
@@ -57,6 +58,11 @@ void MergeAggState(const std::vector<AggSpec>& specs, const Row& other,
 
 /// Produces the final output values (one per spec) from a state row.
 Row FinalizeAggState(const std::vector<AggSpec>& specs, const Row& state);
+
+/// Appends FinalizeAggState's values, typed, to columns [first, first +
+/// specs.size()) of `out` — one cell per spec, no output Row.
+Status AppendFinalAggState(const std::vector<AggSpec>& specs, const Row& state,
+                           int first, BatchBuilder* out);
 
 }  // namespace sstreaming
 

@@ -50,6 +50,40 @@ bool GetFixed64(const std::string& data, size_t* pos, uint64_t* v) {
   return true;
 }
 
+/// Advances *pos past one value in Value::EncodeTo's format.
+Status SkipEncodedValue(std::string_view data, size_t* pos) {
+  if (*pos >= data.size()) {
+    return Status::InvalidArgument("value decode: truncated type byte");
+  }
+  uint64_t len = 0;
+  switch (static_cast<TypeId>(data[(*pos)++])) {
+    case TypeId::kNull:
+      break;
+    case TypeId::kBool:
+      len = 1;
+      break;
+    case TypeId::kInt64:
+    case TypeId::kFloat64:
+    case TypeId::kTimestamp:
+      len = 8;
+      break;
+    case TypeId::kString:
+      if (data.size() - *pos < 8) {
+        return Status::InvalidArgument("value decode: truncated string size");
+      }
+      std::memcpy(&len, data.data() + *pos, 8);
+      *pos += 8;
+      break;
+    default:
+      return Status::InvalidArgument("value decode: bad type byte");
+  }
+  if (data.size() - *pos < len) {
+    return Status::InvalidArgument("value decode: truncated value");
+  }
+  *pos += len;
+  return Status::OK();
+}
+
 /// Appends the state key of row i over `cols`: the arity byte, then each
 /// column's value. Byte-identical to EncodeRow of the boxed row, without
 /// boxing it.
@@ -78,11 +112,13 @@ Result<std::vector<RecordBatchPtr>> ExecuteMaterialized(const PhysOpPtr& child,
 //            context per (partition, shard);
 //   prepare  optional, stage `<name>[eval]`, one task per partition;
 //   route    the operator encodes the state keys of a row range and emits
-//            (row, aux, key); the driver hashes each key (StableHashKey)
-//            and picks its shard (ShardOf);
-//   fold     the operator folds (row, aux, key, hash) into that shard;
-//   finish   per shard, in shard-index order: the operator emits output
-//            rows;
+//            (row, aux, key); the driver hashes each key (StableHashKey),
+//            picks its shard (ShardOf) and appends the row to that shard's
+//            bucket for the range;
+//   fold     per shard, FoldBuckets hands the operator each bucketed
+//            (row, aux, key, hash) in input order;
+//   finish   per shard, in shard-index order: the operator appends output
+//            cells to the task's BatchBuilder over the operator's schema;
 //   commit   per shard, right after its finish and in the same task: the
 //            shard's epoch ends (StateManager::EndShardEpoch), so state
 //            files are written in parallel, not by the driver afterwards;
@@ -90,14 +126,15 @@ Result<std::vector<RecordBatchPtr>> ExecuteMaterialized(const PhysOpPtr& child,
 //
 // The grain rule turns those steps into scheduler tasks. When partition
 // parallelism alone covers the scheduler (parallelism <= partitions), one
-// task per partition routes each row straight into its shard's fold, then
-// finishes the shards in index order (inline grain, stage `<name>`).
-// Otherwise stage `<name>[split]` routes row chunks into per-shard buckets
-// and stage `<name>` runs one fold task per (partition, shard), packed onto
-// the scheduler's cores (split grain). Buckets keep input order (chunks are
-// contiguous row ranges, visited in chunk order), so on either grain each
-// shard folds its rows in input order: an operator's output is a
-// deterministic function of the input, the same on both grains.
+// task per partition routes the whole partition into one bucket per shard,
+// then folds and finishes the shards in index order (inline grain, stage
+// `<name>`). Otherwise stage `<name>[split]` routes row chunks into one
+// bucket per (chunk, shard) and stage `<name>` runs one fold task per
+// (partition, shard), packed onto the scheduler's cores (split grain).
+// Buckets keep input order (chunks are contiguous row ranges, folded in
+// chunk order), so on either grain each shard folds its rows in input
+// order with the same loop: an operator's output is a deterministic
+// function of the input, the same on both grains.
 // ---------------------------------------------------------------------------
 
 /// One (chunk, shard) bucket of routed rows: parallel vectors of the row's
@@ -117,6 +154,15 @@ struct KeyedEntries {
     hashes.push_back(hash);
     key_len.push_back(static_cast<uint32_t>(key.size()));
     keys.append(key);
+  }
+
+  /// Empties the bucket, keeping its buffers.
+  void Clear() {
+    rows.clear();
+    aux.clear();
+    hashes.clear();
+    key_len.clear();
+    keys.clear();
   }
 };
 
@@ -153,16 +199,62 @@ std::vector<std::function<Status()>> CoalesceTasks(
   return out;
 }
 
-/// Base of the operators' shard contexts: what setup hands each one.
+/// Base of the operators' shard contexts: what setup hands each one, and
+/// the shard's buckets of routed rows (one per route chunk). An operator
+/// that keeps its contexts across epochs keeps the buckets' buffers warm.
 struct KeyedShard {
   size_t partition = 0;
   StateShardProtocol* state = nullptr;
+  std::vector<KeyedEntries> buckets;
+
+  /// Operators whose store key is the routed key set this in their shard
+  /// type: the fold loop then prefetches the store entry each routed hash
+  /// finds. (Not the join: its store keys carry a side prefix.)
+  static constexpr bool kPrefetchStore = false;
 
   void Open(size_t p, StateShardProtocol* s) {
     partition = p;
     state = s;
   }
 };
+
+/// Dedup's shard context: its store key is the routed key.
+struct DedupShard : KeyedShard {
+  static constexpr bool kPrefetchStore = true;
+};
+
+/// The fold loop of both grains: hands `fold` every row in the shard's
+/// buckets, in bucket (= input) order. With Shard::kPrefetchStore it
+/// prefetches the store's index slot kSlotAhead rows ahead and the entry
+/// that slot points at kEntryAhead rows ahead, so the probe for each key
+/// finds both in cache.
+template <typename Shard, typename Fold>
+Status FoldBuckets(Shard& shard, const Fold& fold) {
+  constexpr size_t kSlotAhead = 16;
+  constexpr size_t kEntryAhead = 8;
+  const StateShardProtocol* state = shard.state;
+  for (const KeyedEntries& e : shard.buckets) {
+    const size_t n = e.rows.size();
+    if constexpr (Shard::kPrefetchStore) {
+      for (size_t j = 0; j < std::min(n, kSlotAhead); ++j) {
+        state->PrefetchSlot(e.hashes[j]);
+      }
+    }
+    size_t off = 0;
+    for (size_t j = 0; j < n; ++j) {
+      if constexpr (Shard::kPrefetchStore) {
+        if (j + kSlotAhead < n) state->PrefetchSlot(e.hashes[j + kSlotAhead]);
+        if (j + kEntryAhead < n) {
+          state->PrefetchEntry(e.hashes[j + kEntryAhead]);
+        }
+      }
+      const std::string_view key(e.keys.data() + off, e.key_len[j]);
+      off += e.key_len[j];
+      SS_RETURN_IF_ERROR(fold(shard, e.rows[j], e.aux[j], key, e.hashes[j]));
+    }
+  }
+  return Status::OK();
+}
 
 /// The `prepare` of operators without an [eval] step.
 struct NoPrepare {};
@@ -176,7 +268,7 @@ struct NoPrepare {};
 ///   route(p, lo, hi, emit) -> Status, calling emit(row, aux, key) -> Status
 ///     for each state key of the rows in [lo, hi), in row order;
 ///   fold(shard, row, aux, key, hash) -> Status;
-///   finish(shard, std::vector<Row>* out) -> Status.
+///   finish(shard, BatchBuilder* out) -> Status.
 /// Returns one batch per partition of op's schema.
 template <typename Shard, typename Prepare, typename Route, typename Fold,
           typename Finish>
@@ -187,17 +279,28 @@ Result<std::vector<RecordBatchPtr>> RunKeyedShards(
   const size_t P = num_rows.size();
   const int op_id = op.op_id();
   const std::string name = op.name();
+  // The grain rule: per-shard tasks only pay off on cores that partition
+  // parallelism leaves idle; otherwise the split stage is an extra pass
+  // over the data for nothing.
+  const int cores = ctx->scheduler->parallelism();
+  const bool inline_grain = cores <= static_cast<int>(P);
 
   // Stores open serially (lazy open does recovery I/O under the manager
   // lock); the tasks below then touch disjoint shards lock-free.
   shards->resize(P);
+  std::vector<int> chunks(P, 1);
   for (size_t p = 0; p < P; ++p) {
     SS_ASSIGN_OR_RETURN(ShardedStateStore * store,
                         ctx->state->GetStore(op_id, static_cast<int>(p)));
     std::vector<Shard>& row = (*shards)[p];
-    row.resize(static_cast<size_t>(store->num_shards()));
-    for (int s = 0; s < store->num_shards(); ++s) {
-      row[static_cast<size_t>(s)].Open(p, store->shard(s));
+    const int S = store->num_shards();
+    if (!inline_grain) chunks[p] = SplitChunks(num_rows[p], S);
+    row.resize(static_cast<size_t>(S));
+    for (int s = 0; s < S; ++s) {
+      Shard& shard = row[static_cast<size_t>(s)];
+      shard.Open(p, store->shard(s));
+      shard.buckets.resize(static_cast<size_t>(chunks[p]));
+      for (KeyedEntries& bucket : shard.buckets) bucket.Clear();
     }
   }
 
@@ -210,70 +313,61 @@ Result<std::vector<RecordBatchPtr>> RunKeyedShards(
         ctx->RunStage(op_id, name + "[eval]", std::move(tasks)));
   }
 
+  // Routes rows [lo, hi) of partition p into bucket `chunk` of each shard.
+  // Concurrent calls for one partition write disjoint buckets.
+  auto route_into = [&](size_t p, size_t chunk, int64_t lo,
+                        int64_t hi) -> Status {
+    std::vector<Shard>& ps = (*shards)[p];
+    const int S = static_cast<int>(ps.size());
+    return route(
+        p, lo, hi,
+        [&](int64_t row, int64_t aux, std::string_view key) -> Status {
+          const uint64_t hash = ShardedStateStore::StableHashKey(key);
+          ps[static_cast<size_t>(ShardedStateStore::ShardOf(hash, S))]
+              .buckets[chunk]
+              .Add(row, aux, key, hash);
+          return Status::OK();
+        });
+  };
+
   // Output batches per partition in shard-index order, each built by the
-  // task that finished and committed its shards; the merge only
+  // task that folded, finished and committed its shards; the merge only
   // concatenates them.
   std::vector<std::vector<RecordBatchPtr>> pieces(P);
-  auto finish_into = [&](Shard* first, size_t count,
+  auto fold_finish = [&](Shard* first, size_t count,
                          RecordBatchPtr* piece) -> Status {
-    std::vector<Row> rows;
+    BatchBuilder out(op.schema());
     for (size_t s = 0; s < count; ++s) {
-      SS_RETURN_IF_ERROR(finish(first[s], &rows));
+      SS_RETURN_IF_ERROR(FoldBuckets(first[s], fold));
+      SS_RETURN_IF_ERROR(finish(first[s], &out));
       SS_RETURN_IF_ERROR(
           ctx->state->EndShardEpoch(first[s].state, ctx->state_commit_epoch));
     }
-    if (rows.empty()) return Status::OK();
-    SS_ASSIGN_OR_RETURN(*piece, RecordBatch::FromRows(op.schema(), rows));
+    if (out.num_rows() > 0) *piece = out.Finish();
     return Status::OK();
   };
 
-  // The grain rule: per-shard tasks only pay off on cores that partition
-  // parallelism leaves idle; otherwise the split's bucketing is an extra
-  // pass over the data for nothing.
-  const int cores = ctx->scheduler->parallelism();
   std::vector<std::function<Status()>> tasks;
-  if (cores <= static_cast<int>(P)) {
+  if (inline_grain) {
     for (size_t p = 0; p < P; ++p) {
       pieces[p].resize(1);
       tasks.push_back([&, p]() -> Status {
+        SS_RETURN_IF_ERROR(route_into(p, 0, 0, num_rows[p]));
         std::vector<Shard>& ps = (*shards)[p];
-        const int S = static_cast<int>(ps.size());
-        SS_RETURN_IF_ERROR(route(
-            p, int64_t{0}, num_rows[p],
-            [&](int64_t row, int64_t aux, std::string_view key) -> Status {
-              const uint64_t hash = ShardedStateStore::StableHashKey(key);
-              return fold(ps[static_cast<size_t>(
-                              ShardedStateStore::ShardOf(hash, S))],
-                          row, aux, key, hash);
-            }));
-        return finish_into(ps.data(), ps.size(), &pieces[p][0]);
+        return fold_finish(ps.data(), ps.size(), &pieces[p][0]);
       });
     }
     SS_RETURN_IF_ERROR(ctx->RunStage(op_id, name, std::move(tasks)));
   } else {
-    std::vector<int> chunks(P);
-    std::vector<std::vector<KeyedEntries>> buckets(P);  // chunks x shards
     for (size_t p = 0; p < P; ++p) {
-      const int S = static_cast<int>((*shards)[p].size());
       const int64_t n = num_rows[p];
-      const int C = chunks[p] = SplitChunks(n, S);
-      buckets[p].resize(static_cast<size_t>(C) * static_cast<size_t>(S));
-      pieces[p].resize(static_cast<size_t>(S));
+      const int C = chunks[p];
       const int64_t per = (n + C - 1) / C;
       for (int c = 0; c < C; ++c) {
         const int64_t lo = c * per;
         const int64_t hi = std::min(n, lo + per);
-        tasks.push_back([&, p, c, S, lo, hi]() -> Status {
-          KeyedEntries* out =
-              &buckets[p][static_cast<size_t>(c) * static_cast<size_t>(S)];
-          return route(
-              p, lo, hi,
-              [&](int64_t row, int64_t aux, std::string_view key) -> Status {
-                const uint64_t hash = ShardedStateStore::StableHashKey(key);
-                out[ShardedStateStore::ShardOf(hash, S)].Add(row, aux, key,
-                                                             hash);
-                return Status::OK();
-              });
+        tasks.push_back([&, p, c, lo, hi]() -> Status {
+          return route_into(p, static_cast<size_t>(c), lo, hi);
         });
       }
     }
@@ -283,21 +377,10 @@ Result<std::vector<RecordBatchPtr>> RunKeyedShards(
     tasks.clear();
     for (size_t p = 0; p < P; ++p) {
       const size_t S = (*shards)[p].size();
+      pieces[p].resize(S);
       for (size_t s = 0; s < S; ++s) {
-        tasks.push_back([&, p, s, S]() -> Status {
-          Shard& shard = (*shards)[p][s];
-          for (int c = 0; c < chunks[p]; ++c) {
-            const KeyedEntries& e =
-                buckets[p][static_cast<size_t>(c) * S + s];
-            size_t off = 0;
-            for (size_t j = 0; j < e.rows.size(); ++j) {
-              const std::string_view key(e.keys.data() + off, e.key_len[j]);
-              off += e.key_len[j];
-              SS_RETURN_IF_ERROR(
-                  fold(shard, e.rows[j], e.aux[j], key, e.hashes[j]));
-            }
-          }
-          return finish_into(&shard, 1, &pieces[p][s]);
+        tasks.push_back([&, p, s]() -> Status {
+          return fold_finish(&(*shards)[p][s], 1, &pieces[p][s]);
         });
       }
     }
@@ -344,6 +427,8 @@ StatefulAggExec::StatefulAggExec(int op_id, PhysOpPtr child,
 // of the fold encodes each state back into its entry once. Entries past
 // `num_touched` are earlier epochs' leftovers, kept for their Row storage.
 struct StatefulAggExec::ShardFold : KeyedShard {
+  static constexpr bool kPrefetchStore = true;
+
   struct Touched {
     StateStore::Slot slot;
     uint64_t hash;   // StableHashKey of the key
@@ -353,8 +438,8 @@ struct StatefulAggExec::ShardFold : KeyedShard {
   std::vector<Touched> touched;
   size_t num_touched = 0;
   std::vector<uint32_t> index;  // 0 = empty, else position in touched + 1
-  std::string key_buf;
-  Row args;  // the aggregate arguments of the row being folded
+  Row args;    // the aggregate arguments of the row being folded
+  Row stored;  // a stored group's state, decoded for output
 
   static size_t Home(uint64_t hash, size_t mask) {
     // The low hash bits also pick the shard; mix before masking.
@@ -572,8 +657,7 @@ Result<std::vector<RecordBatchPtr>> StatefulAggExec::ExecuteImpl(
     size_t home = 0;
     ShardFold::Touched* t = f.Find(enc, hash, &home);
     if (t == nullptr) {
-      f.key_buf.assign(enc);
-      StateStore::Slot slot = f.state->FindOrCreate(f.key_buf);
+      StateStore::Slot slot = f.state->FindOrCreate(enc, hash);
       t = &f.Add(home, slot, hash, wstart);
       if (slot.created) {
         t->state = init_state;
@@ -586,31 +670,52 @@ Result<std::vector<RecordBatchPtr>> StatefulAggExec::ExecuteImpl(
     return Status::OK();
   };
 
-  // Output row of one group: decode the key, append the window end,
-  // finalize the aggregates.
-  auto finalize = [&](const std::string& enc_key,
-                      const Row& state) -> Result<Row> {
-    Row out_row;
-    out_row.reserve(static_cast<size_t>(schema_->num_fields()));
-    size_t pos = 0;
-    SS_RETURN_IF_ERROR(DecodeRowInto(enc_key, &pos, &out_row));  // the keys
-    if (windowed) {
-      const auto start = out_row.begin() + window_key_index_;
-      out_row.insert(start + 1, Value::Timestamp(start->int64_value() +
-                                                 window_size));  // window_end
+  // Output of one group, typed: each group key decoded from the key bytes
+  // straight into its column (the window end after the window start), then
+  // the finalized aggregates.
+  const int num_keys = num_output_key_columns();
+  auto emit_group = [&](std::string_view enc, const Row& state,
+                        BatchBuilder* out) -> Status {
+    size_t pos = 1;  // past the arity byte
+    int c = 0;
+    for (size_t g = 0; g < group_exprs_.size(); ++g) {
+      SS_RETURN_IF_ERROR(out->AppendEncoded(c, enc, &pos));
+      if (static_cast<int>(g) == window_key_index_) {
+        const Column& start = out->column(c);
+        Column& end = out->column(c + 1);
+        const int64_t last = start.size() - 1;
+        if (start.IsNull(last)) {
+          end.AppendNull();
+        } else {
+          end.AppendInt64(start.Int64At(last) + window_size);
+        }
+        ++c;
+      }
+      ++c;
     }
-    Row finals = FinalizeAggState(aggregates_, state);
-    out_row.insert(out_row.end(), std::make_move_iterator(finals.begin()),
-                   std::make_move_iterator(finals.end()));
-    return out_row;
+    return AppendFinalAggState(aggregates_, state, num_keys, out);
   };
-  // Appends the finalized row of every stored group for which `pick(key)`
-  // holds; `evict` collects the keys of the picked groups when non-null.
-  auto emit_stored = [&](StateShardProtocol* shard, std::vector<Row>* out,
-                         auto&& pick,
+  // The window start of a stored group, read from the key bytes: skip the
+  // group keys before the window key, then read the timestamp.
+  auto window_start_of = [&](std::string_view enc) -> Result<int64_t> {
+    size_t pos = 1;  // past the arity byte
+    for (int g = 0; g < window_key_index_; ++g) {
+      SS_RETURN_IF_ERROR(SkipEncodedValue(enc, &pos));
+    }
+    if (enc.size() - pos < 9 ||
+        static_cast<TypeId>(enc[pos]) != TypeId::kTimestamp) {
+      return Status::Internal("corrupt window key in aggregate state");
+    }
+    int64_t wstart;
+    std::memcpy(&wstart, enc.data() + pos + 1, 8);
+    return wstart;
+  };
+  // Emits every stored group for which `pick(key)` holds, into `out` when
+  // non-null; `evict` collects the keys of the picked groups when non-null.
+  auto emit_stored = [&](ShardFold& f, BatchBuilder* out, auto&& pick,
                          std::vector<std::string>* evict) -> Status {
     Status iter_status;
-    shard->ForEach([&](const std::string& k, const std::string& v) {
+    f.state->ForEach([&](const std::string& k, const std::string& v) {
       if (!iter_status.ok()) return;
       auto picked = pick(k);
       if (!picked.ok()) {
@@ -620,17 +725,9 @@ Result<std::vector<RecordBatchPtr>> StatefulAggExec::ExecuteImpl(
       if (!*picked) return;
       if (evict != nullptr) evict->push_back(k);
       if (out == nullptr) return;
-      auto state = DecodeRow(v);
-      if (!state.ok()) {
-        iter_status = state.status();
-        return;
-      }
-      auto row = finalize(k, *state);
-      if (!row.ok()) {
-        iter_status = row.status();
-        return;
-      }
-      out->push_back(std::move(*row));
+      size_t pos = 0;
+      iter_status = DecodeRowInto(v, &pos, &f.stored);
+      if (iter_status.ok()) iter_status = emit_group(k, f.stored, out);
     });
     return iter_status;
   };
@@ -640,23 +737,22 @@ Result<std::vector<RecordBatchPtr>> StatefulAggExec::ExecuteImpl(
   // (batch/complete: everything; append: finals of windows closed by the
   // watermark; update: the touched keys minus evicted ones), evicting
   // closed windows along the way.
-  auto finish = [&](ShardFold& f, std::vector<Row>* out) -> Status {
+  auto finish = [&](ShardFold& f, BatchBuilder* out) -> Status {
     for (size_t j = 0; j < f.num_touched; ++j) {
       ShardFold::Touched& t = f.touched[j];
       t.slot.value->clear();
       EncodeRow(t.state, t.slot.value);
     }
     // One-shot batch run: emit everything, no eviction needed.
-    if (ctx->is_batch) return emit_stored(f.state, out, every, nullptr);
+    if (ctx->is_batch) return emit_stored(f, out, every, nullptr);
 
     if (windowed && watermark != INT64_MIN) {
       std::vector<std::string> evict;
       SS_RETURN_IF_ERROR(emit_stored(
-          f.state, ctx->mode == OutputMode::kAppend ? out : nullptr,
+          f, ctx->mode == OutputMode::kAppend ? out : nullptr,
           [&](const std::string& k) -> Result<bool> {
-            SS_ASSIGN_OR_RETURN(Row key, DecodeRow(k));
-            return closed(
-                key[static_cast<size_t>(window_key_index_)].int64_value());
+            SS_ASSIGN_OR_RETURN(int64_t wstart, window_start_of(k));
+            return closed(wstart);
           },
           &evict));
       for (const std::string& k : evict) f.state->Remove(k);
@@ -666,11 +762,10 @@ Result<std::vector<RecordBatchPtr>> StatefulAggExec::ExecuteImpl(
       for (size_t j = 0; j < f.num_touched; ++j) {
         const ShardFold::Touched& t = f.touched[j];
         if (closed(t.wstart)) continue;  // evicted above; never re-emit
-        SS_ASSIGN_OR_RETURN(Row row, finalize(*t.slot.key, t.state));
-        out->push_back(std::move(row));
+        SS_RETURN_IF_ERROR(emit_group(*t.slot.key, t.state, out));
       }
     } else if (ctx->mode == OutputMode::kComplete) {
-      return emit_stored(f.state, out, every, nullptr);
+      return emit_stored(f, out, every, nullptr);
     }
     return Status::OK();
   };
@@ -699,9 +794,6 @@ Result<std::vector<RecordBatchPtr>> DedupExec::ExecuteImpl(ExecContext* ctx) {
     num_rows[p] = in[p]->num_rows();
     masks[p].assign(static_cast<size_t>(num_rows[p]), 0);
   }
-  struct DedupShard : KeyedShard {
-    std::string key;
-  };
   std::vector<std::vector<DedupShard>> shards;
 
   // The dedup key is the whole row.
@@ -714,20 +806,18 @@ Result<std::vector<RecordBatchPtr>> DedupExec::ExecuteImpl(ExecContext* ctx) {
     }
     return Status::OK();
   };
-  // Contains, then Put only for a new key: a re-seen duplicate leaves its
-  // entry clean, so it is never rewritten into the next delta.
+  // One probe: a new key is inserted and its row kept; a re-seen duplicate
+  // leaves its entry clean, so it is never rewritten into the next delta.
   auto fold = [&](DedupShard& f, int64_t i, int64_t, std::string_view enc,
-                  uint64_t) -> Status {
-    f.key.assign(enc);
-    if (!f.state->Contains(f.key)) {
-      f.state->Put(f.key, std::string());
+                  uint64_t hash) -> Status {
+    if (f.state->InsertIfAbsent(enc, hash)) {
       masks[f.partition][static_cast<size_t>(i)] = 1;
     }
     return Status::OK();
   };
   // The output is the input filtered by the masks, so finish emits no rows
   // and the driver's (empty) batches are dropped.
-  auto finish = [](DedupShard&, std::vector<Row>*) { return Status::OK(); };
+  auto finish = [](DedupShard&, BatchBuilder*) { return Status::OK(); };
   SS_RETURN_IF_ERROR(RunKeyedShards(ctx, *this, num_rows, &shards,
                                     NoPrepare(), route, fold, finish)
                          .status());
@@ -1077,9 +1167,8 @@ Result<std::vector<RecordBatchPtr>> StreamStreamJoinExec::ExecuteImpl(
     return Status::OK();
   };
 
-  auto finish = [&](JoinShard& f, std::vector<Row>* out) -> Status {
-    out->insert(out->end(), std::make_move_iterator(f.joined.begin()),
-                std::make_move_iterator(f.joined.end()));
+  auto finish = [&](JoinShard& f, BatchBuilder* out) -> Status {
+    for (const Row& row : f.joined) SS_RETURN_IF_ERROR(out->AppendRow(row));
     // Watermark-driven eviction: rows whose event time has fallen below the
     // watermark can no longer match. Unmatched rows on a preserved outer
     // side are emitted null-padded exactly once.
@@ -1115,8 +1204,9 @@ Result<std::vector<RecordBatchPtr>> StreamStreamJoinExec::ExecuteImpl(
           }
           if (expire) {
             if (preserved && !matched) {
-              out->push_back(is_left ? JoinedRow(&row, nullptr)
-                                     : JoinedRow(nullptr, &row));
+              SS_RETURN_IF_ERROR(out->AppendRow(
+                  is_left ? JoinedRow(&row, nullptr)
+                          : JoinedRow(nullptr, &row)));
             }
           } else {
             kept.emplace_back(matched, std::move(row));
@@ -1225,7 +1315,7 @@ Result<std::vector<RecordBatchPtr>> FlatMapGroupsWithStateExec::ExecuteImpl(
   // State value codec: [fixed64 timeout_at][encoded user row].
   auto invoke = [&](StateShardProtocol* state, const std::string& enc,
                     const Row& key, const std::vector<Row>& values,
-                    bool timed_out, std::vector<Row>* out) -> Status {
+                    bool timed_out, BatchBuilder* out) -> Status {
     std::optional<Row> value;
     int64_t timeout_at = INT64_MAX;
     if (std::optional<std::string> stored = state->Get(enc)) {
@@ -1250,12 +1340,12 @@ Result<std::vector<RecordBatchPtr>> FlatMapGroupsWithStateExec::ExecuteImpl(
           "mapGroupsWithState update function must return exactly one row, "
           "got " + std::to_string(results.size()));
     }
-    for (Row& r : results) {
+    for (const Row& r : results) {
       if (static_cast<int>(r.size()) != schema_->num_fields()) {
         return Status::InvalidArgument(
             "mapGroupsWithState output row arity mismatch");
       }
-      out->push_back(std::move(r));
+      SS_RETURN_IF_ERROR(out->AppendRow(r));
     }
     if (group_state.removed() || (timed_out && !group_state.updated())) {
       // Timed-out state that the function did not refresh is dropped
@@ -1278,7 +1368,7 @@ Result<std::vector<RecordBatchPtr>> FlatMapGroupsWithStateExec::ExecuteImpl(
   // Update every touched group, then sweep the shard for timeouts: keys
   // not updated this trigger whose deadline passed (processing time vs.
   // watermark, §4.3.2).
-  auto finish = [&](GroupShard& f, std::vector<Row>* out) -> Status {
+  auto finish = [&](GroupShard& f, BatchBuilder* out) -> Status {
     for (const Group& g : f.groups) {
       SS_RETURN_IF_ERROR(invoke(f.state, *g.enc, g.key, g.values, false, out));
     }

@@ -37,17 +37,6 @@ std::vector<int> ListShardDirs(const std::string& dir) {
 
 }  // namespace
 
-uint64_t ShardedStateStore::StableHashKey(std::string_view key) {
-  // FNV-1a, 64-bit: stable across platforms and standard libraries, unlike
-  // std::hash — routing is part of the durable layout.
-  uint64_t h = 14695981039346656037ull;
-  for (unsigned char c : key) {
-    h ^= c;
-    h *= 1099511628211ull;
-  }
-  return h;
-}
-
 Result<std::unique_ptr<ShardedStateStore>> ShardedStateStore::Open(
     const std::string& dir, int64_t version, Options options) {
   SS_RETURN_IF_ERROR(EnsureDir(dir));

@@ -55,8 +55,11 @@ class ShardedStateStore {
 
   int num_shards() const { return static_cast<int>(shards_.size()); }
 
-  /// Stable 64-bit FNV-1a of the encoded key.
-  static uint64_t StableHashKey(std::string_view key);
+  /// Stable 64-bit FNV-1a of the encoded key (StateStore::HashKey, so the
+  /// routing hash doubles as the shard table's hash).
+  static uint64_t StableHashKey(std::string_view key) {
+    return StateStore::HashKey(key);
+  }
   /// The shard of a key with hash `hash` (StableHashKey) among `num_shards`:
   /// the one routing rule of the durable layout.
   static int ShardOf(uint64_t hash, int num_shards) {

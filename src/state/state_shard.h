@@ -6,6 +6,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 
 #include "common/status.h"
 #include "state/state_store.h"
@@ -14,8 +15,8 @@ namespace sstreaming {
 
 /// The narrow per-shard state protocol: everything a stateful operator (or
 /// the checkpoint machinery) may ask of one shard of keyed state. The split
-/// mirrors faabric's StateServer verbs — pull (Get/Contains/ForEach), push
-/// (Put/Append/Remove/FindOrCreate), and snapshot/restore — so a shard's
+/// mirrors faabric's StateServer verbs — pull (Get/ForEach), push
+/// (Put/Append/Remove/FindOrCreate/InsertIfAbsent), and snapshot/restore — so a shard's
 /// backing can later move out of process without touching the operators.
 ///
 /// A shard is single-writer: within one epoch exactly one scheduler task
@@ -26,7 +27,6 @@ class StateShardProtocol {
 
   // -- pull --
   virtual std::optional<std::string> Get(const std::string& key) const = 0;
-  virtual bool Contains(const std::string& key) const = 0;
   /// Visits every live entry. Do not mutate during iteration.
   virtual void ForEach(
       const std::function<void(const std::string& key,
@@ -42,7 +42,19 @@ class StateShardProtocol {
   /// Find-or-create for in-place update (StateStore::FindOrCreate): one
   /// probe, then the caller may rewrite the value through the returned
   /// slot until the next Snapshot; the snapshot records the final bytes.
-  virtual StateStore::Slot FindOrCreate(const std::string& key) = 0;
+  /// `hash` is the key's StableHashKey — the routing hash, which is also
+  /// the table hash.
+  virtual StateStore::Slot FindOrCreate(std::string_view key,
+                                        uint64_t hash) = 0;
+  /// Find-or-insert (StateStore::InsertIfAbsent): true when `key` was not
+  /// live and now is, with an empty value; a live key stays untouched.
+  virtual bool InsertIfAbsent(std::string_view key, uint64_t hash) = 0;
+
+  // -- cache hints --
+  /// StateStore::PrefetchSlot / PrefetchEntry for a key hash that the
+  /// caller will probe soon; no effect on contents.
+  virtual void PrefetchSlot(uint64_t hash) const = 0;
+  virtual void PrefetchEntry(uint64_t hash) const = 0;
 
   // -- snapshot / restore --
   /// Durably checkpoints all changes since the last snapshot as `version`.
@@ -65,7 +77,7 @@ class StateShardProtocol {
 /// backing store is opened, `state.shard.checkpoint` before each durable
 /// snapshot, and `state.shard.append` before each append — so fault
 /// injection can strike one shard of a group independently.
-class LocalStateShard : public StateShardProtocol {
+class LocalStateShard final : public StateShardProtocol {
  public:
   static Result<std::unique_ptr<LocalStateShard>> Open(
       const std::string& dir, int64_t version,
@@ -73,9 +85,6 @@ class LocalStateShard : public StateShardProtocol {
 
   std::optional<std::string> Get(const std::string& key) const override {
     return store_->Get(key);
-  }
-  bool Contains(const std::string& key) const override {
-    return store_->Contains(key);
   }
   void ForEach(const std::function<void(const std::string&,
                                         const std::string&)>& fn)
@@ -88,8 +97,18 @@ class LocalStateShard : public StateShardProtocol {
   }
   Status Append(const std::string& key, const std::string& tail) override;
   void Remove(const std::string& key) override { store_->Remove(key); }
-  StateStore::Slot FindOrCreate(const std::string& key) override {
-    return store_->FindOrCreate(key);
+  StateStore::Slot FindOrCreate(std::string_view key,
+                                uint64_t hash) override {
+    return store_->FindOrCreate(key, hash);
+  }
+  bool InsertIfAbsent(std::string_view key, uint64_t hash) override {
+    return store_->InsertIfAbsent(key, hash);
+  }
+  void PrefetchSlot(uint64_t hash) const override {
+    store_->PrefetchSlot(hash);
+  }
+  void PrefetchEntry(uint64_t hash) const override {
+    store_->PrefetchEntry(hash);
   }
 
   Status Snapshot(int64_t version) override;

@@ -1,6 +1,8 @@
 #include "state/state_store.h"
 
 #include <algorithm>
+#include <bit>
+#include <memory>
 #include <cstring>
 #include <vector>
 
@@ -40,33 +42,6 @@ void AppendRemove(std::string* out, const std::string& key) {
   out->push_back(kOpRemove);
   PutFixed64(out, key.size());
   out->append(key);
-}
-
-template <typename Map>
-Status ApplyLog(const std::string& data, Map* map) {
-  size_t pos = 0;
-  while (pos < data.size()) {
-    char op = data[pos++];
-    uint64_t klen;
-    if (!GetFixed64(data, &pos, &klen) || pos + klen > data.size()) {
-      return Status::IOError("corrupt state file (key)");
-    }
-    std::string key = data.substr(pos, klen);
-    pos += klen;
-    if (op == kOpPut) {
-      uint64_t vlen;
-      if (!GetFixed64(data, &pos, &vlen) || pos + vlen > data.size()) {
-        return Status::IOError("corrupt state file (value)");
-      }
-      (*map)[std::move(key)].value = data.substr(pos, vlen);
-      pos += vlen;
-    } else if (op == kOpRemove) {
-      map->erase(key);
-    } else {
-      return Status::IOError("corrupt state file (op byte)");
-    }
-  }
-  return Status::OK();
 }
 
 struct VersionFile {
@@ -112,10 +87,13 @@ Result<std::unique_ptr<StateStore>> StateStore::Open(const std::string& dir,
   std::unique_ptr<StateStore> store(new StateStore(dir, options));
   if (version > 0) {
     SS_RETURN_IF_ERROR(store->LoadUpTo(version));
-    // ApplyLog fills data_ directly; charge the restored contents once here
-    // so the incremental accounting starts from truth.
-    for (const Node& node : store->data_) store->clean_bytes_ += Charge(node);
-    store->live_ = static_cast<int64_t>(store->data_.size());
+    // ApplyLog fills the table untracked; charge the restored contents once
+    // here so the incremental accounting starts from truth.
+    for (uint32_t p = 0; p < store->slab_size_; ++p) {
+      const Entry& e = store->At(p);
+      if (e.in_use) store->clean_bytes_ += Charge(e);
+    }
+    store->live_ = static_cast<int64_t>(store->indexed_);
   }
   store->last_commit_version_ = store->loaded_version_;
   return store;
@@ -132,7 +110,7 @@ Status StateStore::LoadUpTo(int64_t version) {
   if (base > 0) {
     SS_ASSIGN_OR_RETURN(std::string data,
                         ReadFile(VersionPath(dir_, base, true)));
-    SS_RETURN_IF_ERROR(ApplyLog(data, &data_));
+    SS_RETURN_IF_ERROR(ApplyLog(data));
     loaded_version_ = base;
   }
   // Apply deltas in (base, version] in order.
@@ -140,36 +118,195 @@ Status StateStore::LoadUpTo(int64_t version) {
     if (f.is_snapshot || f.version <= base || f.version > version) continue;
     SS_ASSIGN_OR_RETURN(std::string data,
                         ReadFile(VersionPath(dir_, f.version, false)));
-    SS_RETURN_IF_ERROR(ApplyLog(data, &data_));
+    SS_RETURN_IF_ERROR(ApplyLog(data));
     loaded_version_ = f.version;
   }
   return Status::OK();
 }
 
+Status StateStore::ApplyLog(const std::string& data) {
+  size_t pos = 0;
+  while (pos < data.size()) {
+    const char op = data[pos++];
+    uint64_t klen;
+    if (!GetFixed64(data, &pos, &klen) || klen > data.size() - pos) {
+      return Status::IOError("corrupt state file (key)");
+    }
+    const std::string_view key(data.data() + pos, klen);
+    pos += klen;
+    const uint64_t hash = HashKey(key);
+    size_t slot;
+    if (op == kOpPut) {
+      uint64_t vlen;
+      if (!GetFixed64(data, &pos, &vlen) || vlen > data.size() - pos) {
+        return Status::IOError("corrupt state file (value)");
+      }
+      Reserve();
+      Entry* e = Find(key, hash, &slot);
+      if (e == nullptr) e = &Insert(key, hash, slot);
+      e->value.assign(data, pos, vlen);
+      pos += vlen;
+    } else if (op == kOpRemove) {
+      if (Entry* e = Find(key, hash, &slot)) Erase(e);
+    } else {
+      return Status::IOError("corrupt state file (op byte)");
+    }
+  }
+  return Status::OK();
+}
+
+StateStore::Entry* StateStore::Find(std::string_view key, uint64_t hash,
+                                    size_t* slot) const {
+  *slot = 0;
+  if (index_.empty()) return nullptr;
+  const uint32_t tag = Tag(hash);
+  const size_t mask = index_.size() - 1;
+  for (size_t i = Home(tag);; i = (i + 1) & mask) {
+    const uint64_t word = index_[i];
+    if (word == 0) {
+      *slot = i;
+      return nullptr;
+    }
+    if (static_cast<uint32_t>(word >> 32) == tag) {
+      Entry& e = At(static_cast<uint32_t>(word) - 1);
+      if (e.key == key) {
+        *slot = i;
+        return &e;
+      }
+    }
+  }
+}
+
+void StateStore::PrefetchEntry(uint64_t hash) const {
+  if (index_.empty()) return;
+  const uint32_t tag = Tag(hash);
+  const size_t mask = index_.size() - 1;
+  for (size_t i = Home(tag);; i = (i + 1) & mask) {
+    const uint64_t word = index_[i];
+    if (word == 0) return;
+    if (static_cast<uint32_t>(word >> 32) == tag) {
+      const char* e =
+          reinterpret_cast<const char*>(&At(static_cast<uint32_t>(word) - 1));
+      __builtin_prefetch(e);
+      __builtin_prefetch(e + sizeof(Entry) - 1);
+      return;
+    }
+  }
+}
+
+void StateStore::Reserve() {
+  // Load factor at most 3/4: linear probes stay within a cache line or two.
+  if ((indexed_ + 1) * 4 <= index_.size() * 3) return;
+  std::vector<uint64_t> old = std::move(index_);
+  const size_t cap = std::max<size_t>(16, 2 * old.size());
+  index_.assign(cap, 0);
+  index_shift_ = 32 - static_cast<uint32_t>(std::countr_zero(cap));
+  const size_t mask = cap - 1;
+  // Homes come from the tags: growth never touches the entries.
+  for (uint64_t word : old) {
+    if (word == 0) continue;
+    size_t i = Home(static_cast<uint32_t>(word >> 32));
+    while (index_[i] != 0) i = (i + 1) & mask;
+    index_[i] = word;
+  }
+}
+
+StateStore::Entry& StateStore::Insert(std::string_view key, uint64_t hash,
+                                      size_t slot) {
+  uint32_t pos;
+  if (!free_.empty()) {
+    pos = free_.back();
+    free_.pop_back();
+  } else {
+    if (slab_size_ == chunks_.size() * kChunk) {
+      chunks_.push_back(std::make_unique<Entry[]>(kChunk));
+    }
+    pos = slab_size_++;
+  }
+  Entry& e = At(pos);
+  e.pos = pos;
+  e.in_use = true;
+  e.dirty = false;
+  e.removed = false;
+  e.key.assign(key);
+  e.value.clear();
+  index_[slot] = (static_cast<uint64_t>(Tag(hash)) << 32) | (pos + 1);
+  ++indexed_;
+  return e;
+}
+
+void StateStore::Erase(Entry* entry) {
+  const size_t mask = index_.size() - 1;
+  const uint32_t tag = Tag(HashKey(entry->key));
+  const uint64_t word = (static_cast<uint64_t>(tag) << 32) | (entry->pos + 1);
+  size_t hole = Home(tag);
+  while (index_[hole] != word) hole = (hole + 1) & mask;
+  // Backward shift: pull each later member of the probe cluster into the
+  // hole when the hole lies between its home and its slot.
+  for (size_t j = (hole + 1) & mask;; j = (j + 1) & mask) {
+    const uint64_t w = index_[j];
+    if (w == 0) break;
+    const size_t home = Home(static_cast<uint32_t>(w >> 32));
+    if (((j - home) & mask) >= ((j - hole) & mask)) {
+      index_[hole] = w;
+      hole = j;
+    }
+  }
+  index_[hole] = 0;
+  --indexed_;
+  std::string().swap(entry->key);
+  std::string().swap(entry->value);
+  entry->in_use = false;
+  entry->dirty = false;
+  entry->removed = false;
+  free_.push_back(entry->pos);
+}
+
 std::optional<std::string> StateStore::Get(const std::string& key) const {
-  auto it = data_.find(key);
-  if (it == data_.end() || it->second.removed) return std::nullopt;
-  return it->second.value;
+  size_t slot;
+  const Entry* e = Find(key, HashKey(key), &slot);
+  if (e == nullptr || e->removed) return std::nullopt;
+  return e->value;
 }
 
-void StateStore::MarkDirty(Node& node) {
-  if (node.second.dirty) return;
-  if (!node.second.removed) clean_bytes_ -= Charge(node);
-  node.second.dirty = true;
-  dirty_.push_back(&node);
+void StateStore::MarkDirty(Entry& entry) {
+  if (entry.dirty) return;
+  if (!entry.removed) clean_bytes_ -= Charge(entry);
+  entry.dirty = true;
+  dirty_.push_back(&entry);
 }
 
-StateStore::Slot StateStore::FindOrCreate(const std::string& key) {
-  auto [it, inserted] = data_.try_emplace(key);
-  Node& node = *it;
-  if (inserted) node.second.removed = true;  // not live until revived below
-  MarkDirty(node);
-  const bool created = node.second.removed;
+StateStore::Slot StateStore::FindOrCreate(std::string_view key,
+                                          uint64_t hash) {
+  Reserve();
+  size_t slot;
+  Entry* e = Find(key, hash, &slot);
+  if (e == nullptr) {
+    e = &Insert(key, hash, slot);
+    e->removed = true;  // not live until revived below
+  }
+  MarkDirty(*e);
+  const bool created = e->removed;
   if (created) {
-    node.second.removed = false;
+    e->removed = false;
     ++live_;
   }
-  return Slot{&node.first, &node.second.value, created};
+  return Slot{&e->key, &e->value, created};
+}
+
+bool StateStore::InsertIfAbsent(std::string_view key, uint64_t hash) {
+  Reserve();
+  size_t slot;
+  Entry* e = Find(key, hash, &slot);
+  if (e != nullptr && !e->removed) return false;
+  if (e == nullptr) {
+    e = &Insert(key, hash, slot);
+    e->removed = true;  // not live until revived below
+  }
+  MarkDirty(*e);
+  e->removed = false;  // a tombstone's value was cleared by Remove
+  ++live_;
+  return true;
 }
 
 void StateStore::Put(const std::string& key, std::string value) {
@@ -182,25 +319,27 @@ void StateStore::Append(const std::string& key, const std::string& tail) {
 
 void StateStore::Remove(const std::string& key) {
   // An absent key was not live at the last commit either (committed
-  // entries stay in the map until removed and committed), so there is
+  // entries stay in the table until removed and committed), so there is
   // nothing to record.
-  auto it = data_.find(key);
-  if (it == data_.end() || it->second.removed) return;
-  MarkDirty(*it);
-  it->second.removed = true;
-  it->second.value.clear();  // a revived tombstone starts empty
+  size_t slot;
+  Entry* e = Find(key, HashKey(key), &slot);
+  if (e == nullptr || e->removed) return;
+  MarkDirty(*e);
+  e->removed = true;
+  e->value.clear();  // a revived tombstone starts empty
   --live_;
 }
 
 bool StateStore::Contains(const std::string& key) const {
-  auto it = data_.find(key);
-  return it != data_.end() && !it->second.removed;
+  size_t slot;
+  const Entry* e = Find(key, HashKey(key), &slot);
+  return e != nullptr && !e->removed;
 }
 
 int64_t StateStore::ApproxBytes() const {
   int64_t bytes = clean_bytes_;
-  for (const Node* node : dirty_) {
-    if (!node->second.removed) bytes += Charge(*node);
+  for (const Entry* e : dirty_) {
+    if (!e->removed) bytes += Charge(*e);
   }
   return bytes;
 }
@@ -208,19 +347,20 @@ int64_t StateStore::ApproxBytes() const {
 void StateStore::ForEach(
     const std::function<void(const std::string&, const std::string&)>& fn)
     const {
-  for (const auto& [key, entry] : data_) {
-    if (!entry.removed) fn(key, entry.value);
+  for (uint32_t p = 0; p < slab_size_; ++p) {
+    const Entry& e = At(p);
+    if (e.in_use && !e.removed) fn(e.key, e.value);
   }
 }
 
 void StateStore::ForgetChanges() {
-  for (Node* node : dirty_) {
-    if (node->second.removed) {
-      data_.erase(data_.find(node->first));
+  for (Entry* e : dirty_) {
+    if (e->removed) {
+      Erase(e);
       continue;
     }
-    node->second.dirty = false;
-    clean_bytes_ += Charge(*node);
+    e->dirty = false;
+    clean_bytes_ += Charge(*e);
   }
   dirty_.clear();
 }
@@ -238,15 +378,15 @@ Status StateStore::Commit(int64_t version) {
   if (snapshot) SS_FAILPOINT("state.snapshot.before_write");
   std::string buf;
   if (snapshot) {
-    for (const Node& node : data_) {
-      if (!node.second.removed) AppendPut(&buf, node.first, node.second.value);
-    }
+    ForEach([&buf](const std::string& key, const std::string& value) {
+      AppendPut(&buf, key, value);
+    });
   } else {
-    for (const Node* node : dirty_) {
-      if (node->second.removed) {
-        AppendRemove(&buf, node->first);
+    for (const Entry* e : dirty_) {
+      if (e->removed) {
+        AppendRemove(&buf, e->key);
       } else {
-        AppendPut(&buf, node->first, node->second.value);
+        AppendPut(&buf, e->key, e->value);
       }
     }
   }

@@ -6,7 +6,7 @@
 #include <memory>
 #include <optional>
 #include <string>
-#include <unordered_map>
+#include <string_view>
 #include <vector>
 
 #include "common/status.h"
@@ -14,7 +14,7 @@
 namespace sstreaming {
 
 /// A versioned key-value store holding one stateful operator's state for one
-/// partition (paper §6.1). The working copy is an in-memory hash map;
+/// partition (paper §6.1). The working copy is an in-memory flat table;
 /// Commit(version) durably records the changes made since the previous commit
 /// as an incremental delta file, writing a full snapshot every
 /// `snapshot_interval` commits so recovery replays a bounded number of
@@ -33,6 +33,16 @@ namespace sstreaming {
 /// (non-durable queries, batch runs) must call ForgetChanges() at each epoch
 /// end instead, or the dirty list and the tombstones grow for the life of
 /// the store.
+///
+/// Table layout (docs/DESIGN.md): entries live in a slab of fixed-size
+/// chunks and never move, so Slot pointers stay valid while the
+/// table grows. An open-addressing index of 64-bit words (32-bit hash tag,
+/// slab position) over the slab is probed linearly from the tag's home
+/// slot; a probe touches the entry only on a tag match, and deletion shifts
+/// the rest of the cluster back (no index tombstones). The table hash is
+/// HashKey (StableHashKey), so a caller that routed the key already can
+/// pass its hash to the hashed verbs. ForEach and snapshots visit entries
+/// in slab order.
 ///
 /// Layout under `dir`:
 ///   <version>.snapshot  - full contents at `version`
@@ -55,6 +65,17 @@ class StateStore {
   /// The version actually restored (<= the requested version).
   int64_t loaded_version() const { return loaded_version_; }
 
+  /// Stable 64-bit FNV-1a of an encoded key: the table hash, and the
+  /// routing hash of ShardedStateStore (fixed across platforms).
+  static uint64_t HashKey(std::string_view key) {
+    uint64_t h = 14695981039346656037ull;
+    for (unsigned char c : key) {
+      h ^= c;
+      h *= 1099511628211ull;
+    }
+    return h;
+  }
+
   std::optional<std::string> Get(const std::string& key) const;
   void Put(const std::string& key, std::string value);
   /// Appends `tail` to the value under `key` (creating the entry when
@@ -76,7 +97,25 @@ class StateStore {
   /// changed: the next commit records whatever the caller leaves in
   /// *value. One probe. Both pointers stay valid until the next Commit or
   /// ForgetChanges; do not write through them after removing the key.
-  Slot FindOrCreate(const std::string& key);
+  Slot FindOrCreate(const std::string& key) {
+    return FindOrCreate(key, HashKey(key));
+  }
+  /// FindOrCreate with the key's HashKey already computed.
+  Slot FindOrCreate(std::string_view key, uint64_t hash);
+
+  /// Inserts `key` with an empty value when it is not live and returns
+  /// true; a live key is left as it is — clean when it was — and false
+  /// returned. One probe; `hash` is the key's HashKey.
+  bool InsertIfAbsent(std::string_view key, uint64_t hash);
+
+  /// Cache hints for a caller about to probe keys with these hashes, a
+  /// fixed distance ahead: PrefetchSlot loads the index word at the hash's
+  /// home; PrefetchEntry (issued once that word has arrived) reads it and
+  /// loads the entry a matching tag points at. Neither changes anything.
+  void PrefetchSlot(uint64_t hash) const {
+    if (!index_.empty()) __builtin_prefetch(&index_[Home(Tag(hash))]);
+  }
+  void PrefetchEntry(uint64_t hash) const;
 
   /// Approximate in-memory footprint of the working copy: key and value
   /// payloads plus a fixed per-entry overhead, over live entries. Exact
@@ -86,8 +125,8 @@ class StateStore {
   /// nothing right after a commit, where the epoch loop reads it.
   int64_t ApproxBytes() const;
 
-  /// Accounting charge per map entry beyond the payload (hash-map node,
-  /// string headers). A rough constant — the gauges are approximations.
+  /// Accounting charge per entry beyond the payload (slab entry, index
+  /// word, string headers). A rough constant — the gauges are approximations.
   static constexpr int64_t kEntryOverheadBytes = 64;
 
   /// Entries changed since the last commit (or ForgetChanges), removed
@@ -127,22 +166,52 @@ class StateStore {
   StateStore(std::string dir, Options options)
       : dir_(std::move(dir)), options_(options) {}
 
+  // The probe reads only `key`, in the first 40 bytes.
   struct Entry {
-    std::string value;
+    uint32_t pos = 0;      // position in the slab
+    bool in_use = false;   // indexed (live or tombstone); else on free_
     bool dirty = false;    // listed in dirty_ (changed since the last commit)
     bool removed = false;  // tombstone; erased by the next commit
+    std::string key;
+    std::string value;
   };
-  using Map = std::unordered_map<std::string, Entry>;
-  using Node = Map::value_type;
+
+  // Index words: (tag << 32) | (slab position + 1); 0 is an empty slot.
+  static uint32_t Tag(uint64_t hash) {
+    return static_cast<uint32_t>(hash >> 32);
+  }
+  size_t Home(uint32_t tag) const {
+    return static_cast<uint32_t>(tag * 0x9E3779B9u) >> index_shift_;
+  }
+  // The slab: fixed chunks of kChunk entries, so a store wastes less than
+  // one chunk however large it grows.
+  static constexpr uint32_t kChunkBits = 6;
+  static constexpr uint32_t kChunk = 1u << kChunkBits;
+  Entry& At(uint32_t pos) const {
+    return chunks_[pos >> kChunkBits][pos & (kChunk - 1)];
+  }
+
+  /// The indexed entry for `key`, or null; `*slot` becomes its index slot,
+  /// or the empty slot where it would go.
+  Entry* Find(std::string_view key, uint64_t hash, size_t* slot) const;
+  /// Makes room for one more indexed entry (call before Find when the
+  /// probe may insert).
+  void Reserve();
+  /// Indexes a new clean, live entry for `key` at empty index `slot`.
+  Entry& Insert(std::string_view key, uint64_t hash, size_t slot);
+  /// Unindexes `entry` (backward shift) and returns it to the free list.
+  void Erase(Entry* entry);
 
   Status LoadUpTo(int64_t version);
+  /// Applies one state file's records to the table, untracked.
+  Status ApplyLog(const std::string& data);
 
-  /// Lists `node` in dirty_ unless it already is, moving its charge out of
+  /// Lists `entry` in dirty_ unless it already is, moving its charge out of
   /// clean_bytes_.
-  void MarkDirty(Node& node);
+  void MarkDirty(Entry& entry);
 
-  static int64_t Charge(const Node& node) {
-    return static_cast<int64_t>(node.first.size() + node.second.value.size()) +
+  static int64_t Charge(const Entry& entry) {
+    return static_cast<int64_t>(entry.key.size() + entry.value.size()) +
            kEntryOverheadBytes;
   }
 
@@ -159,11 +228,15 @@ class StateStore {
   int64_t delta_commits_ = 0;
   int64_t snapshot_commits_ = 0;
 
-  // Working copy, tombstones included. Nodes never move, so dirty_ can
-  // point into it.
-  Map data_;
+  // Working copy, tombstones included (see the class comment).
+  std::vector<uint64_t> index_;
+  uint32_t index_shift_ = 32;  // 32 - log2(index_.size())
+  size_t indexed_ = 0;         // non-empty index words
+  std::vector<std::unique_ptr<Entry[]>> chunks_;
+  uint32_t slab_size_ = 0;     // positions handed out so far
+  std::vector<uint32_t> free_;  // erased positions, reused first
   // Entries changed since the last commit, in first-change order.
-  std::vector<Node*> dirty_;
+  std::vector<Entry*> dirty_;
 };
 
 }  // namespace sstreaming

@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cerrno>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -45,15 +46,28 @@ Status WriteFileAtomic(const std::string& path, const std::string& data) {
     std::error_code ec;
     fs::remove(tmp, ec);
   };
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    if (!out) return Status::IOError("cannot open temp file " + tmp);
-    out.write(data.data(), static_cast<std::streamsize>(write_len));
-    out.flush();
-    if (!out) {
+  int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0644);
+  if (fd < 0) return Status::IOError("cannot open temp file " + tmp);
+  // write() may stop short (signals, quotas): loop until every byte is
+  // down, then fsync so the data is durable before the rename publishes
+  // the name.
+  const char* p = data.data();
+  size_t left = write_len;
+  while (left > 0) {
+    const ssize_t n = ::write(fd, p, left);
+    if (n < 0 && errno == EINTR) continue;
+    if (n <= 0) {
+      ::close(fd);
       cleanup_tmp();
       return Status::IOError("short write to " + tmp);
     }
+    p += n;
+    left -= static_cast<size_t>(n);
+  }
+  const bool synced = ::fsync(fd) == 0;
+  if (::close(fd) != 0 || !synced) {
+    cleanup_tmp();
+    return Status::IOError("fsync of " + tmp + " failed");
   }
   {
     // Injected write/sync failure: the temp file must not leak.

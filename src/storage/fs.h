@@ -16,10 +16,13 @@ namespace sstreaming {
 /// Creates `path` (and parents) if absent.
 Status EnsureDir(const std::string& path);
 
-/// Atomically creates/replaces `path` with `data` (temp file + rename), so a
-/// crash never exposes a partially written file under its final name. The
-/// parent directory is fsynced after the rename so the entry survives power
-/// failure (failpoint seam "fs.dirsync").
+/// Atomically creates/replaces `path` with `data`: temp file → fsync →
+/// rename → parent-directory fsync. The temp file's data is durable before
+/// the rename publishes the name, so a crash never exposes a partially
+/// written file under its final name, and the directory fsync makes the
+/// entry itself survive power failure. Every failure before the rename
+/// removes the temp file. Failpoint seams, in order: "fs.open",
+/// "fs.write.torn", "fs.write", "fs.rename", "fs.dirsync".
 Status WriteFileAtomic(const std::string& path, const std::string& data);
 
 /// Reads the whole file.

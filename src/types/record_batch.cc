@@ -1,5 +1,7 @@
 #include "types/record_batch.h"
 
+#include <cstring>
+
 #include "common/logging.h"
 
 namespace sstreaming {
@@ -27,41 +29,10 @@ std::shared_ptr<RecordBatch> RecordBatch::Empty(SchemaPtr schema) {
 
 Result<std::shared_ptr<RecordBatch>> RecordBatch::FromRows(
     SchemaPtr schema, const std::vector<Row>& rows) {
-  std::vector<ColumnPtr> columns;
-  columns.reserve(static_cast<size_t>(schema->num_fields()));
-  for (const Field& f : schema->fields()) {
-    ColumnPtr c = Column::Make(f.type);
-    c->Reserve(static_cast<int64_t>(rows.size()));
-    columns.push_back(std::move(c));
-  }
-  for (const Row& row : rows) {
-    if (static_cast<int>(row.size()) != schema->num_fields()) {
-      return Status::InvalidArgument(
-          "row arity " + std::to_string(row.size()) +
-          " does not match schema arity " +
-          std::to_string(schema->num_fields()));
-    }
-    for (int i = 0; i < schema->num_fields(); ++i) {
-      const Value& v = row[static_cast<size_t>(i)];
-      if (!v.is_null()) {
-        TypeId expect = schema->field(i).type;
-        TypeId got = v.type();
-        bool compatible =
-            got == expect ||
-            (expect == TypeId::kFloat64 && IsNumeric(got)) ||
-            (PhysicalKindOf(expect) == PhysicalKind::kInt64 &&
-             PhysicalKindOf(got) == PhysicalKind::kInt64);
-        if (!compatible) {
-          return Status::InvalidArgument(
-              std::string("value of type ") + TypeName(got) +
-              " does not fit column '" + schema->field(i).name + "' of type " +
-              TypeName(expect));
-        }
-      }
-      columns[static_cast<size_t>(i)]->AppendValue(v);
-    }
-  }
-  return Make(std::move(schema), std::move(columns));
+  BatchBuilder builder(std::move(schema));
+  builder.Reserve(static_cast<int64_t>(rows.size()));
+  for (const Row& row : rows) SS_RETURN_IF_ERROR(builder.AppendRow(row));
+  return builder.Finish();
 }
 
 RecordBatchPtr RecordBatch::MakeView(const RecordBatchPtr& base,
@@ -263,6 +234,131 @@ std::string RecordBatch::ToString() const {
     out += "\n";
   }
   return out;
+}
+
+// ---------------------------------------------------------------------------
+// BatchBuilder
+// ---------------------------------------------------------------------------
+
+BatchBuilder::BatchBuilder(SchemaPtr schema) : schema_(std::move(schema)) {
+  columns_.reserve(static_cast<size_t>(schema_->num_fields()));
+  for (const Field& f : schema_->fields()) {
+    columns_.push_back(Column::Make(f.type));
+  }
+}
+
+void BatchBuilder::Reserve(int64_t rows) {
+  for (const ColumnPtr& c : columns_) c->Reserve(rows);
+}
+
+Status BatchBuilder::CheckFits(int i, TypeId got) const {
+  const Field& field = schema_->field(i);
+  const TypeId expect = field.type;
+  const bool compatible =
+      got == expect || (expect == TypeId::kFloat64 && IsNumeric(got)) ||
+      (PhysicalKindOf(expect) == PhysicalKind::kInt64 &&
+       PhysicalKindOf(got) == PhysicalKind::kInt64);
+  if (compatible) return Status::OK();
+  return Status::InvalidArgument(std::string("value of type ") +
+                                 TypeName(got) + " does not fit column '" +
+                                 field.name + "' of type " + TypeName(expect));
+}
+
+Status BatchBuilder::AppendRow(const Row& row) {
+  if (row.size() != columns_.size()) {
+    return Status::InvalidArgument(
+        "row arity " + std::to_string(row.size()) +
+        " does not match schema arity " +
+        std::to_string(schema_->num_fields()));
+  }
+  // Check the whole row first: a rejected row appends nothing.
+  for (size_t i = 0; i < row.size(); ++i) {
+    if (!row[i].is_null()) {
+      SS_RETURN_IF_ERROR(CheckFits(static_cast<int>(i), row[i].type()));
+    }
+  }
+  for (size_t i = 0; i < row.size(); ++i) columns_[i]->AppendValue(row[i]);
+  return Status::OK();
+}
+
+Status BatchBuilder::AppendCell(int i, const Value& v) {
+  if (!v.is_null()) SS_RETURN_IF_ERROR(CheckFits(i, v.type()));
+  column(i).AppendValue(v);
+  return Status::OK();
+}
+
+Status BatchBuilder::AppendEncoded(int i, std::string_view data,
+                                   size_t* pos) {
+  if (*pos >= data.size()) {
+    return Status::InvalidArgument("value decode: truncated type byte");
+  }
+  const TypeId got = static_cast<TypeId>(data[*pos]);
+  Column& col = column(i);
+  size_t p = *pos + 1;
+  auto fixed64 = [&](uint64_t* v) {
+    if (data.size() - p < 8) return false;
+    std::memcpy(v, data.data() + p, 8);
+    p += 8;
+    return true;
+  };
+  switch (got) {
+    case TypeId::kNull:
+      col.AppendNull();
+      break;
+    case TypeId::kBool:
+      SS_RETURN_IF_ERROR(CheckFits(i, got));
+      if (p >= data.size()) {
+        return Status::InvalidArgument("value decode: truncated bool");
+      }
+      col.AppendBool(data[p++] != 0);
+      break;
+    case TypeId::kInt64:
+    case TypeId::kTimestamp: {
+      SS_RETURN_IF_ERROR(CheckFits(i, got));
+      uint64_t v;
+      if (!fixed64(&v)) {
+        return Status::InvalidArgument("value decode: truncated int64");
+      }
+      if (col.type() == TypeId::kFloat64) {
+        col.AppendFloat64(static_cast<double>(static_cast<int64_t>(v)));
+      } else {
+        col.AppendInt64(static_cast<int64_t>(v));
+      }
+      break;
+    }
+    case TypeId::kFloat64: {
+      SS_RETURN_IF_ERROR(CheckFits(i, got));
+      uint64_t bits;
+      if (!fixed64(&bits)) {
+        return Status::InvalidArgument("value decode: truncated float64");
+      }
+      double d;
+      std::memcpy(&d, &bits, 8);
+      col.AppendFloat64(d);
+      break;
+    }
+    case TypeId::kString: {
+      SS_RETURN_IF_ERROR(CheckFits(i, got));
+      uint64_t n;
+      if (!fixed64(&n)) {
+        return Status::InvalidArgument("value decode: truncated string size");
+      }
+      if (data.size() - p < n) {
+        return Status::InvalidArgument("value decode: truncated string body");
+      }
+      col.AppendString(std::string(data.substr(p, n)));
+      p += n;
+      break;
+    }
+    default:
+      return Status::InvalidArgument("value decode: bad type byte");
+  }
+  *pos = p;
+  return Status::OK();
+}
+
+RecordBatchPtr BatchBuilder::Finish() {
+  return RecordBatch::Make(schema_, std::move(columns_));
 }
 
 }  // namespace sstreaming

@@ -3,6 +3,7 @@
 
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/status.h"
@@ -138,6 +139,39 @@ class RecordBatch {
   /// Latency provenance, not data: excluded from equality/rendering. The one
   /// mutable-after-construction field, set only before a batch is shared.
   int64_t ingest_micros_ = 0;
+};
+
+/// Builds a batch of `schema` cell by cell. Typed producers append straight
+/// to column(i); AppendRow boxes a whole row and AppendCell one value, both
+/// with FromRows' type checks; AppendEncoded decodes one value of the state
+/// codec (Value::EncodeTo) into its column without boxing. A value whose
+/// type does not fit its column is InvalidArgument and appends nothing, so
+/// no column is ever silently mis-typed. Finish hands the columns to a
+/// batch; the caller keeps them equal in length.
+class BatchBuilder {
+ public:
+  explicit BatchBuilder(SchemaPtr schema);
+
+  Column& column(int i) { return *columns_[static_cast<size_t>(i)]; }
+  /// Rows appended so far (the first column's length; 0 without columns).
+  int64_t num_rows() const {
+    return columns_.empty() ? 0 : columns_[0]->size();
+  }
+  void Reserve(int64_t rows);
+
+  Status AppendRow(const Row& row);
+  Status AppendCell(int i, const Value& v);
+  /// Decodes the value at data[*pos] into column i, advancing *pos.
+  Status AppendEncoded(int i, std::string_view data, size_t* pos);
+
+  RecordBatchPtr Finish();
+
+ private:
+  /// FromRows' rule: a non-null value of type `got` fits column i.
+  Status CheckFits(int i, TypeId got) const;
+
+  SchemaPtr schema_;
+  std::vector<ColumnPtr> columns_;
 };
 
 }  // namespace sstreaming

@@ -4,6 +4,7 @@
 #include <cstring>
 #include <filesystem>
 #include <map>
+#include <optional>
 #include <tuple>
 #include <vector>
 
@@ -384,6 +385,115 @@ TEST_P(StateStoreFuzzTest, RandomOpsMatchModel) {
       ASSERT_TRUE(store->Get(k).has_value());
       EXPECT_EQ(*store->Get(k), v);
     }
+  }
+}
+
+
+// The table at scale: a 6000-key space, so the index grows many times and
+// removals land inside long probe clusters. Hashed and unhashed verbs are
+// mixed, slots are held across growth within an epoch and written through
+// later, and epochs end with Commit or (ephemeral half of the seeds)
+// ForgetChanges. The live view is checked in full every few hundred ops and
+// at every epoch end, and each committed version recovers to its model.
+TEST_P(StateStoreFuzzTest, LargeKeySpaceMatchesModel) {
+  Random rng(static_cast<uint64_t>(GetParam()) * 7919);
+  const bool durable = GetParam() % 2 == 1;
+  StateStore::Options opts;
+  opts.snapshot_interval = 1 + static_cast<int>(rng.Uniform(5));
+  std::map<int64_t, Model> committed_models;
+  auto store = StateStore::Open(dir_, 0, opts).TakeValue();
+  Model model;
+  std::map<std::string, StateStore::Slot> held;
+  int64_t version = 0;
+  for (int i = 0; i < 30000; ++i) {
+    const std::string key = "key" + std::to_string(rng.Uniform(6000));
+    const uint64_t hash = StateStore::HashKey(key);
+    const std::string value =
+        std::string(rng.Uniform(20), 'v') + std::to_string(i);
+    const uint64_t op = rng.Uniform(10);
+    switch (op) {
+      case 0:
+      case 1:
+        store->Put(key, value);
+        model[key] = value;
+        break;
+      case 2: {
+        StateStore::Slot slot = store->FindOrCreate(key, hash);
+        auto it = model.find(key);
+        ASSERT_EQ(slot.created, it == model.end()) << key;
+        ASSERT_EQ(*slot.key, key);
+        *slot.value = value;
+        model[key] = value;
+        held[key] = slot;
+        break;
+      }
+      case 3: {
+        const bool live = model.count(key) > 0;
+        const int64_t tracked = store->tracked_changes();
+        ASSERT_EQ(store->InsertIfAbsent(key, hash), !live) << key;
+        if (live) {
+          // A found key is left as it was, clean included.
+          ASSERT_EQ(store->tracked_changes(), tracked);
+        } else {
+          model[key] = "";
+        }
+        break;
+      }
+      case 4:
+      case 5:
+        store->Remove(key);
+        model.erase(key);
+        held.erase(key);
+        break;
+      case 6: {
+        if (held.empty()) break;
+        auto it = held.begin();
+        std::advance(it, static_cast<long>(rng.Uniform(held.size())));
+        it->second.value->append(value);
+        model[it->first] = *it->second.value;
+        break;
+      }
+      case 7:
+        store->Append(key, value);
+        model[key] += value;
+        break;
+      case 8: {
+        auto it = model.find(key);
+        ASSERT_EQ(store->Contains(key), it != model.end()) << key;
+        ASSERT_EQ(store->Get(key),
+                  it == model.end() ? std::nullopt
+                                    : std::optional<std::string>(it->second));
+        break;
+      }
+      case 9:
+        store->Remove("absent" + std::to_string(i));
+        break;
+    }
+    ASSERT_EQ(store->size(), static_cast<int64_t>(model.size()));
+    if (i % 997 == 0) ExpectMatchesModel(*store, model);
+    // Long epochs early (the index grows under held slots), shorter later.
+    if (rng.OneIn(i < 10000 ? 0.0005 : 0.004)) {
+      if (durable) {
+        version += 1 + static_cast<int64_t>(rng.Uniform(2));
+        ASSERT_TRUE(store->Commit(version).ok());
+        committed_models[version] = model;
+      } else {
+        store->ForgetChanges();
+      }
+      EXPECT_EQ(store->tracked_changes(), 0);
+      held.clear();
+      ExpectMatchesModel(*store, model);
+    }
+  }
+  ExpectMatchesModel(*store, model);
+  EXPECT_GT(model.size(), 1000u);
+  if (!durable) return;
+  ASSERT_FALSE(committed_models.empty());
+  for (const auto& [v, m] : committed_models) {
+    SCOPED_TRACE("version " + std::to_string(v));
+    auto reread = StateStore::Open(dir_, v, opts).TakeValue();
+    ASSERT_EQ(reread->loaded_version(), v);
+    ExpectMatchesModel(*reread, m);
   }
 }
 

@@ -50,40 +50,6 @@ bool GetFixed64(const std::string& data, size_t* pos, uint64_t* v) {
   return true;
 }
 
-/// Advances *pos past one value in Value::EncodeTo's format.
-Status SkipEncodedValue(std::string_view data, size_t* pos) {
-  if (*pos >= data.size()) {
-    return Status::InvalidArgument("value decode: truncated type byte");
-  }
-  uint64_t len = 0;
-  switch (static_cast<TypeId>(data[(*pos)++])) {
-    case TypeId::kNull:
-      break;
-    case TypeId::kBool:
-      len = 1;
-      break;
-    case TypeId::kInt64:
-    case TypeId::kFloat64:
-    case TypeId::kTimestamp:
-      len = 8;
-      break;
-    case TypeId::kString:
-      if (data.size() - *pos < 8) {
-        return Status::InvalidArgument("value decode: truncated string size");
-      }
-      std::memcpy(&len, data.data() + *pos, 8);
-      *pos += 8;
-      break;
-    default:
-      return Status::InvalidArgument("value decode: bad type byte");
-  }
-  if (data.size() - *pos < len) {
-    return Status::InvalidArgument("value decode: truncated value");
-  }
-  *pos += len;
-  return Status::OK();
-}
-
 /// Appends the state key of row i over `cols`: the arity byte, then each
 /// column's value. Byte-identical to EncodeRow of the boxed row, without
 /// boxing it.
@@ -699,16 +665,14 @@ Result<std::vector<RecordBatchPtr>> StatefulAggExec::ExecuteImpl(
   // group keys before the window key, then read the timestamp.
   auto window_start_of = [&](std::string_view enc) -> Result<int64_t> {
     size_t pos = 1;  // past the arity byte
-    for (int g = 0; g < window_key_index_; ++g) {
-      SS_RETURN_IF_ERROR(SkipEncodedValue(enc, &pos));
+    EncodedValue v;
+    for (int g = 0; g <= window_key_index_; ++g) {
+      SS_RETURN_IF_ERROR(ReadEncodedValue(enc, &pos, &v));
     }
-    if (enc.size() - pos < 9 ||
-        static_cast<TypeId>(enc[pos]) != TypeId::kTimestamp) {
+    if (v.type != TypeId::kTimestamp) {
       return Status::Internal("corrupt window key in aggregate state");
     }
-    int64_t wstart;
-    std::memcpy(&wstart, enc.data() + pos + 1, 8);
-    return wstart;
+    return static_cast<int64_t>(v.bits);
   };
   // Emits every stored group for which `pick(key)` holds, into `out` when
   // non-null; `evict` collects the keys of the picked groups when non-null.

@@ -289,71 +289,37 @@ Status BatchBuilder::AppendCell(int i, const Value& v) {
 
 Status BatchBuilder::AppendEncoded(int i, std::string_view data,
                                    size_t* pos) {
-  if (*pos >= data.size()) {
-    return Status::InvalidArgument("value decode: truncated type byte");
-  }
-  const TypeId got = static_cast<TypeId>(data[*pos]);
+  EncodedValue v;
+  SS_RETURN_IF_ERROR(ReadEncodedValue(data, pos, &v));
   Column& col = column(i);
-  size_t p = *pos + 1;
-  auto fixed64 = [&](uint64_t* v) {
-    if (data.size() - p < 8) return false;
-    std::memcpy(v, data.data() + p, 8);
-    p += 8;
-    return true;
-  };
-  switch (got) {
-    case TypeId::kNull:
-      col.AppendNull();
+  if (v.type == TypeId::kNull) {
+    col.AppendNull();
+    return Status::OK();
+  }
+  SS_RETURN_IF_ERROR(CheckFits(i, v.type));
+  switch (PhysicalKindOf(v.type)) {
+    case PhysicalKind::kBool:
+      col.AppendBool(v.bits != 0);
       break;
-    case TypeId::kBool:
-      SS_RETURN_IF_ERROR(CheckFits(i, got));
-      if (p >= data.size()) {
-        return Status::InvalidArgument("value decode: truncated bool");
-      }
-      col.AppendBool(data[p++] != 0);
-      break;
-    case TypeId::kInt64:
-    case TypeId::kTimestamp: {
-      SS_RETURN_IF_ERROR(CheckFits(i, got));
-      uint64_t v;
-      if (!fixed64(&v)) {
-        return Status::InvalidArgument("value decode: truncated int64");
-      }
+    case PhysicalKind::kInt64:
       if (col.type() == TypeId::kFloat64) {
-        col.AppendFloat64(static_cast<double>(static_cast<int64_t>(v)));
+        col.AppendFloat64(static_cast<double>(static_cast<int64_t>(v.bits)));
       } else {
-        col.AppendInt64(static_cast<int64_t>(v));
+        col.AppendInt64(static_cast<int64_t>(v.bits));
       }
       break;
-    }
-    case TypeId::kFloat64: {
-      SS_RETURN_IF_ERROR(CheckFits(i, got));
-      uint64_t bits;
-      if (!fixed64(&bits)) {
-        return Status::InvalidArgument("value decode: truncated float64");
-      }
+    case PhysicalKind::kFloat64: {
       double d;
-      std::memcpy(&d, &bits, 8);
+      std::memcpy(&d, &v.bits, 8);
       col.AppendFloat64(d);
       break;
     }
-    case TypeId::kString: {
-      SS_RETURN_IF_ERROR(CheckFits(i, got));
-      uint64_t n;
-      if (!fixed64(&n)) {
-        return Status::InvalidArgument("value decode: truncated string size");
-      }
-      if (data.size() - p < n) {
-        return Status::InvalidArgument("value decode: truncated string body");
-      }
-      col.AppendString(std::string(data.substr(p, n)));
-      p += n;
+    case PhysicalKind::kString:
+      col.AppendString(std::string(v.str));
       break;
-    }
-    default:
-      return Status::InvalidArgument("value decode: bad type byte");
+    case PhysicalKind::kNone:
+      break;
   }
-  *pos = p;
   return Status::OK();
 }
 

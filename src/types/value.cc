@@ -158,13 +158,6 @@ void PutFixed64(std::string* out, uint64_t v) {
   out->append(buf, 8);
 }
 
-bool GetFixed64(const std::string& data, size_t* pos, uint64_t* v) {
-  if (*pos + 8 > data.size()) return false;
-  std::memcpy(v, data.data() + *pos, 8);
-  *pos += 8;
-  return true;
-}
-
 }  // namespace
 
 void Value::EncodeTo(std::string* out) const {
@@ -193,53 +186,73 @@ void Value::EncodeTo(std::string* out) const {
   }
 }
 
-Result<Value> Value::DecodeFrom(const std::string& data, size_t* pos) {
+Status ReadEncodedValue(std::string_view data, size_t* pos,
+                        EncodedValue* out) {
   if (*pos >= data.size()) {
     return Status::InvalidArgument("value decode: truncated type byte");
   }
-  TypeId type = static_cast<TypeId>(data[(*pos)++]);
-  switch (type) {
+  out->type = static_cast<TypeId>(data[(*pos)++]);
+  auto fixed64 = [&]() {
+    if (data.size() - *pos < 8) return false;
+    std::memcpy(&out->bits, data.data() + *pos, 8);
+    *pos += 8;
+    return true;
+  };
+  switch (out->type) {
     case TypeId::kNull:
-      return Value::Null();
-    case TypeId::kBool: {
+      return Status::OK();
+    case TypeId::kBool:
       if (*pos >= data.size()) {
         return Status::InvalidArgument("value decode: truncated bool");
       }
-      return Value::Bool(data[(*pos)++] != 0);
-    }
+      out->bits = data[(*pos)++] != 0 ? 1 : 0;
+      return Status::OK();
     case TypeId::kInt64:
-    case TypeId::kTimestamp: {
-      uint64_t v;
-      if (!GetFixed64(data, pos, &v)) {
+    case TypeId::kTimestamp:
+      if (!fixed64()) {
         return Status::InvalidArgument("value decode: truncated int64");
       }
-      int64_t s = static_cast<int64_t>(v);
-      return type == TypeId::kInt64 ? Value::Int64(s) : Value::Timestamp(s);
-    }
-    case TypeId::kFloat64: {
-      uint64_t bits;
-      if (!GetFixed64(data, pos, &bits)) {
+      return Status::OK();
+    case TypeId::kFloat64:
+      if (!fixed64()) {
         return Status::InvalidArgument("value decode: truncated float64");
       }
-      double d;
-      std::memcpy(&d, &bits, 8);
-      return Value::Float64(d);
-    }
-    case TypeId::kString: {
-      uint64_t n;
-      if (!GetFixed64(data, pos, &n)) {
+      return Status::OK();
+    case TypeId::kString:
+      if (!fixed64()) {
         return Status::InvalidArgument("value decode: truncated string size");
       }
-      if (*pos + n > data.size()) {
+      if (data.size() - *pos < out->bits) {
         return Status::InvalidArgument("value decode: truncated string body");
       }
-      Value v = Value::Str(data.substr(*pos, n));
-      *pos += n;
-      return v;
-    }
-    default:
-      return Status::InvalidArgument("value decode: bad type byte");
+      out->str = data.substr(*pos, out->bits);
+      *pos += out->bits;
+      return Status::OK();
   }
+  return Status::InvalidArgument("value decode: bad type byte");
+}
+
+Result<Value> Value::DecodeFrom(const std::string& data, size_t* pos) {
+  EncodedValue v;
+  SS_RETURN_IF_ERROR(ReadEncodedValue(data, pos, &v));
+  switch (v.type) {
+    case TypeId::kNull:
+      break;
+    case TypeId::kBool:
+      return Value::Bool(v.bits != 0);
+    case TypeId::kInt64:
+      return Value::Int64(static_cast<int64_t>(v.bits));
+    case TypeId::kTimestamp:
+      return Value::Timestamp(static_cast<int64_t>(v.bits));
+    case TypeId::kFloat64: {
+      double d;
+      std::memcpy(&d, &v.bits, 8);
+      return Value::Float64(d);
+    }
+    case TypeId::kString:
+      return Value::Str(std::string(v.str));
+  }
+  return Value::Null();
 }
 
 }  // namespace sstreaming

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <variant>
 
 #include "common/status.h"
@@ -65,6 +66,21 @@ class Value {
   TypeId type_;
   std::variant<std::monostate, bool, int64_t, double, std::string> data_;
 };
+
+/// One value of the state codec (Value::EncodeTo), read in place: the type
+/// byte, then the payload bits of a bool, int64, timestamp or float64, or
+/// the bytes of a string.
+struct EncodedValue {
+  TypeId type = TypeId::kNull;
+  uint64_t bits = 0;
+  std::string_view str;
+};
+
+/// Reads the value at data[*pos] without boxing it and advances *pos past
+/// it; a truncated or unknown value is InvalidArgument. The one decoder of
+/// the codec: Value::DecodeFrom boxes its result, BatchBuilder::AppendEncoded
+/// appends it to a typed column.
+Status ReadEncodedValue(std::string_view data, size_t* pos, EncodedValue* out);
 
 /// FNV-1a style mix used by Value::Hash and the columnar hash kernels; kept
 /// here so row and column hashing agree (required: both sides of a shuffle

@@ -43,8 +43,9 @@ class StatefulAggExec : public PhysOp {
   // Set when one group key is a window() expression.
   int window_key_index_ = -1;  // position within group_exprs_
   const WindowExpr* window_expr_ = nullptr;
-  // Fold scratch per [partition][shard], kept across epochs so a warm fold
-  // reuses its buffers instead of allocating per key (see the .cc).
+  // Fold scratch and routed-row buckets per [partition][shard], kept
+  // across epochs so a warm fold reuses its buffers instead of allocating
+  // per key (see the .cc).
   struct ShardFold;
   std::vector<std::vector<ShardFold>> folds_;
 };

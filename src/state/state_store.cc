@@ -91,7 +91,7 @@ Result<std::unique_ptr<StateStore>> StateStore::Open(const std::string& dir,
     // here so the incremental accounting starts from truth.
     for (uint32_t p = 0; p < store->slab_size_; ++p) {
       const Entry& e = store->At(p);
-      if (e.in_use) store->clean_bytes_ += Charge(e);
+      if (!e.removed) store->clean_bytes_ += Charge(e);
     }
     store->live_ = static_cast<int64_t>(store->indexed_);
   }
@@ -225,7 +225,6 @@ StateStore::Entry& StateStore::Insert(std::string_view key, uint64_t hash,
   }
   Entry& e = At(pos);
   e.pos = pos;
-  e.in_use = true;
   e.dirty = false;
   e.removed = false;
   e.key.assign(key);
@@ -256,9 +255,8 @@ void StateStore::Erase(Entry* entry) {
   --indexed_;
   std::string().swap(entry->key);
   std::string().swap(entry->value);
-  entry->in_use = false;
   entry->dirty = false;
-  entry->removed = false;
+  entry->removed = true;
   free_.push_back(entry->pos);
 }
 
@@ -349,7 +347,7 @@ void StateStore::ForEach(
     const {
   for (uint32_t p = 0; p < slab_size_; ++p) {
     const Entry& e = At(p);
-    if (e.in_use && !e.removed) fn(e.key, e.value);
+    if (!e.removed) fn(e.key, e.value);
   }
 }
 

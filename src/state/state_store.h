@@ -169,9 +169,10 @@ class StateStore {
   // The probe reads only `key`, in the first 40 bytes.
   struct Entry {
     uint32_t pos = 0;      // position in the slab
-    bool in_use = false;   // indexed (live or tombstone); else on free_
     bool dirty = false;    // listed in dirty_ (changed since the last commit)
-    bool removed = false;  // tombstone; erased by the next commit
+    // Not live: a tombstone (dirty, erased by the next commit) or a free
+    // slab slot (clean, on free_).
+    bool removed = true;
     std::string key;
     std::string value;
   };

@@ -92,9 +92,10 @@ Result<std::vector<RecordBatchPtr>> ExecuteMaterialized(const PhysOpPtr& child,
 //
 // The grain rule turns those steps into scheduler tasks. When partition
 // parallelism alone covers the scheduler (parallelism <= partitions), one
-// task per partition routes the whole partition into one bucket per shard,
-// then folds and finishes the shards in index order (inline grain, stage
-// `<name>`). Otherwise stage `<name>[split]` routes row chunks into one
+// task per partition routes the partition into one bucket per shard a
+// slice of kInlineSliceRows rows at a time, folding each slice's buckets
+// before routing the next, then finishes the shards in index order (inline
+// grain, stage `<name>`). Otherwise stage `<name>[split]` routes row chunks into one
 // bucket per (chunk, shard) and stage `<name>` runs one fold task per
 // (partition, shard), packed onto the scheduler's cores (split grain).
 // Buckets keep input order (chunks are contiguous row ranges, folded in
@@ -131,6 +132,10 @@ struct KeyedEntries {
     keys.clear();
   }
 };
+
+/// Rows the inline grain routes into its buckets before folding them: the
+/// slice's routed keys (~40 KB) stay in cache between route and fold.
+constexpr int64_t kInlineSliceRows = 1024;
 
 /// Split-stage chunk count: enough chunks to split big partitions in
 /// parallel without paying per-task overhead on small ones.
@@ -297,14 +302,13 @@ Result<std::vector<RecordBatchPtr>> RunKeyedShards(
   };
 
   // Output batches per partition in shard-index order, each built by the
-  // task that folded, finished and committed its shards; the merge only
+  // task that finished and committed its shards; the merge only
   // concatenates them.
   std::vector<std::vector<RecordBatchPtr>> pieces(P);
-  auto fold_finish = [&](Shard* first, size_t count,
+  auto finish_into = [&](Shard* first, size_t count,
                          RecordBatchPtr* piece) -> Status {
     BatchBuilder out(op.schema());
     for (size_t s = 0; s < count; ++s) {
-      SS_RETURN_IF_ERROR(FoldBuckets(first[s], fold));
       SS_RETURN_IF_ERROR(finish(first[s], &out));
       SS_RETURN_IF_ERROR(
           ctx->state->EndShardEpoch(first[s].state, ctx->state_commit_epoch));
@@ -318,9 +322,19 @@ Result<std::vector<RecordBatchPtr>> RunKeyedShards(
     for (size_t p = 0; p < P; ++p) {
       pieces[p].resize(1);
       tasks.push_back([&, p]() -> Status {
-        SS_RETURN_IF_ERROR(route_into(p, 0, 0, num_rows[p]));
         std::vector<Shard>& ps = (*shards)[p];
-        return fold_finish(ps.data(), ps.size(), &pieces[p][0]);
+        // Route and fold slice by slice: a slice's buckets stay small and
+        // cache-resident, and each shard still folds its rows in input
+        // order.
+        for (int64_t lo = 0; lo < num_rows[p]; lo += kInlineSliceRows) {
+          SS_RETURN_IF_ERROR(route_into(
+              p, 0, lo, std::min(num_rows[p], lo + kInlineSliceRows)));
+          for (Shard& shard : ps) {
+            SS_RETURN_IF_ERROR(FoldBuckets(shard, fold));
+            shard.buckets[0].Clear();
+          }
+        }
+        return finish_into(ps.data(), ps.size(), &pieces[p][0]);
       });
     }
     SS_RETURN_IF_ERROR(ctx->RunStage(op_id, name, std::move(tasks)));
@@ -346,7 +360,9 @@ Result<std::vector<RecordBatchPtr>> RunKeyedShards(
       pieces[p].resize(S);
       for (size_t s = 0; s < S; ++s) {
         tasks.push_back([&, p, s]() -> Status {
-          return fold_finish(&(*shards)[p][s], 1, &pieces[p][s]);
+          Shard& shard = (*shards)[p][s];
+          SS_RETURN_IF_ERROR(FoldBuckets(shard, fold));
+          return finish_into(&shard, 1, &pieces[p][s]);
         });
       }
     }

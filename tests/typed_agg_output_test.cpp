@@ -294,9 +294,10 @@ void RunCase(const Case& c, OutputMode mode, bool is_batch,
   }
   StateManager state("", 0, ShardedStateStore::Options());
   Random rng(seed);
-  // On the split grain the second epoch is big enough (>= 4096 rows in
-  // its one partition) to route in several chunks.
-  const int64_t big = grain.threads > 0 ? 4200 : 800;
+  // The second epoch is big enough to route in several chunks on the
+  // split grain (>= 4096 rows in its one partition) and in several slices
+  // on the inline grain (> 1024 rows in each of its two partitions).
+  const int64_t big = grain.threads > 0 ? 4200 : 2600;
   const std::vector<int64_t> epoch_rows =
       is_batch ? std::vector<int64_t>{big}
                : std::vector<int64_t>{300, big, 200, 200};

@@ -198,22 +198,27 @@ struct DedupShard : KeyedShard {
 /// buckets, in bucket (= input) order. With Shard::kPrefetchStore it
 /// prefetches the store's index slot kSlotAhead rows ahead and the entry
 /// that slot points at kEntryAhead rows ahead, so the probe for each key
-/// finds both in cache.
+/// finds both in cache. A table under kPrefetchMinRows entries (a few
+/// dozen KB, e.g. yahoo_drain's windowed counts) stays cached between its
+/// probes anyway, and the hints would only cost time.
 template <typename Shard, typename Fold>
 Status FoldBuckets(Shard& shard, const Fold& fold) {
   constexpr size_t kSlotAhead = 16;
   constexpr size_t kEntryAhead = 8;
+  constexpr int64_t kPrefetchMinRows = 512;
   const StateShardProtocol* state = shard.state;
+  const bool prefetch =
+      Shard::kPrefetchStore && state->rows() >= kPrefetchMinRows;
   for (const KeyedEntries& e : shard.buckets) {
     const size_t n = e.rows.size();
-    if constexpr (Shard::kPrefetchStore) {
+    if (prefetch) {
       for (size_t j = 0; j < std::min(n, kSlotAhead); ++j) {
         state->PrefetchSlot(e.hashes[j]);
       }
     }
     size_t off = 0;
     for (size_t j = 0; j < n; ++j) {
-      if constexpr (Shard::kPrefetchStore) {
+      if (prefetch) {
         if (j + kSlotAhead < n) state->PrefetchSlot(e.hashes[j + kSlotAhead]);
         if (j + kEntryAhead < n) {
           state->PrefetchEntry(e.hashes[j + kEntryAhead]);

@@ -95,9 +95,9 @@ Result<std::vector<RecordBatchPtr>> ExecuteMaterialized(const PhysOpPtr& child,
 // task per partition routes the partition into one bucket per shard a
 // slice of kInlineSliceRows rows at a time, folding each slice's buckets
 // before routing the next, then finishes the shards in index order (inline
-// grain, stage `<name>`). Otherwise stage `<name>[split]` routes row chunks into one
-// bucket per (chunk, shard) and stage `<name>` runs one fold task per
-// (partition, shard), packed onto the scheduler's cores (split grain).
+// grain, stage `<name>`). Otherwise stage `<name>[split]` routes row chunks
+// into one bucket per (chunk, shard) and stage `<name>` runs one fold task
+// per (partition, shard), packed onto the scheduler's cores (split grain).
 // Buckets keep input order (chunks are contiguous row ranges, folded in
 // chunk order), so on either grain each shard folds its rows in input
 // order with the same loop: an operator's output is a deterministic

@@ -16,8 +16,9 @@ namespace sstreaming {
 /// The narrow per-shard state protocol: everything a stateful operator (or
 /// the checkpoint machinery) may ask of one shard of keyed state. The split
 /// mirrors faabric's StateServer verbs — pull (Get/ForEach), push
-/// (Put/Append/Remove/FindOrCreate/InsertIfAbsent), and snapshot/restore — so a shard's
-/// backing can later move out of process without touching the operators.
+/// (Put/Append/Remove/FindOrCreate/InsertIfAbsent), and snapshot/restore —
+/// so a shard's backing can later move out of process without touching
+/// the operators.
 ///
 /// A shard is single-writer: within one epoch exactly one scheduler task
 /// touches a given shard, so implementations need no internal locking.

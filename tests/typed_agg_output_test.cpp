@@ -56,9 +56,10 @@ RecordBatchPtr RandomInput(Random* rng, int64_t rows, int64_t t0) {
         maybe_null(Value::Float64(doubles[rng->Uniform(5)])),
         maybe_null(Value::Timestamp(
             t0 + static_cast<int64_t>(rng->Uniform(30 * kSec)))),
-        maybe_null(Value::Str(rng->OneIn(0.1)
-                                  ? std::string()
-                                  : std::string("s") + std::to_string(rng->Uniform(7)))),
+        maybe_null(Value::Str(
+            rng->OneIn(0.1) ? std::string()
+                            : std::string("s") +
+                                  std::to_string(rng->Uniform(7)))),
         maybe_null(Value::Bool(rng->OneIn(0.5))),
         maybe_null(Value::Int64(static_cast<int64_t>(rng->Uniform(100)) - 50)),
         maybe_null(Value::Float64(rng->OneIn(0.05)
@@ -189,8 +190,9 @@ class Oracle {
       }
       Row args;
       for (const AggSpec& spec : plan_.specs) {
-        args.push_back(spec.arg == nullptr ? Value::Null()
-                                           : spec.arg->EvalRow(row).TakeValue());
+        args.push_back(spec.arg == nullptr
+                           ? Value::Null()
+                           : spec.arg->EvalRow(row).TakeValue());
       }
       for (int64_t wstart : starts) {
         if (closed(wstart)) continue;

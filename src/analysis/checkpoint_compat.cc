@@ -1,10 +1,10 @@
 #include "analysis/checkpoint_compat.h"
 
 #include <algorithm>
-#include <cstdlib>
 #include <filesystem>
 #include <vector>
 
+#include "state/sharded_state_store.h"
 #include "storage/fs.h"
 #include "testing/failpoints.h"
 
@@ -257,11 +257,10 @@ Result<PlanAnalysis> LintCheckpoint(const std::string& checkpoint_dir,
     for (const auto& part_entry :
          std::filesystem::directory_iterator(op_entry.path(), ec2)) {
       if (!part_entry.is_directory()) continue;
-      const std::string meta = (part_entry.path() / "SHARDS").string();
-      if (!FileExists(meta)) continue;
-      auto text = ReadFile(meta);
-      if (!text.ok()) return text.status();
-      int on_disk = std::atoi(text->c_str());
+      const std::string part_dir = part_entry.path().string();
+      if (!FileExists(part_dir + "/SHARDS")) continue;
+      SS_ASSIGN_OR_RETURN(const int on_disk,
+                          ShardedStateStore::ReadShardCount(part_dir));
       if (on_disk != manifest.num_state_shards) {
         report.Add(CompatDiag(
             DiagCode::kCheckpointShardCountChanged, DiagSeverity::kError,

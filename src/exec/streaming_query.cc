@@ -495,12 +495,19 @@ Status StreamingQuery::RunPlannedEpoch(const EpochPlan& plan) {
     }
   }
 
-  // Memory accounting (§7.4): live state size per stateful operator, read
-  // once per epoch (not per row) so the cost is one map walk.
-  std::map<int, StateManager::OpStateSize> state_sizes =
-      state_->PerOpSizes();
-  std::map<int, std::vector<StateManager::OpStateSize>> shard_sizes =
+  // Memory accounting (§7.4): live state size per stateful operator and
+  // shard, read once per epoch (not per row) in one walk of the stores. The
+  // operator and progress totals are its sums, so every surface agrees.
+  const std::map<int, std::vector<StateManager::OpStateSize>> shard_sizes =
       state_->PerOpShardSizes();
+  std::map<int, StateManager::OpStateSize> state_sizes;
+  for (const auto& [op_id, sizes] : shard_sizes) {
+    StateManager::OpStateSize& total = state_sizes[op_id];
+    for (const StateManager::OpStateSize& shard : sizes) {
+      total.rows += shard.rows;
+      total.bytes += shard.bytes;
+    }
+  }
 
   QueryProgress progress;
   progress.epoch = plan.epoch;
@@ -513,9 +520,9 @@ Status StreamingQuery::RunPlannedEpoch(const EpochPlan& plan) {
   }
   progress.trigger_drift_nanos = trigger_drift;
   progress.e2e_latency = LatencySummary::FromHistogram(e2e_hist);
-  progress.state_entries = state_->TotalEntries();
   for (const auto& [op_id, size] : state_sizes) {
     (void)op_id;
+    progress.state_entries += size.rows;
     progress.state_bytes += size.bytes;
   }
   progress.trigger_wait_nanos = trigger_wait;

@@ -1,8 +1,10 @@
 #include "physical/phys_op.h"
 
-#include <filesystem>
-
 #include <algorithm>
+#include <climits>
+#include <filesystem>
+#include <optional>
+#include <string_view>
 
 #include "common/clock.h"
 #include "common/logging.h"
@@ -36,6 +38,16 @@ std::string StateManager::StoreDir(int op_id, int partition) const {
          std::to_string(partition);
 }
 
+template <typename Fn>
+int64_t StateManager::SumShards(const Fn& fn) const {
+  int64_t total = 0;
+  for (const auto& [key, store] : stores_) {
+    (void)key;
+    for (int s = 0; s < store->num_shards(); ++s) total += fn(*store->shard(s));
+  }
+  return total;
+}
+
 Result<ShardedStateStore*> StateManager::GetStore(int op_id, int partition) {
   std::lock_guard<std::mutex> lock(mu_);
   auto key = std::make_pair(op_id, partition);
@@ -55,16 +67,24 @@ Status StateManager::PreopenExisting() {
   std::error_code ec;
   for (const auto& op_entry : std::filesystem::directory_iterator(dir_, ec)) {
     if (!op_entry.is_directory()) continue;
-    std::string op_name = op_entry.path().filename().string();
+    // Stray names (`opfoo`, `p-1`) are not stores: opening one would
+    // create an empty store whose version 0 drags the replay floor down.
+    const std::string op_name = op_entry.path().filename().string();
     if (op_name.rfind("op", 0) != 0) continue;
-    int op_id = std::atoi(op_name.c_str() + 2);
+    const std::optional<int64_t> op_id =
+        ParseDecimal(std::string_view(op_name).substr(2), INT_MAX);
+    if (!op_id.has_value()) continue;
     for (const auto& part_entry :
          std::filesystem::directory_iterator(op_entry.path(), ec)) {
       if (!part_entry.is_directory()) continue;
-      std::string part_name = part_entry.path().filename().string();
+      const std::string part_name = part_entry.path().filename().string();
       if (part_name.rfind("p", 0) != 0) continue;
-      int partition = std::atoi(part_name.c_str() + 1);
-      SS_RETURN_IF_ERROR(GetStore(op_id, partition).status());
+      const std::optional<int64_t> partition =
+          ParseDecimal(std::string_view(part_name).substr(1), INT_MAX);
+      if (!partition.has_value()) continue;
+      SS_RETURN_IF_ERROR(GetStore(static_cast<int>(*op_id),
+                                  static_cast<int>(*partition))
+                             .status());
     }
   }
   return Status::OK();
@@ -77,7 +97,7 @@ void StateManager::set_metrics(MetricsRegistry* metrics) {
                       : nullptr;
 }
 
-Status StateManager::EndShardEpoch(StateShardProtocol* shard,
+Status StateManager::EndShardEpoch(StateStore* shard,
                                    std::optional<int64_t> commit_epoch) {
   if (!durable_) {
     // Nothing to checkpoint, but the shard still tracks this epoch's
@@ -87,7 +107,7 @@ Status StateManager::EndShardEpoch(StateShardProtocol* shard,
   }
   if (!commit_epoch.has_value()) return Status::OK();
   const int64_t t0 = MonotonicNanos();
-  SS_RETURN_IF_ERROR(shard->Snapshot(*commit_epoch));
+  SS_RETURN_IF_ERROR(shard->Commit(*commit_epoch));
   if (commit_nanos_ != nullptr) commit_nanos_->Record(MonotonicNanos() - t0);
   return Status::OK();
 }
@@ -103,12 +123,10 @@ Status StateManager::CommitAll(int64_t epoch) {
     SS_RETURN_IF_ERROR(store->Commit(epoch));
   }
   if (metrics_ != nullptr) {
-    int64_t bytes = 0, entries = 0;
-    for (auto& [key, store] : stores_) {
-      (void)key;
-      bytes += store->bytes_written();
-      entries += store->size();
-    }
+    const int64_t bytes =
+        SumShards([](const StateStore& s) { return s.bytes_written(); });
+    const int64_t entries =
+        SumShards([](const StateStore& s) { return s.size(); });
     metrics_->GetCounter("sstreaming_state_checkpoint_bytes_total")
         ->Increment(bytes - reported_bytes_);
     reported_bytes_ = bytes;
@@ -140,72 +158,36 @@ int64_t StateManager::MinLoadedVersion() const {
   return min_version;
 }
 
-int64_t StateManager::TotalEntries() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  int64_t total = 0;
-  for (const auto& [key, store] : stores_) {
-    (void)key;
-    total += store->size();
-  }
-  return total;
-}
-
-std::map<int, StateManager::OpStateSize> StateManager::PerOpSizes() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::map<int, OpStateSize> out;
-  for (const auto& [key, store] : stores_) {
-    OpStateSize& size = out[key.first];
-    size.rows += store->size();
-    size.bytes += store->ApproxBytes();
-  }
-  return out;
-}
-
 std::map<int, std::vector<StateManager::OpStateSize>>
 StateManager::PerOpShardSizes() const {
   std::lock_guard<std::mutex> lock(mu_);
   std::map<int, std::vector<OpStateSize>> out;
   for (const auto& [key, store] : stores_) {
     std::vector<OpStateSize>& sizes = out[key.first];
-    std::vector<ShardedStateStore::ShardSize> shard_sizes =
-        store->PerShardSizes();
-    if (sizes.size() < shard_sizes.size()) sizes.resize(shard_sizes.size());
-    for (size_t s = 0; s < shard_sizes.size(); ++s) {
-      sizes[s].rows += shard_sizes[s].rows;
-      sizes[s].bytes += shard_sizes[s].bytes;
+    const size_t n = static_cast<size_t>(store->num_shards());
+    if (sizes.size() < n) sizes.resize(n);
+    for (size_t s = 0; s < n; ++s) {
+      const StateStore& shard = *store->shard(static_cast<int>(s));
+      sizes[s].rows += shard.size();
+      sizes[s].bytes += shard.ApproxBytes();
     }
   }
   return out;
 }
 
-int64_t StateManager::TotalApproxBytes() const {
+int64_t StateManager::TotalEntries() const {
   std::lock_guard<std::mutex> lock(mu_);
-  int64_t total = 0;
-  for (const auto& [key, store] : stores_) {
-    (void)key;
-    total += store->ApproxBytes();
-  }
-  return total;
+  return SumShards([](const StateStore& s) { return s.size(); });
 }
 
 int64_t StateManager::TotalTrackedChanges() const {
   std::lock_guard<std::mutex> lock(mu_);
-  int64_t total = 0;
-  for (const auto& [key, store] : stores_) {
-    (void)key;
-    total += store->tracked_changes();
-  }
-  return total;
+  return SumShards([](const StateStore& s) { return s.tracked_changes(); });
 }
 
 int64_t StateManager::TotalBytesWritten() const {
   std::lock_guard<std::mutex> lock(mu_);
-  int64_t total = 0;
-  for (const auto& [key, store] : stores_) {
-    (void)key;
-    total += store->bytes_written();
-  }
-  return total;
+  return SumShards([](const StateStore& s) { return s.bytes_written(); });
 }
 
 namespace {

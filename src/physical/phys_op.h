@@ -56,7 +56,7 @@ class StateManager {
   /// `commit_epoch` when durable and one is given, drops its change tracking
   /// when ephemeral, and does nothing otherwise (a durable epoch between
   /// checkpoints). Safe to call concurrently for distinct shards.
-  Status EndShardEpoch(StateShardProtocol* shard,
+  Status EndShardEpoch(StateStore* shard,
                        std::optional<int64_t> commit_epoch);
 
   /// The driver's end of a checkpoint epoch: commits the shards of every
@@ -77,26 +77,25 @@ class StateManager {
   /// replay epochs after this (checkpoints may lag, §6.1 step 4).
   int64_t MinLoadedVersion() const;
 
+  /// Sums over every shard of every opened store.
   int64_t TotalEntries() const;
   int64_t TotalBytesWritten() const;
   /// Entries changed since their store's last commit, over all stores.
   int64_t TotalTrackedChanges() const;
 
-  /// Live state size for one operator, summed over its partitions.
+  /// Live state size of one operator's shard, or of the whole operator,
+  /// summed over its partitions.
   struct OpStateSize {
     int64_t rows = 0;
     int64_t bytes = 0;  // StateStore::ApproxBytes
   };
-  /// Per-operator live state sizes across all opened stores — the memory
-  /// accounting behind `sstreaming_state_rows{op_id=}` /
-  /// `sstreaming_state_bytes{op_id=}` and the EXPLAIN ANALYZE state columns.
-  std::map<int, OpStateSize> PerOpSizes() const;
   /// Per-operator, per-shard live state sizes (summed over partitions;
-  /// indexed by shard) — behind the `shard=`-labelled gauges and the
-  /// per-shard EXPLAIN ANALYZE columns.
+  /// indexed by shard), in one walk of the opened stores: the one record
+  /// behind the progress totals, the `sstreaming_state_{rows,bytes}` and
+  /// `sstreaming_state_shard_{rows,bytes}` gauges and the EXPLAIN ANALYZE
+  /// state columns, which all sum it.
   std::map<int, std::vector<OpStateSize>> PerOpShardSizes() const;
-  /// Sum of ApproxBytes over all opened stores.
-  int64_t TotalApproxBytes() const;
+
   bool durable() const { return durable_; }
   int num_open_stores() const {
     std::lock_guard<std::mutex> lock(mu_);
@@ -105,6 +104,9 @@ class StateManager {
 
  private:
   std::string StoreDir(int op_id, int partition) const;
+  /// `fn(shard)` summed over every shard of every opened store.
+  template <typename Fn>
+  int64_t SumShards(const Fn& fn) const SS_REQUIRES(mu_);
 
   std::string dir_;
   int64_t version_;

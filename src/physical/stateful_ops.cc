@@ -78,9 +78,9 @@ Result<std::vector<RecordBatchPtr>> ExecuteMaterialized(const PhysOpPtr& child,
 //            context per (partition, shard);
 //   prepare  optional, stage `<name>[eval]`, one task per partition;
 //   route    the operator encodes the state keys of a row range and emits
-//            (row, aux, key); the driver hashes each key (StableHashKey),
-//            picks its shard (ShardOf) and appends the row to that shard's
-//            bucket for the range;
+//            (row, aux, key); the driver hashes each key
+//            (StateStore::HashKey), picks its shard (ShardOf) and appends
+//            the row to that shard's bucket for the range;
 //   fold     per shard, FoldBuckets hands the operator each bucketed
 //            (row, aux, key, hash) in input order;
 //   finish   per shard, in shard-index order: the operator appends output
@@ -175,7 +175,7 @@ std::vector<std::function<Status()>> CoalesceTasks(
 /// that keeps its contexts across epochs keeps the buckets' buffers warm.
 struct KeyedShard {
   size_t partition = 0;
-  StateShardProtocol* state = nullptr;
+  StateStore* state = nullptr;
   std::vector<KeyedEntries> buckets;
 
   /// Operators whose store key is the routed key set this in their shard
@@ -183,7 +183,7 @@ struct KeyedShard {
   /// finds. (Not the join: its store keys carry a side prefix.)
   static constexpr bool kPrefetchStore = false;
 
-  void Open(size_t p, StateShardProtocol* s) {
+  void Open(size_t p, StateStore* s) {
     partition = p;
     state = s;
   }
@@ -206,9 +206,9 @@ Status FoldBuckets(Shard& shard, const Fold& fold) {
   constexpr size_t kSlotAhead = 16;
   constexpr size_t kEntryAhead = 8;
   constexpr int64_t kPrefetchMinRows = 512;
-  const StateShardProtocol* state = shard.state;
+  const StateStore* state = shard.state;
   const bool prefetch =
-      Shard::kPrefetchStore && state->rows() >= kPrefetchMinRows;
+      Shard::kPrefetchStore && state->size() >= kPrefetchMinRows;
   for (const KeyedEntries& e : shard.buckets) {
     const size_t n = e.rows.size();
     if (prefetch) {
@@ -298,7 +298,7 @@ Result<std::vector<RecordBatchPtr>> RunKeyedShards(
     return route(
         p, lo, hi,
         [&](int64_t row, int64_t aux, std::string_view key) -> Status {
-          const uint64_t hash = ShardedStateStore::StableHashKey(key);
+          const uint64_t hash = StateStore::HashKey(key);
           ps[static_cast<size_t>(ShardedStateStore::ShardOf(hash, S))]
               .buckets[chunk]
               .Add(row, aux, key, hash);
@@ -418,7 +418,7 @@ struct StatefulAggExec::ShardFold : KeyedShard {
 
   struct Touched {
     StateStore::Slot slot;
-    uint64_t hash;   // StableHashKey of the key
+    uint64_t hash;   // StateStore::HashKey of the key
     int64_t wstart;  // window start; 0 when not windowed
     Row state;
   };
@@ -433,7 +433,7 @@ struct StatefulAggExec::ShardFold : KeyedShard {
     return static_cast<size_t>((hash * 0x9E3779B97F4A7C15ull) >> 32) & mask;
   }
 
-  void Open(size_t p, StateShardProtocol* s) {
+  void Open(size_t p, StateStore* s) {
     KeyedShard::Open(p, s);
     num_touched = 0;
     std::fill(index.begin(), index.end(), 0);
@@ -1298,7 +1298,7 @@ Result<std::vector<RecordBatchPtr>> FlatMapGroupsWithStateExec::ExecuteImpl(
 
   // Calls the update function for one key and writes its state back.
   // State value codec: [fixed64 timeout_at][encoded user row].
-  auto invoke = [&](StateShardProtocol* state, const std::string& enc,
+  auto invoke = [&](StateStore* state, const std::string& enc,
                     const Row& key, const std::vector<Row>& values,
                     bool timed_out, BatchBuilder* out) -> Status {
     std::optional<Row> value;

@@ -1,12 +1,15 @@
 #include "state/sharded_state_store.h"
 
 #include <algorithm>
-#include <cstdlib>
+#include <climits>
 #include <filesystem>
+#include <optional>
+#include <string_view>
 
 #include "analysis/diagnostics.h"
 #include "common/logging.h"
 #include "storage/fs.h"
+#include "testing/failpoints.h"
 
 namespace sstreaming {
 
@@ -24,12 +27,12 @@ std::vector<int> ListShardDirs(const std::string& dir) {
   std::error_code ec;
   for (const auto& entry : std::filesystem::directory_iterator(dir, ec)) {
     if (!entry.is_directory()) continue;
-    std::string name = entry.path().filename().string();
-    if (name.size() < 2 || name[0] != 's') continue;
-    char* end = nullptr;
-    long v = std::strtol(name.c_str() + 1, &end, 10);
-    if (end == nullptr || *end != '\0' || v < 0) continue;
-    shards.push_back(static_cast<int>(v));
+    const std::string name = entry.path().filename().string();
+    if (name.empty() || name[0] != 's') continue;
+    const std::optional<int64_t> shard =
+        ParseDecimal(std::string_view(name).substr(1), INT_MAX);
+    if (!shard.has_value()) continue;
+    shards.push_back(static_cast<int>(*shard));
   }
   std::sort(shards.begin(), shards.end());
   return shards;
@@ -37,17 +40,25 @@ std::vector<int> ListShardDirs(const std::string& dir) {
 
 }  // namespace
 
+Result<int> ShardedStateStore::ReadShardCount(const std::string& dir) {
+  const std::string meta_path = dir + "/" + kShardCountFile;
+  SS_ASSIGN_OR_RETURN(std::string meta, ReadFile(meta_path));
+  std::string_view text(meta);
+  if (!text.empty() && text.back() == '\n') text.remove_suffix(1);
+  const std::optional<int64_t> count = ParseDecimal(text, INT_MAX);
+  if (!count.has_value() || *count < 1) {
+    return Status::IOError("corrupt shard-count file: " + meta_path);
+  }
+  return static_cast<int>(*count);
+}
+
 Result<std::unique_ptr<ShardedStateStore>> ShardedStateStore::Open(
     const std::string& dir, int64_t version, Options options) {
   SS_RETURN_IF_ERROR(EnsureDir(dir));
   int num_shards = std::max(1, options.num_shards);
   const std::string meta_path = dir + "/" + kShardCountFile;
   if (FileExists(meta_path)) {
-    SS_ASSIGN_OR_RETURN(std::string meta, ReadFile(meta_path));
-    int on_disk = std::atoi(meta.c_str());
-    if (on_disk < 1) {
-      return Status::IOError("corrupt shard-count file: " + meta_path);
-    }
+    SS_ASSIGN_OR_RETURN(const int on_disk, ReadShardCount(dir));
     if (on_disk != num_shards) {
       // Pre-recovery, the plan-manifest gate (analysis/checkpoint_compat.h)
       // catches this as SS3004; this store-level check is defense in depth
@@ -70,12 +81,13 @@ Result<std::unique_ptr<ShardedStateStore>> ShardedStateStore::Open(
     SS_RETURN_IF_ERROR(WriteFileAtomic(meta_path,
                                        std::to_string(num_shards) + "\n"));
   }
-  std::vector<std::unique_ptr<LocalStateShard>> shards;
+  std::vector<std::unique_ptr<StateStore>> shards;
   shards.reserve(static_cast<size_t>(num_shards));
   for (int s = 0; s < num_shards; ++s) {
-    SS_ASSIGN_OR_RETURN(std::unique_ptr<LocalStateShard> shard,
-                        LocalStateShard::Open(ShardDir(dir, s), version,
-                                              options.shard_options));
+    SS_FAILPOINT("state.shard.restore");
+    SS_ASSIGN_OR_RETURN(std::unique_ptr<StateStore> shard,
+                        StateStore::Open(ShardDir(dir, s), version,
+                                         options.shard_options));
     shards.push_back(std::move(shard));
   }
   return std::unique_ptr<ShardedStateStore>(
@@ -85,7 +97,7 @@ Result<std::unique_ptr<ShardedStateStore>> ShardedStateStore::Open(
 int64_t ShardedStateStore::loaded_version() const {
   int64_t min_version = INT64_MAX;
   for (const auto& shard : shards_) {
-    min_version = std::min(min_version, shard->restored_version());
+    min_version = std::min(min_version, shard->loaded_version());
   }
   return shards_.empty() ? 0 : min_version;
 }
@@ -98,44 +110,10 @@ Status ShardedStateStore::Commit(int64_t version) {
   // shard files are ignored (then overwritten on replay). Shards already at
   // `version` (their fold task checkpointed them) are skipped.
   for (const auto& shard : shards_) {
-    if (shard->restored_version() >= version) continue;
-    SS_RETURN_IF_ERROR(shard->Snapshot(version));
+    if (shard->loaded_version() >= version) continue;
+    SS_RETURN_IF_ERROR(shard->Commit(version));
   }
   return Status::OK();
-}
-
-int64_t ShardedStateStore::size() const {
-  int64_t total = 0;
-  for (const auto& shard : shards_) total += shard->rows();
-  return total;
-}
-
-int64_t ShardedStateStore::ApproxBytes() const {
-  int64_t total = 0;
-  for (const auto& shard : shards_) total += shard->ApproxBytes();
-  return total;
-}
-
-int64_t ShardedStateStore::bytes_written() const {
-  int64_t total = 0;
-  for (const auto& shard : shards_) total += shard->bytes_written();
-  return total;
-}
-
-int64_t ShardedStateStore::tracked_changes() const {
-  int64_t total = 0;
-  for (const auto& shard : shards_) total += shard->tracked_changes();
-  return total;
-}
-
-std::vector<ShardedStateStore::ShardSize> ShardedStateStore::PerShardSizes()
-    const {
-  std::vector<ShardSize> sizes(shards_.size());
-  for (size_t s = 0; s < shards_.size(); ++s) {
-    sizes[s].rows = shards_[s]->rows();
-    sizes[s].bytes = shards_[s]->ApproxBytes();
-  }
-  return sizes;
 }
 
 Status ShardedStateStore::TruncateAfter(const std::string& dir,

@@ -4,20 +4,20 @@
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "common/status.h"
-#include "state/state_shard.h"
 #include "state/state_store.h"
 
 namespace sstreaming {
 
 /// One stateful operator-partition's keyed state, hash-partitioned into N
-/// independent shards (docs/STATE_SHARDING.md). Each shard is a
-/// StateShardProtocol with its own directory, checkpoint files, and memory
-/// accounting, so a stateful stage can process shards as parallel scheduler
-/// tasks and checkpoint/restore them independently.
+/// independent shards (docs/STATE_SHARDING.md). Each shard is a plain
+/// StateStore with its own directory, checkpoint files and memory
+/// accounting: the operators reach it through shard() and call its verbs
+/// directly, so a stateful stage can fold shards as parallel scheduler
+/// tasks and checkpoint/restore them independently. This class only hides
+/// the on-disk layout.
 ///
 /// Layout under `dir`:
 ///   SHARDS        - decimal shard count, written once at creation
@@ -28,11 +28,11 @@ namespace sstreaming {
 /// routed by `hash % N`. (Operator output is shard-count-invariant, so this
 /// only pins the layout, not the results.)
 ///
-/// Routing: StableHashKey (FNV-1a, fixed across platforms and std::hash
-/// implementations) of the encoded key, mod N (ShardOf). Callers route each
-/// key themselves and use shard() directly; the stateful operators hand
-/// each shard to one task at a time — shards are single-writer and
-/// unsynchronized.
+/// Routing: StateStore::HashKey (FNV-1a, fixed across platforms and
+/// std::hash implementations) of the encoded key, mod N (ShardOf). Callers
+/// route each key themselves and use shard() directly; the stateful
+/// operators hand each shard to one task at a time — shards are
+/// single-writer and unsynchronized.
 class ShardedStateStore {
  public:
   struct Options {
@@ -49,24 +49,25 @@ class ShardedStateStore {
   };
 
   /// Opens (creating if needed) the shard group and restores every shard to
-  /// the newest durable version <= `version`.
+  /// the newest durable version <= `version`. The `state.shard.restore`
+  /// seam fires before each shard's StateStore::Open. A corrupt SHARDS file
+  /// is an IOError (ReadShardCount).
   static Result<std::unique_ptr<ShardedStateStore>> Open(
       const std::string& dir, int64_t version, Options options = Options());
 
+  /// The count in `dir`'s SHARDS file; an IOError when the file does not
+  /// hold a positive decimal count (one trailing newline allowed).
+  static Result<int> ReadShardCount(const std::string& dir);
+
   int num_shards() const { return static_cast<int>(shards_.size()); }
 
-  /// Stable 64-bit FNV-1a of the encoded key (StateStore::HashKey, so the
-  /// routing hash doubles as the shard table's hash).
-  static uint64_t StableHashKey(std::string_view key) {
-    return StateStore::HashKey(key);
-  }
-  /// The shard of a key with hash `hash` (StableHashKey) among `num_shards`:
-  /// the one routing rule of the durable layout.
+  /// The shard of a key with hash `hash` (StateStore::HashKey) among
+  /// `num_shards`: the one routing rule of the durable layout.
   static int ShardOf(uint64_t hash, int num_shards) {
     return static_cast<int>(hash % static_cast<uint64_t>(num_shards));
   }
-  StateShardProtocol* shard(int i) { return shards_[static_cast<size_t>(i)].get(); }
-  const StateShardProtocol* shard(int i) const {
+  StateStore* shard(int i) { return shards_[static_cast<size_t>(i)].get(); }
+  const StateStore* shard(int i) const {
     return shards_[static_cast<size_t>(i)].get();
   }
 
@@ -74,22 +75,8 @@ class ShardedStateStore {
   /// crash between shard snapshots is healed by replaying from the min).
   int64_t loaded_version() const;
 
-  /// Snapshots every shard not yet at `version`, in shard order.
+  /// Commits every shard not yet at `version`, in shard order.
   Status Commit(int64_t version);
-
-  // Aggregated accounting across shards.
-  int64_t size() const;
-  int64_t ApproxBytes() const;
-  int64_t bytes_written() const;
-  /// StateStore::tracked_changes summed over shards.
-  int64_t tracked_changes() const;
-
-  /// Per-shard live state sizes, indexed by shard.
-  struct ShardSize {
-    int64_t rows = 0;
-    int64_t bytes = 0;
-  };
-  std::vector<ShardSize> PerShardSizes() const;
 
   /// Removes durable versions > `version` in every shard under `dir`
   /// (rollback).
@@ -100,11 +87,10 @@ class ShardedStateStore {
   static Status PurgeBefore(const std::string& dir, int64_t keep);
 
  private:
-  explicit ShardedStateStore(
-      std::vector<std::unique_ptr<LocalStateShard>> shards)
+  explicit ShardedStateStore(std::vector<std::unique_ptr<StateStore>> shards)
       : shards_(std::move(shards)) {}
 
-  std::vector<std::unique_ptr<LocalStateShard>> shards_;
+  std::vector<std::unique_ptr<StateStore>> shards_;
 };
 
 }  // namespace sstreaming

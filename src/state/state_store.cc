@@ -58,11 +58,10 @@ Result<std::vector<VersionFile>> ListVersionFiles(const std::string& dir) {
     bool delta =
         name.size() > 6 && name.compare(name.size() - 6, 6, ".delta") == 0;
     if (!snapshot && !delta) continue;
-    errno = 0;
-    char* end = nullptr;
-    long long v = std::strtoll(name.c_str(), &end, 10);
-    if (errno != 0 || end == nullptr || *end != '.') continue;
-    files.push_back(VersionFile{static_cast<int64_t>(v), snapshot});
+    const std::optional<int64_t> v =
+        ParseDecimal(std::string_view(name).substr(0, name.rfind('.')));
+    if (!v.has_value()) continue;
+    files.push_back(VersionFile{*v, snapshot});
   }
   std::sort(files.begin(), files.end(),
             [](const VersionFile& a, const VersionFile& b) {
@@ -311,8 +310,10 @@ void StateStore::Put(const std::string& key, std::string value) {
   *FindOrCreate(key).value = std::move(value);
 }
 
-void StateStore::Append(const std::string& key, const std::string& tail) {
+Status StateStore::Append(const std::string& key, const std::string& tail) {
+  SS_FAILPOINT("state.shard.append");
   FindOrCreate(key).value->append(tail);
+  return Status::OK();
 }
 
 void StateStore::Remove(const std::string& key) {
@@ -326,12 +327,6 @@ void StateStore::Remove(const std::string& key) {
   e->removed = true;
   e->value.clear();  // a revived tombstone starts empty
   --live_;
-}
-
-bool StateStore::Contains(const std::string& key) const {
-  size_t slot;
-  const Entry* e = Find(key, HashKey(key), &slot);
-  return e != nullptr && !e->removed;
 }
 
 int64_t StateStore::ApproxBytes() const {
@@ -364,6 +359,7 @@ void StateStore::ForgetChanges() {
 }
 
 Status StateStore::Commit(int64_t version) {
+  SS_FAILPOINT("state.shard.checkpoint");
   if (version <= last_commit_version_) {
     return Status::InvalidArgument(
         "state commit versions must increase: " + std::to_string(version) +

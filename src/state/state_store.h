@@ -40,8 +40,8 @@ namespace sstreaming {
 /// slab position) over the slab is probed linearly from the tag's home
 /// slot; a probe touches the entry only on a tag match, and deletion shifts
 /// the rest of the cluster back (no index tombstones). The table hash is
-/// HashKey (StableHashKey), so a caller that routed the key already can
-/// pass its hash to the hashed verbs. ForEach and snapshots visit entries
+/// HashKey, so a caller that routed the key already can pass its hash to
+/// the hashed verbs. ForEach and snapshots visit entries
 /// in slab order.
 ///
 /// Layout under `dir`:
@@ -82,9 +82,9 @@ class StateStore {
   /// absent) without copying the existing value out. The next commit
   /// records the full appended value, so durability is unchanged; the win
   /// is the in-memory path for grow-only values (e.g. join side state).
-  void Append(const std::string& key, const std::string& tail);
+  /// Fails only at the `state.shard.append` seam, before any change.
+  Status Append(const std::string& key, const std::string& tail);
   void Remove(const std::string& key);
-  bool Contains(const std::string& key) const;
   int64_t size() const { return live_; }
 
   /// An entry handed out for in-place update by FindOrCreate.
@@ -142,7 +142,9 @@ class StateStore {
 
   /// Durably commits all changes since the last commit as `version`.
   /// Versions must be strictly increasing across commits. A failed commit
-  /// keeps its changes (and the snapshot schedule) for the retry.
+  /// keeps its changes (and the snapshot schedule) for the retry. The
+  /// `state.shard.checkpoint` seam fires first, so fault injection can
+  /// strike one shard of a ShardedStateStore independently.
   Status Commit(int64_t version);
 
   /// Drops the change tracking (dirty marks, tombstones) without writing

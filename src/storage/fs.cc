@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cerrno>
+#include <charconv>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -171,6 +172,17 @@ Status RemoveDirRecursive(const std::string& path) {
   fs::remove_all(path, ec);
   if (ec) return Status::IOError("cannot remove " + path + ": " + ec.message());
   return Status::OK();
+}
+
+std::optional<int64_t> ParseDecimal(std::string_view text, int64_t max) {
+  // from_chars on an unsigned type takes no sign and no leading space.
+  uint64_t v = 0;
+  const char* end = text.data() + text.size();
+  auto [ptr, ec] = std::from_chars(text.data(), end, v);
+  if (ec != std::errc() || ptr != end || v > static_cast<uint64_t>(max)) {
+    return std::nullopt;
+  }
+  return static_cast<int64_t>(v);
 }
 
 Result<std::string> MakeTempDir(const std::string& prefix) {

@@ -1,7 +1,10 @@
 #ifndef SSTREAMING_STORAGE_FS_H_
 #define SSTREAMING_STORAGE_FS_H_
 
+#include <cstdint>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/status.h"
@@ -37,6 +40,14 @@ Status RemoveFile(const std::string& path);
 
 /// Recursively removes `path` if it exists.
 Status RemoveDirRecursive(const std::string& path);
+
+/// Parses a decimal number out of a durable name: the index in a state
+/// directory name (`op<N>`, `p<M>`, `s<K>`), a version file's stem, or the
+/// SHARDS count. Accepts digits only (no sign, space or trailing text) and
+/// values up to `max`; anything else, overflow included, is nullopt, so a
+/// caller can skip a stray name instead of misreading it.
+std::optional<int64_t> ParseDecimal(std::string_view text,
+                                    int64_t max = INT64_MAX);
 
 /// Creates a fresh unique temp directory for tests/examples.
 Result<std::string> MakeTempDir(const std::string& prefix);

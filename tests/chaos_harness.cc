@@ -125,7 +125,7 @@ Status CheckDurableAgreement(const std::string& checkpoint_dir,
                                 part_entry.path().string(), last_epoch,
                                 reopen));
         for (int s = 0; s < store->num_shards(); ++s) {
-          int64_t v = store->shard(s)->restored_version();
+          int64_t v = store->shard(s)->loaded_version();
           if (v != expected_version) {
             return Status::Internal(
                 "state store " + part_entry.path().string() + " shard " +

@@ -179,7 +179,7 @@ TEST(DoctorTest, SkewedKeysYieldStatefulShardSkew) {
     std::string country = "c" + std::to_string(i);
     std::string enc;
     EncodeRow({Value::Str(country)}, &enc);
-    if (ShardedStateStore::StableHashKey(enc) % 4 == 0) hot.push_back(country);
+    if (StateStore::HashKey(enc) % 4 == 0) hot.push_back(country);
   }
 
   std::string dir = TempDir();

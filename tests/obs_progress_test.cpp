@@ -4,6 +4,7 @@
 
 #include "connectors/memory.h"
 #include "exec/streaming_query.h"
+#include "obs/metrics.h"
 
 namespace sstreaming {
 namespace {
@@ -196,6 +197,72 @@ TEST(ProgressJsonTest, RealQueryProgressInvariants) {
   auto back = QueryProgress::FromJson(*parsed);
   ASSERT_TRUE(back.ok()) << back.status().ToString();
   EXPECT_EQ(back->ToJson().Dump(), dump);
+}
+
+// Every state-size surface comes from one per-shard record: on every epoch,
+// for every stateful operator, the `shard=` gauges sum to the operator's
+// gauges and OperatorProgress sizes, and those sum to the progress totals.
+TEST(ProgressJsonTest, StateGaugesSumShardsToOperatorsToTotals) {
+  auto stream = std::make_shared<MemoryStream>("clicks", ClickSchema(), 2);
+  auto sink = std::make_shared<MemorySink>();
+  // Two stateful operators: dedup, then a running count.
+  DataFrame df = DataFrame::ReadStream(stream).Distinct().GroupBy(
+      {"country"}).Count();
+  QueryOptions opts;
+  opts.mode = OutputMode::kUpdate;
+  opts.num_partitions = 2;
+  opts.num_state_shards = 3;
+  auto query = StreamingQuery::Start(df, sink, opts);
+  ASSERT_TRUE(query.ok()) << query.status().ToString();
+  MetricsRegistry* metrics = (*query)->metrics().get();
+  int epochs = 0;
+  (*query)->SetProgressCallback([&](const QueryProgress& p) {
+    ++epochs;
+    int stateful = 0;
+    int64_t rows = 0, bytes = 0;
+    for (const OperatorProgress& op : p.operators) {
+      if (op.shard_state.empty()) continue;
+      ++stateful;
+      SCOPED_TRACE("epoch " + std::to_string(p.epoch) + " op " + op.name);
+      const std::string id = std::to_string(op.op_id);
+      EXPECT_EQ(op.shard_state.size(), 3u);
+      int64_t shard_rows = 0, shard_bytes = 0;
+      for (size_t s = 0; s < op.shard_state.size(); ++s) {
+        MetricLabels labels{{"op_id", id}, {"shard", std::to_string(s)}};
+        const int64_t r =
+            metrics->GetGauge("sstreaming_state_shard_rows", labels)->value();
+        const int64_t b =
+            metrics->GetGauge("sstreaming_state_shard_bytes", labels)->value();
+        EXPECT_EQ(r, op.shard_state[s].first);
+        EXPECT_EQ(b, op.shard_state[s].second);
+        shard_rows += r;
+        shard_bytes += b;
+      }
+      MetricLabels labels{{"op_id", id}};
+      EXPECT_EQ(metrics->GetGauge("sstreaming_state_rows", labels)->value(),
+                shard_rows);
+      EXPECT_EQ(metrics->GetGauge("sstreaming_state_bytes", labels)->value(),
+                shard_bytes);
+      EXPECT_EQ(op.state_rows, shard_rows);
+      EXPECT_EQ(op.state_bytes, shard_bytes);
+      rows += op.state_rows;
+      bytes += op.state_bytes;
+    }
+    EXPECT_EQ(stateful, 2) << "epoch " << p.epoch;
+    EXPECT_EQ(p.state_entries, rows) << "epoch " << p.epoch;
+    EXPECT_EQ(p.state_bytes, bytes) << "epoch " << p.epoch;
+    EXPECT_GT(p.state_entries, 0) << "epoch " << p.epoch;
+  });
+  const char* countries[] = {"ca", "ny", "tx", "wa", "fl"};
+  for (int e = 1; e <= 4; ++e) {
+    std::vector<Row> rows;
+    for (int i = 0; i < 6 * e; ++i) {
+      rows.push_back(Click(countries[i % 5], i % 3, e));
+    }
+    ASSERT_TRUE(stream->AddData(rows).ok());
+    ASSERT_TRUE((*query)->ProcessAllAvailable().ok());
+  }
+  EXPECT_EQ(epochs, 4);
 }
 
 }  // namespace

@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <set>
+#include <string>
+
 #include "connectors/memory.h"
 #include "exec/streaming_query.h"
 #include "storage/fs.h"
@@ -129,6 +133,58 @@ TEST_F(RecoveryTest, CrashLoopDoesNotDoubleCount) {
     ASSERT_EQ(rows.size(), 1u);
     EXPECT_EQ(rows[0][1], Value::Int64(1)) << "attempt " << attempt;
   }
+}
+
+TEST_F(RecoveryTest, StrayStateDirectoryIsNotAStore) {
+  // Under state/, only `op<digits>/p<digits>` names a store. A stray
+  // `opfoo/p0` once parsed as op 0, partition 0: recovery created an empty
+  // store there, its version 0 pulled the replay floor below the durable
+  // state, and the replay failed ("state commit versions must increase").
+  // A restart with the stray directory must match one without it.
+  auto run = [&](const std::string& dir, bool stray,
+                 std::set<std::string>* state_dirs) -> std::vector<Row> {
+    auto stream = std::make_shared<MemoryStream>("clicks", ClickSchema(), 2);
+    auto sink = std::make_shared<MemorySink>();
+    DataFrame df = DataFrame::ReadStream(stream).GroupBy({"country"}).Count();
+    QueryOptions opts = Durable(OutputMode::kUpdate);
+    opts.checkpoint_dir = dir;
+    {
+      auto query = StreamingQuery::Start(df, sink, opts);
+      EXPECT_TRUE(query.ok()) << query.status().ToString();
+      if (!query.ok()) return {};
+      for (int e = 1; e <= 3; ++e) {
+        EXPECT_TRUE(
+            stream->AddData({Click("ca", 1, e), Click("ny", 1, e)}).ok());
+        EXPECT_TRUE((*query)->ProcessAllAvailable().ok());
+      }
+      EXPECT_EQ((*query)->last_epoch(), 3);
+    }
+    if (stray) {
+      std::filesystem::create_directories(dir + "/state/opfoo/p0");
+    }
+    EXPECT_TRUE(stream->AddData({Click("ca", 1, 4)}).ok());
+    auto query = StreamingQuery::Start(df, sink, opts);
+    EXPECT_TRUE(query.ok()) << query.status().ToString();
+    if (!query.ok()) return {};
+    EXPECT_TRUE((*query)->ProcessAllAvailable().ok());
+    EXPECT_EQ((*query)->last_epoch(), 4);
+    for (const auto& entry :
+         std::filesystem::directory_iterator(dir + "/state")) {
+      state_dirs->insert(entry.path().filename().string());
+    }
+    return sink->SortedSnapshot();
+  };
+  std::set<std::string> clean_dirs;
+  std::set<std::string> stray_dirs;
+  const std::vector<Row> clean = run(dir_ + "/clean", false, &clean_dirs);
+  const std::vector<Row> with_stray = run(dir_ + "/stray", true, &stray_dirs);
+  ASSERT_EQ(clean.size(), 2u);
+  EXPECT_EQ(clean[0][1], Value::Int64(4));  // ca
+  EXPECT_EQ(with_stray, clean);
+  // The stray directory is left alone and no store (`op0`) is created for
+  // it.
+  clean_dirs.insert("opfoo");
+  EXPECT_EQ(stray_dirs, clean_dirs);
 }
 
 TEST_F(RecoveryTest, CodeUpdateAcrossRestart) {

@@ -23,6 +23,7 @@
 #include "exec/streaming_query.h"
 #include "obs/histogram.h"
 #include "obs/metrics.h"
+#include "physical/phys_op.h"
 #include "runtime/scheduler.h"
 #include "state/sharded_state_store.h"
 #include "storage/fs.h"
@@ -46,46 +47,57 @@ class ShardedStateStoreTest : public ::testing::Test {
 };
 
 /// The shard that owns `key`: the operators' routing rule.
-StateShardProtocol* ShardFor(ShardedStateStore* store, const std::string& key) {
-  return store->shard(ShardedStateStore::ShardOf(
-      ShardedStateStore::StableHashKey(key), store->num_shards()));
+StateStore* ShardFor(ShardedStateStore* store, const std::string& key) {
+  return store->shard(ShardedStateStore::ShardOf(StateStore::HashKey(key),
+                                                 store->num_shards()));
+}
+
+/// Live entries over all shards.
+int64_t Rows(const ShardedStateStore& store) {
+  int64_t rows = 0;
+  for (int s = 0; s < store.num_shards(); ++s) rows += store.shard(s)->size();
+  return rows;
 }
 
 TEST_F(ShardedStateStoreTest, StableHashIsFixedForever) {
   // The hash routes durable keys to shard directories; changing it would
   // orphan existing checkpoints. These are the published FNV-1a 64 vectors.
-  EXPECT_EQ(ShardedStateStore::StableHashKey(""), 14695981039346656037ull);
-  EXPECT_EQ(ShardedStateStore::StableHashKey("abc"), 0xe71fa2190541574bull);
+  EXPECT_EQ(StateStore::HashKey(""), 14695981039346656037ull);
+  EXPECT_EQ(StateStore::HashKey("abc"), 0xe71fa2190541574bull);
 }
 
 TEST_F(ShardedStateStoreTest, RoutesAcrossShardsAndAggregatesAccounting) {
   ShardedStateStore::Options opts;
   opts.num_shards = 4;
-  auto store = ShardedStateStore::Open(dir_, 0, opts).TakeValue();
+  StateManager manager(dir_, 0, opts);
+  ShardedStateStore* store = manager.GetStore(3, 0).TakeValue();
   ASSERT_EQ(store->num_shards(), 4);
   for (int i = 0; i < 100; ++i) {
     const std::string key = "key" + std::to_string(i);
-    ShardFor(store.get(), key)->Put(key, "value" + std::to_string(i));
+    ShardFor(store, key)->Put(key, "value" + std::to_string(i));
   }
-  EXPECT_EQ(store->size(), 100);
+  EXPECT_EQ(Rows(*store), 100);
+  EXPECT_EQ(manager.TotalEntries(), 100);
   for (int i = 0; i < 100; ++i) {
     const std::string key = "key" + std::to_string(i);
-    auto v = ShardFor(store.get(), key)->Get(key);
+    auto v = ShardFor(store, key)->Get(key);
     ASSERT_TRUE(v.has_value());
     EXPECT_EQ(*v, "value" + std::to_string(i));
   }
-  // 100 uniform keys should spread over all 4 shards, and the per-shard
-  // sizes must sum to the aggregate accounting exactly.
-  auto sizes = store->PerShardSizes();
-  ASSERT_EQ(sizes.size(), 4u);
-  int64_t rows = 0, bytes = 0;
-  for (const auto& s : sizes) {
-    EXPECT_GT(s.rows, 0);
-    rows += s.rows;
-    bytes += s.bytes;
+  // 100 uniform keys should spread over all 4 shards, and the manager's
+  // per-shard sizes must be the shards' own accounting exactly.
+  auto sizes = manager.PerOpShardSizes();
+  ASSERT_EQ(sizes.size(), 1u);
+  ASSERT_EQ(sizes[3].size(), 4u);
+  int64_t rows = 0;
+  for (int s = 0; s < 4; ++s) {
+    const StateManager::OpStateSize& size = sizes[3][static_cast<size_t>(s)];
+    EXPECT_GT(size.rows, 0);
+    EXPECT_EQ(size.rows, store->shard(s)->size());
+    EXPECT_EQ(size.bytes, store->shard(s)->ApproxBytes());
+    rows += size.rows;
   }
-  EXPECT_EQ(rows, store->size());
-  EXPECT_EQ(bytes, store->ApproxBytes());
+  EXPECT_EQ(rows, 100);
   // Each key lives in exactly one shard: the shards' entries add up to the
   // 100 keys.
   int64_t visited = 0;
@@ -120,8 +132,67 @@ TEST_F(ShardedStateStoreTest, ShardCountIsStickyAcrossReopen) {
   eight.allow_shard_count_mismatch = true;
   auto store = ShardedStateStore::Open(dir_, 1, eight).TakeValue();
   EXPECT_EQ(store->num_shards(), 2);
-  EXPECT_EQ(store->size(), 20);
+  EXPECT_EQ(Rows(*store), 20);
   EXPECT_EQ(store->loaded_version(), 1);
+}
+
+TEST_F(ShardedStateStoreTest, CorruptShardCountIsIOError) {
+  // SHARDS holds a positive decimal count and nothing else (one trailing
+  // newline): a count with trailing text, a sign, no digits or an overflow
+  // is corrupt, never a guess at the layout.
+  for (const char* meta : {"4x", "-3", "", "99999999999", "+4", " 4", "0"}) {
+    SCOPED_TRACE(std::string("SHARDS=\"") + meta + "\"");
+    RemoveDirRecursive(dir_).ok();
+    ASSERT_TRUE(EnsureDir(dir_).ok());
+    ASSERT_TRUE(WriteFileAtomic(dir_ + "/SHARDS", meta).ok());
+    ShardedStateStore::Options opts;
+    opts.num_shards = 4;
+    opts.allow_shard_count_mismatch = true;
+    auto store = ShardedStateStore::Open(dir_, 0, opts);
+    ASSERT_FALSE(store.ok());
+    EXPECT_TRUE(store.status().IsIOError()) << store.status().ToString();
+  }
+  for (const char* meta : {"4", "4\n"}) {
+    RemoveDirRecursive(dir_).ok();
+    ASSERT_TRUE(EnsureDir(dir_).ok());
+    ASSERT_TRUE(WriteFileAtomic(dir_ + "/SHARDS", meta).ok());
+    auto store = ShardedStateStore::Open(dir_, 0);
+    ASSERT_TRUE(store.ok()) << store.status().ToString();
+    EXPECT_EQ((*store)->num_shards(), 4);
+  }
+}
+
+TEST_F(ShardedStateStoreTest, StrayNamesAreNotShardsOrVersions) {
+  // Shard directories are `s<digits>` and version files `<digits>.delta` /
+  // `<digits>.snapshot`; a loosely parsed ` 5.delta` or `+5.delta` would be
+  // read as version 5, and `s1x` as shard 1.
+  ShardedStateStore::Options opts;
+  opts.num_shards = 2;
+  {
+    auto store = ShardedStateStore::Open(dir_, 0, opts).TakeValue();
+    ShardFor(store.get(), "a")->Put("a", "1");
+    ASSERT_TRUE(store->Commit(1).ok());
+  }
+  for (int s = 0; s < 2; ++s) {
+    const std::string shard = dir_ + "/s" + std::to_string(s);
+    for (const char* name :
+         {" 5.delta", "+5.delta", "5x.delta", "-5.snapshot"}) {
+      ASSERT_TRUE(WriteFileAtomic(shard + "/" + name, "garbage").ok());
+    }
+  }
+  ASSERT_TRUE(EnsureDir(dir_ + "/s1x").ok());
+  ASSERT_TRUE(WriteFileAtomic(dir_ + "/s1x/2.delta", "garbage").ok());
+  auto store = ShardedStateStore::Open(dir_, 9, opts).TakeValue();
+  EXPECT_EQ(store->loaded_version(), 1);
+  EXPECT_EQ(*ShardFor(store.get(), "a")->Get("a"), "1");
+  // Rollback and purge walk only the real shards and versions.
+  ASSERT_TRUE(ShardedStateStore::TruncateAfter(dir_, 0).ok());
+  ASSERT_TRUE(ShardedStateStore::PurgeBefore(dir_, 1).ok());
+  EXPECT_TRUE(FileExists(dir_ + "/s1x/2.delta"));
+  EXPECT_TRUE(FileExists(dir_ + "/s0/+5.delta"));
+  EXPECT_EQ(ShardedStateStore::Open(dir_, 9, opts).TakeValue()
+                ->loaded_version(),
+            0);
 }
 
 TEST_F(ShardedStateStoreTest, ShardsCheckpointAndRestoreIndependently) {
@@ -142,14 +213,14 @@ TEST_F(ShardedStateStoreTest, ShardsCheckpointAndRestoreIndependently) {
   }
   // Restoring at 5 must not see the v6 write in any shard.
   auto v5 = ShardedStateStore::Open(dir_, 5, opts).TakeValue();
-  EXPECT_EQ(v5->size(), 3);
+  EXPECT_EQ(Rows(*v5), 3);
   EXPECT_FALSE(ShardFor(v5.get(), "d")->Get("d").has_value());
   EXPECT_EQ(v5->loaded_version(), 5);
   for (int s = 0; s < v5->num_shards(); ++s) {
-    EXPECT_EQ(v5->shard(s)->restored_version(), 5);
+    EXPECT_EQ(v5->shard(s)->loaded_version(), 5);
   }
   auto v6 = ShardedStateStore::Open(dir_, 6, opts).TakeValue();
-  EXPECT_EQ(v6->size(), 4);
+  EXPECT_EQ(Rows(*v6), 4);
   EXPECT_TRUE(ShardFor(v6.get(), "d")->Get("d").has_value());
 }
 
@@ -168,7 +239,7 @@ TEST_F(ShardedStateStoreTest, TruncateAfterWalksShardDirs) {
   ASSERT_TRUE(ShardedStateStore::TruncateAfter(dir_, 2).ok());
   auto store = ShardedStateStore::Open(dir_, 3, opts).TakeValue();
   EXPECT_EQ(store->loaded_version(), 2) << "v3 files must be gone";
-  EXPECT_EQ(store->size(), 2);
+  EXPECT_EQ(Rows(*store), 2);
 }
 
 // ---------------------------------------------------------------------------

@@ -63,7 +63,7 @@ TEST_F(StateStoreTest, PutGetRemove) {
   store->Put("a", "1");
   store->Put("b", "2");
   EXPECT_EQ(*store->Get("a"), "1");
-  EXPECT_TRUE(store->Contains("b"));
+  EXPECT_TRUE(store->Get("b").has_value());
   store->Remove("a");
   EXPECT_FALSE(store->Get("a").has_value());
   EXPECT_EQ(store->size(), 1);
@@ -287,6 +287,54 @@ TEST_F(StateStoreTest, FailedSnapshotWriteIsRetriedAsSnapshot) {
   }
 }
 
+// The per-shard chaos seams live on the bare store: `state.shard.append`
+// fails an Append before it changes anything, and `state.shard.checkpoint`
+// fails a Commit before it writes, keeping the changes for the retry.
+TEST_F(StateStoreTest, ShardAppendSeamChangesNothing) {
+  auto store = StateStore::Open(dir_, 0).TakeValue();
+  ASSERT_TRUE(store->Append("k", "head").ok());
+  ASSERT_TRUE(store->Commit(1).ok());
+  ASSERT_TRUE(store->Append("k", "+1").ok());
+  ASSERT_EQ(store->tracked_changes(), 1);
+  FailpointSpec every;
+  every.sticky = true;
+  ASSERT_TRUE(Failpoints::Instance().Arm("state.shard.append", every).ok());
+  for (const char* key : {"k", "new"}) {
+    const Status failed = store->Append(key, "+2");
+    EXPECT_FALSE(failed.ok()) << key;
+    EXPECT_TRUE(Failpoints::IsInjected(failed)) << failed.ToString();
+  }
+  Failpoints::Instance().DisarmAll();
+  EXPECT_EQ(*store->Get("k"), "head+1");
+  EXPECT_FALSE(store->Get("new").has_value());
+  EXPECT_EQ(store->tracked_changes(), 1);
+  ASSERT_TRUE(store->Commit(2).ok());
+  ExpectMatchesModel(*StateStore::Open(dir_, 2).TakeValue(),
+                     {{"k", "head+1"}});
+}
+
+TEST_F(StateStoreTest, ShardCheckpointSeamWritesNothingAndRetries) {
+  auto store = StateStore::Open(dir_, 0).TakeValue();
+  store->Put("a", "1");
+  ASSERT_TRUE(store->Commit(1).ok());
+  store->Put("b", "2");
+  ASSERT_TRUE(
+      Failpoints::Instance().Arm("state.shard.checkpoint", FailpointSpec())
+          .ok());
+  const Status failed = store->Commit(2);
+  EXPECT_FALSE(failed.ok());
+  EXPECT_TRUE(Failpoints::IsInjected(failed)) << failed.ToString();
+  Failpoints::Instance().DisarmAll();
+  EXPECT_FALSE(FileExists(dir_ + "/2.delta"));
+  EXPECT_FALSE(FileExists(dir_ + "/2.snapshot"));
+  EXPECT_EQ(store->loaded_version(), 1);
+  EXPECT_EQ(store->tracked_changes(), 1);
+  ASSERT_TRUE(store->Commit(2).ok());
+  EXPECT_TRUE(FileExists(dir_ + "/2.delta"));
+  ExpectMatchesModel(*StateStore::Open(dir_, 2).TakeValue(),
+                     {{"a", "1"}, {"b", "2"}});
+}
+
 // Property test: random Put / Append / Remove / FindOrCreate sequences with
 // commits at random epochs. After every op the live view (size, ApproxBytes,
 // ForEach) matches an in-memory model, and every committed version recovers
@@ -322,7 +370,7 @@ TEST_P(StateStoreFuzzTest, RandomOpsMatchModel) {
           model[key] = value;
           break;
         case 2:
-          store->Append(key, value);
+          ASSERT_TRUE(store->Append(key, value).ok());
           model[key] += value;
           break;
         case 3:
@@ -454,12 +502,12 @@ TEST_P(StateStoreFuzzTest, LargeKeySpaceMatchesModel) {
         break;
       }
       case 7:
-        store->Append(key, value);
+        ASSERT_TRUE(store->Append(key, value).ok());
         model[key] += value;
         break;
       case 8: {
         auto it = model.find(key);
-        ASSERT_EQ(store->Contains(key), it != model.end()) << key;
+        ASSERT_EQ(store->Get(key).has_value(), it != model.end()) << key;
         ASSERT_EQ(store->Get(key),
                   it == model.end() ? std::nullopt
                                     : std::optional<std::string>(it->second));
@@ -533,7 +581,7 @@ void FixtureEpoch(int v, StateStore* store, Model* model) {
     case 2:
       for (int i = 0; i < 24; i += 3) put(key(i), "v2." + std::to_string(i));
       for (int i = 1; i < 24; i += 5) remove(key(i));
-      store->Append(key(2), "+tail");
+      ASSERT_TRUE(store->Append(key(2), "+tail").ok());
       (*model)[key(2)] += "+tail";
       remove("never-stored");  // records nothing
       break;

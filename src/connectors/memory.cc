@@ -1,7 +1,6 @@
 #include "connectors/memory.h"
 
 #include <algorithm>
-#include <bit>
 #include <string_view>
 
 #include "common/logging.h"
@@ -164,15 +163,18 @@ void MemorySink::UpdateTable::Upsert(const RecordBatch& batch,
     batch_hashes_.push_back(HashBytes(batch_keys_.data() + begin,
                                       batch_keys_.size() - begin, 0));
   }
-  // Room for every row to be new, so no rehash moves the slots mid-batch.
-  while ((num_rows() + static_cast<size_t>(n)) * 2 > slots_.size()) Grow();
-  const size_t mask = slots_.size() - 1;
+  // Room for every row to be new, so no growth moves the slots mid-batch.
+  index_.Reserve(static_cast<size_t>(n));
+  auto key_of = [this](uint32_t r) {
+    return std::string_view(keys_).substr(
+        key_offsets_[r], key_offsets_[r + 1] - key_offsets_[r]);
+  };
   constexpr int64_t kPrefetchDistance = 16;
   size_t key_begin = 0;
   for (int64_t i = 0; i < n; ++i) {
     if (i + kPrefetchDistance < n) {
       const size_t ahead = static_cast<size_t>(i + kPrefetchDistance);
-      __builtin_prefetch(&slots_[Home(batch_hashes_[ahead])]);
+      index_.PrefetchHome(batch_hashes_[ahead]);
     }
     const size_t key_end = batch_ends_[static_cast<size_t>(i)];
     const std::string_view key(batch_keys_.data() + key_begin,
@@ -180,30 +182,20 @@ void MemorySink::UpdateTable::Upsert(const RecordBatch& batch,
     key_begin = key_end;
     const uint64_t hash = batch_hashes_[static_cast<size_t>(i)];
     const int64_t phys = batch.PhysIndex(i);
-    for (size_t s = Home(hash);; s = (s + 1) & mask) {
-      Slot& slot = slots_[s];
-      if (slot.row < 0) {
-        slot.hash = hash;
-        slot.row = static_cast<int64_t>(num_rows());
-        for (int c = 0; c < arity_; ++c) {
-          cells_.push_back(batch.column(c)->ValueAt(phys));
-        }
-        keys_ += key;
-        key_offsets_.push_back(keys_.size());
-        break;
+    size_t slot;
+    const uint32_t r = index_.Find(key, hash, key_of, &slot);
+    if (r == KeyIndex::kAbsent) {
+      index_.Insert(slot, hash, static_cast<uint32_t>(num_rows()));
+      for (int c = 0; c < arity_; ++c) {
+        cells_.push_back(batch.column(c)->ValueAt(phys));
       }
-      if (slot.hash != hash) continue;
-      const size_t r = static_cast<size_t>(slot.row);
-      const size_t begin = key_offsets_[r];
-      if (std::string_view(keys_).substr(begin, key_offsets_[r + 1] - begin) !=
-          key) {
-        continue;
-      }
-      Value* row = &cells_[r * static_cast<size_t>(arity_)];
-      for (int c = num_key_columns; c < arity_; ++c) {
-        row[c] = batch.column(c)->ValueAt(phys);
-      }
-      break;
+      keys_ += key;
+      key_offsets_.push_back(keys_.size());
+      continue;
+    }
+    Value* row = &cells_[r * static_cast<size_t>(arity_)];
+    for (int c = num_key_columns; c < arity_; ++c) {
+      row[c] = batch.column(c)->ValueAt(phys);
     }
   }
 }
@@ -212,19 +204,6 @@ void MemorySink::UpdateTable::AppendRowsTo(std::vector<Row>* out) const {
   out->reserve(out->size() + num_rows());
   for (auto cell = cells_.begin(); cell != cells_.end(); cell += arity_) {
     out->emplace_back(cell, cell + arity_);
-  }
-}
-
-void MemorySink::UpdateTable::Grow() {
-  std::vector<Slot> old = std::move(slots_);
-  slots_.assign(old.empty() ? 16 : old.size() * 2, Slot{});
-  shift_ = 64 - std::countr_zero(slots_.size());
-  const size_t mask = slots_.size() - 1;
-  for (const Slot& slot : old) {
-    if (slot.row < 0) continue;
-    size_t s = Home(slot.hash);
-    while (slots_[s].row >= 0) s = (s + 1) & mask;
-    slots_[s] = slot;
   }
 }
 

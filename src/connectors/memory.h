@@ -9,6 +9,7 @@
 
 #include "bus/partition_log.h"
 #include "common/clock.h"
+#include "common/key_index.h"
 #include "common/thread_annotations.h"
 #include "connectors/sink.h"
 #include "connectors/source.h"
@@ -66,6 +67,8 @@ class MemoryStream : public Source {
 /// encoded bytes of its first `num_key_columns` columns (Column::EncodeValueTo,
 /// the bytes the state store groups by), so NaN keys are well defined and
 /// -0.0 and 0.0 stay distinct, exactly as the stateful aggregate keeps them.
+/// The table finds rows by those bytes through KeyIndex, the same index the
+/// state store keeps over its slab.
 /// Commits of an epoch at or below the last committed one are ignored in
 /// update and complete mode: recovery re-delivers epochs the sink already
 /// applied, and re-applying an older epoch would show a table that matches
@@ -87,9 +90,9 @@ class MemorySink : public Sink {
 
  private:
   /// Update-mode table: a flat, insertion-ordered slab of cells (row r's
-  /// values are cells_[r * arity, (r + 1) * arity)) plus a linear-probing
-  /// index from encoded key bytes to slab row. An upsert costs one probe; a
-  /// known key overwrites its non-key cells in place.
+  /// values are cells_[r * arity, (r + 1) * arity)) with each row's encoded
+  /// key, indexed by the state table's KeyIndex over those keys. An upsert
+  /// costs one probe; a known key overwrites its non-key cells in place.
   class UpdateTable {
    public:
     /// Number of columns of the stored rows; -1 until the first row.
@@ -101,16 +104,6 @@ class MemorySink : public Sink {
     void AppendRowsTo(std::vector<Row>* out) const;
 
    private:
-    struct Slot {
-      uint64_t hash = 0;
-      int64_t row = -1;  // slab row; -1 = empty
-    };
-    // First slot to probe for `hash` (Fibonacci hashing: the top bits of
-    // the product, so FNV's weak low bits don't pick the slot).
-    size_t Home(uint64_t hash) const {
-      return static_cast<size_t>((hash * 0x9E3779B97F4A7C15ULL) >> shift_);
-    }
-    void Grow();
     size_t num_rows() const { return key_offsets_.size() - 1; }
 
     int arity_ = -1;
@@ -118,8 +111,7 @@ class MemorySink : public Sink {
     // Slab row r's encoded key is keys_[key_offsets_[r], key_offsets_[r+1]).
     std::string keys_;
     std::vector<size_t> key_offsets_{0};
-    std::vector<Slot> slots_;  // power-of-two size, at most half full
-    int shift_ = 64;           // 64 - log2(slots_.size())
+    KeyIndex index_;  // encoded key -> slab row
     // Per-batch scratch: each row's encoded key (delimited by batch_ends_)
     // and its hash, computed before the probe loop so it can prefetch.
     std::string batch_keys_;

@@ -6,8 +6,32 @@
 #include "analysis/analyzer.h"
 #include "common/logging.h"
 #include "optimizer/optimizer.h"
+#include "storage/fs.h"
 
 namespace sstreaming {
+
+namespace {
+
+// Sink commit ids are (run generation << kChunkIdBits) + the run's chunk
+// count. Each run of a durable query persists the next generation before
+// it delivers anything, so no id repeats across runs: a sink keeps one
+// delivery per id (MemorySink append mode), and a reused id would replace
+// an earlier run's output.
+constexpr int kChunkIdBits = 40;
+
+Result<int64_t> NextRunGeneration(const std::string& checkpoint_dir) {
+  const std::string path = checkpoint_dir + "/run_generation";
+  std::optional<int64_t> last = 0;
+  if (FileExists(path)) {
+    SS_ASSIGN_OR_RETURN(std::string text, ReadFile(path));
+    last = ParseDecimal(text, (INT64_MAX >> kChunkIdBits) - 1);
+    if (!last.has_value()) return Status::IOError("corrupt " + path);
+  }
+  SS_RETURN_IF_ERROR(WriteFileAtomic(path, std::to_string(*last + 1)));
+  return *last + 1;
+}
+
+}  // namespace
 
 Result<std::unique_ptr<ContinuousQuery>> ContinuousQuery::Start(
     const DataFrame& df, SinkPtr sink, Options options) {
@@ -91,6 +115,9 @@ Result<std::unique_ptr<ContinuousQuery>> ContinuousQuery::Start(
         }
       }
     }
+    SS_ASSIGN_OR_RETURN(const int64_t generation,
+                        NextRunGeneration(options.checkpoint_dir));
+    query->chunk_counter_.store(generation << kChunkIdBits);
   }
 
   query->active_.store(true);

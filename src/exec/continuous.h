@@ -28,7 +28,10 @@ namespace sstreaming {
 /// offsets in the write-ahead log ("the master is not on the critical
 /// path"). Output between the last epoch marker and a crash may be
 /// re-delivered on restart (at-least-once across restarts for sinks without
-/// external dedup — matching the real system's Kafka sink).
+/// external dedup — matching the real system's Kafka sink). Sink commit ids
+/// never repeat across runs of a durable query: a run generation, kept in
+/// `<checkpoint_dir>/run_generation`, forms their high bits, so a restart
+/// into the same sink adds to the earlier runs' output.
 class ContinuousQuery {
  public:
   struct Options {

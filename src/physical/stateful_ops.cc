@@ -408,73 +408,37 @@ StatefulAggExec::StatefulAggExec(int op_id, PhysOpPtr child,
 }
 
 // One (partition, shard)'s fold for the current epoch: the keys it touched
-// in first-touch order, each with its state decoded once, and an
-// open-addressing index over them. The first row for a key finds or creates
-// its store entry (one probe); later rows update the decoded state; the end
-// of the fold encodes each state back into its entry once. Entries past
-// `num_touched` are earlier epochs' leftovers, kept for their Row storage.
+// in first-touch order, each with its state decoded once. Every routed row
+// finds or creates its store entry (one probe), whose mark holds the key's
+// touched ordinal (position in touched + 1); the end of the fold encodes
+// each state back into its entry once. Marks are never reset: one counts
+// only when it names a touched entry of this epoch with this entry's slot
+// (entries never move). Entries past `num_touched` are earlier epochs'
+// leftovers, kept for their Row storage.
 struct StatefulAggExec::ShardFold : KeyedShard {
   static constexpr bool kPrefetchStore = true;
 
   struct Touched {
     StateStore::Slot slot;
-    uint64_t hash;   // StateStore::HashKey of the key
     int64_t wstart;  // window start; 0 when not windowed
     Row state;
   };
   std::vector<Touched> touched;
   size_t num_touched = 0;
-  std::vector<uint32_t> index;  // 0 = empty, else position in touched + 1
   Row args;    // the aggregate arguments of the row being folded
   Row stored;  // a stored group's state, decoded for output
-
-  static size_t Home(uint64_t hash, size_t mask) {
-    // The low hash bits also pick the shard; mix before masking.
-    return static_cast<size_t>((hash * 0x9E3779B97F4A7C15ull) >> 32) & mask;
-  }
 
   void Open(size_t p, StateStore* s) {
     KeyedShard::Open(p, s);
     num_touched = 0;
-    std::fill(index.begin(), index.end(), 0);
   }
 
-  /// The touched entry for `key`, or null; `*home` becomes the index slot
-  /// where a new entry for it goes.
-  Touched* Find(std::string_view key, uint64_t hash, size_t* home) {
-    if (2 * (num_touched + 1) > index.size()) Grow();
-    const size_t mask = index.size() - 1;
-    for (size_t i = Home(hash, mask);; i = (i + 1) & mask) {
-      const uint32_t e = index[i];
-      if (e == 0) {
-        *home = i;
-        return nullptr;
-      }
-      Touched& t = touched[e - 1];
-      if (t.hash == hash && *t.slot.key == key) return &t;
-    }
-  }
-
-  /// Appends a touched entry at index slot `home` (from Find).
-  Touched& Add(size_t home, StateStore::Slot slot, uint64_t hash,
-               int64_t wstart) {
-    if (num_touched == touched.size()) touched.emplace_back();
-    Touched& t = touched[num_touched++];
-    t.slot = slot;
-    t.hash = hash;
-    t.wstart = wstart;
-    index[home] = static_cast<uint32_t>(num_touched);
-    return t;
-  }
-
-  void Grow() {
-    index.assign(std::max<size_t>(64, 2 * index.size()), 0);
-    const size_t mask = index.size() - 1;
-    for (size_t j = 0; j < num_touched; ++j) {
-      size_t i = Home(touched[j].hash, mask);
-      while (index[i] != 0) i = (i + 1) & mask;
-      index[i] = static_cast<uint32_t>(j + 1);
-    }
+  /// The touched entry of store entry `slot` this epoch, or null.
+  Touched* TouchedOf(const StateStore::Slot& slot) {
+    const uint32_t ordinal = *slot.mark;
+    if (ordinal == 0 || ordinal > num_touched) return nullptr;
+    Touched& t = touched[ordinal - 1];
+    return t.slot.key == slot.key ? &t : nullptr;
   }
 };
 
@@ -626,9 +590,9 @@ Result<std::vector<RecordBatchPtr>> StatefulAggExec::ExecuteImpl(
     return Status::OK();
   };
 
-  // Fold (see ShardFold): find or create the key's touched entry, then
-  // update its decoded state with the row's aggregate arguments (count(*)
-  // needs none; its slot stays null).
+  // Fold (see ShardFold): find or create the key's store entry and its
+  // touched entry, then update its decoded state with the row's aggregate
+  // arguments (count(*) needs none; its slot stays null).
   const Row init_state = InitAggState(aggregates_);
   auto fold = [&](ShardFold& f, int64_t i, int64_t wstart,
                   std::string_view enc, uint64_t hash) -> Status {
@@ -641,11 +605,14 @@ Result<std::vector<RecordBatchPtr>> StatefulAggExec::ExecuteImpl(
         }
       }
     }
-    size_t home = 0;
-    ShardFold::Touched* t = f.Find(enc, hash, &home);
-    if (t == nullptr) {
-      StateStore::Slot slot = f.state->FindOrCreate(enc, hash);
-      t = &f.Add(home, slot, hash, wstart);
+    const StateStore::Slot slot = f.state->FindOrCreate(enc, hash);
+    ShardFold::Touched* t = f.TouchedOf(slot);
+    if (t == nullptr) {  // the key's first row this epoch
+      if (f.num_touched == f.touched.size()) f.touched.emplace_back();
+      t = &f.touched[f.num_touched++];
+      t->slot = slot;
+      t->wstart = wstart;
+      *slot.mark = static_cast<uint32_t>(f.num_touched);
       if (slot.created) {
         t->state = init_state;
       } else {

@@ -1,7 +1,6 @@
 #include "state/state_store.h"
 
 #include <algorithm>
-#include <bit>
 #include <memory>
 #include <cstring>
 #include <vector>
@@ -92,7 +91,7 @@ Result<std::unique_ptr<StateStore>> StateStore::Open(const std::string& dir,
       const Entry& e = store->At(p);
       if (!e.removed) store->clean_bytes_ += Charge(e);
     }
-    store->live_ = static_cast<int64_t>(store->indexed_);
+    store->live_ = static_cast<int64_t>(store->index_.size());
   }
   store->last_commit_version_ = store->loaded_version_;
   return store;
@@ -134,19 +133,17 @@ Status StateStore::ApplyLog(const std::string& data) {
     const std::string_view key(data.data() + pos, klen);
     pos += klen;
     const uint64_t hash = HashKey(key);
-    size_t slot;
     if (op == kOpPut) {
       uint64_t vlen;
       if (!GetFixed64(data, &pos, &vlen) || vlen > data.size() - pos) {
         return Status::IOError("corrupt state file (value)");
       }
-      Reserve();
-      Entry* e = Find(key, hash, &slot);
-      if (e == nullptr) e = &Insert(key, hash, slot);
-      e->value.assign(data, pos, vlen);
+      Entry& e = FindOrInsert(key, hash);
+      e.removed = false;
+      e.value.assign(data, pos, vlen);
       pos += vlen;
     } else if (op == kOpRemove) {
-      if (Entry* e = Find(key, hash, &slot)) Erase(e);
+      if (Entry* e = Find(key, hash)) Erase(e);
     } else {
       return Status::IOError("corrupt state file (op byte)");
     }
@@ -154,65 +151,12 @@ Status StateStore::ApplyLog(const std::string& data) {
   return Status::OK();
 }
 
-StateStore::Entry* StateStore::Find(std::string_view key, uint64_t hash,
-                                    size_t* slot) const {
-  *slot = 0;
-  if (index_.empty()) return nullptr;
-  const uint32_t tag = Tag(hash);
-  const size_t mask = index_.size() - 1;
-  for (size_t i = Home(tag);; i = (i + 1) & mask) {
-    const uint64_t word = index_[i];
-    if (word == 0) {
-      *slot = i;
-      return nullptr;
-    }
-    if (static_cast<uint32_t>(word >> 32) == tag) {
-      Entry& e = At(static_cast<uint32_t>(word) - 1);
-      if (e.key == key) {
-        *slot = i;
-        return &e;
-      }
-    }
-  }
-}
-
-void StateStore::PrefetchEntry(uint64_t hash) const {
-  if (index_.empty()) return;
-  const uint32_t tag = Tag(hash);
-  const size_t mask = index_.size() - 1;
-  for (size_t i = Home(tag);; i = (i + 1) & mask) {
-    const uint64_t word = index_[i];
-    if (word == 0) return;
-    if (static_cast<uint32_t>(word >> 32) == tag) {
-      const char* e =
-          reinterpret_cast<const char*>(&At(static_cast<uint32_t>(word) - 1));
-      __builtin_prefetch(e);
-      __builtin_prefetch(e + sizeof(Entry) - 1);
-      return;
-    }
-  }
-}
-
-void StateStore::Reserve() {
-  // Load factor at most 3/4: linear probes stay within a cache line or two.
-  if ((indexed_ + 1) * 4 <= index_.size() * 3) return;
-  std::vector<uint64_t> old = std::move(index_);
-  const size_t cap = std::max<size_t>(16, 2 * old.size());
-  index_.assign(cap, 0);
-  index_shift_ = 32 - static_cast<uint32_t>(std::countr_zero(cap));
-  const size_t mask = cap - 1;
-  // Homes come from the tags: growth never touches the entries.
-  for (uint64_t word : old) {
-    if (word == 0) continue;
-    size_t i = Home(static_cast<uint32_t>(word >> 32));
-    while (index_[i] != 0) i = (i + 1) & mask;
-    index_[i] = word;
-  }
-}
-
-StateStore::Entry& StateStore::Insert(std::string_view key, uint64_t hash,
-                                      size_t slot) {
-  uint32_t pos;
+StateStore::Entry& StateStore::FindOrInsert(std::string_view key,
+                                            uint64_t hash) {
+  index_.Reserve();
+  size_t slot;
+  uint32_t pos = Find(key, hash, &slot);
+  if (pos != KeyIndex::kAbsent) return At(pos);
   if (!free_.empty()) {
     pos = free_.back();
     free_.pop_back();
@@ -222,46 +166,27 @@ StateStore::Entry& StateStore::Insert(std::string_view key, uint64_t hash,
     }
     pos = slab_size_++;
   }
+  // Free and fresh entries are already clean, not live and empty.
   Entry& e = At(pos);
-  e.pos = pos;
-  e.dirty = false;
-  e.removed = false;
+  e.mark = 0;
   e.key.assign(key);
-  e.value.clear();
-  index_[slot] = (static_cast<uint64_t>(Tag(hash)) << 32) | (pos + 1);
-  ++indexed_;
+  index_.Insert(slot, hash, pos);
   return e;
 }
 
 void StateStore::Erase(Entry* entry) {
-  const size_t mask = index_.size() - 1;
-  const uint32_t tag = Tag(HashKey(entry->key));
-  const uint64_t word = (static_cast<uint64_t>(tag) << 32) | (entry->pos + 1);
-  size_t hole = Home(tag);
-  while (index_[hole] != word) hole = (hole + 1) & mask;
-  // Backward shift: pull each later member of the probe cluster into the
-  // hole when the hole lies between its home and its slot.
-  for (size_t j = (hole + 1) & mask;; j = (j + 1) & mask) {
-    const uint64_t w = index_[j];
-    if (w == 0) break;
-    const size_t home = Home(static_cast<uint32_t>(w >> 32));
-    if (((j - home) & mask) >= ((j - hole) & mask)) {
-      index_[hole] = w;
-      hole = j;
-    }
-  }
-  index_[hole] = 0;
-  --indexed_;
+  size_t slot;
+  const uint32_t pos = Find(entry->key, HashKey(entry->key), &slot);
+  index_.Erase(slot);
+  free_.push_back(pos);
   std::string().swap(entry->key);
   std::string().swap(entry->value);
   entry->dirty = false;
   entry->removed = true;
-  free_.push_back(entry->pos);
 }
 
 std::optional<std::string> StateStore::Get(const std::string& key) const {
-  size_t slot;
-  const Entry* e = Find(key, HashKey(key), &slot);
+  const Entry* e = Find(key, HashKey(key));
   if (e == nullptr || e->removed) return std::nullopt;
   return e->value;
 }
@@ -275,33 +200,21 @@ void StateStore::MarkDirty(Entry& entry) {
 
 StateStore::Slot StateStore::FindOrCreate(std::string_view key,
                                           uint64_t hash) {
-  Reserve();
-  size_t slot;
-  Entry* e = Find(key, hash, &slot);
-  if (e == nullptr) {
-    e = &Insert(key, hash, slot);
-    e->removed = true;  // not live until revived below
-  }
-  MarkDirty(*e);
-  const bool created = e->removed;
+  Entry& e = FindOrInsert(key, hash);
+  MarkDirty(e);
+  const bool created = e.removed;
   if (created) {
-    e->removed = false;
+    e.removed = false;
     ++live_;
   }
-  return Slot{&e->key, &e->value, created};
+  return Slot{&e.key, &e.value, &e.mark, created};
 }
 
 bool StateStore::InsertIfAbsent(std::string_view key, uint64_t hash) {
-  Reserve();
-  size_t slot;
-  Entry* e = Find(key, hash, &slot);
-  if (e != nullptr && !e->removed) return false;
-  if (e == nullptr) {
-    e = &Insert(key, hash, slot);
-    e->removed = true;  // not live until revived below
-  }
-  MarkDirty(*e);
-  e->removed = false;  // a tombstone's value was cleared by Remove
+  Entry& e = FindOrInsert(key, hash);
+  if (!e.removed) return false;
+  MarkDirty(e);
+  e.removed = false;  // a tombstone's value was cleared by Remove
   ++live_;
   return true;
 }
@@ -320,8 +233,7 @@ void StateStore::Remove(const std::string& key) {
   // An absent key was not live at the last commit either (committed
   // entries stay in the table until removed and committed), so there is
   // nothing to record.
-  size_t slot;
-  Entry* e = Find(key, HashKey(key), &slot);
+  Entry* e = Find(key, HashKey(key));
   if (e == nullptr || e->removed) return;
   MarkDirty(*e);
   e->removed = true;

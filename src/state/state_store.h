@@ -9,7 +9,9 @@
 #include <string_view>
 #include <vector>
 
+#include "common/key_index.h"
 #include "common/status.h"
+#include "types/value.h"
 
 namespace sstreaming {
 
@@ -34,15 +36,15 @@ namespace sstreaming {
 /// end instead, or the dirty list and the tombstones grow for the life of
 /// the store.
 ///
-/// Table layout (docs/DESIGN.md): entries live in a slab of fixed-size
-/// chunks and never move, so Slot pointers stay valid while the
-/// table grows. An open-addressing index of 64-bit words (32-bit hash tag,
-/// slab position) over the slab is probed linearly from the tag's home
-/// slot; a probe touches the entry only on a tag match, and deletion shifts
-/// the rest of the cluster back (no index tombstones). The table hash is
-/// HashKey, so a caller that routed the key already can pass its hash to
-/// the hashed verbs. ForEach and snapshots visit entries
-/// in slab order.
+/// Table layout (docs/DESIGN.md §9): entries live in a slab of fixed-size
+/// chunks and never move, so Slot pointers stay valid while the table
+/// grows. The engine's one key index (KeyIndex) maps keys to slab
+/// positions; a probe touches an entry only on a hash-tag match. The table
+/// hash is HashKey, so a caller that routed the key already can pass its
+/// hash to the hashed verbs. Each entry also carries a 32-bit mark that the
+/// store never reads: zero when the entry is inserted, then the caller's
+/// (the aggregate keeps its per-epoch touched ordinal there). ForEach and
+/// snapshots visit entries in slab order.
 ///
 /// Layout under `dir`:
 ///   <version>.snapshot  - full contents at `version`
@@ -68,12 +70,7 @@ class StateStore {
   /// Stable 64-bit FNV-1a of an encoded key: the table hash, and the
   /// routing hash of ShardedStateStore (fixed across platforms).
   static uint64_t HashKey(std::string_view key) {
-    uint64_t h = 14695981039346656037ull;
-    for (unsigned char c : key) {
-      h ^= c;
-      h *= 1099511628211ull;
-    }
-    return h;
+    return HashBytes(key.data(), key.size(), 0);
   }
 
   std::optional<std::string> Get(const std::string& key) const;
@@ -91,6 +88,7 @@ class StateStore {
   struct Slot {
     const std::string* key;  // the store's copy of the key
     std::string* value;      // the stored value, writable in place
+    uint32_t* mark;          // the entry's caller-owned mark
     bool created;            // the key was absent; *value is empty
   };
   /// Finds `key`'s entry, creating an empty one when absent, and marks it
@@ -108,14 +106,16 @@ class StateStore {
   /// returned. One probe; `hash` is the key's HashKey.
   bool InsertIfAbsent(std::string_view key, uint64_t hash);
 
-  /// Cache hints for a caller about to probe keys with these hashes, a
-  /// fixed distance ahead: PrefetchSlot loads the index word at the hash's
-  /// home; PrefetchEntry (issued once that word has arrived) reads it and
-  /// loads the entry a matching tag points at. Neither changes anything.
-  void PrefetchSlot(uint64_t hash) const {
-    if (!index_.empty()) __builtin_prefetch(&index_[Home(Tag(hash))]);
+  /// Cache hints, a fixed distance ahead of a probe for `hash`: the index
+  /// word at its home, then (once that word is cached) the entry it names.
+  void PrefetchSlot(uint64_t hash) const { index_.PrefetchHome(hash); }
+  void PrefetchEntry(uint64_t hash) const {
+    index_.PrefetchMatch(hash, [this](uint32_t pos) {
+      const char* e = reinterpret_cast<const char*>(&At(pos));
+      __builtin_prefetch(e);
+      __builtin_prefetch(e + sizeof(Entry) - 1);
+    });
   }
-  void PrefetchEntry(uint64_t hash) const;
 
   /// Approximate in-memory footprint of the working copy: key and value
   /// payloads plus a fixed per-entry overhead, over live entries. Exact
@@ -170,7 +170,7 @@ class StateStore {
 
   // The probe reads only `key`, in the first 40 bytes.
   struct Entry {
-    uint32_t pos = 0;      // position in the slab
+    uint32_t mark = 0;     // Slot::mark; zeroed on insert
     bool dirty = false;    // listed in dirty_ (changed since the last commit)
     // Not live: a tombstone (dirty, erased by the next commit) or a free
     // slab slot (clean, on free_).
@@ -178,14 +178,6 @@ class StateStore {
     std::string key;
     std::string value;
   };
-
-  // Index words: (tag << 32) | (slab position + 1); 0 is an empty slot.
-  static uint32_t Tag(uint64_t hash) {
-    return static_cast<uint32_t>(hash >> 32);
-  }
-  size_t Home(uint32_t tag) const {
-    return static_cast<uint32_t>(tag * 0x9E3779B9u) >> index_shift_;
-  }
   // The slab: fixed chunks of kChunk entries, so a store wastes less than
   // one chunk however large it grows.
   static constexpr uint32_t kChunkBits = 6;
@@ -194,14 +186,23 @@ class StateStore {
     return chunks_[pos >> kChunkBits][pos & (kChunk - 1)];
   }
 
-  /// The indexed entry for `key`, or null; `*slot` becomes its index slot,
-  /// or the empty slot where it would go.
-  Entry* Find(std::string_view key, uint64_t hash, size_t* slot) const;
-  /// Makes room for one more indexed entry (call before Find when the
-  /// probe may insert).
-  void Reserve();
-  /// Indexes a new clean, live entry for `key` at empty index `slot`.
-  Entry& Insert(std::string_view key, uint64_t hash, size_t slot);
+  /// The slab position of `key`, or KeyIndex::kAbsent; `*slot` becomes its
+  /// index slot, or the empty slot where it would go.
+  uint32_t Find(std::string_view key, uint64_t hash, size_t* slot) const {
+    return index_.Find(
+        key, hash,
+        [this](uint32_t pos) -> const std::string& { return At(pos).key; },
+        slot);
+  }
+  /// The indexed entry for `key`, or null.
+  Entry* Find(std::string_view key, uint64_t hash) const {
+    size_t slot;
+    const uint32_t pos = Find(key, hash, &slot);
+    return pos == KeyIndex::kAbsent ? nullptr : &At(pos);
+  }
+  /// The indexed entry for `key`; when absent, a new one: clean, not live
+  /// (removed), empty, with a zero mark.
+  Entry& FindOrInsert(std::string_view key, uint64_t hash);
   /// Unindexes `entry` (backward shift) and returns it to the free list.
   void Erase(Entry* entry);
 
@@ -232,9 +233,7 @@ class StateStore {
   int64_t snapshot_commits_ = 0;
 
   // Working copy, tombstones included (see the class comment).
-  std::vector<uint64_t> index_;
-  uint32_t index_shift_ = 32;  // 32 - log2(index_.size())
-  size_t indexed_ = 0;         // non-empty index words
+  KeyIndex index_;
   std::vector<std::unique_ptr<Entry[]>> chunks_;
   uint32_t slab_size_ = 0;     // positions handed out so far
   std::vector<uint32_t> free_;  // erased positions, reused first

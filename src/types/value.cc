@@ -89,16 +89,6 @@ uint64_t HashMix(uint64_t h, uint64_t v) {
   return h;
 }
 
-uint64_t HashBytes(const void* data, size_t n, uint64_t seed) {
-  const unsigned char* p = static_cast<const unsigned char*>(data);
-  uint64_t h = seed ^ 0xCBF29CE484222325ULL;
-  for (size_t i = 0; i < n; ++i) {
-    h ^= p[i];
-    h *= 0x100000001B3ULL;
-  }
-  return h;
-}
-
 uint64_t Value::Hash() const {
   switch (type_) {
     case TypeId::kNull:

@@ -86,7 +86,16 @@ Status ReadEncodedValue(std::string_view data, size_t* pos, EncodedValue* out);
 /// here so row and column hashing agree (required: both sides of a shuffle
 /// must agree on partitioning).
 uint64_t HashMix(uint64_t h, uint64_t v);
-uint64_t HashBytes(const void* data, size_t n, uint64_t seed);
+/// 64-bit FNV-1a, offset basis xor `seed`; seed 0 is StateStore::HashKey.
+inline uint64_t HashBytes(const void* data, size_t n, uint64_t seed) {
+  const unsigned char* p = static_cast<const unsigned char*>(data);
+  uint64_t h = seed ^ 0xCBF29CE484222325ULL;
+  for (size_t i = 0; i < n; ++i) {
+    h ^= p[i];
+    h *= 0x100000001B3ULL;
+  }
+  return h;
+}
 
 }  // namespace sstreaming
 

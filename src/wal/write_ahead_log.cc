@@ -22,17 +22,15 @@ std::string EpochFileName(int64_t epoch) {
   return buf;
 }
 
+// Only the exact name EpochFileName writes parses: a stray ` 9.json`,
+// `+9.json` or unpadded `9.json` is not epoch 9.
 Result<int64_t> ParseEpochFileName(const std::string& name) {
-  if (name.size() < 6 || name.substr(name.size() - 5) != ".json") {
+  const std::optional<int64_t> v =
+      ParseDecimal(std::string_view(name).substr(0, name.find('.')));
+  if (!v.has_value() || EpochFileName(*v) != name) {
     return Status::InvalidArgument("not an epoch file: " + name);
   }
-  errno = 0;
-  char* end = nullptr;
-  long long v = std::strtoll(name.c_str(), &end, 10);
-  if (errno != 0 || end == nullptr || *end != '.') {
-    return Status::InvalidArgument("bad epoch file name: " + name);
-  }
-  return static_cast<int64_t>(v);
+  return *v;
 }
 
 Result<std::vector<int64_t>> ListEpochFiles(const std::string& dir) {

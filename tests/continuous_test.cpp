@@ -124,6 +124,37 @@ TEST(ContinuousTest, EpochMarkersAdvanceOffsets) {
   RemoveDirRecursive(*dir).ok();
 }
 
+// A restart into the *same* sink must keep the first run's output. Sink
+// commit ids used to restart at 0 in every run, and MemorySink append mode
+// keeps one delivery per id, so the second run's "b" replaced the first
+// run's "a".
+TEST(ContinuousTest, RestartIntoSameSinkKeepsEarlierOutput) {
+  auto dir = MakeTempDir("sstreaming_continuous_test");
+  ASSERT_TRUE(dir.ok());
+  auto stream = std::make_shared<MemoryStream>("events", EventSchema(), 1);
+  auto sink = std::make_shared<MemorySink>();
+  DataFrame df = DataFrame::ReadStream(stream);
+  ContinuousQuery::Options opts = FastOptions();
+  opts.checkpoint_dir = *dir;
+  auto run = [&](const std::string& key, int64_t v) {
+    ASSERT_TRUE(stream
+                    ->AddData({{Value::Str(key), Value::Int64(v),
+                                Value::Timestamp(v)}})
+                    .ok());
+    auto query = ContinuousQuery::Start(df, sink, opts);
+    ASSERT_TRUE(query.ok()) << query.status().ToString();
+    WaitFor([&] { return sink->Snapshot().size() >= static_cast<size_t>(v); });
+    (*query)->Stop();  // writes a final epoch marker
+  };
+  run("a", 1);
+  run("b", 2);
+  const std::vector<Row> rows = sink->Snapshot();
+  ASSERT_EQ(rows.size(), 2u);
+  EXPECT_EQ(rows[0][0], Value::Str("a"));
+  EXPECT_EQ(rows[1][0], Value::Str("b"));
+  RemoveDirRecursive(*dir).ok();
+}
+
 TEST(ContinuousTest, LowLatencyDelivery) {
   // Records should reach the sink in well under one microbatch interval.
   auto stream = std::make_shared<MemoryStream>("events", EventSchema(), 1);

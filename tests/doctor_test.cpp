@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <string>
 #include <thread>
@@ -90,14 +91,21 @@ TEST(DoctorTest, SlowSinkYieldsSinkBound) {
   spec.action = FailpointSpec::Action::kDelay;
   spec.delay_micros = 20000;
   spec.sticky = true;
-  ASSERT_TRUE(
-      Failpoints::Instance().Arm("sink.commit.before_apply", spec).ok());
 
   auto query = StreamingQuery::Start(CountByCountry(stream), sink, opts);
   ASSERT_TRUE(query.ok()) << query.status().ToString();
   for (int i = 0; i < 4; ++i) {
+    ASSERT_TRUE(
+        Failpoints::Instance().Arm("sink.commit.before_apply", spec).ok());
     ASSERT_TRUE(stream->AddData({Click("ca", i), Click("ny", i)}).ok());
     ASSERT_TRUE((*query)->ProcessAllAvailable().ok());
+    // The delay must dominate however long a slow disk's fsyncs make the
+    // rest of an epoch: the next one is at least four times the last
+    // epoch's time outside the sink.
+    QueryProgress last;
+    ASSERT_TRUE((*query)->GetLastProgress(&last));
+    spec.delay_micros = std::max<int64_t>(
+        20000, 4 * (last.duration_nanos - last.sink_commit_nanos) / 1000);
   }
   Failpoints::Instance().DisarmAll();
 
@@ -141,13 +149,18 @@ TEST(DoctorTest, StarvedSourceYieldsSourceStarved) {
   ASSERT_TRUE(query.ok()) << query.status().ToString();
   // Arrivals are far slower than processing: the gap between triggers is
   // charged to trigger_wait_nanos of the next epoch. A loaded test machine
-  // can stretch epoch processing, so keep feeding starved epochs until the
-  // idle fraction dominates (bounded so a real regression still fails).
+  // or a slow disk's fsyncs can stretch epoch processing, so each gap is at
+  // least four times the last epoch, and starved epochs keep coming until
+  // the idle fraction dominates (bounded so a real regression still fails).
   DoctorReport report;
+  int64_t gap_micros = 40000;
   for (int i = 0; i < 40; ++i) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(40));
+    std::this_thread::sleep_for(std::chrono::microseconds(gap_micros));
     ASSERT_TRUE(stream->AddData({Click("ca", i)}).ok());
     ASSERT_TRUE((*query)->ProcessAllAvailable().ok());
+    QueryProgress last;
+    ASSERT_TRUE((*query)->GetLastProgress(&last));
+    gap_micros = std::max<int64_t>(40000, 4 * last.duration_nanos / 1000);
     if (i < 4) continue;
     report = OnlineDiagnosis(**query, "starved");
     if (report.top_verdict() == "source-starved") break;

@@ -6,13 +6,16 @@
 #include <map>
 #include <optional>
 #include <tuple>
+#include <unordered_map>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/key_index.h"
 #include "common/random.h"
 #include "storage/fs.h"
 #include "testing/failpoints.h"
+#include "types/row.h"
 
 namespace sstreaming {
 namespace {
@@ -683,6 +686,112 @@ TEST_F(StateStoreTest, RewritesCheckedInFixture) {
     }
   }
 }
+
+// The table and routing hash is 64-bit FNV-1a: pinned on the published
+// test vectors and on an encoded state key, so shard routing and table
+// layout stay fixed across platforms and releases.
+TEST(StateStoreHashTest, HashKeyIsPinnedFnv1a) {
+  EXPECT_EQ(StateStore::HashKey(""), 0xCBF29CE484222325ull);
+  EXPECT_EQ(StateStore::HashKey("a"), 0xAF63DC4C8601EC8Cull);
+  EXPECT_EQ(StateStore::HashKey("foobar"), 0x85944171F73967E8ull);
+  std::string key;  // arity 1, string tag, 8-byte length 2, "ca"
+  EncodeRow({Value::Str("ca")}, &key);
+  ASSERT_EQ(key, std::string("\x01\x04\x02\0\0\0\0\0\0\0" "ca", 12));
+  EXPECT_EQ(StateStore::HashKey(key), 0xCDF2606044931EEEull);
+  EXPECT_EQ(StateStore::HashKey(key), HashBytes(key.data(), key.size(), 0));
+}
+
+TEST_F(StateStoreTest, MarkIsCallerOwnedAndZeroOnInsert) {
+  auto store = StateStore::Open(dir_, 0).TakeValue();
+  StateStore::Slot slot = store->FindOrCreate("a");
+  ASSERT_TRUE(slot.created);
+  EXPECT_EQ(*slot.mark, 0u);
+  *slot.mark = 7;
+  EXPECT_EQ(*store->FindOrCreate("a").mark, 7u);
+  ASSERT_TRUE(store->Commit(1).ok());
+  EXPECT_EQ(*store->FindOrCreate("a").mark, 7u);  // commits leave it
+  store->Remove("a");
+  ASSERT_TRUE(store->Commit(2).ok());  // erases the entry
+  slot = store->FindOrCreate("a");
+  EXPECT_TRUE(slot.created);
+  EXPECT_EQ(*slot.mark, 0u);
+}
+
+// KeyIndex against std::unordered_map, with hashes the test chooses: 256
+// tags shared by up to 3000 keys force tag collisions (the key compare
+// decides), and the pool's first tags have their home in the last slots at
+// every capacity, so their clusters wrap around to slot 0. Positions index
+// a vector of keys and are never reused. Growth must happen exactly when
+// an insert would pass the 3/4 load factor. The second half draws from a
+// tenth of the keys, which are erased and re-inserted many times among
+// the first half's survivors.
+class KeyIndexModelTest : public ::testing::TestWithParam<int> {};
+
+TEST_P(KeyIndexModelTest, MatchesUnorderedMap) {
+  Random rng(static_cast<uint64_t>(GetParam()));
+  // Tags t with t * 0x9E3779B9 near 2^32 - 1 have their home at the end.
+  uint32_t inverse = 0x9E3779B9u;  // Newton: inverse of the odd multiplier
+  for (int i = 0; i < 5; ++i) inverse *= 2 - 0x9E3779B9u * inverse;
+  std::vector<uint32_t> tags;
+  for (uint32_t j = 0; j < 4; ++j) tags.push_back((0xFFFFFFFFu - j) * inverse);
+  while (tags.size() < 256) tags.push_back(static_cast<uint32_t>(rng.Next()));
+
+  KeyIndex index;
+  std::vector<std::string> keys;  // position -> key
+  std::unordered_map<std::string, uint32_t> model;
+  auto key_of = [&](uint32_t pos) -> const std::string& { return keys[pos]; };
+  auto hash_of = [&](const std::string& key) {
+    // A stable per-key choice from the pool, so a key keeps its hash.
+    const uint64_t h = StateStore::HashKey(key);
+    return (static_cast<uint64_t>(tags[h % tags.size()]) << 32) |
+           static_cast<uint32_t>(h);
+  };
+  auto expect_model = [&]() {
+    ASSERT_EQ(index.size(), model.size());
+    for (const auto& [key, pos] : model) {
+      size_t slot;
+      ASSERT_EQ(index.Find(key, hash_of(key), key_of, &slot), pos) << key;
+    }
+  };
+  size_t grew = 0;
+  bool wrapped = false;
+  for (int i = 0; i < 20000; ++i) {
+    const std::string key =
+        "k" + std::to_string(rng.Uniform(i < 10000 ? 3000 : 600));
+    const uint64_t hash = hash_of(key);
+    auto it = model.find(key);
+    size_t slot;
+    if (rng.Uniform(3) != 0) {  // find, inserting when absent
+      const size_t cap = index.capacity();
+      const bool must_grow = (index.size() + 1) * 4 > cap * 3;
+      index.Reserve();
+      ASSERT_EQ(index.capacity() != cap, must_grow) << "op " << i;
+      grew += must_grow ? 1 : 0;
+      const uint32_t pos = index.Find(key, hash, key_of, &slot);
+      if (it != model.end()) {
+        ASSERT_EQ(pos, it->second) << key;
+        if (slot < index.Home(hash)) wrapped = true;
+        continue;
+      }
+      ASSERT_EQ(pos, KeyIndex::kAbsent) << key;
+      const uint32_t next = static_cast<uint32_t>(keys.size());
+      index.Insert(slot, hash, next);
+      keys.push_back(key);
+      model.emplace(key, next);
+    } else if (it != model.end()) {  // erase
+      ASSERT_EQ(index.Find(key, hash, key_of, &slot), it->second) << key;
+      index.Erase(slot);
+      model.erase(it);
+      ASSERT_EQ(index.Find(key, hash, key_of, &slot), KeyIndex::kAbsent);
+    }
+    if (i % 500 == 0) expect_model();
+  }
+  expect_model();
+  EXPECT_GE(grew, 9u);  // 0 -> 16 -> ... -> at least 4096 slots
+  EXPECT_TRUE(wrapped) << "no probe cluster wrapped around";
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, KeyIndexModelTest, ::testing::Values(1, 2, 3));
 
 }  // namespace
 }  // namespace sstreaming

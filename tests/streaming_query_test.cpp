@@ -7,6 +7,7 @@
 #include <map>
 #include <string>
 
+#include "common/random.h"
 #include "connectors/memory.h"
 #include "exec/batch_executor.h"
 #include "storage/fs.h"
@@ -634,6 +635,56 @@ TEST_P(PrefixConsistencyTest, StreamEqualsBatchOnPrefix) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, PrefixConsistencyTest,
                          ::testing::Values(11, 22, 33, 44));
+
+// A durable update-mode count that checkpoints state only every third
+// epoch: between checkpoints the changed entries stay dirty across epochs,
+// carrying the aggregate's touched ordinals (the entry marks) of earlier
+// epochs. Each epoch touches a random subset of the same keys in a random
+// order, so stale marks name other keys' ordinals; after every epoch the
+// sink table must equal a batch run over the input so far. A restart
+// halfway replays the uncheckpointed epochs into the same sink.
+TEST(StreamingQueryTest, SparseCheckpointUpdateCountMatchesBatchPrefixes) {
+  auto dir = MakeTempDir("sstreaming_sparse_ckpt");
+  ASSERT_TRUE(dir.ok());
+  auto stream = std::make_shared<MemoryStream>("clicks", ClickSchema(), 2);
+  auto sink = std::make_shared<MemorySink>();
+  const char* countries[] = {"ca", "ny", "de", "jp", "br", "fr", "it", "mx"};
+  auto count = [](DataFrame df) {
+    return df.GroupBy({"country"}).Agg(
+        {CountAll("n"), SumOf(Col("latency"), "total")});
+  };
+  QueryOptions opts = Ephemeral(OutputMode::kUpdate);
+  opts.checkpoint_dir = *dir;
+  opts.num_partitions = 2;
+  opts.num_state_shards = 2;
+  opts.state_checkpoint_interval = 3;
+  Random rng(7);
+  std::vector<Row> all_rows;
+  for (int run = 0; run < 2; ++run) {
+    auto query = StreamingQuery::Start(count(DataFrame::ReadStream(stream)),
+                                       sink, opts);
+    ASSERT_TRUE(query.ok()) << query.status().ToString();
+    for (int epoch = 0; epoch < 7; ++epoch) {
+      std::vector<Row> batch;
+      const int rows = 1 + static_cast<int>(rng.Uniform(24));
+      for (int i = 0; i < rows; ++i) {
+        // Skewed towards the first keys, so key subsets and orders vary.
+        const size_t k = rng.Uniform(1 + rng.Uniform(8));
+        batch.push_back(Click(countries[k],
+                              static_cast<int64_t>(rng.Uniform(50)), epoch));
+      }
+      all_rows.insert(all_rows.end(), batch.begin(), batch.end());
+      ASSERT_TRUE(stream->AddData(batch).ok());
+      ASSERT_TRUE((*query)->ProcessAllAvailable().ok());
+      auto expected = RunBatchSorted(
+          count(DataFrame::FromRows(ClickSchema(), all_rows).TakeValue()));
+      ASSERT_TRUE(expected.ok()) << expected.status().ToString();
+      ASSERT_EQ(sink->SortedSnapshot(), *expected)
+          << "run " << run << ", epoch " << epoch;
+    }
+  }
+  RemoveDirRecursive(*dir).ok();
+}
 
 }  // namespace
 }  // namespace sstreaming

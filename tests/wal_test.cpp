@@ -221,5 +221,31 @@ TEST_F(WalTest, RepairTornTailLeavesMidLogCorruptionAlone) {
   ASSERT_TRUE(log.ReadPlan(3).ok());
 }
 
+// Only the zero-padded name the log writes is an entry. A stray ` 9.json`,
+// `+9.json` or unpadded `9.json` once parsed as epoch 9:
+// LatestCommittedEpoch() said 9 while IsCommitted(9) was false, and
+// TruncateAfter(1) failed removing the padded name that did not exist.
+TEST_F(WalTest, StrayEntryNamesAreNotEpochs) {
+  auto log = WriteAheadLog::Open(dir_).TakeValue();
+  ASSERT_TRUE(log.WritePlan(MakePlan(1)).ok());
+  ASSERT_TRUE(log.WriteCommit(1).ok());
+  const std::string plan = MakePlan(9).ToJson().Dump();
+  for (const char* name : {" 9.json", "+9.json", "9.json", "00000000009.json",
+                           "0000000000009.json", "000000000009.json.tmp"}) {
+    ASSERT_TRUE(WriteFileAtomic(dir_ + "/offsets/" + name, plan).ok());
+    ASSERT_TRUE(WriteFileAtomic(dir_ + "/commits/" + name, "{}").ok());
+  }
+  EXPECT_EQ(log.LatestPlannedEpoch()->value_or(0), 1);
+  EXPECT_EQ(log.LatestCommittedEpoch()->value_or(0), 1);
+  EXPECT_EQ(*log.ListPlannedEpochs(), std::vector<int64_t>{1});
+  EXPECT_FALSE(log.IsCommitted(9));
+  auto repaired = log.RepairTornTail();
+  ASSERT_TRUE(repaired.ok()) << repaired.status().ToString();
+  EXPECT_EQ(*repaired, 0);
+  Status truncated = log.TruncateAfter(1);
+  EXPECT_TRUE(truncated.ok()) << truncated.ToString();
+  EXPECT_TRUE(log.IsCommitted(1));
+}
+
 }  // namespace
 }  // namespace sstreaming

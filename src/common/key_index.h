@@ -5,21 +5,21 @@
 #include <bit>
 #include <cstddef>
 #include <cstdint>
-#include <string_view>
 #include <utility>
 #include <vector>
 
 namespace sstreaming {
 
-/// The engine's one open-addressing index over encoded keys (docs/DESIGN.md
-/// §9). It maps a key to a position in a key store its caller owns: the
-/// state table's slab, the memory sink's update rows. A slot is a word
-/// (32-bit tag << 32) | (position + 1), 0 when empty, the tag being the top
-/// half of the key's 64-bit hash. Probes are linear from the Fibonacci home
-/// of the tag, at a load factor of at most 3/4, and read a key (through the
-/// caller's `key_of(position)`) only on a tag match. Growth rehashes from
-/// the tags alone; erasure shifts the rest of the cluster back, so there
-/// are no tombstones.
+/// The engine's one open-addressing key index (docs/DESIGN.md §9). It maps
+/// a key to a position in a key store its caller owns: the state table's
+/// slab of encoded keys, the memory sink's typed update columns. The index
+/// never sees a key: a slot is a word (32-bit tag << 32) | (position + 1),
+/// 0 when empty, the tag being the top half of the key's 64-bit hash.
+/// Probes are linear from the Fibonacci home of the tag, at a load factor
+/// of at most 3/4, and ask the caller's `eq(position)` whether a position
+/// holds the probed key only on a tag match. Growth rehashes from the tags
+/// alone; erasure shifts the rest of the cluster back, so there are no
+/// tombstones.
 class KeyIndex {
  public:
   static constexpr uint32_t kAbsent = UINT32_MAX;
@@ -47,16 +47,16 @@ class KeyIndex {
     }
   }
 
-  /// The position of `key` (hash `hash`), or kAbsent. `*slot` becomes its
-  /// slot, or the empty slot Insert fills (Reserve before such a probe).
-  template <typename KeyOf>
-  uint32_t Find(std::string_view key, uint64_t hash, const KeyOf& key_of,
-                size_t* slot) const {
+  /// The position of the key whose hash is `hash` and for which
+  /// `eq(position)` holds, or kAbsent. `*slot` becomes its slot, or the
+  /// empty slot Insert fills (Reserve before such a probe).
+  template <typename Eq>
+  uint32_t Find(uint64_t hash, const Eq& eq, size_t* slot) const {
     *slot = 0;
     if (words_.empty()) return kAbsent;
     for (size_t i = Home(hash);; i = Next(i)) {
       const uint64_t word = words_[i];
-      if (word == 0 || (Tag(word) == Tag(hash) && key_of(Pos(word)) == key)) {
+      if (word == 0 || (Tag(word) == Tag(hash) && eq(Pos(word)))) {
         *slot = i;
         return word == 0 ? kAbsent : Pos(word);
       }

@@ -1,7 +1,6 @@
 #include "connectors/memory.h"
 
 #include <algorithm>
-#include <string_view>
 
 #include "common/logging.h"
 #include "testing/failpoints.h"
@@ -105,18 +104,13 @@ Status MemorySink::CommitEpoch(int64_t epoch, OutputMode mode,
       }
       // Validate every batch before applying any: a rejected commit
       // leaves the table as it was.
-      int arity = update_table_.arity();
+      std::vector<TypeId> types = update_table_.types();
       for (const auto& b : batches) {
         if (num_key_columns > b->num_columns()) {
           return Status::InvalidArgument(
               "update mode has more key columns than the batch");
         }
-        if (arity >= 0 && b->num_columns() != arity) {
-          return Status::InvalidArgument(
-              "update mode batch has " + std::to_string(b->num_columns()) +
-              " columns, the table has " + std::to_string(arity));
-        }
-        arity = b->num_columns();
+        SS_RETURN_IF_ERROR(UpdateTable::CheckBatch(*b, &types));
       }
       if (epoch <= last_epoch_) break;  // stale recommit of an applied epoch
       for (const auto& b : batches) {
@@ -143,67 +137,108 @@ Status MemorySink::CommitEpoch(int64_t epoch, OutputMode mode,
   return Status::OK();
 }
 
+Status MemorySink::UpdateTable::CheckBatch(const RecordBatch& batch,
+                                           std::vector<TypeId>* types) {
+  const size_t arity = static_cast<size_t>(batch.num_columns());
+  if (types->empty()) types->assign(arity, TypeId::kNull);
+  if (arity != types->size()) {
+    return Status::InvalidArgument(
+        "update mode batch has " + std::to_string(arity) +
+        " columns, the table has " + std::to_string(types->size()));
+  }
+  for (size_t c = 0; c < arity; ++c) {
+    const TypeId type = batch.column(static_cast<int>(c))->type();
+    TypeId& have = (*types)[c];
+    if (type == TypeId::kNull || type == have) continue;
+    if (have == TypeId::kNull) {
+      have = type;
+      continue;
+    }
+    const std::string& name = batch.schema()->field(static_cast<int>(c)).name;
+    return Status::InvalidArgument("update mode column " + name + " is " +
+                                   TypeName(type) + ", the table's is " +
+                                   TypeName(have));
+  }
+  return Status::OK();
+}
+
+std::vector<TypeId> MemorySink::UpdateTable::types() const {
+  std::vector<TypeId> out;
+  for (const Column& column : columns_) out.push_back(column.type());
+  return out;
+}
+
 void MemorySink::UpdateTable::Upsert(const RecordBatch& batch,
                                      int num_key_columns) {
   const int64_t n = batch.num_rows();
   if (n == 0) return;
-  arity_ = batch.num_columns();
-  // Encode and hash the whole batch's keys first: the probe loop then
-  // knows every home slot in advance and prefetches a fixed distance ahead.
-  batch_keys_.clear();
-  batch_ends_.clear();
-  batch_hashes_.clear();
-  for (int64_t i = 0; i < n; ++i) {
-    const int64_t phys = batch.PhysIndex(i);
-    const size_t begin = batch_keys_.size();
-    for (int c = 0; c < num_key_columns; ++c) {
-      batch.column(c)->EncodeValueTo(phys, &batch_keys_);
-    }
-    batch_ends_.push_back(batch_keys_.size());
-    batch_hashes_.push_back(HashBytes(batch_keys_.data() + begin,
-                                      batch_keys_.size() - begin, 0));
+  const size_t arity = static_cast<size_t>(batch.num_columns());
+  const size_t num_keys = static_cast<size_t>(num_key_columns);
+  std::vector<const Column*> src(arity);
+  for (size_t c = 0; c < arity; ++c) {
+    src[c] = batch.column(static_cast<int>(c)).get();
   }
+  if (columns_.empty()) columns_.assign(arity, Column(TypeId::kNull));
+  for (size_t c = 0; c < arity; ++c) {
+    // A column that holds only nulls takes the first real type it meets.
+    if (columns_[c].type() == TypeId::kNull &&
+        src[c]->type() != TypeId::kNull) {
+      Column typed(src[c]->type());
+      typed.AppendNulls(num_rows());
+      columns_[c] = std::move(typed);
+    }
+  }
+  // Hash the whole batch's keys first, one column kernel per key column:
+  // the probe loop then knows every home slot in advance and prefetches a
+  // fixed distance ahead.
+  batch_hashes_.assign(static_cast<size_t>(batch.physical_rows()), 0);
+  for (size_t c = 0; c < num_keys; ++c) src[c]->HashInto(&batch_hashes_);
   // Room for every row to be new, so no growth moves the slots mid-batch.
   index_.Reserve(static_cast<size_t>(n));
-  auto key_of = [this](uint32_t r) {
-    return std::string_view(keys_).substr(
-        key_offsets_[r], key_offsets_[r + 1] - key_offsets_[r]);
+  constexpr int64_t kHomeAhead = 16;
+  constexpr int64_t kRowAhead = 8;
+  auto prefetch_row = [this](uint32_t r) {
+    for (const Column& column : columns_) column.PrefetchValue(r);
   };
-  constexpr int64_t kPrefetchDistance = 16;
-  size_t key_begin = 0;
   for (int64_t i = 0; i < n; ++i) {
-    if (i + kPrefetchDistance < n) {
-      const size_t ahead = static_cast<size_t>(i + kPrefetchDistance);
-      index_.PrefetchHome(batch_hashes_[ahead]);
+    if (i + kHomeAhead < n) {
+      const int64_t ahead = batch.PhysIndex(i + kHomeAhead);
+      index_.PrefetchHome(batch_hashes_[static_cast<size_t>(ahead)]);
     }
-    const size_t key_end = batch_ends_[static_cast<size_t>(i)];
-    const std::string_view key(batch_keys_.data() + key_begin,
-                               key_end - key_begin);
-    key_begin = key_end;
-    const uint64_t hash = batch_hashes_[static_cast<size_t>(i)];
+    if (i + kRowAhead < n) {
+      const int64_t ahead = batch.PhysIndex(i + kRowAhead);
+      index_.PrefetchMatch(batch_hashes_[static_cast<size_t>(ahead)],
+                           prefetch_row);
+    }
     const int64_t phys = batch.PhysIndex(i);
+    const uint64_t hash = batch_hashes_[static_cast<size_t>(phys)];
+    auto same_key = [&](uint32_t r) {
+      for (size_t c = 0; c < num_keys; ++c) {
+        if (!columns_[c].ValueEquals(r, *src[c], phys)) return false;
+      }
+      return true;
+    };
     size_t slot;
-    const uint32_t r = index_.Find(key, hash, key_of, &slot);
+    const uint32_t r = index_.Find(hash, same_key, &slot);
     if (r == KeyIndex::kAbsent) {
       index_.Insert(slot, hash, static_cast<uint32_t>(num_rows()));
-      for (int c = 0; c < arity_; ++c) {
-        cells_.push_back(batch.column(c)->ValueAt(phys));
-      }
-      keys_ += key;
-      key_offsets_.push_back(keys_.size());
+      for (size_t c = 0; c < arity; ++c) columns_[c].AppendFrom(*src[c], phys);
       continue;
     }
-    Value* row = &cells_[r * static_cast<size_t>(arity_)];
-    for (int c = num_key_columns; c < arity_; ++c) {
-      row[c] = batch.column(c)->ValueAt(phys);
+    for (size_t c = num_keys; c < arity; ++c) {
+      columns_[c].SetFrom(r, *src[c], phys);
     }
   }
 }
 
 void MemorySink::UpdateTable::AppendRowsTo(std::vector<Row>* out) const {
-  out->reserve(out->size() + num_rows());
-  for (auto cell = cells_.begin(); cell != cells_.end(); cell += arity_) {
-    out->emplace_back(cell, cell + arity_);
+  const int64_t rows = num_rows();
+  out->reserve(out->size() + static_cast<size_t>(rows));
+  for (int64_t r = 0; r < rows; ++r) {
+    Row row;
+    row.reserve(columns_.size());
+    for (const Column& column : columns_) row.push_back(column.ValueAt(r));
+    out->push_back(std::move(row));
   }
 }
 

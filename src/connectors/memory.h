@@ -63,12 +63,17 @@ class MemoryStream : public Source {
 /// mechanism behind the paper's "interactive queries on consistent snapshots
 /// of stream output" (§1): a reader always sees a prefix-consistent table.
 ///
-/// Update mode keeps the upserted result table. A row's identity is the
-/// encoded bytes of its first `num_key_columns` columns (Column::EncodeValueTo,
-/// the bytes the state store groups by), so NaN keys are well defined and
-/// -0.0 and 0.0 stay distinct, exactly as the stateful aggregate keeps them.
-/// The table finds rows by those bytes through KeyIndex, the same index the
-/// state store keeps over its slab.
+/// Update mode keeps the upserted result table in typed columns, one per
+/// output column. A row's identity is the values of its first
+/// `num_key_columns` columns compared as their encoded bytes would be
+/// (Column::ValueEquals, the identity the state store groups by), so NaN
+/// keys are well defined and -0.0 and 0.0 stay distinct, exactly as the
+/// stateful aggregate keeps them. The table finds rows through KeyIndex,
+/// the same index the state store keeps over its slab, probed with the key
+/// columns' hash. The column types come from the first batch; a batch
+/// column of another type is rejected with the whole commit, except that a
+/// null-typed column fits any type and a column that held only nulls takes
+/// the first real type it meets.
 /// Commits of an epoch at or below the last committed one are ignored in
 /// update and complete mode: recovery re-delivers epochs the sink already
 /// applied, and re-applying an older epoch would show a table that matches
@@ -89,33 +94,36 @@ class MemorySink : public Sink {
   int64_t last_committed_epoch() const;
 
  private:
-  /// Update-mode table: a flat, insertion-ordered slab of cells (row r's
-  /// values are cells_[r * arity, (r + 1) * arity)) with each row's encoded
-  /// key, indexed by the state table's KeyIndex over those keys. An upsert
-  /// costs one probe; a known key overwrites its non-key cells in place.
+  /// Update-mode table: one typed Column per output column, row r being
+  /// position r of each, in first-insertion order, indexed by KeyIndex
+  /// over the key columns. An upsert costs one probe that compares typed
+  /// values; a new key appends its cells, a known key overwrites its
+  /// non-key cells in place. Rows are boxed only when Snapshot() reads them.
   class UpdateTable {
    public:
-    /// Number of columns of the stored rows; -1 until the first row.
-    int arity() const { return arity_; }
-    /// Upserts every row of `batch`. Precondition: the batch has the
-    /// table's arity (or the table is empty).
+    /// Checks `batch` against the column types `types` (the table's, then
+    /// those of the batches checked before it in the same commit) and
+    /// merges its types into them. A null-typed column fits any type and
+    /// takes the first other type it meets; any other mismatch, or another
+    /// arity, is InvalidArgument.
+    static Status CheckBatch(const RecordBatch& batch,
+                             std::vector<TypeId>* types);
+    /// The column types; empty until the first row.
+    std::vector<TypeId> types() const;
+    /// Upserts every row of `batch`. Precondition: CheckBatch accepted it.
     void Upsert(const RecordBatch& batch, int num_key_columns);
-    /// Boxes the rows from the slab, in first-insertion order, onto `out`.
+    /// Boxes the rows, in first-insertion order, onto `out`.
     void AppendRowsTo(std::vector<Row>* out) const;
 
    private:
-    size_t num_rows() const { return key_offsets_.size() - 1; }
+    int64_t num_rows() const {
+      return columns_.empty() ? 0 : columns_[0].size();
+    }
 
-    int arity_ = -1;
-    std::vector<Value> cells_;
-    // Slab row r's encoded key is keys_[key_offsets_[r], key_offsets_[r+1]).
-    std::string keys_;
-    std::vector<size_t> key_offsets_{0};
-    KeyIndex index_;  // encoded key -> slab row
-    // Per-batch scratch: each row's encoded key (delimited by batch_ends_)
-    // and its hash, computed before the probe loop so it can prefetch.
-    std::string batch_keys_;
-    std::vector<size_t> batch_ends_;
+    std::vector<Column> columns_;
+    KeyIndex index_;  // key columns' hash -> row
+    // Per-batch scratch: the key columns' hash of each physical row,
+    // computed before the probe loop so it can prefetch.
     std::vector<uint64_t> batch_hashes_;
   };
 

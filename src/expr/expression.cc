@@ -67,8 +67,16 @@ Result<Value> EvalBinaryScalar(BinaryOp op, const Value& a, const Value& b,
     return Value::Float64(a.AsDouble() / denom);
   }
   if (op == BinaryOp::kMod) {
-    int64_t denom = b.int64_value();
+    if (result_type == TypeId::kFloat64) {
+      const double denom = b.AsDouble();
+      if (denom == 0.0) return Value::Null();
+      return Value::Float64(std::fmod(a.AsDouble(), denom));
+    }
+    const int64_t denom = b.int64_value();
     if (denom == 0) return Value::Null();
+    // x % -1 is 0 for every x; computing INT64_MIN % -1 overflows (and
+    // traps on x86).
+    if (denom == -1) return Value::Int64(0);
     return Value::Int64(a.int64_value() % denom);
   }
   if (result_type == TypeId::kFloat64) {
@@ -126,6 +134,14 @@ Result<Value> EvalUnaryScalar(UnaryOp op, const Value& v, TypeId result_type) {
   return Status::Internal("bad unary op");
 }
 
+// A double truncated toward zero into an int64 value (`make` boxes it);
+// NULL for NaN, the infinities and values outside int64's range, whose
+// conversion is undefined.
+Value FloatToInt64(double d, Value (*make)(int64_t)) {
+  if (!(d >= -0x1p63 && d < 0x1p63)) return Value::Null();
+  return make(static_cast<int64_t>(d));
+}
+
 Result<Value> CastScalar(const Value& v, TypeId target) {
   if (v.is_null()) return Value::Null();
   if (v.type() == target) return v;
@@ -137,7 +153,7 @@ Result<Value> CastScalar(const Value& v, TypeId target) {
         case TypeId::kTimestamp:
           return Value::Int64(v.int64_value());
         case TypeId::kFloat64:
-          return Value::Int64(static_cast<int64_t>(v.float64_value()));
+          return FloatToInt64(v.float64_value(), Value::Int64);
         case TypeId::kString: {
           errno = 0;
           char* end = nullptr;
@@ -168,7 +184,7 @@ Result<Value> CastScalar(const Value& v, TypeId target) {
     case TypeId::kTimestamp:
       if (v.type() == TypeId::kInt64) return Value::Timestamp(v.int64_value());
       if (v.type() == TypeId::kFloat64) {
-        return Value::Timestamp(static_cast<int64_t>(v.float64_value()));
+        return FloatToInt64(v.float64_value(), Value::Timestamp);
       }
       return Value::Null();
     case TypeId::kString:
@@ -341,7 +357,9 @@ Result<ExprPtr> BinaryExpr::Resolve(const Schema& schema) const {
     if (op_ == BinaryOp::kDiv) {
       result = TypeId::kFloat64;
     } else if (op_ == BinaryOp::kMod) {
-      result = TypeId::kInt64;
+      result = lt == TypeId::kFloat64 || rt == TypeId::kFloat64
+                   ? TypeId::kFloat64
+                   : TypeId::kInt64;
     } else if ((op_ == BinaryOp::kAdd || op_ == BinaryOp::kSub) &&
                (lt == TypeId::kTimestamp || rt == TypeId::kTimestamp)) {
       // ts + delta / ts - delta stays a timestamp; ts - ts is a duration.

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cctype>
+#include <charconv>
 #include <optional>
 #include <vector>
 
@@ -243,7 +244,8 @@ class Parser {
       if (t.kind != TokKind::kNumber || t.text != "I") {
         return lex_.Fail("expected integer after LIMIT");
       }
-      df = df.Limit(std::stoll(lex_.Take().raw));
+      SS_ASSIGN_OR_RETURN(int64_t limit, ParseNumber<int64_t>());
+      df = df.Limit(limit);
     }
     AcceptSymbol(";");
     if (lex_.peek().kind != TokKind::kEnd) {
@@ -497,9 +499,12 @@ class Parser {
     const Token& t = lex_.peek();
     switch (t.kind) {
       case TokKind::kNumber: {
-        Token tok = lex_.Take();
-        if (tok.text == "F") return Lit(std::stod(tok.raw));
-        return Lit(static_cast<int64_t>(std::stoll(tok.raw)));
+        if (t.text == "F") {
+          SS_ASSIGN_OR_RETURN(double d, ParseNumber<double>());
+          return Lit(d);
+        }
+        SS_ASSIGN_OR_RETURN(int64_t i, ParseNumber<int64_t>());
+        return Lit(i);
       }
       case TokKind::kString:
         return Lit(lex_.Take().raw);
@@ -630,6 +635,23 @@ class Parser {
 
   Result<std::string> ExpectIdentRaw() { return ExpectIdent(); }
 
+  /// Takes the current number token as a T. A literal T cannot hold (out
+  /// of range, or a malformed float such as "1.2.3") is InvalidArgument.
+  template <typename T>
+  Result<T> ParseNumber() {
+    const std::string& raw = lex_.peek().raw;
+    T value{};
+    const auto [end, ec] =
+        std::from_chars(raw.data(), raw.data() + raw.size(), value);
+    if (ec != std::errc() || end != raw.data() + raw.size()) {
+      return lex_.Fail(ec == std::errc::result_out_of_range
+                           ? "numeric literal out of range"
+                           : "malformed numeric literal");
+    }
+    lex_.Take();
+    return value;
+  }
+
   Lexer lex_;
   const std::map<std::string, DataFrame>& tables_;
 };
@@ -651,7 +673,12 @@ Result<int64_t> ParseIntervalMicros(const std::string& text) {
   if (pos == start) {
     return Status::InvalidArgument("bad interval '" + text + "'");
   }
-  double amount = std::stod(text.substr(start, pos - start));
+  double amount = 0;
+  const auto [end, ec] =
+      std::from_chars(text.data() + start, text.data() + pos, amount);
+  if (ec != std::errc() || end != text.data() + pos) {
+    return Status::InvalidArgument("bad interval '" + text + "'");
+  }
   while (pos < text.size() &&
          std::isspace(static_cast<unsigned char>(text[pos]))) {
     ++pos;
@@ -677,7 +704,11 @@ Result<int64_t> ParseIntervalMicros(const std::string& text) {
   } else {
     return Status::InvalidArgument("bad interval unit in '" + text + "'");
   }
-  return static_cast<int64_t>(amount * micros);
+  const double total = amount * micros;
+  if (!(total < 0x1p63)) {
+    return Status::InvalidArgument("interval out of range in '" + text + "'");
+  }
+  return static_cast<int64_t>(total);
 }
 
 void SqlContext::RegisterTable(const std::string& name, DataFrame df) {

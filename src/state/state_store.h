@@ -190,9 +190,7 @@ class StateStore {
   /// index slot, or the empty slot where it would go.
   uint32_t Find(std::string_view key, uint64_t hash, size_t* slot) const {
     return index_.Find(
-        key, hash,
-        [this](uint32_t pos) -> const std::string& { return At(pos).key; },
-        slot);
+        hash, [this, key](uint32_t pos) { return At(pos).key == key; }, slot);
   }
   /// The indexed entry for `key`, or null.
   Entry* Find(std::string_view key, uint64_t hash) const {

@@ -166,6 +166,83 @@ void Column::AppendFrom(const Column& src, int64_t i) {
   }
 }
 
+void Column::SetFrom(int64_t i, const Column& src, int64_t j) {
+  const size_t k = static_cast<size_t>(i);
+  const PhysicalKind kind = PhysicalKindOf(type_);
+  if (src.IsNull(j)) {
+    if (validity_[k] == 0) return;
+    validity_[k] = 0;
+    ++null_count_;
+    // Clear the payload as AppendNull leaves it.
+    switch (kind) {
+      case PhysicalKind::kBool:
+        bools_[k] = 0;
+        break;
+      case PhysicalKind::kInt64:
+        ints_[k] = 0;
+        break;
+      case PhysicalKind::kFloat64:
+        doubles_[k] = 0;
+        break;
+      case PhysicalKind::kString:
+        string_bytes_ -= static_cast<int64_t>(strings_[k].size());
+        strings_[k].clear();
+        break;
+      case PhysicalKind::kNone:
+        break;
+    }
+    return;
+  }
+  SS_DCHECK(PhysicalKindOf(src.type_) == kind);
+  if (validity_[k] == 0) {
+    validity_[k] = 1;
+    --null_count_;
+  }
+  const size_t from = static_cast<size_t>(j);
+  switch (kind) {
+    case PhysicalKind::kBool:
+      bools_[k] = src.bools_[from];
+      break;
+    case PhysicalKind::kInt64:
+      ints_[k] = src.ints_[from];
+      break;
+    case PhysicalKind::kFloat64:
+      doubles_[k] = src.doubles_[from];
+      break;
+    case PhysicalKind::kString: {
+      const std::string& s = src.strings_[from];
+      string_bytes_ += static_cast<int64_t>(s.size()) -
+                       static_cast<int64_t>(strings_[k].size());
+      strings_[k] = s;
+      break;
+    }
+    case PhysicalKind::kNone:
+      break;
+  }
+}
+
+bool Column::ValueEquals(int64_t i, const Column& other, int64_t j) const {
+  const bool null = IsNull(i);
+  if (null || other.IsNull(j)) return null && other.IsNull(j);
+  if (type_ != other.type_) return false;
+  const size_t a = static_cast<size_t>(i);
+  const size_t b = static_cast<size_t>(j);
+  switch (PhysicalKindOf(type_)) {
+    case PhysicalKind::kBool:
+      return bools_[a] == other.bools_[b];
+    case PhysicalKind::kInt64:
+      return ints_[a] == other.ints_[b];
+    case PhysicalKind::kFloat64:
+      return std::memcmp(&doubles_[a], &other.doubles_[b], sizeof(double)) ==
+             0;
+    case PhysicalKind::kString:
+      return strings_[a] == other.strings_[b];
+    case PhysicalKind::kNone:
+      break;
+  }
+  return true;
+}
+
 void Column::AppendRange(const Column& src, int64_t start, int64_t length) {
   SS_DCHECK(&src != this);
   SS_DCHECK(start >= 0 && length >= 0 && start + length <= src.size());

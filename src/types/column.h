@@ -67,6 +67,17 @@ class Column {
   /// (no boxing) — the gather kernel used by shuffle and joins.
   void AppendFrom(const Column& src, int64_t i);
 
+  /// Overwrites value i with value j of `src` (null-aware, no boxing),
+  /// keeping null_count() and ApproxBytes() exact. A non-null source value
+  /// must have this column's physical type.
+  void SetFrom(int64_t i, const Column& src, int64_t j);
+
+  /// True when value i and value j of `other` encode to the same bytes
+  /// (EncodeValueTo): both null, or the same TypeId with the same bits or
+  /// bytes. So NaNs match bitwise, -0.0 and 0.0 differ, and so do an int64
+  /// and a timestamp of the same number.
+  bool ValueEquals(int64_t i, const Column& other, int64_t j) const;
+
   /// Appends values [start, start+length) of `src` with one bulk copy per
   /// storage array — the range kernel behind bus reads, Slice and Concat.
   /// Same result as AppendFrom over the range; a source of another physical
@@ -76,6 +87,28 @@ class Column {
   /// Serializes value i exactly as Value::EncodeTo would (byte-identical),
   /// without boxing — used to build state-store keys from columns.
   void EncodeValueTo(int64_t i, std::string* out) const;
+
+  /// Cache hint for value i: loads its validity byte and its payload slot.
+  void PrefetchValue(int64_t i) const {
+    const size_t k = static_cast<size_t>(i);
+    __builtin_prefetch(validity_.data() + k);
+    switch (PhysicalKindOf(type_)) {
+      case PhysicalKind::kBool:
+        __builtin_prefetch(bools_.data() + k);
+        break;
+      case PhysicalKind::kInt64:
+        __builtin_prefetch(ints_.data() + k);
+        break;
+      case PhysicalKind::kFloat64:
+        __builtin_prefetch(doubles_.data() + k);
+        break;
+      case PhysicalKind::kString:
+        __builtin_prefetch(strings_.data() + k);
+        break;
+      case PhysicalKind::kNone:
+        break;
+    }
+  }
 
   /// Approximate in-memory footprint of the column's payload in bytes.
   /// O(1): string character counts are maintained incrementally on append,

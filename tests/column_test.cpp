@@ -1,6 +1,7 @@
 #include "types/column.h"
 
 #include <cmath>
+#include <cstring>
 #include <limits>
 #include <string>
 
@@ -176,6 +177,126 @@ TEST(ColumnTest, AppendNullsMatchesAppendNull) {
     for (int i = 0; i < 5; ++i) each.AppendNull();
     ExpectSameColumn(bulk, each);
   }
+}
+
+// SetFrom against a column rebuilt with AppendFrom from the same values
+// after every overwrite: value-to-value, value-to-null (from a null-typed
+// column too) and null-to-value, so null_count() and ApproxBytes() (string
+// bytes included) must stay exact.
+TEST(ColumnTest, SetFromMatchesAColumnBuiltFromTheSameValues) {
+  for (TypeId type : {TypeId::kBool, TypeId::kInt64, TypeId::kFloat64,
+                      TypeId::kString, TypeId::kTimestamp}) {
+    SCOPED_TRACE(TypeName(type));
+    const Column src = RangeSource(type);
+    Column nulls(TypeId::kNull);
+    nulls.AppendNulls(3);
+    Column dst(type);
+    std::vector<int64_t> from;  // dst row r holds src[from[r]]; -1 is null
+    for (int64_t i = 0; i < src.size(); ++i) {
+      dst.AppendFrom(src, i);
+      from.push_back(i);
+    }
+    for (int step = 0; step < 60; ++step) {
+      const int64_t r = (step * 7) % src.size();
+      if (step % 6 == 5) {
+        dst.SetFrom(r, nulls, step % 3);
+        from[static_cast<size_t>(r)] = -1;
+      } else {
+        const int64_t j = (step * 5 + 3) % src.size();
+        dst.SetFrom(r, src, j);
+        from[static_cast<size_t>(r)] = j;
+      }
+      Column want(type);
+      for (int64_t f : from) {
+        if (f < 0) {
+          want.AppendNull();
+        } else {
+          want.AppendFrom(src, f);
+        }
+      }
+      SCOPED_TRACE("step " + std::to_string(step));
+      ExpectSameColumn(dst, want);
+    }
+  }
+}
+
+TEST(ColumnTest, SetFromKeepsNullCountAndStringBytes) {
+  Column src(TypeId::kString);
+  src.AppendString("hello");
+  src.AppendNull();
+  Column c(TypeId::kString);
+  c.AppendString("abc");
+  const int64_t base = c.ApproxBytes() - 3;
+  c.SetFrom(0, src, 1);  // "abc" -> null
+  EXPECT_TRUE(c.IsNull(0));
+  EXPECT_EQ(c.null_count(), 1);
+  EXPECT_EQ(c.ApproxBytes(), base);
+  c.SetFrom(0, src, 1);  // null -> null
+  EXPECT_EQ(c.null_count(), 1);
+  c.SetFrom(0, src, 0);  // null -> "hello"
+  EXPECT_EQ(c.StringAt(0), "hello");
+  EXPECT_EQ(c.null_count(), 0);
+  EXPECT_EQ(c.ApproxBytes(), base + 5);
+}
+
+// ValueEquals is the identity of EncodeValueTo's bytes, over every pair of
+// values from columns of every type: NaNs compare by their bits, -0.0 and
+// 0.0 differ, strings with embedded NULs compare whole, an int64 and a
+// timestamp of the same number differ, and a null equals a null of any type.
+TEST(ColumnTest, ValueEqualsIsEncodedByteIdentity) {
+  auto nan_with_payload = [](uint64_t payload) {
+    const uint64_t bits = 0x7FF8000000000000ULL | payload;
+    double d;
+    std::memcpy(&d, &bits, sizeof(d));
+    return d;
+  };
+  std::vector<Column> columns;
+  for (TypeId type : {TypeId::kBool, TypeId::kInt64, TypeId::kFloat64,
+                      TypeId::kString, TypeId::kTimestamp, TypeId::kNull}) {
+    columns.push_back(RangeSource(type));
+  }
+  Column floats(TypeId::kFloat64);
+  for (double d : {nan_with_payload(0), nan_with_payload(1), -0.0, 0.0, 1.5}) {
+    floats.AppendFloat64(d);
+  }
+  columns.push_back(floats);
+  Column strings(TypeId::kString);
+  for (const std::string& s : {std::string("a"), std::string("a\0b", 3),
+                               std::string("a\0c", 3), std::string()}) {
+    strings.AppendString(s);
+  }
+  strings.AppendNull();
+  columns.push_back(strings);
+
+  int equal_pairs = 0;
+  for (const Column& a : columns) {
+    for (const Column& b : columns) {
+      for (int64_t i = 0; i < a.size(); ++i) {
+        for (int64_t j = 0; j < b.size(); ++j) {
+          std::string ea;
+          std::string eb;
+          a.EncodeValueTo(i, &ea);
+          b.EncodeValueTo(j, &eb);
+          ASSERT_EQ(a.ValueEquals(i, b, j), ea == eb)
+              << TypeName(a.type()) << "[" << i << "] vs "
+              << TypeName(b.type()) << "[" << j << "]";
+          equal_pairs += ea == eb ? 1 : 0;
+        }
+      }
+    }
+  }
+  EXPECT_GT(equal_pairs, 0);
+  EXPECT_TRUE(floats.ValueEquals(0, floats, 0));    // NaN matches itself
+  EXPECT_FALSE(floats.ValueEquals(0, floats, 1));   // not another payload
+  EXPECT_FALSE(floats.ValueEquals(2, floats, 3));   // -0.0 vs 0.0
+  EXPECT_TRUE(strings.ValueEquals(1, strings, 1));  // "a\0b"
+  EXPECT_FALSE(strings.ValueEquals(1, strings, 0));
+  EXPECT_FALSE(strings.ValueEquals(1, strings, 2));
+  const Column& ints = columns[1];
+  const Column& stamps = columns[4];
+  EXPECT_FALSE(ints.ValueEquals(0, stamps, 0));  // same number, other type
+  EXPECT_TRUE(ints.ValueEquals(1, strings, 4));  // null vs null
+  EXPECT_TRUE(columns[5].ValueEquals(0, ints, 1));
 }
 
 }  // namespace

@@ -381,6 +381,178 @@ TEST(MemorySinkTest, UpdateModeMatchesVectorModel) {
   EXPECT_GT(model_rows.size(), 900u);
 }
 
+// The vector model again, over BOOL and TIMESTAMP key columns and a STRING
+// value that keys overwrite with null and with a string again, many times
+// each: the typed table's null-aware overwrite must show every value the
+// model holds. Some batches are selection views over decoy rows.
+TEST(MemorySinkTest, UpdateModeMatchesVectorModelOverBoolAndTimestampKeys) {
+  const uint64_t seed = 20261019;  // fixed: rerun with this seed to debug
+  RecordProperty("seed", std::to_string(seed));
+  Random rng(seed);
+  SchemaPtr schema = Schema::Make({{"flag", TypeId::kBool, true},
+                                   {"at", TypeId::kTimestamp, true},
+                                   {"note", TypeId::kString, true},
+                                   {"count", TypeId::kInt64, true}});
+  constexpr int kKeyColumns = 2;
+  auto random_row = [&](int64_t epoch) {
+    const uint64_t f = rng.Uniform(3);
+    return Row{f == 2 ? Value::Null() : Value::Bool(f == 1),
+               rng.OneIn(0.1) ? Value::Null()
+                              : Value::Timestamp(static_cast<int64_t>(
+                                    rng.Uniform(8)) - 4),
+               rng.OneIn(0.4) ? Value::Null()
+                              : Value::Str(std::string(
+                                    static_cast<size_t>(rng.Uniform(4)),
+                                    static_cast<char>('a' + epoch % 26))),
+               Value::Int64(static_cast<int64_t>(rng.Uniform(1000)))};
+  };
+
+  std::vector<Row> model_rows;
+  std::unordered_map<std::string, size_t> model_index;
+  int to_null = 0;
+  int from_null = 0;
+  MemorySink sink;
+  for (int64_t epoch = 1; epoch <= 150; ++epoch) {
+    std::vector<RecordBatchPtr> batches;
+    for (int b = 0, n = 1 + static_cast<int>(rng.Uniform(3)); b < n; ++b) {
+      std::vector<Row> rows;
+      for (int i = 0, m = static_cast<int>(rng.Uniform(30)); i < m; ++i) {
+        rows.push_back(random_row(epoch));
+      }
+      if (rng.OneIn(0.5)) {
+        batches.push_back(RecordBatch::FromRows(schema, rows).TakeValue());
+        continue;
+      }
+      std::vector<Row> physical;
+      std::vector<int32_t> selected;
+      for (Row& row : rows) {
+        if (rng.OneIn(0.3)) physical.push_back(random_row(epoch));  // decoy
+        selected.push_back(static_cast<int32_t>(physical.size()));
+        physical.push_back(std::move(row));
+      }
+      batches.push_back(RecordBatch::MakeView(
+          RecordBatch::FromRows(schema, physical).TakeValue(),
+          SelectionVector::FromVector(std::move(selected))));
+    }
+    ASSERT_TRUE(
+        sink.CommitEpoch(epoch, OutputMode::kUpdate, kKeyColumns, batches)
+            .ok());
+    for (const RecordBatchPtr& b : batches) {
+      for (int64_t i = 0; i < b->num_rows(); ++i) {
+        Row row = b->RowAt(i);
+        std::string key;
+        for (int c = 0; c < kKeyColumns; ++c) row[c].EncodeTo(&key);
+        auto [it, inserted] = model_index.try_emplace(key, model_rows.size());
+        if (inserted) {
+          model_rows.push_back(std::move(row));
+          continue;
+        }
+        Row& old = model_rows[it->second];
+        to_null += !old[2].is_null() && row[2].is_null() ? 1 : 0;
+        from_null += old[2].is_null() && !row[2].is_null() ? 1 : 0;
+        old = std::move(row);
+      }
+    }
+    std::vector<Row> got = sink.Snapshot();
+    ASSERT_EQ(got.size(), model_rows.size()) << "epoch " << epoch;
+    for (size_t j = 0; j < got.size(); ++j) {
+      std::string got_bytes;
+      std::string want_bytes;
+      EncodeRow(got[j], &got_bytes);
+      EncodeRow(model_rows[j], &want_bytes);
+      ASSERT_EQ(got_bytes, want_bytes) << "epoch " << epoch << " row " << j;
+    }
+  }
+  EXPECT_EQ(model_rows.size(), 3u * 9u);  // every key combination
+  EXPECT_GT(to_null, 50);
+  EXPECT_GT(from_null, 50);
+}
+
+// The table's column types come from its first batch. A null-typed batch
+// column writes nulls into a column of any type, a table column that held
+// only nulls takes the first real type it meets, and any other mismatch
+// rejects the whole commit: nothing is applied and the epoch is not taken.
+TEST(MemorySinkTest, UpdateColumnTypesAreCheckedWhole) {
+  auto make = [](std::vector<TypeId> types, const std::vector<Row>& rows) {
+    std::vector<Field> fields;
+    for (TypeId type : types) {
+      fields.push_back({std::string(1, static_cast<char>('a' + fields.size())),
+                        type, true});
+    }
+    return RecordBatch::FromRows(Schema::Make(fields), rows).TakeValue();
+  };
+  constexpr TypeId kI = TypeId::kInt64;
+  constexpr TypeId kS = TypeId::kString;
+  constexpr TypeId kN = TypeId::kNull;
+  auto rows_of = [](const MemorySink& sink) {
+    std::string bytes;
+    for (const Row& row : sink.Snapshot()) EncodeRow(row, &bytes);
+    return bytes;
+  };
+
+  MemorySink sink;
+  // Epoch 1 creates the value column null-typed.
+  ASSERT_TRUE(
+      sink.CommitEpoch(1, OutputMode::kUpdate, 1,
+                       {make({kI, kN}, {{Value::Int64(1), Value::Null()}})})
+          .ok());
+  // Epoch 2: the value column becomes a string column; a null-typed batch
+  // in the same commit still fits, and so does a null-typed key column.
+  ASSERT_TRUE(
+      sink.CommitEpoch(
+              2, OutputMode::kUpdate, 1,
+              {make({kI, kN}, {{Value::Int64(3), Value::Null()}}),
+               make({kI, kS}, {{Value::Int64(2), Value::Str("x")},
+                               {Value::Int64(3), Value::Str("y")}}),
+               make({kN, kS}, {{Value::Null(), Value::Str("z")}})})
+          .ok());
+  // Epoch 3: a null-typed column overwrites a string with null.
+  ASSERT_TRUE(
+      sink.CommitEpoch(3, OutputMode::kUpdate, 1,
+                       {make({kI, kN}, {{Value::Int64(2), Value::Null()}})})
+          .ok());
+  const std::vector<Row> want = {{Value::Int64(1), Value::Null()},
+                                 {Value::Int64(3), Value::Str("y")},
+                                 {Value::Int64(2), Value::Null()},
+                                 {Value::Null(), Value::Str("z")}};
+  ASSERT_EQ(sink.Snapshot(), want);
+  const std::string before = rows_of(sink);
+
+  // Rejected whole: a good batch rides with one whose value column is
+  // int64, or whose key column is a timestamp (same storage, other type).
+  for (const std::vector<RecordBatchPtr>& batches :
+       {std::vector<RecordBatchPtr>{
+            make({kI, kS}, {{Value::Int64(1), Value::Str("new")}}),
+            make({kI, kI}, {{Value::Int64(4), Value::Int64(4)}})},
+        std::vector<RecordBatchPtr>{
+            make({kI, kS}, {{Value::Int64(1), Value::Str("new")}}),
+            make({TypeId::kTimestamp, kS},
+                 {{Value::Timestamp(1), Value::Str("t")}})}}) {
+    Status st = sink.CommitEpoch(4, OutputMode::kUpdate, 1, batches);
+    EXPECT_TRUE(st.IsInvalidArgument()) << st.ToString();
+    EXPECT_EQ(rows_of(sink), before);
+    EXPECT_EQ(sink.last_committed_epoch(), 3);
+  }
+  ASSERT_TRUE(
+      sink.CommitEpoch(4, OutputMode::kUpdate, 1,
+                       {make({kI, kS}, {{Value::Int64(1), Value::Str("new")}})})
+          .ok());
+  EXPECT_EQ(sink.Snapshot()[0][1], Value::Str("new"));
+
+  // On an empty table the first batch of a commit sets the types the rest
+  // are checked against, a null-typed column included: the third batch
+  // disagrees with the second, so the table stays empty.
+  MemorySink fresh;
+  Status st = fresh.CommitEpoch(
+      1, OutputMode::kUpdate, 1,
+      {make({kI, kN}, {{Value::Int64(1), Value::Null()}}),
+       make({kI, kS}, {{Value::Int64(2), Value::Str("s")}}),
+       make({kI, TypeId::kFloat64}, {{Value::Int64(3), Value::Float64(1)}})});
+  EXPECT_TRUE(st.IsInvalidArgument()) << st.ToString();
+  EXPECT_TRUE(fresh.Snapshot().empty());
+  EXPECT_EQ(fresh.last_committed_epoch(), -1);
+}
+
 TEST(BusConnectorsTest, SourceReadsTopic) {
   MessageBus bus;
   ASSERT_TRUE(bus.CreateTopic("in", 2).ok());

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+#include <optional>
+
 namespace sstreaming {
 namespace {
 
@@ -274,6 +278,97 @@ TEST(ExpressionTest, RowAndBatchEvalAgree) {
       ASSERT_TRUE(v.ok()) << e->ToString();
       EXPECT_EQ(*v, (*col)->ValueAt(i))
           << e->ToString() << " row " << i;
+    }
+  }
+}
+
+// `%` in both evaluation paths: x % -1 is 0 even for INT64_MIN (whose
+// machine remainder overflows and traps), a FLOAT64 operand makes `%` a
+// FLOAT64 fmod, and a zero divisor is NULL.
+TEST(ExpressionTest, ModuloEdgeCasesRowAndBatchAgree) {
+  constexpr int64_t kMin = std::numeric_limits<int64_t>::min();
+  auto schema = Schema::Make({{"a", TypeId::kInt64, true},
+                              {"b", TypeId::kInt64, true},
+                              {"x", TypeId::kFloat64, true}});
+  auto batch = RecordBatch::FromRows(
+                   schema,
+                   {{Value::Int64(kMin), Value::Int64(-1), Value::Float64(7.5)},
+                    {Value::Int64(7), Value::Int64(-1), Value::Float64(-7.5)},
+                    {Value::Int64(-7), Value::Int64(3), Value::Float64(0.5)},
+                    {Value::Int64(5), Value::Int64(0), Value::Null()}})
+                   .TakeValue();
+  struct Case {
+    ExprPtr expr;
+    TypeId type;
+    std::vector<Value> want;
+  };
+  const std::vector<Case> cases = {
+      {Mod(Col("a"), Col("b")), TypeId::kInt64,
+       {Value::Int64(0), Value::Int64(0), Value::Int64(-1), Value::Null()}},
+      {Mod(Col("a"), Lit(-1)), TypeId::kInt64,
+       {Value::Int64(0), Value::Int64(0), Value::Int64(0), Value::Int64(0)}},
+      {Mod(Col("x"), Lit(2)), TypeId::kFloat64,
+       {Value::Float64(1.5), Value::Float64(-1.5), Value::Float64(0.5),
+        Value::Null()}},
+      {Mod(Col("a"), Col("x")), TypeId::kFloat64,
+       {Value::Float64(std::fmod(static_cast<double>(kMin), 7.5)),
+        Value::Float64(7.0), Value::Float64(-0.0), Value::Null()}},
+      {Mod(Col("x"), Col("b")), TypeId::kFloat64,
+       {Value::Float64(0.5), Value::Float64(-0.5), Value::Float64(0.5),
+        Value::Null()}},
+      {Mod(Col("x"), Lit(0.0)), TypeId::kFloat64,
+       {Value::Null(), Value::Null(), Value::Null(), Value::Null()}},
+  };
+  for (const Case& c : cases) {
+    ExprPtr e = MustResolve(c.expr, *schema);
+    EXPECT_EQ(e->type(), c.type) << e->ToString();
+    auto col = e->EvalBatch(*batch);
+    ASSERT_TRUE(col.ok()) << e->ToString();
+    for (int64_t i = 0; i < batch->num_rows(); ++i) {
+      auto v = e->EvalRow(batch->RowAt(i));
+      ASSERT_TRUE(v.ok()) << e->ToString();
+      const Value& want = c.want[static_cast<size_t>(i)];
+      EXPECT_EQ(v->ToString(), want.ToString())
+          << e->ToString() << " row " << i;
+      EXPECT_EQ((*col)->ValueAt(i).ToString(), want.ToString())
+          << e->ToString() << " row " << i;
+    }
+  }
+}
+
+// CAST of a FLOAT64 to an int64-backed type truncates toward zero when the
+// result fits; NaN, the infinities and out-of-range values are NULL (the
+// conversion is undefined behaviour in C++), as unparseable strings are.
+TEST(ExpressionTest, CastOfUnrepresentableFloatToIntegerIsNull) {
+  auto schema = Schema::Make({{"x", TypeId::kFloat64, true}});
+  const double kInf = std::numeric_limits<double>::infinity();
+  const std::vector<double> xs = {std::nan(""), kInf,    -kInf,   1e300,
+                                  -1e300,       0x1p63,  -0x1p63, 2.9,
+                                  -2.9,         -0.0};
+  std::vector<Row> rows;
+  for (double x : xs) rows.push_back({Value::Float64(x)});
+  auto batch = RecordBatch::FromRows(schema, rows).TakeValue();
+  const std::vector<std::optional<int64_t>> want = {
+      std::nullopt, std::nullopt, std::nullopt, std::nullopt,
+      std::nullopt, std::nullopt, std::numeric_limits<int64_t>::min(),
+      2,            -2,           0};
+  for (TypeId target : {TypeId::kInt64, TypeId::kTimestamp}) {
+    ExprPtr e = MustResolve(Cast(Col("x"), target), *schema);
+    auto col = e->EvalBatch(*batch);
+    ASSERT_TRUE(col.ok()) << e->ToString();
+    for (int64_t i = 0; i < batch->num_rows(); ++i) {
+      const auto& w = want[static_cast<size_t>(i)];
+      const Value expected =
+          !w ? Value::Null()
+             : (target == TypeId::kInt64 ? Value::Int64(*w)
+                                         : Value::Timestamp(*w));
+      auto v = e->EvalRow(batch->RowAt(i));
+      ASSERT_TRUE(v.ok()) << e->ToString();
+      EXPECT_EQ(v->ToString(), expected.ToString())
+          << e->ToString() << " x=" << xs[static_cast<size_t>(i)];
+      EXPECT_EQ((*col)->ValueAt(i).ToString(), expected.ToString())
+          << e->ToString() << " x=" << xs[static_cast<size_t>(i)];
+      EXPECT_EQ((*col)->ValueAt(i).type(), expected.type());
     }
   }
 }

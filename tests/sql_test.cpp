@@ -155,6 +155,47 @@ TEST(SqlTest, SyntaxErrorsAreReported) {
   EXPECT_FALSE(RunBatch(*df).ok());
 }
 
+// A numeric literal that its type cannot hold is a parse error, not an
+// uncaught exception.
+TEST(SqlTest, OutOfRangeNumericLiteralsAreErrors) {
+  auto ctx = MakeContext();
+  const std::string big_float = std::string(400, '9') + ".5";
+  for (const std::string& sql :
+       {std::string("SELECT * FROM sales LIMIT 99999999999999999999"),
+        std::string("SELECT amount + 99999999999999999999 FROM sales"),
+        std::string("SELECT amount + 9223372036854775808 FROM sales"),
+        "SELECT amount * " + big_float + " FROM sales",
+        std::string("SELECT amount * 1.2.3 FROM sales")}) {
+    auto df = ctx.Sql(sql);
+    ASSERT_FALSE(df.ok()) << sql;
+    EXPECT_TRUE(df.status().IsInvalidArgument()) << df.status().ToString();
+  }
+  EXPECT_FALSE(ParseIntervalMicros(std::string(400, '9') + " seconds").ok());
+  EXPECT_FALSE(ParseIntervalMicros("9999999999999999 days").ok());
+  // The largest int64 literal still parses.
+  auto rows = RunSql(ctx,
+                     "SELECT 9223372036854775807 AS m FROM sales LIMIT 1");
+  ASSERT_EQ(rows.size(), 1u);
+  EXPECT_EQ(rows[0][0], Value::Int64(INT64_MAX));
+}
+
+// `%` over a FLOAT64 operand is a FLOAT64 fmod, and INT64_MIN % -1 is 0.
+TEST(SqlTest, ModuloOfFloatsAndOfInt64MinByMinusOne) {
+  SqlContext ctx;
+  ctx.RegisterTable(
+      "t", DataFrame::FromRows(Schema::Make({{"a", TypeId::kInt64, false},
+                                             {"b", TypeId::kInt64, false},
+                                             {"x", TypeId::kFloat64, false}}),
+                               {{Value::Int64(INT64_MIN), Value::Int64(-1),
+                                 Value::Float64(7.5)}})
+               .TakeValue());
+  auto rows = RunSql(ctx, "SELECT a % b AS m, x % 2 AS f FROM t");
+  ASSERT_EQ(rows.size(), 1u);
+  EXPECT_EQ(rows[0][0], Value::Int64(0));
+  EXPECT_EQ(rows[0][1].type(), TypeId::kFloat64);
+  EXPECT_EQ(rows[0][1], Value::Float64(1.5));
+}
+
 TEST(SqlTest, NonAggregateSelectItemMustBeGrouped) {
   auto ctx = MakeContext();
   EXPECT_FALSE(

@@ -739,7 +739,9 @@ TEST_P(KeyIndexModelTest, MatchesUnorderedMap) {
   KeyIndex index;
   std::vector<std::string> keys;  // position -> key
   std::unordered_map<std::string, uint32_t> model;
-  auto key_of = [&](uint32_t pos) -> const std::string& { return keys[pos]; };
+  auto is_key = [&](const std::string& key) {
+    return [&keys, &key](uint32_t pos) { return keys[pos] == key; };
+  };
   auto hash_of = [&](const std::string& key) {
     // A stable per-key choice from the pool, so a key keeps its hash.
     const uint64_t h = StateStore::HashKey(key);
@@ -750,7 +752,7 @@ TEST_P(KeyIndexModelTest, MatchesUnorderedMap) {
     ASSERT_EQ(index.size(), model.size());
     for (const auto& [key, pos] : model) {
       size_t slot;
-      ASSERT_EQ(index.Find(key, hash_of(key), key_of, &slot), pos) << key;
+      ASSERT_EQ(index.Find(hash_of(key), is_key(key), &slot), pos) << key;
     }
   };
   size_t grew = 0;
@@ -767,7 +769,7 @@ TEST_P(KeyIndexModelTest, MatchesUnorderedMap) {
       index.Reserve();
       ASSERT_EQ(index.capacity() != cap, must_grow) << "op " << i;
       grew += must_grow ? 1 : 0;
-      const uint32_t pos = index.Find(key, hash, key_of, &slot);
+      const uint32_t pos = index.Find(hash, is_key(key), &slot);
       if (it != model.end()) {
         ASSERT_EQ(pos, it->second) << key;
         if (slot < index.Home(hash)) wrapped = true;
@@ -779,10 +781,10 @@ TEST_P(KeyIndexModelTest, MatchesUnorderedMap) {
       keys.push_back(key);
       model.emplace(key, next);
     } else if (it != model.end()) {  // erase
-      ASSERT_EQ(index.Find(key, hash, key_of, &slot), it->second) << key;
+      ASSERT_EQ(index.Find(hash, is_key(key), &slot), it->second) << key;
       index.Erase(slot);
       model.erase(it);
-      ASSERT_EQ(index.Find(key, hash, key_of, &slot), KeyIndex::kAbsent);
+      ASSERT_EQ(index.Find(hash, is_key(key), &slot), KeyIndex::kAbsent);
     }
     if (i % 500 == 0) expect_model();
   }

@@ -16,6 +16,22 @@ int64_t FloorDiv(int64_t a, int64_t b) {
   return q;
 }
 
+// int64 add, sub and mul (any other op multiplies) wrap in two's
+// complement, Spark's non-ANSI arithmetic: computed on uint64_t, where
+// overflow is defined.
+int64_t WrappingArith(BinaryOp op, int64_t x, int64_t y) {
+  const uint64_t a = static_cast<uint64_t>(x);
+  const uint64_t b = static_cast<uint64_t>(y);
+  switch (op) {
+    case BinaryOp::kAdd:
+      return static_cast<int64_t>(a + b);
+    case BinaryOp::kSub:
+      return static_cast<int64_t>(a - b);
+    default:
+      return static_cast<int64_t>(a * b);
+  }
+}
+
 // --- Scalar (boxed) binary evaluation; the single source of truth for
 // binary-op semantics. The vectorized kernels must agree with this. ---
 Result<Value> EvalBinaryScalar(BinaryOp op, const Value& a, const Value& b,
@@ -93,22 +109,11 @@ Result<Value> EvalBinaryScalar(BinaryOp op, const Value& a, const Value& b,
         break;
     }
   } else {
-    int64_t x = a.int64_value();
-    int64_t y = b.int64_value();
-    int64_t r = 0;
-    switch (op) {
-      case BinaryOp::kAdd:
-        r = x + y;
-        break;
-      case BinaryOp::kSub:
-        r = x - y;
-        break;
-      case BinaryOp::kMul:
-        r = x * y;
-        break;
-      default:
-        return Status::Internal("bad arithmetic op");
+    if (op != BinaryOp::kAdd && op != BinaryOp::kSub &&
+        op != BinaryOp::kMul) {
+      return Status::Internal("bad arithmetic op");
     }
+    const int64_t r = WrappingArith(op, a.int64_value(), b.int64_value());
     return result_type == TypeId::kTimestamp ? Value::Timestamp(r)
                                              : Value::Int64(r);
   }
@@ -129,7 +134,7 @@ Result<Value> EvalUnaryScalar(UnaryOp op, const Value& v, TypeId result_type) {
       if (result_type == TypeId::kFloat64) {
         return Value::Float64(-v.AsDouble());
       }
-      return Value::Int64(-v.int64_value());
+      return Value::Int64(WrappingArith(BinaryOp::kSub, 0, v.int64_value()));
   }
   return Status::Internal("bad unary op");
 }
@@ -448,19 +453,7 @@ Result<ColumnPtr> BinaryExpr::EvalBatch(const RecordBatch& batch) const {
       }
       if (PhysicalKindOf(type_) == PhysicalKind::kInt64) {
         for (int64_t i = 0; i < n; ++i) {
-          int64_t r;
-          switch (op_) {
-            case BinaryOp::kAdd:
-              r = a[i] + c;
-              break;
-            case BinaryOp::kSub:
-              r = a[i] - c;
-              break;
-            default:
-              r = a[i] * c;
-              break;
-          }
-          out->AppendInt64(r);
+          out->AppendInt64(WrappingArith(op_, a[i], c));
         }
         return out;
       }
@@ -485,19 +478,7 @@ Result<ColumnPtr> BinaryExpr::EvalBatch(const RecordBatch& batch) const {
     const int64_t* a = lc->ints().data();
     const int64_t* b = rc->ints().data();
     for (int64_t i = 0; i < n; ++i) {
-      int64_t r;
-      switch (op_) {
-        case BinaryOp::kAdd:
-          r = a[i] + b[i];
-          break;
-        case BinaryOp::kSub:
-          r = a[i] - b[i];
-          break;
-        default:
-          r = a[i] * b[i];
-          break;
-      }
-      out->AppendInt64(r);
+      out->AppendInt64(WrappingArith(op_, a[i], b[i]));
     }
     return out;
   }

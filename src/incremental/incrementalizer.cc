@@ -212,6 +212,23 @@ class Builder {
         }
       }
     }
+    // One key rule for both join kinds: a numeric key pair of two types
+    // compares in their common type, so each operator (and the shuffles
+    // that co-locate its keys) sees same-typed keys. The USING pairs above
+    // come from the uncast keys.
+    std::vector<ExprPtr> left_keys = node.left_keys();
+    std::vector<ExprPtr> right_keys = node.right_keys();
+    for (size_t i = 0; i < left_keys.size(); ++i) {
+      const TypeId lt = left_keys[i]->type();
+      const TypeId rt = right_keys[i]->type();
+      if (lt == rt || !IsNumeric(lt) || !IsNumeric(rt)) continue;
+      // Exactly one side differs from the common type.
+      const TypeId common = CommonNumericType(lt, rt);
+      const bool cast_left = lt != common;
+      ExprPtr& key = cast_left ? left_keys[i] : right_keys[i];
+      SS_ASSIGN_OR_RETURN(key, Cast(key, common)->Resolve(
+                                   *(cast_left ? left : right)->schema()));
+    }
     std::vector<int> right_output_indices;
     for (int i = 0; i < right->schema()->num_fields(); ++i) {
       if (!dropped_right.count(i)) right_output_indices.push_back(i);
@@ -225,9 +242,9 @@ class Builder {
       SS_ASSIGN_OR_RETURN(PhysOpPtr lchild, Build(left));
       SS_ASSIGN_OR_RETURN(PhysOpPtr rchild, Build(right));
       auto lshuffle = std::make_shared<ShuffleExec>(
-          NextId(), lchild, node.left_keys(), num_partitions_);
+          NextId(), lchild, left_keys, num_partitions_);
       auto rshuffle = std::make_shared<ShuffleExec>(
-          NextId(), rchild, node.right_keys(), num_partitions_);
+          NextId(), rchild, right_keys, num_partitions_);
       // Event-time columns for state eviction, from each side's watermark.
       auto time_index = [](const PlanPtr& side) {
         auto wm = CollectWatermarkColumns(side);
@@ -237,7 +254,7 @@ class Builder {
       has_stateful_ = true;
       return PhysOpPtr(std::make_shared<StreamStreamJoinExec>(
           NextId(), PhysOpPtr(lshuffle), PhysOpPtr(rshuffle), node.schema(),
-          node.left_keys(), node.right_keys(), node.join_type(),
+          left_keys, right_keys, node.join_type(),
           right_output_indices, time_index(left), time_index(right),
           left_from_right));
     }
@@ -254,27 +271,16 @@ class Builder {
     bool preserve_stream =
         (stream_is_left && node.join_type() == JoinType::kLeftOuter) ||
         (!stream_is_left && node.join_type() == JoinType::kRightOuter);
-    std::vector<int> stream_output_indices;
-    std::vector<int> static_output_indices;
-    if (stream_is_left) {
-      stream_output_indices = all_left_indices;
-      static_output_indices = right_output_indices;
-    } else {
-      stream_output_indices = right_output_indices;
-      static_output_indices = all_left_indices;
-    }
     // Coalescing applies when the stream is the right side: its dropped key
     // columns come back from the static (left) column positions.
-    std::vector<std::pair<int, int>> static_from_stream;
-    if (!stream_is_left) static_from_stream = left_from_right;
-    return PhysOpPtr(std::make_shared<StreamStaticJoinExec>(
+    return StreamStaticJoinExec::Make(
         NextId(), stream_child, node.schema(),
-        stream_is_left ? node.left_keys() : node.right_keys(),
-        static_side->schema(), std::move(static_rows),
-        stream_is_left ? node.right_keys() : node.left_keys(),
-        std::move(stream_output_indices), std::move(static_output_indices),
+        stream_is_left ? left_keys : right_keys, static_side->schema(),
+        static_rows, stream_is_left ? right_keys : left_keys,
+        stream_is_left ? all_left_indices : right_output_indices,
+        stream_is_left ? right_output_indices : all_left_indices,
         /*stream_first=*/stream_is_left, preserve_stream,
-        std::move(static_from_stream)));
+        stream_is_left ? std::vector<std::pair<int, int>>() : left_from_right);
   }
 
   int num_partitions_;

@@ -12,31 +12,6 @@ namespace sstreaming {
 
 namespace {
 
-// Appends value i of src to dst with matching physical type (no boxing).
-void AppendFromColumn(const Column& src, int64_t i, Column* dst) {
-  if (src.IsNull(i)) {
-    dst->AppendNull();
-    return;
-  }
-  switch (PhysicalKindOf(src.type())) {
-    case PhysicalKind::kBool:
-      dst->AppendBool(src.BoolAt(i));
-      break;
-    case PhysicalKind::kInt64:
-      dst->AppendInt64(src.Int64At(i));
-      break;
-    case PhysicalKind::kFloat64:
-      dst->AppendFloat64(src.Float64At(i));
-      break;
-    case PhysicalKind::kString:
-      dst->AppendString(src.StringAt(i));
-      break;
-    case PhysicalKind::kNone:
-      dst->AppendNull();
-      break;
-  }
-}
-
 void PutFixed64(std::string* out, uint64_t v) {
   char buf[8];
   std::memcpy(buf, &v, 8);
@@ -783,45 +758,87 @@ Result<std::vector<RecordBatchPtr>> DedupExec::ExecuteImpl(ExecContext* ctx) {
 // StreamStaticJoinExec
 // ---------------------------------------------------------------------------
 
-StreamStaticJoinExec::StreamStaticJoinExec(
+namespace {
+
+// True when row i has a NULL in any key column: SQL's NULL never equals
+// anything, so such a row joins nothing.
+bool HasNullKey(const std::vector<ColumnPtr>& keys, int64_t i) {
+  for (const ColumnPtr& col : keys) {
+    if (col->IsNull(i)) return true;
+  }
+  return false;
+}
+
+// Join-key equality of rows i of `a` and j of `b`, keys non-null and of
+// the same types: the encoded bytes' identity (Column::ValueEquals), except
+// that float64 keys compare by value, so -0.0 equals 0.0 (a NaN equals only
+// a NaN of the same bits). Column::HashInto hashes such equal keys alike.
+bool JoinKeysEqual(const std::vector<ColumnPtr>& a, int64_t i,
+                   const std::vector<ColumnPtr>& b, int64_t j) {
+  for (size_t k = 0; k < a.size(); ++k) {
+    const Column& x = *a[k];
+    const Column& y = *b[k];
+    if (x.ValueEquals(i, y, j)) continue;
+    if (x.type() != TypeId::kFloat64 || y.type() != TypeId::kFloat64 ||
+        x.Float64At(i) != y.Float64At(j)) {
+      return false;
+    }
+  }
+  return true;
+}
+
+}  // namespace
+
+Result<PhysOpPtr> StreamStaticJoinExec::Make(
     int op_id, PhysOpPtr stream_child, SchemaPtr out_schema,
     std::vector<ExprPtr> stream_keys, SchemaPtr static_schema,
-    std::vector<Row> static_rows, std::vector<ExprPtr> static_keys,
+    const std::vector<Row>& static_rows,
+    const std::vector<ExprPtr>& static_keys,
     std::vector<int> stream_output_indices,
     std::vector<int> static_output_indices, bool stream_first,
-    bool preserve_stream, std::vector<std::pair<int, int>> static_from_stream)
-    : PhysOp(op_id, std::move(out_schema), {std::move(stream_child)}),
-      stream_keys_(std::move(stream_keys)),
-      static_schema_(std::move(static_schema)),
-      stream_output_indices_(std::move(stream_output_indices)),
-      static_output_indices_(std::move(static_output_indices)),
-      stream_first_(stream_first),
-      preserve_stream_(preserve_stream),
-      static_from_stream_(std::move(static_from_stream)) {
-  // Materialize the static side into a broadcast hash table once.
-  for (Row& row : static_rows) {
-    Row key;
-    key.reserve(static_keys.size());
-    for (const ExprPtr& e : static_keys) {
-      auto v = e->EvalRow(row);
-      SS_CHECK(v.ok()) << v.status().ToString();
-      key.push_back(std::move(*v));
-    }
-    static_by_key_[std::move(key)].push_back(std::move(row));
+    bool preserve_stream, std::vector<std::pair<int, int>> static_from_stream) {
+  std::shared_ptr<StreamStaticJoinExec> op(new StreamStaticJoinExec(
+      op_id, std::move(stream_child), std::move(out_schema)));
+  op->stream_keys_ = std::move(stream_keys);
+  op->stream_output_indices_ = std::move(stream_output_indices);
+  op->static_output_indices_ = std::move(static_output_indices);
+  op->stream_first_ = stream_first;
+  op->preserve_stream_ = preserve_stream;
+  op->static_from_stream_ = std::move(static_from_stream);
+  SS_ASSIGN_OR_RETURN(op->static_,
+                      RecordBatch::FromRows(std::move(static_schema),
+                                            static_rows));
+  std::vector<ColumnPtr>& keys = op->static_keys_;
+  keys.resize(static_keys.size());
+  for (size_t k = 0; k < static_keys.size(); ++k) {
+    SS_ASSIGN_OR_RETURN(keys[k], static_keys[k]->EvalBatch(*op->static_));
   }
-  // Unboxed probe index for a single int64-backed key.
-  if (stream_keys_.size() == 1) {
-    int64_key_ = true;
-    for (const auto& [key, rows] : static_by_key_) {
-      if (PhysicalKindOf(key[0].type()) != PhysicalKind::kInt64) {
-        int64_key_ = false;
-        break;
-      }
-      auto& bucket = static_by_int64_[key[0].int64_value()];
-      for (const Row& r : rows) bucket.push_back(&r);
+  // Index each distinct non-null key's first row; a later row with the
+  // same key is chained after the last one, so matches come out in row
+  // order.
+  const size_t n = static_cast<size_t>(op->static_->num_rows());
+  std::vector<uint64_t> hashes(n, 0);
+  for (const ColumnPtr& col : keys) col->HashInto(&hashes);
+  op->next_.assign(n, -1);
+  std::vector<int32_t> last(n);  // by a key's first row
+  op->index_.Reserve(n);
+  for (size_t r = 0; r < n; ++r) {
+    const auto row = static_cast<int64_t>(r);
+    if (HasNullKey(keys, row)) continue;
+    auto same_key = [&](uint32_t pos) {
+      return JoinKeysEqual(keys, pos, keys, row);
+    };
+    size_t slot;
+    const uint32_t first = op->index_.Find(hashes[r], same_key, &slot);
+    if (first == KeyIndex::kAbsent) {
+      op->index_.Insert(slot, hashes[r], static_cast<uint32_t>(r));
+      last[r] = static_cast<int32_t>(r);
+    } else {
+      op->next_[static_cast<size_t>(last[first])] = static_cast<int32_t>(r);
+      last[first] = static_cast<int32_t>(r);
     }
-    if (!int64_key_) static_by_int64_.clear();
   }
+  return PhysOpPtr(std::move(op));
 }
 
 Result<std::vector<RecordBatchPtr>> StreamStaticJoinExec::ExecuteImpl(
@@ -844,102 +861,68 @@ Result<std::vector<RecordBatchPtr>> StreamStaticJoinExec::ExecuteImpl(
 Result<RecordBatchPtr> StreamStaticJoinExec::ExecutePartition(
     const RecordBatch& input) {
   const int64_t n = input.num_rows();
-  // Vectorized key evaluation, then per-row hash probe; output columns are
-  // gathered typed (no per-cell boxing for the stream side).
-  std::vector<ColumnPtr> key_cols(stream_keys_.size());
+  std::vector<ColumnPtr> keys(stream_keys_.size());
   for (size_t k = 0; k < stream_keys_.size(); ++k) {
-    SS_ASSIGN_OR_RETURN(key_cols[k], stream_keys_[k]->EvalBatch(input));
+    SS_ASSIGN_OR_RETURN(keys[k], stream_keys_[k]->EvalBatch(input));
   }
-  std::vector<int64_t> emit_stream_index;
-  std::vector<const Row*> emit_static_row;  // nullptr = null-padded
-  if (int64_key_ &&
-      PhysicalKindOf(key_cols[0]->type()) == PhysicalKind::kInt64) {
-    // Unboxed probe on the single int64 key.
-    const Column& kc = *key_cols[0];
-    for (int64_t i = 0; i < n; ++i) {
-      if (!kc.IsNull(i)) {
-        auto it = static_by_int64_.find(kc.Int64At(i));
-        if (it != static_by_int64_.end()) {
-          for (const Row* match : it->second) {
-            emit_stream_index.push_back(i);
-            emit_static_row.push_back(match);
-          }
-          continue;
-        }
-      }
-      if (preserve_stream_) {
-        emit_stream_index.push_back(i);
-        emit_static_row.push_back(nullptr);
-      }
+  std::vector<uint64_t> hashes(static_cast<size_t>(n), 0);
+  for (const ColumnPtr& col : keys) col->HashInto(&hashes);
+  // One probe per stream row: each static match emits (stream row, static
+  // row); an unmatched row of a preserved stream emits (stream row, -1).
+  std::vector<int32_t> stream_rows;
+  std::vector<int32_t> static_rows;
+  stream_rows.reserve(static_cast<size_t>(n));
+  static_rows.reserve(static_cast<size_t>(n));
+  for (int64_t i = 0; i < n; ++i) {
+    uint32_t first = KeyIndex::kAbsent;
+    if (!HasNullKey(keys, i)) {
+      size_t slot;
+      auto same_key = [&](uint32_t pos) {
+        return JoinKeysEqual(static_keys_, pos, keys, i);
+      };
+      first = index_.Find(hashes[static_cast<size_t>(i)], same_key, &slot);
     }
-  } else {
-    Row key(stream_keys_.size());
-    for (int64_t i = 0; i < n; ++i) {
-      for (size_t k = 0; k < key_cols.size(); ++k) {
-        key[k] = key_cols[k]->ValueAt(i);
+    if (first == KeyIndex::kAbsent) {
+      if (preserve_stream_) {
+        stream_rows.push_back(static_cast<int32_t>(i));
+        static_rows.push_back(-1);
       }
-      auto it = static_by_key_.find(key);
-      if (it != static_by_key_.end()) {
-        for (const Row& match : it->second) {
-          emit_stream_index.push_back(i);
-          emit_static_row.push_back(&match);
-        }
-      } else if (preserve_stream_) {
-        emit_stream_index.push_back(i);
-        emit_static_row.push_back(nullptr);
-      }
+      continue;
+    }
+    for (int32_t r = static_cast<int32_t>(first); r >= 0;
+         r = next_[static_cast<size_t>(r)]) {
+      stream_rows.push_back(static_cast<int32_t>(i));
+      static_rows.push_back(r);
     }
   }
 
-  // Build output columns.
-  auto build_stream_column = [&](int src_idx) {
-    const Column& src = *input.column(src_idx);
-    ColumnPtr dst = Column::Make(src.type());
-    dst->Reserve(static_cast<int64_t>(emit_stream_index.size()));
-    for (int64_t i : emit_stream_index) AppendFromColumn(src, i, dst.get());
-    return dst;
-  };
-  auto build_static_column = [&](int src_idx, TypeId type) {
-    // USING-join key coalescing: take the stream's key value when there is
-    // no static match (see constructor comment).
-    int coalesce_from = -1;
+  // Gather the output columns typed.
+  std::vector<ColumnPtr> columns;
+  for (int idx : static_output_indices_) {
+    // USING-join key coalescing: an unmatched stream row's key fills the
+    // static key column (see Make's comment).
+    const Column* coalesce = nullptr;
     for (const auto& [static_idx, stream_idx] : static_from_stream_) {
-      if (static_idx == src_idx) coalesce_from = stream_idx;
+      if (static_idx == idx) coalesce = input.column(stream_idx).get();
     }
-    ColumnPtr dst = Column::Make(type);
-    dst->Reserve(static_cast<int64_t>(emit_static_row.size()));
-    for (size_t e = 0; e < emit_static_row.size(); ++e) {
-      const Row* row = emit_static_row[e];
-      if (row != nullptr) {
-        dst->AppendValue((*row)[static_cast<size_t>(src_idx)]);
-      } else if (coalesce_from >= 0) {
-        dst->AppendFrom(*input.column(coalesce_from), emit_stream_index[e]);
+    const Column& src = *static_->column(idx);
+    ColumnPtr dst = Column::Make(src.type());
+    dst->Reserve(static_cast<int64_t>(stream_rows.size()));
+    for (size_t e = 0; e < stream_rows.size(); ++e) {
+      if (static_rows[e] >= 0) {
+        dst->AppendFrom(src, static_rows[e]);
+      } else if (coalesce != nullptr) {
+        dst->AppendFrom(*coalesce, stream_rows[e]);
       } else {
         dst->AppendNull();
       }
     }
-    return dst;
-  };
-
-  std::vector<ColumnPtr> columns;
-  columns.reserve(static_cast<size_t>(schema_->num_fields()));
-  if (stream_first_) {
-    for (int idx : stream_output_indices_) {
-      columns.push_back(build_stream_column(idx));
-    }
-    for (int idx : static_output_indices_) {
-      columns.push_back(
-          build_static_column(idx, static_schema_->field(idx).type));
-    }
-  } else {
-    for (int idx : static_output_indices_) {
-      columns.push_back(
-          build_static_column(idx, static_schema_->field(idx).type));
-    }
-    for (int idx : stream_output_indices_) {
-      columns.push_back(build_stream_column(idx));
-    }
+    columns.push_back(std::move(dst));
   }
+  const RecordBatchPtr stream_side =
+      input.SelectColumns(stream_output_indices_)->Gather(stream_rows);
+  columns.insert(stream_first_ ? columns.begin() : columns.end(),
+                 stream_side->columns().begin(), stream_side->columns().end());
   return RecordBatch::Make(schema_, std::move(columns));
 }
 
@@ -1073,46 +1056,50 @@ Result<std::vector<RecordBatchPtr>> StreamStreamJoinExec::ExecuteImpl(
 
   // The shard is picked by the join key *without* the 'L'/'R' side byte,
   // so both sides of a key land in the same shard; store keys keep the
-  // side prefix within the shard.
+  // side prefix within the shard. aux is 1 for a key holding a NULL.
   auto route = [&](size_t p, int64_t lo, int64_t hi, auto&& emit) -> Status {
     const int64_t n_left = left_in[p]->num_rows();
     std::string enc;
     for (int64_t i = lo; i < hi; ++i) {
+      const bool is_left = i < n_left;
+      const std::vector<ColumnPtr>& cols =
+          is_left ? left_keys[p] : right_keys[p];
+      const int64_t row = is_left ? i : i - n_left;
       enc.clear();
-      if (i < n_left) {
-        EncodeKeyTo(left_keys[p], i, &enc);
-      } else {
-        EncodeKeyTo(right_keys[p], i - n_left, &enc);
-      }
-      SS_RETURN_IF_ERROR(emit(i, 0, enc));
+      EncodeKeyTo(cols, row, &enc);
+      SS_RETURN_IF_ERROR(emit(i, HasNullKey(cols, row) ? 1 : 0, enc));
     }
     return Status::OK();
   };
 
   // Probe a new row against the other side's state (prior epochs, plus
   // this epoch's left rows when probing with a right row, which covers
-  // intra-epoch matches exactly once), then append it to its own side.
-  auto fold = [&](JoinShard& f, int64_t i, int64_t, std::string_view enc,
-                  uint64_t) -> Status {
+  // intra-epoch matches exactly once), then append it to its own side. A
+  // NULL-keyed row matches nothing, so it skips the probe; it is still
+  // stored, to be null-padded at eviction on a preserved side.
+  auto fold = [&](JoinShard& f, int64_t i, int64_t null_key,
+                  std::string_view enc, uint64_t) -> Status {
     const size_t p = f.partition;
     const int64_t n_left = left_in[p]->num_rows();
     const bool is_left = i < n_left;
     Row row = is_left ? left_in[p]->RowAt(i) : right_in[p]->RowAt(i - n_left);
     std::string own_key(1, is_left ? 'L' : 'R');
     own_key.append(enc);
-    std::string other_key = own_key;
-    other_key[0] = is_left ? 'R' : 'L';
-    SS_ASSIGN_OR_RETURN(CacheEntry * other, f.Load(other_key));
     bool matched = false;
-    for (size_t k = 0; k < other->rows.size(); ++k) {
-      auto& [other_matched, other_row] = other->rows[k];
-      f.joined.push_back(is_left ? JoinedRow(&row, &other_row)
-                                 : JoinedRow(&other_row, &row));
-      if (!other_matched && k < other->base_n) {
-        other->dirty = true;  // stored flag flips
+    if (null_key == 0) {
+      std::string other_key = own_key;
+      other_key[0] = is_left ? 'R' : 'L';
+      SS_ASSIGN_OR_RETURN(CacheEntry * other, f.Load(other_key));
+      for (size_t k = 0; k < other->rows.size(); ++k) {
+        auto& [other_matched, other_row] = other->rows[k];
+        f.joined.push_back(is_left ? JoinedRow(&row, &other_row)
+                                   : JoinedRow(&other_row, &row));
+        if (!other_matched && k < other->base_n) {
+          other->dirty = true;  // stored flag flips
+        }
+        other_matched = true;
+        matched = true;
       }
-      other_matched = true;
-      matched = true;
     }
     SS_ASSIGN_OR_RETURN(CacheEntry * own, f.Load(own_key));
     own->rows.emplace_back(matched, std::move(row));

@@ -336,6 +336,65 @@ TEST(ExpressionTest, ModuloEdgeCasesRowAndBatchAgree) {
   }
 }
 
+// int64 +, -, * and negation wrap in two's complement on overflow (Spark's
+// non-ANSI arithmetic) on every path: the column-vs-literal and
+// column-vs-column batch kernels, the null-aware generic batch path, and
+// row evaluation.
+TEST(ExpressionTest, IntegerArithmeticWrapsOnOverflow) {
+  constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+  constexpr int64_t kMin = std::numeric_limits<int64_t>::min();
+  auto schema = Schema::Make({{"a", TypeId::kInt64, false},
+                              {"b", TypeId::kInt64, false},
+                              {"c", TypeId::kInt64, true}});
+  auto batch =
+      RecordBatch::FromRows(
+          schema, {{Value::Int64(kMax), Value::Int64(1), Value::Int64(kMax)},
+                   {Value::Int64(kMin), Value::Int64(-1), Value::Null()},
+                   {Value::Int64(3), Value::Int64(2), Value::Int64(kMin)}})
+          .TakeValue();
+  struct Case {
+    ExprPtr expr;
+    std::vector<Value> want;
+  };
+  const std::vector<Case> cases = {
+      {Add(Col("a"), Lit(1)),
+       {Value::Int64(kMin), Value::Int64(kMin + 1), Value::Int64(4)}},
+      {Sub(Col("a"), Lit(1)),
+       {Value::Int64(kMax - 1), Value::Int64(kMax), Value::Int64(2)}},
+      {Mul(Col("a"), Lit(2)),
+       {Value::Int64(-2), Value::Int64(0), Value::Int64(6)}},
+      {Add(Col("a"), Col("b")),
+       {Value::Int64(kMin), Value::Int64(kMax), Value::Int64(5)}},
+      {Sub(Col("b"), Col("a")),
+       {Value::Int64(kMin + 2), Value::Int64(kMax), Value::Int64(-1)}},
+      {Mul(Col("a"), Col("b")),
+       {Value::Int64(kMax), Value::Int64(kMin), Value::Int64(6)}},
+      {Neg(Col("a")),
+       {Value::Int64(kMin + 1), Value::Int64(kMin), Value::Int64(-3)}},
+      {Add(Col("c"), Lit(1)),
+       {Value::Int64(kMin), Value::Null(), Value::Int64(kMin + 1)}},
+      {Mul(Col("c"), Col("b")),
+       {Value::Int64(kMax), Value::Null(), Value::Int64(0)}},
+      {Neg(Col("c")),
+       {Value::Int64(kMin + 1), Value::Null(), Value::Int64(kMin)}},
+  };
+  for (const Case& c : cases) {
+    ExprPtr e = MustResolve(c.expr, *schema);
+    EXPECT_EQ(e->type(), TypeId::kInt64) << e->ToString();
+    auto col = e->EvalBatch(*batch);
+    ASSERT_TRUE(col.ok()) << e->ToString();
+    for (int64_t i = 0; i < batch->num_rows(); ++i) {
+      auto v = e->EvalRow(batch->RowAt(i));
+      ASSERT_TRUE(v.ok()) << e->ToString();
+      const Value& want = c.want[static_cast<size_t>(i)];
+      EXPECT_EQ(v->ToString(), want.ToString())
+          << e->ToString() << " row " << i;
+      EXPECT_EQ((*col)->ValueAt(i).ToString(), want.ToString())
+          << e->ToString() << " row " << i;
+    }
+  }
+}
+
 // CAST of a FLOAT64 to an int64-backed type truncates toward zero when the
 // result fits; NaN, the infinities and out-of-range values are NULL (the
 // conversion is undefined behaviour in C++), as unparseable strings are.

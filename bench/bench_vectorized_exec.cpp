@@ -10,14 +10,12 @@
 // path (docs/VECTORIZED_EXEC.md): the same filter -> project -> aggregate
 // chain executed operator-at-a-time with materialized intermediates (built
 // here from RecordBatch primitives) versus as the engine's one fused pass
-// carrying a selection vector, plus the dictionary encoding of string
-// group-by keys used by the stateful aggregate.
+// carrying a selection vector, plus the per-row state-key encoding of a
+// string group-by key in the stateful aggregate.
 
 #include <benchmark/benchmark.h>
 
 #include <string>
-#include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "common/arena.h"
@@ -296,8 +294,8 @@ void BM_FusedSelectionPipeline(benchmark::State& state) {
 BENCHMARK(BM_FusedSelectionPipeline)->Arg(1 << 14)->Arg(1 << 17);
 
 // ---------------------------------------------------------------------------
-// Dictionary encoding of string group-by keys (the stateful aggregate's
-// state-store key path).
+// State-key encoding of a string group-by key (the stateful aggregate's
+// route loop).
 // ---------------------------------------------------------------------------
 
 ColumnPtr MakeKeyColumn(int64_t n) {
@@ -326,65 +324,6 @@ void BM_KeyEncodePerRow(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_KeyEncodePerRow)->Arg(1 << 17);
-
-struct KeyDict {
-  std::vector<std::string> encoded;
-  std::vector<int32_t> codes;
-};
-
-KeyDict BuildDict(const Column& col) {
-  // string_view keys into column storage: no per-row allocation, exactly
-  // as StatefulAggExec builds its per-batch dictionary.
-  KeyDict dict;
-  dict.codes.resize(static_cast<size_t>(col.size()));
-  std::unordered_map<std::string_view, int32_t> index;
-  for (int64_t i = 0; i < col.size(); ++i) {
-    std::string_view key = col.StringAt(i);
-    auto [it, inserted] =
-        index.emplace(key, static_cast<int32_t>(dict.encoded.size()));
-    if (inserted) {
-      dict.encoded.emplace_back();
-      col.EncodeValueTo(i, &dict.encoded.back());
-    }
-    dict.codes[static_cast<size_t>(i)] = it->second;
-  }
-  return dict;
-}
-
-void BM_KeyDictBuild(benchmark::State& state) {
-  // The stage-1 side of the trade: building the per-batch dictionary. In
-  // the engine this runs inside the parallel [eval] tasks, overlapped with
-  // expression evaluation, not in the serial encode loop below.
-  ColumnPtr col = MakeKeyColumn(state.range(0));
-  for (auto _ : state) {
-    KeyDict dict = BuildDict(*col);
-    benchmark::DoNotOptimize(dict.encoded.size());
-  }
-  state.SetItemsProcessed(state.iterations() * state.range(0));
-}
-BENCHMARK(BM_KeyDictBuild)->Arg(1 << 17);
-
-void BM_KeyEncodeDictAppend(benchmark::State& state) {
-  // The hot encode loop with the dictionary in hand (what the stateful
-  // aggregate's per-row state-key loops actually run): one pre-cooked byte
-  // append per row instead of a typed encode.
-  ColumnPtr col = MakeKeyColumn(state.range(0));
-  KeyDict dict = BuildDict(*col);
-  std::string enc;
-  for (auto _ : state) {
-    size_t total = 0;
-    for (int64_t i = 0; i < col->size(); ++i) {
-      enc.clear();
-      enc.append(
-          dict.encoded[static_cast<size_t>(
-              dict.codes[static_cast<size_t>(i)])]);
-      total += enc.size();
-    }
-    benchmark::DoNotOptimize(total);
-  }
-  state.SetItemsProcessed(state.iterations() * state.range(0));
-}
-BENCHMARK(BM_KeyEncodeDictAppend)->Arg(1 << 17);
 
 }  // namespace
 }  // namespace sstreaming

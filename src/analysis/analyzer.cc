@@ -1,5 +1,6 @@
 #include "analysis/analyzer.h"
 
+#include <map>
 #include <set>
 
 #include "analysis/plan_analyzer.h"
@@ -152,11 +153,13 @@ Result<PlanPtr> Analyzer::Analyze(const PlanPtr& plan) {
       if (node.left_keys().empty()) {
         return Status::AnalysisError("join requires at least one key");
       }
-      std::vector<ExprPtr> lkeys;
-      std::vector<ExprPtr> rkeys;
       // Right key columns that mirror a same-named left key are dropped from
-      // the output (the usual USING-join behavior).
+      // the output (the usual USING-join behavior). The kept column holds
+      // either side's key (a preserved right row coalesces its key into
+      // it), so a USING pair of two numeric types is cast to their common
+      // type on both inputs before the join.
       std::set<std::string> dropped_right;
+      std::map<std::string, TypeId> using_types;
       for (size_t i = 0; i < node.left_keys().size(); ++i) {
         SS_ASSIGN_OR_RETURN(ExprPtr lk,
                             node.left_keys()[i]->Resolve(*left->schema()));
@@ -175,8 +178,46 @@ Result<PlanPtr> Analyzer::Analyze(const PlanPtr& plan) {
               static_cast<const ColumnRefExpr&>(*node.left_keys()[i]);
           const auto& rref =
               static_cast<const ColumnRefExpr&>(*node.right_keys()[i]);
-          if (lref.name() == rref.name()) dropped_right.insert(rref.name());
+          if (lref.name() == rref.name()) {
+            dropped_right.insert(rref.name());
+            if (lk->type() != rk->type()) {
+              using_types[lref.name()] =
+                  CommonNumericType(lk->type(), rk->type());
+            }
+          }
         }
+      }
+      // A projection over `side` that keeps every column in place and casts
+      // the USING columns named in using_types to their common type.
+      auto cast_using = [&using_types](PlanPtr* side) -> Status {
+        std::vector<NamedExpr> exprs;
+        std::vector<Field> fields = (*side)->schema()->fields();
+        for (Field& f : fields) {
+          ExprPtr e = Col(f.name);
+          auto it = using_types.find(f.name);
+          if (it != using_types.end() && it->second != f.type) {
+            e = Cast(std::move(e), it->second);
+            f.type = it->second;
+          }
+          SS_ASSIGN_OR_RETURN(ExprPtr resolved, e->Resolve(*(*side)->schema()));
+          exprs.push_back(NamedExpr{std::move(resolved), f.name});
+        }
+        auto out = std::make_shared<ProjectNode>(*side, std::move(exprs));
+        out->schema_ = std::make_shared<Schema>(std::move(fields));
+        *side = std::move(out);
+        return Status::OK();
+      };
+      if (!using_types.empty()) {
+        SS_RETURN_IF_ERROR(cast_using(&left));
+        SS_RETURN_IF_ERROR(cast_using(&right));
+      }
+      std::vector<ExprPtr> lkeys;
+      std::vector<ExprPtr> rkeys;
+      for (size_t i = 0; i < node.left_keys().size(); ++i) {
+        SS_ASSIGN_OR_RETURN(ExprPtr lk,
+                            node.left_keys()[i]->Resolve(*left->schema()));
+        SS_ASSIGN_OR_RETURN(ExprPtr rk,
+                            node.right_keys()[i]->Resolve(*right->schema()));
         lkeys.push_back(std::move(lk));
         rkeys.push_back(std::move(rk));
       }

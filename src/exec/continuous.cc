@@ -4,8 +4,12 @@
 #include <chrono>
 
 #include "analysis/analyzer.h"
+#include "common/clock.h"
 #include "common/logging.h"
+#include "incremental/incrementalizer.h"
 #include "optimizer/optimizer.h"
+#include "physical/fused_pipeline.h"
+#include "physical/operators.h"
 #include "storage/fs.h"
 
 namespace sstreaming {
@@ -40,58 +44,29 @@ Result<std::unique_ptr<ContinuousQuery>> ContinuousQuery::Start(
   }
   PlanPtr optimized = Optimizer::Optimize(df.plan());
   SS_ASSIGN_OR_RETURN(PlanPtr analyzed, Analyzer::Analyze(optimized));
+  SS_ASSIGN_OR_RETURN(PhysicalPlan plan, Incrementalize(analyzed, 1));
+
+  // Map-like plans only: a source scan (a pure column projection is pushed
+  // into its read), under at most one fused pipeline.
+  PhysOp* op = plan.root.get();
+  const auto* pipeline = dynamic_cast<const FusedPipelineExec*>(op);
+  if (pipeline != nullptr) op = pipeline->children()[0].get();
+  const auto* scan = dynamic_cast<const SourceExec*>(op);
+  if (scan == nullptr) {
+    return Status::UnsupportedOperation(
+        "continuous processing supports only map-like queries "
+        "(selection/projection over one source) in this version, as in "
+        "Spark 2.3 (§6.3); found " + op->name());
+  }
 
   std::unique_ptr<ContinuousQuery> query(new ContinuousQuery());
   query->options_ = options;
   query->sink_ = std::move(sink);
-  query->clock_ =
-      options.clock != nullptr ? options.clock : SystemClock::Default();
+  query->root_ = std::move(plan.root);
+  query->scan_ = scan;
+  query->pipeline_ = pipeline;
 
-  // Walk down the single chain collecting steps; reject anything stateful.
-  std::vector<Step> reversed;
-  PlanPtr node = analyzed;
-  while (true) {
-    switch (node->kind()) {
-      case LogicalPlan::Kind::kStreamScan: {
-        const auto& scan = static_cast<const StreamScanNode&>(*node);
-        query->source_ = scan.source();
-        break;
-      }
-      case LogicalPlan::Kind::kFilter: {
-        const auto& f = static_cast<const FilterNode&>(*node);
-        Step step;
-        step.kind = Step::Kind::kFilter;
-        step.predicate = f.predicate();
-        reversed.push_back(std::move(step));
-        node = node->children()[0];
-        continue;
-      }
-      case LogicalPlan::Kind::kProject: {
-        const auto& p = static_cast<const ProjectNode&>(*node);
-        Step step;
-        step.kind = Step::Kind::kProject;
-        step.exprs = p.exprs();
-        step.schema = p.schema();
-        reversed.push_back(std::move(step));
-        node = node->children()[0];
-        continue;
-      }
-      case LogicalPlan::Kind::kWithWatermark:
-        // Watermarks are irrelevant without stateful operators; pass.
-        node = node->children()[0];
-        continue;
-      default:
-        return Status::UnsupportedOperation(
-            "continuous processing supports only map-like queries "
-            "(selection/projection over one source) in this version, as in "
-            "Spark 2.3 (§6.3); found " + node->ToString());
-    }
-    break;
-  }
-  std::reverse(reversed.begin(), reversed.end());
-  query->steps_ = std::move(reversed);
-
-  const int parts = query->source_->num_partitions();
+  const int parts = scan->source()->num_partitions();
   query->positions_.reserve(static_cast<size_t>(parts));
   for (int p = 0; p < parts; ++p) {
     query->positions_.push_back(std::make_unique<std::atomic<int64_t>>(0));
@@ -130,38 +105,26 @@ Result<std::unique_ptr<ContinuousQuery>> ContinuousQuery::Start(
 
 ContinuousQuery::~ContinuousQuery() { Stop(); }
 
-Result<RecordBatchPtr> ContinuousQuery::ApplyPipeline(
-    RecordBatchPtr batch) const {
-  for (const Step& step : steps_) {
-    if (step.kind == Step::Kind::kFilter) {
-      SS_ASSIGN_OR_RETURN(ColumnPtr mask_col,
-                          step.predicate->EvalBatch(*batch));
-      std::vector<uint8_t> mask(static_cast<size_t>(batch->num_rows()));
-      for (int64_t i = 0; i < batch->num_rows(); ++i) {
-        mask[static_cast<size_t>(i)] =
-            !mask_col->IsNull(i) && mask_col->BoolAt(i) ? 1 : 0;
-      }
-      batch = batch->Filter(mask);
-    } else {
-      std::vector<ColumnPtr> columns;
-      columns.reserve(step.exprs.size());
-      for (const NamedExpr& e : step.exprs) {
-        SS_ASSIGN_OR_RETURN(ColumnPtr col, e.expr->EvalBatch(*batch));
-        columns.push_back(std::move(col));
-      }
-      batch = RecordBatch::Make(step.schema, std::move(columns));
-    }
-  }
-  return batch;
+void ContinuousQuery::RecordError(const Status& s) {
+  std::lock_guard<std::mutex> lock(error_mu_);
+  if (error_.ok()) error_ = s;
 }
 
 void ContinuousQuery::WorkerLoop(int partition) {
   std::atomic<int64_t>& pos = *positions_[static_cast<size_t>(partition)];
+  const Source& source = *scan_->source();
+  // The worker's own context for the shared operators: the read stamps
+  // ingest times from its clock, and filters allocate on the heap. The
+  // per-stage stats are not reported yet (continuous mode emits no
+  // progress).
+  ExecContext ctx;
+  ctx.clock = SystemClock::Default();
+  std::vector<FusedPipelineExec::StageStats> stage_stats(
+      pipeline_ != nullptr ? pipeline_->stages().size() : 0);
   while (!stop_.load(std::memory_order_relaxed)) {
-    auto latest = source_->LatestOffsets();
+    auto latest = source.LatestOffsets();
     if (!latest.ok()) {
-      std::lock_guard<std::mutex> lock(error_mu_);
-      if (error_.ok()) error_ = latest.status();
+      RecordError(latest.status());
       return;
     }
     int64_t end = (*latest)[static_cast<size_t>(partition)];
@@ -174,19 +137,23 @@ void ContinuousQuery::WorkerLoop(int partition) {
     end = std::min(end, start + options_.max_chunk_records);
     auto process = [&]() -> Status {
       SS_ASSIGN_OR_RETURN(RecordBatchPtr batch,
-                          source_->ReadPartition(partition, start, end));
-      SS_ASSIGN_OR_RETURN(RecordBatchPtr result, ApplyPipeline(batch));
-      if (result->num_rows() > 0) {
-        SS_RETURN_IF_ERROR(
-            sink_->CommitEpoch(chunk_counter_.fetch_add(1),
-                               OutputMode::kAppend, 0, {result}));
+                          scan_->ReadPartition(&ctx, partition, start, end));
+      if (pipeline_ != nullptr) {
+        SS_ASSIGN_OR_RETURN(batch, pipeline_->RunStages(&ctx, std::move(batch),
+                                                        stage_stats.data()));
+      }
+      if (batch->num_rows() > 0) {
+        // As in microbatch mode, the sink sees compact batches, never
+        // selection views.
+        SS_RETURN_IF_ERROR(sink_->CommitEpoch(
+            chunk_counter_.fetch_add(1), OutputMode::kAppend, 0,
+            {RecordBatch::Materialize(batch)}));
       }
       return Status::OK();
     };
     Status s = process();
     if (!s.ok()) {
-      std::lock_guard<std::mutex> lock(error_mu_);
-      if (error_.ok()) error_ = s;
+      RecordError(s);
       return;
     }
     records_processed_.fetch_add(end - start, std::memory_order_relaxed);
@@ -202,7 +169,7 @@ Status ContinuousQuery::CommitEpochMarker() {
   EpochPlan plan;
   plan.epoch = next_epoch_;
   SourceOffsets so;
-  so.source_name = source_->name();
+  so.source_name = scan_->source()->name();
   so.start = epoch_start_positions_;
   for (const auto& pos : positions_) so.end.push_back(pos->load());
   bool progressed = so.end != so.start;
@@ -226,8 +193,7 @@ void ContinuousQuery::MasterLoop() {
     }
     Status s = CommitEpochMarker();
     if (!s.ok()) {
-      std::lock_guard<std::mutex> lock(error_mu_);
-      if (error_.ok()) error_ = s;
+      RecordError(s);
       return;
     }
   }

@@ -8,20 +8,26 @@
 #include <thread>
 #include <vector>
 
-#include "common/clock.h"
 #include "common/thread_annotations.h"
 #include "connectors/sink.h"
 #include "logical/dataframe.h"
+#include "physical/phys_op.h"
 #include "wal/write_ahead_log.h"
 
 namespace sstreaming {
+
+class FusedPipelineExec;
+class SourceExec;
 
 /// Continuous processing mode (paper §6.3, added in Spark 2.3): long-lived
 /// operators — one worker per source partition — process records as soon as
 /// they arrive and push them straight to the sink, giving millisecond
 /// latency instead of the microbatch task-launch floor. As in Spark 2.3,
 /// only map-like queries (selection/projection/watermark over one source)
-/// are supported: no shuffles, no stateful operators.
+/// are supported: no shuffles, no stateful operators. The query is planned
+/// by the incrementalizer, as in microbatch mode, and each worker runs its
+/// chunks through the same per-partition code as the microbatch tasks:
+/// SourceExec::ReadPartition, then FusedPipelineExec::RunStages.
 ///
 /// Epochs still exist but are decoupled from data movement: a master thread
 /// periodically snapshots each worker's position and records start/end
@@ -43,11 +49,12 @@ class ContinuousQuery {
     int64_t poll_sleep_micros = 100;
     /// Max records a worker takes per poll.
     int64_t max_chunk_records = 1024;
-    const Clock* clock = nullptr;
   };
 
-  /// Validates that the query is map-like, recovers offsets from the
-  /// checkpoint if present, and launches the workers and the epoch master.
+  /// Plans the query and checks that it is map-like (a source scan under
+  /// at most one fused Filter/Project/Watermark pipeline), recovers offsets
+  /// from the checkpoint if present, and launches the workers and the epoch
+  /// master.
   static Result<std::unique_ptr<ContinuousQuery>> Start(const DataFrame& df,
                                                         SinkPtr sink,
                                                         Options options);
@@ -63,7 +70,11 @@ class ContinuousQuery {
   int64_t records_processed() const { return records_processed_.load(); }
   int64_t epochs_committed() const { return epochs_committed_.load(); }
   bool IsActive() const { return active_.load(); }
-  const Status& error() const { return error_; }
+  /// The first error a worker or the master stopped on (OK if none).
+  Status error() const {
+    std::lock_guard<std::mutex> lock(error_mu_);
+    return error_;
+  }
 
  private:
   ContinuousQuery() = default;
@@ -71,24 +82,14 @@ class ContinuousQuery {
   void WorkerLoop(int partition);
   void MasterLoop();
   Status CommitEpochMarker();
-
-  // One stateless transformation step of the map-like pipeline.
-  struct Step {
-    enum class Kind { kFilter, kProject };
-    Kind kind;
-    ExprPtr predicate;             // kFilter
-    std::vector<NamedExpr> exprs;  // kProject
-    SchemaPtr schema;              // kProject output schema
-  };
-
-  Result<RecordBatchPtr> ApplyPipeline(RecordBatchPtr batch) const;
+  void RecordError(const Status& s);
 
   Options options_;
   SinkPtr sink_;
-  SourcePtr source_;
-  std::vector<Step> steps_;
+  PhysOpPtr root_;  // owns the operators below
+  const SourceExec* scan_ = nullptr;
+  const FusedPipelineExec* pipeline_ = nullptr;  // null: a bare scan
   std::unique_ptr<WriteAheadLog> wal_;
-  const Clock* clock_ = nullptr;
 
   std::vector<std::thread> workers_;
   std::thread master_;
@@ -101,7 +102,7 @@ class ContinuousQuery {
   std::vector<int64_t> epoch_start_positions_;
   int64_t next_epoch_ = 1;
   Status error_ SS_GUARDED_BY(error_mu_);
-  std::mutex error_mu_;
+  mutable std::mutex error_mu_;
 };
 
 }  // namespace sstreaming

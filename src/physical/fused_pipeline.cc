@@ -133,6 +133,78 @@ void FusedPipelineExec::CollectProfileNodes(
   }
 }
 
+Result<RecordBatchPtr> FusedPipelineExec::RunStages(ExecContext* ctx,
+                                                    RecordBatchPtr cur,
+                                                    StageStats* stats) const {
+  for (size_t s = 0; s < stages_.size(); ++s) {
+    const Stage& stage = stages_[s];
+    const int64_t t0 = MonotonicNanos();
+    switch (stage.kind) {
+      case Stage::Kind::kFilter: {
+        const int64_t n = cur->num_rows();
+        // Evaluate over the current logical rows only: a view's referenced
+        // columns are gathered compactly first (EvalBatch needs
+        // selection-free storage).
+        RecordBatchPtr eval_in = GatherReferenced(cur, stage.referenced);
+        SS_ASSIGN_OR_RETURN(ColumnPtr mask,
+                            stage.predicate->EvalBatch(*eval_in));
+        int32_t* idx = nullptr;
+        std::shared_ptr<const void> keepalive;
+        std::vector<int32_t> heap_idx;
+        if (ctx->arena != nullptr) {
+          auto span = ctx->arena->AllocSpan<int32_t>(static_cast<size_t>(n));
+          idx = span.first;
+          keepalive = std::move(span.second);
+        } else {
+          heap_idx.resize(static_cast<size_t>(n));
+          idx = heap_idx.data();
+        }
+        const int64_t kept = CollectSurvivors(*mask, n, idx);
+        if (kept < n) {
+          // Indices are logical rows of `cur`; MakeView composes them with
+          // any selection already in force.
+          SelectionVector sel =
+              keepalive != nullptr
+                  ? SelectionVector::FromOwned(idx, kept, std::move(keepalive))
+                  : SelectionVector::FromVector(std::vector<int32_t>(
+                        heap_idx.begin(), heap_idx.begin() + kept));
+          cur = RecordBatch::MakeView(cur, std::move(sel));
+        }
+        break;
+      }
+      case Stage::Kind::kProject: {
+        RecordBatchPtr eval_in = GatherReferenced(cur, stage.referenced);
+        std::vector<ColumnPtr> columns;
+        columns.reserve(stage.exprs.size());
+        for (const NamedExpr& e : stage.exprs) {
+          SS_ASSIGN_OR_RETURN(ColumnPtr col, e.expr->EvalBatch(*eval_in));
+          columns.push_back(std::move(col));
+        }
+        auto projected = RecordBatch::Make(stage.schema, std::move(columns));
+        projected->set_ingest_micros(cur->ingest_micros());
+        cur = std::move(projected);
+        break;
+      }
+      case Stage::Kind::kWatermark: {
+        const Column& col = *cur->column(stage.column_index);
+        int64_t max_ts = INT64_MIN;
+        for (int64_t li = 0; li < cur->num_rows(); ++li) {
+          const int64_t i = cur->PhysIndex(li);
+          if (!col.IsNull(i) && col.Int64At(i) > max_ts) {
+            max_ts = col.Int64At(i);
+          }
+        }
+        if (max_ts != INT64_MIN) {
+          ctx->ObserveEventTime(stage.op_id, max_ts - stage.delay_micros);
+        }
+        break;
+      }
+    }
+    stats[s] = {cur->num_rows(), cur->ApproxBytes(), MonotonicNanos() - t0};
+  }
+  return cur;
+}
+
 Result<std::vector<RecordBatchPtr>> FusedPipelineExec::ExecuteImpl(
     ExecContext* ctx) {
   const int64_t t_child0 = MonotonicNanos();
@@ -144,94 +216,15 @@ Result<std::vector<RecordBatchPtr>> FusedPipelineExec::ExecuteImpl(
   const size_t n_stages = stages_.size();
   // Per-partition, per-stage accounting filled lock-free inside the tasks
   // and folded into ctx->op_stats afterwards.
-  struct StageCell {
-    int64_t rows = 0;
-    int64_t bytes = 0;
-    int64_t nanos = 0;
-  };
-  std::vector<std::vector<StageCell>> cells(
-      parts, std::vector<StageCell>(n_stages));
+  std::vector<std::vector<StageStats>> cells(
+      parts, std::vector<StageStats>(n_stages));
 
   std::vector<RecordBatchPtr> out(parts);
   std::vector<std::function<Status()>> tasks;
   tasks.reserve(parts);
   for (size_t p = 0; p < parts; ++p) {
     tasks.push_back([this, ctx, &in, &out, &cells, p]() -> Status {
-      RecordBatchPtr cur = in[p];
-      for (size_t s = 0; s < stages_.size(); ++s) {
-        const Stage& stage = stages_[s];
-        const int64_t t0 = MonotonicNanos();
-        switch (stage.kind) {
-          case Stage::Kind::kFilter: {
-            const int64_t n = cur->num_rows();
-            // Evaluate over the current logical rows only: a view's
-            // referenced columns are gathered compactly first (EvalBatch
-            // needs selection-free storage).
-            RecordBatchPtr eval_in =
-                GatherReferenced(cur, stage.referenced);
-            SS_ASSIGN_OR_RETURN(ColumnPtr mask,
-                                stage.predicate->EvalBatch(*eval_in));
-            int32_t* idx = nullptr;
-            std::shared_ptr<const void> keepalive;
-            std::vector<int32_t> heap_idx;
-            if (ctx->arena != nullptr) {
-              auto span =
-                  ctx->arena->AllocSpan<int32_t>(static_cast<size_t>(n));
-              idx = span.first;
-              keepalive = std::move(span.second);
-            } else {
-              heap_idx.resize(static_cast<size_t>(n));
-              idx = heap_idx.data();
-            }
-            const int64_t kept = CollectSurvivors(*mask, n, idx);
-            if (kept < n) {
-              // Indices are logical rows of `cur`; MakeView composes them
-              // with any selection already in force.
-              SelectionVector sel =
-                  keepalive != nullptr
-                      ? SelectionVector::FromOwned(idx, kept,
-                                                   std::move(keepalive))
-                      : SelectionVector::FromVector(std::vector<int32_t>(
-                            heap_idx.begin(), heap_idx.begin() + kept));
-              cur = RecordBatch::MakeView(cur, std::move(sel));
-            }
-            break;
-          }
-          case Stage::Kind::kProject: {
-            RecordBatchPtr eval_in = GatherReferenced(cur, stage.referenced);
-            std::vector<ColumnPtr> columns;
-            columns.reserve(stage.exprs.size());
-            for (const NamedExpr& e : stage.exprs) {
-              SS_ASSIGN_OR_RETURN(ColumnPtr col, e.expr->EvalBatch(*eval_in));
-              columns.push_back(std::move(col));
-            }
-            auto projected =
-                RecordBatch::Make(stage.schema, std::move(columns));
-            projected->set_ingest_micros(cur->ingest_micros());
-            cur = std::move(projected);
-            break;
-          }
-          case Stage::Kind::kWatermark: {
-            const Column& col = *cur->column(stage.column_index);
-            int64_t max_ts = INT64_MIN;
-            for (int64_t li = 0; li < cur->num_rows(); ++li) {
-              const int64_t i = cur->PhysIndex(li);
-              if (!col.IsNull(i) && col.Int64At(i) > max_ts) {
-                max_ts = col.Int64At(i);
-              }
-            }
-            if (max_ts != INT64_MIN) {
-              ctx->ObserveEventTime(stage.op_id, max_ts - stage.delay_micros);
-            }
-            break;
-          }
-        }
-        StageCell& cell = cells[p][s];
-        cell.rows = cur->num_rows();
-        cell.bytes = cur->ApproxBytes();
-        cell.nanos = MonotonicNanos() - t0;
-      }
-      out[p] = std::move(cur);
+      SS_ASSIGN_OR_RETURN(out[p], RunStages(ctx, in[p], cells[p].data()));
       return Status::OK();
     });
   }
@@ -246,7 +239,7 @@ Result<std::vector<RecordBatchPtr>> FusedPipelineExec::ExecuteImpl(
     for (size_t s = 0; s < n_stages; ++s) {
       OpStats& stats = ctx->op_stats[stages_[s].op_id];
       for (size_t p = 0; p < parts; ++p) {
-        const StageCell& cell = cells[p][s];
+        const StageStats& cell = cells[p][s];
         stats.rows_out += cell.rows;
         stats.bytes_out += cell.bytes;
         ++stats.batches;

@@ -56,9 +56,23 @@ class FusedPipelineExec : public PhysOp {
   /// `stages` are ordered bottom (nearest `child`) to top.
   FusedPipelineExec(int op_id, PhysOpPtr child, std::vector<Stage> stages);
 
+  /// One stage's accounting for one batch: output rows and bytes, and the
+  /// stage's own time.
+  struct StageStats {
+    int64_t rows = 0;
+    int64_t bytes = 0;
+    int64_t nanos = 0;
+  };
+
   std::string name() const override;
   Result<std::vector<RecordBatchPtr>> ExecuteImpl(ExecContext* ctx) override;
   void CollectProfileNodes(std::vector<OpProfileNode>* out) const override;
+
+  /// Runs the stage chain over one partition's batch, writing one entry per
+  /// stage to `stats`: the body of each epoch task, and of each continuous
+  /// worker's chunk. Safe to call concurrently.
+  Result<RecordBatchPtr> RunStages(ExecContext* ctx, RecordBatchPtr batch,
+                                   StageStats* stats) const;
 
   const std::vector<Stage>& stages() const { return stages_; }
 

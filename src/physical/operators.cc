@@ -15,6 +15,29 @@ SourceExec::SourceExec(int op_id, SourcePtr source, std::vector<int> columns,
       source_(std::move(source)),
       columns_(std::move(columns)) {}
 
+Result<RecordBatchPtr> SourceExec::ReadPartition(ExecContext* ctx,
+                                                 int partition, int64_t start,
+                                                 int64_t end) const {
+  RecordBatchPtr batch;
+  if (columns_.empty()) {
+    SS_ASSIGN_OR_RETURN(batch, source_->ReadPartition(partition, start, end));
+  } else {
+    SS_ASSIGN_OR_RETURN(batch, source_->ReadPartitionProjected(
+                                   partition, start, end, columns_));
+  }
+  ctx->CountSourceRows(source_->name(), batch->num_rows());
+  if (batch->num_rows() > 0) {
+    // Stamp e2e-latency provenance: when the source can't date its
+    // records, the read time is the best (conservative, deterministic
+    // under ManualClock) ingest approximation.
+    int64_t ingest = source_->OldestIngestMicros(partition, start, end);
+    if (ingest <= 0 && ctx->clock != nullptr) ingest = ctx->clock->NowMicros();
+    batch->set_ingest_micros(ingest);
+    ctx->ObserveIngest(ingest);
+  }
+  return batch;
+}
+
 Result<std::vector<RecordBatchPtr>> SourceExec::ExecuteImpl(ExecContext* ctx) {
   auto it = ctx->offsets.find(source_->name());
   if (it == ctx->offsets.end()) {
@@ -31,31 +54,8 @@ Result<std::vector<RecordBatchPtr>> SourceExec::ExecuteImpl(ExecContext* ctx) {
   tasks.reserve(static_cast<size_t>(parts));
   for (int p = 0; p < parts; ++p) {
     tasks.push_back([this, ctx, p, &starts, &ends, &out]() -> Status {
-      RecordBatchPtr batch;
-      if (columns_.empty()) {
-        SS_ASSIGN_OR_RETURN(
-            batch, source_->ReadPartition(p, starts[static_cast<size_t>(p)],
-                                          ends[static_cast<size_t>(p)]));
-      } else {
-        SS_ASSIGN_OR_RETURN(batch, source_->ReadPartitionProjected(
-                                       p, starts[static_cast<size_t>(p)],
-                                       ends[static_cast<size_t>(p)],
-                                       columns_));
-      }
-      ctx->CountSourceRows(source_->name(), batch->num_rows());
-      if (batch->num_rows() > 0) {
-        // Stamp e2e-latency provenance: when the source can't date its
-        // records, the read time is the best (conservative, deterministic
-        // under ManualClock) ingest approximation.
-        int64_t ingest = source_->OldestIngestMicros(
-            p, starts[static_cast<size_t>(p)], ends[static_cast<size_t>(p)]);
-        if (ingest <= 0 && ctx->clock != nullptr) {
-          ingest = ctx->clock->NowMicros();
-        }
-        batch->set_ingest_micros(ingest);
-        ctx->ObserveIngest(ingest);
-      }
-      out[static_cast<size_t>(p)] = std::move(batch);
+      const size_t i = static_cast<size_t>(p);
+      SS_ASSIGN_OR_RETURN(out[i], ReadPartition(ctx, p, starts[i], ends[i]));
       return Status::OK();
     });
   }

@@ -25,6 +25,12 @@ class SourceExec : public PhysOp {
   bool is_source_scan() const override { return true; }
   Result<std::vector<RecordBatchPtr>> ExecuteImpl(ExecContext* ctx) override;
 
+  /// Reads records [start, end) of `partition` (only the projected columns
+  /// when projected), counts them into `ctx` and stamps the batch's ingest
+  /// time: the body of each epoch task, and each continuous worker's read.
+  Result<RecordBatchPtr> ReadPartition(ExecContext* ctx, int partition,
+                                       int64_t start, int64_t end) const;
+
   const SourcePtr& source() const { return source_; }
   bool projected() const { return !columns_.empty(); }
 

@@ -442,21 +442,9 @@ Result<std::vector<RecordBatchPtr>> StatefulAggExec::ExecuteImpl(
     return false;
   }();
 
-  // Dictionary-encoded string key column (docs/VECTORIZED_EXEC.md): the
-  // state-key encoding of each distinct value is precooked once, and the
-  // per-row hot loops append the precooked bytes — byte-identical to
-  // EncodeValueTo by construction, but one hash per row instead of one
-  // length-prefixed byte append per row per occurrence.
-  struct KeyDict {
-    std::vector<std::string> encoded;  // per distinct value (incl. null)
-    std::vector<int32_t> codes;        // per row -> index into `encoded`
-  };
-
   struct PartitionWork {
     std::vector<ColumnPtr> key_cols;
     std::vector<ColumnPtr> arg_cols;
-    /// One dict per string-typed scalar group key column, else null.
-    std::vector<std::unique_ptr<KeyDict>> key_dicts;
   };
   std::vector<PartitionWork> work(P);
   std::vector<int64_t> num_rows(P);
@@ -480,38 +468,6 @@ Result<std::vector<RecordBatchPtr>> StatefulAggExec::ExecuteImpl(
     for (size_t a = 0; a < aggregates_.size(); ++a) {
       if (aggregates_[a].func == AggFunc::kCountAll) continue;
       SS_ASSIGN_OR_RETURN(w.arg_cols[a], aggregates_[a].arg->EvalBatch(input));
-    }
-    // Dictionary-encode string key columns for the route loop below.
-    w.key_dicts.resize(group_exprs_.size());
-    for (size_t g = 0; g < group_exprs_.size(); ++g) {
-      if (static_cast<int>(g) == window_key_index_) continue;
-      const Column& col = *w.key_cols[g];
-      if (PhysicalKindOf(col.type()) != PhysicalKind::kString) continue;
-      auto dict = std::make_unique<KeyDict>();
-      const int64_t rows = col.size();
-      dict->codes.resize(static_cast<size_t>(rows));
-      std::unordered_map<std::string_view, int32_t> index;
-      int32_t null_code = -1;
-      for (int64_t i = 0; i < rows; ++i) {
-        if (col.IsNull(i)) {
-          if (null_code < 0) {
-            null_code = static_cast<int32_t>(dict->encoded.size());
-            dict->encoded.emplace_back();
-            col.EncodeValueTo(i, &dict->encoded.back());
-          }
-          dict->codes[static_cast<size_t>(i)] = null_code;
-          continue;
-        }
-        const std::string& v = col.StringAt(i);
-        auto [it, inserted] = index.emplace(
-            std::string_view(v), static_cast<int32_t>(dict->encoded.size()));
-        if (inserted) {
-          dict->encoded.emplace_back();
-          col.EncodeValueTo(i, &dict->encoded.back());
-        }
-        dict->codes[static_cast<size_t>(i)] = it->second;
-      }
-      w.key_dicts[g] = std::move(dict);
     }
     return Status::OK();
   };
@@ -552,9 +508,6 @@ Result<std::vector<RecordBatchPtr>> StatefulAggExec::ExecuteImpl(
             char buf[8];
             std::memcpy(buf, &wstart, 8);
             enc.append(buf, 8);
-          } else if (const KeyDict* dict = w.key_dicts[g].get()) {
-            enc.append(dict->encoded[static_cast<size_t>(
-                dict->codes[static_cast<size_t>(i)])]);
           } else {
             w.key_cols[g]->EncodeValueTo(i, &enc);
           }

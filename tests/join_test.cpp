@@ -281,6 +281,90 @@ TEST(JoinTest, NumericKeysMatchAcrossTypes) {
   }
 }
 
+// A USING key of two numeric types is one output column of their common
+// type: a preserved row fills it with its own key, cast, whichever side it
+// comes from.
+TEST(JoinTest, UsingKeyOfTwoNumericTypesHasTheCommonType) {
+  SchemaPtr ls = KeyedSchema(TypeId::kInt64, "k", "l");
+  SchemaPtr rs = KeyedSchema(TypeId::kFloat64, "k", "r");
+  const Row left_one = {Value::Int64(1), Value::Str("b")};
+  const Row left_five = {Value::Int64(5), Value::Str("c")};
+  const Row right_one = {Value::Float64(1.0), Value::Str("y")};
+  const Row right_miss = {Value::Float64(3.5), Value::Str("w")};
+  const Row matched = {Value::Float64(1.0), Value::Str("b"), Value::Str("y")};
+  const Row right_padded = {Value::Float64(3.5), Value::Null(),
+                            Value::Str("w")};
+  const Row left_padded = {Value::Float64(5.0), Value::Str("c"),
+                           Value::Null()};
+  DataFrame left_static =
+      DataFrame::FromRows(ls, {left_one, left_five}).TakeValue();
+  DataFrame right_static =
+      DataFrame::FromRows(rs, {right_one, right_miss}).TakeValue();
+  {
+    SCOPED_TRACE("static-stream right outer");
+    auto stream = std::make_shared<MemoryStream>("r", rs, 2);
+    DataFrame df = left_static.Join(DataFrame::ReadStream(stream), {"k"},
+                                    JoinType::kRightOuter);
+    ExpectSameRows(RunStream(df, {stream}, {{{right_one, right_miss}}}),
+                   {matched, right_padded});
+  }
+  for (JoinType type : {JoinType::kInner, JoinType::kLeftOuter}) {
+    SCOPED_TRACE(type == JoinType::kInner ? "stream-static inner"
+                                          : "stream-static left outer");
+    auto stream = std::make_shared<MemoryStream>("l", ls, 2);
+    DataFrame df =
+        DataFrame::ReadStream(stream).Join(right_static, {"k"}, type);
+    std::vector<Row> want = {matched};
+    if (type == JoinType::kLeftOuter) want.push_back(left_padded);
+    ExpectSameRows(RunStream(df, {stream}, {{{left_one, left_five}}}), want);
+  }
+
+  // Stream-stream right outer: the unmatched right row is null-padded once
+  // the watermark evicts it. (It used to fail the epoch: its float64 key
+  // did not fit the int64 output column.)
+  {
+    SCOPED_TRACE("stream-stream right outer");
+    auto lts = Schema::Make({{"k", TypeId::kInt64, true},
+                             {"l", TypeId::kString, false},
+                             {"lt", TypeId::kTimestamp, false}});
+    auto rts = Schema::Make({{"k", TypeId::kFloat64, true},
+                             {"r", TypeId::kString, false},
+                             {"rt", TypeId::kTimestamp, false}});
+    auto left = std::make_shared<MemoryStream>("l", lts, 1);
+    auto right = std::make_shared<MemoryStream>("r", rts, 1);
+    DataFrame df =
+        DataFrame::ReadStream(left)
+            .WithWatermark("lt", 2 * kSec)
+            .Join(DataFrame::ReadStream(right).WithWatermark("rt", 2 * kSec),
+                  {"k"}, JoinType::kRightOuter);
+    auto at = [](Row row, int64_t sec) {
+      row.push_back(Value::Timestamp(sec * kSec));
+      return row;
+    };
+    std::vector<Row> got = RunStream(
+        df, {left, right},
+        {{{at(left_one, 1)}, {at(right_one, 1), at(right_miss, 1)}},
+         {{at({Value::Int64(7), Value::Str("z")}, 20)},
+          {at({Value::Float64(8), Value::Str("v")}, 20)}},
+         {{at({Value::Int64(9), Value::Str("u")}, 21)},
+          {at({Value::Float64(10), Value::Str("t")}, 21)}}});
+    ExpectSameRows(got, {{Value::Float64(1.0), Value::Str("b"),
+                          Value::Timestamp(kSec), Value::Str("y"),
+                          Value::Timestamp(kSec)},
+                         {Value::Float64(3.5), Value::Null(), Value::Null(),
+                          Value::Str("w"), Value::Timestamp(kSec)}});
+  }
+
+  // Batch runs (static-static).
+  auto outer = RunBatch(
+      left_static.Join(right_static, {"k"}, JoinType::kLeftOuter));
+  ASSERT_TRUE(outer.ok()) << outer.status().ToString();
+  ExpectSameRows(*outer, {matched, left_padded});
+  auto inner = RunBatch(left_static.Join(right_static, {"k"}));
+  ASSERT_TRUE(inner.ok()) << inner.status().ToString();
+  ExpectSameRows(*inner, {matched});
+}
+
 // ---------------------------------------------------------------------------
 // Stream-static join against a nested-loop oracle.
 // ---------------------------------------------------------------------------

@@ -153,13 +153,6 @@ Result<PlanPtr> Analyzer::Analyze(const PlanPtr& plan) {
       if (node.left_keys().empty()) {
         return Status::AnalysisError("join requires at least one key");
       }
-      // Right key columns that mirror a same-named left key are dropped from
-      // the output (the usual USING-join behavior). The kept column holds
-      // either side's key (a preserved right row coalesces its key into
-      // it), so a USING pair of two numeric types is cast to their common
-      // type on both inputs before the join.
-      std::set<std::string> dropped_right;
-      std::map<std::string, TypeId> using_types;
       for (size_t i = 0; i < node.left_keys().size(); ++i) {
         SS_ASSIGN_OR_RETURN(ExprPtr lk,
                             node.left_keys()[i]->Resolve(*left->schema()));
@@ -172,19 +165,18 @@ Result<PlanPtr> Analyzer::Analyze(const PlanPtr& plan) {
               std::string("join key type mismatch: ") + TypeName(lk->type()) +
               " vs " + TypeName(rk->type()));
         }
-        if (node.left_keys()[i]->kind() == Expr::Kind::kColumnRef &&
-            node.right_keys()[i]->kind() == Expr::Kind::kColumnRef) {
-          const auto& lref =
-              static_cast<const ColumnRefExpr&>(*node.left_keys()[i]);
-          const auto& rref =
-              static_cast<const ColumnRefExpr&>(*node.right_keys()[i]);
-          if (lref.name() == rref.name()) {
-            dropped_right.insert(rref.name());
-            if (lk->type() != rk->type()) {
-              using_types[lref.name()] =
-                  CommonNumericType(lk->type(), rk->type());
-            }
-          }
+      }
+      const JoinShape shape =
+          node.Shape(left->schema()->names(), right->schema()->names());
+      // The kept USING column holds either side's key (a preserved right
+      // row coalesces its key into it), so a USING pair of two numeric
+      // types is cast to their common type on both inputs before the join.
+      std::map<std::string, TypeId> using_types;
+      for (const auto& [l, r] : shape.using_keys) {
+        const Field& lf = left->schema()->field(l);
+        const TypeId rt = right->schema()->field(r).type;
+        if (lf.type != rt) {
+          using_types[lf.name] = CommonNumericType(lf.type, rt);
         }
       }
       // A projection over `side` that keeps every column in place and casts
@@ -222,12 +214,9 @@ Result<PlanPtr> Analyzer::Analyze(const PlanPtr& plan) {
         rkeys.push_back(std::move(rk));
       }
       std::vector<Field> fields = left->schema()->fields();
-      std::set<std::string> left_names;
-      for (const Field& f : fields) left_names.insert(f.name);
-      for (const Field& f : right->schema()->fields()) {
-        if (dropped_right.count(f.name)) continue;
-        Field out_field = f;
-        if (left_names.count(f.name)) out_field.name = f.name + "_r";
+      for (size_t i = 0; i < shape.kept_right.size(); ++i) {
+        Field out_field = right->schema()->field(shape.kept_right[i]);
+        out_field.name = shape.kept_right_names[i];
         // Outer joins make the non-preserved side nullable.
         out_field.nullable = true;
         fields.push_back(std::move(out_field));
@@ -325,21 +314,6 @@ Status ValidateStreamingQuery(const PlanPtr& plan, OutputMode mode) {
   // Callers that want the complete report — all violations, provenance,
   // unbounded-state warnings — use PlanAnalyzer::Analyze directly.
   return PlanAnalyzer::Analyze(plan, mode).FirstErrorStatus();
-}
-
-std::map<std::string, int64_t> CollectWatermarkColumns(const PlanPtr& plan) {
-  std::map<std::string, int64_t> out;
-  if (plan->kind() == LogicalPlan::Kind::kWithWatermark) {
-    const auto& node = static_cast<const WithWatermarkNode&>(*plan);
-    out[node.column()] = node.delay_micros();
-  }
-  for (const PlanPtr& child : plan->children()) {
-    for (const auto& [col, delay] : CollectWatermarkColumns(child)) {
-      auto it = out.find(col);
-      if (it == out.end() || delay > it->second) out[col] = delay;
-    }
-  }
-  return out;
 }
 
 }  // namespace sstreaming

@@ -1,9 +1,6 @@
 #ifndef SSTREAMING_ANALYSIS_ANALYZER_H_
 #define SSTREAMING_ANALYSIS_ANALYZER_H_
 
-#include <map>
-#include <string>
-
 #include "logical/output_mode.h"
 #include "logical/plan.h"
 
@@ -33,10 +30,6 @@ class Analyzer {
 ///  - stream-static outer joins must preserve the stream side;
 ///  - mapGroupsWithState event-time timeouts require a watermark.
 Status ValidateStreamingQuery(const PlanPtr& analyzed_plan, OutputMode mode);
-
-/// Event-time columns declared via withWatermark in the subtree, mapped to
-/// their delay (the engine uses these to advance the query watermark).
-std::map<std::string, int64_t> CollectWatermarkColumns(const PlanPtr& plan);
 
 }  // namespace sstreaming
 

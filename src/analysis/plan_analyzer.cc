@@ -8,43 +8,15 @@ namespace sstreaming {
 
 namespace {
 
-const char* KindName(LogicalPlan::Kind kind) {
-  switch (kind) {
-    case LogicalPlan::Kind::kScan:
-      return "Scan";
-    case LogicalPlan::Kind::kStreamScan:
-      return "StreamScan";
-    case LogicalPlan::Kind::kFilter:
-      return "Filter";
-    case LogicalPlan::Kind::kProject:
-      return "Project";
-    case LogicalPlan::Kind::kAggregate:
-      return "Aggregate";
-    case LogicalPlan::Kind::kJoin:
-      return "Join";
-    case LogicalPlan::Kind::kDistinct:
-      return "Distinct";
-    case LogicalPlan::Kind::kSort:
-      return "Sort";
-    case LogicalPlan::Kind::kLimit:
-      return "Limit";
-    case LogicalPlan::Kind::kWithWatermark:
-      return "WithWatermark";
-    case LogicalPlan::Kind::kFlatMapGroupsWithState:
-      return "FlatMapGroupsWithState";
-  }
-  return "?";
-}
-
 // Root-to-node provenance, e.g. "Sort > Aggregate > StreamScan".
 std::string PathString(const std::vector<const LogicalPlan*>& ancestors,
                        const LogicalPlan& node) {
   std::string out;
   for (const LogicalPlan* a : ancestors) {
-    out += KindName(a->kind());
+    out += LogicalPlan::KindName(a->kind());
     out += " > ";
   }
-  out += KindName(node.kind());
+  out += LogicalPlan::KindName(node.kind());
   return out;
 }
 
@@ -53,11 +25,9 @@ std::string PathString(const std::vector<const LogicalPlan*>& ancestors,
 // ---------------------------------------------------------------------------
 
 /// Derives, bottom-up, the set of output columns of each node that still
-/// carry a watermark. This is stricter than CollectWatermarkColumns (which
-/// only gathers withWatermark declarations in the subtree): a projection
-/// that drops or fails to forward the event-time column loses the
-/// watermark, and a join renames the right side the same way the analyzer
-/// does (USING-key drop, `_r` collision suffix).
+/// carry a watermark: a projection that drops or fails to forward the
+/// event-time column loses the watermark, and a join names its right
+/// columns by its JoinShape (USING-key drop, `_r` collision suffix).
 class WatermarkDerivation {
  public:
   const std::set<std::string>& Get(const PlanPtr& plan) {
@@ -119,33 +89,16 @@ class WatermarkDerivation {
         return out;
       }
       case LogicalPlan::Kind::kJoin: {
+        // Right columns carry their watermark under their output names.
         const auto& node = static_cast<const JoinNode&>(*plan);
-        const PlanPtr& left = plan->children()[0];
-        const PlanPtr& right = plan->children()[1];
-        std::set<std::string> out = Get(left);
-        // Mirror the analyzer's output naming: right key columns that
-        // mirror a same-named left key are dropped; other collisions get
-        // an `_r` suffix.
-        std::set<std::string> dropped_right;
-        for (size_t i = 0; i < node.left_keys().size(); ++i) {
-          if (node.left_keys()[i]->kind() == Expr::Kind::kColumnRef &&
-              node.right_keys()[i]->kind() == Expr::Kind::kColumnRef) {
-            const auto& l =
-                static_cast<const ColumnRefExpr&>(*node.left_keys()[i]);
-            const auto& r =
-                static_cast<const ColumnRefExpr&>(*node.right_keys()[i]);
-            if (l.name() == r.name()) dropped_right.insert(r.name());
+        std::set<std::string> out = Get(plan->children()[0]);
+        const std::set<std::string>& right = Get(plan->children()[1]);
+        const Schema& right_schema = *plan->children()[1]->schema();
+        const JoinShape shape = node.Shape();
+        for (size_t i = 0; i < shape.kept_right.size(); ++i) {
+          if (right.count(right_schema.field(shape.kept_right[i]).name)) {
+            out.insert(shape.kept_right_names[i]);
           }
-        }
-        std::set<std::string> left_names;
-        if (left->schema() != nullptr) {
-          for (const Field& f : left->schema()->fields()) {
-            left_names.insert(f.name);
-          }
-        }
-        for (const std::string& col : Get(right)) {
-          if (dropped_right.count(col)) continue;
-          out.insert(left_names.count(col) ? col + "_r" : col);
         }
         return out;
       }
@@ -237,7 +190,7 @@ class OutputModeValidationPass : public AnalysisPass {
                       "engine only retains state proportional to the number "
                       "of result keys (paper §5.1); this query's root "
                       "operator is ") +
-              KindName(ctx.root->kind())));
+              LogicalPlan::KindName(ctx.root->kind())));
     }
   }
 
@@ -305,10 +258,9 @@ class OutputModeValidationPass : public AnalysisPass {
                     side));
           }
         } else {
-          bool bad_left =
-              join.join_type() == JoinType::kLeftOuter && !left_stream;
-          bool bad_right =
-              join.join_type() == JoinType::kRightOuter && !right_stream;
+          const JoinShape shape = join.Shape();
+          bool bad_left = shape.preserves_left && !left_stream;
+          bool bad_right = shape.preserves_right && !right_stream;
           if (bad_left || bad_right) {
             report->Add(MakeDiag(
                 DiagCode::kStaticSidePreserved, DiagSeverity::kError, node,
@@ -575,7 +527,7 @@ PlanAnalysis PlanAnalyzer::Analyze(const PlanPtr& plan, OutputMode mode) {
         OutputModeName(mode) +
         " output mode; run it with the batch executor instead";
     d.node = plan->ToString();
-    d.path = KindName(plan->kind());
+    d.path = LogicalPlan::KindName(plan->kind());
     report.Add(std::move(d));
     // The remaining passes reason about incremental execution; none of
     // their conclusions are meaningful for a batch plan.

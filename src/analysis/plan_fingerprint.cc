@@ -12,34 +12,6 @@ namespace sstreaming {
 
 namespace {
 
-const char* KindName(LogicalPlan::Kind kind) {
-  switch (kind) {
-    case LogicalPlan::Kind::kScan:
-      return "Scan";
-    case LogicalPlan::Kind::kStreamScan:
-      return "StreamScan";
-    case LogicalPlan::Kind::kFilter:
-      return "Filter";
-    case LogicalPlan::Kind::kProject:
-      return "Project";
-    case LogicalPlan::Kind::kAggregate:
-      return "Aggregate";
-    case LogicalPlan::Kind::kJoin:
-      return "Join";
-    case LogicalPlan::Kind::kDistinct:
-      return "Distinct";
-    case LogicalPlan::Kind::kSort:
-      return "Sort";
-    case LogicalPlan::Kind::kLimit:
-      return "Limit";
-    case LogicalPlan::Kind::kWithWatermark:
-      return "WithWatermark";
-    case LogicalPlan::Kind::kFlatMapGroupsWithState:
-      return "FlatMapGroupsWithState";
-  }
-  return "?";
-}
-
 const char* TimeoutName(GroupStateTimeout timeout) {
   switch (timeout) {
     case GroupStateTimeout::kNone:
@@ -315,7 +287,7 @@ namespace {
 void FingerprintNode(const PlanPtr& plan, std::string path,
                      std::vector<OperatorFingerprint>* out) {
   OperatorFingerprint op;
-  op.kind = KindName(plan->kind());
+  op.kind = LogicalPlan::KindName(plan->kind());
   op.path = path.empty() ? op.kind : path + " > " + op.kind;
 
   switch (plan->kind()) {

@@ -16,7 +16,9 @@ Result<std::vector<Row>> RunBatch(const DataFrame& df, int num_partitions) {
   }
   PlanPtr optimized = Optimizer::Optimize(df.plan());
   SS_ASSIGN_OR_RETURN(PlanPtr analyzed, Analyzer::Analyze(optimized));
-  return RunStaticPlan(analyzed, num_partitions);
+  SS_ASSIGN_OR_RETURN(RecordBatchPtr result,
+                      RunStaticPlan(analyzed, num_partitions));
+  return result->ToRows();
 }
 
 Result<std::vector<Row>> RunBatchSorted(const DataFrame& df,

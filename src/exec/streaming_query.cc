@@ -31,11 +31,8 @@ Result<std::unique_ptr<StreamingQuery>> StreamingQuery::Start(
                                    " output mode");
   }
   // Plan: optimize (on names), re-analyze, validate (§5.1), incrementalize.
-  PlanPtr logical = df.plan();
-  if (options.run_optimizer) {
-    logical = Optimizer::Optimize(logical);
-  }
-  SS_ASSIGN_OR_RETURN(PlanPtr analyzed, Analyzer::Analyze(logical));
+  SS_ASSIGN_OR_RETURN(PlanPtr analyzed,
+                      Analyzer::Analyze(Optimizer::Optimize(df.plan())));
   // Static plan analysis (§4.2 checks + unbounded-state/watermark
   // advisories): any SS1xxx error fails the start; SS2xxx warnings ride on
   // the query (listener event + metrics) and are logged once here.

@@ -79,7 +79,6 @@ struct QueryOptions {
   int num_state_shards = 4;
   const Clock* clock = nullptr;           // default: SystemClock
   TaskScheduler* scheduler = nullptr;     // default: InlineScheduler
-  bool run_optimizer = true;
   /// Intentional-migration escape hatch for the pre-recovery checkpoint
   /// compatibility gate (docs/UPGRADES.md): SS3xxx errors — key-schema or
   /// output-mode changes, stateful-operator removal, shard/partition count

@@ -1,8 +1,9 @@
 #include "incremental/incrementalizer.h"
 
+#include <numeric>
 #include <set>
 
-#include "analysis/analyzer.h"
+#include "analysis/plan_analyzer.h"
 #include "common/logging.h"
 #include "physical/fused_pipeline.h"
 #include "physical/operators.h"
@@ -192,30 +193,10 @@ class Builder {
     const PlanPtr& right = node.children()[1];
     const bool left_stream = left->IsStreaming();
     const bool right_stream = right->IsStreaming();
-
-    // Which right-side columns survive into the output (the analyzer drops
-    // right key columns that mirror a same-named left key), plus the
-    // (left column, right column) pairs for USING-key coalescing when the
-    // preserved side's key column was the dropped one.
-    std::set<int> dropped_right;
-    std::vector<std::pair<int, int>> left_from_right;
-    for (size_t i = 0; i < node.left_keys().size(); ++i) {
-      if (node.left_keys()[i]->kind() == Expr::Kind::kColumnRef &&
-          node.right_keys()[i]->kind() == Expr::Kind::kColumnRef) {
-        const auto& lref =
-            static_cast<const ColumnRefExpr&>(*node.left_keys()[i]);
-        const auto& rref =
-            static_cast<const ColumnRefExpr&>(*node.right_keys()[i]);
-        if (lref.name() == rref.name()) {
-          dropped_right.insert(rref.index());
-          left_from_right.emplace_back(lref.index(), rref.index());
-        }
-      }
-    }
+    const JoinShape shape = node.Shape();
     // One key rule for both join kinds: a numeric key pair of two types
     // compares in their common type, so each operator (and the shuffles
-    // that co-locate its keys) sees same-typed keys. The USING pairs above
-    // come from the uncast keys.
+    // that co-locate its keys) sees same-typed keys.
     std::vector<ExprPtr> left_keys = node.left_keys();
     std::vector<ExprPtr> right_keys = node.right_keys();
     for (size_t i = 0; i < left_keys.size(); ++i) {
@@ -229,14 +210,6 @@ class Builder {
       SS_ASSIGN_OR_RETURN(key, Cast(key, common)->Resolve(
                                    *(cast_left ? left : right)->schema()));
     }
-    std::vector<int> right_output_indices;
-    for (int i = 0; i < right->schema()->num_fields(); ++i) {
-      if (!dropped_right.count(i)) right_output_indices.push_back(i);
-    }
-    std::vector<int> all_left_indices;
-    for (int i = 0; i < left->schema()->num_fields(); ++i) {
-      all_left_indices.push_back(i);
-    }
 
     if (left_stream && right_stream) {
       SS_ASSIGN_OR_RETURN(PhysOpPtr lchild, Build(left));
@@ -245,42 +218,43 @@ class Builder {
           NextId(), lchild, left_keys, num_partitions_);
       auto rshuffle = std::make_shared<ShuffleExec>(
           NextId(), rchild, right_keys, num_partitions_);
-      // Event-time columns for state eviction, from each side's watermark.
+      // Each side evicts state by an event-time column that still carries
+      // its watermark, under the name that column has at the join.
       auto time_index = [](const PlanPtr& side) {
-        auto wm = CollectWatermarkColumns(side);
-        if (wm.empty()) return -1;
-        return side->schema()->IndexOf(wm.begin()->first);
+        std::set<std::string> wm = PropagatedWatermarkColumns(side);
+        return wm.empty() ? -1 : side->schema()->IndexOf(*wm.begin());
       };
       has_stateful_ = true;
       return PhysOpPtr(std::make_shared<StreamStreamJoinExec>(
           NextId(), PhysOpPtr(lshuffle), PhysOpPtr(rshuffle), node.schema(),
-          left_keys, right_keys, node.join_type(),
-          right_output_indices, time_index(left), time_index(right),
-          left_from_right));
+          left_keys, right_keys, shape, time_index(left), time_index(right)));
     }
 
     // Stream-static (or static-static in batch runs): materialize the
-    // static side once, broadcast-hash-join against the (possibly
-    // streaming) other side.
-    const bool stream_is_left = left_stream || !right_stream;
-    const PlanPtr& stream_side = stream_is_left ? left : right;
-    const PlanPtr& static_side = stream_is_left ? right : left;
-    SS_ASSIGN_OR_RETURN(std::vector<Row> static_rows,
-                        RunStaticPlan(static_side, num_partitions_));
-    SS_ASSIGN_OR_RETURN(PhysOpPtr stream_child, Build(stream_side));
-    bool preserve_stream =
-        (stream_is_left && node.join_type() == JoinType::kLeftOuter) ||
-        (!stream_is_left && node.join_type() == JoinType::kRightOuter);
-    // Coalescing applies when the stream is the right side: its dropped key
+    // static side once and probe it with each row of the other side. A
+    // batch run probes with the side it preserves, whose unmatched rows
+    // the probe null-pads.
+    const bool probe_left =
+        left_stream || (!right_stream && !shape.preserves_right);
+    SS_ASSIGN_OR_RETURN(RecordBatchPtr static_batch,
+                        RunStaticPlan(probe_left ? right : left,
+                                      num_partitions_));
+    SS_ASSIGN_OR_RETURN(PhysOpPtr probe_child,
+                        Build(probe_left ? left : right));
+    std::vector<int> all_left(
+        static_cast<size_t>(left->schema()->num_fields()));
+    std::iota(all_left.begin(), all_left.end(), 0);
+    // Coalescing applies when the probe is the right side: its dropped key
     // columns come back from the static (left) column positions.
     return StreamStaticJoinExec::Make(
-        NextId(), stream_child, node.schema(),
-        stream_is_left ? left_keys : right_keys, static_side->schema(),
-        static_rows, stream_is_left ? right_keys : left_keys,
-        stream_is_left ? all_left_indices : right_output_indices,
-        stream_is_left ? right_output_indices : all_left_indices,
-        /*stream_first=*/stream_is_left, preserve_stream,
-        stream_is_left ? std::vector<std::pair<int, int>>() : left_from_right);
+        NextId(), probe_child, node.schema(),
+        probe_left ? left_keys : right_keys, std::move(static_batch),
+        probe_left ? right_keys : left_keys,
+        probe_left ? all_left : shape.kept_right,
+        probe_left ? shape.kept_right : all_left,
+        /*stream_first=*/probe_left,
+        probe_left ? shape.preserves_left : shape.preserves_right,
+        probe_left ? std::vector<std::pair<int, int>>() : shape.using_keys);
   }
 
   int num_partitions_;
@@ -309,8 +283,8 @@ Result<PhysicalPlan> Incrementalize(const PlanPtr& analyzed,
   return plan;
 }
 
-Result<std::vector<Row>> RunStaticPlan(const PlanPtr& analyzed,
-                                       int num_partitions) {
+Result<RecordBatchPtr> RunStaticPlan(const PlanPtr& analyzed,
+                                     int num_partitions) {
   if (analyzed->IsStreaming()) {
     return Status::InvalidArgument("RunStaticPlan needs a static plan");
   }
@@ -328,12 +302,8 @@ Result<std::vector<Row>> RunStaticPlan(const PlanPtr& analyzed,
   ctx.clock = &clock;
   SS_ASSIGN_OR_RETURN(std::vector<RecordBatchPtr> batches,
                       plan.root->Execute(&ctx));
-  std::vector<Row> rows;
-  for (const RecordBatchPtr& b : batches) {
-    auto brows = b->ToRows();
-    rows.insert(rows.end(), brows.begin(), brows.end());
-  }
-  return rows;
+  return RecordBatch::Materialize(
+      RecordBatch::Concat(analyzed->schema(), batches));
 }
 
 }  // namespace sstreaming

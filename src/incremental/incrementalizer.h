@@ -34,10 +34,10 @@ struct PhysicalPlan {
 Result<PhysicalPlan> Incrementalize(const PlanPtr& analyzed,
                                     int num_partitions);
 
-/// Fully evaluates a static (non-streaming) analyzed plan to rows by running
-/// its physical form once in batch mode.
-Result<std::vector<Row>> RunStaticPlan(const PlanPtr& analyzed,
-                                       int num_partitions);
+/// Fully evaluates a static (non-streaming) analyzed plan by running its
+/// physical form once in batch mode, into one batch without a selection.
+Result<RecordBatchPtr> RunStaticPlan(const PlanPtr& analyzed,
+                                     int num_partitions);
 
 }  // namespace sstreaming
 

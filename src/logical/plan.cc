@@ -1,5 +1,7 @@
 #include "logical/plan.h"
 
+#include <algorithm>
+
 #include "common/logging.h"
 
 namespace sstreaming {
@@ -12,6 +14,34 @@ const char* JoinTypeName(JoinType type) {
       return "left_outer";
     case JoinType::kRightOuter:
       return "right_outer";
+  }
+  return "?";
+}
+
+const char* LogicalPlan::KindName(Kind kind) {
+  switch (kind) {
+    case Kind::kScan:
+      return "Scan";
+    case Kind::kStreamScan:
+      return "StreamScan";
+    case Kind::kFilter:
+      return "Filter";
+    case Kind::kProject:
+      return "Project";
+    case Kind::kAggregate:
+      return "Aggregate";
+    case Kind::kJoin:
+      return "Join";
+    case Kind::kDistinct:
+      return "Distinct";
+    case Kind::kSort:
+      return "Sort";
+    case Kind::kLimit:
+      return "Limit";
+    case Kind::kWithWatermark:
+      return "WithWatermark";
+    case Kind::kFlatMapGroupsWithState:
+      return "FlatMapGroupsWithState";
   }
   return "?";
 }
@@ -120,6 +150,48 @@ JoinNode::JoinNode(PlanPtr left, PlanPtr right, JoinType join_type,
       left_keys_(std::move(left_keys)),
       right_keys_(std::move(right_keys)) {
   SS_CHECK(left_keys_.size() == right_keys_.size());
+}
+
+JoinShape JoinNode::Shape(const std::vector<std::string>& left_columns,
+                          const std::vector<std::string>& right_columns) const {
+  auto index_of = [](const std::vector<std::string>& names,
+                     const std::string& name) {
+    auto it = std::find(names.begin(), names.end(), name);
+    return it == names.end() ? -1 : static_cast<int>(it - names.begin());
+  };
+  JoinShape shape;
+  std::vector<bool> dropped(right_columns.size(), false);
+  for (size_t i = 0; i < left_keys_.size(); ++i) {
+    if (left_keys_[i]->kind() != Expr::Kind::kColumnRef ||
+        right_keys_[i]->kind() != Expr::Kind::kColumnRef) {
+      continue;
+    }
+    const std::string& name =
+        static_cast<const ColumnRefExpr&>(*left_keys_[i]).name();
+    if (static_cast<const ColumnRefExpr&>(*right_keys_[i]).name() != name) {
+      continue;
+    }
+    const int l = index_of(left_columns, name);
+    const int r = index_of(right_columns, name);
+    if (l < 0 || r < 0) continue;
+    shape.using_keys.emplace_back(l, r);
+    dropped[static_cast<size_t>(r)] = true;
+  }
+  for (size_t r = 0; r < right_columns.size(); ++r) {
+    if (dropped[r]) continue;
+    const std::string& name = right_columns[r];
+    shape.kept_right.push_back(static_cast<int>(r));
+    shape.kept_right_names.push_back(
+        index_of(left_columns, name) >= 0 ? name + "_r" : name);
+  }
+  shape.preserves_left = join_type_ == JoinType::kLeftOuter;
+  shape.preserves_right = join_type_ == JoinType::kRightOuter;
+  return shape;
+}
+
+JoinShape JoinNode::Shape() const {
+  return Shape(children_[0]->schema()->names(),
+               children_[1]->schema()->names());
 }
 
 std::string JoinNode::ToString() const {

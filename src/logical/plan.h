@@ -110,6 +110,9 @@ class LogicalPlan {
     kWithWatermark,
     kFlatMapGroupsWithState,
   };
+  /// "Scan", "StreamScan", "Filter", ... Persisted in plan manifests
+  /// (docs/UPGRADES.md), so a name never changes.
+  static const char* KindName(Kind kind);
 
   virtual ~LogicalPlan() = default;
 
@@ -215,6 +218,26 @@ class AggregateNode : public LogicalPlan {
   std::vector<AggSpec> aggregates_;
 };
 
+/// The shape of a join's output (DESIGN.md §4, item 5): every left
+/// column, then the kept right columns. The analyzer's output schema, the
+/// optimizer's pruning and filter pushdown, watermark propagation and the
+/// planner all read it from JoinNode::Shape, so they agree on it.
+struct JoinShape {
+  /// The right input columns the output keeps, in order, and their output
+  /// names. A right USING key (a key column named like the left key it is
+  /// paired with) is dropped; a kept right column named like a left column
+  /// is renamed `<name>_r`.
+  std::vector<int> kept_right;
+  std::vector<std::string> kept_right_names;
+  /// (left column, right column) of each USING key: a preserved right row
+  /// with no match coalesces its key into the kept left column.
+  std::vector<std::pair<int, int>> using_keys;
+  /// A preserved side's unmatched rows are emitted null-padded; a side
+  /// that is not preserved only supplies matches.
+  bool preserves_left = false;
+  bool preserves_right = false;
+};
+
 /// Equi-join. left_keys[i] pairs with right_keys[i].
 class JoinNode : public LogicalPlan {
  public:
@@ -224,6 +247,14 @@ class JoinNode : public LogicalPlan {
   JoinType join_type() const { return join_type_; }
   const std::vector<ExprPtr>& left_keys() const { return left_keys_; }
   const std::vector<ExprPtr>& right_keys() const { return right_keys_; }
+
+  /// The join's shape over inputs with these column names; needs no
+  /// analysis. A USING key missing from either input is not one (the
+  /// analyzer rejects the key).
+  JoinShape Shape(const std::vector<std::string>& left_columns,
+                  const std::vector<std::string>& right_columns) const;
+  /// The shape of an analyzed join, over its children's schemas.
+  JoinShape Shape() const;
 
   std::string ToString() const override;
 

@@ -298,36 +298,34 @@ class RuleRunner {
                                                    wm.delay_micros());
       }
       case LogicalPlan::Kind::kJoin: {
-        // Rule: push a filter to the join side that exclusively owns its
-        // columns (unambiguous by name).
+        // Rule: push a filter into the join input that exclusively owns its
+        // columns (unambiguous by name), if that input is an inner join's
+        // or a preserved one. Below an input that only supplies matches,
+        // the filter would turn the other side's matches into null-padded
+        // rows instead of dropping them.
         const auto& join = static_cast<const JoinNode&>(*child);
         auto lcols = OutputColumns(join.children()[0]);
         auto rcols = OutputColumns(join.children()[1]);
         if (!lcols || !rcols) break;
-        bool in_left = AnyRefIn(pred, *lcols);
-        bool in_right = AnyRefIn(pred, *rcols);
-        if (in_left && !in_right && AllRefsIn(pred, *lcols)) {
-          if (stats_) ++stats_->predicates_pushed;
-          auto pushed =
-              std::make_shared<FilterNode>(join.children()[0], pred);
-          return std::make_shared<JoinNode>(PlanPtr(pushed),
-                                            join.children()[1],
-                                            join.join_type(),
-                                            join.left_keys(),
-                                            join.right_keys());
+        const JoinShape shape = join.Shape(*lcols, *rcols);
+        const bool inner = join.join_type() == JoinType::kInner;
+        const bool in_left = AnyRefIn(pred, *lcols);
+        const bool in_right = AnyRefIn(pred, *rcols);
+        int side = -1;
+        if (in_left && !in_right && AllRefsIn(pred, *lcols) &&
+            (inner || shape.preserves_left)) {
+          side = 0;
+        } else if (in_right && !in_left && AllRefsIn(pred, *rcols) &&
+                   (inner || shape.preserves_right)) {
+          side = 1;
         }
-        if (in_right && !in_left && AllRefsIn(pred, *rcols) &&
-            join.join_type() == JoinType::kInner) {
-          if (stats_) ++stats_->predicates_pushed;
-          auto pushed =
-              std::make_shared<FilterNode>(join.children()[1], pred);
-          return std::make_shared<JoinNode>(join.children()[0],
-                                            PlanPtr(pushed),
-                                            join.join_type(),
-                                            join.left_keys(),
-                                            join.right_keys());
-        }
-        break;
+        if (side < 0) break;
+        if (stats_) ++stats_->predicates_pushed;
+        std::vector<PlanPtr> inputs = join.children();
+        inputs[static_cast<size_t>(side)] =
+            std::make_shared<FilterNode>(inputs[static_cast<size_t>(side)],
+                                         pred);
+        return CloneWith(child, std::move(inputs));
       }
       default:
         break;
@@ -532,13 +530,25 @@ PlanPtr PruneScanColumns(const PlanPtr& plan, const Required& required,
       Required lreq;
       Required rreq;
       if (required.has_value() && lcols.has_value() && rcols.has_value()) {
-        std::set<std::string> l(lcols->begin(), lcols->end());
-        std::set<std::string> r(rcols->begin(), rcols->end());
+        const JoinShape shape = node.Shape(*lcols, *rcols);
         std::set<std::string> lwant;
         std::set<std::string> rwant;
-        for (const std::string& name : *required) {
-          if (l.count(name)) lwant.insert(name);
-          if (r.count(name)) rwant.insert(name);
+        for (const std::string& name : *lcols) {
+          if (required->count(name)) lwant.insert(name);
+        }
+        // A right column is wanted when its output name is required, and
+        // also when its input name is (the same-named left column's): a
+        // stream-stream join stores whole input rows, and this keeps the
+        // row layout of join state already checkpointed. A wanted `_r`
+        // column keeps the left column its output name depends on.
+        for (size_t i = 0; i < shape.kept_right.size(); ++i) {
+          const std::string& name =
+              (*rcols)[static_cast<size_t>(shape.kept_right[i])];
+          const std::string& out = shape.kept_right_names[i];
+          if (required->count(out) || required->count(name)) {
+            rwant.insert(name);
+            if (out != name) lwant.insert(name);
+          }
         }
         for (const ExprPtr& k : node.left_keys()) AddRefs(k, &lwant);
         for (const ExprPtr& k : node.right_keys()) AddRefs(k, &rwant);

@@ -744,8 +744,7 @@ bool JoinKeysEqual(const std::vector<ColumnPtr>& a, int64_t i,
 
 Result<PhysOpPtr> StreamStaticJoinExec::Make(
     int op_id, PhysOpPtr stream_child, SchemaPtr out_schema,
-    std::vector<ExprPtr> stream_keys, SchemaPtr static_schema,
-    const std::vector<Row>& static_rows,
+    std::vector<ExprPtr> stream_keys, RecordBatchPtr static_side,
     const std::vector<ExprPtr>& static_keys,
     std::vector<int> stream_output_indices,
     std::vector<int> static_output_indices, bool stream_first,
@@ -758,9 +757,7 @@ Result<PhysOpPtr> StreamStaticJoinExec::Make(
   op->stream_first_ = stream_first;
   op->preserve_stream_ = preserve_stream;
   op->static_from_stream_ = std::move(static_from_stream);
-  SS_ASSIGN_OR_RETURN(op->static_,
-                      RecordBatch::FromRows(std::move(static_schema),
-                                            static_rows));
+  op->static_ = std::move(static_side);
   std::vector<ColumnPtr>& keys = op->static_keys_;
   keys.resize(static_keys.size());
   for (size_t k = 0; k < static_keys.size(); ++k) {
@@ -909,17 +906,13 @@ Result<std::vector<std::pair<bool, Row>>> DecodeSideRows(
 StreamStreamJoinExec::StreamStreamJoinExec(
     int op_id, PhysOpPtr left, PhysOpPtr right, SchemaPtr out_schema,
     std::vector<ExprPtr> left_keys, std::vector<ExprPtr> right_keys,
-    JoinType join_type, std::vector<int> right_output_indices,
-    int left_time_index, int right_time_index,
-    std::vector<std::pair<int, int>> left_from_right)
+    JoinShape shape, int left_time_index, int right_time_index)
     : PhysOp(op_id, std::move(out_schema), {left, right}),
       left_keys_(std::move(left_keys)),
       right_keys_(std::move(right_keys)),
-      join_type_(join_type),
-      right_output_indices_(std::move(right_output_indices)),
+      shape_(std::move(shape)),
       left_time_index_(left_time_index),
-      right_time_index_(right_time_index),
-      left_from_right_(std::move(left_from_right)) {
+      right_time_index_(right_time_index) {
   left_arity_ = children_[0]->schema()->num_fields();
 }
 
@@ -932,13 +925,13 @@ Row StreamStreamJoinExec::JoinedRow(const Row* left, const Row* right) const {
     out.insert(out.end(), static_cast<size_t>(left_arity_), Value::Null());
     // USING-join key coalescing for null-padded right-outer results.
     if (right != nullptr) {
-      for (const auto& [left_idx, right_idx] : left_from_right_) {
+      for (const auto& [left_idx, right_idx] : shape_.using_keys) {
         out[static_cast<size_t>(left_idx)] =
             (*right)[static_cast<size_t>(right_idx)];
       }
     }
   }
-  for (int idx : right_output_indices_) {
+  for (int idx : shape_.kept_right) {
     out.push_back(right != nullptr ? (*right)[static_cast<size_t>(idx)]
                                    : Value::Null());
   }
@@ -1081,8 +1074,7 @@ Result<std::vector<RecordBatchPtr>> StreamStreamJoinExec::ExecuteImpl(
         const bool is_left = store_key[0] == 'L';
         const int time_index = is_left ? left_time_index_ : right_time_index_;
         const bool preserved =
-            (is_left && join_type_ == JoinType::kLeftOuter) ||
-            (!is_left && join_type_ == JoinType::kRightOuter);
+            is_left ? shape_.preserves_left : shape_.preserves_right;
         std::vector<std::pair<bool, Row>> kept;
         for (auto& [matched, row] : entry.rows) {
           bool expire;

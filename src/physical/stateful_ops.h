@@ -68,15 +68,14 @@ class DedupExec : public PhysOp {
 /// typed, and a NULL key never matches.
 class StreamStaticJoinExec : public PhysOp {
  public:
+  /// `static_side` is the static input, a batch without a selection.
   /// `static_from_stream`: (static column index -> stream column index)
   /// pairs used to coalesce USING-join keys: when a preserved stream row has
   /// no static match, the dropped duplicate key column takes the stream's
-  /// key value instead of NULL. Fails when the static rows do not fit
-  /// `static_schema` or a static key does not evaluate.
+  /// key value instead of NULL. Fails when a static key does not evaluate.
   static Result<PhysOpPtr> Make(
       int op_id, PhysOpPtr stream_child, SchemaPtr out_schema,
-      std::vector<ExprPtr> stream_keys, SchemaPtr static_schema,
-      const std::vector<Row>& static_rows,
+      std::vector<ExprPtr> stream_keys, RecordBatchPtr static_side,
       const std::vector<ExprPtr>& static_keys,
       std::vector<int> stream_output_indices,
       std::vector<int> static_output_indices, bool stream_first,
@@ -112,15 +111,12 @@ class StreamStaticJoinExec : public PhysOp {
 /// require a watermarked column).
 class StreamStreamJoinExec : public PhysOp {
  public:
-  /// `left_from_right`: (left column index -> right column index) pairs for
-  /// coalescing USING-join keys when an unmatched right row is emitted
-  /// null-padded in a right-outer join.
+  /// `shape` names the kept right columns, the USING keys an unmatched
+  /// right row coalesces into the left columns, and the preserved sides.
   StreamStreamJoinExec(int op_id, PhysOpPtr left, PhysOpPtr right,
                        SchemaPtr out_schema, std::vector<ExprPtr> left_keys,
-                       std::vector<ExprPtr> right_keys, JoinType join_type,
-                       std::vector<int> right_output_indices,
-                       int left_time_index, int right_time_index,
-                       std::vector<std::pair<int, int>> left_from_right = {});
+                       std::vector<ExprPtr> right_keys, JoinShape shape,
+                       int left_time_index, int right_time_index);
 
   std::string name() const override { return "StreamStreamJoin"; }
   Result<std::vector<RecordBatchPtr>> ExecuteImpl(ExecContext* ctx) override;
@@ -130,13 +126,11 @@ class StreamStreamJoinExec : public PhysOp {
 
   std::vector<ExprPtr> left_keys_;
   std::vector<ExprPtr> right_keys_;
-  JoinType join_type_;
-  std::vector<int> right_output_indices_;
+  JoinShape shape_;
   int left_arity_ = 0;
   // Event-time column index per side for watermark eviction; -1 = none.
   int left_time_index_;
   int right_time_index_;
-  std::vector<std::pair<int, int>> left_from_right_;
 };
 
 /// (flat)mapGroupsWithState (paper §4.3.2): arbitrary per-key user state

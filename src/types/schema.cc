@@ -10,6 +10,13 @@ std::string Field::ToString() const {
   return out;
 }
 
+std::vector<std::string> Schema::names() const {
+  std::vector<std::string> out;
+  out.reserve(fields_.size());
+  for (const Field& f : fields_) out.push_back(f.name);
+  return out;
+}
+
 int Schema::IndexOf(const std::string& name) const {
   for (size_t i = 0; i < fields_.size(); ++i) {
     if (fields_[i].name == name) return static_cast<int>(i);

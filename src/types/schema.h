@@ -39,6 +39,7 @@ class Schema {
   int num_fields() const { return static_cast<int>(fields_.size()); }
   const Field& field(int i) const { return fields_[static_cast<size_t>(i)]; }
   const std::vector<Field>& fields() const { return fields_; }
+  std::vector<std::string> names() const;
 
   /// Index of the field named `name`, or -1 if absent.
   int IndexOf(const std::string& name) const;

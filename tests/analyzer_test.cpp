@@ -124,15 +124,6 @@ TEST(AnalyzerTest, JoinKeyTypeMismatch) {
   EXPECT_FALSE(Analyzer::Analyze(joined.plan()).ok());
 }
 
-TEST(AnalyzerTest, CollectWatermarkColumns) {
-  DataFrame df = StreamDf()
-                     .WithWatermark("time", 10 * kSecond)
-                     .Where(Eq(Col("country"), Lit("ca")));
-  auto wm = CollectWatermarkColumns(df.plan());
-  ASSERT_EQ(wm.size(), 1u);
-  EXPECT_EQ(wm["time"], 10 * kSecond);
-}
-
 // --- Output mode validation (§5.1) ---
 
 TEST(OutputModeTest, AppendWithNonWindowedAggregationRejected) {

@@ -139,9 +139,11 @@ TEST(JoinTest, NullKeysNeverMatch) {
   }
 
   // Stream-stream left outer: the NULL-keyed left row is null-padded once
-  // the watermark evicts it, like any unmatched row.
-  {
-    SCOPED_TRACE("stream-stream left outer");
+  // the watermark evicts it, like any unmatched row; also when the left
+  // event time reaches the join under another name.
+  for (bool renamed : {false, true}) {
+    SCOPED_TRACE(renamed ? "stream-stream left outer, event time renamed"
+                         : "stream-stream left outer");
     auto lts = Schema::Make({{"k", TypeId::kInt64, true},
                              {"l", TypeId::kString, false},
                              {"lt", TypeId::kTimestamp, false}});
@@ -150,11 +152,15 @@ TEST(JoinTest, NullKeysNeverMatch) {
                              {"rt", TypeId::kTimestamp, false}});
     auto left = std::make_shared<MemoryStream>("l", lts, 1);
     auto right = std::make_shared<MemoryStream>("r", rts, 1);
-    DataFrame df =
-        DataFrame::ReadStream(left)
-            .WithWatermark("lt", 2 * kSec)
-            .Join(DataFrame::ReadStream(right).WithWatermark("rt", 2 * kSec),
-                  {"k"}, JoinType::kLeftOuter);
+    DataFrame left_side =
+        DataFrame::ReadStream(left).WithWatermark("lt", 2 * kSec);
+    if (renamed) {
+      left_side = left_side.Select(
+          {As(Col("k"), "k"), As(Col("l"), "l"), As(Col("lt"), "et")});
+    }
+    DataFrame df = left_side.Join(
+        DataFrame::ReadStream(right).WithWatermark("rt", 2 * kSec), {"k"},
+        JoinType::kLeftOuter);
     auto at = [](Row row, int64_t sec) {
       row.push_back(Value::Timestamp(sec * kSec));
       return row;
@@ -188,6 +194,11 @@ TEST(JoinTest, NullKeysNeverMatch) {
       left_static.Join(right_static, {"k"}, JoinType::kLeftOuter));
   ASSERT_TRUE(outer.ok()) << outer.status().ToString();
   ExpectSameRows(*outer, {matched, padded});
+  auto right_outer = RunBatch(
+      left_static.Join(right_static, {"k"}, JoinType::kRightOuter));
+  ASSERT_TRUE(right_outer.ok()) << right_outer.status().ToString();
+  ExpectSameRows(*right_outer,
+                 {matched, {Value::Null(), Value::Null(), Value::Str("x")}});
 }
 
 TEST(JoinTest, NumericKeysMatchAcrossTypes) {
@@ -360,9 +371,94 @@ TEST(JoinTest, UsingKeyOfTwoNumericTypesHasTheCommonType) {
       left_static.Join(right_static, {"k"}, JoinType::kLeftOuter));
   ASSERT_TRUE(outer.ok()) << outer.status().ToString();
   ExpectSameRows(*outer, {matched, left_padded});
+  auto right_outer = RunBatch(
+      left_static.Join(right_static, {"k"}, JoinType::kRightOuter));
+  ASSERT_TRUE(right_outer.ok()) << right_outer.status().ToString();
+  ExpectSameRows(*right_outer, {matched, right_padded});
   auto inner = RunBatch(left_static.Join(right_static, {"k"}));
   ASSERT_TRUE(inner.ok()) << inner.status().ToString();
   ExpectSameRows(*inner, {matched});
+}
+
+// A right column named like a left column is the output column `<name>_r`;
+// selecting it by that name keeps it through scan pruning.
+TEST(JoinTest, RenamedRightColumnSurvivesPruning) {
+  SchemaPtr ls = KeyedSchema(TypeId::kInt64, "k", "v");
+  SchemaPtr rs = KeyedSchema(TypeId::kInt64, "k", "v");
+  const Row left_one = {Value::Int64(1), Value::Str("b")};
+  const Row right_one = {Value::Int64(1), Value::Str("y")};
+  const std::vector<Row> want = {{Value::Int64(1), Value::Str("y")}};
+  DataFrame right_static = DataFrame::FromRows(rs, {right_one}).TakeValue();
+  auto batch = RunBatch(DataFrame::FromRows(ls, {left_one})
+                            .TakeValue()
+                            .Join(right_static, {"k"})
+                            .SelectColumns({"k", "v_r"}));
+  ASSERT_TRUE(batch.ok()) << batch.status().ToString();
+  ExpectSameRows(*batch, want);
+  auto stream = std::make_shared<MemoryStream>("l", ls, 2);
+  DataFrame df = DataFrame::ReadStream(stream)
+                     .Join(right_static, {"k"})
+                     .SelectColumns({"k", "v_r"});
+  ExpectSameRows(RunStream(df, {stream}, {{{left_one}}}), want);
+}
+
+// A filter over one side's columns above an outer join keeps only the
+// joined rows it accepts. The optimizer moves it below the join only into a
+// preserved side: below a side that only supplies matches, it would turn
+// the other side's rejected matches into null-padded rows.
+TEST(JoinTest, FilterAboveOuterJoinDropsRejectedRows) {
+  SchemaPtr ls = KeyedSchema(TypeId::kInt64, "k", "l");
+  SchemaPtr rs = KeyedSchema(TypeId::kInt64, "k", "r");
+  auto row = [](int64_t k, const char* v) {
+    return Row{Value::Int64(k), Value::Str(v)};
+  };
+  const std::vector<Row> left_rows = {row(1, "b"), row(2, "c"), row(4, "d")};
+  const std::vector<Row> right_rows = {row(1, "y"), row(2, "z"), row(3, "w")};
+  auto joined = [](int64_t k, Value l, Value r) {
+    return Row{Value::Int64(k), std::move(l), std::move(r)};
+  };
+  struct Case {
+    const char* name;
+    JoinType type;
+    ExprPtr predicate;
+    std::vector<Row> want;
+  };
+  const std::vector<Case> cases = {
+      {"right outer, left column", JoinType::kRightOuter,
+       Eq(Col("l"), Lit("b")),
+       {joined(1, Value::Str("b"), Value::Str("y"))}},
+      {"right outer, right column", JoinType::kRightOuter,
+       Eq(Col("r"), Lit("w")),
+       {joined(3, Value::Null(), Value::Str("w"))}},
+      {"left outer, right column", JoinType::kLeftOuter,
+       Eq(Col("r"), Lit("y")),
+       {joined(1, Value::Str("b"), Value::Str("y"))}},
+      {"left outer, left column", JoinType::kLeftOuter,
+       Eq(Col("l"), Lit("d")),
+       {joined(4, Value::Str("d"), Value::Null())}},
+  };
+  DataFrame left_static = DataFrame::FromRows(ls, left_rows).TakeValue();
+  DataFrame right_static = DataFrame::FromRows(rs, right_rows).TakeValue();
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    // The stream is the preserved side.
+    const bool stream_left = c.type == JoinType::kLeftOuter;
+    auto stream = std::make_shared<MemoryStream>("s", stream_left ? ls : rs,
+                                                 2);
+    DataFrame df =
+        (stream_left ? DataFrame::ReadStream(stream) : left_static)
+            .Join(stream_left ? right_static : DataFrame::ReadStream(stream),
+                  {"k"}, c.type)
+            .Where(c.predicate);
+    ExpectSameRows(
+        RunStream(df, {stream}, {{stream_left ? left_rows : right_rows}}),
+        c.want);
+    auto batch =
+        RunBatch(left_static.Join(right_static, {"k"}, c.type).Where(
+            c.predicate));
+    ASSERT_TRUE(batch.ok()) << batch.status().ToString();
+    ExpectSameRows(*batch, c.want);
+  }
 }
 
 // ---------------------------------------------------------------------------

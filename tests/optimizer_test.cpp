@@ -127,14 +127,45 @@ TEST(OptimizerTest, PushesFilterIntoJoinSide) {
                                  {"tag", TypeId::kString, false}}),
                    {{Value::Int64(1), Value::Str("x")}})
                    .TakeValue();
-  DataFrame df = StreamDf()
-                     .Join(right, {Col("a")}, {Col("k")})
-                     .Where(Eq(Col("tag"), Lit("x")));
-  Optimizer::Stats stats;
-  PlanPtr opt = Optimizer::Optimize(df.plan(), &stats);
-  EXPECT_GE(stats.predicates_pushed, 1);
-  ASSERT_EQ(opt->kind(), LogicalPlan::Kind::kJoin);
-  EXPECT_EQ(opt->children()[1]->kind(), LogicalPlan::Kind::kFilter);
+  // A filter over one input's columns moves into that input when the join
+  // is inner or preserves it; above a side that only supplies matches it
+  // stays above the join.
+  struct Case {
+    const char* name;
+    JoinType type;
+    ExprPtr predicate;
+    int pushed_into;  // 0 left, 1 right, -1 stays above
+  };
+  const Case cases[] = {
+      {"inner, right column", JoinType::kInner, Eq(Col("tag"), Lit("x")), 1},
+      {"inner, left column", JoinType::kInner, Gt(Col("b"), Lit(0)), 0},
+      {"left outer, left column", JoinType::kLeftOuter, Gt(Col("b"), Lit(0)),
+       0},
+      {"left outer, right column", JoinType::kLeftOuter,
+       Eq(Col("tag"), Lit("x")), -1},
+      {"right outer, left column", JoinType::kRightOuter,
+       Gt(Col("b"), Lit(0)), -1},
+      {"right outer, right column", JoinType::kRightOuter,
+       Eq(Col("tag"), Lit("x")), 1},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    DataFrame df = StreamDf()
+                       .Join(right, {Col("a")}, {Col("k")}, c.type)
+                       .Where(c.predicate);
+    Optimizer::Stats stats;
+    PlanPtr opt = Optimizer::Optimize(df.plan(), &stats);
+    if (c.pushed_into < 0) {
+      EXPECT_EQ(stats.predicates_pushed, 0);
+      ASSERT_EQ(opt->kind(), LogicalPlan::Kind::kFilter);
+      EXPECT_EQ(opt->children()[0]->kind(), LogicalPlan::Kind::kJoin);
+    } else {
+      EXPECT_GE(stats.predicates_pushed, 1);
+      ASSERT_EQ(opt->kind(), LogicalPlan::Kind::kJoin);
+      EXPECT_EQ(opt->children()[static_cast<size_t>(c.pushed_into)]->kind(),
+                LogicalPlan::Kind::kFilter);
+    }
+  }
 }
 
 TEST(OptimizerTest, RemovesTrueFilter) {

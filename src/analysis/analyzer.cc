@@ -214,6 +214,18 @@ Result<PlanPtr> Analyzer::Analyze(const PlanPtr& plan) {
         rkeys.push_back(std::move(rk));
       }
       std::vector<Field> fields = left->schema()->fields();
+      if (shape.preserves_right) {
+        // A preserved right row without a match null-pads the left
+        // columns, except a USING key, which takes the right row's key.
+        std::vector<bool> coalesced(fields.size(), false);
+        for (const auto& [l, r] : shape.using_keys) {
+          coalesced[static_cast<size_t>(l)] =
+              !right->schema()->field(r).nullable;
+        }
+        for (size_t c = 0; c < fields.size(); ++c) {
+          if (!coalesced[c]) fields[c].nullable = true;
+        }
+      }
       for (size_t i = 0; i < shape.kept_right.size(); ++i) {
         Field out_field = right->schema()->field(shape.kept_right[i]);
         out_field.name = shape.kept_right_names[i];

@@ -1,5 +1,6 @@
 #include "bus/partition_log.h"
 
+#include <algorithm>
 #include <string>
 
 namespace sstreaming {
@@ -62,7 +63,7 @@ Status PartitionLog::AppendRows(std::span<const Row> rows,
     Column& column = columns_[c];
     for (const Row& row : rows) column.AppendValue(row[c]);
   }
-  ingest_.resize(ingest_.size() + rows.size(), ingest_micros);
+  AddStamps(static_cast<int64_t>(rows.size()), ingest_micros);
   return Status::OK();
 }
 
@@ -85,7 +86,7 @@ Status PartitionLog::AppendBatch(const RecordBatch& batch,
   for (size_t c = 0; c < arity; ++c) {
     batch.AppendColumnRange(static_cast<int>(c), 0, n, &columns_[c]);
   }
-  ingest_.resize(ingest_.size() + static_cast<size_t>(n), ingest_micros);
+  AddStamps(n, ingest_micros);
   return Status::OK();
 }
 
@@ -129,13 +130,26 @@ std::vector<Row> PartitionLog::ReadRows(int64_t start, int64_t end) const {
   return rows;
 }
 
+void PartitionLog::AddStamps(int64_t n, int64_t ingest_micros) {
+  if (ingest_.empty() || ingest_.back().micros != ingest_micros) {
+    ingest_.push_back(IngestRun{size_, ingest_micros});
+  }
+  size_ += n;
+}
+
 int64_t PartitionLog::OldestIngestMicros(int64_t start, int64_t end) const {
   if (start < 0) start = 0;
   if (end > size()) end = size();
+  if (start >= end) return 0;
+  // The run holding `start`: the last one that begins at or before it.
+  auto run = std::upper_bound(
+      ingest_.begin(), ingest_.end(), start,
+      [](int64_t offset, const IngestRun& r) { return offset < r.first; });
+  --run;
   // Undated records (stamp 0) don't pull the minimum to zero.
   int64_t oldest = 0;
-  for (int64_t i = start; i < end; ++i) {
-    int64_t s = ingest_[static_cast<size_t>(i)];
+  for (; run != ingest_.end() && run->first < end; ++run) {
+    const int64_t s = run->micros;
     if (s > 0 && (oldest == 0 || s < oldest)) oldest = s;
   }
   return oldest;

@@ -13,8 +13,10 @@
 namespace sstreaming {
 
 /// One partition of an append-only record log, stored column-major: one
-/// typed Column per record field plus a parallel vector of ingest stamps.
-/// The storage behind MessageBus partitions and MemoryStream partitions.
+/// typed Column per record field, plus the ingest stamps as runs (every
+/// append stamps all its records alike, so one run per append, merged with
+/// the run before it when the stamps are equal). The storage behind
+/// MessageBus partitions and MemoryStream partitions.
 ///
 /// Typing: a column takes the TypeId of the first non-null value appended to
 /// it; until then it is a kNull column, retyped (and back-filled with nulls)
@@ -29,7 +31,7 @@ namespace sstreaming {
 class PartitionLog {
  public:
   /// Number of records (one past the last offset).
-  int64_t size() const { return static_cast<int64_t>(ingest_.size()); }
+  int64_t size() const { return size_; }
 
   /// Appends boxed records, all stamped `ingest_micros` (0 = undated).
   /// InvalidArgument, appending nothing, when a record's arity or a value's
@@ -56,7 +58,8 @@ class PartitionLog {
   /// Precondition: 0 <= start, end <= size().
   std::vector<Row> ReadRows(int64_t start, int64_t end) const;
 
-  /// Oldest non-zero ingest stamp in [start, end) (clamped), or 0.
+  /// Oldest non-zero ingest stamp in [start, end) (clamped), or 0. A binary
+  /// search for the run holding `start`, then the runs up to `end`.
   int64_t OldestIngestMicros(int64_t start, int64_t end) const;
 
  private:
@@ -67,8 +70,18 @@ class PartitionLog {
   /// still-kNull columns (back-filled with nulls) to `types`.
   void AdoptTypes(const std::vector<TypeId>& types);
 
+  /// Records `n` appended records stamped `ingest_micros`.
+  void AddStamps(int64_t n, int64_t ingest_micros);
+
+  /// Records [first, next run's first) are stamped `micros`.
+  struct IngestRun {
+    int64_t first;
+    int64_t micros;
+  };
+
   std::vector<Column> columns_;
-  std::vector<int64_t> ingest_;
+  std::vector<IngestRun> ingest_;  // ascending `first`, the first at 0
+  int64_t size_ = 0;
 };
 
 }  // namespace sstreaming

@@ -16,8 +16,6 @@ class Clock {
 
   /// Current time in microseconds since an arbitrary epoch.
   virtual int64_t NowMicros() const = 0;
-
-  int64_t NowMillis() const { return NowMicros() / 1000; }
 };
 
 /// Wall-clock time.
@@ -38,7 +36,6 @@ class ManualClock : public Clock {
 
   void AdvanceMicros(int64_t delta) { now_.fetch_add(delta); }
   void AdvanceMillis(int64_t delta) { AdvanceMicros(delta * 1000); }
-  void SetMicros(int64_t t) { now_.store(t); }
 
  private:
   std::atomic<int64_t> now_;

@@ -43,7 +43,6 @@ class Json {
   double double_value() const;
   const std::string& string_value() const { return str_; }
   const std::vector<Json>& array_items() const { return arr_; }
-  const std::map<std::string, Json>& object_items() const { return obj_; }
 
   /// Appends to an array value.
   void Append(Json v);

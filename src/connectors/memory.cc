@@ -1,6 +1,8 @@
 #include "connectors/memory.h"
 
 #include <algorithm>
+#include <array>
+#include <type_traits>
 
 #include "common/logging.h"
 #include "testing/failpoints.h"
@@ -35,18 +37,6 @@ Status MemoryStream::AddData(const std::vector<Row>& rows) {
   next_partition_ =
       static_cast<int>((next_partition_ + batch->num_rows()) % n);
   return Status::OK();
-}
-
-Status MemoryStream::AddDataToPartition(int partition,
-                                        const std::vector<Row>& rows) {
-  if (partition < 0 || partition >= num_partitions_) {
-    return Status::OutOfRange("bad partition");
-  }
-  SS_ASSIGN_OR_RETURN(RecordBatchPtr batch,
-                      RecordBatch::FromRows(schema_, rows));
-  std::lock_guard<std::mutex> lock(mu_);
-  int64_t now = ingest_clock_ ? ingest_clock_->NowMicros() : 0;
-  return partitions_[static_cast<size_t>(partition)].AppendBatch(*batch, now);
 }
 
 Result<std::vector<int64_t>> MemoryStream::LatestOffsets() const {
@@ -168,66 +158,162 @@ std::vector<TypeId> MemorySink::UpdateTable::types() const {
   return out;
 }
 
+namespace {
+
+// One column of an upsert: the table's column, the batch's, and whether
+// either holds a null (else the cell kernels touch no validity byte).
+struct UpsertColumn {
+  Column* dst;
+  const Column* src;
+  bool nulls;
+};
+
+// An upsert's columns grouped by physical kind (indexed by PhysicalKind),
+// the key columns apart from the rest. The grouping is the batch's one kind
+// dispatch: the row loop runs each group's typed cell kernels over its
+// columns.
+using KindGroups = std::array<std::vector<UpsertColumn>, 5>;
+struct UpsertColumns {
+  KindGroups keys;
+  KindGroups values;
+};
+
+// The row loop's cell work over the kind groups Ks (the others are empty).
+template <PhysicalKind... Ks>
+struct UpsertKernels {
+  // Calls f(column, kind) for each column of the groups Ks, in kind order,
+  // until f returns false; true if it never did.
+  template <typename F>
+  [[gnu::always_inline]] static bool ForEach(const KindGroups& groups,
+                                             const F& f) {
+    auto group = [&](auto kind) {
+      for (const UpsertColumn& c : groups[static_cast<size_t>(kind.value)]) {
+        if (!f(c, kind)) return false;
+      }
+      return true;
+    };
+    return (group(std::integral_constant<PhysicalKind, Ks>()) && ...);
+  }
+  // The key columns of table row r equal those of batch row j.
+  [[gnu::always_inline]] static bool SameKey(const UpsertColumns& cols,
+                                             uint32_t r, int64_t j) {
+    return ForEach(cols.keys, [&](const UpsertColumn& c, auto kind) {
+      return c.dst->template CellEquals<decltype(kind)::value>(r, *c.src, j,
+                                                               c.nulls);
+    });
+  }
+  // Overwrites table row r's non-key cells with batch row j's.
+  [[gnu::always_inline]] static void Set(const UpsertColumns& cols,
+                                         uint32_t r, int64_t j) {
+    ForEach(cols.values, [&](const UpsertColumn& c, auto kind) {
+      c.dst->template SetCell<decltype(kind)::value>(r, *c.src, j, c.nulls);
+      return true;
+    });
+  }
+  // Appends batch row j as a new table row.
+  [[gnu::always_inline]] static void Append(const UpsertColumns& cols,
+                                            int64_t j) {
+    auto append = [&](const UpsertColumn& c, auto kind) {
+      c.dst->template AppendCell<decltype(kind)::value>(*c.src, j, c.nulls);
+      return true;
+    };
+    ForEach(cols.keys, append);
+    ForEach(cols.values, append);
+  }
+  // Cache hint for table row r's cells.
+  [[gnu::always_inline]] static void Prefetch(const UpsertColumns& cols,
+                                              uint32_t r) {
+    auto prefetch = [&](const UpsertColumn& c, auto kind) {
+      c.dst->template PrefetchCell<decltype(kind)::value>(r, c.nulls);
+      return true;
+    };
+    ForEach(cols.keys, prefetch);
+    ForEach(cols.values, prefetch);
+  }
+};
+
+// The upsert's row loop, over the kind groups `Kernels` visits. One pass:
+// each row's probe, key compare and overwrite run while the prefetched
+// row's lines are in cache.
+template <typename Kernels>
+void UpsertRows(const RecordBatch& batch, const UpsertColumns& cols,
+                const std::vector<uint64_t>& hashes, const Column& first,
+                KeyIndex* index) {
+  constexpr int64_t kHomeAhead = 16;
+  constexpr int64_t kRowAhead = 8;
+  auto prefetch_row = [&cols](uint32_t r) { Kernels::Prefetch(cols, r); };
+  const int64_t n = batch.num_rows();
+  for (int64_t i = 0; i < n; ++i) {
+    if (i + kHomeAhead < n) {
+      const int64_t ahead = batch.PhysIndex(i + kHomeAhead);
+      index->PrefetchHome(hashes[static_cast<size_t>(ahead)]);
+    }
+    if (i + kRowAhead < n) {
+      const int64_t ahead = batch.PhysIndex(i + kRowAhead);
+      index->PrefetchMatch(hashes[static_cast<size_t>(ahead)], prefetch_row);
+    }
+    const int64_t phys = batch.PhysIndex(i);
+    const uint64_t hash = hashes[static_cast<size_t>(phys)];
+    size_t slot;
+    const uint32_t r = index->Find(
+        hash, [&](uint32_t row) { return Kernels::SameKey(cols, row, phys); },
+        &slot);
+    if (r == KeyIndex::kAbsent) {
+      index->Insert(slot, hash, static_cast<uint32_t>(first.size()));
+      Kernels::Append(cols, phys);
+      continue;
+    }
+    Kernels::Set(cols, r, phys);
+  }
+}
+
+}  // namespace
+
 void MemorySink::UpdateTable::Upsert(const RecordBatch& batch,
                                      int num_key_columns) {
   const int64_t n = batch.num_rows();
   if (n == 0) return;
   const size_t arity = static_cast<size_t>(batch.num_columns());
   const size_t num_keys = static_cast<size_t>(num_key_columns);
-  std::vector<const Column*> src(arity);
-  for (size_t c = 0; c < arity; ++c) {
-    src[c] = batch.column(static_cast<int>(c)).get();
-  }
   if (columns_.empty()) columns_.assign(arity, Column(TypeId::kNull));
+  UpsertColumns cols;
+  bool all_int64 = true;
   for (size_t c = 0; c < arity; ++c) {
+    const Column* src = batch.column(static_cast<int>(c)).get();
     // A column that holds only nulls takes the first real type it meets.
     if (columns_[c].type() == TypeId::kNull &&
-        src[c]->type() != TypeId::kNull) {
-      Column typed(src[c]->type());
+        src->type() != TypeId::kNull) {
+      Column typed(src->type());
       typed.AppendNulls(num_rows());
       columns_[c] = std::move(typed);
     }
+    Column* dst = &columns_[c];
+    const PhysicalKind kind = PhysicalKindOf(dst->type());
+    all_int64 = all_int64 && kind == PhysicalKind::kInt64;
+    auto& groups = c < num_keys ? cols.keys : cols.values;
+    groups[static_cast<size_t>(kind)].push_back(
+        UpsertColumn{dst, src, dst->has_nulls() || src->has_nulls()});
   }
   // Hash the whole batch's keys first, one column kernel per key column:
   // the probe loop then knows every home slot in advance and prefetches a
   // fixed distance ahead.
   batch_hashes_.assign(static_cast<size_t>(batch.physical_rows()), 0);
-  for (size_t c = 0; c < num_keys; ++c) src[c]->HashInto(&batch_hashes_);
+  for (size_t c = 0; c < num_keys; ++c) {
+    batch.column(static_cast<int>(c))->HashInto(&batch_hashes_);
+  }
   // Room for every row to be new, so no growth moves the slots mid-batch.
   index_.Reserve(static_cast<size_t>(n));
-  constexpr int64_t kHomeAhead = 16;
-  constexpr int64_t kRowAhead = 8;
-  auto prefetch_row = [this](uint32_t r) {
-    for (const Column& column : columns_) column.PrefetchValue(r);
-  };
-  for (int64_t i = 0; i < n; ++i) {
-    if (i + kHomeAhead < n) {
-      const int64_t ahead = batch.PhysIndex(i + kHomeAhead);
-      index_.PrefetchHome(batch_hashes_[static_cast<size_t>(ahead)]);
-    }
-    if (i + kRowAhead < n) {
-      const int64_t ahead = batch.PhysIndex(i + kRowAhead);
-      index_.PrefetchMatch(batch_hashes_[static_cast<size_t>(ahead)],
-                           prefetch_row);
-    }
-    const int64_t phys = batch.PhysIndex(i);
-    const uint64_t hash = batch_hashes_[static_cast<size_t>(phys)];
-    auto same_key = [&](uint32_t r) {
-      for (size_t c = 0; c < num_keys; ++c) {
-        if (!columns_[c].ValueEquals(r, *src[c], phys)) return false;
-      }
-      return true;
-    };
-    size_t slot;
-    const uint32_t r = index_.Find(hash, same_key, &slot);
-    if (r == KeyIndex::kAbsent) {
-      index_.Insert(slot, hash, static_cast<uint32_t>(num_rows()));
-      for (size_t c = 0; c < arity; ++c) columns_[c].AppendFrom(*src[c], phys);
-      continue;
-    }
-    for (size_t c = num_keys; c < arity; ++c) {
-      columns_[c].SetFrom(r, *src[c], phys);
-    }
+  // Int64-backed columns only (ints, timestamps, counts, window bounds:
+  // the common result table) visit one kind group per row; any other mix
+  // visits all five.
+  if (all_int64) {
+    UpsertRows<UpsertKernels<PhysicalKind::kInt64>>(batch, cols, batch_hashes_,
+                                                    columns_[0], &index_);
+  } else {
+    UpsertRows<UpsertKernels<PhysicalKind::kNone, PhysicalKind::kBool,
+                             PhysicalKind::kInt64, PhysicalKind::kFloat64,
+                             PhysicalKind::kString>>(
+        batch, cols, batch_hashes_, columns_[0], &index_);
   }
 }
 

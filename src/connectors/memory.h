@@ -37,8 +37,6 @@ class MemoryStream : public Source {
   /// arity or value types do not fit the schema (RecordBatch::FromRows)
   /// are rejected with InvalidArgument and nothing is added.
   Status AddData(const std::vector<Row>& rows);
-  /// Appends rows to one partition (same checks as AddData).
-  Status AddDataToPartition(int partition, const std::vector<Row>& rows);
 
   const std::string& name() const override { return name_; }
   SchemaPtr schema() const override { return schema_; }

@@ -162,10 +162,7 @@ void ContinuousQuery::WorkerLoop(int partition) {
 }
 
 Status ContinuousQuery::CommitEpochMarker() {
-  if (wal_ == nullptr) {
-    ++epochs_committed_;
-    return Status::OK();
-  }
+  if (wal_ == nullptr) return Status::OK();
   EpochPlan plan;
   plan.epoch = next_epoch_;
   SourceOffsets so;
@@ -179,7 +176,6 @@ Status ContinuousQuery::CommitEpochMarker() {
   SS_RETURN_IF_ERROR(wal_->WriteCommit(plan.epoch));
   epoch_start_positions_ = so.end;
   ++next_epoch_;
-  ++epochs_committed_;
   return Status::OK();
 }
 

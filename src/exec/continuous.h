@@ -68,7 +68,6 @@ class ContinuousQuery {
   void Stop();
 
   int64_t records_processed() const { return records_processed_.load(); }
-  int64_t epochs_committed() const { return epochs_committed_.load(); }
   bool IsActive() const { return active_.load(); }
   /// The first error a worker or the master stopped on (OK if none).
   Status error() const {
@@ -96,7 +95,6 @@ class ContinuousQuery {
   std::atomic<bool> stop_{false};
   std::atomic<bool> active_{false};
   std::atomic<int64_t> records_processed_{0};
-  std::atomic<int64_t> epochs_committed_{0};
   std::atomic<int64_t> chunk_counter_{0};
   std::vector<std::unique_ptr<std::atomic<int64_t>>> positions_;
   std::vector<int64_t> epoch_start_positions_;

@@ -847,7 +847,6 @@ ExprPtr Lit(double v) { return Lit(Value::Float64(v)); }
 ExprPtr Lit(const char* v) { return Lit(Value::Str(v)); }
 ExprPtr Lit(std::string v) { return Lit(Value::Str(std::move(v))); }
 ExprPtr Lit(bool v) { return Lit(Value::Bool(v)); }
-ExprPtr LitTimestamp(int64_t micros) { return Lit(Value::Timestamp(micros)); }
 
 namespace {
 ExprPtr MakeBinary(BinaryOp op, ExprPtr a, ExprPtr b) {

@@ -268,7 +268,6 @@ ExprPtr Lit(double v);
 ExprPtr Lit(const char* v);
 ExprPtr Lit(std::string v);
 ExprPtr Lit(bool v);
-ExprPtr LitTimestamp(int64_t micros);
 
 ExprPtr Add(ExprPtr a, ExprPtr b);
 ExprPtr Sub(ExprPtr a, ExprPtr b);

@@ -15,12 +15,6 @@ Result<DataFrame> DataFrame::FromRows(SchemaPtr schema,
   return FromBatch(std::move(batch));
 }
 
-DataFrame DataFrame::FromBatches(SchemaPtr schema,
-                                 std::vector<RecordBatchPtr> batches) {
-  return DataFrame(
-      std::make_shared<ScanNode>(std::move(schema), std::move(batches)));
-}
-
 DataFrame DataFrame::ReadStream(SourcePtr source) {
   return DataFrame(std::make_shared<StreamScanNode>(std::move(source)));
 }

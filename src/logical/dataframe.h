@@ -26,8 +26,6 @@ class DataFrame {
   /// A static (batch) table from materialized data.
   static DataFrame FromBatch(RecordBatchPtr batch);
   static Result<DataFrame> FromRows(SchemaPtr schema, std::vector<Row> rows);
-  static DataFrame FromBatches(SchemaPtr schema,
-                               std::vector<RecordBatchPtr> batches);
 
   /// A streaming table over a replayable source (readStream in the paper).
   static DataFrame ReadStream(SourcePtr source);

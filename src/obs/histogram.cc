@@ -52,15 +52,6 @@ void LogHistogram::RecordN(int64_t value, int64_t n) {
   }
 }
 
-void LogHistogram::MergeFrom(const LogHistogram& other) {
-  for (int i = 0; i < kNumBuckets; ++i) {
-    int64_t n = other.counts_[i].load(std::memory_order_relaxed);
-    if (n != 0) counts_[i].fetch_add(n, std::memory_order_relaxed);
-  }
-  count_.fetch_add(other.count(), std::memory_order_relaxed);
-  RestoreSumMax(other.sum(), other.max());
-}
-
 void LogHistogram::AddToBucket(int index, int64_t n) {
   if (n <= 0 || index < 0 || index >= kNumBuckets) return;
   counts_[index].fetch_add(n, std::memory_order_relaxed);
@@ -73,11 +64,6 @@ void LogHistogram::RestoreSumMax(int64_t sum, int64_t max) {
   while (max > prev &&
          !max_.compare_exchange_weak(prev, max, std::memory_order_relaxed)) {
   }
-}
-
-double LogHistogram::mean() const {
-  int64_t n = count();
-  return n == 0 ? 0.0 : static_cast<double>(sum()) / static_cast<double>(n);
 }
 
 int64_t LogHistogram::ValueAtQuantile(double q) const {

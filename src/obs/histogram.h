@@ -29,13 +29,7 @@ class LogHistogram {
   /// latency samples weighted by row count). No-op when n <= 0.
   void RecordN(int64_t value, int64_t n);
 
-  /// Adds another histogram's buckets/count/sum/max into this one. The merge
-  /// is exact at bucket granularity: quantiles of the merged histogram equal
-  /// quantiles of recording both value streams into one histogram. Not
-  /// linearizable against concurrent Record() on `other`.
-  void MergeFrom(const LogHistogram& other);
-
-  /// Raw count of bucket `index` (for serialization and merge tests).
+  /// Raw count of bucket `index` (for serialization tests).
   int64_t bucket_count(int index) const {
     return counts_[index].load(std::memory_order_relaxed);
   }
@@ -54,8 +48,6 @@ class LogHistogram {
   int64_t sum() const { return sum_.load(std::memory_order_relaxed); }
   /// Exact maximum recorded value (0 when empty).
   int64_t max() const { return max_.load(std::memory_order_relaxed); }
-  /// Mean of recorded values (0 when empty).
-  double mean() const;
 
   /// Estimated value at quantile `q` in [0, 1] (upper bound of the bucket
   /// holding that rank; 0 when empty). The estimate is within one

@@ -227,12 +227,6 @@ void ObservabilityServer::MountQuery(const std::string& name,
   mounted_[name] = query;
 }
 
-void ObservabilityServer::AddRegistry(
-    std::shared_ptr<MetricsRegistry> registry) {
-  std::lock_guard<std::mutex> lock(mu_);
-  registries_.push_back(std::move(registry));
-}
-
 Status ObservabilityServer::Start(int port) {
   if (server_ != nullptr) {
     return Status::FailedPrecondition("observability server already started");
@@ -331,10 +325,6 @@ HttpResponse ObservabilityServer::HandleMetrics() const {
   // Hold shared_ptrs for the duration of the render so a query stopping
   // mid-scrape cannot free its registry under us.
   std::vector<std::shared_ptr<MetricsRegistry>> keep;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    keep = registries_;
-  }
   for (const std::string& name : QueryNames()) {
     WithNamedQuery(name, [&keep](const StreamingQuery& query) {
       keep.push_back(query.metrics());

@@ -61,7 +61,6 @@ class HttpServer {
 
   /// The bound port (the kernel's pick when Start was given 0).
   int port() const { return port_; }
-  bool running() const { return running_.load(); }
 
  private:
   void ServeLoop();
@@ -113,9 +112,6 @@ class ObservabilityServer {
   /// Serves one caller-owned query under `name`. When a manager query has
   /// the same name, the direct mount wins.
   void MountQuery(const std::string& name, const StreamingQuery* query);
-  /// Adds a registry to /metrics beyond the mounted queries' own (e.g. an
-  /// application-level registry). Duplicates are rendered once.
-  void AddRegistry(std::shared_ptr<MetricsRegistry> registry);
 
   /// Starts serving on 127.0.0.1:`port` (0 = ephemeral).
   Status Start(int port);
@@ -145,8 +141,6 @@ class ObservabilityServer {
   mutable std::mutex mu_;
   QueryManager* manager_ SS_GUARDED_BY(mu_) = nullptr;
   std::map<std::string, const StreamingQuery*> mounted_ SS_GUARDED_BY(mu_);
-  std::vector<std::shared_ptr<MetricsRegistry>> registries_
-      SS_GUARDED_BY(mu_);
   // Start/Stop are control-plane calls from one thread; handlers never
   // touch server_.
   std::unique_ptr<HttpServer> server_;

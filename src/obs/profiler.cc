@@ -80,11 +80,6 @@ void Profiler::UnregisterSlot(const ThreadSlot* slot) {
   }
 }
 
-int Profiler::registered_threads() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return static_cast<int>(slots_.size());
-}
-
 void Profiler::Arm(double hz) {
   std::lock_guard<std::mutex> lock(control_mu_);
   if (armed_count_++ > 0) return;  // already running; join at current rate

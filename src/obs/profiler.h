@@ -102,9 +102,6 @@ class Profiler {
   /// Clears accumulated samples (tests).
   void Reset();
 
-  /// Number of currently registered worker threads (tests/telemetry).
-  int registered_threads() const;
-
   // --- attribution word plumbing (scopes + schedulers; rarely direct) ---
 
   /// The calling thread's current attribution word (0 = unattributed).

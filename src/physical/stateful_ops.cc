@@ -383,35 +383,38 @@ StatefulAggExec::StatefulAggExec(int op_id, PhysOpPtr child,
 }
 
 // One (partition, shard)'s fold for the current epoch: the keys it touched
-// in first-touch order, each with its state decoded once. Every routed row
-// finds or creates its store entry (one probe), whose mark holds the key's
-// touched ordinal (position in touched + 1); the end of the fold encodes
-// each state back into its entry once. Marks are never reset: one counts
-// only when it names a touched entry of this epoch with this entry's slot
-// (entries never move). Entries past `num_touched` are earlier epochs'
-// leftovers, kept for their Row storage.
+// in first-touch order, touched key g with its aggregate record (AggRecords)
+// at cells [g * C, (g + 1) * C) and strings [g * K, (g + 1) * K). Every
+// routed row finds or creates its store entry (one probe), whose mark holds
+// the key's touched ordinal (g + 1); the key's first row decodes its stored
+// state into the record, and the end of the fold encodes each record back
+// into its entry once. Marks are never reset: one counts only when it names
+// a touched entry of this epoch with this entry's slot (entries never
+// move). The buffers are kept across epochs, strings for their storage.
 struct StatefulAggExec::ShardFold : KeyedShard {
   static constexpr bool kPrefetchStore = true;
 
   struct Touched {
     StateStore::Slot slot;
     int64_t wstart;  // window start; 0 when not windowed
-    Row state;
+    int64_t row;     // the key's first row this epoch in the partition
   };
   std::vector<Touched> touched;
-  size_t num_touched = 0;
-  Row args;    // the aggregate arguments of the row being folded
-  Row stored;  // a stored group's state, decoded for output
+  std::vector<AggCell> cells;
+  std::vector<std::string> strings;
+  // A stored group's record, decoded for output.
+  std::vector<AggCell> stored_cells;
+  std::vector<std::string> stored_strings;
 
   void Open(size_t p, StateStore* s) {
     KeyedShard::Open(p, s);
-    num_touched = 0;
+    touched.clear();
   }
 
   /// The touched entry of store entry `slot` this epoch, or null.
   Touched* TouchedOf(const StateStore::Slot& slot) {
     const uint32_t ordinal = *slot.mark;
-    if (ordinal == 0 || ordinal > num_touched) return nullptr;
+    if (ordinal == 0 || ordinal > touched.size()) return nullptr;
     Touched& t = touched[ordinal - 1];
     return t.slot.key == slot.key ? &t : nullptr;
   }
@@ -435,39 +438,65 @@ Result<std::vector<RecordBatchPtr>> StatefulAggExec::ExecuteImpl(
   const bool windowed = window_expr_ != nullptr;
   const int64_t watermark = ctx->watermark_micros;
   const int64_t window_size = windowed ? window_expr_->size_micros() : 0;
-  const bool needs_args = [&] {
-    for (const AggSpec& a : aggregates_) {
-      if (a.func != AggFunc::kCountAll) return true;
-    }
-    return false;
-  }();
+  const AggRecords records(aggregates_);
+  const size_t C = records.num_cells();
+  const size_t K = records.num_strings();
 
+  // A fold kernel bound to its spec's argument column and record offsets.
+  struct BoundKernel {
+    AggFoldFn fold;
+    const Column* arg;  // null for count(*)
+    size_t cell;
+    size_t string;
+  };
   struct PartitionWork {
     std::vector<ColumnPtr> key_cols;
     std::vector<ColumnPtr> arg_cols;
+    std::vector<BoundKernel> kernels;
   };
   std::vector<PartitionWork> work(P);
   std::vector<int64_t> num_rows(P);
   for (size_t p = 0; p < P; ++p) num_rows[p] = in[p]->num_rows();
 
-  // [eval]: vectorized evaluation of group keys and agg arguments.
+  // [eval]: vectorized evaluation of group keys and agg arguments, and the
+  // kernel of each aggregate over its argument column's type. A group key
+  // column must fit its output column, which update mode appends it to.
   auto prepare = [&](size_t p) -> Status {
     const RecordBatch& input = *in[p];
     PartitionWork& w = work[p];
     w.key_cols.resize(group_exprs_.size());
-    for (size_t g = 0; g < group_exprs_.size(); ++g) {
+    int c = 0;
+    for (size_t g = 0; g < group_exprs_.size(); ++g, ++c) {
       if (static_cast<int>(g) == window_key_index_) {
         SS_ASSIGN_OR_RETURN(w.key_cols[g],
                             window_expr_->time()->EvalBatch(input));
-      } else {
-        SS_ASSIGN_OR_RETURN(w.key_cols[g],
-                            group_exprs_[g].expr->EvalBatch(input));
+        ++c;  // the window end
+        continue;
+      }
+      SS_ASSIGN_OR_RETURN(w.key_cols[g],
+                          group_exprs_[g].expr->EvalBatch(input));
+      const TypeId got = w.key_cols[g]->type();
+      const Field& field = schema()->field(c);
+      if (got != TypeId::kNull &&
+          PhysicalKindOf(got) != PhysicalKindOf(field.type)) {
+        return Status::InvalidArgument(
+            std::string("group key of type ") + TypeName(got) +
+            " does not fit column '" + field.name + "' of type " +
+            TypeName(field.type));
       }
     }
     w.arg_cols.resize(aggregates_.size());
+    w.kernels.clear();
     for (size_t a = 0; a < aggregates_.size(); ++a) {
-      if (aggregates_[a].func == AggFunc::kCountAll) continue;
-      SS_ASSIGN_OR_RETURN(w.arg_cols[a], aggregates_[a].arg->EvalBatch(input));
+      TypeId arg_type = TypeId::kNull;
+      if (aggregates_[a].func != AggFunc::kCountAll) {
+        SS_ASSIGN_OR_RETURN(w.arg_cols[a],
+                            aggregates_[a].arg->EvalBatch(input));
+        arg_type = w.arg_cols[a]->type();
+      }
+      SS_ASSIGN_OR_RETURN(AggFoldFn fold, records.Kernel(a, arg_type));
+      w.kernels.push_back(BoundKernel{fold, w.arg_cols[a].get(), a,
+                                      records.string_index(a)});
     }
     return Status::OK();
   };
@@ -519,45 +548,59 @@ Result<std::vector<RecordBatchPtr>> StatefulAggExec::ExecuteImpl(
   };
 
   // Fold (see ShardFold): find or create the key's store entry and its
-  // touched entry, then update its decoded state with the row's aggregate
-  // arguments (count(*) needs none; its slot stays null).
-  const Row init_state = InitAggState(aggregates_);
+  // touched entry, then run each aggregate's kernel on the key's record.
   auto fold = [&](ShardFold& f, int64_t i, int64_t wstart,
                   std::string_view enc, uint64_t hash) -> Status {
-    if (f.args.size() != aggregates_.size()) f.args.resize(aggregates_.size());
-    if (needs_args) {
-      const PartitionWork& w = work[f.partition];
-      for (size_t a = 0; a < aggregates_.size(); ++a) {
-        if (aggregates_[a].func != AggFunc::kCountAll) {
-          f.args[a] = w.arg_cols[a]->ValueAt(i);
-        }
-      }
-    }
     const StateStore::Slot slot = f.state->FindOrCreate(enc, hash);
-    ShardFold::Touched* t = f.TouchedOf(slot);
+    const ShardFold::Touched* t = f.TouchedOf(slot);
+    const size_t g = t == nullptr ? f.touched.size()
+                                  : static_cast<size_t>(t - f.touched.data());
     if (t == nullptr) {  // the key's first row this epoch
-      if (f.num_touched == f.touched.size()) f.touched.emplace_back();
-      t = &f.touched[f.num_touched++];
-      t->slot = slot;
-      t->wstart = wstart;
-      *slot.mark = static_cast<uint32_t>(f.num_touched);
+      f.touched.push_back(ShardFold::Touched{slot, wstart, i});
+      *slot.mark = static_cast<uint32_t>(g + 1);
+      f.cells.resize((g + 1) * C);
+      if (f.strings.size() < (g + 1) * K) f.strings.resize((g + 1) * K);
       if (slot.created) {
-        t->state = init_state;
+        records.Init(f.cells.data() + g * C, f.strings.data() + g * K);
       } else {
-        size_t pos = 0;
-        SS_RETURN_IF_ERROR(DecodeRowInto(*slot.value, &pos, &t->state));
+        SS_RETURN_IF_ERROR(records.Decode(*slot.value, f.cells.data() + g * C,
+                                          f.strings.data() + g * K));
       }
     }
-    UpdateAggState(aggregates_, f.args, &t->state);
+    AggCell* cells = f.cells.data() + g * C;
+    std::string* strings = f.strings.data() + g * K;
+    for (const BoundKernel& k : work[f.partition].kernels) {
+      k.fold(cells + k.cell, strings + k.string, k.arg, i);
+    }
     return Status::OK();
   };
 
-  // Output of one group, typed: each group key decoded from the key bytes
-  // straight into its column (the window end after the window start), then
-  // the finalized aggregates.
+  // Output of a touched group, typed: each group key appended from its
+  // key column at the group's first row (the window from its start), then
+  // the finalized aggregates from the record.
   const int num_keys = num_output_key_columns();
-  auto emit_group = [&](std::string_view enc, const Row& state,
-                        BatchBuilder* out) -> Status {
+  auto emit_touched = [&](ShardFold& f, size_t g,
+                          BatchBuilder* out) -> Status {
+    const ShardFold::Touched& t = f.touched[g];
+    const PartitionWork& w = work[f.partition];
+    int c = 0;
+    for (size_t k = 0; k < group_exprs_.size(); ++k, ++c) {
+      if (static_cast<int>(k) == window_key_index_) {
+        out->column(c).AppendInt64(t.wstart);
+        out->column(++c).AppendInt64(t.wstart + window_size);
+      } else {
+        out->column(c).AppendFrom(*w.key_cols[k], t.row);
+      }
+    }
+    return records.AppendFinal(f.cells.data() + g * C,
+                               f.strings.data() + g * K, num_keys, out);
+  };
+  // Output of a stored group: each group key decoded from the key bytes
+  // straight into its column (the window end after the window start), then
+  // the finals of its state, decoded into a record.
+  auto emit_stored_group = [&](ShardFold& f, std::string_view enc,
+                               const std::string& state,
+                               BatchBuilder* out) -> Status {
     size_t pos = 1;  // past the arity byte
     int c = 0;
     for (size_t g = 0; g < group_exprs_.size(); ++g) {
@@ -575,7 +618,12 @@ Result<std::vector<RecordBatchPtr>> StatefulAggExec::ExecuteImpl(
       }
       ++c;
     }
-    return AppendFinalAggState(aggregates_, state, num_keys, out);
+    f.stored_cells.resize(C);
+    f.stored_strings.resize(K);
+    SS_RETURN_IF_ERROR(
+        records.Decode(state, f.stored_cells.data(), f.stored_strings.data()));
+    return records.AppendFinal(f.stored_cells.data(), f.stored_strings.data(),
+                               num_keys, out);
   };
   // The window start of a stored group, read from the key bytes: skip the
   // group keys before the window key, then read the timestamp.
@@ -605,23 +653,21 @@ Result<std::vector<RecordBatchPtr>> StatefulAggExec::ExecuteImpl(
       if (!*picked) return;
       if (evict != nullptr) evict->push_back(k);
       if (out == nullptr) return;
-      size_t pos = 0;
-      iter_status = DecodeRowInto(v, &pos, &f.stored);
-      if (iter_status.ok()) iter_status = emit_group(k, f.stored, out);
+      iter_status = emit_stored_group(f, k, v, out);
     });
     return iter_status;
   };
   auto every = [](const std::string&) -> Result<bool> { return true; };
 
-  // Finish: encode the touched states back, then emit per output mode
+  // Finish: encode the touched records back, then emit per output mode
   // (batch/complete: everything; append: finals of windows closed by the
   // watermark; update: the touched keys minus evicted ones), evicting
   // closed windows along the way.
   auto finish = [&](ShardFold& f, BatchBuilder* out) -> Status {
-    for (size_t j = 0; j < f.num_touched; ++j) {
-      ShardFold::Touched& t = f.touched[j];
-      t.slot.value->clear();
-      EncodeRow(t.state, t.slot.value);
+    for (size_t g = 0; g < f.touched.size(); ++g) {
+      std::string* value = f.touched[g].slot.value;
+      value->clear();
+      records.Encode(f.cells.data() + g * C, f.strings.data() + g * K, value);
     }
     // One-shot batch run: emit everything, no eviction needed.
     if (ctx->is_batch) return emit_stored(f, out, every, nullptr);
@@ -639,10 +685,10 @@ Result<std::vector<RecordBatchPtr>> StatefulAggExec::ExecuteImpl(
     }
 
     if (ctx->mode == OutputMode::kUpdate) {
-      for (size_t j = 0; j < f.num_touched; ++j) {
-        const ShardFold::Touched& t = f.touched[j];
-        if (closed(t.wstart)) continue;  // evicted above; never re-emit
-        SS_RETURN_IF_ERROR(emit_group(*t.slot.key, t.state, out));
+      for (size_t g = 0; g < f.touched.size(); ++g) {
+        // Evicted above; never re-emit.
+        if (closed(f.touched[g].wstart)) continue;
+        SS_RETURN_IF_ERROR(emit_touched(f, g, out));
       }
     } else if (ctx->mode == OutputMode::kComplete) {
       return emit_stored(f, out, every, nullptr);

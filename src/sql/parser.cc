@@ -718,12 +718,6 @@ void SqlContext::RegisterTable(const std::string& name, DataFrame df) {
   tables_.insert_or_assign(upper, std::move(df));
 }
 
-bool SqlContext::HasTable(const std::string& name) const {
-  std::string upper = name;
-  std::transform(upper.begin(), upper.end(), upper.begin(),
-                 [](unsigned char c) { return std::toupper(c); });
-  return tables_.find(upper) != tables_.end();
-}
 
 Result<DataFrame> SqlContext::Sql(const std::string& query) const {
   // Table lookups are case-insensitive (names were uppercased on

@@ -36,7 +36,6 @@ class SqlContext {
  public:
   /// Registers a table name (static or streaming DataFrame).
   void RegisterTable(const std::string& name, DataFrame df);
-  bool HasTable(const std::string& name) const;
 
   /// Parses one SELECT statement into a DataFrame plan. Returns
   /// InvalidArgument with a position-annotated message on syntax errors and

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <type_traits>
 
 namespace sstreaming {
 
@@ -142,105 +143,58 @@ void Column::Reserve(int64_t n) {
   }
 }
 
-void Column::AppendFrom(const Column& src, int64_t i) {
-  if (src.IsNull(i)) {
-    AppendNull();
-    return;
-  }
-  switch (PhysicalKindOf(src.type())) {
+namespace {
+
+// The per-cell entry points of the typed cell kernels: one kind dispatch
+// per call.
+template <typename F>
+void DispatchKind(PhysicalKind kind, const F& f) {
+  switch (kind) {
     case PhysicalKind::kBool:
-      AppendBool(src.BoolAt(i));
+      f(std::integral_constant<PhysicalKind, PhysicalKind::kBool>());
       break;
     case PhysicalKind::kInt64:
-      AppendInt64(src.Int64At(i));
+      f(std::integral_constant<PhysicalKind, PhysicalKind::kInt64>());
       break;
     case PhysicalKind::kFloat64:
-      AppendFloat64(src.Float64At(i));
+      f(std::integral_constant<PhysicalKind, PhysicalKind::kFloat64>());
       break;
     case PhysicalKind::kString:
-      AppendString(src.StringAt(i));
+      f(std::integral_constant<PhysicalKind, PhysicalKind::kString>());
       break;
     case PhysicalKind::kNone:
-      AppendNull();
+      f(std::integral_constant<PhysicalKind, PhysicalKind::kNone>());
       break;
   }
 }
 
+}  // namespace
+
+void Column::AppendFrom(const Column& src, int64_t i) {
+  SS_DCHECK(src.IsNull(i) ||
+            PhysicalKindOf(src.type_) == PhysicalKindOf(type_));
+  DispatchKind(PhysicalKindOf(type_), [&](auto kind) {
+    AppendCell<decltype(kind)::value>(src, i, true);
+  });
+}
+
 void Column::SetFrom(int64_t i, const Column& src, int64_t j) {
-  const size_t k = static_cast<size_t>(i);
-  const PhysicalKind kind = PhysicalKindOf(type_);
-  if (src.IsNull(j)) {
-    if (validity_[k] == 0) return;
-    validity_[k] = 0;
-    ++null_count_;
-    // Clear the payload as AppendNull leaves it.
-    switch (kind) {
-      case PhysicalKind::kBool:
-        bools_[k] = 0;
-        break;
-      case PhysicalKind::kInt64:
-        ints_[k] = 0;
-        break;
-      case PhysicalKind::kFloat64:
-        doubles_[k] = 0;
-        break;
-      case PhysicalKind::kString:
-        string_bytes_ -= static_cast<int64_t>(strings_[k].size());
-        strings_[k].clear();
-        break;
-      case PhysicalKind::kNone:
-        break;
-    }
-    return;
-  }
-  SS_DCHECK(PhysicalKindOf(src.type_) == kind);
-  if (validity_[k] == 0) {
-    validity_[k] = 1;
-    --null_count_;
-  }
-  const size_t from = static_cast<size_t>(j);
-  switch (kind) {
-    case PhysicalKind::kBool:
-      bools_[k] = src.bools_[from];
-      break;
-    case PhysicalKind::kInt64:
-      ints_[k] = src.ints_[from];
-      break;
-    case PhysicalKind::kFloat64:
-      doubles_[k] = src.doubles_[from];
-      break;
-    case PhysicalKind::kString: {
-      const std::string& s = src.strings_[from];
-      string_bytes_ += static_cast<int64_t>(s.size()) -
-                       static_cast<int64_t>(strings_[k].size());
-      strings_[k] = s;
-      break;
-    }
-    case PhysicalKind::kNone:
-      break;
-  }
+  SS_DCHECK(src.IsNull(j) ||
+            PhysicalKindOf(src.type_) == PhysicalKindOf(type_));
+  DispatchKind(PhysicalKindOf(type_), [&](auto kind) {
+    SetCell<decltype(kind)::value>(i, src, j, true);
+  });
 }
 
 bool Column::ValueEquals(int64_t i, const Column& other, int64_t j) const {
   const bool null = IsNull(i);
   if (null || other.IsNull(j)) return null && other.IsNull(j);
   if (type_ != other.type_) return false;
-  const size_t a = static_cast<size_t>(i);
-  const size_t b = static_cast<size_t>(j);
-  switch (PhysicalKindOf(type_)) {
-    case PhysicalKind::kBool:
-      return bools_[a] == other.bools_[b];
-    case PhysicalKind::kInt64:
-      return ints_[a] == other.ints_[b];
-    case PhysicalKind::kFloat64:
-      return std::memcmp(&doubles_[a], &other.doubles_[b], sizeof(double)) ==
-             0;
-    case PhysicalKind::kString:
-      return strings_[a] == other.strings_[b];
-    case PhysicalKind::kNone:
-      break;
-  }
-  return true;
+  bool equal = true;
+  DispatchKind(PhysicalKindOf(type_), [&](auto kind) {
+    equal = CellEquals<decltype(kind)::value>(i, other, j, false);
+  });
+  return equal;
 }
 
 void Column::AppendRange(const Column& src, int64_t start, int64_t length) {

@@ -1,6 +1,7 @@
 #ifndef SSTREAMING_TYPES_COLUMN_H_
 #define SSTREAMING_TYPES_COLUMN_H_
 
+#include <bit>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -78,6 +79,94 @@ class Column {
   /// and a timestamp of the same number.
   bool ValueEquals(int64_t i, const Column& other, int64_t j) const;
 
+  // --- Typed cell kernels: the inline bodies of ValueEquals (for equal
+  // TypeIds), SetFrom and AppendFrom over columns of physical kind K, which
+  // the caller fixes once (e.g. per batch) instead of per cell. `nulls` may
+  // be false only when neither column holds a null; then no validity byte
+  // is read or written. Precondition: `other`'s non-null values have this
+  // column's TypeId (a null-typed column holds only nulls).
+
+  template <PhysicalKind K>
+  bool CellEquals(int64_t i, const Column& other, int64_t j,
+                  bool nulls) const {
+    if (nulls) {
+      const bool null = IsNull(i);
+      if (null || other.IsNull(j)) return null && other.IsNull(j);
+    }
+    const size_t a = static_cast<size_t>(i);
+    const size_t b = static_cast<size_t>(j);
+    if constexpr (K == PhysicalKind::kBool) {
+      return bools_[a] == other.bools_[b];
+    } else if constexpr (K == PhysicalKind::kInt64) {
+      return ints_[a] == other.ints_[b];
+    } else if constexpr (K == PhysicalKind::kFloat64) {
+      return std::bit_cast<uint64_t>(doubles_[a]) ==
+             std::bit_cast<uint64_t>(other.doubles_[b]);
+    } else if constexpr (K == PhysicalKind::kString) {
+      return strings_[a] == other.strings_[b];
+    } else {
+      return true;
+    }
+  }
+
+  template <PhysicalKind K>
+  void SetCell(int64_t i, const Column& src, int64_t j, bool nulls) {
+    const size_t k = static_cast<size_t>(i);
+    if (nulls) {
+      if (src.IsNull(j)) {
+        if (validity_[k] == 0) return;
+        validity_[k] = 0;
+        ++null_count_;
+        SetPayload<K>(k, nullptr, 0);  // cleared as AppendNull leaves it
+        return;
+      }
+      if (validity_[k] == 0) {
+        validity_[k] = 1;
+        --null_count_;
+      }
+    }
+    SetPayload<K>(k, &src, static_cast<size_t>(j));
+  }
+
+  template <PhysicalKind K>
+  void AppendCell(const Column& src, int64_t j, bool nulls) {
+    const bool null = nulls && src.IsNull(j);
+    validity_.push_back(null ? 0 : 1);
+    null_count_ += null ? 1 : 0;
+    const Column* from = null ? nullptr : &src;
+    const size_t f = static_cast<size_t>(j);
+    if constexpr (K == PhysicalKind::kBool) {
+      bools_.push_back(from != nullptr ? from->bools_[f] : 0);
+    } else if constexpr (K == PhysicalKind::kInt64) {
+      ints_.push_back(from != nullptr ? from->ints_[f] : 0);
+    } else if constexpr (K == PhysicalKind::kFloat64) {
+      doubles_.push_back(from != nullptr ? from->doubles_[f] : 0);
+    } else if constexpr (K == PhysicalKind::kString) {
+      strings_.emplace_back();
+      if (from != nullptr) {
+        strings_.back() = from->strings_[f];
+        string_bytes_ += static_cast<int64_t>(strings_.back().size());
+      }
+    }
+  }
+
+  /// Cache hint for value i of a column of kind K: its payload slot, and its
+  /// validity byte when `nulls`.
+  template <PhysicalKind K>
+  void PrefetchCell(int64_t i, bool nulls) const {
+    const size_t k = static_cast<size_t>(i);
+    if (nulls) __builtin_prefetch(validity_.data() + k);
+    if constexpr (K == PhysicalKind::kBool) {
+      __builtin_prefetch(bools_.data() + k);
+    } else if constexpr (K == PhysicalKind::kInt64) {
+      __builtin_prefetch(ints_.data() + k);
+    } else if constexpr (K == PhysicalKind::kFloat64) {
+      __builtin_prefetch(doubles_.data() + k);
+    } else if constexpr (K == PhysicalKind::kString) {
+      __builtin_prefetch(strings_.data() + k);
+    }
+  }
+
   /// Appends values [start, start+length) of `src` with one bulk copy per
   /// storage array — the range kernel behind bus reads, Slice and Concat.
   /// Same result as AppendFrom over the range; a source of another physical
@@ -87,28 +176,6 @@ class Column {
   /// Serializes value i exactly as Value::EncodeTo would (byte-identical),
   /// without boxing — used to build state-store keys from columns.
   void EncodeValueTo(int64_t i, std::string* out) const;
-
-  /// Cache hint for value i: loads its validity byte and its payload slot.
-  void PrefetchValue(int64_t i) const {
-    const size_t k = static_cast<size_t>(i);
-    __builtin_prefetch(validity_.data() + k);
-    switch (PhysicalKindOf(type_)) {
-      case PhysicalKind::kBool:
-        __builtin_prefetch(bools_.data() + k);
-        break;
-      case PhysicalKind::kInt64:
-        __builtin_prefetch(ints_.data() + k);
-        break;
-      case PhysicalKind::kFloat64:
-        __builtin_prefetch(doubles_.data() + k);
-        break;
-      case PhysicalKind::kString:
-        __builtin_prefetch(strings_.data() + k);
-        break;
-      case PhysicalKind::kNone:
-        break;
-    }
-  }
 
   /// Approximate in-memory footprint of the column's payload in bytes.
   /// O(1): string character counts are maintained incrementally on append,
@@ -125,10 +192,29 @@ class Column {
   const std::vector<int64_t>& ints() const { return ints_; }
   const std::vector<double>& doubles() const { return doubles_; }
   const std::vector<std::string>& strings() const { return strings_; }
-  const std::vector<uint8_t>& bools() const { return bools_; }
-  const std::vector<uint8_t>& validity() const { return validity_; }
 
  private:
+  // Overwrites payload slot k with slot f of `src`, or clears it (null src).
+  template <PhysicalKind K>
+  void SetPayload(size_t k, const Column* src, size_t f) {
+    if constexpr (K == PhysicalKind::kBool) {
+      bools_[k] = src != nullptr ? src->bools_[f] : 0;
+    } else if constexpr (K == PhysicalKind::kInt64) {
+      ints_[k] = src != nullptr ? src->ints_[f] : 0;
+    } else if constexpr (K == PhysicalKind::kFloat64) {
+      doubles_[k] = src != nullptr ? src->doubles_[f] : 0;
+    } else if constexpr (K == PhysicalKind::kString) {
+      std::string& s = strings_[k];
+      string_bytes_ -= static_cast<int64_t>(s.size());
+      if (src == nullptr) {
+        s.clear();
+      } else {
+        s = src->strings_[f];
+      }
+      string_bytes_ += static_cast<int64_t>(s.size());
+    }
+  }
+
   TypeId type_;
   int64_t null_count_ = 0;
   int64_t string_bytes_ = 0;  // sum of strings_[i].size()

@@ -291,6 +291,10 @@ Status BatchBuilder::AppendEncoded(int i, std::string_view data,
                                    size_t* pos) {
   EncodedValue v;
   SS_RETURN_IF_ERROR(ReadEncodedValue(data, pos, &v));
+  return AppendEncoded(i, v);
+}
+
+Status BatchBuilder::AppendEncoded(int i, const EncodedValue& v) {
   Column& col = column(i);
   if (v.type == TypeId::kNull) {
     col.AppendNull();

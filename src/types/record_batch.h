@@ -163,6 +163,8 @@ class BatchBuilder {
   Status AppendCell(int i, const Value& v);
   /// Decodes the value at data[*pos] into column i, advancing *pos.
   Status AppendEncoded(int i, std::string_view data, size_t* pos);
+  /// Appends a value read in place (ReadEncodedValue) to column i.
+  Status AppendEncoded(int i, const EncodedValue& v);
 
   RecordBatchPtr Finish();
 

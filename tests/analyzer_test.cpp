@@ -84,6 +84,19 @@ TEST(AnalyzerTest, AggregateSchema) {
             "(country: string?, n: int64?, avg_latency: float64?)");
 }
 
+TEST(AnalyzerTest, GroupedSumAndAvgSchema) {
+  auto analyzed = Analyzer::Analyze(
+      StreamDf().GroupBy({"country"}).Sum("latency").plan());
+  ASSERT_TRUE(analyzed.ok()) << analyzed.status().ToString();
+  EXPECT_EQ((*analyzed)->schema()->ToString(),
+            "(country: string?, sum: int64?)");
+  analyzed = Analyzer::Analyze(
+      StreamDf().GroupBy({"country"}).Avg("latency", "mean").plan());
+  ASSERT_TRUE(analyzed.ok()) << analyzed.status().ToString();
+  EXPECT_EQ((*analyzed)->schema()->ToString(),
+            "(country: string?, mean: float64?)");
+}
+
 TEST(AnalyzerTest, WindowedAggregateSchemaHasStartEnd) {
   DataFrame df =
       StreamDf()
@@ -116,6 +129,34 @@ TEST(AnalyzerTest, JoinSchemaDropsDuplicateKey) {
   EXPECT_EQ((*analyzed)->schema()->ToString(),
             "(user: string, latency: int64, country: string?, "
             "time: timestamp, region: string?)");
+}
+
+// A RIGHT OUTER join null-pads the left columns of an unmatched right row,
+// so they are nullable; the USING key takes the right row's key and stays
+// non-nullable when that key is.
+TEST(AnalyzerTest, RightOuterJoinMakesLeftColumnsNullable) {
+  auto side = [](const char* value) {
+    return DataFrame::FromRows(Schema::Make({{"k", TypeId::kInt64, false},
+                                             {value, TypeId::kString, false}}),
+                               {})
+        .TakeValue();
+  };
+  auto analyzed = Analyzer::Analyze(
+      side("l").Join(side("r"), {"k"}, JoinType::kRightOuter).plan());
+  ASSERT_TRUE(analyzed.ok()) << analyzed.status().ToString();
+  EXPECT_EQ((*analyzed)->schema()->ToString(),
+            "(k: int64, l: string?, r: string?)");
+  // A nullable right key makes the USING column nullable too.
+  DataFrame nullable_key =
+      DataFrame::FromRows(Schema::Make({{"k", TypeId::kInt64, true},
+                                        {"r", TypeId::kString, false}}),
+                          {})
+          .TakeValue();
+  analyzed = Analyzer::Analyze(
+      side("l").Join(nullable_key, {"k"}, JoinType::kRightOuter).plan());
+  ASSERT_TRUE(analyzed.ok()) << analyzed.status().ToString();
+  EXPECT_EQ((*analyzed)->schema()->ToString(),
+            "(k: int64?, l: string?, r: string?)");
 }
 
 TEST(AnalyzerTest, JoinKeyTypeMismatch) {

@@ -73,6 +73,31 @@ TEST(MemoryStreamTest, RoundRobinAcrossPartitions) {
   EXPECT_EQ((*batch)->RowAt(1)[0], Value::Str("c"));
 }
 
+// MemoryStream keeps its ingest stamps in the PartitionLog runs: rows
+// added before a clock is set are undated, and each AddData stamps its
+// rows alike.
+TEST(MemoryStreamTest, OldestIngestMicrosOverRuns) {
+  MemoryStream s("m", TwoColSchema(), 1);
+  auto rows = [](int n) {
+    return std::vector<Row>(n, Row{Value::Str("k"), Value::Int64(1)});
+  };
+  ASSERT_TRUE(s.AddData(rows(2)).ok());  // [0, 2) undated
+  ManualClock clock(500);
+  s.set_ingest_clock(&clock);
+  ASSERT_TRUE(s.AddData(rows(3)).ok());  // [2, 5) at 500
+  ASSERT_TRUE(s.AddData(rows(1)).ok());  // [5, 6) at 500: the same run
+  clock.AdvanceMicros(-300);
+  ASSERT_TRUE(s.AddData(rows(2)).ok());  // [6, 8) at 200
+  EXPECT_EQ(s.OldestIngestMicros(0, 0, 2), 0);
+  EXPECT_EQ(s.OldestIngestMicros(0, 0, 3), 500);
+  EXPECT_EQ(s.OldestIngestMicros(0, 4, 6), 500);
+  EXPECT_EQ(s.OldestIngestMicros(0, 3, 7), 200);
+  EXPECT_EQ(s.OldestIngestMicros(0, 7, 100), 200);  // clamped end
+  EXPECT_EQ(s.OldestIngestMicros(0, 8, 9), 0);      // past the end
+  EXPECT_EQ(s.OldestIngestMicros(0, 3, 3), 0);  // empty range
+  EXPECT_EQ(s.OldestIngestMicros(1, 0, 8), 0);  // no such partition
+}
+
 TEST(MemoryStreamTest, ArityChecked) {
   MemoryStream s("m", TwoColSchema(), 1);
   EXPECT_FALSE(s.AddData({{Value::Str("a")}}).ok());
@@ -551,6 +576,158 @@ TEST(MemorySinkTest, UpdateColumnTypesAreCheckedWhole) {
   EXPECT_TRUE(st.IsInvalidArgument()) << st.ToString();
   EXPECT_TRUE(fresh.Snapshot().empty());
   EXPECT_EQ(fresh.last_committed_epoch(), -1);
+}
+
+// Seeded differential of the update table against a row-at-a-time
+// reference: a vector of rows in first-insertion order whose key identity is
+// the key cells' encoded bytes, upserted one boxed row at a time. Each shape
+// of table runs many commits: all-int64 tables (int64 and timestamp keys,
+// the upsert's one-kind loop) and mixes of float64, string and bool (the
+// all-kinds loop), with one- and two-column keys. Cells draw nulls, NaN,
+// -0.0 and 0.0 and repeat keys within a batch; a batch column is sometimes
+// null-typed (all null), a value column stays null-typed until a later
+// commit gives it a type, a batch of another type for a column (e.g. a
+// timestamp for an int64 key) must reject its whole commit, and stale
+// epochs are re-committed. Every commit's outcome and the final Snapshot(),
+// in order and byte for byte, must match the reference.
+TEST(MemorySinkTest, UpsertMatchesRowReferenceOverEveryKindMix) {
+  struct Shape {
+    std::vector<TypeId> types;
+    int num_keys;
+  };
+  const std::vector<Shape> shapes = {
+      {{TypeId::kInt64, TypeId::kInt64}, 1},
+      {{TypeId::kInt64, TypeId::kTimestamp, TypeId::kInt64}, 2},
+      {{TypeId::kTimestamp, TypeId::kInt64, TypeId::kInt64}, 1},
+      {{TypeId::kFloat64, TypeId::kInt64}, 1},
+      {{TypeId::kString, TypeId::kInt64, TypeId::kString}, 2},
+      {{TypeId::kBool, TypeId::kFloat64, TypeId::kFloat64, TypeId::kBool}, 2},
+  };
+  Random rng(20261020);
+  auto random_cell = [&](TypeId type) {
+    if (rng.OneIn(0.1)) return Value::Null();
+    const double doubles[] = {0.0, -0.0, std::nan(""), 1.5, -2.25};
+    switch (type) {
+      case TypeId::kInt64:
+        return Value::Int64(static_cast<int64_t>(rng.Uniform(60)) - 30);
+      case TypeId::kTimestamp:
+        return Value::Timestamp(static_cast<int64_t>(rng.Uniform(60)));
+      case TypeId::kFloat64:
+        return Value::Float64(doubles[rng.Uniform(5)]);
+      case TypeId::kString:
+        return Value::Str(std::string(rng.Uniform(3), 'a'));
+      case TypeId::kBool:
+        return Value::Bool(rng.OneIn(0.5));
+      case TypeId::kNull:
+        break;
+    }
+    return Value::Null();
+  };
+  for (size_t shape_index = 0; shape_index < shapes.size(); ++shape_index) {
+    const Shape& shape = shapes[shape_index];
+    SCOPED_TRACE(std::string("shape ") + std::to_string(shape_index));
+    const size_t arity = shape.types.size();
+    MemorySink sink;
+    // The reference: rows, key bytes -> row, column types, last epoch.
+    std::vector<Row> rows;
+    std::map<std::string, size_t> index;
+    std::vector<TypeId> table_types;
+    int64_t last_epoch = -1;
+    // The last value column starts null-typed and gets its type later.
+    const int64_t typed_from = 1 + static_cast<int64_t>(rng.Uniform(8));
+    for (int64_t step = 1; step <= 80; ++step) {
+      const int64_t epoch = rng.OneIn(0.15) ? step - 1 - rng.Uniform(3) : step;
+      std::vector<RecordBatchPtr> batches;
+      for (int b = 0, nb = 1 + static_cast<int>(rng.Uniform(3)); b < nb;
+           ++b) {
+        std::vector<Field> fields;
+        for (size_t c = 0; c < arity; ++c) {
+          TypeId type = shape.types[c];
+          if (c + 1 == arity && step < typed_from) type = TypeId::kNull;
+          if (rng.OneIn(0.05)) type = TypeId::kNull;  // an all-null column
+          if (rng.OneIn(0.01)) {
+            // A column of the other int64-backed type: rejected whole.
+            type = type == TypeId::kInt64 ? TypeId::kTimestamp
+                                          : TypeId::kInt64;
+          }
+          fields.push_back({std::string("c") + std::to_string(c), type, true});
+        }
+        std::vector<Row> batch_rows;
+        for (int i = 0, n = static_cast<int>(rng.Uniform(40)); i < n; ++i) {
+          Row row;
+          for (const Field& f : fields) row.push_back(random_cell(f.type));
+          batch_rows.push_back(std::move(row));
+          if (rng.OneIn(0.1)) {  // the key again in the same batch
+            Row again = batch_rows.back();
+            for (size_t c = shape.num_keys; c < arity; ++c) {
+              again[c] = random_cell(fields[c].type);
+            }
+            batch_rows.push_back(std::move(again));
+          }
+        }
+        batches.push_back(
+            RecordBatch::FromRows(Schema::Make(fields), batch_rows)
+                .TakeValue());
+      }
+      // The reference's verdict: every batch's column types fit the
+      // table's (a null-typed column fits any, an untyped table column
+      // takes the first type), or the whole commit is rejected.
+      std::vector<TypeId> types = table_types;
+      bool fits = true;
+      for (const RecordBatchPtr& b : batches) {
+        if (types.empty()) types.assign(arity, TypeId::kNull);
+        for (size_t c = 0; c < arity; ++c) {
+          const TypeId got = b->column(static_cast<int>(c))->type();
+          if (got == TypeId::kNull || got == types[c]) continue;
+          if (types[c] == TypeId::kNull) {
+            types[c] = got;
+          } else {
+            fits = false;
+          }
+        }
+      }
+      Status st =
+          sink.CommitEpoch(epoch, OutputMode::kUpdate, shape.num_keys, batches);
+      ASSERT_EQ(st.ok(), fits) << "step " << step << ": " << st.ToString();
+      if (!fits) continue;
+      if (epoch > last_epoch) {
+        for (const RecordBatchPtr& b : batches) {
+          for (int64_t i = 0; i < b->num_rows(); ++i) {
+            Row row = b->RowAt(i);
+            std::string key;
+            for (int c = 0; c < shape.num_keys; ++c) row[c].EncodeTo(&key);
+            auto [it, inserted] = index.emplace(key, rows.size());
+            if (inserted) {
+              rows.push_back(std::move(row));
+            } else {
+              rows[it->second] = std::move(row);
+            }
+          }
+        }
+        last_epoch = epoch;
+      }
+      table_types = types;
+      ASSERT_EQ(sink.last_committed_epoch(), last_epoch);
+    }
+    const std::vector<Row> got = sink.Snapshot();
+    ASSERT_EQ(got.size(), rows.size());
+    for (size_t r = 0; r < rows.size(); ++r) {
+      std::string got_bytes;
+      std::string want_bytes;
+      EncodeRow(got[r], &got_bytes);
+      // A cell boxes with its column's type: an int64 stored under a
+      // timestamp column reads back as a timestamp, and so on.
+      Row want = rows[r];
+      for (size_t c = 0; c < arity; ++c) {
+        if (!want[c].is_null() && table_types[c] == TypeId::kTimestamp) {
+          want[c] = Value::Timestamp(want[c].int64_value());
+        }
+      }
+      EncodeRow(want, &want_bytes);
+      ASSERT_EQ(got_bytes, want_bytes) << "row " << r;
+    }
+    EXPECT_GE(rows.size(), 5u);  // the key domain of one float64 key is 6
+  }
 }
 
 TEST(BusConnectorsTest, SourceReadsTopic) {

@@ -116,6 +116,12 @@ TEST(ExpressionTest, ComparisonVectorized) {
   EXPECT_FALSE((*col)->BoolAt(0));
   EXPECT_TRUE((*col)->BoolAt(1));
   EXPECT_TRUE((*col)->BoolAt(2));
+  e = MustResolve(Le(Col("a"), Lit(2)), *schema);
+  col = e->EvalBatch(*batch);
+  ASSERT_TRUE(col.ok());
+  EXPECT_TRUE((*col)->BoolAt(0));
+  EXPECT_TRUE((*col)->BoolAt(1));
+  EXPECT_FALSE((*col)->BoolAt(2));
 }
 
 TEST(ExpressionTest, StringEquality) {

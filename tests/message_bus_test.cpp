@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include "bus/partition_log.h"
 #include "common/clock.h"
 #include "common/random.h"
 
@@ -410,6 +411,65 @@ TEST(MessageBusTest, RandomizedMatchesRowModel) {
     }
     EXPECT_EQ(*bus.OldestIngestMicros("t", q, start, end), oldest);
   }
+}
+
+// Ingest stamps are kept as one run per append (merged when equal): the
+// oldest dated stamp of any range, cut anywhere, must be the per-record
+// answer. Stamps repeat, go backwards and are undated (0) at random.
+TEST(PartitionLogTest, IngestRunsMatchPerRecordStamps) {
+  Random rng(77);
+  PartitionLog log;
+  std::vector<int64_t> stamps;  // per record
+  EXPECT_EQ(log.OldestIngestMicros(0, 10), 0);  // empty log
+  for (int step = 0; step < 300; ++step) {
+    int64_t stamp = 0;
+    if (!rng.OneIn(0.2)) {
+      stamp = rng.OneIn(0.5) && !stamps.empty()
+                  ? stamps.back()
+                  : 1 + static_cast<int64_t>(rng.Uniform(40));
+    }
+    const size_t n = rng.Uniform(6);  // empty appends add no run
+    std::vector<Row> rows;
+    for (size_t i = 0; i < n; ++i) rows.push_back(MakeRow(step));
+    ASSERT_TRUE(log.AppendRows(rows, stamp).ok());
+    stamps.resize(stamps.size() + n, stamp);
+    ASSERT_EQ(log.size(), static_cast<int64_t>(stamps.size()));
+    for (int k = 0; k < 4; ++k) {
+      const int64_t size = log.size();
+      const int64_t start = static_cast<int64_t>(rng.Uniform(size + 4)) - 2;
+      const int64_t end = start + static_cast<int64_t>(rng.Uniform(size + 4));
+      int64_t oldest = 0;
+      for (int64_t i = std::max<int64_t>(start, 0); i < std::min(end, size);
+           ++i) {
+        const int64_t s = stamps[static_cast<size_t>(i)];
+        if (s > 0 && (oldest == 0 || s < oldest)) oldest = s;
+      }
+      ASSERT_EQ(log.OldestIngestMicros(start, end), oldest)
+          << "[" << start << ", " << end << ") of " << size;
+    }
+  }
+}
+
+TEST(PartitionLogTest, IngestRunsCutByRanges) {
+  PartitionLog log;
+  auto append = [&](int n, int64_t stamp) {
+    ASSERT_TRUE(log.AppendRows(std::vector<Row>(n, MakeRow(0)), stamp).ok());
+  };
+  append(3, 50);  // [0, 3)
+  append(2, 50);  // merged: [0, 5) at 50
+  append(2, 0);   // [5, 7) undated
+  append(3, 20);  // [7, 10)
+  append(1, 90);  // [10, 11)
+  EXPECT_EQ(log.OldestIngestMicros(0, 11), 20);
+  EXPECT_EQ(log.OldestIngestMicros(4, 7), 50);   // cuts the first run
+  EXPECT_EQ(log.OldestIngestMicros(5, 7), 0);    // undated only
+  EXPECT_EQ(log.OldestIngestMicros(6, 8), 20);   // undated, then 20
+  EXPECT_EQ(log.OldestIngestMicros(10, 11), 90);
+  EXPECT_EQ(log.OldestIngestMicros(-5, 2), 50);  // clamped start
+  EXPECT_EQ(log.OldestIngestMicros(10, 99), 90);  // clamped end
+  EXPECT_EQ(log.OldestIngestMicros(3, 3), 0);    // empty range
+  EXPECT_EQ(log.OldestIngestMicros(8, 2), 0);    // inverted range
+  EXPECT_EQ(log.OldestIngestMicros(11, 20), 0);  // past the end
 }
 
 // Two producers append (rows, row batches and columnar batches) to one

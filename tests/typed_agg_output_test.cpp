@@ -1,8 +1,10 @@
 // The stateful aggregate writes its output as typed columns: group keys are
-// decoded from the state-key bytes straight into their columns and the
-// finals are appended as typed cells. These seeded cases check that output
-// against a boxed oracle that keeps each group's key and state as encoded
-// rows and builds every output row from DecodeRow + FinalizeAggState, then
+// appended from the key columns (update mode) or decoded from the state-key
+// bytes straight into their columns (stored groups), and the finals are
+// appended as typed cells from each group's record. These seeded cases check
+// that output against a boxed oracle (agg_oracle.h) that keeps each group's
+// key and state as encoded rows and builds every output row from DecodeRow +
+// FinalizeAggState, then
 // boxes the rows with RecordBatch::FromRows. Column types and every cell
 // (type byte and bits, so NaN and -0.0 count) must match, on every output
 // mode and in batch, windowed or not, on the inline grain (InlineScheduler,
@@ -19,6 +21,7 @@
 
 #include <gtest/gtest.h>
 
+#include "agg_oracle.h"
 #include "common/random.h"
 #include "expr/aggregate.h"
 #include "expr/expression.h"

@@ -3,6 +3,8 @@
 # of files and directories. Anything else (editor droppings, stray test
 # scratch files, misplaced outputs — e.g. the historical stray `e`) fails
 # CI until it is either removed or added to the allowlist below on purpose.
+# Second, no function declared in a src/ header may go unreferenced (see
+# UNUSED_ALLOWLIST below).
 #
 # Usage: tools/check_repo_hygiene.sh   (from the repo root; uses git ls-tree
 # so only *committed* top-level entries are checked)
@@ -29,3 +31,89 @@ if [[ "$STRAY" -ne 0 ]]; then
   exit 1
 fi
 echo "PASS: top level is clean ($(git ls-tree --name-only HEAD | wc -l) entries)"
+
+# Unused public surface: a function declared in a src/ header whose name
+# occurs nowhere in src/, tests/, bench/, examples/, tools/ or perfbench/
+# beyond its declarations and definitions (comments and string literals
+# do not count) fails until it is deleted, given a caller, or listed in
+# UNUSED_ALLOWLIST (one name per entry) because it is kept on purpose. A
+# name shared with any other function counts as used, so the check only
+# errs towards passing.
+UNUSED_ALLOWLIST=()
+UNUSED=$(python3 - "${UNUSED_ALLOWLIST[@]}" <<'PY'
+import collections
+import os
+import re
+import sys
+
+ALLOWED = set(sys.argv[1:])
+CODE_DIRS = ["src", "tests", "bench", "examples", "tools", "perfbench"]
+KEYWORDS = {"if", "for", "while", "switch", "return", "sizeof",
+            "static_assert", "decltype", "alignof", "catch", "operator",
+            "defined", "noexcept", "requires", "explicit", "alignas",
+            "typeid"}
+
+
+def strip(line):
+    line = re.sub(r'"(\\.|[^"\\])*"', '""', line)
+    return line.split("//", 1)[0]
+
+
+files = {}
+for d in CODE_DIRS:
+    for dirpath, _, names in os.walk(d):
+        for name in names:
+            if name.endswith((".h", ".cc", ".cpp")):
+                path = os.path.join(dirpath, name)
+                with open(path, encoding="utf-8", errors="replace") as f:
+                    files[path] = [strip(l.rstrip("\n")) for l in f]
+
+# A declaration: a type, then the name and "(", opening a statement.
+DECL = re.compile(
+    r"^\s*(?:(?:static|virtual|inline|explicit|constexpr|friend|const|"
+    r"unsigned|struct|typename)\s+)*"
+    r"(?:[A-Za-z_][\w:]*(?:<[^;()]*>)?[\s\*&]+)+[\*&]?([A-Za-z_]\w*)\s*\(")
+# An out-of-line definition: at column 0, the (qualified) name and "(".
+DEFN = re.compile(
+    r"^[A-Za-z_][\w:<>,\s\*&]*?\b(?:[A-Za-z_]\w*::)*([A-Za-z_]\w*)\s*\(")
+
+declared = collections.defaultdict(list)
+sites = collections.Counter()
+for path, lines in files.items():
+    if not (path.startswith("src" + os.sep) and path.endswith(".h")):
+        continue
+    for i, line in enumerate(lines):
+        m = DECL.match(line)
+        if (not m or "=" in line.split("(", 1)[0] or
+                line.lstrip().startswith(("return", "#", "using", "typedef"))):
+            continue
+        if m.group(1) in KEYWORDS:
+            continue
+        declared[m.group(1)].append("%s:%d" % (path, i + 1))
+        sites[m.group(1)] += 1
+for path, lines in files.items():
+    if not path.endswith((".cc", ".cpp")):
+        continue
+    for line in lines:
+        m = DEFN.match(line)
+        if m and not line.rstrip().endswith(";") and m.group(1) in declared:
+            sites[m.group(1)] += 1
+uses = collections.Counter()
+for lines in files.values():
+    for line in lines:
+        for w in re.findall(r"[A-Za-z_]\w*", line):
+            if w in declared:
+                uses[w] += 1
+for name in sorted(declared):
+    if uses[name] <= sites[name] and name not in ALLOWED:
+        print("  %s (%s)" % (name, declared[name][0]))
+PY
+)
+if [[ -n "$UNUSED" ]]; then
+  echo "FAIL: header-declared functions that nothing references:" >&2
+  echo "$UNUSED" >&2
+  echo "      delete them, give them a caller, or add them to" >&2
+  echo "      UNUSED_ALLOWLIST in $0" >&2
+  exit 1
+fi
+echo "PASS: every header-declared function in src/ has a reference"

@@ -25,8 +25,9 @@ struct StructuredRunStats {
   int64_t p50_epoch_nanos = 0;
   int64_t p99_epoch_nanos = 0;
   /// Simulated nanos spent in the stateful aggregation's stages (eval,
-  /// shard split, per-shard fold) — the denominator of the shard-scaling
-  /// benchmark's stateful-stage throughput.
+  /// shard split, per-shard fold), read from the aggregate's plan-profile
+  /// totals — the denominator of the shard-scaling benchmark's
+  /// stateful-stage throughput.
   int64_t stateful_stage_nanos = 0;
 };
 
@@ -58,8 +59,12 @@ inline double RunStructured(MessageBus* bus, const std::string& topic,
   double records_per_sec = static_cast<double>(num_events) / seconds;
   if (stats != nullptr) {
     stats->records_per_sec = records_per_sec;
-    stats->stateful_stage_nanos =
-        scheduler->StageVirtualNanos("StatefulAggregate");
+    for (const PlanProfile::Node& node :
+         (*query)->plan_profile().Snapshot()) {
+      if (node.op.name == "StatefulAggregate") {
+        stats->stateful_stage_nanos += node.totals.stage_nanos;
+      }
+    }
     std::vector<int64_t> durations;
     for (const QueryProgress& p : (*query)->recent_progress()) {
       durations.push_back(p.duration_nanos);

@@ -111,7 +111,7 @@ Result<std::unique_ptr<StreamingQuery>> StreamingQuery::Start(
   }
   SS_ASSIGN_OR_RETURN(query->plan_,
                       Incrementalize(analyzed, options.num_partitions));
-  query->BuildOpIndex();
+  query->BuildProfileNodes();
 
   // Initialize per-source consumed offsets to zero.
   for (const SourcePtr& source : query->plan_.sources) {
@@ -155,7 +155,7 @@ ShardedStateStore::Options StreamingQuery::StateOptions() const {
   return opts;
 }
 
-void StreamingQuery::BuildOpIndex() {
+void StreamingQuery::BuildProfileNodes() {
   // Pre-order walk; a visited set keeps shared subtrees from being listed
   // twice (their stats are already per-op_id). Operators describe their own
   // profile nodes: most contribute one, a fused pipeline contributes itself
@@ -168,14 +168,8 @@ void StreamingQuery::BuildOpIndex() {
     op.CollectProfileNodes(&nodes);
     for (OpProfileNode& node : nodes) {
       if (!seen.insert(node.op_id).second) continue;
-      OpIndexEntry entry;
-      entry.op_id = node.op_id;
-      entry.name = node.name;
-      entry.is_source = node.is_source;
-      entry.child_ids = node.child_ids;
-      plan_profile_.AddNode(entry.op_id, entry.name, entry.is_source,
-                            entry.child_ids);
-      op_index_.push_back(std::move(entry));
+      plan_profile_.AddNode(node);
+      profile_nodes_.push_back(std::move(node));
     }
     for (const PhysOpPtr& child : op.children()) walk(*child);
   };
@@ -531,10 +525,10 @@ Status StreamingQuery::RunPlannedEpoch(const EpochPlan& plan) {
   int64_t source_read = 0;
   {
     std::lock_guard<std::mutex> lock(ctx.metrics_mu);
-    for (const OpIndexEntry& entry : op_index_) {
-      if (!entry.is_source) continue;
-      auto it = ctx.op_stats.find(entry.op_id);
-      if (it != ctx.op_stats.end()) source_read += it->second.wall_nanos;
+    for (const OpProfileNode& node : profile_nodes_) {
+      if (!node.is_source) continue;
+      auto it = ctx.op_wall_nanos.find(node.op_id);
+      if (it != ctx.op_wall_nanos.end()) source_read += it->second;
     }
   }
   source_read = std::min(source_read, exec_total);
@@ -569,46 +563,36 @@ Status StreamingQuery::RunPlannedEpoch(const EpochPlan& plan) {
       if (ait != backlog_age.end()) sp.backlog_age_micros = ait->second;
       progress.sources.push_back(std::move(sp));
     }
-    // Per-operator summaries, in plan pre-order. rows_in is the children's
-    // combined output; cpu is the operator's inclusive wall time minus its
-    // children's (self time).
-    for (const OpIndexEntry& entry : op_index_) {
-      OperatorProgress op;
-      op.op_id = entry.op_id;
-      op.name = entry.name;
-      int64_t wall = 0;
-      auto it = ctx.op_stats.find(entry.op_id);
-      if (it != ctx.op_stats.end()) {
-        op.rows_out = it->second.rows_out;
-        op.batches = it->second.batches;
-        op.output_bytes = it->second.bytes_out;
-        op.tasks = it->second.tasks;
-        op.queue_wait_nanos = it->second.queue_wait_nanos;
-        op.task_run_nanos = it->second.task_run_nanos;
-        op.max_task_run_nanos = it->second.max_task_run_nanos;
-        progress.queue_wait_nanos += op.queue_wait_nanos;
-        wall = it->second.wall_nanos;
-      }
-      auto sit = state_sizes.find(entry.op_id);
+    // Per-operator summaries, in plan pre-order: the operators' own
+    // counters, plus rows_in (the children's combined output), cpu (the
+    // operator's inclusive wall time minus its children's: self time) and
+    // the live state size.
+    for (const OpProfileNode& node : profile_nodes_) {
+      auto it = ctx.op_progress.find(node.op_id);
+      OperatorProgress op =
+          it != ctx.op_progress.end() ? it->second : OperatorProgress{};
+      op.op_id = node.op_id;
+      op.name = node.name;
+      progress.queue_wait_nanos += op.queue_wait_nanos;
+      auto sit = state_sizes.find(node.op_id);
       if (sit != state_sizes.end()) {
         op.state_rows = sit->second.rows;
         op.state_bytes = sit->second.bytes;
-        auto shit = shard_sizes.find(entry.op_id);
-        if (shit != shard_sizes.end()) {
-          for (const StateManager::OpStateSize& ss : shit->second) {
-            op.shard_state.emplace_back(ss.rows, ss.bytes);
-          }
+        for (const StateManager::OpStateSize& ss :
+             shard_sizes.at(node.op_id)) {
+          op.shard_state.emplace_back(ss.rows, ss.bytes);
         }
       }
-      int64_t children_wall = 0;
-      for (int child_id : entry.child_ids) {
-        auto cit = ctx.op_stats.find(child_id);
-        if (cit != ctx.op_stats.end()) {
-          op.rows_in += cit->second.rows_out;
-          children_wall += cit->second.wall_nanos;
-        }
+      int64_t self_wall = 0;
+      auto wit = ctx.op_wall_nanos.find(node.op_id);
+      if (wit != ctx.op_wall_nanos.end()) self_wall = wit->second;
+      for (int child_id : node.child_ids) {
+        auto cit = ctx.op_progress.find(child_id);
+        if (cit != ctx.op_progress.end()) op.rows_in += cit->second.rows_out;
+        auto cwit = ctx.op_wall_nanos.find(child_id);
+        if (cwit != ctx.op_wall_nanos.end()) self_wall -= cwit->second;
       }
-      op.cpu_nanos = std::max<int64_t>(0, wall - children_wall);
+      op.cpu_nanos = std::max<int64_t>(0, self_wall);
       progress.operators.push_back(std::move(op));
     }
   }

@@ -232,17 +232,8 @@ class StreamingQuery {
   /// recovery replay.
   Status RunPlannedEpoch(const EpochPlan& plan);
   Result<EpochPlan> PlanNextEpoch();
-  void BuildOpIndex();
+  void BuildProfileNodes();
   void NotifyTerminated();
-
-  /// One physical-plan node, in pre-order (root first) — the skeleton
-  /// per-operator progress is derived against each epoch.
-  struct OpIndexEntry {
-    int op_id = 0;
-    std::string name;
-    bool is_source = false;
-    std::vector<int> child_ids;
-  };
 
   QueryOptions options_;
   SinkPtr sink_;
@@ -275,7 +266,9 @@ class StreamingQuery {
   std::shared_ptr<MetricsRegistry> metrics_;
   std::shared_ptr<EpochTracer> tracer_;
   PlanProfile plan_profile_;  // internally synchronized
-  std::vector<OpIndexEntry> op_index_;
+  // The plan's profile nodes in pre-order (root first): the skeleton that
+  // each epoch's per-operator progress and the plan profile hang off.
+  std::vector<OpProfileNode> profile_nodes_;
   std::function<void(const QueryProgress&)> progress_callback_;
   std::function<void(const Status&, int64_t)> termination_callback_;
   std::atomic<bool> termination_notified_{false};

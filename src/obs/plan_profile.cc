@@ -5,16 +5,14 @@
 
 namespace sstreaming {
 
-void PlanProfile::AddNode(int op_id, std::string name, bool is_source,
-                          std::vector<int> children) {
+void PlanProfile::AddNode(const OpProfileNode& op) {
   std::lock_guard<std::mutex> lock(mu_);
-  if (index_.count(op_id)) return;
+  if (index_.count(op.op_id)) return;
   Node node;
-  node.op_id = op_id;
-  node.name = std::move(name);
-  node.is_source = is_source;
-  node.children = std::move(children);
-  index_[op_id] = nodes_.size();
+  node.op = op;
+  node.totals.op_id = op.op_id;
+  node.totals.name = op.name;
+  index_[op.op_id] = nodes_.size();
   nodes_.push_back(std::move(node));
 }
 
@@ -25,26 +23,10 @@ void PlanProfile::RecordEpoch(const QueryProgress& progress) {
     auto it = index_.find(op.op_id);
     if (it == index_.end()) continue;
     Node& node = nodes_[it->second];
-    node.rows_in += op.rows_in;
-    node.rows_out += op.rows_out;
-    node.batches += op.batches;
-    node.cpu_nanos += op.cpu_nanos;
-    node.output_bytes += op.output_bytes;
-    node.tasks += op.tasks;
-    node.queue_wait_nanos += op.queue_wait_nanos;
-    node.max_task_run_nanos =
-        std::max(node.max_task_run_nanos, op.max_task_run_nanos);
-    node.state_rows = op.state_rows;
-    node.state_bytes = op.state_bytes;
-    node.shard_state = op.shard_state;
+    node.totals.MergeFrom(op);
     node.peak_state_rows = std::max(node.peak_state_rows, op.state_rows);
     node.peak_state_bytes = std::max(node.peak_state_bytes, op.state_bytes);
   }
-}
-
-int64_t PlanProfile::epochs() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return epochs_;
 }
 
 std::vector<PlanProfile::Node> PlanProfile::Snapshot() const {
@@ -59,41 +41,42 @@ const PlanProfile::Node* PlanProfile::FindLocked(int op_id) const {
 
 void PlanProfile::RenderNodeLocked(const Node& node, int depth,
                                    std::string* out) const {
+  const OperatorProgress& t = node.totals;
   out->append(static_cast<size_t>(depth) * 2, ' ');
-  *out += node.name;
+  *out += node.op.name;
   char buf[256];
   std::snprintf(buf, sizeof(buf),
                 " [op %d]  rows_in=%lld rows_out=%lld batches=%lld "
                 "self_cpu_ms=%.3f queue_ms=%.3f output_bytes=%lld",
-                node.op_id, static_cast<long long>(node.rows_in),
-                static_cast<long long>(node.rows_out),
-                static_cast<long long>(node.batches),
-                static_cast<double>(node.cpu_nanos) / 1e6,
-                static_cast<double>(node.queue_wait_nanos) / 1e6,
-                static_cast<long long>(node.output_bytes));
+                node.op.op_id, static_cast<long long>(t.rows_in),
+                static_cast<long long>(t.rows_out),
+                static_cast<long long>(t.batches),
+                static_cast<double>(t.cpu_nanos) / 1e6,
+                static_cast<double>(t.queue_wait_nanos) / 1e6,
+                static_cast<long long>(t.output_bytes));
   *out += buf;
   if (node.peak_state_rows > 0 || node.peak_state_bytes > 0) {
     std::snprintf(buf, sizeof(buf),
                   " state_rows=%lld state_bytes=%lld (peak %lld/%lld)",
-                  static_cast<long long>(node.state_rows),
-                  static_cast<long long>(node.state_bytes),
+                  static_cast<long long>(t.state_rows),
+                  static_cast<long long>(t.state_bytes),
                   static_cast<long long>(node.peak_state_rows),
                   static_cast<long long>(node.peak_state_bytes));
     *out += buf;
-    if (!node.shard_state.empty()) {
+    if (!t.shard_state.empty()) {
       *out += " shards=[";
-      for (size_t s = 0; s < node.shard_state.size(); ++s) {
+      for (size_t s = 0; s < t.shard_state.size(); ++s) {
         if (s > 0) *out += " ";
         std::snprintf(buf, sizeof(buf), "%lld/%lld",
-                      static_cast<long long>(node.shard_state[s].first),
-                      static_cast<long long>(node.shard_state[s].second));
+                      static_cast<long long>(t.shard_state[s].first),
+                      static_cast<long long>(t.shard_state[s].second));
         *out += buf;
       }
       *out += "]";
     }
   }
   *out += "\n";
-  for (int child_id : node.children) {
+  for (int child_id : node.op.child_ids) {
     const Node* child = FindLocked(child_id);
     if (child != nullptr) RenderNodeLocked(*child, depth + 1, out);
   }
@@ -108,34 +91,12 @@ std::string PlanProfile::Render() const {
 }
 
 Json PlanProfile::NodeJsonLocked(const Node& node) const {
-  Json obj = Json::Object();
-  obj.Set("opId", Json::Int(node.op_id));
-  obj.Set("name", Json::Str(node.name));
-  obj.Set("isSource", Json::Bool(node.is_source));
-  obj.Set("rowsIn", Json::Int(node.rows_in));
-  obj.Set("rowsOut", Json::Int(node.rows_out));
-  obj.Set("batches", Json::Int(node.batches));
-  obj.Set("cpuNanos", Json::Int(node.cpu_nanos));
-  obj.Set("queueWaitNanos", Json::Int(node.queue_wait_nanos));
-  obj.Set("tasks", Json::Int(node.tasks));
-  obj.Set("maxTaskRunNanos", Json::Int(node.max_task_run_nanos));
-  obj.Set("outputBytes", Json::Int(node.output_bytes));
-  obj.Set("stateRows", Json::Int(node.state_rows));
-  obj.Set("stateBytes", Json::Int(node.state_bytes));
+  Json obj = node.totals.ToJson();
+  obj.Set("isSource", Json::Bool(node.op.is_source));
   obj.Set("peakStateRows", Json::Int(node.peak_state_rows));
   obj.Set("peakStateBytes", Json::Int(node.peak_state_bytes));
-  if (!node.shard_state.empty()) {
-    Json shards = Json::Array();
-    for (const auto& [rows, bytes] : node.shard_state) {
-      Json pair = Json::Array();
-      pair.Append(Json::Int(rows));
-      pair.Append(Json::Int(bytes));
-      shards.Append(std::move(pair));
-    }
-    obj.Set("shardState", std::move(shards));
-  }
   Json children = Json::Array();
-  for (int child_id : node.children) {
+  for (int child_id : node.op.child_ids) {
     const Node* child = FindLocked(child_id);
     if (child != nullptr) children.Append(NodeJsonLocked(*child));
   }

@@ -15,11 +15,12 @@ namespace sstreaming {
 
 /// EXPLAIN ANALYZE for a running query: the physical plan tree annotated
 /// with cumulative per-operator actuals (rows in/out, batches, self CPU,
-/// output bytes, live/peak state size). The skeleton is registered once at
-/// query start (AddNode, root first, plan pre-order); every completed epoch
-/// folds its OperatorProgress in via RecordEpoch. Thread-safe: the epoch
-/// loop records while HTTP scrape threads render, so all node state is
-/// mutex-guarded and Render()/ToJson() work from a consistent snapshot.
+/// output bytes, scheduler stages, live/peak state size). The skeleton is
+/// registered once at query start (AddNode, root first, plan pre-order);
+/// every completed epoch folds its OperatorProgress in via RecordEpoch.
+/// Thread-safe: the epoch loop records while HTTP scrape threads render, so
+/// all node state is mutex-guarded and Render()/ToJson() work from a
+/// consistent snapshot.
 ///
 /// The cumulative rows_in/rows_out per node are fed from the same
 /// OperatorProgress values as the `sstreaming_operator_rows_{in,out}_total`
@@ -28,33 +29,15 @@ namespace sstreaming {
 class PlanProfile {
  public:
   struct Node {
-    int op_id = 0;
-    std::string name;
-    bool is_source = false;
-    std::vector<int> children;  // child op_ids, plan order
-
-    // Cumulative actuals across recorded epochs.
-    int64_t rows_in = 0;
-    int64_t rows_out = 0;
-    int64_t batches = 0;
-    int64_t cpu_nanos = 0;  // self time (inclusive minus children)
-    int64_t output_bytes = 0;
-    // Scheduler accounting for the stages this operator submitted:
-    // cumulative task count, submit->start queue wait (backpressure), and
-    // the slowest single task seen (skew).
-    int64_t tasks = 0;
-    int64_t queue_wait_nanos = 0;
-    int64_t max_task_run_nanos = 0;
-
-    // Live state size after the most recent epoch, and the peak across all
-    // recorded epochs (0 for stateless operators).
-    int64_t state_rows = 0;
-    int64_t state_bytes = 0;
+    OpProfileNode op;  // the skeleton: id, name, source flag, children
+    /// Cumulative actuals across recorded epochs: every epoch's
+    /// OperatorProgress folded in with MergeFrom (so the state size is the
+    /// most recent epoch's).
+    OperatorProgress totals;
+    /// Largest live state size after any recorded epoch (0 for stateless
+    /// operators).
     int64_t peak_state_rows = 0;
     int64_t peak_state_bytes = 0;
-    // Per-shard (rows, bytes) breakdown of the live state, indexed by
-    // shard. Empty for stateless operators.
-    std::vector<std::pair<int64_t, int64_t>> shard_state;
   };
 
   PlanProfile() = default;
@@ -64,21 +47,20 @@ class PlanProfile {
   /// Registers one plan node. Call in plan pre-order (root first) before the
   /// first RecordEpoch; nodes registered twice (shared subtrees) are kept
   /// once.
-  void AddNode(int op_id, std::string name, bool is_source,
-               std::vector<int> children);
+  void AddNode(const OpProfileNode& node);
 
   /// Folds one completed epoch's per-operator summaries into the totals.
   void RecordEpoch(const QueryProgress& progress);
 
-  int64_t epochs() const;
   std::vector<Node> Snapshot() const;
 
   /// Multi-line EXPLAIN ANALYZE rendering: the plan tree, one node per line,
   /// annotated with cumulative actuals.
   std::string Render() const;
 
-  /// {"epochs": N, "root": {"opId", "name", "rowsIn", ..., "children": [...]}}
-  /// — the payload of the /queries/<id>/plan endpoint.
+  /// {"epochs": N, "root": {...}} — the payload of the /queries/<id>/plan
+  /// endpoint. Each node is its totals' OperatorProgress::ToJson() plus
+  /// "isSource", "peakStateRows", "peakStateBytes" and "children".
   Json ToJson() const;
 
  private:

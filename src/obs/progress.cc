@@ -1,5 +1,7 @@
 #include "obs/progress.h"
 
+#include <algorithm>
+
 namespace sstreaming {
 
 namespace {
@@ -88,6 +90,22 @@ Result<LatencySummary> LatencySummary::FromJson(const Json& json) {
   return s;
 }
 
+void OperatorProgress::MergeFrom(const OperatorProgress& later) {
+  rows_in += later.rows_in;
+  rows_out += later.rows_out;
+  batches += later.batches;
+  cpu_nanos += later.cpu_nanos;
+  output_bytes += later.output_bytes;
+  tasks += later.tasks;
+  stage_nanos += later.stage_nanos;
+  queue_wait_nanos += later.queue_wait_nanos;
+  task_run_nanos += later.task_run_nanos;
+  max_task_run_nanos = std::max(max_task_run_nanos, later.max_task_run_nanos);
+  state_rows = later.state_rows;
+  state_bytes = later.state_bytes;
+  shard_state = later.shard_state;
+}
+
 Json OperatorProgress::ToJson() const {
   Json obj = Json::Object();
   obj.Set("opId", Json::Int(op_id));
@@ -101,6 +119,7 @@ Json OperatorProgress::ToJson() const {
   obj.Set("stateBytes", Json::Int(state_bytes));
   if (tasks != 0) {
     obj.Set("tasks", Json::Int(tasks));
+    obj.Set("stageNanos", Json::Int(stage_nanos));
     obj.Set("queueWaitNanos", Json::Int(queue_wait_nanos));
     obj.Set("taskRunNanos", Json::Int(task_run_nanos));
     obj.Set("maxTaskRunNanos", Json::Int(max_task_run_nanos));
@@ -133,6 +152,7 @@ Result<OperatorProgress> OperatorProgress::FromJson(const Json& json) {
   op.state_rows = GetInt(json, "stateRows");
   op.state_bytes = GetInt(json, "stateBytes");
   op.tasks = GetInt(json, "tasks");
+  op.stage_nanos = GetInt(json, "stageNanos");
   op.queue_wait_nanos = GetInt(json, "queueWaitNanos");
   op.task_run_nanos = GetInt(json, "taskRunNanos");
   op.max_task_run_nanos = GetInt(json, "maxTaskRunNanos");

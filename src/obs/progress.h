@@ -40,9 +40,23 @@ struct LatencySummary {
   static Result<LatencySummary> FromJson(const Json& json);
 };
 
+/// One operator's place in the plan, as EXPLAIN ANALYZE and the per-epoch
+/// operator list show it. Most operators contribute exactly one node
+/// (themselves); a fused pipeline contributes one node for itself plus one
+/// per original stage (PhysOp::CollectProfileNodes).
+struct OpProfileNode {
+  int op_id = 0;
+  std::string name;
+  bool is_source = false;
+  /// op_ids whose rows_out feed this node (its inputs).
+  std::vector<int> child_ids;
+};
+
 /// Per-operator summary for one epoch (rows through the operator, batches
 /// produced, and self CPU-ish wall time — the operator's inclusive time
-/// minus its children's).
+/// minus its children's). The one record of per-operator counters: the
+/// physical operators add into it while the epoch runs, the progress event
+/// carries it, and the plan profile's totals are its MergeFrom fold.
 struct OperatorProgress {
   int op_id = 0;
   std::string name;
@@ -56,17 +70,24 @@ struct OperatorProgress {
   int64_t state_rows = 0;
   int64_t state_bytes = 0;
   /// Scheduler accounting for the stages this operator submitted this
-  /// epoch: task count, summed submit->start queue wait (the backpressure
-  /// signal), summed task run time, and the run-time of the slowest task
-  /// (skew — e.g. a hot state shard's fold task). All zero (and omitted
-  /// from the JSON) for operators that ran no scheduler stage.
+  /// epoch: task count, summed stage time (first submit to last finish;
+  /// virtual time on SimClusterScheduler), summed submit->start queue wait
+  /// (the backpressure signal), summed task run time, and the run-time of
+  /// the slowest task (skew — e.g. a hot state shard's fold task). All zero
+  /// (and omitted from the JSON) for operators that ran no scheduler task.
   int64_t tasks = 0;
+  int64_t stage_nanos = 0;
   int64_t queue_wait_nanos = 0;
   int64_t task_run_nanos = 0;
   int64_t max_task_run_nanos = 0;
   /// Per-shard breakdown of (state_rows, state_bytes), indexed by shard.
   /// Empty for stateless operators (and omitted from the JSON then).
   std::vector<std::pair<int64_t, int64_t>> shard_state;
+
+  /// Folds a later record of the same operator into this one: the counters
+  /// add up, max_task_run_nanos keeps the larger, and the state size (a
+  /// level, not a flow) becomes the later record's.
+  void MergeFrom(const OperatorProgress& later);
 
   Json ToJson() const;
   static Result<OperatorProgress> FromJson(const Json& json);

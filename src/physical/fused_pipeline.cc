@@ -215,7 +215,7 @@ Result<std::vector<RecordBatchPtr>> FusedPipelineExec::ExecuteImpl(
   const size_t parts = in.size();
   const size_t n_stages = stages_.size();
   // Per-partition, per-stage accounting filled lock-free inside the tasks
-  // and folded into ctx->op_stats afterwards.
+  // and folded into ctx->op_progress afterwards.
   std::vector<std::vector<StageStats>> cells(
       parts, std::vector<StageStats>(n_stages));
 
@@ -237,16 +237,15 @@ Result<std::vector<RecordBatchPtr>> FusedPipelineExec::ExecuteImpl(
     std::lock_guard<std::mutex> lock(ctx->metrics_mu);
     int64_t cumulative = 0;
     for (size_t s = 0; s < n_stages; ++s) {
-      OpStats& stats = ctx->op_stats[stages_[s].op_id];
+      OperatorProgress& op = ctx->op_progress[stages_[s].op_id];
       for (size_t p = 0; p < parts; ++p) {
         const StageStats& cell = cells[p][s];
-        stats.rows_out += cell.rows;
-        stats.bytes_out += cell.bytes;
-        ++stats.batches;
+        op.rows_out += cell.rows;
+        op.output_bytes += cell.bytes;
+        ++op.batches;
         cumulative += cell.nanos;
       }
-      stats.wall_nanos += child_nanos + cumulative;
-      ++stats.invocations;
+      ctx->op_wall_nanos[stages_[s].op_id] += child_nanos + cumulative;
     }
   }
   return out;

@@ -18,7 +18,7 @@ namespace sstreaming {
 ///
 /// Observability contract: the fused node has its own op_id, but every
 /// stage carries the op_id the incrementalizer gave that operator — per-stage
-/// OpStats are recorded under those ids and CollectProfileNodes exposes the
+/// counters are recorded under those ids and CollectProfileNodes exposes the
 /// stages as chained profile nodes, so EXPLAIN ANALYZE row accounting and
 /// the sstreaming_operator_rows_* counters report each operator separately.
 /// Watermark stages likewise observe event times under their own op_id,

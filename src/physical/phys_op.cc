@@ -226,14 +226,12 @@ Status ExecContext::RunStage(int op_id, const std::string& stage_name,
   // Merge even on failure: a stage that died after queueing is still
   // evidence for the doctor.
   std::lock_guard<std::mutex> lock(metrics_mu);
-  OpStats& stats = op_stats[op_id];
-  stats.tasks += wait.tasks;
-  stats.queue_wait_nanos += wait.queue_wait_nanos;
-  stats.max_queue_wait_nanos =
-      std::max(stats.max_queue_wait_nanos, wait.max_queue_wait_nanos);
-  stats.task_run_nanos += wait.run_nanos;
-  stats.max_task_run_nanos =
-      std::max(stats.max_task_run_nanos, wait.max_run_nanos);
+  OperatorProgress& op = op_progress[op_id];
+  op.tasks += wait.tasks;
+  op.stage_nanos += wait.stage_wall_nanos;
+  op.queue_wait_nanos += wait.queue_wait_nanos;
+  op.task_run_nanos += wait.run_nanos;
+  op.max_task_run_nanos = std::max(op.max_task_run_nanos, wait.max_run_nanos);
   return s;
 }
 
@@ -252,14 +250,13 @@ Result<std::vector<RecordBatchPtr>> PhysOp::Execute(ExecContext* ctx) {
   int64_t dt = MonotonicNanos() - t0;
   {
     std::lock_guard<std::mutex> lock(ctx->metrics_mu);
-    OpStats& stats = ctx->op_stats[op_id_];
-    stats.wall_nanos += dt;
-    ++stats.invocations;
+    ctx->op_wall_nanos[op_id_] += dt;
+    OperatorProgress& op = ctx->op_progress[op_id_];
     if (result.ok()) {
-      stats.batches += static_cast<int64_t>(result->size());
+      op.batches += static_cast<int64_t>(result->size());
       for (const RecordBatchPtr& batch : *result) {
-        stats.rows_out += batch->num_rows();
-        stats.bytes_out += batch->ApproxBytes();
+        op.rows_out += batch->num_rows();
+        op.output_bytes += batch->ApproxBytes();
       }
     }
   }

@@ -13,6 +13,7 @@
 #include "common/status.h"
 #include "common/thread_annotations.h"
 #include "logical/output_mode.h"
+#include "obs/progress.h"
 #include "runtime/scheduler.h"
 #include "state/sharded_state_store.h"
 #include "types/record_batch.h"
@@ -122,28 +123,6 @@ class StateManager {
   int64_t reported_bytes_ SS_GUARDED_BY(mu_) = 0;
 };
 
-/// Per-operator counters accumulated over one epoch (§7.4 monitoring).
-struct OpStats {
-  int64_t rows_out = 0;
-  int64_t batches = 0;
-  /// Inclusive wall time of the operator's Execute (children included).
-  int64_t wall_nanos = 0;
-  int64_t invocations = 0;
-  /// Approximate bytes of the operator's output batches (memory accounting
-  /// for EXPLAIN ANALYZE; O(columns) per batch to compute).
-  int64_t bytes_out = 0;
-
-  // Scheduler-stage accounting for the stages this operator submitted
-  // (filled by ExecContext::RunStage; see StageWait). queue_wait is the
-  // operator's backpressure signal; max_task_run vs. run/tasks is its
-  // task skew (e.g. an overloaded state shard's fold task).
-  int64_t tasks = 0;
-  int64_t queue_wait_nanos = 0;
-  int64_t max_queue_wait_nanos = 0;
-  int64_t task_run_nanos = 0;
-  int64_t max_task_run_nanos = 0;
-};
-
 /// Per-epoch execution context threaded through the physical operators.
 struct ExecContext {
   int64_t epoch = 0;
@@ -192,12 +171,17 @@ struct ExecContext {
   }
 
   /// Rows read from sources this epoch (metrics, §7.4), total and per
-  /// source. `op_stats` is filled by PhysOp::Execute (one entry per
-  /// operator). All three are guarded by `metrics_mu`.
+  /// source. `op_progress` holds each operator's counters for this epoch:
+  /// PhysOp::Execute adds its rows, batches and bytes out, RunStage its
+  /// scheduler accounting (cpu_nanos and the state sizes are the engine's
+  /// to fill at the epoch's end). `op_wall_nanos` is each operator's
+  /// inclusive Execute wall time (children included), from which the
+  /// engine derives self time. All are guarded by `metrics_mu`.
   std::mutex metrics_mu;
   int64_t rows_read SS_GUARDED_BY(metrics_mu) = 0;
   std::map<std::string, int64_t> source_rows SS_GUARDED_BY(metrics_mu);
-  std::map<int, OpStats> op_stats SS_GUARDED_BY(metrics_mu);
+  std::map<int, OperatorProgress> op_progress SS_GUARDED_BY(metrics_mu);
+  std::map<int, int64_t> op_wall_nanos SS_GUARDED_BY(metrics_mu);
   void CountSourceRows(const std::string& source, int64_t n) {
     std::lock_guard<std::mutex> lock(metrics_mu);
     rows_read += n;
@@ -221,25 +205,12 @@ struct ExecContext {
     return min_ingest_micros;
   }
 
-  /// Runs a stage on `scheduler`, merging its queue-wait/run accounting
-  /// into `op_stats[op_id]` (the submitting operator). Operators call this
-  /// instead of scheduler->RunStage so every stage's backpressure signal is
+  /// Runs a stage on `scheduler`, adding its stage time and queue-wait/run
+  /// accounting into `op_progress[op_id]` (the submitting operator).
+  /// Operators call this instead of scheduler->RunStage so every stage is
   /// attributed to the operator that submitted it.
   Status RunStage(int op_id, const std::string& stage_name,
                   std::vector<std::function<Status()>> tasks);
-};
-
-/// One row of the per-operator profile index: how an operator wants to
-/// appear in EXPLAIN ANALYZE / the plan profile. Most operators contribute
-/// exactly one node (themselves); FusedPipelineExec contributes one node for
-/// the fused pipeline plus one per original stage so per-operator row
-/// accounting still ties out after fusion.
-struct OpProfileNode {
-  int op_id = 0;
-  std::string name;
-  bool is_source = false;
-  /// op_ids whose rows_out feed this node (its inputs).
-  std::vector<int> child_ids;
 };
 
 /// A physical operator: executes one epoch across all partitions, returning
@@ -263,10 +234,10 @@ class PhysOp {
 
   virtual std::string name() const = 0;
 
-  /// Instrumented entry point: runs ExecuteImpl, accumulating this
-  /// operator's wall time, output rows, and batch count into
-  /// `ctx->op_stats[op_id()]` and recording a tracer span when
-  /// `ctx->tracer` is set. Operators recurse through this (via their
+  /// Instrumented entry point: runs ExecuteImpl, adding this operator's
+  /// output rows, batches and bytes into `ctx->op_progress[op_id()]` and
+  /// its wall time into `ctx->op_wall_nanos`, and recording a tracer span
+  /// when `ctx->tracer` is set. Operators recurse through this (via their
   /// children), so every node of the DAG is accounted per epoch.
   Result<std::vector<RecordBatchPtr>> Execute(ExecContext* ctx);
 

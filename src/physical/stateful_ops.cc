@@ -1106,7 +1106,7 @@ Result<std::vector<RecordBatchPtr>> StreamStreamJoinExec::ExecuteImpl(
     const int64_t watermark = ctx->watermark_micros;
     const bool evicting = watermark != INT64_MIN &&
                           (left_time_index_ >= 0 || right_time_index_ >= 0);
-    if (evicting || ctx->is_batch) {
+    if (evicting) {
       // Pull every stored key of this shard into the cache so eviction
       // sees all state.
       std::vector<std::string> all_keys;
@@ -1123,15 +1123,10 @@ Result<std::vector<RecordBatchPtr>> StreamStreamJoinExec::ExecuteImpl(
             is_left ? shape_.preserves_left : shape_.preserves_right;
         std::vector<std::pair<bool, Row>> kept;
         for (auto& [matched, row] : entry.rows) {
-          bool expire;
-          if (ctx->is_batch) {
-            expire = true;  // batch run: finalize everything
-          } else {
-            expire = time_index >= 0 &&
-                     !row[static_cast<size_t>(time_index)].is_null() &&
-                     row[static_cast<size_t>(time_index)].int64_value() <
-                         watermark;
-          }
+          const bool expire =
+              time_index >= 0 &&
+              !row[static_cast<size_t>(time_index)].is_null() &&
+              row[static_cast<size_t>(time_index)].int64_value() < watermark;
           if (expire) {
             if (preserved && !matched) {
               SS_RETURN_IF_ERROR(out->AppendRow(

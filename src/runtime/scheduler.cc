@@ -55,7 +55,6 @@ struct StageMetrics {
 void AddTask(StageWait* w, int64_t wait_nanos, int64_t run_nanos) {
   ++w->tasks;
   w->queue_wait_nanos += wait_nanos;
-  w->max_queue_wait_nanos = std::max(w->max_queue_wait_nanos, wait_nanos);
   w->run_nanos += run_nanos;
   w->max_run_nanos = std::max(w->max_run_nanos, run_nanos);
 }
@@ -162,15 +161,6 @@ Status PoolScheduler::RunStage(const std::string& stage_name,
 SimClusterScheduler::SimClusterScheduler(Options options)
     : options_(options), rng_(options.seed) {}
 
-int64_t SimClusterScheduler::StageVirtualNanos(
-    const std::string& prefix) const {
-  int64_t total = 0;
-  for (const auto& [name, nanos] : stage_virtual_nanos_) {
-    if (name.compare(0, prefix.size(), prefix) == 0) total += nanos;
-  }
-  return total;
-}
-
 Status SimClusterScheduler::RunStage(
     const std::string& stage_name,
     std::vector<std::function<Status()>> tasks, StageWait* wait) {
@@ -261,7 +251,6 @@ Status SimClusterScheduler::RunStage(
   int64_t stage_finish =
       *std::max_element(core_free_at.begin(), core_free_at.end());
   virtual_nanos_ += stage_finish;
-  stage_virtual_nanos_[stage_name] += stage_finish;
   w.stage_wall_nanos = stage_finish;
   if (m.enabled()) m.RecordStage(w, cores);
   if (wait != nullptr) *wait = w;

@@ -2,7 +2,6 @@
 #define SSTREAMING_RUNTIME_SCHEDULER_H_
 
 #include <functional>
-#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -17,15 +16,15 @@ class MetricsRegistry;
 
 /// Per-stage queue/backpressure accounting filled in by RunStage: how long
 /// tasks sat between submit and start (queue wait — the backpressure signal
-/// when partitions outnumber cores), how long they ran, and the per-task
-/// maxima (skew). On SimClusterScheduler all of it is virtual time, so the
-/// numbers describe the simulated cluster, not the host.
+/// when partitions outnumber cores), how long they ran, the slowest task
+/// (skew), and the stage's own time. On SimClusterScheduler all of it is
+/// virtual time, so the numbers describe the simulated cluster, not the
+/// host.
 struct StageWait {
   int64_t tasks = 0;
   /// Sum over tasks of (start time - submit time). Tasks wait
   /// concurrently, so this can exceed the stage's wall time.
   int64_t queue_wait_nanos = 0;
-  int64_t max_queue_wait_nanos = 0;
   /// Sum over tasks of execution time (excludes queue wait).
   int64_t run_nanos = 0;
   int64_t max_run_nanos = 0;
@@ -161,16 +160,7 @@ class SimClusterScheduler : public TaskScheduler {
 
   /// Total simulated wall-clock time consumed by all stages so far.
   int64_t virtual_nanos() const { return virtual_nanos_; }
-  void reset_virtual_time() {
-    virtual_nanos_ = 0;
-    stage_virtual_nanos_.clear();
-  }
-
-  /// Simulated time consumed by stages whose name starts with `prefix` —
-  /// e.g. "StatefulAggregate" covers the operator's [eval]/[split]/fold
-  /// sub-stages. The per-stage ledger behind the shard-scaling benchmark's
-  /// stateful-stage throughput.
-  int64_t StageVirtualNanos(const std::string& prefix) const;
+  void reset_virtual_time() { virtual_nanos_ = 0; }
 
   void ChargeVirtualNanos(int64_t nanos) override {
     // Tasks execute serially here, so a plain member is race-free.
@@ -186,7 +176,6 @@ class SimClusterScheduler : public TaskScheduler {
   Options options_;
   Random rng_;
   int64_t virtual_nanos_ = 0;
-  std::map<std::string, int64_t> stage_virtual_nanos_;
   int64_t pending_charge_ = 0;
   int64_t stragglers_ = 0;
   int64_t failures_ = 0;

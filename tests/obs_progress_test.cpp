@@ -1,10 +1,13 @@
 #include "obs/progress.h"
 
+#include <algorithm>
+
 #include <gtest/gtest.h>
 
 #include "connectors/memory.h"
 #include "exec/streaming_query.h"
 #include "obs/metrics.h"
+#include "obs/plan_profile.h"
 
 namespace sstreaming {
 namespace {
@@ -61,6 +64,11 @@ QueryProgress MakeFullProgress() {
   op.output_bytes = 2048;
   op.state_rows = 7;
   op.state_bytes = 4096;
+  op.tasks = 8;
+  op.stage_nanos = 900;
+  op.queue_wait_nanos = 300;
+  op.task_run_nanos = 700;
+  op.max_task_run_nanos = 150;
   p.operators.push_back(op);
   return p;
 }
@@ -73,6 +81,9 @@ TEST(ProgressJsonTest, RoundTripIsByteIdentical) {
   auto back = QueryProgress::FromJson(*parsed);
   ASSERT_TRUE(back.ok()) << back.status().ToString();
   EXPECT_EQ(back->ToJson().Dump(), dump);
+  ASSERT_EQ(back->operators.size(), 1u);
+  EXPECT_EQ(back->operators[0].stage_nanos, 900);
+  EXPECT_EQ(back->operators[0].max_task_run_nanos, 150);
 }
 
 TEST(ProgressJsonTest, RoundTripPreservesUnsetWatermark) {
@@ -263,6 +274,105 @@ TEST(ProgressJsonTest, StateGaugesSumShardsToOperatorsToTotals) {
     ASSERT_TRUE((*query)->ProcessAllAvailable().ok());
   }
   EXPECT_EQ(epochs, 4);
+}
+
+// EXPLAIN ANALYZE is a fold of the per-epoch records: after a multi-epoch
+// stateful query, every plan-profile node's totals equal that operator's
+// OperatorProgress of each epoch merged field by field (counters summed,
+// the slowest task's max, the latest state size), and its peak state is
+// the largest size any epoch left.
+TEST(PlanProfileTest, NodeTotalsAreMergedEpochRecords) {
+  auto stream = std::make_shared<MemoryStream>("clicks", ClickSchema(), 2);
+  auto sink = std::make_shared<MemorySink>();
+  DataFrame df =
+      DataFrame::ReadStream(stream)
+          .WithWatermark("time", 5 * kSec)
+          .GroupBy({As(TumblingWindow(Col("time"), 10 * kSec), "window"),
+                    NamedExpr{Col("country"), "country"}})
+          .Count();
+  QueryOptions opts;
+  opts.mode = OutputMode::kAppend;
+  opts.num_partitions = 3;
+  opts.num_state_shards = 2;
+  auto query = StreamingQuery::Start(df, sink, opts);
+  ASSERT_TRUE(query.ok()) << query.status().ToString();
+  // Windows open and close across the epochs, so the state grows and
+  // shrinks again: the latest size ends below the peak.
+  const std::vector<std::vector<Row>> epochs = {
+      {Click("ca", 1, 2), Click("ny", 1, 7), Click("de", 2, 8)},
+      {Click("ca", 1, 16), Click("fr", 3, 17), Click("ny", 1, 18)},
+      {Click("jp", 1, 33)},
+      {Click("ca", 1, 51)}};
+  for (const std::vector<Row>& rows : epochs) {
+    ASSERT_TRUE(stream->AddData(rows).ok());
+    ASSERT_TRUE((*query)->ProcessAllAvailable().ok());
+  }
+
+  const std::vector<QueryProgress> history = (*query)->GetProgressSnapshot();
+  ASSERT_EQ(history.size(), epochs.size());
+  const PlanProfile& profile = (*query)->plan_profile();
+  EXPECT_EQ(profile.ToJson().Get("epochs").int_value(),
+            static_cast<int64_t>(history.size()));
+  const std::vector<PlanProfile::Node> nodes = profile.Snapshot();
+  ASSERT_EQ(nodes.size(), history.back().operators.size());
+  bool saw_tasks = false, saw_shrunk_state = false;
+  for (const PlanProfile::Node& node : nodes) {
+    SCOPED_TRACE(node.op.name + " [op " + std::to_string(node.op.op_id) +
+                 "]");
+    OperatorProgress want;
+    int64_t peak_rows = 0, peak_bytes = 0;
+    for (const QueryProgress& p : history) {
+      const OperatorProgress* op = nullptr;
+      for (const OperatorProgress& o : p.operators) {
+        if (o.op_id == node.op.op_id) op = &o;
+      }
+      ASSERT_NE(op, nullptr) << "epoch " << p.epoch;
+      want.rows_in += op->rows_in;
+      want.rows_out += op->rows_out;
+      want.batches += op->batches;
+      want.cpu_nanos += op->cpu_nanos;
+      want.output_bytes += op->output_bytes;
+      want.tasks += op->tasks;
+      want.stage_nanos += op->stage_nanos;
+      want.queue_wait_nanos += op->queue_wait_nanos;
+      want.task_run_nanos += op->task_run_nanos;
+      want.max_task_run_nanos =
+          std::max(want.max_task_run_nanos, op->max_task_run_nanos);
+      want.state_rows = op->state_rows;
+      want.state_bytes = op->state_bytes;
+      want.shard_state = op->shard_state;
+      peak_rows = std::max(peak_rows, op->state_rows);
+      peak_bytes = std::max(peak_bytes, op->state_bytes);
+    }
+    const OperatorProgress& got = node.totals;
+    EXPECT_EQ(got.op_id, node.op.op_id);
+    EXPECT_EQ(got.name, node.op.name);
+    EXPECT_EQ(got.rows_in, want.rows_in);
+    EXPECT_EQ(got.rows_out, want.rows_out);
+    EXPECT_EQ(got.batches, want.batches);
+    EXPECT_EQ(got.cpu_nanos, want.cpu_nanos);
+    EXPECT_EQ(got.output_bytes, want.output_bytes);
+    EXPECT_EQ(got.tasks, want.tasks);
+    EXPECT_EQ(got.stage_nanos, want.stage_nanos);
+    EXPECT_EQ(got.queue_wait_nanos, want.queue_wait_nanos);
+    EXPECT_EQ(got.task_run_nanos, want.task_run_nanos);
+    EXPECT_EQ(got.max_task_run_nanos, want.max_task_run_nanos);
+    EXPECT_EQ(got.state_rows, want.state_rows);
+    EXPECT_EQ(got.state_bytes, want.state_bytes);
+    EXPECT_EQ(got.shard_state, want.shard_state);
+    EXPECT_EQ(node.peak_state_rows, peak_rows);
+    EXPECT_EQ(node.peak_state_bytes, peak_bytes);
+    EXPECT_GE(node.peak_state_rows, got.state_rows);
+    EXPECT_GE(node.peak_state_bytes, got.state_bytes);
+    if (got.tasks > 0) {
+      saw_tasks = true;
+      EXPECT_GT(got.stage_nanos, 0);
+    }
+    if (node.peak_state_rows > got.state_rows) saw_shrunk_state = true;
+  }
+  EXPECT_TRUE(saw_tasks) << "some operator must have run scheduler tasks";
+  EXPECT_TRUE(saw_shrunk_state)
+      << "the windows' eviction must leave the state below its peak";
 }
 
 }  // namespace

@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include "connectors/memory.h"
+#include "exec/streaming_query.h"
+
 namespace sstreaming {
 namespace {
 
@@ -166,6 +169,98 @@ TEST(SimClusterTest, TaskFailuresAddRetryCost) {
   ASSERT_TRUE(sched.RunStage("s", std::move(tasks)).ok());
   EXPECT_GT(sched.failures_injected(), 0);
   EXPECT_EQ(counter.load(), 40) << "results remain exact despite injection";
+}
+
+// An 8-core simulated cluster where every task costs a fixed 1 ms (+0.1 ms
+// launch), so the virtual timeline does not depend on the host.
+SimClusterScheduler::Options FixedCostCluster() {
+  SimClusterScheduler::Options sim;
+  sim.num_nodes = 1;
+  sim.cores_per_node = 8;
+  sim.task_launch_overhead_nanos = 100000;
+  sim.fixed_task_duration_nanos = 1000000;
+  return sim;
+}
+
+// Runs three epochs of a running count over 2 partitions and 4 state shards
+// on `scheduler`; with more cores than partitions the aggregate runs all
+// three of its stages ([eval], [split] and the per-shard fold). After each
+// epoch, `per_epoch` receives the scheduler's virtual-time delta and the
+// epoch's progress.
+void RunSimulatedCount(
+    SimClusterScheduler* scheduler,
+    const std::function<void(int64_t, const QueryProgress&)>& per_epoch,
+    std::unique_ptr<StreamingQuery>* query_out) {
+  SchemaPtr schema = Schema::Make({{"country", TypeId::kString, false},
+                                   {"latency", TypeId::kInt64, false},
+                                   {"time", TypeId::kTimestamp, false}});
+  auto stream = std::make_shared<MemoryStream>("clicks", schema, 2);
+  DataFrame df = DataFrame::ReadStream(stream).GroupBy({"country"}).Count();
+  QueryOptions opts;
+  opts.mode = OutputMode::kUpdate;
+  opts.num_partitions = 2;
+  opts.num_state_shards = 4;
+  opts.scheduler = scheduler;
+  auto query = StreamingQuery::Start(df, std::make_shared<MemorySink>(), opts);
+  ASSERT_TRUE(query.ok()) << query.status().ToString();
+  const char* countries[] = {"ca", "ny", "de", "fr", "jp"};
+  for (int e = 0; e < 3; ++e) {
+    std::vector<Row> rows;
+    for (int i = 0; i <= e + 2; ++i) {
+      rows.push_back({Value::Str(countries[i]), Value::Int64(i),
+                      Value::Timestamp((e * 10 + i) * int64_t{1000000})});
+    }
+    ASSERT_TRUE(stream->AddData(rows).ok());
+    const int64_t before = scheduler->virtual_nanos();
+    ASSERT_TRUE((*query)->ProcessAllAvailable().ok());
+    QueryProgress last;
+    ASSERT_TRUE((*query)->GetLastProgress(&last));
+    ASSERT_EQ(last.epoch, e + 1);
+    per_epoch(scheduler->virtual_nanos() - before, last);
+  }
+  *query_out = std::move(*query);
+}
+
+// Every engine stage is submitted under the operator that owns it, so the
+// operators' stage_nanos tile the simulated epoch exactly.
+TEST(SimClusterTest, OperatorStageNanosSumToVirtualTime) {
+  SimClusterScheduler scheduler(FixedCostCluster());
+  std::unique_ptr<StreamingQuery> query;
+  int epochs = 0;
+  RunSimulatedCount(
+      &scheduler,
+      [&](int64_t virtual_delta, const QueryProgress& p) {
+        ++epochs;
+        int64_t stage_sum = 0;
+        for (const OperatorProgress& op : p.operators) {
+          stage_sum += op.stage_nanos;
+        }
+        EXPECT_GT(virtual_delta, 0) << "epoch " << p.epoch;
+        EXPECT_EQ(stage_sum, virtual_delta) << "epoch " << p.epoch;
+      },
+      &query);
+  EXPECT_EQ(epochs, 3);
+}
+
+// The shard-scaling bench's stateful share is the aggregate's stage time
+// read from the plan profile. On this setup it is the value the scheduler's
+// per-stage-name ledger gave for the "StatefulAggregate*" stages before it
+// was deleted: 3 epochs x 3 stages x 1.1 ms of virtual time.
+TEST(SimClusterTest, AggregateStageShareMatchesPinnedLedger) {
+  SimClusterScheduler scheduler(FixedCostCluster());
+  std::unique_ptr<StreamingQuery> query;
+  RunSimulatedCount(&scheduler, [](int64_t, const QueryProgress&) {},
+                    &query);
+  ASSERT_NE(query, nullptr);
+  int64_t aggregate_stage_nanos = 0;
+  int aggregates = 0;
+  for (const PlanProfile::Node& node : query->plan_profile().Snapshot()) {
+    if (node.op.name != "StatefulAggregate") continue;
+    ++aggregates;
+    aggregate_stage_nanos += node.totals.stage_nanos;
+  }
+  EXPECT_EQ(aggregates, 1);
+  EXPECT_EQ(aggregate_stage_nanos, 9900000);
 }
 
 }  // namespace

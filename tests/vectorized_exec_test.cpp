@@ -422,8 +422,8 @@ TEST(PipelineFusionTest, FusedExecutionMatchesRecordBatchPrimitives) {
   // output rows.
   std::lock_guard<std::mutex> lock(h.ctx.metrics_mu);
   for (int op_id : {1, 2}) {
-    ASSERT_TRUE(h.ctx.op_stats.count(op_id)) << "op " << op_id;
-    EXPECT_EQ(h.ctx.op_stats[op_id].rows_out, survivors->num_rows())
+    ASSERT_TRUE(h.ctx.op_progress.count(op_id)) << "op " << op_id;
+    EXPECT_EQ(h.ctx.op_progress[op_id].rows_out, survivors->num_rows())
         << "op " << op_id;
   }
 }

@@ -96,6 +96,17 @@ assert "EXPLAIN ANALYZE" in plan["explain"], plan
 def rows(node):
     return node["rowsIn"] + sum(rows(c) for c in node["children"])
 assert rows(plan["root"]) > 0, plan
+def nodes(node):
+    yield node
+    for child in node["children"]:
+        yield from nodes(child)
+# The windowed count ran scheduler stages, and a peak is never below the
+# live state size it was taken from.
+counts = [n for n in nodes(plan["root"]) if n["name"] == "StatefulAggregate"]
+assert len(counts) == 1, plan
+assert counts[0]["tasks"] > 0 and counts[0]["stageNanos"] > 0, counts[0]
+for node in nodes(plan["root"]):
+    assert node["peakStateRows"] >= node["stateRows"], node
 ' || fail "/queries/dashboard/plan content"
 echo "ok /queries/dashboard/plan"
 

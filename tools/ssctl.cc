@@ -90,15 +90,16 @@ int CmdQueries(int port) {
   std::printf("%-24s %-8s %10s %14s %14s\n", "NAME", "ACTIVE", "EPOCH",
               "E2E P99 (us)", "WM LAG (us)");
   for (const Json& q : json->array_items()) {
-    const Json& last = q.Get("lastProgress");
-    int64_t p99 = last.is_object()
-                      ? GetInt(last.Get("e2eLatency"), "p99Micros")
-                      : 0;
+    // A query that has not finished an epoch has no lastProgress; it shows
+    // zeros.
+    Result<QueryProgress> parsed =
+        QueryProgress::FromJson(q.Get("lastProgress"));
+    const QueryProgress last = parsed.ok() ? *parsed : QueryProgress();
     std::printf("%-24s %-8s %10" PRId64 " %14" PRId64 " %14" PRId64 "\n",
                 GetStr(q, "name").c_str(),
                 q.Get("active").bool_value() ? "yes" : "no",
-                GetInt(q, "lastEpoch"), p99,
-                last.is_object() ? GetInt(last, "watermarkLagMicros") : 0);
+                GetInt(q, "lastEpoch"), last.e2e_latency.p99_micros,
+                last.watermark_lag_micros);
   }
   return 0;
 }

@@ -47,16 +47,27 @@ Result<std::unique_ptr<ContinuousQuery>> ContinuousQuery::Start(
   SS_ASSIGN_OR_RETURN(PhysicalPlan plan, Incrementalize(analyzed, 1));
 
   // Map-like plans only: a source scan (a pure column projection is pushed
-  // into its read), under at most one fused pipeline.
+  // into its read), under at most one fused pipeline of filters,
+  // projections and watermarks (a stream-static join probe is a pipeline
+  // stage too, but not a map-like one).
   PhysOp* op = plan.root.get();
   const auto* pipeline = dynamic_cast<const FusedPipelineExec*>(op);
-  if (pipeline != nullptr) op = pipeline->children()[0].get();
+  const FusedPipelineExec::Stage* join = nullptr;
+  if (pipeline != nullptr) {
+    op = pipeline->children()[0].get();
+    for (const FusedPipelineExec::Stage& stage : pipeline->stages()) {
+      if (stage.kind == FusedPipelineExec::Stage::Kind::kStaticJoin) {
+        join = &stage;
+      }
+    }
+  }
   const auto* scan = dynamic_cast<const SourceExec*>(op);
-  if (scan == nullptr) {
+  if (scan == nullptr || join != nullptr) {
     return Status::UnsupportedOperation(
         "continuous processing supports only map-like queries "
         "(selection/projection over one source) in this version, as in "
-        "Spark 2.3 (§6.3); found " + op->name());
+        "Spark 2.3 (§6.3); found " +
+        (join != nullptr ? join->name : op->name()));
   }
 
   std::unique_ptr<ContinuousQuery> query(new ContinuousQuery());

@@ -231,9 +231,9 @@ class Builder {
     }
 
     // Stream-static (or static-static in batch runs): materialize the
-    // static side once and probe it with each row of the other side. A
-    // batch run probes with the side it preserves, whose unmatched rows
-    // the probe null-pads.
+    // static side once and probe it with each row of the other side, as a
+    // stage of the probe side's pipeline. A batch run probes with the side
+    // it preserves, whose unmatched rows the probe null-pads.
     const bool probe_left =
         left_stream || (!right_stream && !shape.preserves_right);
     SS_ASSIGN_OR_RETURN(RecordBatchPtr static_batch,
@@ -246,15 +246,19 @@ class Builder {
     std::iota(all_left.begin(), all_left.end(), 0);
     // Coalescing applies when the probe is the right side: its dropped key
     // columns come back from the static (left) column positions.
-    return StreamStaticJoinExec::Make(
-        NextId(), probe_child, node.schema(),
-        probe_left ? left_keys : right_keys, std::move(static_batch),
-        probe_left ? right_keys : left_keys,
-        probe_left ? all_left : shape.kept_right,
-        probe_left ? shape.kept_right : all_left,
-        /*stream_first=*/probe_left,
-        probe_left ? shape.preserves_left : shape.preserves_right,
-        probe_left ? std::vector<std::pair<int, int>>() : shape.using_keys);
+    SS_ASSIGN_OR_RETURN(
+        std::shared_ptr<const StreamStaticJoin> join,
+        StreamStaticJoin::Make(
+            node.schema(), probe_left ? left_keys : right_keys,
+            std::move(static_batch), probe_left ? right_keys : left_keys,
+            probe_left ? all_left : shape.kept_right,
+            probe_left ? shape.kept_right : all_left,
+            /*stream_first=*/probe_left,
+            probe_left ? shape.preserves_left : shape.preserves_right,
+            probe_left ? std::vector<std::pair<int, int>>()
+                       : shape.using_keys));
+    return AppendStage(probe_child, FusedPipelineExec::Stage::StaticJoin(
+                                        NextId(), std::move(join)));
   }
 
   int num_partitions_;

@@ -43,13 +43,166 @@ RecordBatchPtr GatherReferenced(const RecordBatchPtr& batch,
     } else {
       // Unreferenced columns only pad the batch to length k so ordinals
       // keep their meaning; their values are never read.
-      for (int64_t i = 0; i < k; ++i) out->AppendNull();
+      out->AppendNulls(k);
     }
     cols.push_back(std::move(out));
   }
   auto out = RecordBatch::Make(batch->schema(), std::move(cols));
   out->set_ingest_micros(batch->ingest_micros());
   return out;
+}
+
+bool HasNullKey(const std::vector<ColumnPtr>& keys, int64_t i) {
+  for (const ColumnPtr& col : keys) {
+    if (col->IsNull(i)) return true;
+  }
+  return false;
+}
+
+namespace {
+
+// Join-key equality of rows i of `a` and j of `b`, keys non-null and of
+// the same types: the encoded bytes' identity (Column::ValueEquals), except
+// that float64 keys compare by value, so -0.0 equals 0.0 (a NaN equals only
+// a NaN of the same bits). Column::HashInto hashes such equal keys alike.
+bool JoinKeysEqual(const std::vector<ColumnPtr>& a, int64_t i,
+                   const std::vector<ColumnPtr>& b, int64_t j) {
+  for (size_t k = 0; k < a.size(); ++k) {
+    const Column& x = *a[k];
+    const Column& y = *b[k];
+    if (x.ValueEquals(i, y, j)) continue;
+    if (x.type() != TypeId::kFloat64 || y.type() != TypeId::kFloat64 ||
+        x.Float64At(i) != y.Float64At(j)) {
+      return false;
+    }
+  }
+  return true;
+}
+
+}  // namespace
+
+Result<std::shared_ptr<const StreamStaticJoin>> StreamStaticJoin::Make(
+    SchemaPtr out_schema, std::vector<ExprPtr> stream_keys,
+    RecordBatchPtr static_side, const std::vector<ExprPtr>& static_keys,
+    std::vector<int> stream_output_indices,
+    std::vector<int> static_output_indices, bool stream_first,
+    bool preserve_stream, std::vector<std::pair<int, int>> static_from_stream) {
+  std::shared_ptr<StreamStaticJoin> join(new StreamStaticJoin());
+  join->schema_ = std::move(out_schema);
+  join->stream_keys_ = std::move(stream_keys);
+  join->stream_output_indices_ = std::move(stream_output_indices);
+  join->static_output_indices_ = std::move(static_output_indices);
+  join->stream_first_ = stream_first;
+  join->preserve_stream_ = preserve_stream;
+  join->static_from_stream_ = std::move(static_from_stream);
+  join->static_ = std::move(static_side);
+  std::vector<ColumnPtr>& keys = join->static_keys_;
+  keys.resize(static_keys.size());
+  for (size_t k = 0; k < static_keys.size(); ++k) {
+    SS_ASSIGN_OR_RETURN(keys[k], static_keys[k]->EvalBatch(*join->static_));
+  }
+  // Index each distinct non-null key's first row; a later row with the
+  // same key is chained after the last one, so matches come out in row
+  // order.
+  const size_t n = static_cast<size_t>(join->static_->num_rows());
+  std::vector<uint64_t> hashes(n, 0);
+  for (const ColumnPtr& col : keys) col->HashInto(&hashes);
+  join->next_.assign(n, -1);
+  std::vector<int32_t> last(n);  // by a key's first row
+  join->index_.Reserve(n);
+  for (size_t r = 0; r < n; ++r) {
+    const auto row = static_cast<int64_t>(r);
+    if (HasNullKey(keys, row)) continue;
+    auto same_key = [&](uint32_t pos) {
+      return JoinKeysEqual(keys, pos, keys, row);
+    };
+    size_t slot;
+    const uint32_t first = join->index_.Find(hashes[r], same_key, &slot);
+    if (first == KeyIndex::kAbsent) {
+      join->index_.Insert(slot, hashes[r], static_cast<uint32_t>(r));
+      last[r] = static_cast<int32_t>(r);
+    } else {
+      join->next_[static_cast<size_t>(last[first])] = static_cast<int32_t>(r);
+      last[first] = static_cast<int32_t>(r);
+    }
+  }
+  return std::shared_ptr<const StreamStaticJoin>(std::move(join));
+}
+
+std::vector<int> StreamStaticJoin::Referenced() const {
+  std::vector<int> referenced = stream_output_indices_;
+  for (const ExprPtr& key : stream_keys_) key->CollectColumnIndices(&referenced);
+  for (const auto& [static_idx, stream_idx] : static_from_stream_) {
+    referenced.push_back(stream_idx);
+  }
+  return referenced;
+}
+
+Result<RecordBatchPtr> StreamStaticJoin::Probe(const RecordBatch& input) const {
+  const int64_t n = input.num_rows();
+  std::vector<ColumnPtr> keys(stream_keys_.size());
+  for (size_t k = 0; k < stream_keys_.size(); ++k) {
+    SS_ASSIGN_OR_RETURN(keys[k], stream_keys_[k]->EvalBatch(input));
+  }
+  std::vector<uint64_t> hashes(static_cast<size_t>(n), 0);
+  for (const ColumnPtr& col : keys) col->HashInto(&hashes);
+  // One probe per stream row: each static match emits (stream row, static
+  // row); an unmatched row of a preserved stream emits (stream row, -1).
+  std::vector<int32_t> stream_rows;
+  std::vector<int32_t> static_rows;
+  stream_rows.reserve(static_cast<size_t>(n));
+  static_rows.reserve(static_cast<size_t>(n));
+  for (int64_t i = 0; i < n; ++i) {
+    uint32_t first = KeyIndex::kAbsent;
+    if (!HasNullKey(keys, i)) {
+      size_t slot;
+      auto same_key = [&](uint32_t pos) {
+        return JoinKeysEqual(static_keys_, pos, keys, i);
+      };
+      first = index_.Find(hashes[static_cast<size_t>(i)], same_key, &slot);
+    }
+    if (first == KeyIndex::kAbsent) {
+      if (preserve_stream_) {
+        stream_rows.push_back(static_cast<int32_t>(i));
+        static_rows.push_back(-1);
+      }
+      continue;
+    }
+    for (int32_t r = static_cast<int32_t>(first); r >= 0;
+         r = next_[static_cast<size_t>(r)]) {
+      stream_rows.push_back(static_cast<int32_t>(i));
+      static_rows.push_back(r);
+    }
+  }
+
+  // Gather the output columns typed.
+  std::vector<ColumnPtr> columns;
+  for (int idx : static_output_indices_) {
+    // USING-join key coalescing: an unmatched stream row's key fills the
+    // static key column (see Make's comment).
+    const Column* coalesce = nullptr;
+    for (const auto& [static_idx, stream_idx] : static_from_stream_) {
+      if (static_idx == idx) coalesce = input.column(stream_idx).get();
+    }
+    const Column& src = *static_->column(idx);
+    ColumnPtr dst = Column::Make(src.type());
+    dst->Reserve(static_cast<int64_t>(stream_rows.size()));
+    for (size_t e = 0; e < stream_rows.size(); ++e) {
+      if (static_rows[e] >= 0) {
+        dst->AppendFrom(src, static_rows[e]);
+      } else if (coalesce != nullptr) {
+        dst->AppendFrom(*coalesce, stream_rows[e]);
+      } else {
+        dst->AppendNull();
+      }
+    }
+    columns.push_back(std::move(dst));
+  }
+  const RecordBatchPtr stream_side =
+      input.SelectColumns(stream_output_indices_)->Gather(stream_rows);
+  columns.insert(stream_first_ ? columns.begin() : columns.end(),
+                 stream_side->columns().begin(), stream_side->columns().end());
+  return RecordBatch::Make(schema_, std::move(columns));
 }
 
 FusedPipelineExec::Stage FusedPipelineExec::Stage::Filter(int op_id,
@@ -89,6 +242,18 @@ FusedPipelineExec::Stage FusedPipelineExec::Stage::Watermark(
   return stage;
 }
 
+FusedPipelineExec::Stage FusedPipelineExec::Stage::StaticJoin(
+    int op_id, std::shared_ptr<const StreamStaticJoin> join) {
+  Stage stage;
+  stage.kind = Kind::kStaticJoin;
+  stage.op_id = op_id;
+  stage.name = "StreamStaticJoin";
+  stage.schema = join->schema();
+  stage.referenced = join->Referenced();
+  stage.join = std::move(join);
+  return stage;
+}
+
 FusedPipelineExec::FusedPipelineExec(int op_id, PhysOpPtr child,
                                      std::vector<Stage> stages)
     : PhysOp(op_id, child->schema(), {child}) {
@@ -97,9 +262,9 @@ FusedPipelineExec::FusedPipelineExec(int op_id, PhysOpPtr child,
 }
 
 void FusedPipelineExec::AppendStage(Stage stage) {
-  // The topmost projection sets the output schema; filters and watermarks
-  // keep their input's.
-  if (stage.kind == Stage::Kind::kProject) schema_ = stage.schema;
+  // The topmost projection or join sets the output schema; filters and
+  // watermarks keep their input's.
+  if (stage.schema != nullptr) schema_ = stage.schema;
   stages_.push_back(std::move(stage));
 }
 
@@ -185,6 +350,11 @@ Result<RecordBatchPtr> FusedPipelineExec::RunStages(ExecContext* ctx,
         cur = std::move(projected);
         break;
       }
+      case Stage::Kind::kStaticJoin: {
+        RecordBatchPtr probe_in = GatherReferenced(cur, stage.referenced);
+        SS_ASSIGN_OR_RETURN(cur, stage.join->Probe(*probe_in));
+        break;
+      }
       case Stage::Kind::kWatermark: {
         const Column& col = *cur->column(stage.column_index);
         int64_t max_ts = INT64_MIN;
@@ -205,6 +375,48 @@ Result<RecordBatchPtr> FusedPipelineExec::RunStages(ExecContext* ctx,
   return cur;
 }
 
+int64_t FusedPipelineExec::RecordStages(ExecContext* ctx,
+                                        int64_t child_nanos,
+                                        const StageCells& cells) const {
+  std::lock_guard<std::mutex> lock(ctx->metrics_mu);
+  int64_t cumulative = 0;
+  for (size_t s = 0; s < stages_.size(); ++s) {
+    OperatorProgress& op = ctx->op_progress[stages_[s].op_id];
+    for (const std::vector<StageStats>& partition : cells) {
+      const StageStats& cell = partition[s];
+      op.rows_out += cell.rows;
+      op.output_bytes += cell.bytes;
+      ++op.batches;
+      cumulative += cell.nanos;
+    }
+    ctx->op_wall_nanos[stages_[s].op_id] += child_nanos + cumulative;
+  }
+  return cumulative;
+}
+
+void FusedPipelineExec::RecordInTaskRun(ExecContext* ctx, int64_t child_nanos,
+                                        const StageCells& cells,
+                                        int64_t stage_nanos,
+                                        int64_t task_nanos) const {
+  const int64_t pipeline_nanos = RecordStages(ctx, child_nanos, cells);
+  // The stage's wall splits between the pipeline and the operator that
+  // ran it, so each reports a self time of its own part (the stages are
+  // timed inside the tasks, so pipeline_nanos <= task_nanos).
+  const int64_t share =
+      task_nanos > 0 ? static_cast<int64_t>(static_cast<double>(stage_nanos) *
+                                            static_cast<double>(pipeline_nanos) /
+                                            static_cast<double>(task_nanos))
+                     : 0;
+  std::lock_guard<std::mutex> lock(ctx->metrics_mu);
+  ctx->op_wall_nanos[op_id_] += child_nanos + share;
+  OperatorProgress& op = ctx->op_progress[op_id_];
+  for (const std::vector<StageStats>& partition : cells) {
+    op.rows_out += partition.back().rows;
+    op.output_bytes += partition.back().bytes;
+    ++op.batches;
+  }
+}
+
 Result<std::vector<RecordBatchPtr>> FusedPipelineExec::ExecuteImpl(
     ExecContext* ctx) {
   const int64_t t_child0 = MonotonicNanos();
@@ -213,12 +425,7 @@ Result<std::vector<RecordBatchPtr>> FusedPipelineExec::ExecuteImpl(
   const int64_t child_nanos = MonotonicNanos() - t_child0;
 
   const size_t parts = in.size();
-  const size_t n_stages = stages_.size();
-  // Per-partition, per-stage accounting filled lock-free inside the tasks
-  // and folded into ctx->op_progress afterwards.
-  std::vector<std::vector<StageStats>> cells(
-      parts, std::vector<StageStats>(n_stages));
-
+  StageCells cells(parts, std::vector<StageStats>(stages_.size()));
   std::vector<RecordBatchPtr> out(parts);
   std::vector<std::function<Status()>> tasks;
   tasks.reserve(parts);
@@ -229,25 +436,7 @@ Result<std::vector<RecordBatchPtr>> FusedPipelineExec::ExecuteImpl(
     });
   }
   SS_RETURN_IF_ERROR(ctx->RunStage(op_id_, name(), std::move(tasks)));
-
-  // Fold per-stage stats under the stages' own op_ids. Walls are inclusive:
-  // child time plus the cumulative stage time up to and including this
-  // stage.
-  {
-    std::lock_guard<std::mutex> lock(ctx->metrics_mu);
-    int64_t cumulative = 0;
-    for (size_t s = 0; s < n_stages; ++s) {
-      OperatorProgress& op = ctx->op_progress[stages_[s].op_id];
-      for (size_t p = 0; p < parts; ++p) {
-        const StageStats& cell = cells[p][s];
-        op.rows_out += cell.rows;
-        op.output_bytes += cell.bytes;
-        ++op.batches;
-        cumulative += cell.nanos;
-      }
-      ctx->op_wall_nanos[stages_[s].op_id] += child_nanos + cumulative;
-    }
-  }
+  RecordStages(ctx, child_nanos, cells);
   return out;
 }
 

@@ -2,7 +2,10 @@
 
 #include <algorithm>
 
+#include "common/clock.h"
 #include "common/logging.h"
+#include "obs/profiler.h"
+#include "physical/fused_pipeline.h"
 
 namespace sstreaming {
 
@@ -105,21 +108,39 @@ ShuffleExec::ShuffleExec(int op_id, PhysOpPtr child, std::vector<ExprPtr> keys,
       keys_(std::move(keys)),
       num_partitions_(num_partitions) {}
 
-Result<std::vector<RecordBatchPtr>> ShuffleExec::ExecuteImpl(ExecContext* ctx) {
-  SS_ASSIGN_OR_RETURN(std::vector<RecordBatchPtr> in,
-                      children_[0]->Execute(ctx));
+Result<std::vector<std::vector<RecordBatchPtr>>> ShuffleExec::Exchange(
+    ExecContext* ctx) {
+  const auto* pipeline =
+      dynamic_cast<const FusedPipelineExec*>(children_[0].get());
+  const PhysOpPtr& input = pipeline != nullptr ? pipeline->children()[0]
+                                               : children_[0];
+  const int64_t t_child0 = MonotonicNanos();
+  SS_ASSIGN_OR_RETURN(std::vector<RecordBatchPtr> in, input->Execute(ctx));
+  const int64_t child_nanos = MonotonicNanos() - t_child0;
   const size_t in_parts = in.size();
   const size_t out_parts = static_cast<size_t>(num_partitions_);
-  // Map stage: each input partition splits into one bucket per output
-  // partition by key hash.
-  std::vector<std::vector<RecordBatchPtr>> buckets(
-      in_parts, std::vector<RecordBatchPtr>(out_parts));
+  FusedPipelineExec::StageCells cells(
+      in_parts, std::vector<FusedPipelineExec::StageStats>(
+                    pipeline != nullptr ? pipeline->stages().size() : 0));
+  // Map stage: each input partition runs the pipeline, then splits into
+  // one piece per output partition by key hash.
+  std::vector<std::vector<RecordBatchPtr>> pieces(
+      out_parts, std::vector<RecordBatchPtr>(in_parts));
+  std::vector<int64_t> task_nanos(in_parts, 0);
   std::vector<std::function<Status()>> map_tasks;
+  map_tasks.reserve(in_parts);
   for (size_t p = 0; p < in_parts; ++p) {
-    map_tasks.push_back([this, &in, &buckets, p, out_parts]() -> Status {
+    map_tasks.push_back([this, ctx, pipeline, &in, &cells, &pieces,
+                         &task_nanos, p, out_parts]() -> Status {
+      const int64_t t0 = MonotonicNanos();
+      RecordBatchPtr batch = std::move(in[p]);
+      if (pipeline != nullptr) {
+        SS_ASSIGN_OR_RETURN(batch,
+                            pipeline->RunStages(ctx, batch, cells[p].data()));
+      }
       // Materialize-on-demand boundary: key hashing evaluates expressions
       // over the whole batch, so selection views compact here.
-      const RecordBatchPtr batch = RecordBatch::Materialize(in[p]);
+      batch = RecordBatch::Materialize(batch);
       const int64_t n = batch->num_rows();
       std::vector<uint64_t> hashes(static_cast<size_t>(n), 0x811C9DC5ULL);
       for (const ExprPtr& key : keys_) {
@@ -133,30 +154,51 @@ Result<std::vector<RecordBatchPtr>> ShuffleExec::ExecuteImpl(ExecContext* ctx) {
             static_cast<int32_t>(i));
       }
       for (size_t op = 0; op < out_parts; ++op) {
-        buckets[p][op] = batch->Gather(indices[op]);
+        pieces[op][p] = batch->Gather(indices[op]);
       }
+      task_nanos[p] = MonotonicNanos() - t0;
       return Status::OK();
     });
   }
+  const int64_t t_map0 = MonotonicNanos();
   SS_RETURN_IF_ERROR(
       ctx->RunStage(op_id_, name() + "/map", std::move(map_tasks)));
-
-  // Reduce-side concat: one task per output partition.
-  std::vector<RecordBatchPtr> out(out_parts);
-  std::vector<std::function<Status()>> reduce_tasks;
-  for (size_t op = 0; op < out_parts; ++op) {
-    reduce_tasks.push_back([this, &buckets, &out, op, in_parts]() -> Status {
-      std::vector<RecordBatchPtr> pieces;
-      pieces.reserve(in_parts);
-      for (size_t p = 0; p < in_parts; ++p) {
-        pieces.push_back(buckets[p][op]);
-      }
-      out[op] = RecordBatch::Concat(schema_, pieces);
-      return Status::OK();
-    });
+  if (pipeline != nullptr) {
+    int64_t summed = 0;
+    for (int64_t nanos : task_nanos) summed += nanos;
+    pipeline->RecordInTaskRun(ctx, child_nanos, cells,
+                              MonotonicNanos() - t_map0, summed);
   }
-  SS_RETURN_IF_ERROR(
-      ctx->RunStage(op_id_, name() + "/reduce", std::move(reduce_tasks)));
+  return pieces;
+}
+
+Result<std::vector<std::vector<RecordBatchPtr>>> ShuffleExec::ExecuteExchange(
+    ExecContext* ctx) {
+  ProfileOpScope prof(ProfileLabel(), op_id_);
+  const int64_t t0 = MonotonicNanos();
+  auto pieces = Exchange(ctx);
+  int64_t rows = 0;
+  int64_t bytes = 0;
+  if (pieces.ok()) {
+    for (const std::vector<RecordBatchPtr>& partition : *pieces) {
+      for (const RecordBatchPtr& piece : partition) {
+        rows += piece->num_rows();
+        bytes += piece->ApproxBytes();
+      }
+    }
+  }
+  FinishRun(ctx, t0, rows, pieces.ok() ? num_partitions_ : 0, bytes);
+  return pieces;
+}
+
+Result<std::vector<RecordBatchPtr>> ShuffleExec::ExecuteImpl(ExecContext* ctx) {
+  SS_ASSIGN_OR_RETURN(std::vector<std::vector<RecordBatchPtr>> pieces,
+                      Exchange(ctx));
+  std::vector<RecordBatchPtr> out;
+  out.reserve(pieces.size());
+  for (const std::vector<RecordBatchPtr>& partition : pieces) {
+    out.push_back(RecordBatch::Concat(schema_, partition));
+  }
   return out;
 }
 

@@ -57,7 +57,10 @@ class StaticSourceExec : public PhysOp {
 };
 
 /// Hash repartitioning on key expressions: the "exchange" between map and
-/// reduce stages of the microbatch job (paper §6.2).
+/// reduce stages of the microbatch job (paper §6.2). A stage of the job
+/// ends only at a shuffle: when the child is a fused pipeline, its stages
+/// run inside the map tasks, and the keyed operator above concatenates
+/// each partition's pieces in its own task (ExecuteExchange).
 class ShuffleExec : public PhysOp {
  public:
   ShuffleExec(int op_id, PhysOpPtr child, std::vector<ExprPtr> keys,
@@ -66,11 +69,23 @@ class ShuffleExec : public PhysOp {
   std::string name() const override {
     return "Shuffle p=" + std::to_string(num_partitions_);
   }
+  /// The exchange, then each output partition's pieces concatenated on the
+  /// calling thread.
   Result<std::vector<RecordBatchPtr>> ExecuteImpl(ExecContext* ctx) override;
+
+  /// The exchange, instrumented as Execute is: stage `<name>/map` runs one
+  /// task per input partition that runs the child pipeline's stages (if
+  /// the child is a FusedPipelineExec, whose own child runs first), hashes
+  /// the keys and gathers one piece per output partition. Returns the
+  /// pieces, [output partition][input partition].
+  Result<std::vector<std::vector<RecordBatchPtr>>> ExecuteExchange(
+      ExecContext* ctx);
 
   int num_partitions() const { return num_partitions_; }
 
  private:
+  Result<std::vector<std::vector<RecordBatchPtr>>> Exchange(ExecContext* ctx);
+
   std::vector<ExprPtr> keys_;
   int num_partitions_;
 };

@@ -235,34 +235,47 @@ Status ExecContext::RunStage(int op_id, const std::string& stage_name,
   return s;
 }
 
-Result<std::vector<RecordBatchPtr>> PhysOp::Execute(ExecContext* ctx) {
-  uint32_t op_label = 0;
-  if (Profiler::active()) {
-    op_label = profile_label_.load(std::memory_order_relaxed);
-    if (op_label == 0) {
-      op_label = Profiler::Instance().Intern(name());
-      profile_label_.store(op_label, std::memory_order_relaxed);
-    }
+uint32_t PhysOp::ProfileLabel() const {
+  if (!Profiler::active()) return 0;
+  uint32_t label = profile_label_.load(std::memory_order_relaxed);
+  if (label == 0) {
+    label = Profiler::Instance().Intern(name());
+    profile_label_.store(label, std::memory_order_relaxed);
   }
-  ProfileOpScope prof(op_label, op_id_);
-  int64_t t0 = MonotonicNanos();
-  Result<std::vector<RecordBatchPtr>> result = ExecuteImpl(ctx);
-  int64_t dt = MonotonicNanos() - t0;
+  return label;
+}
+
+void PhysOp::FinishRun(ExecContext* ctx, int64_t t0, int64_t rows,
+                       int64_t batches, int64_t bytes) const {
+  const int64_t dt = MonotonicNanos() - t0;
   {
     std::lock_guard<std::mutex> lock(ctx->metrics_mu);
     ctx->op_wall_nanos[op_id_] += dt;
     OperatorProgress& op = ctx->op_progress[op_id_];
-    if (result.ok()) {
-      op.batches += static_cast<int64_t>(result->size());
-      for (const RecordBatchPtr& batch : *result) {
-        op.rows_out += batch->num_rows();
-        op.output_bytes += batch->ApproxBytes();
-      }
-    }
+    op.batches += batches;
+    op.rows_out += rows;
+    op.output_bytes += bytes;
   }
   if (ctx->tracer != nullptr) {
     ctx->tracer->AddSpan(name(), "operator", t0, dt, ctx->epoch);
   }
+}
+
+Result<std::vector<RecordBatchPtr>> PhysOp::Execute(ExecContext* ctx) {
+  ProfileOpScope prof(ProfileLabel(), op_id_);
+  const int64_t t0 = MonotonicNanos();
+  Result<std::vector<RecordBatchPtr>> result = ExecuteImpl(ctx);
+  int64_t rows = 0;
+  int64_t batches = 0;
+  int64_t bytes = 0;
+  if (result.ok()) {
+    batches = static_cast<int64_t>(result->size());
+    for (const RecordBatchPtr& batch : *result) {
+      rows += batch->num_rows();
+      bytes += batch->ApproxBytes();
+    }
+  }
+  FinishRun(ctx, t0, rows, batches, bytes);
   return result;
 }
 

@@ -172,9 +172,11 @@ struct ExecContext {
 
   /// Rows read from sources this epoch (metrics, §7.4), total and per
   /// source. `op_progress` holds each operator's counters for this epoch:
-  /// PhysOp::Execute adds its rows, batches and bytes out, RunStage its
-  /// scheduler accounting (cpu_nanos and the state sizes are the engine's
-  /// to fill at the epoch's end). `op_wall_nanos` is each operator's
+  /// PhysOp::Execute adds its rows, batches and bytes out (a pipeline run
+  /// inside a shuffle's map tasks adds them through
+  /// FusedPipelineExec::RecordInTaskRun), RunStage its scheduler
+  /// accounting (cpu_nanos and the state sizes are the engine's to fill
+  /// at the epoch's end). `op_wall_nanos` is each operator's
   /// inclusive Execute wall time (children included), from which the
   /// engine derives self time. All are guarded by `metrics_mu`.
   std::mutex metrics_mu;
@@ -258,6 +260,15 @@ class PhysOp {
   /// The operator's actual logic; called only through Execute().
   virtual Result<std::vector<RecordBatchPtr>> ExecuteImpl(ExecContext* ctx)
       = 0;
+
+  /// Execute's instrumentation, shared with an entry point that returns its
+  /// output in another shape (ShuffleExec::ExecuteExchange): the profiler
+  /// label of name(), interned on first use (0 while the profiler is off),
+  /// and the bookkeeping of a run that began at `t0` and output `rows` rows
+  /// in `batches` batches of `bytes` bytes.
+  uint32_t ProfileLabel() const;
+  void FinishRun(ExecContext* ctx, int64_t t0, int64_t rows, int64_t batches,
+                 int64_t bytes) const;
 
   int op_id_;
   SchemaPtr schema_;

@@ -3,10 +3,11 @@
 #include <algorithm>
 #include <cstring>
 #include <string_view>
-#include <type_traits>
 #include <unordered_map>
 
 #include "common/logging.h"
+#include "physical/fused_pipeline.h"
+#include "physical/operators.h"
 
 namespace sstreaming {
 
@@ -34,14 +35,40 @@ void EncodeKeyTo(const std::vector<ColumnPtr>& cols, int64_t i,
   for (const ColumnPtr& col : cols) col->EncodeValueTo(i, out);
 }
 
-/// Runs `child` and materializes its batches: the operators below evaluate
-/// expressions and encode keys over whole batches, so selection views
-/// compact here (docs/VECTORIZED_EXEC.md).
-Result<std::vector<RecordBatchPtr>> ExecuteMaterialized(const PhysOpPtr& child,
-                                                        ExecContext* ctx) {
+/// A keyed operator's input, [partition][piece]: the exchange's map-side
+/// pieces when `child` is a ShuffleExec (one per map task), else the
+/// child's batch of each partition. Each partition's first task
+/// concatenates its pieces (ConcatPieces), so the exchange's reduce side
+/// needs no stage of its own.
+Result<std::vector<std::vector<RecordBatchPtr>>> ExecutePieces(
+    const PhysOpPtr& child, ExecContext* ctx) {
+  if (auto* shuffle = dynamic_cast<ShuffleExec*>(child.get())) {
+    return shuffle->ExecuteExchange(ctx);
+  }
   SS_ASSIGN_OR_RETURN(std::vector<RecordBatchPtr> in, child->Execute(ctx));
-  for (RecordBatchPtr& b : in) b = RecordBatch::Materialize(b);
-  return in;
+  std::vector<std::vector<RecordBatchPtr>> pieces(in.size());
+  for (size_t p = 0; p < in.size(); ++p) pieces[p].push_back(std::move(in[p]));
+  return pieces;
+}
+
+int64_t RowsOf(const std::vector<RecordBatchPtr>& pieces) {
+  int64_t rows = 0;
+  for (const RecordBatchPtr& piece : pieces) rows += piece->num_rows();
+  return rows;
+}
+
+/// One partition's pieces as one batch, releasing the pieces, so they are
+/// freed inside the task rather than on the epoch's thread after the
+/// stage.
+/// Materialized: the operators below evaluate expressions and encode keys
+/// over whole batches, so selection views compact here
+/// (docs/VECTORIZED_EXEC.md).
+RecordBatchPtr ConcatPieces(const PhysOpPtr& child,
+                            std::vector<RecordBatchPtr>* pieces) {
+  RecordBatchPtr batch = RecordBatch::Materialize(
+      RecordBatch::Concat(child->schema(), *pieces));
+  pieces->clear();
+  return batch;
 }
 
 // ---------------------------------------------------------------------------
@@ -51,7 +78,9 @@ Result<std::vector<RecordBatchPtr>> ExecuteMaterialized(const PhysOpPtr& child,
 // sequence, and the operators supply only callbacks:
 //   setup    open each partition's store serially and Open one shard
 //            context per (partition, shard);
-//   prepare  optional, stage `<name>[eval]`, one task per partition;
+//   prepare  per partition, the partition's first step: concatenate the
+//            exchange's pieces (ConcatPieces), then evaluate whatever
+//            columns route and fold read;
 //   route    the operator encodes the state keys of a row range and emits
 //            (row, aux, key); the driver hashes each key
 //            (StateStore::HashKey), picks its shard (ShardOf) and appends
@@ -67,10 +96,11 @@ Result<std::vector<RecordBatchPtr>> ExecuteMaterialized(const PhysOpPtr& child,
 //
 // The grain rule turns those steps into scheduler tasks. When partition
 // parallelism alone covers the scheduler (parallelism <= partitions), one
-// task per partition routes the partition into one bucket per shard a
-// slice of kInlineSliceRows rows at a time, folding each slice's buckets
-// before routing the next, then finishes the shards in index order (inline
-// grain, stage `<name>`). Otherwise stage `<name>[split]` routes row chunks
+// task per partition prepares the partition, routes it into one bucket per
+// shard a slice of kInlineSliceRows rows at a time, folding each slice's
+// buckets before routing the next, then finishes the shards in index order
+// (inline grain, stage `<name>`). Otherwise stage `<name>[eval]` prepares
+// each partition in its own task, stage `<name>[split]` routes row chunks
 // into one bucket per (chunk, shard) and stage `<name>` runs one fold task
 // per (partition, shard), packed onto the scheduler's cores (split grain).
 // Buckets keep input order (chunks are contiguous row ranges, folded in
@@ -207,15 +237,12 @@ Status FoldBuckets(Shard& shard, const Fold& fold) {
   return Status::OK();
 }
 
-/// The `prepare` of operators without an [eval] step.
-struct NoPrepare {};
-
 /// Runs one epoch of a keyed-state operator over partitions of
 /// `num_rows[p]` rows (see the section comment). `shards` holds the shard
 /// contexts, [partition][shard]; an operator that keeps it across epochs
 /// keeps their buffers warm. Callbacks (template parameters, so the per-row
 /// calls inline):
-///   prepare(p) -> Status, or NoPrepare;
+///   prepare(p) -> Status, run before any route of partition p;
 ///   route(p, lo, hi, emit) -> Status, calling emit(row, aux, key) -> Status
 ///     for each state key of the rows in [lo, hi), in row order;
 ///   fold(shard, row, aux, key, hash) -> Status;
@@ -253,15 +280,6 @@ Result<std::vector<RecordBatchPtr>> RunKeyedShards(
       shard.buckets.resize(static_cast<size_t>(chunks[p]));
       for (KeyedEntries& bucket : shard.buckets) bucket.Clear();
     }
-  }
-
-  if constexpr (!std::is_same_v<Prepare, NoPrepare>) {
-    std::vector<std::function<Status()>> tasks;
-    for (size_t p = 0; p < P; ++p) {
-      tasks.push_back([&prepare, p]() -> Status { return prepare(p); });
-    }
-    SS_RETURN_IF_ERROR(
-        ctx->RunStage(op_id, name + "[eval]", std::move(tasks)));
   }
 
   // Routes rows [lo, hi) of partition p into bucket `chunk` of each shard.
@@ -302,6 +320,7 @@ Result<std::vector<RecordBatchPtr>> RunKeyedShards(
     for (size_t p = 0; p < P; ++p) {
       pieces[p].resize(1);
       tasks.push_back([&, p]() -> Status {
+        SS_RETURN_IF_ERROR(prepare(p));
         std::vector<Shard>& ps = (*shards)[p];
         // Route and fold slice by slice: a slice's buckets stay small and
         // cache-resident, and each shard still folds its rows in input
@@ -319,6 +338,13 @@ Result<std::vector<RecordBatchPtr>> RunKeyedShards(
     }
     SS_RETURN_IF_ERROR(ctx->RunStage(op_id, name, std::move(tasks)));
   } else {
+    for (size_t p = 0; p < P; ++p) {
+      tasks.push_back([&prepare, p]() -> Status { return prepare(p); });
+    }
+    SS_RETURN_IF_ERROR(
+        ctx->RunStage(op_id, name + "[eval]", std::move(tasks)));
+
+    tasks.clear();
     for (size_t p = 0; p < P; ++p) {
       const int64_t n = num_rows[p];
       const int C = chunks[p];
@@ -432,9 +458,9 @@ int StatefulAggExec::num_output_key_columns() const {
 
 Result<std::vector<RecordBatchPtr>> StatefulAggExec::ExecuteImpl(
     ExecContext* ctx) {
-  SS_ASSIGN_OR_RETURN(std::vector<RecordBatchPtr> in,
-                      ExecuteMaterialized(children_[0], ctx));
-  const size_t P = in.size();
+  SS_ASSIGN_OR_RETURN(std::vector<std::vector<RecordBatchPtr>> pieces,
+                      ExecutePieces(children_[0], ctx));
+  const size_t P = pieces.size();
   const bool windowed = window_expr_ != nullptr;
   const int64_t watermark = ctx->watermark_micros;
   const int64_t window_size = windowed ? window_expr_->size_micros() : 0;
@@ -456,13 +482,15 @@ Result<std::vector<RecordBatchPtr>> StatefulAggExec::ExecuteImpl(
   };
   std::vector<PartitionWork> work(P);
   std::vector<int64_t> num_rows(P);
-  for (size_t p = 0; p < P; ++p) num_rows[p] = in[p]->num_rows();
+  for (size_t p = 0; p < P; ++p) num_rows[p] = RowsOf(pieces[p]);
 
-  // [eval]: vectorized evaluation of group keys and agg arguments, and the
-  // kernel of each aggregate over its argument column's type. A group key
-  // column must fit its output column, which update mode appends it to.
+  // Prepare: the partition's input, then vectorized evaluation of group
+  // keys and agg arguments, and the kernel of each aggregate over its
+  // argument column's type. A group key column must fit its output column,
+  // which update mode appends it to.
   auto prepare = [&](size_t p) -> Status {
-    const RecordBatch& input = *in[p];
+    const RecordBatchPtr in = ConcatPieces(children_[0], &pieces[p]);
+    const RecordBatch& input = *in;
     PartitionWork& w = work[p];
     w.key_cols.resize(group_exprs_.size());
     int c = 0;
@@ -708,20 +736,25 @@ DedupExec::DedupExec(int op_id, PhysOpPtr child)
     : PhysOp(op_id, child->schema(), {child}) {}
 
 Result<std::vector<RecordBatchPtr>> DedupExec::ExecuteImpl(ExecContext* ctx) {
-  SS_ASSIGN_OR_RETURN(std::vector<RecordBatchPtr> in,
-                      ExecuteMaterialized(children_[0], ctx));
-  const size_t P = in.size();
+  SS_ASSIGN_OR_RETURN(std::vector<std::vector<RecordBatchPtr>> pieces,
+                      ExecutePieces(children_[0], ctx));
+  const size_t P = pieces.size();
+  std::vector<RecordBatchPtr> in(P);
   std::vector<int64_t> num_rows(P);
   // Per partition, 1 for each row seen for the first time. Shards write
   // disjoint bytes (a row routes to one shard), and filtering by the mask
   // keeps input order whatever the shard count.
   std::vector<std::vector<uint8_t>> masks(P);
   for (size_t p = 0; p < P; ++p) {
-    num_rows[p] = in[p]->num_rows();
+    num_rows[p] = RowsOf(pieces[p]);
     masks[p].assign(static_cast<size_t>(num_rows[p]), 0);
   }
   std::vector<std::vector<DedupShard>> shards;
 
+  auto prepare = [&](size_t p) -> Status {
+    in[p] = ConcatPieces(children_[0], &pieces[p]);
+    return Status::OK();
+  };
   // The dedup key is the whole row.
   auto route = [&](size_t p, int64_t lo, int64_t hi, auto&& emit) -> Status {
     std::string enc;
@@ -744,182 +777,13 @@ Result<std::vector<RecordBatchPtr>> DedupExec::ExecuteImpl(ExecContext* ctx) {
   // The output is the input filtered by the masks, so finish emits no rows
   // and the driver's (empty) batches are dropped.
   auto finish = [](DedupShard&, BatchBuilder*) { return Status::OK(); };
-  SS_RETURN_IF_ERROR(RunKeyedShards(ctx, *this, num_rows, &shards,
-                                    NoPrepare(), route, fold, finish)
+  SS_RETURN_IF_ERROR(RunKeyedShards(ctx, *this, num_rows, &shards, prepare,
+                                    route, fold, finish)
                          .status());
 
   std::vector<RecordBatchPtr> out(P);
   for (size_t p = 0; p < P; ++p) out[p] = in[p]->Filter(masks[p]);
   return out;
-}
-
-// ---------------------------------------------------------------------------
-// StreamStaticJoinExec
-// ---------------------------------------------------------------------------
-
-namespace {
-
-// True when row i has a NULL in any key column: SQL's NULL never equals
-// anything, so such a row joins nothing.
-bool HasNullKey(const std::vector<ColumnPtr>& keys, int64_t i) {
-  for (const ColumnPtr& col : keys) {
-    if (col->IsNull(i)) return true;
-  }
-  return false;
-}
-
-// Join-key equality of rows i of `a` and j of `b`, keys non-null and of
-// the same types: the encoded bytes' identity (Column::ValueEquals), except
-// that float64 keys compare by value, so -0.0 equals 0.0 (a NaN equals only
-// a NaN of the same bits). Column::HashInto hashes such equal keys alike.
-bool JoinKeysEqual(const std::vector<ColumnPtr>& a, int64_t i,
-                   const std::vector<ColumnPtr>& b, int64_t j) {
-  for (size_t k = 0; k < a.size(); ++k) {
-    const Column& x = *a[k];
-    const Column& y = *b[k];
-    if (x.ValueEquals(i, y, j)) continue;
-    if (x.type() != TypeId::kFloat64 || y.type() != TypeId::kFloat64 ||
-        x.Float64At(i) != y.Float64At(j)) {
-      return false;
-    }
-  }
-  return true;
-}
-
-}  // namespace
-
-Result<PhysOpPtr> StreamStaticJoinExec::Make(
-    int op_id, PhysOpPtr stream_child, SchemaPtr out_schema,
-    std::vector<ExprPtr> stream_keys, RecordBatchPtr static_side,
-    const std::vector<ExprPtr>& static_keys,
-    std::vector<int> stream_output_indices,
-    std::vector<int> static_output_indices, bool stream_first,
-    bool preserve_stream, std::vector<std::pair<int, int>> static_from_stream) {
-  std::shared_ptr<StreamStaticJoinExec> op(new StreamStaticJoinExec(
-      op_id, std::move(stream_child), std::move(out_schema)));
-  op->stream_keys_ = std::move(stream_keys);
-  op->stream_output_indices_ = std::move(stream_output_indices);
-  op->static_output_indices_ = std::move(static_output_indices);
-  op->stream_first_ = stream_first;
-  op->preserve_stream_ = preserve_stream;
-  op->static_from_stream_ = std::move(static_from_stream);
-  op->static_ = std::move(static_side);
-  std::vector<ColumnPtr>& keys = op->static_keys_;
-  keys.resize(static_keys.size());
-  for (size_t k = 0; k < static_keys.size(); ++k) {
-    SS_ASSIGN_OR_RETURN(keys[k], static_keys[k]->EvalBatch(*op->static_));
-  }
-  // Index each distinct non-null key's first row; a later row with the
-  // same key is chained after the last one, so matches come out in row
-  // order.
-  const size_t n = static_cast<size_t>(op->static_->num_rows());
-  std::vector<uint64_t> hashes(n, 0);
-  for (const ColumnPtr& col : keys) col->HashInto(&hashes);
-  op->next_.assign(n, -1);
-  std::vector<int32_t> last(n);  // by a key's first row
-  op->index_.Reserve(n);
-  for (size_t r = 0; r < n; ++r) {
-    const auto row = static_cast<int64_t>(r);
-    if (HasNullKey(keys, row)) continue;
-    auto same_key = [&](uint32_t pos) {
-      return JoinKeysEqual(keys, pos, keys, row);
-    };
-    size_t slot;
-    const uint32_t first = op->index_.Find(hashes[r], same_key, &slot);
-    if (first == KeyIndex::kAbsent) {
-      op->index_.Insert(slot, hashes[r], static_cast<uint32_t>(r));
-      last[r] = static_cast<int32_t>(r);
-    } else {
-      op->next_[static_cast<size_t>(last[first])] = static_cast<int32_t>(r);
-      last[first] = static_cast<int32_t>(r);
-    }
-  }
-  return PhysOpPtr(std::move(op));
-}
-
-Result<std::vector<RecordBatchPtr>> StreamStaticJoinExec::ExecuteImpl(
-    ExecContext* ctx) {
-  SS_ASSIGN_OR_RETURN(std::vector<RecordBatchPtr> in,
-                      ExecuteMaterialized(children_[0], ctx));
-  std::vector<RecordBatchPtr> out(in.size());
-  std::vector<std::function<Status()>> tasks;
-  for (size_t p = 0; p < in.size(); ++p) {
-    tasks.push_back([this, &in, &out, p]() -> Status {
-      SS_ASSIGN_OR_RETURN(RecordBatchPtr batch, ExecutePartition(*in[p]));
-      out[p] = std::move(batch);
-      return Status::OK();
-    });
-  }
-  SS_RETURN_IF_ERROR(ctx->RunStage(op_id_, name(), std::move(tasks)));
-  return out;
-}
-
-Result<RecordBatchPtr> StreamStaticJoinExec::ExecutePartition(
-    const RecordBatch& input) {
-  const int64_t n = input.num_rows();
-  std::vector<ColumnPtr> keys(stream_keys_.size());
-  for (size_t k = 0; k < stream_keys_.size(); ++k) {
-    SS_ASSIGN_OR_RETURN(keys[k], stream_keys_[k]->EvalBatch(input));
-  }
-  std::vector<uint64_t> hashes(static_cast<size_t>(n), 0);
-  for (const ColumnPtr& col : keys) col->HashInto(&hashes);
-  // One probe per stream row: each static match emits (stream row, static
-  // row); an unmatched row of a preserved stream emits (stream row, -1).
-  std::vector<int32_t> stream_rows;
-  std::vector<int32_t> static_rows;
-  stream_rows.reserve(static_cast<size_t>(n));
-  static_rows.reserve(static_cast<size_t>(n));
-  for (int64_t i = 0; i < n; ++i) {
-    uint32_t first = KeyIndex::kAbsent;
-    if (!HasNullKey(keys, i)) {
-      size_t slot;
-      auto same_key = [&](uint32_t pos) {
-        return JoinKeysEqual(static_keys_, pos, keys, i);
-      };
-      first = index_.Find(hashes[static_cast<size_t>(i)], same_key, &slot);
-    }
-    if (first == KeyIndex::kAbsent) {
-      if (preserve_stream_) {
-        stream_rows.push_back(static_cast<int32_t>(i));
-        static_rows.push_back(-1);
-      }
-      continue;
-    }
-    for (int32_t r = static_cast<int32_t>(first); r >= 0;
-         r = next_[static_cast<size_t>(r)]) {
-      stream_rows.push_back(static_cast<int32_t>(i));
-      static_rows.push_back(r);
-    }
-  }
-
-  // Gather the output columns typed.
-  std::vector<ColumnPtr> columns;
-  for (int idx : static_output_indices_) {
-    // USING-join key coalescing: an unmatched stream row's key fills the
-    // static key column (see Make's comment).
-    const Column* coalesce = nullptr;
-    for (const auto& [static_idx, stream_idx] : static_from_stream_) {
-      if (static_idx == idx) coalesce = input.column(stream_idx).get();
-    }
-    const Column& src = *static_->column(idx);
-    ColumnPtr dst = Column::Make(src.type());
-    dst->Reserve(static_cast<int64_t>(stream_rows.size()));
-    for (size_t e = 0; e < stream_rows.size(); ++e) {
-      if (static_rows[e] >= 0) {
-        dst->AppendFrom(src, static_rows[e]);
-      } else if (coalesce != nullptr) {
-        dst->AppendFrom(*coalesce, stream_rows[e]);
-      } else {
-        dst->AppendNull();
-      }
-    }
-    columns.push_back(std::move(dst));
-  }
-  const RecordBatchPtr stream_side =
-      input.SelectColumns(stream_output_indices_)->Gather(stream_rows);
-  columns.insert(stream_first_ ? columns.begin() : columns.end(),
-                 stream_side->columns().begin(), stream_side->columns().end());
-  return RecordBatch::Make(schema_, std::move(columns));
 }
 
 namespace {
@@ -986,20 +850,22 @@ Row StreamStreamJoinExec::JoinedRow(const Row* left, const Row* right) const {
 
 Result<std::vector<RecordBatchPtr>> StreamStreamJoinExec::ExecuteImpl(
     ExecContext* ctx) {
-  SS_ASSIGN_OR_RETURN(std::vector<RecordBatchPtr> left_in,
-                      ExecuteMaterialized(children_[0], ctx));
-  SS_ASSIGN_OR_RETURN(std::vector<RecordBatchPtr> right_in,
-                      ExecuteMaterialized(children_[1], ctx));
-  if (left_in.size() != right_in.size()) {
+  SS_ASSIGN_OR_RETURN(std::vector<std::vector<RecordBatchPtr>> left_pieces,
+                      ExecutePieces(children_[0], ctx));
+  SS_ASSIGN_OR_RETURN(std::vector<std::vector<RecordBatchPtr>> right_pieces,
+                      ExecutePieces(children_[1], ctx));
+  if (left_pieces.size() != right_pieces.size()) {
     return Status::Internal("stream-stream join sides not co-partitioned");
   }
-  const size_t P = left_in.size();
+  const size_t P = left_pieces.size();
+  std::vector<RecordBatchPtr> left_in(P);
+  std::vector<RecordBatchPtr> right_in(P);
   // A partition's rows are its left rows, then its right rows: each shard
   // folds this epoch's left rows before its right rows, the two passes of
   // the symmetric hash join.
   std::vector<int64_t> num_rows(P);
   for (size_t p = 0; p < P; ++p) {
-    num_rows[p] = left_in[p]->num_rows() + right_in[p]->num_rows();
+    num_rows[p] = RowsOf(left_pieces[p]) + RowsOf(right_pieces[p]);
   }
   std::vector<std::vector<ColumnPtr>> left_keys(P);
   std::vector<std::vector<ColumnPtr>> right_keys(P);
@@ -1034,6 +900,8 @@ Result<std::vector<RecordBatchPtr>> StreamStreamJoinExec::ExecuteImpl(
   std::vector<std::vector<JoinShard>> shards;
 
   auto prepare = [&](size_t p) -> Status {
+    left_in[p] = ConcatPieces(children_[0], &left_pieces[p]);
+    right_in[p] = ConcatPieces(children_[1], &right_pieces[p]);
     for (int side = 0; side < 2; ++side) {
       const RecordBatch& input = side == 0 ? *left_in[p] : *right_in[p];
       const std::vector<ExprPtr>& exprs = side == 0 ? left_keys_ : right_keys_;
@@ -1181,13 +1049,14 @@ FlatMapGroupsWithStateExec::FlatMapGroupsWithStateExec(
 
 Result<std::vector<RecordBatchPtr>> FlatMapGroupsWithStateExec::ExecuteImpl(
     ExecContext* ctx) {
-  SS_ASSIGN_OR_RETURN(std::vector<RecordBatchPtr> in,
-                      ExecuteMaterialized(children_[0], ctx));
-  const size_t P = in.size();
+  SS_ASSIGN_OR_RETURN(std::vector<std::vector<RecordBatchPtr>> pieces,
+                      ExecutePieces(children_[0], ctx));
+  const size_t P = pieces.size();
   const int64_t now = ctx->clock != nullptr ? ctx->clock->NowMicros() : 0;
   const int64_t watermark = ctx->watermark_micros;
+  std::vector<RecordBatchPtr> in(P);
   std::vector<int64_t> num_rows(P);
-  for (size_t p = 0; p < P; ++p) num_rows[p] = in[p]->num_rows();
+  for (size_t p = 0; p < P; ++p) num_rows[p] = RowsOf(pieces[p]);
   std::vector<std::vector<ColumnPtr>> key_cols(P);
 
   // One shard's groups this epoch, in first-touch order.
@@ -1204,6 +1073,7 @@ Result<std::vector<RecordBatchPtr>> FlatMapGroupsWithStateExec::ExecuteImpl(
   std::vector<std::vector<GroupShard>> shards;
 
   auto prepare = [&](size_t p) -> Status {
+    in[p] = ConcatPieces(children_[0], &pieces[p]);
     key_cols[p].resize(key_exprs_.size());
     for (size_t k = 0; k < key_exprs_.size(); ++k) {
       SS_ASSIGN_OR_RETURN(key_cols[p][k],

@@ -5,7 +5,6 @@
 #include <string>
 #include <vector>
 
-#include "common/key_index.h"
 #include "expr/aggregate.h"
 #include "expr/expression.h"
 #include "logical/plan.h"
@@ -59,48 +58,6 @@ class DedupExec : public PhysOp {
 
   std::string name() const override { return "Dedup"; }
   Result<std::vector<RecordBatchPtr>> ExecuteImpl(ExecContext* ctx) override;
-};
-
-/// Stream-static equi-join (paper §2.2's "join a stream with static data"):
-/// the static side is one RecordBatch built at query start, its distinct
-/// non-null keys indexed by a KeyIndex that every partition probes
-/// read-only (DESIGN.md §9). Inner or stream-preserving outer; keys compare
-/// typed, and a NULL key never matches.
-class StreamStaticJoinExec : public PhysOp {
- public:
-  /// `static_side` is the static input, a batch without a selection.
-  /// `static_from_stream`: (static column index -> stream column index)
-  /// pairs used to coalesce USING-join keys: when a preserved stream row has
-  /// no static match, the dropped duplicate key column takes the stream's
-  /// key value instead of NULL. Fails when a static key does not evaluate.
-  static Result<PhysOpPtr> Make(
-      int op_id, PhysOpPtr stream_child, SchemaPtr out_schema,
-      std::vector<ExprPtr> stream_keys, RecordBatchPtr static_side,
-      const std::vector<ExprPtr>& static_keys,
-      std::vector<int> stream_output_indices,
-      std::vector<int> static_output_indices, bool stream_first,
-      bool preserve_stream,
-      std::vector<std::pair<int, int>> static_from_stream);
-
-  std::string name() const override { return "StreamStaticJoin"; }
-  Result<std::vector<RecordBatchPtr>> ExecuteImpl(ExecContext* ctx) override;
-
- private:
-  StreamStaticJoinExec(int op_id, PhysOpPtr stream_child, SchemaPtr out_schema)
-      : PhysOp(op_id, std::move(out_schema), {std::move(stream_child)}) {}
-
-  Result<RecordBatchPtr> ExecutePartition(const RecordBatch& input);
-
-  std::vector<ExprPtr> stream_keys_;
-  std::vector<int> stream_output_indices_;
-  std::vector<int> static_output_indices_;
-  bool stream_first_ = true;
-  bool preserve_stream_ = false;
-  std::vector<std::pair<int, int>> static_from_stream_;
-  RecordBatchPtr static_;
-  std::vector<ColumnPtr> static_keys_;  // evaluated over static_
-  KeyIndex index_;                      // distinct non-null key -> first row
-  std::vector<int32_t> next_;  // static row -> next row with its key, or -1
 };
 
 /// Symmetric-hash stream-stream equi-join with state on both sides. Inputs

@@ -88,6 +88,28 @@ TEST(ContinuousTest, RejectsStreamStreamJoin) {
   EXPECT_FALSE(ContinuousQuery::Start(df, sink, FastOptions()).ok());
 }
 
+// The static join's probe is a stage of the one fused pipeline over the
+// scan, but not a map-like one (§6.3): the plan is still refused.
+TEST(ContinuousTest, RejectsStreamStaticJoin) {
+  auto stream = std::make_shared<MemoryStream>("events", EventSchema(), 1);
+  auto sink = std::make_shared<MemorySink>();
+  SchemaPtr dim_schema = Schema::Make({{"k", TypeId::kString, false},
+                                       {"label", TypeId::kString, false}});
+  DataFrame dims =
+      DataFrame::FromRows(dim_schema, {{Value::Str("a"), Value::Str("x")}})
+          .TakeValue();
+  DataFrame df = DataFrame::ReadStream(stream)
+                     .Where(Gt(Col("v"), Lit(0)))
+                     .Join(dims, {"k"});
+  auto query = ContinuousQuery::Start(df, sink, FastOptions());
+  ASSERT_FALSE(query.ok());
+  EXPECT_TRUE(query.status().IsUnsupportedOperation())
+      << query.status().ToString();
+  EXPECT_NE(query.status().ToString().find("StreamStaticJoin"),
+            std::string::npos)
+      << query.status().ToString();
+}
+
 TEST(ContinuousTest, EpochMarkersAdvanceOffsets) {
   auto dir = MakeTempDir("sstreaming_continuous_test");
   ASSERT_TRUE(dir.ok());

@@ -1,3 +1,7 @@
+#include <map>
+#include <set>
+#include <string>
+
 #include <gtest/gtest.h>
 
 #include "analysis/analyzer.h"
@@ -8,6 +12,7 @@
 #include "optimizer/optimizer.h"
 #include "physical/fused_pipeline.h"
 #include "physical/operators.h"
+#include "runtime/scheduler.h"
 
 namespace sstreaming {
 namespace {
@@ -137,6 +142,86 @@ TEST_P(ShuffleTest, PartitionsAreConsistentAndComplete) {
     }
   }
   EXPECT_EQ(total, 500);
+}
+
+TEST_P(ShuffleTest, RunsPipelineWithStaticJoinInMapTasks) {
+  // A filter -> project -> static-join pipeline under the shuffle runs
+  // inside the map tasks: the exchange still keeps each key in one
+  // partition, and the rows are the nested-loop join's.
+  const int out_parts = GetParam();
+  auto stream = std::make_shared<MemoryStream>("s", EventSchema(), 3);
+  std::vector<Row> rows;
+  Random rng(static_cast<uint64_t>(out_parts) + 100);
+  for (int i = 0; i < 500; ++i) {
+    rows.push_back({Value::Int64(static_cast<int64_t>(rng.Uniform(40))),
+                    Value::Str(std::to_string(i)),
+                    Value::Float64(rng.NextDouble())});
+  }
+  ASSERT_TRUE(stream->AddData(rows).ok());
+  // Keys 0..29, keys divisible by 3 twice: some stream keys match twice,
+  // some not at all.
+  SchemaPtr dim_schema = Schema::Make({{"k", TypeId::kInt64, false},
+                                       {"label", TypeId::kString, false}});
+  std::vector<Row> dims;
+  for (int64_t k = 0; k < 30; ++k) {
+    dims.push_back({Value::Int64(k), Value::Str("a")});
+    if (k % 3 == 0) dims.push_back({Value::Int64(k), Value::Str("b")});
+  }
+  DataFrame df =
+      DataFrame::ReadStream(stream)
+          .Where(Gt(Col("v"), Lit(0.25)))
+          .Select({As(Col("k"), "k"), As(Col("s"), "s")})
+          .Join(DataFrame::FromRows(dim_schema, dims).TakeValue(), {"k"});
+  auto analyzed = Analyzer::Analyze(df.plan()).TakeValue();
+  auto plan = Incrementalize(analyzed, out_parts).TakeValue();
+  const auto* pipeline =
+      dynamic_cast<const FusedPipelineExec*>(plan.root.get());
+  ASSERT_NE(pipeline, nullptr) << plan.root->TreeString();
+  ASSERT_EQ(pipeline->stages().size(), 3u) << plan.root->TreeString();
+  EXPECT_EQ(pipeline->stages()[2].kind,
+            FusedPipelineExec::Stage::Kind::kStaticJoin);
+  ExprPtr key = Col("k")->Resolve(*analyzed->schema()).TakeValue();
+  auto shuffle = std::make_shared<ShuffleExec>(
+      99, plan.root, std::vector<ExprPtr>{key}, out_parts);
+
+  PoolScheduler scheduler(4);
+  StateManager state("", 0, ShardedStateStore::Options());
+  ExecContext ctx;
+  ctx.epoch = 1;
+  ctx.scheduler = &scheduler;
+  ctx.state = &state;
+  auto offsets = stream->LatestOffsets().TakeValue();
+  ctx.offsets["s"] = {std::vector<int64_t>(offsets.size(), 0), offsets};
+
+  auto out = shuffle->Execute(&ctx);
+  ASSERT_TRUE(out.ok()) << out.status().ToString();
+  ASSERT_EQ(out->size(), static_cast<size_t>(out_parts));
+  std::map<int64_t, int> key_to_partition;
+  std::multiset<std::string> got;
+  for (int p = 0; p < out_parts; ++p) {
+    const RecordBatchPtr& batch = (*out)[static_cast<size_t>(p)];
+    for (int64_t i = 0; i < batch->num_rows(); ++i) {
+      const int64_t k = batch->column(0)->Int64At(i);
+      auto [it, inserted] = key_to_partition.emplace(k, p);
+      EXPECT_EQ(it->second, p) << "key " << k << " split across partitions";
+      got.insert(RowToString(batch->RowAt(i)));
+    }
+  }
+  std::multiset<std::string> want;
+  for (const Row& r : rows) {
+    if (r[2].float64_value() <= 0.25) continue;
+    for (const Row& d : dims) {
+      if (d[0] == r[0]) want.insert(RowToString({r[0], r[1], d[1]}));
+    }
+  }
+  EXPECT_EQ(got.size(), want.size());
+  EXPECT_EQ(got, want);
+  // One map task per stream partition, charged to the shuffle; the
+  // pipeline submitted no stage of its own.
+  EXPECT_EQ(ctx.op_progress[99].tasks, 3);
+  EXPECT_EQ(ctx.op_progress[pipeline->op_id()].tasks, 0);
+  EXPECT_EQ(ctx.op_progress[pipeline->stages()[2].op_id].rows_out,
+            static_cast<int64_t>(want.size()));
 }
 
 INSTANTIATE_TEST_SUITE_P(PartitionCounts, ShuffleTest,

@@ -1,5 +1,11 @@
 #include "workloads/yahoo.h"
 
+#include <map>
+#include <mutex>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "baselines/flinksim.h"
@@ -9,6 +15,7 @@
 #include "connectors/memory.h"
 #include "exec/streaming_query.h"
 #include "obs/metrics.h"
+#include "runtime/scheduler.h"
 
 namespace sstreaming {
 namespace {
@@ -141,6 +148,148 @@ TEST(YahooWorkloadTest, EndToEndLatencyTiesOutWithPrometheus) {
   EXPECT_EQ(merged.ValueAtQuantile(0.99), lifetime->ValueAtQuantile(0.99));
   // Latency is bounded below by the 2s the backlog aged before processing.
   EXPECT_GE(merged.ValueAtQuantile(0.50), 2 * kSec);
+}
+
+/// Forwards every stage to `inner`, recording the stage names in order.
+class StageRecorder : public TaskScheduler {
+ public:
+  explicit StageRecorder(TaskScheduler* inner) : inner_(inner) {}
+
+  Status RunStage(const std::string& stage_name,
+                  std::vector<std::function<Status()>> tasks,
+                  StageWait* wait) override {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      names_.push_back(stage_name);
+    }
+    return inner_->RunStage(stage_name, std::move(tasks), wait);
+  }
+  int parallelism() const override { return inner_->parallelism(); }
+
+  std::vector<std::string> Take() {
+    std::lock_guard<std::mutex> lock(mu_);
+    return std::exchange(names_, {});
+  }
+
+ private:
+  TaskScheduler* inner_;
+  std::mutex mu_;
+  std::vector<std::string> names_;
+};
+
+/// Runs the Yahoo query over SmallConfig() in epochs of at most
+/// `max_records` records on `scheduler`, and returns each epoch's stage
+/// names.
+std::vector<std::vector<std::string>> YahooEpochStages(
+    int num_partitions, TaskScheduler* scheduler, int64_t max_records) {
+  Generated g;
+  Generate(SmallConfig(), &g);
+  auto source =
+      std::make_shared<BusSource>(&g.bus, "events", YahooEventSchema());
+  StageRecorder recorder(scheduler);
+  QueryOptions opts;
+  opts.mode = OutputMode::kUpdate;
+  opts.num_partitions = num_partitions;
+  opts.scheduler = &recorder;
+  opts.max_records_per_epoch = max_records;
+  auto query = StreamingQuery::Start(YahooQuery(source, g.campaigns),
+                                     std::make_shared<MemorySink>(), opts);
+  EXPECT_TRUE(query.ok()) << query.status().ToString();
+  std::vector<std::vector<std::string>> epochs;
+  if (!query.ok()) return epochs;
+  recorder.Take();  // anything the start submitted
+  while (true) {
+    auto ran = (*query)->ProcessOneTrigger();
+    EXPECT_TRUE(ran.ok()) << ran.status().ToString();
+    if (!ran.ok() || !*ran) break;
+    epochs.push_back(recorder.Take());
+  }
+  return epochs;
+}
+
+// A stage of the epoch's job ends only at a shuffle (paper §6.2): the
+// filter, the projection and the static join's probe run inside the
+// shuffle's map tasks, and the exchange's reduce side and the aggregate's
+// [eval] run inside its fold tasks (inline grain: 8 partitions on 4
+// threads).
+TEST(YahooWorkloadTest, InlineGrainEpochRunsThreeStages) {
+  PoolScheduler pool(4);
+  const auto epochs = YahooEpochStages(8, &pool, 5000);
+  ASSERT_GE(epochs.size(), 4u);
+  const std::vector<std::string> want = {
+      "Source[bus:events]", "Shuffle p=8/map", "StatefulAggregate"};
+  for (size_t e = 0; e < epochs.size(); ++e) {
+    EXPECT_EQ(epochs[e], want) << "epoch " << e + 1;
+  }
+}
+
+// On the split grain (1 partition on 8 threads) the partition's input is
+// concatenated in the aggregate's [eval] task; there is still no reduce
+// stage.
+TEST(YahooWorkloadTest, SplitGrainEpochHasNoReduceStage) {
+  PoolScheduler pool(8);
+  const auto epochs = YahooEpochStages(1, &pool, 5000);
+  ASSERT_GE(epochs.size(), 4u);
+  const std::vector<std::string> want = {
+      "Source[bus:events]", "Shuffle p=1/map", "StatefulAggregate[eval]",
+      "StatefulAggregate[split]", "StatefulAggregate"};
+  for (size_t e = 0; e < epochs.size(); ++e) {
+    EXPECT_EQ(epochs[e], want) << "epoch " << e + 1;
+  }
+}
+
+// Running the pipeline inside the map tasks changes no operator's record:
+// every operator keeps its op_id (and so its state directory), and its
+// rows and batches are the ones the plan reported when each operator ran
+// its own stage. The map stage's tasks are the shuffle's.
+TEST(YahooWorkloadTest, FusedMapStageKeepsOperatorCounters) {
+  Generated g;
+  Generate(SmallConfig(), &g);
+  auto source =
+      std::make_shared<BusSource>(&g.bus, "events", YahooEventSchema());
+  PoolScheduler pool(4);
+  QueryOptions opts;
+  opts.mode = OutputMode::kUpdate;
+  opts.num_partitions = 8;
+  opts.scheduler = &pool;
+  auto query = StreamingQuery::Start(YahooQuery(source, g.campaigns),
+                                     std::make_shared<MemorySink>(), opts);
+  ASSERT_TRUE(query.ok()) << query.status().ToString();
+  ASSERT_TRUE((*query)->ProcessAllAvailable().ok());
+  QueryProgress p;
+  ASSERT_TRUE((*query)->GetLastProgress(&p));
+  ASSERT_EQ(p.epoch, 1);
+
+  // Tasks: the source's reads, the shuffle's map (which runs the
+  // pipeline) and the aggregate's folds; no other operator submits a stage.
+  struct Want {
+    const char* name;
+    int64_t rows_in, rows_out, batches, tasks;
+  };
+  const std::map<int, Want> want = {
+      {0, {"Source[bus:events]", 0, 20000, 4, 4}},
+      {1, {"Filter (event_type = view)", 20000, 6697, 4, 0}},
+      {2, {"Project", 6697, 6697, 4, 0}},
+      {3, {"StreamStaticJoin", 6697, 6697, 4, 0}},
+      {4, {"Shuffle p=8", 6697, 6697, 8, 4}},
+      {5, {"StatefulAggregate", 6697, 50, 8, 8}},
+      {6, {"FusedPipeline[Filter (event_type = view) -> Project -> "
+           "StreamStaticJoin]",
+           6697, 6697, 4, 0}},
+  };
+  ASSERT_EQ(p.operators.size(), want.size());
+  for (const OperatorProgress& op : p.operators) {
+    SCOPED_TRACE(op.name);
+    auto it = want.find(op.op_id);
+    ASSERT_NE(it, want.end());
+    EXPECT_EQ(op.name, it->second.name);
+    EXPECT_EQ(op.rows_in, it->second.rows_in);
+    EXPECT_EQ(op.rows_out, it->second.rows_out);
+    EXPECT_EQ(op.batches, it->second.batches);
+    EXPECT_GE(op.cpu_nanos, 0);
+    EXPECT_EQ(op.tasks, it->second.tasks);
+    EXPECT_EQ(op.stage_nanos > 0, it->second.tasks > 0);
+  }
 }
 
 TEST(YahooWorkloadTest, FlinkSimMatchesReference) {

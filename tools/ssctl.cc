@@ -29,6 +29,7 @@
 #include <cinttypes>
 #include <cstdio>
 #include <cstring>
+#include <functional>
 #include <optional>
 #include <string>
 #include <vector>
@@ -251,8 +252,12 @@ int CmdDiff(const std::string& dir_a, const std::string& dir_b) {
 // ------------------------------------------------------------- bench-diff
 
 /// One comparable point of a bench_yahoo_scaling --json document.
+/// One point of a bench ledger: a cluster point has `nodes`, a shard
+/// point `shards` (a key the point lacks reads 0). The pair identifies the
+/// point across runs.
 struct BenchPoint {
   int64_t nodes = 0;
+  int64_t shards = 0;
   double throughput = 0;
   int64_t p99_epoch_nanos = 0;
 };
@@ -265,6 +270,7 @@ Result<std::vector<BenchPoint>> ParseBench(const Json& doc) {
   for (const Json& p : doc.Get("points").array_items()) {
     BenchPoint point;
     point.nodes = GetInt(p, "nodes");
+    point.shards = GetInt(p, "shards");
     point.throughput = GetDouble(p, "throughputRecsPerSec");
     point.p99_epoch_nanos = GetInt(p, "p99EpochNanos");
     points.push_back(point);
@@ -285,17 +291,22 @@ int DiffBench(const Json& baseline_doc, const Json& current_doc,
                      .c_str());
     return 2;
   }
-  std::printf("%6s %16s %16s %9s %12s %12s %9s\n", "nodes", "base rec/s",
-              "cur rec/s", "tput", "base p99ms", "cur p99ms", "p99");
+  std::printf("%6s %6s %16s %16s %9s %12s %12s %9s\n", "nodes", "shards",
+              "base rec/s", "cur rec/s", "tput", "base p99ms", "cur p99ms",
+              "p99");
   int regressions = 0;
   for (const BenchPoint& b : *baseline) {
     const BenchPoint* c = nullptr;
     for (const BenchPoint& candidate : *current) {
-      if (candidate.nodes == b.nodes) c = &candidate;
+      if (candidate.nodes == b.nodes && candidate.shards == b.shards) {
+        c = &candidate;
+      }
     }
     if (c == nullptr) {
-      std::fprintf(stderr, "ssctl: current run lacks the %" PRId64
-                           "-node point\n", b.nodes);
+      std::fprintf(stderr,
+                   "ssctl: current run lacks the point of %" PRId64
+                   " nodes, %" PRId64 " shards\n",
+                   b.nodes, b.shards);
       ++regressions;
       continue;
     }
@@ -309,8 +320,10 @@ int DiffBench(const Json& baseline_doc, const Json& current_doc,
     bool tput_bad = tput_delta < -max_regress;
     bool p99_bad = p99_delta > max_regress;
     if (tput_bad || p99_bad) ++regressions;
-    std::printf("%6" PRId64 " %16.0f %16.0f %+8.1f%% %12.2f %12.2f %+8.1f%%%s\n",
-                b.nodes, b.throughput, c->throughput, tput_delta * 100,
+    std::printf("%6" PRId64 " %6" PRId64
+                " %16.0f %16.0f %+8.1f%% %12.2f %12.2f %+8.1f%%%s\n",
+                b.nodes, b.shards, b.throughput, c->throughput,
+                tput_delta * 100,
                 static_cast<double>(b.p99_epoch_nanos) / 1e6,
                 static_cast<double>(c->p99_epoch_nanos) / 1e6,
                 p99_delta * 100,
@@ -336,53 +349,57 @@ Result<Json> LoadJson(const std::string& path) {
 /// (and exit 0 on an identical run). Wired into CI so a silently broken
 /// comparator cannot wave real regressions through.
 int BenchDiffSelfTest() {
-  Json baseline = Json::Object();
-  baseline.Set("benchmark", Json::Str("yahoo_scaling"));
-  Json points = Json::Array();
-  const int64_t nodes[] = {1, 5};
-  for (int64_t n : nodes) {
-    Json p = Json::Object();
-    p.Set("nodes", Json::Int(n));
-    p.Set("throughputRecsPerSec", Json::Double(1e7 * static_cast<double>(n)));
-    p.Set("p99EpochNanos", Json::Int(50000000));
-    points.Append(std::move(p));
-  }
-  baseline.Set("points", std::move(points));
-
-  auto degrade = [&baseline](double tput_factor, double p99_factor) {
+  // Two cluster points and two shard points (which carry no `nodes`), as
+  // bench_yahoo_scaling writes them.
+  struct Point {
+    int64_t nodes;
+    int64_t shards;
+  };
+  const Point kPoints[] = {{1, 0}, {5, 0}, {0, 2}, {0, 8}};
+  // A run whose points matching `pick` have their throughput and p99
+  // scaled by the factors.
+  auto run = [&kPoints](double tput_factor, double p99_factor,
+                        const std::function<bool(const Point&)>& pick) {
     Json doc = Json::Object();
     doc.Set("benchmark", Json::Str("yahoo_scaling"));
     Json pts = Json::Array();
-    for (const Json& p : baseline.Get("points").array_items()) {
-      Json q = Json::Object();
-      q.Set("nodes", Json::Int(p.Get("nodes").int_value()));
-      q.Set("throughputRecsPerSec",
-            Json::Double(p.Get("throughputRecsPerSec").double_value() *
-                         tput_factor));
-      q.Set("p99EpochNanos",
-            Json::Int(static_cast<int64_t>(
-                static_cast<double>(p.Get("p99EpochNanos").int_value()) *
-                p99_factor)));
-      pts.Append(std::move(q));
+    for (const Point& point : kPoints) {
+      const bool scaled = pick(point);
+      Json p = Json::Object();
+      if (point.nodes > 0) p.Set("nodes", Json::Int(point.nodes));
+      if (point.shards > 0) p.Set("shards", Json::Int(point.shards));
+      const int64_t weight = point.nodes > 0 ? point.nodes : point.shards;
+      p.Set("throughputRecsPerSec",
+            Json::Double(1e7 * static_cast<double>(weight) *
+                         (scaled ? tput_factor : 1.0)));
+      p.Set("p99EpochNanos",
+            Json::Int(static_cast<int64_t>(5e7 * (scaled ? p99_factor : 1.0))));
+      pts.Append(std::move(p));
     }
     doc.Set("points", std::move(pts));
     return doc;
   };
+  auto all = [](const Point&) { return true; };
+  const Json baseline = run(1.0, 1.0, all);
 
-  std::printf("--- self-test: identical run must pass\n");
-  if (DiffBench(baseline, degrade(1.0, 1.0), 0.10) != 0) {
-    std::fprintf(stderr, "self-test FAILED: identical run flagged\n");
-    return 1;
-  }
-  std::printf("--- self-test: 20%% throughput drop must fail\n");
-  if (DiffBench(baseline, degrade(0.8, 1.0), 0.10) != 1) {
-    std::fprintf(stderr, "self-test FAILED: 20%% tput drop not flagged\n");
-    return 1;
-  }
-  std::printf("--- self-test: 20%% p99 growth must fail\n");
-  if (DiffBench(baseline, degrade(1.0, 1.2), 0.10) != 1) {
-    std::fprintf(stderr, "self-test FAILED: 20%% p99 growth not flagged\n");
-    return 1;
+  struct Case {
+    const char* what;
+    Json current;
+    int want;
+  };
+  const Case cases[] = {
+      {"identical run must pass", run(1.0, 1.0, all), 0},
+      {"20% throughput drop must fail", run(0.8, 1.0, all), 1},
+      {"20% p99 growth must fail", run(1.0, 1.2, all), 1},
+      {"20% drop of the 2-shard point alone must fail",
+       run(0.8, 1.0, [](const Point& p) { return p.shards == 2; }), 1},
+  };
+  for (const Case& c : cases) {
+    std::printf("--- self-test: %s\n", c.what);
+    if (DiffBench(baseline, c.current, 0.10) != c.want) {
+      std::fprintf(stderr, "self-test FAILED: %s\n", c.what);
+      return 1;
+    }
   }
   std::printf("self-test PASS\n");
   return 0;

@@ -325,6 +325,74 @@ void BM_KeyEncodePerRow(benchmark::State& state) {
 }
 BENCHMARK(BM_KeyEncodePerRow)->Arg(1 << 17);
 
+// ---------------------------------------------------------------------------
+// Gather: a per-cell AppendFrom loop (one kind dispatch per cell) versus
+// Column::AppendGather (one per column), over the survivors of a 2-in-3
+// filter.
+// Args: {rows, string column (0/1), AppendGather (0/1)}.
+// ---------------------------------------------------------------------------
+
+ColumnPtr MakeGatherSource(TypeId type, int64_t n) {
+  ColumnPtr col = Column::Make(type);
+  col->Reserve(n);
+  for (int64_t i = 0; i < n; ++i) {
+    if (type == TypeId::kString) {
+      col->AppendString("campaign-" + std::to_string(i % 100));
+    } else {
+      col->AppendInt64(i * 31);
+    }
+  }
+  return col;
+}
+
+void AppendEachCell(const Column& src, const std::vector<int32_t>& idx,
+                    Column* out) {
+  for (int32_t i : idx) out->AppendFrom(src, i);
+}
+
+void BM_Gather(benchmark::State& state) {
+  const int64_t n = state.range(0);
+  const TypeId type = state.range(1) != 0 ? TypeId::kString : TypeId::kInt64;
+  const bool gather = state.range(2) != 0;
+  ColumnPtr src = MakeGatherSource(type, n);
+  std::vector<int32_t> idx;
+  for (int64_t i = 0; i < n; ++i) {
+    if (i % 3 != 0) idx.push_back(static_cast<int32_t>(i));
+  }
+  const auto k = static_cast<int64_t>(idx.size());
+  // Both paths must build the same column.
+  Column per_cell(type);
+  Column gathered(type);
+  AppendEachCell(*src, idx, &per_cell);
+  gathered.AppendGather(*src, idx.data(), k);
+  for (int64_t i = 0; i < k; ++i) {
+    if (!per_cell.ValueEquals(i, gathered, i)) {
+      state.SkipWithError("AppendGather differs from per-cell AppendFrom");
+      return;
+    }
+  }
+  for (auto _ : state) {
+    Column out(type);
+    out.Reserve(k);
+    if (gather) {
+      out.AppendGather(*src, idx.data(), k);
+    } else {
+      AppendEachCell(*src, idx, &out);
+    }
+    benchmark::DoNotOptimize(out.size());
+  }
+  state.SetItemsProcessed(state.iterations() * k);
+  state.SetLabel(std::string(TypeName(type)) +
+                 (gather ? " AppendGather" : " per-cell AppendFrom"));
+}
+BENCHMARK(BM_Gather)->Apply([](benchmark::internal::Benchmark* b) {
+  for (int64_t rows : {int64_t{1} << 14, int64_t{1} << 17}) {
+    for (int64_t string : {0, 1}) {
+      for (int64_t gather : {0, 1}) b->Args({rows, string, gather});
+    }
+  }
+});
+
 }  // namespace
 }  // namespace sstreaming
 

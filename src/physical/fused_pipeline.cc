@@ -1,5 +1,6 @@
 #include "physical/fused_pipeline.h"
 
+#include <array>
 #include <utility>
 
 #include "common/arena.h"
@@ -37,9 +38,7 @@ RecordBatchPtr GatherReferenced(const RecordBatchPtr& batch,
     ColumnPtr out = Column::Make(in->type());
     if (want[static_cast<size_t>(c)]) {
       out->Reserve(k);
-      for (int64_t i = 0; i < k; ++i) {
-        out->AppendFrom(*in, batch->PhysIndex(i));
-      }
+      out->AppendGather(*in, batch->selection().data, k);
     } else {
       // Unreferenced columns only pad the batch to length k so ordinals
       // keep their meaning; their values are never read.
@@ -61,22 +60,98 @@ bool HasNullKey(const std::vector<ColumnPtr>& keys, int64_t i) {
 
 namespace {
 
-// Join-key equality of rows i of `a` and j of `b`, keys non-null and of
-// the same types: the encoded bytes' identity (Column::ValueEquals), except
-// that float64 keys compare by value, so -0.0 equals 0.0 (a NaN equals only
-// a NaN of the same bits). Column::HashInto hashes such equal keys alike.
-bool JoinKeysEqual(const std::vector<ColumnPtr>& a, int64_t i,
-                   const std::vector<ColumnPtr>& b, int64_t j) {
-  for (size_t k = 0; k < a.size(); ++k) {
-    const Column& x = *a[k];
-    const Column& y = *b[k];
-    if (x.ValueEquals(i, y, j)) continue;
-    if (x.type() != TypeId::kFloat64 || y.type() != TypeId::kFloat64 ||
-        x.Float64At(i) != y.Float64At(j)) {
-      return false;
-    }
+// One key of a join: the indexed side's key column and the probing side's,
+// of one TypeId.
+struct KeyPair {
+  const Column* indexed;
+  const Column* probe;
+};
+// A join's keys grouped by physical kind (indexed by PhysicalKind). The
+// grouping is the batch's one kind dispatch: the row loop runs each
+// group's typed compare over its keys.
+using JoinKeyGroups = std::array<std::vector<KeyPair>, 5>;
+
+// Groups the key pairs of `indexed` and `probe`. False when some pair's
+// TypeIds differ: such keys never compare equal, so no row matches.
+bool GroupJoinKeys(const std::vector<ColumnPtr>& indexed,
+                   const std::vector<ColumnPtr>& probe,
+                   JoinKeyGroups* groups) {
+  for (size_t k = 0; k < indexed.size(); ++k) {
+    const TypeId type = indexed[k]->type();
+    if (type != probe[k]->type()) return false;
+    (*groups)[static_cast<size_t>(PhysicalKindOf(type))].push_back(
+        KeyPair{indexed[k].get(), probe[k].get()});
   }
   return true;
+}
+
+// Join-key equality over the kind groups Ks (the others are empty) of
+// indexed row i and probing row j, keys non-null: the encoded bytes'
+// identity (Column::CellEquals), except that float64 keys compare by value,
+// so -0.0 equals 0.0 (a NaN equals only a NaN of the same bits).
+// Column::HashInto hashes such equal keys alike.
+template <PhysicalKind... Ks>
+struct JoinKeyKernels {
+  [[gnu::always_inline]] static bool Equal(const JoinKeyGroups& groups,
+                                           int64_t i, int64_t j) {
+    auto group = [&](auto kind) {
+      constexpr PhysicalKind K = decltype(kind)::value;
+      for (const KeyPair& p : groups[static_cast<size_t>(K)]) {
+        if constexpr (K == PhysicalKind::kFloat64) {
+          if (p.indexed->Float64At(i) == p.probe->Float64At(j)) continue;
+        }
+        if (!p.indexed->CellEquals<K>(i, *p.probe, j, false)) return false;
+      }
+      return true;
+    };
+    return (group(std::integral_constant<PhysicalKind, Ks>()) && ...);
+  }
+};
+
+// Calls f(kernels) with the JoinKeyKernels for `groups`: those of the one
+// kind when every key has it (the common case), else those of all kinds.
+template <typename F>
+void WithJoinKeyKernels(const JoinKeyGroups& groups, const F& f) {
+  int kinds = 0;
+  auto only = PhysicalKind::kNone;
+  for (size_t k = 0; k < groups.size(); ++k) {
+    if (!groups[k].empty()) {
+      ++kinds;
+      only = static_cast<PhysicalKind>(k);
+    }
+  }
+  if (kinds == 1) {
+    DispatchKind(only, [&](auto kind) {
+      f(JoinKeyKernels<decltype(kind)::value>());
+    });
+  } else {
+    f(JoinKeyKernels<PhysicalKind::kBool, PhysicalKind::kInt64,
+                     PhysicalKind::kFloat64, PhysicalKind::kString>());
+  }
+}
+
+// Appends static column `src` at `static_rows` to `dst`. An unmatched entry
+// (-1, a preserved stream row) takes `coalesce`'s value at its stream row
+// (a USING key), or a null when `coalesce` is null. Each run of matched or
+// unmatched entries is one gather.
+void AppendStaticSide(const Column& src, const Column* coalesce,
+                      const std::vector<int32_t>& static_rows,
+                      const std::vector<int32_t>& stream_rows, Column* dst) {
+  const size_t n = static_rows.size();
+  for (size_t lo = 0; lo < n;) {
+    const bool matched = static_rows[lo] >= 0;
+    size_t hi = lo + 1;
+    while (hi < n && (static_rows[hi] >= 0) == matched) ++hi;
+    const auto len = static_cast<int64_t>(hi - lo);
+    if (matched) {
+      dst->AppendGather(src, static_rows.data() + lo, len);
+    } else if (coalesce != nullptr) {
+      dst->AppendGather(*coalesce, stream_rows.data() + lo, len);
+    } else {
+      dst->AppendNulls(len);
+    }
+    lo = hi;
+  }
 }
 
 }  // namespace
@@ -110,22 +185,28 @@ Result<std::shared_ptr<const StreamStaticJoin>> StreamStaticJoin::Make(
   join->next_.assign(n, -1);
   std::vector<int32_t> last(n);  // by a key's first row
   join->index_.Reserve(n);
-  for (size_t r = 0; r < n; ++r) {
-    const auto row = static_cast<int64_t>(r);
-    if (HasNullKey(keys, row)) continue;
-    auto same_key = [&](uint32_t pos) {
-      return JoinKeysEqual(keys, pos, keys, row);
-    };
-    size_t slot;
-    const uint32_t first = join->index_.Find(hashes[r], same_key, &slot);
-    if (first == KeyIndex::kAbsent) {
-      join->index_.Insert(slot, hashes[r], static_cast<uint32_t>(r));
-      last[r] = static_cast<int32_t>(r);
-    } else {
-      join->next_[static_cast<size_t>(last[first])] = static_cast<int32_t>(r);
-      last[first] = static_cast<int32_t>(r);
+  JoinKeyGroups groups;
+  GroupJoinKeys(keys, keys, &groups);
+  WithJoinKeyKernels(groups, [&](auto kernels) {
+    using Kernels = decltype(kernels);
+    for (size_t r = 0; r < n; ++r) {
+      const auto row = static_cast<int64_t>(r);
+      if (HasNullKey(keys, row)) continue;
+      auto same_key = [&](uint32_t pos) {
+        return Kernels::Equal(groups, pos, row);
+      };
+      size_t slot;
+      const uint32_t first = join->index_.Find(hashes[r], same_key, &slot);
+      if (first == KeyIndex::kAbsent) {
+        join->index_.Insert(slot, hashes[r], static_cast<uint32_t>(r));
+        last[r] = static_cast<int32_t>(r);
+      } else {
+        join->next_[static_cast<size_t>(last[first])] =
+            static_cast<int32_t>(r);
+        last[first] = static_cast<int32_t>(r);
+      }
     }
-  }
+  });
   return std::shared_ptr<const StreamStaticJoin>(std::move(join));
 }
 
@@ -152,30 +233,36 @@ Result<RecordBatchPtr> StreamStaticJoin::Probe(const RecordBatch& input) const {
   std::vector<int32_t> static_rows;
   stream_rows.reserve(static_cast<size_t>(n));
   static_rows.reserve(static_cast<size_t>(n));
-  for (int64_t i = 0; i < n; ++i) {
-    uint32_t first = KeyIndex::kAbsent;
-    if (!HasNullKey(keys, i)) {
-      size_t slot;
-      auto same_key = [&](uint32_t pos) {
-        return JoinKeysEqual(static_keys_, pos, keys, i);
-      };
-      first = index_.Find(hashes[static_cast<size_t>(i)], same_key, &slot);
-    }
-    if (first == KeyIndex::kAbsent) {
-      if (preserve_stream_) {
-        stream_rows.push_back(static_cast<int32_t>(i));
-        static_rows.push_back(-1);
+  JoinKeyGroups groups;
+  const bool comparable = GroupJoinKeys(static_keys_, keys, &groups);
+  WithJoinKeyKernels(groups, [&](auto kernels) {
+    using Kernels = decltype(kernels);
+    for (int64_t i = 0; i < n; ++i) {
+      uint32_t first = KeyIndex::kAbsent;
+      if (comparable && !HasNullKey(keys, i)) {
+        size_t slot;
+        auto same_key = [&](uint32_t pos) {
+          return Kernels::Equal(groups, pos, i);
+        };
+        first = index_.Find(hashes[static_cast<size_t>(i)], same_key, &slot);
       }
-      continue;
+      if (first == KeyIndex::kAbsent) {
+        if (preserve_stream_) {
+          stream_rows.push_back(static_cast<int32_t>(i));
+          static_rows.push_back(-1);
+        }
+        continue;
+      }
+      for (int32_t r = static_cast<int32_t>(first); r >= 0;
+           r = next_[static_cast<size_t>(r)]) {
+        stream_rows.push_back(static_cast<int32_t>(i));
+        static_rows.push_back(r);
+      }
     }
-    for (int32_t r = static_cast<int32_t>(first); r >= 0;
-         r = next_[static_cast<size_t>(r)]) {
-      stream_rows.push_back(static_cast<int32_t>(i));
-      static_rows.push_back(r);
-    }
-  }
+  });
 
-  // Gather the output columns typed.
+  // Gather the output columns typed, one gather per column (per run of
+  // matched or unmatched rows on the static side).
   std::vector<ColumnPtr> columns;
   for (int idx : static_output_indices_) {
     // USING-join key coalescing: an unmatched stream row's key fills the
@@ -187,15 +274,7 @@ Result<RecordBatchPtr> StreamStaticJoin::Probe(const RecordBatch& input) const {
     const Column& src = *static_->column(idx);
     ColumnPtr dst = Column::Make(src.type());
     dst->Reserve(static_cast<int64_t>(stream_rows.size()));
-    for (size_t e = 0; e < stream_rows.size(); ++e) {
-      if (static_rows[e] >= 0) {
-        dst->AppendFrom(src, static_rows[e]);
-      } else if (coalesce != nullptr) {
-        dst->AppendFrom(*coalesce, stream_rows[e]);
-      } else {
-        dst->AppendNull();
-      }
-    }
+    AppendStaticSide(src, coalesce, static_rows, stream_rows, dst.get());
     columns.push_back(std::move(dst));
   }
   const RecordBatchPtr stream_side =

@@ -603,25 +603,41 @@ Result<std::vector<RecordBatchPtr>> StatefulAggExec::ExecuteImpl(
     return Status::OK();
   };
 
-  // Output of a touched group, typed: each group key appended from its
-  // key column at the group's first row (the window from its start), then
-  // the finalized aggregates from the record.
+  // Output of the touched groups that the watermark left open (the
+  // closed ones were evicted; never re-emit them), typed: each group key
+  // gathered from its key column at the groups' first rows, one gather per
+  // key column (the window from each group's start), then the finalized
+  // aggregates from the records.
   const int num_keys = num_output_key_columns();
-  auto emit_touched = [&](ShardFold& f, size_t g,
-                          BatchBuilder* out) -> Status {
-    const ShardFold::Touched& t = f.touched[g];
+  auto emit_touched = [&](ShardFold& f, BatchBuilder* out) -> Status {
     const PartitionWork& w = work[f.partition];
+    std::vector<size_t> open;
+    std::vector<int32_t> rows;
+    for (size_t g = 0; g < f.touched.size(); ++g) {
+      if (closed(f.touched[g].wstart)) continue;
+      open.push_back(g);
+      rows.push_back(static_cast<int32_t>(f.touched[g].row));
+    }
     int c = 0;
     for (size_t k = 0; k < group_exprs_.size(); ++k, ++c) {
       if (static_cast<int>(k) == window_key_index_) {
-        out->column(c).AppendInt64(t.wstart);
-        out->column(++c).AppendInt64(t.wstart + window_size);
+        Column& start = out->column(c);
+        Column& end = out->column(++c);
+        for (size_t g : open) {
+          start.AppendInt64(f.touched[g].wstart);
+          end.AppendInt64(f.touched[g].wstart + window_size);
+        }
       } else {
-        out->column(c).AppendFrom(*w.key_cols[k], t.row);
+        out->column(c).AppendGather(*w.key_cols[k], rows.data(),
+                                    static_cast<int64_t>(rows.size()));
       }
     }
-    return records.AppendFinal(f.cells.data() + g * C,
-                               f.strings.data() + g * K, num_keys, out);
+    for (size_t g : open) {
+      SS_RETURN_IF_ERROR(records.AppendFinal(f.cells.data() + g * C,
+                                             f.strings.data() + g * K,
+                                             num_keys, out));
+    }
+    return Status::OK();
   };
   // Output of a stored group: each group key decoded from the key bytes
   // straight into its column (the window end after the window start), then
@@ -712,13 +728,8 @@ Result<std::vector<RecordBatchPtr>> StatefulAggExec::ExecuteImpl(
       for (const std::string& k : evict) f.state->Remove(k);
     }
 
-    if (ctx->mode == OutputMode::kUpdate) {
-      for (size_t g = 0; g < f.touched.size(); ++g) {
-        // Evicted above; never re-emit.
-        if (closed(f.touched[g].wstart)) continue;
-        SS_RETURN_IF_ERROR(emit_touched(f, g, out));
-      }
-    } else if (ctx->mode == OutputMode::kComplete) {
+    if (ctx->mode == OutputMode::kUpdate) return emit_touched(f, out);
+    if (ctx->mode == OutputMode::kComplete) {
       return emit_stored(f, out, every, nullptr);
     }
     return Status::OK();

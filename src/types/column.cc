@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstring>
-#include <type_traits>
 
 namespace sstreaming {
 
@@ -68,24 +67,6 @@ void Column::AppendNulls(int64_t n) {
   }
 }
 
-void Column::AppendBool(bool v) {
-  SS_DCHECK(type_ == TypeId::kBool);
-  validity_.push_back(1);
-  bools_.push_back(v ? 1 : 0);
-}
-
-void Column::AppendInt64(int64_t v) {
-  SS_DCHECK(PhysicalKindOf(type_) == PhysicalKind::kInt64);
-  validity_.push_back(1);
-  ints_.push_back(v);
-}
-
-void Column::AppendFloat64(double v) {
-  SS_DCHECK(type_ == TypeId::kFloat64);
-  validity_.push_back(1);
-  doubles_.push_back(v);
-}
-
 void Column::AppendString(std::string v) {
   SS_DCHECK(type_ == TypeId::kString);
   validity_.push_back(1);
@@ -143,39 +124,65 @@ void Column::Reserve(int64_t n) {
   }
 }
 
-namespace {
-
-// The per-cell entry points of the typed cell kernels: one kind dispatch
-// per call.
-template <typename F>
-void DispatchKind(PhysicalKind kind, const F& f) {
-  switch (kind) {
-    case PhysicalKind::kBool:
-      f(std::integral_constant<PhysicalKind, PhysicalKind::kBool>());
-      break;
-    case PhysicalKind::kInt64:
-      f(std::integral_constant<PhysicalKind, PhysicalKind::kInt64>());
-      break;
-    case PhysicalKind::kFloat64:
-      f(std::integral_constant<PhysicalKind, PhysicalKind::kFloat64>());
-      break;
-    case PhysicalKind::kString:
-      f(std::integral_constant<PhysicalKind, PhysicalKind::kString>());
-      break;
-    case PhysicalKind::kNone:
-      f(std::integral_constant<PhysicalKind, PhysicalKind::kNone>());
-      break;
-  }
-}
-
-}  // namespace
-
 void Column::AppendFrom(const Column& src, int64_t i) {
   SS_DCHECK(src.IsNull(i) ||
             PhysicalKindOf(src.type_) == PhysicalKindOf(type_));
   DispatchKind(PhysicalKindOf(type_), [&](auto kind) {
     AppendCell<decltype(kind)::value>(src, i, true);
   });
+}
+
+void Column::AppendGather(const Column& src, const int32_t* idx, int64_t n) {
+  SS_DCHECK(&src != this);
+  const PhysicalKind kind = PhysicalKindOf(type_);
+  if (PhysicalKindOf(src.type_) != kind) {
+    SS_DCHECK(src.null_count_ == src.size());
+    AppendNulls(n);
+    return;
+  }
+  // Validity and fixed-width payloads grow once and fill by index; a null
+  // source cell's payload is already the zero AppendCell would write (every
+  // builder zeroes it), so payloads copy without a validity test.
+  const size_t base = validity_.size();
+  const auto count = static_cast<size_t>(n);
+  if (src.null_count_ == 0) {
+    validity_.resize(base + count, 1);
+  } else {
+    validity_.resize(base + count);
+    uint8_t* valid = validity_.data() + base;
+    int64_t nulls = 0;
+    for (size_t i = 0; i < count; ++i) {
+      valid[i] = src.validity_[static_cast<size_t>(idx[i])];
+      nulls += valid[i] == 0 ? 1 : 0;
+    }
+    null_count_ += nulls;
+  }
+  auto fill = [&](auto* dst, const auto& from) {
+    dst->resize(base + count);
+    auto* out = dst->data() + base;
+    for (size_t i = 0; i < count; ++i) {
+      out[i] = from[static_cast<size_t>(idx[i])];
+    }
+  };
+  switch (kind) {
+    case PhysicalKind::kBool:
+      fill(&bools_, src.bools_);
+      break;
+    case PhysicalKind::kInt64:
+      fill(&ints_, src.ints_);
+      break;
+    case PhysicalKind::kFloat64:
+      fill(&doubles_, src.doubles_);
+      break;
+    case PhysicalKind::kString:
+      for (size_t i = 0; i < count; ++i) {
+        strings_.push_back(src.strings_[static_cast<size_t>(idx[i])]);
+        string_bytes_ += static_cast<int64_t>(strings_.back().size());
+      }
+      break;
+    case PhysicalKind::kNone:
+      break;
+  }
 }
 
 void Column::SetFrom(int64_t i, const Column& src, int64_t j) {
@@ -273,29 +280,43 @@ void Column::EncodeValueTo(int64_t i, std::string* out) const {
   }
 }
 
+namespace {
+
+// Value::Hash of non-null value i of a column of kind K, unboxed.
+template <PhysicalKind K>
+uint64_t HashCell(const Column& c, int64_t i) {
+  if constexpr (K == PhysicalKind::kBool) {
+    return HashMix(1, c.BoolAt(i) ? 1 : 0);
+  } else if constexpr (K == PhysicalKind::kInt64) {
+    return HashMix(2, static_cast<uint64_t>(c.Int64At(i)));
+  } else if constexpr (K == PhysicalKind::kFloat64) {
+    return HashFloat64(c.Float64At(i));
+  } else if constexpr (K == PhysicalKind::kString) {
+    const std::string& s = c.StringAt(i);
+    return HashBytes(s.data(), s.size(), 4);
+  } else {
+    return kNullHash;
+  }
+}
+
+}  // namespace
+
 void Column::HashInto(std::vector<uint64_t>* hashes) const {
   SS_DCHECK(static_cast<int64_t>(hashes->size()) == size());
   const int64_t n = size();
   uint64_t* h = hashes->data();
-  // Typed fast paths (must agree with Value::Hash; shuffle partitioning on
-  // both sides of an exchange depends on it).
-  if (PhysicalKindOf(type_) == PhysicalKind::kInt64 && !has_nulls()) {
-    const int64_t* v = ints_.data();
-    for (int64_t i = 0; i < n; ++i) {
-      h[i] = HashMix(h[i], HashMix(2, static_cast<uint64_t>(v[i])));
+  // Must agree with Value::Hash row by row: shuffle partitioning on both
+  // sides of an exchange depends on it.
+  DispatchKind(PhysicalKindOf(type_), [&](auto k) {
+    constexpr PhysicalKind K = decltype(k)::value;
+    if (has_nulls()) {
+      for (int64_t i = 0; i < n; ++i) {
+        h[i] = HashMix(h[i], IsNull(i) ? kNullHash : HashCell<K>(*this, i));
+      }
+    } else {
+      for (int64_t i = 0; i < n; ++i) h[i] = HashMix(h[i], HashCell<K>(*this, i));
     }
-    return;
-  }
-  if (type_ == TypeId::kString && !has_nulls()) {
-    for (int64_t i = 0; i < n; ++i) {
-      const std::string& s = strings_[static_cast<size_t>(i)];
-      h[i] = HashMix(h[i], HashBytes(s.data(), s.size(), 4));
-    }
-    return;
-  }
-  for (int64_t i = 0; i < n; ++i) {
-    h[i] = HashMix(h[i], ValueAt(i).Hash());
-  }
+  });
 }
 
 }  // namespace sstreaming

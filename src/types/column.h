@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "common/logging.h"
@@ -12,6 +13,30 @@
 #include "types/value.h"
 
 namespace sstreaming {
+
+/// Calls f(std::integral_constant<PhysicalKind, kind>()): the one switch
+/// from a runtime kind to a typed kernel, taken per column (or per batch),
+/// never per cell.
+template <typename F>
+void DispatchKind(PhysicalKind kind, const F& f) {
+  switch (kind) {
+    case PhysicalKind::kBool:
+      f(std::integral_constant<PhysicalKind, PhysicalKind::kBool>());
+      break;
+    case PhysicalKind::kInt64:
+      f(std::integral_constant<PhysicalKind, PhysicalKind::kInt64>());
+      break;
+    case PhysicalKind::kFloat64:
+      f(std::integral_constant<PhysicalKind, PhysicalKind::kFloat64>());
+      break;
+    case PhysicalKind::kString:
+      f(std::integral_constant<PhysicalKind, PhysicalKind::kString>());
+      break;
+    case PhysicalKind::kNone:
+      f(std::integral_constant<PhysicalKind, PhysicalKind::kNone>());
+      break;
+  }
+}
 
 /// A typed, nullable column of values — the unit of vectorized execution.
 /// Values are stored unboxed in contiguous arrays (the C++ analogue of
@@ -52,9 +77,22 @@ class Column {
   // --- Builders ---
   void AppendNull();
   void AppendNulls(int64_t n);
-  void AppendBool(bool v);
-  void AppendInt64(int64_t v);
-  void AppendFloat64(double v);
+  // Inline: the typed producers call these once per row.
+  void AppendBool(bool v) {
+    SS_DCHECK(type_ == TypeId::kBool);
+    validity_.push_back(1);
+    bools_.push_back(v ? 1 : 0);
+  }
+  void AppendInt64(int64_t v) {
+    SS_DCHECK(PhysicalKindOf(type_) == PhysicalKind::kInt64);
+    validity_.push_back(1);
+    ints_.push_back(v);
+  }
+  void AppendFloat64(double v) {
+    SS_DCHECK(type_ == TypeId::kFloat64);
+    validity_.push_back(1);
+    doubles_.push_back(v);
+  }
   void AppendString(std::string v);
   /// Appends a boxed value; the value's type must match (or be null).
   void AppendValue(const Value& v);
@@ -65,8 +103,17 @@ class Column {
   void HashInto(std::vector<uint64_t>* hashes) const;
 
   /// Appends value i of `src` to this column with matching physical type
-  /// (no boxing) — the gather kernel used by shuffle and joins.
+  /// (no boxing): the one-cell kernel, one kind dispatch per call. Moving
+  /// many rows goes through AppendGather or AppendRange instead.
   void AppendFrom(const Column& src, int64_t i);
+
+  /// Appends values idx[0], ..., idx[n-1] of `src`, in order: the gather
+  /// kernel behind Gather, Materialize, selection views, the stream-static
+  /// join's output and the shuffle's buckets. Same result as AppendFrom per
+  /// index, with the kind and the null handling fixed once per call; a
+  /// source of another physical type (an all-null kNull column) appends n
+  /// nulls.
+  void AppendGather(const Column& src, const int32_t* idx, int64_t n);
 
   /// Overwrites value i with value j of `src` (null-aware, no boxing),
   /// keeping null_count() and ApproxBytes() exact. A non-null source value

@@ -63,9 +63,7 @@ RecordBatchPtr RecordBatch::Materialize(const RecordBatchPtr& batch) {
   for (const ColumnPtr& in : batch->columns_) {
     ColumnPtr out = Column::Make(in->type());
     out->Reserve(batch->num_rows_);
-    for (int64_t i = 0; i < batch->num_rows_; ++i) {
-      out->AppendFrom(*in, batch->selection_.data[i]);
-    }
+    out->AppendGather(*in, batch->selection_.data, batch->num_rows_);
     out_columns.push_back(std::move(out));
   }
   auto compact = Make(batch->schema_, std::move(out_columns));
@@ -91,41 +89,13 @@ std::vector<Row> RecordBatch::ToRows() const {
 std::shared_ptr<RecordBatch> RecordBatch::Filter(
     const std::vector<uint8_t>& mask) const {
   SS_CHECK(static_cast<int64_t>(mask.size()) == num_rows_);
-  std::vector<ColumnPtr> out_columns;
-  out_columns.reserve(columns_.size());
-  for (size_t ci = 0; ci < columns_.size(); ++ci) {
-    const Column& in = *columns_[ci];
-    ColumnPtr out = Column::Make(in.type());
-    for (int64_t li = 0; li < num_rows_; ++li) {
-      if (!mask[static_cast<size_t>(li)]) continue;
-      const int64_t i = PhysIndex(li);
-      if (in.IsNull(i)) {
-        out->AppendNull();
-        continue;
-      }
-      switch (PhysicalKindOf(in.type())) {
-        case PhysicalKind::kBool:
-          out->AppendBool(in.BoolAt(i));
-          break;
-        case PhysicalKind::kInt64:
-          out->AppendInt64(in.Int64At(i));
-          break;
-        case PhysicalKind::kFloat64:
-          out->AppendFloat64(in.Float64At(i));
-          break;
-        case PhysicalKind::kString:
-          out->AppendString(in.StringAt(i));
-          break;
-        case PhysicalKind::kNone:
-          out->AppendNull();
-          break;
-      }
+  std::vector<int32_t> rows;
+  for (int64_t i = 0; i < num_rows_; ++i) {
+    if (mask[static_cast<size_t>(i)]) {
+      rows.push_back(static_cast<int32_t>(PhysIndex(i)));
     }
-    out_columns.push_back(std::move(out));
   }
-  auto out = Make(schema_, std::move(out_columns));
-  out->set_ingest_micros(ingest_micros_);
-  return out;
+  return GatherPhysical(rows);
 }
 
 std::shared_ptr<RecordBatch> RecordBatch::SelectColumns(
@@ -172,20 +142,30 @@ void RecordBatch::AppendColumnRange(int c, int64_t start, int64_t length,
     out->AppendRange(in, start, length);
     return;
   }
-  for (int64_t i = start; i < start + length; ++i) {
-    out->AppendFrom(in, PhysIndex(i));
-  }
+  out->AppendGather(in, selection_.data + start, length);
 }
 
 std::shared_ptr<RecordBatch> RecordBatch::Gather(
     const std::vector<int32_t>& indices) const {
+  if (!has_selection_) return GatherPhysical(indices);
+  // Gather indices address logical rows; map them through the selection
+  // once, then every column gathers physical rows.
+  std::vector<int32_t> rows(indices.size());
+  for (size_t i = 0; i < indices.size(); ++i) {
+    rows[i] = selection_.data[indices[i]];
+  }
+  return GatherPhysical(rows);
+}
+
+RecordBatchPtr RecordBatch::GatherPhysical(
+    const std::vector<int32_t>& rows) const {
+  const auto n = static_cast<int64_t>(rows.size());
   std::vector<ColumnPtr> out_columns;
   out_columns.reserve(columns_.size());
   for (const ColumnPtr& in : columns_) {
     ColumnPtr out = Column::Make(in->type());
-    out->Reserve(static_cast<int64_t>(indices.size()));
-    // Gather indices address logical rows; map through any selection.
-    for (int32_t i : indices) out->AppendFrom(*in, PhysIndex(i));
+    out->Reserve(n);
+    out->AppendGather(*in, rows.data(), n);
     out_columns.push_back(std::move(out));
   }
   auto gathered = Make(schema_, std::move(out_columns));

@@ -129,6 +129,10 @@ class RecordBatch {
   std::string ToString() const;
 
  private:
+  /// Rows at the given physical storage indices, in order: one
+  /// Column::AppendGather per column. Keeps ingest_micros.
+  RecordBatchPtr GatherPhysical(const std::vector<int32_t>& rows) const;
+
   SchemaPtr schema_;
   std::vector<ColumnPtr> columns_;
   /// Logical row count: selection size when a selection is engaged,

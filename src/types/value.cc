@@ -82,37 +82,17 @@ int Value::Compare(const Value& other) const {
   }
 }
 
-uint64_t HashMix(uint64_t h, uint64_t v) {
-  h ^= v + 0x9E3779B97F4A7C15ULL + (h << 6) + (h >> 2);
-  h *= 0xFF51AFD7ED558CCDULL;
-  h ^= h >> 33;
-  return h;
-}
-
 uint64_t Value::Hash() const {
   switch (type_) {
     case TypeId::kNull:
-      return 0x5D1F00D5ULL;
+      return kNullHash;
     case TypeId::kBool:
       return HashMix(1, bool_value() ? 1 : 0);
     case TypeId::kInt64:
     case TypeId::kTimestamp:
       return HashMix(2, static_cast<uint64_t>(int64_value()));
-    case TypeId::kFloat64: {
-      double d = float64_value();
-      // Hash integral doubles like the equal int64 so 3.0 and 3 agree
-      // (Compare treats them as equal, so Hash must too). The range check
-      // keeps NaN and out-of-range values out of the undefined cast.
-      if (d >= -0x1p63 && d < 0x1p63) {
-        int64_t as_int = static_cast<int64_t>(d);
-        if (static_cast<double>(as_int) == d) {
-          return HashMix(2, static_cast<uint64_t>(as_int));
-        }
-      }
-      uint64_t bits;
-      std::memcpy(&bits, &d, sizeof(bits));
-      return HashMix(2, bits);
-    }
+    case TypeId::kFloat64:
+      return HashFloat64(float64_value());
     case TypeId::kString:
       return HashBytes(string_value().data(), string_value().size(), 4);
   }

@@ -1,6 +1,7 @@
 #ifndef SSTREAMING_TYPES_VALUE_H_
 #define SSTREAMING_TYPES_VALUE_H_
 
+#include <bit>
 #include <cstdint>
 #include <string>
 #include <string_view>
@@ -84,8 +85,28 @@ Status ReadEncodedValue(std::string_view data, size_t* pos, EncodedValue* out);
 
 /// FNV-1a style mix used by Value::Hash and the columnar hash kernels; kept
 /// here so row and column hashing agree (required: both sides of a shuffle
-/// must agree on partitioning).
-uint64_t HashMix(uint64_t h, uint64_t v);
+/// must agree on partitioning). Inline: every hash kernel calls it per row.
+inline uint64_t HashMix(uint64_t h, uint64_t v) {
+  h ^= v + 0x9E3779B97F4A7C15ULL + (h << 6) + (h >> 2);
+  h *= 0xFF51AFD7ED558CCDULL;
+  h ^= h >> 33;
+  return h;
+}
+/// Value::Hash of a null.
+inline constexpr uint64_t kNullHash = 0x5D1F00D5ULL;
+/// Value::Hash of a float64: an integral double hashes like the equal int64
+/// so 3.0 and 3 agree (Compare treats them as equal, so Hash must too); any
+/// other double (NaN included) hashes its bits. The range check keeps NaN
+/// and out-of-range values out of the undefined cast.
+inline uint64_t HashFloat64(double d) {
+  if (d >= -0x1p63 && d < 0x1p63) {
+    const auto as_int = static_cast<int64_t>(d);
+    if (static_cast<double>(as_int) == d) {
+      return HashMix(2, static_cast<uint64_t>(as_int));
+    }
+  }
+  return HashMix(2, std::bit_cast<uint64_t>(d));
+}
 /// 64-bit FNV-1a, offset basis xor `seed`; seed 0 is StateStore::HashKey.
 inline uint64_t HashBytes(const void* data, size_t n, uint64_t seed) {
   const unsigned char* p = static_cast<const unsigned char*>(data);

@@ -4,6 +4,7 @@
 #include <cstring>
 #include <limits>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -154,6 +155,68 @@ TEST(ColumnTest, AppendRangeMatchesPerElementAppendFrom) {
   }
 }
 
+// Appends to `each` what AppendGather appends: AppendFrom per index.
+void AppendEach(const Column& src, const std::vector<int32_t>& idx,
+                Column* each) {
+  for (int32_t i : idx) each->AppendFrom(src, i);
+}
+
+TEST(ColumnTest, AppendGatherMatchesPerElementAppendFrom) {
+  // Strings past the small-string buffer, so a gather copies heap bytes.
+  Column long_strings(TypeId::kString);
+  for (int i = 0; i < 12; ++i) {
+    if (i % 5 == 2) {
+      long_strings.AppendNull();
+    } else {
+      long_strings.AppendString(std::string(40 + static_cast<size_t>(i),
+                                            static_cast<char>('a' + i)));
+    }
+  }
+  std::vector<Column> sources;
+  for (TypeId type : {TypeId::kBool, TypeId::kInt64, TypeId::kFloat64,
+                      TypeId::kString, TypeId::kTimestamp}) {
+    sources.push_back(RangeSource(type));  // with nulls
+    Column dense(type);                    // without
+    for (int64_t i = 0; i < sources.back().size(); ++i) {
+      if (!sources.back().IsNull(i)) dense.AppendFrom(sources.back(), i);
+    }
+    ASSERT_FALSE(dense.has_nulls());
+    sources.push_back(std::move(dense));
+  }
+  sources.push_back(std::move(long_strings));
+  // Empty, full, reversed, repeated, and one-row index lists.
+  const std::vector<std::vector<int32_t>> lists = {
+      {}, {0, 1, 2, 3, 4, 5, 6}, {6, 5, 4, 3, 2, 1, 0}, {2, 2, 2, 0, 0},
+      {1, 5, 1, 5, 3}, {4}};
+  for (const Column& src : sources) {
+    SCOPED_TRACE(std::string(TypeName(src.type())) +
+                 (src.has_nulls() ? " with nulls" : " without nulls"));
+    Column gathered(src.type());
+    Column each(src.type());
+    for (const std::vector<int32_t>& idx : lists) {
+      gathered.AppendGather(src, idx.data(), static_cast<int64_t>(idx.size()));
+      AppendEach(src, idx, &each);
+      ExpectSameColumn(gathered, each);
+    }
+  }
+}
+
+TEST(ColumnTest, AppendGatherFromAllNullColumnAppendsNulls) {
+  Column nulls(TypeId::kNull);
+  nulls.AppendNulls(4);
+  const std::vector<int32_t> idx = {3, 0, 0, 2};
+  for (TypeId type : {TypeId::kNull, TypeId::kBool, TypeId::kInt64,
+                      TypeId::kFloat64, TypeId::kString}) {
+    SCOPED_TRACE(TypeName(type));
+    Column gathered(type);
+    Column each(type);
+    gathered.AppendGather(nulls, idx.data(), 4);
+    AppendEach(nulls, idx, &each);
+    ExpectSameColumn(gathered, each);
+    EXPECT_EQ(gathered.null_count(), 4);
+  }
+}
+
 TEST(ColumnTest, AppendRangeFromAllNullColumnAppendsNulls) {
   Column nulls(TypeId::kNull);
   nulls.AppendNull();
@@ -297,6 +360,57 @@ TEST(ColumnTest, ValueEqualsIsEncodedByteIdentity) {
   EXPECT_FALSE(ints.ValueEquals(0, stamps, 0));  // same number, other type
   EXPECT_TRUE(ints.ValueEquals(1, strings, 4));  // null vs null
   EXPECT_TRUE(columns[5].ValueEquals(0, ints, 1));
+}
+
+// HashInto must hash every value exactly like Value::Hash, row by row: the
+// shuffle partitions rows by the column kernel, and keyed lookups by the
+// boxed hash.
+TEST(ColumnTest, HashIntoMatchesValueHashForEveryKind) {
+  auto nan_with_payload = [](uint64_t payload) {
+    const uint64_t bits = 0x7FF8000000000000ULL | payload;
+    double d;
+    std::memcpy(&d, &bits, sizeof(d));
+    return d;
+  };
+  std::vector<Column> columns;
+  for (TypeId type : {TypeId::kBool, TypeId::kInt64, TypeId::kFloat64,
+                      TypeId::kString, TypeId::kTimestamp, TypeId::kNull}) {
+    columns.push_back(RangeSource(type));  // with nulls (all, for kNull)
+  }
+  Column floats(TypeId::kFloat64);
+  for (double d : {-0.0, 0.0, 3.0, -7.0, 0.5, 1e300, -1e300, 0x1p63, -0x1p63,
+                   std::numeric_limits<double>::infinity(),
+                   nan_with_payload(0), nan_with_payload(5)}) {
+    floats.AppendFloat64(d);
+  }
+  columns.push_back(floats);
+  Column bools(TypeId::kBool);
+  bools.AppendBool(true);
+  bools.AppendBool(false);
+  columns.push_back(bools);
+  for (const Column& c : columns) {
+    SCOPED_TRACE(std::string(TypeName(c.type())) +
+                 (c.has_nulls() ? " with nulls" : " without nulls"));
+    const auto n = static_cast<size_t>(c.size());
+    std::vector<uint64_t> seeds(n);
+    for (size_t i = 0; i < n; ++i) seeds[i] = 0x811C9DC5ULL + i * 977;
+    std::vector<uint64_t> hashes = seeds;
+    c.HashInto(&hashes);
+    for (size_t i = 0; i < n; ++i) {
+      const auto row = static_cast<int64_t>(i);
+      EXPECT_EQ(hashes[i], HashMix(seeds[i], c.ValueAt(row).Hash()))
+          << "row " << i;
+    }
+  }
+  // An integral double hashes like the equal int64, and -0.0 like 0.
+  std::vector<uint64_t> float_hashes(static_cast<size_t>(floats.size()), 0);
+  floats.HashInto(&float_hashes);
+  EXPECT_EQ(float_hashes[0], HashMix(0, Value::Int64(0).Hash()));
+  EXPECT_EQ(float_hashes[1], float_hashes[0]);
+  EXPECT_EQ(float_hashes[2], HashMix(0, Value::Int64(3).Hash()));
+  EXPECT_EQ(float_hashes[3], HashMix(0, Value::Int64(-7).Hash()));
+  EXPECT_EQ(float_hashes[8], HashMix(0, Value::Int64(INT64_MIN).Hash()));
+  EXPECT_NE(float_hashes[10], float_hashes[11]);  // NaN payloads differ
 }
 
 }  // namespace

@@ -107,6 +107,63 @@ TEST(RecordBatchTest, ConcatMixesPlainBatchesAndViews) {
   EXPECT_EQ(merged->ingest_micros(), 20);
 }
 
+// A view of a view over a batch with nulls in every column: the second
+// view's indices are logical rows of the first, composed onto storage.
+// Gather, Materialize, Filter and Concat all read the logical rows, through
+// one typed gather per column.
+TEST(RecordBatchTest, GatherMaterializeFilterAndConcatOverViewOfView) {
+  auto base = RecordBatch::FromRows(
+                  TestSchema(),
+                  {{Value::Int64(10), Value::Str("a"), Value::Float64(1.0)},
+                   {Value::Int64(11), Value::Null(), Value::Float64(-0.0)},
+                   {Value::Int64(12), Value::Str(std::string(40, 'c')),
+                    Value::Null()},
+                   {Value::Int64(13), Value::Str(""), Value::Float64(3.5)},
+                   {Value::Int64(14), Value::Str("e"), Value::Float64(4.0)}})
+                  .TakeValue();
+  base->set_ingest_micros(70);
+  RecordBatchPtr outer =
+      RecordBatch::MakeView(base, SelectionVector::FromVector({4, 2, 1, 3}));
+  RecordBatchPtr view =
+      RecordBatch::MakeView(outer, SelectionVector::FromVector({3, 1, 2}));
+  // Logical rows of `view`: base rows 3, 2, 1.
+  const std::vector<Row> base_rows = base->ToRows();
+  const std::vector<Row> expected = {base_rows[3], base_rows[2],
+                                     base_rows[1]};
+  auto expect_rows = [](const RecordBatch& got, const std::vector<Row>& want) {
+    ASSERT_EQ(got.num_rows(), static_cast<int64_t>(want.size()));
+    EXPECT_FALSE(got.has_selection());
+    for (int64_t i = 0; i < got.num_rows(); ++i) {
+      EXPECT_EQ(CompareRows(got.RowAt(i), want[static_cast<size_t>(i)]), 0)
+          << "row " << i;
+    }
+  };
+
+  RecordBatchPtr compact = RecordBatch::Materialize(view);
+  expect_rows(*compact, expected);
+  EXPECT_EQ(compact->column(1)->null_count(), 1);
+  EXPECT_EQ(compact->column(2)->null_count(), 1);
+  EXPECT_EQ(compact->ingest_micros(), 70);
+
+  RecordBatchPtr gathered = view->Gather({2, 0, 0, 1});
+  expect_rows(*gathered,
+              {expected[2], expected[0], expected[0], expected[1]});
+  EXPECT_EQ(gathered->ApproxBytes(),
+            compact->Gather({2, 0, 0, 1})->ApproxBytes());
+  EXPECT_EQ(view->Gather({})->num_rows(), 0);
+
+  RecordBatchPtr filtered = view->Filter({0, 1, 1});
+  expect_rows(*filtered, {expected[1], expected[2]});
+
+  RecordBatchPtr merged = RecordBatch::Concat(TestSchema(), {view, base, view});
+  std::vector<Row> want = expected;
+  want.insert(want.end(), base_rows.begin(), base_rows.end());
+  want.insert(want.end(), expected.begin(), expected.end());
+  expect_rows(*merged, want);
+  EXPECT_EQ(merged->column(1)->null_count(), 3);
+  EXPECT_EQ(merged->column(2)->null_count(), 3);
+}
+
 TEST(RecordBatchTest, ConcatEmptyInput) {
   RecordBatchPtr merged = RecordBatch::Concat(TestSchema(), {});
   EXPECT_EQ(merged->num_rows(), 0);

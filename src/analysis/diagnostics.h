@@ -37,7 +37,7 @@ enum class DiagCode {
 
   // --- warnings ---
   kUnboundedAggregationState = 2001,  // aggregate w/o watermark: state grows
-  kUnboundedDistinctState = 2002,     // dedup w/o watermark: state grows
+  kUnboundedDistinctState = 2002,     // streaming dedup: state grows
   kUnboundedJoinState = 2003,         // stream-stream join w/o watermark
   kWatermarkDroppedByProjection = 2004,  // projection drops the watermarked
                                          // column a stateful op needs

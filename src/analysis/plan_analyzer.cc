@@ -378,20 +378,18 @@ class UnboundedStatePass : public AnalysisPass {
         }
         break;
       }
-      case LogicalPlan::Kind::kDistinct: {
-        if (ctx.watermarks->Get(node.children()[0]).empty()) {
-          report->Add(MakeDiag(
-              DiagCode::kUnboundedDistinctState, DiagSeverity::kWarning,
-              node, ancestors_,
-              std::string("Distinct: deduplicating a stream in ") +
-                  OutputModeName(ctx.mode) +
-                  " output mode without a watermark retains every row key "
-                  "seen forever; add withWatermark() so old keys can be "
-                  "dropped once they are provably final",
-              "O(distinct rows observed)"));
-        }
+      case LogicalPlan::Kind::kDistinct:
+        // DedupExec never evicts, so a watermark does not bound it either.
+        report->Add(MakeDiag(
+            DiagCode::kUnboundedDistinctState, DiagSeverity::kWarning, node,
+            ancestors_,
+            std::string("Distinct: deduplicating a stream in ") +
+                OutputModeName(ctx.mode) +
+                " output mode retains every row key seen forever, with or "
+                "without a watermark; to bound the state, group by an "
+                "event-time window() over a watermarked column instead",
+            "O(distinct rows observed)"));
         break;
-      }
       case LogicalPlan::Kind::kJoin: {
         const auto& join = static_cast<const JoinNode&>(node);
         if (!join.children()[0]->IsStreaming() ||
@@ -467,10 +465,11 @@ class SanityPass : public AnalysisPass {
   }
 
  private:
+  // Streaming operators whose state a watermark bounds. Not Distinct:
+  // DedupExec never evicts, watermark or not.
   static bool IsStatefulConsumer(const LogicalPlan& node) {
     switch (node.kind()) {
       case LogicalPlan::Kind::kAggregate:
-      case LogicalPlan::Kind::kDistinct:
       case LogicalPlan::Kind::kFlatMapGroupsWithState:
         return node.IsStreaming();
       case LogicalPlan::Kind::kJoin:

@@ -1,6 +1,8 @@
 #include "expr/expression.h"
 
 #include <cmath>
+#include <functional>
+#include <type_traits>
 
 #include "common/logging.h"
 
@@ -16,20 +18,64 @@ int64_t FloorDiv(int64_t a, int64_t b) {
   return q;
 }
 
-// int64 add, sub and mul (any other op multiplies) wrap in two's
-// complement, Spark's non-ANSI arithmetic: computed on uint64_t, where
-// overflow is defined.
-int64_t WrappingArith(BinaryOp op, int64_t x, int64_t y) {
-  const uint64_t a = static_cast<uint64_t>(x);
-  const uint64_t b = static_cast<uint64_t>(y);
-  switch (op) {
-    case BinaryOp::kAdd:
-      return static_cast<int64_t>(a + b);
-    case BinaryOp::kSub:
-      return static_cast<int64_t>(a - b);
-    default:
-      return static_cast<int64_t>(a * b);
+// + - * on double, or on int64 wrapping in two's complement (Spark's
+// non-ANSI arithmetic): computed on uint64_t, where overflow is defined.
+template <BinaryOp Op>
+struct Arith {
+  template <typename T>
+  T operator()(T x, T y) const {
+    using U = std::conditional_t<std::is_integral_v<T>, uint64_t, T>;
+    const U a = static_cast<U>(x);
+    const U b = static_cast<U>(y);
+    if constexpr (Op == BinaryOp::kAdd) return static_cast<T>(a + b);
+    if constexpr (Op == BinaryOp::kSub) return static_cast<T>(a - b);
+    if constexpr (Op == BinaryOp::kMul) return static_cast<T>(a * b);
   }
+};
+
+template <typename Fn>
+constexpr bool kIsArith = false;
+template <BinaryOp Op>
+constexpr bool kIsArith<Arith<Op>> = true;
+
+// The one op -> functor dispatch, shared by the typed loop and
+// EvalBinaryScalar: calls f(fn) with a comparison functor (applied to two
+// cells, or to a three-way result and 0) or an Arith. Returns false for
+// AND, OR, / and %, which have none.
+template <typename F>
+bool DispatchOp(BinaryOp op, const F& f) {
+  switch (op) {
+    case BinaryOp::kEq:
+      f(std::equal_to<>());
+      break;
+    case BinaryOp::kNe:
+      f(std::not_equal_to<>());
+      break;
+    case BinaryOp::kLt:
+      f(std::less<>());
+      break;
+    case BinaryOp::kLe:
+      f(std::less_equal<>());
+      break;
+    case BinaryOp::kGt:
+      f(std::greater<>());
+      break;
+    case BinaryOp::kGe:
+      f(std::greater_equal<>());
+      break;
+    case BinaryOp::kAdd:
+      f(Arith<BinaryOp::kAdd>());
+      break;
+    case BinaryOp::kSub:
+      f(Arith<BinaryOp::kSub>());
+      break;
+    case BinaryOp::kMul:
+      f(Arith<BinaryOp::kMul>());
+      break;
+    default:
+      return false;
+  }
+  return true;
 }
 
 // --- Scalar (boxed) binary evaluation; the single source of truth for
@@ -56,27 +102,6 @@ Result<Value> EvalBinaryScalar(BinaryOp op, const Value& a, const Value& b,
 
   if (a.is_null() || b.is_null()) return Value::Null();
 
-  if (IsComparison(op)) {
-    int c = a.Compare(b);
-    switch (op) {
-      case BinaryOp::kEq:
-        return Value::Bool(c == 0);
-      case BinaryOp::kNe:
-        return Value::Bool(c != 0);
-      case BinaryOp::kLt:
-        return Value::Bool(c < 0);
-      case BinaryOp::kLe:
-        return Value::Bool(c <= 0);
-      case BinaryOp::kGt:
-        return Value::Bool(c > 0);
-      case BinaryOp::kGe:
-        return Value::Bool(c >= 0);
-      default:
-        break;
-    }
-  }
-
-  // Arithmetic.
   if (op == BinaryOp::kDiv) {
     double denom = b.AsDouble();
     if (denom == 0.0) return Value::Null();  // SQL: x/0 is NULL
@@ -95,29 +120,20 @@ Result<Value> EvalBinaryScalar(BinaryOp op, const Value& a, const Value& b,
     if (denom == -1) return Value::Int64(0);
     return Value::Int64(a.int64_value() % denom);
   }
-  if (result_type == TypeId::kFloat64) {
-    double x = a.AsDouble();
-    double y = b.AsDouble();
-    switch (op) {
-      case BinaryOp::kAdd:
-        return Value::Float64(x + y);
-      case BinaryOp::kSub:
-        return Value::Float64(x - y);
-      case BinaryOp::kMul:
-        return Value::Float64(x * y);
-      default:
-        break;
+  Value out;
+  const bool known = DispatchOp(op, [&](auto fn) {
+    if constexpr (!kIsArith<decltype(fn)>) {
+      out = Value::Bool(fn(SqlCompare(a, b), 0));
+    } else if (result_type == TypeId::kFloat64) {
+      out = Value::Float64(fn(a.AsDouble(), b.AsDouble()));
+    } else {
+      const int64_t r = fn(a.int64_value(), b.int64_value());
+      out = result_type == TypeId::kTimestamp ? Value::Timestamp(r)
+                                              : Value::Int64(r);
     }
-  } else {
-    if (op != BinaryOp::kAdd && op != BinaryOp::kSub &&
-        op != BinaryOp::kMul) {
-      return Status::Internal("bad arithmetic op");
-    }
-    const int64_t r = WrappingArith(op, a.int64_value(), b.int64_value());
-    return result_type == TypeId::kTimestamp ? Value::Timestamp(r)
-                                             : Value::Int64(r);
-  }
-  return Status::Internal("unhandled binary op");
+  });
+  if (!known) return Status::Internal("unhandled binary op");
+  return out;
 }
 
 Result<Value> EvalUnaryScalar(UnaryOp op, const Value& v, TypeId result_type) {
@@ -134,7 +150,8 @@ Result<Value> EvalUnaryScalar(UnaryOp op, const Value& v, TypeId result_type) {
       if (result_type == TypeId::kFloat64) {
         return Value::Float64(-v.AsDouble());
       }
-      return Value::Int64(WrappingArith(BinaryOp::kSub, 0, v.int64_value()));
+      return Value::Int64(
+          Arith<BinaryOp::kSub>()(int64_t{0}, v.int64_value()));
   }
   return Status::Internal("bad unary op");
 }
@@ -251,17 +268,16 @@ bool IsComparison(BinaryOp op) {
   }
 }
 
-bool IsArithmetic(BinaryOp op) {
-  switch (op) {
-    case BinaryOp::kAdd:
-    case BinaryOp::kSub:
-    case BinaryOp::kMul:
-    case BinaryOp::kDiv:
-    case BinaryOp::kMod:
-      return true;
-    default:
-      return false;
+int SqlCompare(const Value& a, const Value& b) {
+  auto is_nan = [](const Value& v) {
+    return v.type() == TypeId::kFloat64 && std::isnan(v.float64_value());
+  };
+  const bool a_nan = is_nan(a);
+  const bool b_nan = is_nan(b);
+  if ((a_nan || b_nan) && IsNumeric(a.type()) && IsNumeric(b.type())) {
+    return static_cast<int>(a_nan) - static_cast<int>(b_nan);
   }
+  return a.Compare(b);
 }
 
 // --- ColumnRefExpr ---
@@ -368,6 +384,8 @@ Result<ExprPtr> BinaryExpr::Resolve(const Schema& schema) const {
     } else if ((op_ == BinaryOp::kAdd || op_ == BinaryOp::kSub) &&
                (lt == TypeId::kTimestamp || rt == TypeId::kTimestamp)) {
       // ts + delta / ts - delta stays a timestamp; ts - ts is a duration.
+      // A delta is whole microseconds: ts +/- float64 is a type error.
+      if (lt == TypeId::kFloat64 || rt == TypeId::kFloat64) return type_error();
       result = (lt == TypeId::kTimestamp && rt == TypeId::kTimestamp)
                    ? TypeId::kInt64
                    : TypeId::kTimestamp;
@@ -382,156 +400,111 @@ Result<ExprPtr> BinaryExpr::Resolve(const Schema& schema) const {
   return ExprPtr(out);
 }
 
+namespace {
+
+// One operand of a binary expression over a batch: a column, or a
+// constant read as its Value (never materialized into a column).
+struct Operand {
+  ColumnPtr col;                    // null for a constant
+  const Value* constant = nullptr;  // set for a constant
+
+  TypeId type() const { return col ? col->type() : constant->type(); }
+  bool has_nulls() const { return col && col->has_nulls(); }
+  // Value i, boxed for the scalar loop, which sees a string constant only
+  // against an untyped NULL; any other constant is cheap to copy.
+  Value At(int64_t i) const { return col ? col->ValueAt(i) : *constant; }
+};
+
+Result<Operand> EvalOperand(const Expr& e, const RecordBatch& batch) {
+  if (e.kind() == Expr::Kind::kLiteral) {
+    return Operand{nullptr, &static_cast<const LiteralExpr&>(e).value()};
+  }
+  SS_ASSIGN_OR_RETURN(ColumnPtr col, e.EvalBatch(batch));
+  return Operand{std::move(col)};
+}
+
+// Calls f(std::true_type()) or f(std::false_type()).
+template <typename F>
+void DispatchBool(bool b, const F& f) {
+  if (b) {
+    f(std::true_type());
+  } else {
+    f(std::false_type());
+  }
+}
+
+// The one typed loop: out[i] = fn(l[i], r[i]) over operands of physical
+// kind K (int64-backed or string), a constant read at index 0 on either
+// side (kLConst, kRConst); with kNulls, null where either input is null.
+template <PhysicalKind K, bool kLConst, bool kRConst, bool kNulls, typename Fn>
+void TypedLoop(const Operand& l, const Operand& r, int64_t n, Fn fn,
+               Column* out) {
+  auto cells = [](const Operand& o, int64_t* scratch) {
+    if constexpr (K == PhysicalKind::kString) {
+      return o.col ? o.col->strings().data() : &o.constant->string_value();
+    } else {
+      if (!o.col) *scratch = o.constant->int64_value();
+      return o.col ? o.col->ints().data() : scratch;
+    }
+  };
+  int64_t l_scratch = 0;
+  int64_t r_scratch = 0;
+  const auto* a = cells(l, &l_scratch);
+  const auto* b = cells(r, &r_scratch);
+  for (int64_t i = 0; i < n; ++i) {
+    if (kNulls && ((!kLConst && l.col->IsNull(i)) ||
+                   (!kRConst && r.col->IsNull(i)))) {
+      out->AppendNull();
+    } else if constexpr (kIsArith<Fn>) {
+      out->AppendInt64(fn(a[kLConst ? 0 : i], b[kRConst ? 0 : i]));
+    } else {
+      out->AppendBool(fn(a[kLConst ? 0 : i], b[kRConst ? 0 : i]));
+    }
+  }
+}
+
+// Runs the typed loop, dispatched once per batch, when both operands are
+// int64-backed or both strings (comparisons only) and the op has a
+// functor. Returns false for every other case.
+bool RunTypedLoop(BinaryOp op, const Operand& l, const Operand& r, int64_t n,
+                  Column* out) {
+  const PhysicalKind kind = PhysicalKindOf(l.type());
+  const bool typed = kind == PhysicalKindOf(r.type()) &&
+                     (kind == PhysicalKind::kInt64 ||
+                      (kind == PhysicalKind::kString && IsComparison(op)));
+  return typed && DispatchOp(op, [&](auto fn) {
+    using Fn = decltype(fn);
+    DispatchKind(kind, [&](auto k) {
+      constexpr PhysicalKind K = decltype(k)::value;
+      if constexpr (K == PhysicalKind::kInt64 ||
+                    (K == PhysicalKind::kString && !kIsArith<Fn>)) {
+        DispatchBool(!l.col, [&](auto lc) {
+          DispatchBool(!r.col, [&](auto rc) {
+            DispatchBool(l.has_nulls() || r.has_nulls(), [&](auto nulls) {
+              TypedLoop<K, decltype(lc)::value, decltype(rc)::value,
+                        decltype(nulls)::value>(l, r, n, fn, out);
+            });
+          });
+        });
+      }
+    });
+  });
+}
+
+}  // namespace
+
 Result<ColumnPtr> BinaryExpr::EvalBatch(const RecordBatch& batch) const {
   SS_DCHECK(resolved_);
-  // Column-vs-literal kernels: avoid materializing a column of copies of
-  // the constant (the common `col = 'x'` / `col > 5` filter shapes).
-  if (right_->kind() == Expr::Kind::kLiteral &&
-      left_->kind() != Expr::Kind::kLiteral) {
-    const Value& lit = static_cast<const LiteralExpr&>(*right_).value();
-    SS_ASSIGN_OR_RETURN(ColumnPtr lc, left_->EvalBatch(batch));
-    const int64_t n = lc->size();
-    // String equality against a constant.
-    if ((op_ == BinaryOp::kEq || op_ == BinaryOp::kNe) &&
-        lc->type() == TypeId::kString && lit.type() == TypeId::kString) {
-      ColumnPtr out = Column::Make(TypeId::kBool);
-      out->Reserve(n);
-      const std::string& target = lit.string_value();
-      const bool want_eq = op_ == BinaryOp::kEq;
-      const auto& strings = lc->strings();
-      if (!lc->has_nulls()) {
-        for (int64_t i = 0; i < n; ++i) {
-          out->AppendBool((strings[static_cast<size_t>(i)] == target) ==
-                          want_eq);
-        }
-      } else {
-        for (int64_t i = 0; i < n; ++i) {
-          if (lc->IsNull(i)) {
-            out->AppendNull();
-          } else {
-            out->AppendBool((strings[static_cast<size_t>(i)] == target) ==
-                            want_eq);
-          }
-        }
-      }
-      return out;
-    }
-    // Int64-backed comparison/arithmetic against an int64-backed constant.
-    if (PhysicalKindOf(lc->type()) == PhysicalKind::kInt64 &&
-        PhysicalKindOf(lit.type()) == PhysicalKind::kInt64 &&
-        !lc->has_nulls() && op_ != BinaryOp::kDiv && op_ != BinaryOp::kMod) {
-      const int64_t c = lit.int64_value();
-      const int64_t* a = lc->ints().data();
-      ColumnPtr out = Column::Make(type_);
-      out->Reserve(n);
-      if (IsComparison(op_)) {
-        for (int64_t i = 0; i < n; ++i) {
-          bool r;
-          switch (op_) {
-            case BinaryOp::kEq:
-              r = a[i] == c;
-              break;
-            case BinaryOp::kNe:
-              r = a[i] != c;
-              break;
-            case BinaryOp::kLt:
-              r = a[i] < c;
-              break;
-            case BinaryOp::kLe:
-              r = a[i] <= c;
-              break;
-            case BinaryOp::kGt:
-              r = a[i] > c;
-              break;
-            default:
-              r = a[i] >= c;
-              break;
-          }
-          out->AppendBool(r);
-        }
-        return out;
-      }
-      if (PhysicalKindOf(type_) == PhysicalKind::kInt64) {
-        for (int64_t i = 0; i < n; ++i) {
-          out->AppendInt64(WrappingArith(op_, a[i], c));
-        }
-        return out;
-      }
-    }
-    // Fall through to the generic path with the literal materialized.
-  }
-  SS_ASSIGN_OR_RETURN(ColumnPtr lc, left_->EvalBatch(batch));
-  SS_ASSIGN_OR_RETURN(ColumnPtr rc, right_->EvalBatch(batch));
+  SS_ASSIGN_OR_RETURN(Operand l, EvalOperand(*left_, batch));
+  SS_ASSIGN_OR_RETURN(Operand r, EvalOperand(*right_, batch));
   const int64_t n = batch.num_rows();
   ColumnPtr out = Column::Make(type_);
   out->Reserve(n);
-
-  const TypeId lt = lc->type();
-  const TypeId rt = rc->type();
-  const bool no_nulls = !lc->has_nulls() && !rc->has_nulls();
-
-  // Fast path 1: int64-backed arithmetic with no nulls.
-  if (IsArithmetic(op_) && op_ != BinaryOp::kDiv && op_ != BinaryOp::kMod &&
-      PhysicalKindOf(type_) == PhysicalKind::kInt64 &&
-      PhysicalKindOf(lt) == PhysicalKind::kInt64 &&
-      PhysicalKindOf(rt) == PhysicalKind::kInt64 && no_nulls) {
-    const int64_t* a = lc->ints().data();
-    const int64_t* b = rc->ints().data();
-    for (int64_t i = 0; i < n; ++i) {
-      out->AppendInt64(WrappingArith(op_, a[i], b[i]));
-    }
-    return out;
-  }
-
-  // Fast path 2: int64-backed comparisons with no nulls.
-  if (IsComparison(op_) && PhysicalKindOf(lt) == PhysicalKind::kInt64 &&
-      PhysicalKindOf(rt) == PhysicalKind::kInt64 && no_nulls) {
-    const int64_t* a = lc->ints().data();
-    const int64_t* b = rc->ints().data();
-    for (int64_t i = 0; i < n; ++i) {
-      bool r;
-      switch (op_) {
-        case BinaryOp::kEq:
-          r = a[i] == b[i];
-          break;
-        case BinaryOp::kNe:
-          r = a[i] != b[i];
-          break;
-        case BinaryOp::kLt:
-          r = a[i] < b[i];
-          break;
-        case BinaryOp::kLe:
-          r = a[i] <= b[i];
-          break;
-        case BinaryOp::kGt:
-          r = a[i] > b[i];
-          break;
-        default:
-          r = a[i] >= b[i];
-          break;
-      }
-      out->AppendBool(r);
-    }
-    return out;
-  }
-
-  // Fast path 3: string equality with no nulls.
-  if ((op_ == BinaryOp::kEq || op_ == BinaryOp::kNe) &&
-      lt == TypeId::kString && rt == TypeId::kString && no_nulls) {
-    const auto& a = lc->strings();
-    const auto& b = rc->strings();
-    const bool want_eq = op_ == BinaryOp::kEq;
-    for (int64_t i = 0; i < n; ++i) {
-      out->AppendBool((a[static_cast<size_t>(i)] ==
-                       b[static_cast<size_t>(i)]) == want_eq);
-    }
-    return out;
-  }
-
-  // Generic path: boxed per-row evaluation, shared with EvalRow semantics.
+  if (RunTypedLoop(op_, l, r, n, out.get())) return out;
+  // The one scalar loop: AND/OR, / and %, float64, bool and mixed kinds.
   for (int64_t i = 0; i < n; ++i) {
-    SS_ASSIGN_OR_RETURN(
-        Value v, EvalBinaryScalar(op_, lc->ValueAt(i), rc->ValueAt(i), type_));
+    SS_ASSIGN_OR_RETURN(Value v,
+                        EvalBinaryScalar(op_, l.At(i), r.At(i), type_));
     out->AppendValue(v);
   }
   return out;

@@ -21,8 +21,10 @@ using ExprPtr = std::shared_ptr<const Expr>;
 /// carries a result type. Two evaluation paths exist:
 ///   - EvalBatch: vectorized evaluation over a RecordBatch (the engine's hot
 ///     path — typed loops over unboxed column storage), and
-///   - EvalRow: boxed row-at-a-time evaluation (used by stateful operators,
-///     tests and the record-at-a-time baseline engine).
+///   - EvalRow: boxed row-at-a-time evaluation, the semantic reference:
+///     EvalBatch must agree with it row for row. The record-at-a-time
+///     baseline engine evaluates with it and the optimizer folds constants
+///     with it.
 /// SQL null semantics: comparisons/arithmetic with a null input yield null;
 /// AND/OR use Kleene three-valued logic.
 class Expr {
@@ -99,7 +101,13 @@ enum class UnaryOp { kNot, kIsNull, kIsNotNull, kNeg };
 
 const char* BinaryOpName(BinaryOp op);
 bool IsComparison(BinaryOp op);
-bool IsArithmetic(BinaryOp op);
+
+/// SQL's three-way order of two values, behind both comparison operators
+/// and ORDER BY: Value::Compare (nulls first, numbers by value), except
+/// that NaN equals NaN and sorts above every other number, as in Spark
+/// SQL. Value::Compare, which orders aggregate min/max state, lets NaN tie
+/// with every number.
+int SqlCompare(const Value& a, const Value& b);
 
 /// Reference to a column by name; carries its ordinal once resolved.
 class ColumnRefExpr : public Expr {

@@ -218,23 +218,18 @@ Result<std::vector<RecordBatchPtr>> SortExec::ExecuteImpl(ExecContext* ctx) {
     SS_ASSIGN_OR_RETURN(ColumnPtr col, k.expr->EvalBatch(*all));
     key_cols.push_back(std::move(col));
   }
-  std::vector<int64_t> order(static_cast<size_t>(all->num_rows()));
-  for (size_t i = 0; i < order.size(); ++i) order[i] = static_cast<int64_t>(i);
+  std::vector<int32_t> order(static_cast<size_t>(all->num_rows()));
+  for (size_t i = 0; i < order.size(); ++i) order[i] = static_cast<int32_t>(i);
   std::stable_sort(order.begin(), order.end(),
-                   [&](int64_t a, int64_t b) {
+                   [&](int32_t a, int32_t b) {
                      for (size_t k = 0; k < key_cols.size(); ++k) {
-                       int c = key_cols[k]->ValueAt(a).Compare(
-                           key_cols[k]->ValueAt(b));
+                       int c = SqlCompare(key_cols[k]->ValueAt(a),
+                                          key_cols[k]->ValueAt(b));
                        if (c != 0) return keys_[k].ascending ? c < 0 : c > 0;
                      }
                      return false;
                    });
-  std::vector<Row> rows;
-  rows.reserve(order.size());
-  for (int64_t idx : order) rows.push_back(all->RowAt(idx));
-  SS_ASSIGN_OR_RETURN(RecordBatchPtr sorted,
-                      RecordBatch::FromRows(schema_, rows));
-  return std::vector<RecordBatchPtr>{sorted};
+  return std::vector<RecordBatchPtr>{all->Gather(order)};
 }
 
 LimitExec::LimitExec(int op_id, PhysOpPtr child, int64_t n)

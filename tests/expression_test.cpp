@@ -438,6 +438,67 @@ TEST(ExpressionTest, CastOfUnrepresentableFloatToIntegerIsNull) {
   }
 }
 
+// Spark SQL's NaN rule: NaN equals NaN and is larger than every other
+// double, on the vectorized and the row path alike.
+TEST(ExpressionTest, NaNComparesAsTheLargestDouble) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  auto schema = Schema::Make({{"x", TypeId::kFloat64, false}});
+  auto batch = RecordBatch::FromRows(schema, {{Value::Float64(nan)},
+                                              {Value::Float64(1.0)},
+                                              {Value::Float64(2.0)}})
+                   .TakeValue();
+  struct Probe {
+    ExprPtr expr;
+    std::vector<bool> want;  // per row: NaN, 1.0, 2.0
+  };
+  const Probe probes[] = {
+      {Eq(Col("x"), Lit(1.0)), {false, true, false}},
+      {Eq(Lit(1.0), Col("x")), {false, true, false}},
+      {Ne(Col("x"), Lit(1.0)), {true, false, true}},
+      {Le(Col("x"), Lit(1.0)), {false, true, false}},
+      {Lt(Col("x"), Lit(2.0)), {false, true, false}},
+      {Ge(Col("x"), Lit(2.0)), {true, false, true}},
+      {Gt(Col("x"), Lit(1.0)), {true, false, true}},
+      {Eq(Col("x"), Lit(nan)), {true, false, false}},
+      {Gt(Col("x"), Lit(std::numeric_limits<double>::infinity())),
+       {true, false, false}},
+      {Eq(Col("x"), Col("x")), {true, true, true}},
+      {Gt(Col("x"), Lit(int64_t{1})), {true, false, true}},
+  };
+  for (const Probe& p : probes) {
+    ExprPtr e = MustResolve(p.expr, *schema);
+    auto col = e->EvalBatch(*batch);
+    ASSERT_TRUE(col.ok()) << e->ToString();
+    for (int64_t i = 0; i < batch->num_rows(); ++i) {
+      const Value want = Value::Bool(p.want[static_cast<size_t>(i)]);
+      auto v = e->EvalRow(batch->RowAt(i));
+      ASSERT_TRUE(v.ok()) << e->ToString();
+      EXPECT_EQ(v->ToString(), want.ToString()) << e->ToString() << " row " << i;
+      EXPECT_EQ((*col)->ValueAt(i).ToString(), want.ToString())
+          << e->ToString() << " row " << i;
+    }
+  }
+  // Nulls still sort first, and NaN against a non-number keeps the type
+  // order.
+  EXPECT_LT(SqlCompare(Value::Null(), Value::Float64(nan)), 0);
+  EXPECT_EQ(SqlCompare(Value::Float64(nan), Value::Float64(-nan)), 0);
+  EXPECT_EQ(SqlCompare(Value::Float64(-0.0), Value::Float64(0.0)), 0);
+  EXPECT_GT(SqlCompare(Value::Float64(nan), Value::Int64(INT64_MAX)), 0);
+}
+
+// ts +/- delta needs a whole-microsecond delta.
+TEST(ExpressionTest, TimestampPlusOrMinusFloatIsATypeError) {
+  auto schema = TestSchema();
+  for (ExprPtr e : {Add(Col("ts"), Col("x")), Sub(Col("ts"), Lit(1.5)),
+                    Add(Lit(0.5), Col("ts"))}) {
+    auto r = e->Resolve(*schema);
+    ASSERT_FALSE(r.ok()) << e->ToString();
+    EXPECT_TRUE(r.status().IsAnalysisError()) << r.status().ToString();
+  }
+  EXPECT_EQ(MustResolve(Add(Col("ts"), Col("a")), *schema)->type(),
+            TypeId::kTimestamp);
+}
+
 TEST(ExpressionTest, CollectColumnRefs) {
   ExprPtr e = And(Eq(Col("s"), Lit("ca")), Gt(Add(Col("a"), Col("b")),
                                               Lit(0)));

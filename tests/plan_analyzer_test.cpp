@@ -231,6 +231,32 @@ TEST(PlanAnalyzerTest, DistinctWithoutWatermarkWarnsSS2002) {
                   .Has(DiagCode::kUnboundedDistinctState));
 }
 
+// The dedup operator never evicts, so a watermark does not silence SS2002.
+TEST(PlanAnalyzerTest, WatermarkedDistinctStillWarnsSS2002) {
+  DataFrame df = StreamDf().WithWatermark("time", 10 * kSecond).Distinct();
+  PlanAnalysis a = AnalyzePlan(df, OutputMode::kAppend);
+  ASSERT_TRUE(a.Has(DiagCode::kUnboundedDistinctState));
+  EXPECT_FALSE(a.has_errors());
+  for (const Diagnostic& w : a.warnings()) {
+    if (w.code != DiagCode::kUnboundedDistinctState) continue;
+    EXPECT_EQ(w.message.find("add withWatermark()"), std::string::npos)
+        << w.message;
+    EXPECT_NE(w.message.find("window()"), std::string::npos) << w.message;
+  }
+}
+
+// Nor does a projection that drops the watermark under a Distinct warn
+// SS2004: forwarding the column would not bound the Distinct's state.
+TEST(PlanAnalyzerTest, ProjectionUnderDistinctIsNotSS2004) {
+  DataFrame df = StreamDf()
+                     .WithWatermark("time", 10 * kSecond)
+                     .Select({As(Col("user"), "user")})
+                     .Distinct();
+  PlanAnalysis a = AnalyzePlan(df, OutputMode::kAppend);
+  EXPECT_TRUE(a.Has(DiagCode::kUnboundedDistinctState));
+  EXPECT_FALSE(a.Has(DiagCode::kWatermarkDroppedByProjection));
+}
+
 TEST(PlanAnalyzerTest, InnerStreamStreamJoinWithoutWatermarkWarnsSS2003) {
   auto s1 = std::make_shared<MemoryStream>("s1", EventSchema(), 1);
   auto s2 = std::make_shared<MemoryStream>("s2", EventSchema(), 1);

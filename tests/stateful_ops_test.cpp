@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <iterator>
+#include <limits>
+
 #include "common/clock.h"
 #include "connectors/memory.h"
 #include "exec/batch_executor.h"
@@ -238,6 +241,39 @@ TEST(BatchExecutorTest, BatchJoinAndSort) {
   ASSERT_EQ(rows->size(), 2u);
   EXPECT_EQ((*rows)[0][2], Value::Int64(30));
   EXPECT_EQ((*rows)[1][2], Value::Int64(20));
+}
+
+// ORDER BY follows SQL's order: nulls first, then -inf < -0.0 == 0.0 <
+// finite < inf < NaN (Spark's NaN rule).
+TEST(BatchExecutorTest, OrderByPlacesNaNAboveInfinityAndNullsFirst) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double xs[] = {2.0, std::numeric_limits<double>::quiet_NaN(),
+                       0.0, inf, -0.0, -inf, 1.0};
+  std::vector<Row> input;
+  for (size_t i = 0; i < std::size(xs); ++i) {
+    input.push_back({Value::Int64(static_cast<int64_t>(i)),
+                     Value::Float64(xs[i])});
+  }
+  input.push_back({Value::Int64(7), Value::Null()});
+  auto df = DataFrame::FromRows(Schema::Make({{"id", TypeId::kInt64, false},
+                                              {"x", TypeId::kFloat64, true}}),
+                                input)
+                .TakeValue();
+  auto ids = [&](bool ascending) {
+    auto rows = RunBatch(df.OrderBy({SortKey{Col("x"), ascending}}));
+    EXPECT_TRUE(rows.ok()) << rows.status().ToString();
+    std::vector<int64_t> out;
+    if (rows.ok()) {
+      // -0.0 (id 4) ties with 0.0 (id 2), in partition order: read both
+      // as id 2.
+      for (const Row& r : *rows) {
+        out.push_back(r[0].int64_value() == 4 ? 2 : r[0].int64_value());
+      }
+    }
+    return out;
+  };
+  EXPECT_EQ(ids(true), (std::vector<int64_t>{7, 5, 2, 2, 6, 0, 3, 1}));
+  EXPECT_EQ(ids(false), (std::vector<int64_t>{1, 3, 0, 6, 2, 2, 5, 7}));
 }
 
 TEST(BatchExecutorTest, BatchLeftOuterJoin) {

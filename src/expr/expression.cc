@@ -268,18 +268,6 @@ bool IsComparison(BinaryOp op) {
   }
 }
 
-int SqlCompare(const Value& a, const Value& b) {
-  auto is_nan = [](const Value& v) {
-    return v.type() == TypeId::kFloat64 && std::isnan(v.float64_value());
-  };
-  const bool a_nan = is_nan(a);
-  const bool b_nan = is_nan(b);
-  if ((a_nan || b_nan) && IsNumeric(a.type()) && IsNumeric(b.type())) {
-    return static_cast<int>(a_nan) - static_cast<int>(b_nan);
-  }
-  return a.Compare(b);
-}
-
 // --- ColumnRefExpr ---
 
 ColumnRefExpr::ColumnRefExpr(std::string name) : Expr(Kind::kColumnRef),

@@ -102,13 +102,6 @@ enum class UnaryOp { kNot, kIsNull, kIsNotNull, kNeg };
 const char* BinaryOpName(BinaryOp op);
 bool IsComparison(BinaryOp op);
 
-/// SQL's three-way order of two values, behind both comparison operators
-/// and ORDER BY: Value::Compare (nulls first, numbers by value), except
-/// that NaN equals NaN and sorts above every other number, as in Spark
-/// SQL. Value::Compare, which orders aggregate min/max state, lets NaN tie
-/// with every number.
-int SqlCompare(const Value& a, const Value& b);
-
 /// Reference to a column by name; carries its ordinal once resolved.
 class ColumnRefExpr : public Expr {
  public:

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <optional>
 #include <string_view>
 #include <unordered_map>
 
@@ -33,6 +34,23 @@ void EncodeKeyTo(const std::vector<ColumnPtr>& cols, int64_t i,
                  std::string* out) {
   out->push_back(static_cast<char>(cols.size()));
   for (const ColumnPtr& col : cols) col->EncodeValueTo(i, out);
+}
+
+/// Reads an encoded row (EncodeRow, EncodeKeyTo) at data[*pos] in place,
+/// advancing *pos past it: its `arity` values into `values`. A row of
+/// another arity is InvalidArgument.
+Status ReadEncodedRow(std::string_view data, size_t* pos, size_t arity,
+                      std::vector<EncodedValue>* values) {
+  if (*pos >= data.size() ||
+      static_cast<unsigned char>(data[*pos]) != arity) {
+    return Status::InvalidArgument("encoded row: bad arity");
+  }
+  ++*pos;
+  values->resize(arity);
+  for (EncodedValue& v : *values) {
+    SS_RETURN_IF_ERROR(ReadEncodedValue(data, pos, &v));
+  }
+  return Status::OK();
 }
 
 /// A keyed operator's input, [partition][piece]: the exchange's map-side
@@ -797,33 +815,6 @@ Result<std::vector<RecordBatchPtr>> DedupExec::ExecuteImpl(ExecContext* ctx) {
   return out;
 }
 
-namespace {
-
-// State value codec for one join side's rows under one key:
-// repeated [matched byte][encoded row].
-std::string EncodeSideRows(const std::vector<std::pair<bool, Row>>& rows) {
-  std::string out;
-  for (const auto& [matched, row] : rows) {
-    out.push_back(matched ? 1 : 0);
-    EncodeRow(row, &out);
-  }
-  return out;
-}
-
-Result<std::vector<std::pair<bool, Row>>> DecodeSideRows(
-    const std::string& data) {
-  std::vector<std::pair<bool, Row>> rows;
-  size_t pos = 0;
-  while (pos < data.size()) {
-    bool matched = data[pos++] != 0;
-    SS_ASSIGN_OR_RETURN(Row row, DecodeRow(data, &pos));
-    rows.emplace_back(matched, std::move(row));
-  }
-  return rows;
-}
-
-}  // namespace
-
 StreamStreamJoinExec::StreamStreamJoinExec(
     int op_id, PhysOpPtr left, PhysOpPtr right, SchemaPtr out_schema,
     std::vector<ExprPtr> left_keys, std::vector<ExprPtr> right_keys,
@@ -833,31 +824,7 @@ StreamStreamJoinExec::StreamStreamJoinExec(
       right_keys_(std::move(right_keys)),
       shape_(std::move(shape)),
       left_time_index_(left_time_index),
-      right_time_index_(right_time_index) {
-  left_arity_ = children_[0]->schema()->num_fields();
-}
-
-Row StreamStreamJoinExec::JoinedRow(const Row* left, const Row* right) const {
-  Row out;
-  out.reserve(static_cast<size_t>(schema_->num_fields()));
-  if (left != nullptr) {
-    out.insert(out.end(), left->begin(), left->end());
-  } else {
-    out.insert(out.end(), static_cast<size_t>(left_arity_), Value::Null());
-    // USING-join key coalescing for null-padded right-outer results.
-    if (right != nullptr) {
-      for (const auto& [left_idx, right_idx] : shape_.using_keys) {
-        out[static_cast<size_t>(left_idx)] =
-            (*right)[static_cast<size_t>(right_idx)];
-      }
-    }
-  }
-  for (int idx : shape_.kept_right) {
-    out.push_back(right != nullptr ? (*right)[static_cast<size_t>(idx)]
-                                   : Value::Null());
-  }
-  return out;
-}
+      right_time_index_(right_time_index) {}
 
 Result<std::vector<RecordBatchPtr>> StreamStreamJoinExec::ExecuteImpl(
     ExecContext* ctx) {
@@ -869,6 +836,10 @@ Result<std::vector<RecordBatchPtr>> StreamStreamJoinExec::ExecuteImpl(
     return Status::Internal("stream-stream join sides not co-partitioned");
   }
   const size_t P = left_pieces.size();
+  const size_t left_arity =
+      static_cast<size_t>(children_[0]->schema()->num_fields());
+  const size_t right_arity =
+      static_cast<size_t>(children_[1]->schema()->num_fields());
   std::vector<RecordBatchPtr> left_in(P);
   std::vector<RecordBatchPtr> right_in(P);
   // A partition's rows are its left rows, then its right rows: each shard
@@ -881,32 +852,14 @@ Result<std::vector<RecordBatchPtr>> StreamStreamJoinExec::ExecuteImpl(
   std::vector<std::vector<ColumnPtr>> left_keys(P);
   std::vector<std::vector<ColumnPtr>> right_keys(P);
 
-  // Decoded side state of one shard's touched keys. Tracks how many rows
-  // were already stored (`base_n`) and whether stored rows changed
-  // (`dirty`), so the flush can append just the new suffix for grow-only
-  // keys instead of rewriting the value.
-  struct CacheEntry {
-    std::vector<std::pair<bool, Row>> rows;
-    size_t base_n = 0;
-    bool dirty = false;
-  };
+  // A shard's matches are built in `matched`, in fold order, and handed to
+  // the task's builder in finish: on the inline grain the shards fold
+  // slice by slice, and each shard's output must still come out whole.
   struct JoinShard : KeyedShard {
-    std::unordered_map<std::string, CacheEntry> cache;
-    std::vector<Row> joined;  // this epoch's matches, in fold order
-
-    Result<CacheEntry*> Load(const std::string& store_key) {
-      auto it = cache.find(store_key);
-      if (it == cache.end()) {
-        CacheEntry entry;
-        std::optional<std::string> stored = state->Get(store_key);
-        if (stored.has_value()) {
-          SS_ASSIGN_OR_RETURN(entry.rows, DecodeSideRows(*stored));
-          entry.base_n = entry.rows.size();
-        }
-        it = cache.emplace(store_key, std::move(entry)).first;
-      }
-      return &it->second;
-    }
+    std::optional<BatchBuilder> matched;
+    std::string key;     // 'L' or 'R', then the routed key
+    std::string record;  // the new row's [matched byte][EncodeRow bytes]
+    std::vector<EncodedValue> row, stored;  // decoded in place
   };
   std::vector<std::vector<JoinShard>> shards;
 
@@ -943,98 +896,126 @@ Result<std::vector<RecordBatchPtr>> StreamStreamJoinExec::ExecuteImpl(
     return Status::OK();
   };
 
+  // Appends one output row, matched or null-padded, from encoded rows: the
+  // left cells, or NULLs with the USING keys taken from the right row; then
+  // the kept right cells, or NULLs.
+  auto emit = [&](BatchBuilder* out, const std::vector<EncodedValue>* left,
+                  const std::vector<EncodedValue>* right) -> Status {
+    std::vector<EncodedValue> padded;
+    if (left == nullptr) {
+      padded.resize(left_arity);
+      for (const auto& [left_idx, right_idx] : shape_.using_keys) {
+        padded[static_cast<size_t>(left_idx)] =
+            (*right)[static_cast<size_t>(right_idx)];
+      }
+      left = &padded;
+    }
+    int c = 0;
+    for (const EncodedValue& v : *left) {
+      SS_RETURN_IF_ERROR(out->AppendEncoded(c++, v));
+    }
+    for (int idx : shape_.kept_right) {
+      SS_RETURN_IF_ERROR(out->AppendEncoded(
+          c++, right != nullptr ? (*right)[static_cast<size_t>(idx)]
+                                : EncodedValue{}));
+    }
+    return Status::OK();
+  };
+
   // Probe a new row against the other side's state (prior epochs, plus
   // this epoch's left rows when probing with a right row, which covers
-  // intra-epoch matches exactly once), then append it to its own side. A
-  // NULL-keyed row matches nothing, so it skips the probe; it is still
-  // stored, to be null-padded at eviction on a preserved side.
+  // intra-epoch matches exactly once), walking its value in place and
+  // setting the flag of each stored row matched for the first time; then
+  // append the row to its own side. A NULL-keyed row matches nothing, so
+  // it skips the probe; it is still stored, to be null-padded at eviction
+  // on a preserved side.
   auto fold = [&](JoinShard& f, int64_t i, int64_t null_key,
                   std::string_view enc, uint64_t) -> Status {
     const size_t p = f.partition;
     const int64_t n_left = left_in[p]->num_rows();
     const bool is_left = i < n_left;
-    Row row = is_left ? left_in[p]->RowAt(i) : right_in[p]->RowAt(i - n_left);
-    std::string own_key(1, is_left ? 'L' : 'R');
-    own_key.append(enc);
-    bool matched = false;
-    if (null_key == 0) {
-      std::string other_key = own_key;
-      other_key[0] = is_left ? 'R' : 'L';
-      SS_ASSIGN_OR_RETURN(CacheEntry * other, f.Load(other_key));
-      for (size_t k = 0; k < other->rows.size(); ++k) {
-        auto& [other_matched, other_row] = other->rows[k];
-        f.joined.push_back(is_left ? JoinedRow(&row, &other_row)
-                                   : JoinedRow(&other_row, &row));
-        if (!other_matched && k < other->base_n) {
-          other->dirty = true;  // stored flag flips
+    const RecordBatch& input = is_left ? *left_in[p] : *right_in[p];
+    f.record.assign(1, 0);
+    EncodeKeyTo(input.columns(), is_left ? i : i - n_left, &f.record);
+    f.key.assign(1, is_left ? 'R' : 'L');
+    f.key.append(enc);
+    std::optional<std::string> other;
+    if (null_key == 0) other = f.state->Get(f.key);
+    if (other.has_value()) {
+      if (!f.matched.has_value()) f.matched.emplace(schema_);
+      size_t pos = 1;
+      SS_RETURN_IF_ERROR(ReadEncodedRow(f.record, &pos, input.num_columns(),
+                                        &f.row));
+      std::string* live = nullptr;  // the stored value, once a flag flips
+      for (pos = 0; pos < other->size();) {
+        const size_t flag = pos++;
+        SS_RETURN_IF_ERROR(ReadEncodedRow(
+            *other, &pos, is_left ? right_arity : left_arity, &f.stored));
+        SS_RETURN_IF_ERROR(is_left ? emit(&*f.matched, &f.row, &f.stored)
+                                   : emit(&*f.matched, &f.stored, &f.row));
+        if ((*other)[flag] == 0) {
+          if (live == nullptr) live = f.state->FindOrCreate(f.key).value;
+          (*live)[flag] = 1;
         }
-        other_matched = true;
-        matched = true;
+        f.record[0] = 1;
       }
     }
-    SS_ASSIGN_OR_RETURN(CacheEntry * own, f.Load(own_key));
-    own->rows.emplace_back(matched, std::move(row));
-    return Status::OK();
+    f.key[0] = is_left ? 'L' : 'R';
+    return f.state->Append(f.key, f.record);
   };
 
+  const int64_t watermark = ctx->watermark_micros;
+  const bool evicting = watermark != INT64_MIN &&
+                        (left_time_index_ >= 0 || right_time_index_ >= 0);
   auto finish = [&](JoinShard& f, BatchBuilder* out) -> Status {
-    for (const Row& row : f.joined) SS_RETURN_IF_ERROR(out->AppendRow(row));
-    // Watermark-driven eviction: rows whose event time has fallen below the
-    // watermark can no longer match. Unmatched rows on a preserved outer
-    // side are emitted null-padded exactly once.
-    const int64_t watermark = ctx->watermark_micros;
-    const bool evicting = watermark != INT64_MIN &&
-                          (left_time_index_ >= 0 || right_time_index_ >= 0);
-    if (evicting) {
-      // Pull every stored key of this shard into the cache so eviction
-      // sees all state.
-      std::vector<std::string> all_keys;
-      f.state->ForEach([&](const std::string& k, const std::string&) {
-        all_keys.push_back(k);
-      });
-      for (const std::string& k : all_keys) {
-        SS_RETURN_IF_ERROR(f.Load(k).status());
-      }
-      for (auto& [store_key, entry] : f.cache) {
-        const bool is_left = store_key[0] == 'L';
-        const int time_index = is_left ? left_time_index_ : right_time_index_;
-        const bool preserved =
-            is_left ? shape_.preserves_left : shape_.preserves_right;
-        std::vector<std::pair<bool, Row>> kept;
-        for (auto& [matched, row] : entry.rows) {
-          const bool expire =
-              time_index >= 0 &&
-              !row[static_cast<size_t>(time_index)].is_null() &&
-              row[static_cast<size_t>(time_index)].int64_value() < watermark;
-          if (expire) {
-            if (preserved && !matched) {
-              SS_RETURN_IF_ERROR(out->AppendRow(
-                  is_left ? JoinedRow(&row, nullptr)
-                          : JoinedRow(nullptr, &row)));
-            }
-          } else {
-            kept.emplace_back(matched, std::move(row));
-          }
-        }
-        if (kept.size() != entry.rows.size()) entry.dirty = true;
-        entry.rows = std::move(kept);
+    if (f.matched.has_value()) {
+      RecordBatchPtr rows = f.matched->Finish();
+      for (int c = 0; c < rows->num_columns(); ++c) {
+        out->column(c).AppendRange(*rows->column(c), 0, rows->num_rows());
       }
     }
-
-    // Flush: untouched entries are skipped, grow-only entries append their
-    // new suffix, everything else is rewritten.
-    for (const auto& [store_key, entry] : f.cache) {
-      if (entry.rows.empty()) {
-        if (entry.base_n > 0) f.state->Remove(store_key);
-      } else if (entry.dirty) {
-        f.state->Put(store_key, EncodeSideRows(entry.rows));
-      } else if (entry.rows.size() > entry.base_n) {
-        std::string tail;
-        for (size_t k = entry.base_n; k < entry.rows.size(); ++k) {
-          tail.push_back(entry.rows[k].first ? 1 : 0);
-          EncodeRow(entry.rows[k].second, &tail);
+    if (!evicting) return Status::OK();
+    // Watermark-driven eviction: rows whose event time has fallen below the
+    // watermark can no longer match. Unmatched rows on a preserved outer
+    // side are emitted null-padded exactly once. The walk collects each
+    // changed entry's remaining rows; the store changes after it.
+    std::vector<std::pair<std::string, std::string>> rewrites;
+    Status status;
+    f.state->ForEach([&](const std::string& key, const std::string& value) {
+      const bool is_left = key[0] == 'L';
+      const int time_index = is_left ? left_time_index_ : right_time_index_;
+      if (!status.ok() || time_index < 0) return;
+      const bool preserved =
+          is_left ? shape_.preserves_left : shape_.preserves_right;
+      std::string kept;
+      bool evicted = false;
+      for (size_t pos = 0; status.ok() && pos < value.size();) {
+        const size_t start = pos;
+        const bool matched = value[pos++] != 0;
+        status = ReadEncodedRow(value, &pos,
+                                is_left ? left_arity : right_arity, &f.stored);
+        if (!status.ok()) return;
+        const EncodedValue& t = f.stored[static_cast<size_t>(time_index)];
+        if (t.type == TypeId::kNull ||
+            static_cast<int64_t>(t.bits) >= watermark) {
+          if (evicted) kept.append(value, start, pos - start);
+          continue;
         }
-        SS_RETURN_IF_ERROR(f.state->Append(store_key, tail));
+        if (!evicted) kept.assign(value, 0, start);
+        evicted = true;
+        if (preserved && !matched) {
+          status = is_left ? emit(out, &f.stored, nullptr)
+                           : emit(out, nullptr, &f.stored);
+        }
+      }
+      if (evicted) rewrites.emplace_back(key, std::move(kept));
+    });
+    SS_RETURN_IF_ERROR(status);
+    for (auto& [key, kept] : rewrites) {
+      if (kept.empty()) {
+        f.state->Remove(key);
+      } else {
+        f.state->Put(key, std::move(kept));
       }
     }
     return Status::OK();

@@ -62,9 +62,15 @@ class DedupExec : public PhysOp {
 
 /// Symmetric-hash stream-stream equi-join with state on both sides. Inputs
 /// must be co-partitioned by key (two ShuffleExecs with equal partition
-/// counts). With watermarked event-time columns, state older than the
-/// watermark is evicted, and outer-join null-padded results are emitted once
-/// the unmatched row can no longer find a partner (paper §5.2: outer joins
+/// counts). A side's rows live only in the state store: under 'L' or 'R'
+/// plus the encoded join key, one value of [matched byte][EncodeRow bytes]
+/// records in arrival order. A new row is encoded once from its columns,
+/// probes the other side's value in place (output cells are decoded from
+/// both encoded rows, never boxed), sets the flag of each stored row it
+/// matches for the first time, and is appended to its own side. With
+/// watermarked event-time columns, state older than the watermark is
+/// evicted, and outer-join null-padded results are emitted once the
+/// unmatched row can no longer find a partner (paper §5.2: outer joins
 /// require a watermarked column).
 class StreamStreamJoinExec : public PhysOp {
  public:
@@ -79,12 +85,9 @@ class StreamStreamJoinExec : public PhysOp {
   Result<std::vector<RecordBatchPtr>> ExecuteImpl(ExecContext* ctx) override;
 
  private:
-  Row JoinedRow(const Row* left, const Row* right) const;
-
   std::vector<ExprPtr> left_keys_;
   std::vector<ExprPtr> right_keys_;
   JoinShape shape_;
-  int left_arity_ = 0;
   // Event-time column index per side for watermark eviction; -1 = none.
   int left_time_index_;
   int right_time_index_;

@@ -77,9 +77,10 @@ class StateStore {
   void Put(const std::string& key, std::string value);
   /// Appends `tail` to the value under `key` (creating the entry when
   /// absent) without copying the existing value out. The next commit
-  /// records the full appended value, so durability is unchanged; the win
-  /// is the in-memory path for grow-only values (e.g. join side state).
-  /// Fails only at the `state.shard.append` seam, before any change.
+  /// records the full appended value, so durability is unchanged. The
+  /// stream-stream join appends each new row's record this way, one call
+  /// per row. Fails only at the `state.shard.append` seam, before any
+  /// change.
   Status Append(const std::string& key, const std::string& tail);
   void Remove(const std::string& key);
   int64_t size() const { return live_; }

@@ -62,11 +62,12 @@ inline Result<Row> DecodeRow(const std::string& data) {
   return DecodeRow(data, &pos);
 }
 
-/// Lexicographic row ordering via Value::Compare.
+/// Lexicographic row ordering via SqlCompare: nulls first, NaN above every
+/// other number, so RowLess is a strict weak order for std::sort.
 inline int CompareRows(const Row& a, const Row& b) {
   size_t n = a.size() < b.size() ? a.size() : b.size();
   for (size_t i = 0; i < n; ++i) {
-    int c = a[i].Compare(b[i]);
+    int c = SqlCompare(a[i], b[i]);
     if (c != 0) return c;
   }
   if (a.size() == b.size()) return 0;

@@ -1,5 +1,6 @@
 #include "types/value.h"
 
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 
@@ -80,6 +81,18 @@ int Value::Compare(const Value& other) const {
     default:
       return 0;
   }
+}
+
+int SqlCompare(const Value& a, const Value& b) {
+  auto is_nan = [](const Value& v) {
+    return v.type() == TypeId::kFloat64 && std::isnan(v.float64_value());
+  };
+  const bool a_nan = is_nan(a);
+  const bool b_nan = is_nan(b);
+  if ((a_nan || b_nan) && IsNumeric(a.type()) && IsNumeric(b.type())) {
+    return static_cast<int>(a_nan) - static_cast<int>(b_nan);
+  }
+  return a.Compare(b);
 }
 
 uint64_t Value::Hash() const {

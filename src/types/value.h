@@ -68,6 +68,15 @@ class Value {
   std::variant<std::monostate, bool, int64_t, double, std::string> data_;
 };
 
+/// SQL's three-way order of two values, behind both comparison operators,
+/// ORDER BY and the row order (CompareRows): Value::Compare (nulls first,
+/// numbers by value), except that NaN equals NaN and sorts above every
+/// other number, as in Spark SQL. So it is a strict weak order over nulls
+/// and numbers, which Value::Compare is not once a NaN is present.
+/// Value::Compare, which still orders aggregate min/max state, lets NaN
+/// tie with every number.
+int SqlCompare(const Value& a, const Value& b);
+
 /// One value of the state codec (Value::EncodeTo), read in place: the type
 /// byte, then the payload bits of a bool, int64, timestamp or float64, or
 /// the bytes of a string.

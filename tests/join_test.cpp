@@ -5,11 +5,18 @@
 // over seeded random tables with duplicate and NULL keys, on the inline
 // scheduler and on a 4-thread pool (partition tasks probing the shared
 // static index concurrently, so this is also a thread-sanitizer target).
+// StreamStreamStateMatchesGolden pins the stream-stream join's per-key
+// state bytes and output against tests/golden/join_state.txt.
 
+#include <algorithm>
 #include <cmath>
+#include <cstdlib>
+#include <filesystem>
 #include <limits>
 #include <set>
+#include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -19,6 +26,8 @@
 #include "exec/batch_executor.h"
 #include "exec/streaming_query.h"
 #include "runtime/scheduler.h"
+#include "state/state_store.h"
+#include "storage/fs.h"
 
 namespace sstreaming {
 namespace {
@@ -458,6 +467,169 @@ TEST(JoinTest, FilterAboveOuterJoinDropsRejectedRows) {
             c.predicate));
     ASSERT_TRUE(batch.ok()) << batch.status().ToString();
     ExpectSameRows(*batch, c.want);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Stream-stream join state, pinned: tests/golden/join_state.txt holds, after
+// each of 5 epochs of a watermarked outer join with a USING key over 2
+// partitions x 3 state shards, the epoch's output rows and every shard's
+// live state entries (key -> [matched byte][encoded row]...), each as sorted
+// hex lines. The entries are read back from the checkpoint by restoring
+// each shard, so the golden pins the per-key state bytes (matched flags
+// included) but not the order records take inside a .delta or .snapshot
+// file. The golden was written while the join still kept a decoded cache
+// of its state beside the store. To rewrite it on purpose, run this test
+// with SSTREAMING_WRITE_JOIN_GOLDEN=1 from a build that still passes, and
+// say so.
+// ---------------------------------------------------------------------------
+
+std::string Hex(std::string_view bytes) {
+  static const char kDigits[] = "0123456789abcdef";
+  std::string out;
+  for (unsigned char c : bytes) {
+    out.push_back(kDigits[c >> 4]);
+    out.push_back(kDigits[c & 15]);
+  }
+  return out;
+}
+
+/// Sorted "<op>/<partition>/<shard> <hex key> <hex value>" lines of every
+/// live entry of every state shard under checkpoint `dir`.
+std::vector<std::string> StateEntries(const std::string& dir) {
+  namespace fs = std::filesystem;
+  std::vector<std::string> lines;
+  for (const auto& op : fs::directory_iterator(fs::path(dir) / "state")) {
+    for (const auto& part : fs::directory_iterator(op.path())) {
+      for (const auto& shard : fs::directory_iterator(part.path())) {
+        if (!shard.is_directory()) continue;
+        auto store = StateStore::Open(shard.path().string(),
+                                      std::numeric_limits<int64_t>::max());
+        EXPECT_TRUE(store.ok()) << store.status().ToString();
+        if (!store.ok()) continue;
+        const std::string where = op.path().filename().string() + "/" +
+                                  part.path().filename().string() + "/" +
+                                  shard.path().filename().string() + " ";
+        (*store)->ForEach([&](const std::string& k, const std::string& v) {
+          lines.push_back(where + Hex(k) + " " + Hex(v));
+        });
+      }
+    }
+  }
+  std::sort(lines.begin(), lines.end());
+  return lines;
+}
+
+/// Epoch e's rows of one join side: keys over {NULL, 0..4} so they repeat
+/// within and across epochs, payloads with NULL, NaN and -0.0, and event
+/// times that move the watermark past the rows of two epochs back.
+std::vector<Row> GoldenSideRows(Random* rng, int e, bool left) {
+  const double doubles[] = {std::numeric_limits<double>::quiet_NaN(), -0.0,
+                            0.0, 2.5};
+  std::vector<Row> rows;
+  const int n = left ? 9 : 7;
+  for (int r = 0; r < n; ++r) {
+    const uint64_t k = rng->Uniform(6);
+    Row row = {k == 5 ? Value::Null() : Value::Int64(static_cast<int64_t>(k)),
+               Value::Timestamp((e * 6 + static_cast<int64_t>(rng->Uniform(5))) *
+                                kSec)};
+    if (left) {
+      row.push_back(rng->OneIn(0.2) ? Value::Null()
+                                    : Value::Float64(doubles[rng->Uniform(4)]));
+    }
+    row.push_back(rng->OneIn(0.2)
+                      ? Value::Null()
+                      : Value::Str(std::string(1 + rng->Uniform(3),
+                                               left ? 'l' : 'r')));
+    rows.push_back(std::move(row));
+  }
+  return rows;
+}
+
+/// The golden run of one join type, as golden-file lines.
+std::vector<std::string> JoinStateGoldenLines(JoinType type) {
+  auto dir = MakeTempDir("join_state_golden");
+  EXPECT_TRUE(dir.ok());
+  if (!dir.ok()) return {};
+  auto ls = Schema::Make({{"k", TypeId::kInt64, true},
+                          {"lt", TypeId::kTimestamp, false},
+                          {"lv", TypeId::kFloat64, true},
+                          {"s", TypeId::kString, true}});
+  auto rs = Schema::Make({{"k", TypeId::kInt64, true},
+                          {"rt", TypeId::kTimestamp, false},
+                          {"s", TypeId::kString, true}});
+  auto left = std::make_shared<MemoryStream>("l", ls, 2);
+  auto right = std::make_shared<MemoryStream>("r", rs, 2);
+  DataFrame df =
+      DataFrame::ReadStream(left)
+          .WithWatermark("lt", 4 * kSec)
+          .Join(DataFrame::ReadStream(right).WithWatermark("rt", 4 * kSec),
+                {"k"}, type);
+  auto sink = std::make_shared<MemorySink>();
+  QueryOptions opts;
+  opts.mode = OutputMode::kAppend;
+  opts.num_partitions = 2;
+  opts.num_state_shards = 3;
+  opts.checkpoint_dir = *dir;
+  auto query = StreamingQuery::Start(df, sink, opts);
+  EXPECT_TRUE(query.ok()) << query.status().ToString();
+  if (!query.ok()) return {};
+  std::vector<std::string> lines;
+  Random rng(20261022);
+  size_t seen = 0;
+  for (int e = 1; e <= 5; ++e) {
+    EXPECT_TRUE(left->AddData(GoldenSideRows(&rng, e, true)).ok());
+    EXPECT_TRUE(right->AddData(GoldenSideRows(&rng, e, false)).ok());
+    Status st = (*query)->ProcessAllAvailable();
+    EXPECT_TRUE(st.ok()) << st.ToString();
+    const std::vector<Row> rows = sink->Snapshot();
+    std::vector<std::string> out;
+    for (size_t i = seen; i < rows.size(); ++i) {
+      std::string enc;
+      EncodeRow(rows[i], &enc);
+      out.push_back("row " + Hex(enc));
+    }
+    seen = rows.size();
+    std::sort(out.begin(), out.end());
+    lines.push_back("epoch " + std::to_string(e) + " output");
+    lines.insert(lines.end(), out.begin(), out.end());
+    lines.push_back("epoch " + std::to_string(e) + " state");
+    for (std::string& entry : StateEntries(*dir)) {
+      lines.push_back(std::move(entry));
+    }
+  }
+  (*query)->Stop();
+  RemoveDirRecursive(*dir).ok();
+  return lines;
+}
+
+TEST(JoinTest, StreamStreamStateMatchesGolden) {
+  std::string got;
+  for (JoinType type : {JoinType::kLeftOuter, JoinType::kRightOuter}) {
+    got += std::string("join ") + JoinTypeName(type) + "\n";
+    for (const std::string& line : JoinStateGoldenLines(type)) {
+      got += line + "\n";
+    }
+  }
+  const std::string path =
+      std::string(SSTREAMING_SOURCE_DIR) + "/tests/golden/join_state.txt";
+  if (std::getenv("SSTREAMING_WRITE_JOIN_GOLDEN") != nullptr) {
+    ASSERT_TRUE(WriteFileAtomic(path, got).ok());
+    return;
+  }
+  auto want = ReadFile(path);
+  ASSERT_TRUE(want.ok()) << want.status().ToString();
+  // Line by line, so a failure names the first differing line.
+  std::istringstream want_lines(*want);
+  std::istringstream got_lines(got);
+  std::string w;
+  std::string g;
+  for (int line = 1;; ++line) {
+    const bool more_want = static_cast<bool>(std::getline(want_lines, w));
+    const bool more_got = static_cast<bool>(std::getline(got_lines, g));
+    if (!more_want && !more_got) break;
+    ASSERT_EQ(more_got ? g : "<end>", more_want ? w : "<end>")
+        << "first difference at line " << line;
   }
 }
 

@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <limits>
+#include <string>
+#include <vector>
+
 #include "types/row.h"
 
 namespace sstreaming {
@@ -107,6 +113,39 @@ TEST(RowTest, CompareRowsLexicographic) {
   // Prefix ordering: shorter row sorts first when equal so far.
   Row prefix = {Value::Int64(1)};
   EXPECT_LT(CompareRows(prefix, a), 0);
+}
+
+// RowLess must be a strict weak order, or std::sort (RunBatchSorted,
+// MemorySink::SortedSnapshot) is undefined: every permutation of the same
+// values sorts to one order, non-decreasing under SqlCompare, with the null
+// first and NaN last. (Under Value::Compare NaN tied with every number.)
+TEST(RowTest, SortIsOneOrderForEveryPermutation) {
+  const double inf = std::numeric_limits<double>::infinity();
+  std::vector<Value> values = {
+      Value::Null(),
+      Value::Float64(std::numeric_limits<double>::quiet_NaN()),
+      Value::Float64(-inf),
+      Value::Float64(-0.0),
+      Value::Float64(1.0),
+      Value::Float64(2.0),
+      Value::Float64(inf)};
+  std::vector<int> order = {0, 1, 2, 3, 4, 5, 6};
+  int permutations = 0;
+  do {
+    std::vector<Row> rows;
+    for (int i : order) rows.push_back({values[static_cast<size_t>(i)]});
+    std::sort(rows.begin(), rows.end(), RowLess());
+    std::string got;
+    for (const Row& row : rows) got += RowToString(row) + " ";
+    SCOPED_TRACE(got);
+    ASSERT_TRUE(rows.front()[0].is_null());
+    ASSERT_TRUE(std::isnan(rows.back()[0].float64_value()));
+    for (size_t i = 1; i < rows.size(); ++i) {
+      ASSERT_LE(SqlCompare(rows[i - 1][0], rows[i][0]), 0);
+    }
+    ++permutations;
+  } while (std::next_permutation(order.begin(), order.end()));
+  EXPECT_EQ(permutations, 5040);
 }
 
 TEST(RowTest, HashRowConsistentWithEquality) {

@@ -18,7 +18,6 @@
 #include <string>
 #include <vector>
 
-#include "common/arena.h"
 #include "expr/expression.h"
 #include "physical/fused_pipeline.h"
 #include "runtime/scheduler.h"
@@ -239,14 +238,12 @@ PhysOpPtr MakeFusedChain(const Chain& chain, const RecordBatchPtr& batch) {
 struct BenchExec {
   InlineScheduler scheduler;
   StateManager state{"", 0, ShardedStateStore::Options()};
-  Arena arena;
   ExecContext ctx;
 
   BenchExec() {
     ctx.epoch = 1;
     ctx.scheduler = &scheduler;
     ctx.state = &state;
-    ctx.arena = &arena;
   }
 };
 
@@ -281,13 +278,8 @@ void BM_FusedSelectionPipeline(benchmark::State& state) {
   PhysOpPtr root = MakeFusedChain(MakeChain(*batch->schema()), batch);
   BenchExec exec;
   for (auto _ : state) {
-    {
-      auto out = root->Execute(&exec.ctx);
-      benchmark::DoNotOptimize(SumFirstColumn(*out));
-    }
-    // Output (and its arena-backed selection views) released before the
-    // epoch-boundary Reset, as the engine does — so chunks recycle.
-    exec.arena.Reset();
+    auto out = root->Execute(&exec.ctx);
+    benchmark::DoNotOptimize(SumFirstColumn(*out));
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }

@@ -344,10 +344,6 @@ Status StreamingQuery::RunPlannedEpoch(const EpochPlan& plan) {
       Profiler::Instance().Intern("checkpoint");
   static const uint32_t kStageCommit = Profiler::Instance().Intern("commit");
 
-  // Recycle per-epoch scratch; the previous epoch's output was materialized
-  // before commit, so no selection view can still alias the arena.
-  arena_.Reset();
-
   // State checkpoints on multiples of the interval. The fold tasks write
   // them (paper §6.1: each task commits its own state version).
   const int interval = options_.state_checkpoint_interval;
@@ -362,7 +358,6 @@ Status StreamingQuery::RunPlannedEpoch(const EpochPlan& plan) {
   if (checkpoint_epoch) ctx.state_commit_epoch = plan.epoch;
   ctx.clock = clock_;
   ctx.tracer = tracer_.get();
-  ctx.arena = &arena_;
   for (const SourceOffsets& so : plan.sources) {
     ctx.offsets[so.source_name] = {so.start, so.end};
   }
@@ -647,12 +642,6 @@ Status StreamingQuery::RunPlannedEpoch(const EpochPlan& plan) {
       metrics_->GetHistogram("sstreaming_sink_commit_nanos")
           ->Record(progress.sink_commit_nanos);
     }
-    // Arena accounting: lifetime bytes handed out and the bytes currently
-    // parked in reusable chunks.
-    metrics_->GetGauge("sstreaming_arena_allocated_bytes_total")
-        ->Set(arena_.bytes_allocated());
-    metrics_->GetGauge("sstreaming_arena_reserved_bytes")
-        ->Set(arena_.bytes_reserved());
     // Memory-accounting gauges: live state size per stateful operator,
     // totals plus the per-shard breakdown (summed over partitions).
     for (const auto& [op_id, size] : state_sizes) {

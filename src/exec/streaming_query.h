@@ -10,7 +10,6 @@
 
 #include "analysis/diagnostics.h"
 #include "analysis/plan_fingerprint.h"
-#include "common/arena.h"
 #include "common/clock.h"
 #include "connectors/sink.h"
 #include "incremental/incrementalizer.h"
@@ -244,8 +243,6 @@ class StreamingQuery {
   std::unique_ptr<TaskScheduler> owned_scheduler_;
   TaskScheduler* scheduler_ = nullptr;
   const Clock* clock_ = nullptr;
-  /// Per-epoch scratch (selection vectors); Reset() at each epoch start.
-  Arena arena_;
 
   int64_t last_epoch_ = 0;
   int64_t last_state_commit_ = 0;

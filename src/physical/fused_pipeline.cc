@@ -3,7 +3,6 @@
 #include <array>
 #include <utility>
 
-#include "common/arena.h"
 #include "common/clock.h"
 #include "common/logging.h"
 
@@ -392,27 +391,14 @@ Result<RecordBatchPtr> FusedPipelineExec::RunStages(ExecContext* ctx,
         RecordBatchPtr eval_in = GatherReferenced(cur, stage.referenced);
         SS_ASSIGN_OR_RETURN(ColumnPtr mask,
                             stage.predicate->EvalBatch(*eval_in));
-        int32_t* idx = nullptr;
-        std::shared_ptr<const void> keepalive;
-        std::vector<int32_t> heap_idx;
-        if (ctx->arena != nullptr) {
-          auto span = ctx->arena->AllocSpan<int32_t>(static_cast<size_t>(n));
-          idx = span.first;
-          keepalive = std::move(span.second);
-        } else {
-          heap_idx.resize(static_cast<size_t>(n));
-          idx = heap_idx.data();
-        }
-        const int64_t kept = CollectSurvivors(*mask, n, idx);
+        std::vector<int32_t> idx(static_cast<size_t>(n));
+        const int64_t kept = CollectSurvivors(*mask, n, idx.data());
         if (kept < n) {
           // Indices are logical rows of `cur`; MakeView composes them with
           // any selection already in force.
-          SelectionVector sel =
-              keepalive != nullptr
-                  ? SelectionVector::FromOwned(idx, kept, std::move(keepalive))
-                  : SelectionVector::FromVector(std::vector<int32_t>(
-                        heap_idx.begin(), heap_idx.begin() + kept));
-          cur = RecordBatch::MakeView(cur, std::move(sel));
+          idx.resize(static_cast<size_t>(kept));
+          cur = RecordBatch::MakeView(
+              cur, SelectionVector::FromVector(std::move(idx)));
         }
         break;
       }

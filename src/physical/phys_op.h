@@ -20,7 +20,6 @@
 
 namespace sstreaming {
 
-class Arena;
 class EpochTracer;
 class LogHistogram;
 class MetricsRegistry;
@@ -142,10 +141,6 @@ struct ExecContext {
   /// state checkpoint.
   std::optional<int64_t> state_commit_epoch;
   const Clock* clock = nullptr;
-  /// Per-epoch scratch allocator (selection vectors, survivor indices).
-  /// Reset by the engine at epoch boundaries; may be null (operators fall
-  /// back to heap allocation).
-  Arena* arena = nullptr;
   /// Optional epoch tracer; when set, PhysOp::Execute records one span per
   /// operator invocation.
   EpochTracer* tracer = nullptr;

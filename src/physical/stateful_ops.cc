@@ -1,10 +1,8 @@
 #include "physical/stateful_ops.h"
 
 #include <algorithm>
-#include <cstring>
 #include <optional>
 #include <string_view>
-#include <unordered_map>
 
 #include "common/logging.h"
 #include "physical/fused_pipeline.h"
@@ -13,19 +11,6 @@
 namespace sstreaming {
 
 namespace {
-
-void PutFixed64(std::string* out, uint64_t v) {
-  char buf[8];
-  std::memcpy(buf, &v, 8);
-  out->append(buf, 8);
-}
-
-bool GetFixed64(const std::string& data, size_t* pos, uint64_t* v) {
-  if (*pos + 8 > data.size()) return false;
-  std::memcpy(v, data.data() + *pos, 8);
-  *pos += 8;
-  return true;
-}
 
 /// Appends the state key of row i over `cols`: the arity byte, then each
 /// column's value. Byte-identical to EncodeRow of the boxed row, without
@@ -193,13 +178,19 @@ std::vector<std::function<Status()>> CoalesceTasks(
   return out;
 }
 
-/// Base of the operators' shard contexts: what setup hands each one, and
-/// the shard's buckets of routed rows (one per route chunk). An operator
-/// that keeps its contexts across epochs keeps the buckets' buffers warm.
+/// Base of the operators' shard contexts: what setup hands each one, the
+/// shard's buckets of routed rows (one per route chunk), and the store
+/// entries its fold touched this epoch. An operator that keeps its
+/// contexts across epochs keeps the buffers warm.
 struct KeyedShard {
   size_t partition = 0;
   StateStore* state = nullptr;
   std::vector<KeyedEntries> buckets;
+  /// This epoch's touched entries in first-touch order; touched entry g
+  /// carries the mark g + 1 (Touch). Marks are never reset: one counts only
+  /// when it names a touched entry of this epoch with the same key
+  /// (entries never move).
+  std::vector<StateStore::Slot> touched;
 
   /// Operators whose store key is the routed key set this in their shard
   /// type: the fold loop then prefetches the store entry each routed hash
@@ -209,12 +200,38 @@ struct KeyedShard {
   void Open(size_t p, StateStore* s) {
     partition = p;
     state = s;
+    touched.clear();
+  }
+
+  /// The touched ordinal of the entry with mark `mark` whose key is the
+  /// store's string at `key`, or -1 when this epoch has not touched it.
+  int64_t TouchedOf(uint32_t mark, const std::string* key) const {
+    if (mark == 0 || mark > touched.size()) return -1;
+    return touched[mark - 1].key == key ? int64_t{mark} - 1 : -1;
+  }
+
+  /// The touched ordinal of `slot`'s entry; its first touch this epoch
+  /// appends it (and returns the old touched.size()).
+  size_t Touch(const StateStore::Slot& slot) {
+    const int64_t g = TouchedOf(*slot.mark, slot.key);
+    if (g >= 0) return static_cast<size_t>(g);
+    touched.push_back(slot);
+    *slot.mark = static_cast<uint32_t>(touched.size());
+    return touched.size() - 1;
   }
 };
 
 /// Dedup's shard context: its store key is the routed key.
 struct DedupShard : KeyedShard {
   static constexpr bool kPrefetchStore = true;
+};
+
+/// flatMapGroupsWithState's shard context: its groups this epoch are its
+/// touched store entries, group g's rows (in input order) at rows[g]. Its
+/// store key is the routed key.
+struct GroupShard : KeyedShard {
+  static constexpr bool kPrefetchStore = true;
+  std::vector<std::vector<int32_t>> rows;
 };
 
 /// The fold loop of both grains: hands `fold` every row in the shard's
@@ -426,24 +443,21 @@ StatefulAggExec::StatefulAggExec(int op_id, PhysOpPtr child,
   }
 }
 
-// One (partition, shard)'s fold for the current epoch: the keys it touched
-// in first-touch order, touched key g with its aggregate record (AggRecords)
-// at cells [g * C, (g + 1) * C) and strings [g * K, (g + 1) * K). Every
-// routed row finds or creates its store entry (one probe), whose mark holds
-// the key's touched ordinal (g + 1); the key's first row decodes its stored
-// state into the record, and the end of the fold encodes each record back
-// into its entry once. Marks are never reset: one counts only when it names
-// a touched entry of this epoch with this entry's slot (entries never
-// move). The buffers are kept across epochs, strings for their storage.
+// One (partition, shard)'s fold for the current epoch: touched key g
+// (KeyedShard::Touch) with its group (window start, first row) and its
+// aggregate record (AggRecords) at cells [g * C, (g + 1) * C) and strings
+// [g * K, (g + 1) * K). Every routed row finds or creates its store entry
+// (one probe); the key's first row decodes its stored state into the
+// record, and the end of the fold encodes each record back into its entry
+// once. The buffers are kept across epochs, strings for their storage.
 struct StatefulAggExec::ShardFold : KeyedShard {
   static constexpr bool kPrefetchStore = true;
 
-  struct Touched {
-    StateStore::Slot slot;
+  struct Group {
     int64_t wstart;  // window start; 0 when not windowed
     int64_t row;     // the key's first row this epoch in the partition
   };
-  std::vector<Touched> touched;
+  std::vector<Group> groups;
   std::vector<AggCell> cells;
   std::vector<std::string> strings;
   // A stored group's record, decoded for output.
@@ -452,15 +466,7 @@ struct StatefulAggExec::ShardFold : KeyedShard {
 
   void Open(size_t p, StateStore* s) {
     KeyedShard::Open(p, s);
-    touched.clear();
-  }
-
-  /// The touched entry of store entry `slot` this epoch, or null.
-  Touched* TouchedOf(const StateStore::Slot& slot) {
-    const uint32_t ordinal = *slot.mark;
-    if (ordinal == 0 || ordinal > touched.size()) return nullptr;
-    Touched& t = touched[ordinal - 1];
-    return t.slot.key == slot.key ? &t : nullptr;
+    groups.clear();
   }
 };
 
@@ -580,9 +586,7 @@ Result<std::vector<RecordBatchPtr>> StatefulAggExec::ExecuteImpl(
         for (size_t g = 0; g < group_exprs_.size(); ++g) {
           if (static_cast<int>(g) == window_key_index_) {
             enc.push_back(static_cast<char>(TypeId::kTimestamp));
-            char buf[8];
-            std::memcpy(buf, &wstart, 8);
-            enc.append(buf, 8);
+            PutFixed64(&enc, static_cast<uint64_t>(wstart));
           } else {
             w.key_cols[g]->EncodeValueTo(i, &enc);
           }
@@ -593,17 +597,14 @@ Result<std::vector<RecordBatchPtr>> StatefulAggExec::ExecuteImpl(
     return Status::OK();
   };
 
-  // Fold (see ShardFold): find or create the key's store entry and its
-  // touched entry, then run each aggregate's kernel on the key's record.
+  // Fold (see ShardFold): find or create the key's store entry and touch
+  // it, then run each aggregate's kernel on the key's record.
   auto fold = [&](ShardFold& f, int64_t i, int64_t wstart,
                   std::string_view enc, uint64_t hash) -> Status {
     const StateStore::Slot slot = f.state->FindOrCreate(enc, hash);
-    const ShardFold::Touched* t = f.TouchedOf(slot);
-    const size_t g = t == nullptr ? f.touched.size()
-                                  : static_cast<size_t>(t - f.touched.data());
-    if (t == nullptr) {  // the key's first row this epoch
-      f.touched.push_back(ShardFold::Touched{slot, wstart, i});
-      *slot.mark = static_cast<uint32_t>(g + 1);
+    const size_t g = f.Touch(slot);
+    if (g == f.groups.size()) {  // the key's first row this epoch
+      f.groups.push_back(ShardFold::Group{wstart, i});
       f.cells.resize((g + 1) * C);
       if (f.strings.size() < (g + 1) * K) f.strings.resize((g + 1) * K);
       if (slot.created) {
@@ -631,10 +632,10 @@ Result<std::vector<RecordBatchPtr>> StatefulAggExec::ExecuteImpl(
     const PartitionWork& w = work[f.partition];
     std::vector<size_t> open;
     std::vector<int32_t> rows;
-    for (size_t g = 0; g < f.touched.size(); ++g) {
-      if (closed(f.touched[g].wstart)) continue;
+    for (size_t g = 0; g < f.groups.size(); ++g) {
+      if (closed(f.groups[g].wstart)) continue;
       open.push_back(g);
-      rows.push_back(static_cast<int32_t>(f.touched[g].row));
+      rows.push_back(static_cast<int32_t>(f.groups[g].row));
     }
     int c = 0;
     for (size_t k = 0; k < group_exprs_.size(); ++k, ++c) {
@@ -642,8 +643,8 @@ Result<std::vector<RecordBatchPtr>> StatefulAggExec::ExecuteImpl(
         Column& start = out->column(c);
         Column& end = out->column(++c);
         for (size_t g : open) {
-          start.AppendInt64(f.touched[g].wstart);
-          end.AppendInt64(f.touched[g].wstart + window_size);
+          start.AppendInt64(f.groups[g].wstart);
+          end.AppendInt64(f.groups[g].wstart + window_size);
         }
       } else {
         out->column(c).AppendGather(*w.key_cols[k], rows.data(),
@@ -701,11 +702,12 @@ Result<std::vector<RecordBatchPtr>> StatefulAggExec::ExecuteImpl(
     return static_cast<int64_t>(v.bits);
   };
   // Emits every stored group for which `pick(key)` holds, into `out` when
-  // non-null; `evict` collects the keys of the picked groups when non-null.
+  // non-null, and removes the picked groups from the store when `evict`.
   auto emit_stored = [&](ShardFold& f, BatchBuilder* out, auto&& pick,
-                         std::vector<std::string>* evict) -> Status {
+                         bool evict) -> Status {
     Status iter_status;
-    f.state->ForEach([&](const std::string& k, const std::string& v) {
+    f.state->ForEach([&](const std::string& k, const std::string& v,
+                         uint32_t) {
       if (!iter_status.ok()) return;
       auto picked = pick(k);
       if (!picked.ok()) {
@@ -713,9 +715,8 @@ Result<std::vector<RecordBatchPtr>> StatefulAggExec::ExecuteImpl(
         return;
       }
       if (!*picked) return;
-      if (evict != nullptr) evict->push_back(k);
-      if (out == nullptr) return;
-      iter_status = emit_stored_group(f, k, v, out);
+      if (out != nullptr) iter_status = emit_stored_group(f, k, v, out);
+      if (evict) f.state->Remove(k);
     });
     return iter_status;
   };
@@ -727,28 +728,26 @@ Result<std::vector<RecordBatchPtr>> StatefulAggExec::ExecuteImpl(
   // closed windows along the way.
   auto finish = [&](ShardFold& f, BatchBuilder* out) -> Status {
     for (size_t g = 0; g < f.touched.size(); ++g) {
-      std::string* value = f.touched[g].slot.value;
+      std::string* value = f.touched[g].value;
       value->clear();
       records.Encode(f.cells.data() + g * C, f.strings.data() + g * K, value);
     }
     // One-shot batch run: emit everything, no eviction needed.
-    if (ctx->is_batch) return emit_stored(f, out, every, nullptr);
+    if (ctx->is_batch) return emit_stored(f, out, every, false);
 
     if (windowed && watermark != INT64_MIN) {
-      std::vector<std::string> evict;
       SS_RETURN_IF_ERROR(emit_stored(
           f, ctx->mode == OutputMode::kAppend ? out : nullptr,
           [&](const std::string& k) -> Result<bool> {
             SS_ASSIGN_OR_RETURN(int64_t wstart, window_start_of(k));
             return closed(wstart);
           },
-          &evict));
-      for (const std::string& k : evict) f.state->Remove(k);
+          true));
     }
 
     if (ctx->mode == OutputMode::kUpdate) return emit_touched(f, out);
     if (ctx->mode == OutputMode::kComplete) {
-      return emit_stored(f, out, every, nullptr);
+      return emit_stored(f, out, every, false);
     }
     return Status::OK();
   };
@@ -939,9 +938,8 @@ Result<std::vector<RecordBatchPtr>> StreamStreamJoinExec::ExecuteImpl(
     EncodeKeyTo(input.columns(), is_left ? i : i - n_left, &f.record);
     f.key.assign(1, is_left ? 'R' : 'L');
     f.key.append(enc);
-    std::optional<std::string> other;
-    if (null_key == 0) other = f.state->Get(f.key);
-    if (other.has_value()) {
+    const std::string* other = null_key == 0 ? f.state->Get(f.key) : nullptr;
+    if (other != nullptr) {
       if (!f.matched.has_value()) f.matched.emplace(schema_);
       size_t pos = 1;
       SS_RETURN_IF_ERROR(ReadEncodedRow(f.record, &pos, input.num_columns(),
@@ -977,11 +975,11 @@ Result<std::vector<RecordBatchPtr>> StreamStreamJoinExec::ExecuteImpl(
     if (!evicting) return Status::OK();
     // Watermark-driven eviction: rows whose event time has fallen below the
     // watermark can no longer match. Unmatched rows on a preserved outer
-    // side are emitted null-padded exactly once. The walk collects each
-    // changed entry's remaining rows; the store changes after it.
-    std::vector<std::pair<std::string, std::string>> rewrites;
+    // side are emitted null-padded exactly once. The walk rewrites each
+    // changed entry to its remaining rows in place, or removes it.
     Status status;
-    f.state->ForEach([&](const std::string& key, const std::string& value) {
+    f.state->ForEach([&](const std::string& key, const std::string& value,
+                         uint32_t) {
       const bool is_left = key[0] == 'L';
       const int time_index = is_left ? left_time_index_ : right_time_index_;
       if (!status.ok() || time_index < 0) return;
@@ -1008,17 +1006,14 @@ Result<std::vector<RecordBatchPtr>> StreamStreamJoinExec::ExecuteImpl(
                            : emit(out, nullptr, &f.stored);
         }
       }
-      if (evicted) rewrites.emplace_back(key, std::move(kept));
-    });
-    SS_RETURN_IF_ERROR(status);
-    for (auto& [key, kept] : rewrites) {
+      if (!status.ok() || !evicted) return;
       if (kept.empty()) {
         f.state->Remove(key);
       } else {
-        f.state->Put(key, std::move(kept));
+        *f.state->FindOrCreate(key).value = std::move(kept);
       }
-    }
-    return Status::OK();
+    });
+    return status;
   };
 
   return RunKeyedShards(ctx, *this, num_rows, &shards, prepare, route, fold,
@@ -1051,17 +1046,6 @@ Result<std::vector<RecordBatchPtr>> FlatMapGroupsWithStateExec::ExecuteImpl(
   for (size_t p = 0; p < P; ++p) num_rows[p] = RowsOf(pieces[p]);
   std::vector<std::vector<ColumnPtr>> key_cols(P);
 
-  // One shard's groups this epoch, in first-touch order.
-  struct Group {
-    const std::string* enc;  // the key's node in GroupShard::index
-    Row key;
-    std::vector<Row> values;
-  };
-  struct GroupShard : KeyedShard {
-    std::vector<Group> groups;
-    std::unordered_map<std::string, size_t> index;  // enc -> groups position
-    std::string key_buf;
-  };
   std::vector<std::vector<GroupShard>> shards;
 
   auto prepare = [&](size_t p) -> Status {
@@ -1082,39 +1066,40 @@ Result<std::vector<RecordBatchPtr>> FlatMapGroupsWithStateExec::ExecuteImpl(
     }
     return Status::OK();
   };
-  // Group the shard's rows by key.
+  // Group the shard's rows by their key's store entry: one probe per row.
   auto fold = [&](GroupShard& f, int64_t i, int64_t, std::string_view enc,
-                  uint64_t) -> Status {
-    const size_t p = f.partition;
-    f.key_buf.assign(enc);
-    auto [it, inserted] = f.index.try_emplace(f.key_buf, f.groups.size());
-    if (inserted) {
-      Group& g = f.groups.emplace_back();
-      g.enc = &it->first;
-      g.key.reserve(key_cols[p].size());
-      for (const ColumnPtr& col : key_cols[p]) g.key.push_back(col->ValueAt(i));
-    }
-    f.groups[it->second].values.push_back(in[p]->RowAt(i));
+                  uint64_t hash) -> Status {
+    const size_t g = f.Touch(f.state->FindOrCreate(enc, hash));
+    if (g == f.rows.size()) f.rows.emplace_back();
+    f.rows[g].push_back(static_cast<int32_t>(i));
     return Status::OK();
   };
 
-  // Calls the update function for one key and writes its state back.
-  // State value codec: [fixed64 timeout_at][encoded user row].
-  auto invoke = [&](StateStore* state, const std::string& enc,
-                    const Row& key, const std::vector<Row>& values,
-                    bool timed_out, BatchBuilder* out) -> Status {
+  // Calls the update function for the key of `slot` over `rows` of
+  // `input` (none on a timeout), boxing only here, at the function's
+  // edge, and edits the key's state in place: a key the function leaves
+  // without state (one created this epoch included) is removed. State
+  // value codec: [fixed64 timeout_at][encoded user row].
+  auto invoke = [&](StateStore* state, const StateStore::Slot& slot,
+                    const RecordBatch& input,
+                    const std::vector<int32_t>& rows, bool timed_out,
+                    BatchBuilder* out) -> Status {
     std::optional<Row> value;
     int64_t timeout_at = INT64_MAX;
-    if (std::optional<std::string> stored = state->Get(enc)) {
+    if (!slot.created) {
       size_t pos = 0;
       uint64_t at;
-      if (!GetFixed64(*stored, &pos, &at)) {
+      if (!GetFixed64(*slot.value, &pos, &at)) {
         return Status::Internal("corrupt group state");
       }
-      SS_ASSIGN_OR_RETURN(Row row, DecodeRow(*stored, &pos));
+      SS_ASSIGN_OR_RETURN(Row row, DecodeRow(*slot.value, &pos));
       value = std::move(row);
       timeout_at = static_cast<int64_t>(at);
     }
+    SS_ASSIGN_OR_RETURN(Row key, DecodeRow(*slot.key));
+    std::vector<Row> values;
+    values.reserve(rows.size());
+    for (int32_t r : rows) values.push_back(input.RowAt(r));
     GroupState group_state(std::move(value), watermark, now, timed_out);
     if (!timed_out) {
       // A pre-armed timeout stays armed unless the function re-arms it.
@@ -1134,57 +1119,54 @@ Result<std::vector<RecordBatchPtr>> FlatMapGroupsWithStateExec::ExecuteImpl(
       }
       SS_RETURN_IF_ERROR(out->AppendRow(r));
     }
-    if (group_state.removed() || (timed_out && !group_state.updated())) {
+    if (!group_state.exists() || (timed_out && !group_state.updated())) {
       // Timed-out state that the function did not refresh is dropped
       // (matching Spark: a timeout without update removes nothing
       // automatically, but keeping it would re-fire forever; Spark requires
       // the function to update or remove — we default to remove).
-      state->Remove(enc);
-    } else if (group_state.exists()) {
-      std::string buf;
-      PutFixed64(&buf, static_cast<uint64_t>(
-                           timeout_ == GroupStateTimeout::kNone
-                               ? INT64_MAX
-                               : group_state.timeout_at_micros()));
-      EncodeRow(group_state.get(), &buf);
-      state->Put(enc, std::move(buf));
+      state->Remove(*slot.key);
+      return Status::OK();
     }
+    slot.value->clear();
+    PutFixed64(slot.value, static_cast<uint64_t>(
+                               timeout_ == GroupStateTimeout::kNone
+                                   ? INT64_MAX
+                                   : group_state.timeout_at_micros()));
+    EncodeRow(group_state.get(), slot.value);
     return Status::OK();
   };
 
-  // Update every touched group, then sweep the shard for timeouts: keys
+  // Update every touched group, then walk the shard for timeouts: keys
   // not updated this trigger whose deadline passed (processing time vs.
-  // watermark, §4.3.2).
+  // watermark, §4.3.2), each invoked and edited as it is visited.
   auto finish = [&](GroupShard& f, BatchBuilder* out) -> Status {
-    for (const Group& g : f.groups) {
-      SS_RETURN_IF_ERROR(invoke(f.state, *g.enc, g.key, g.values, false, out));
+    const RecordBatch& input = *in[f.partition];
+    for (size_t g = 0; g < f.touched.size(); ++g) {
+      SS_RETURN_IF_ERROR(
+          invoke(f.state, f.touched[g], input, f.rows[g], false, out));
     }
     if (timeout_ == GroupStateTimeout::kNone || ctx->is_batch) {
       return Status::OK();
     }
     const int64_t deadline_clock =
         timeout_ == GroupStateTimeout::kProcessingTime ? now : watermark;
-    std::vector<std::string> timed_out;
-    Status iter_status;
-    f.state->ForEach([&](const std::string& enc, const std::string& v) {
-      if (f.index.count(enc)) return;
+    Status status;
+    f.state->ForEach([&](const std::string& key, const std::string& value,
+                         uint32_t mark) {
+      if (!status.ok() || f.TouchedOf(mark, &key) >= 0) return;
       size_t pos = 0;
       uint64_t timeout_at;
-      if (!GetFixed64(v, &pos, &timeout_at)) {
-        iter_status = Status::Internal("corrupt group state");
+      if (!GetFixed64(value, &pos, &timeout_at)) {
+        status = Status::Internal("corrupt group state");
         return;
       }
       if (deadline_clock != INT64_MIN &&
           static_cast<int64_t>(timeout_at) <= deadline_clock) {
-        timed_out.push_back(enc);
+        status =
+            invoke(f.state, f.state->FindOrCreate(key), input, {}, true, out);
       }
     });
-    SS_RETURN_IF_ERROR(iter_status);
-    for (const std::string& enc : timed_out) {
-      SS_ASSIGN_OR_RETURN(Row key, DecodeRow(enc));
-      SS_RETURN_IF_ERROR(invoke(f.state, enc, key, {}, true, out));
-    }
-    return Status::OK();
+    return status;
   };
 
   return RunKeyedShards(ctx, *this, num_rows, &shards, prepare, route, fold,

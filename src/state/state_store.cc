@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <memory>
-#include <cstring>
+#include <optional>
 #include <vector>
 
 #include "storage/fs.h"
@@ -14,19 +14,6 @@ namespace {
 
 constexpr char kOpPut = 1;
 constexpr char kOpRemove = 2;
-
-void PutFixed64(std::string* out, uint64_t v) {
-  char buf[8];
-  std::memcpy(buf, &v, 8);
-  out->append(buf, 8);
-}
-
-bool GetFixed64(const std::string& data, size_t* pos, uint64_t* v) {
-  if (*pos + 8 > data.size()) return false;
-  std::memcpy(v, data.data() + *pos, 8);
-  *pos += 8;
-  return true;
-}
 
 void AppendPut(std::string* out, const std::string& key,
                const std::string& value) {
@@ -185,10 +172,9 @@ void StateStore::Erase(Entry* entry) {
   entry->removed = true;
 }
 
-std::optional<std::string> StateStore::Get(const std::string& key) const {
+const std::string* StateStore::Get(const std::string& key) const {
   const Entry* e = Find(key, HashKey(key));
-  if (e == nullptr || e->removed) return std::nullopt;
-  return e->value;
+  return e == nullptr || e->removed ? nullptr : &e->value;
 }
 
 void StateStore::MarkDirty(Entry& entry) {
@@ -250,11 +236,11 @@ int64_t StateStore::ApproxBytes() const {
 }
 
 void StateStore::ForEach(
-    const std::function<void(const std::string&, const std::string&)>& fn)
-    const {
+    const std::function<void(const std::string&, const std::string&,
+                             uint32_t)>& fn) {
   for (uint32_t p = 0; p < slab_size_; ++p) {
     const Entry& e = At(p);
-    if (!e.removed) fn(e.key, e.value);
+    if (!e.removed) fn(e.key, e.value, e.mark);
   }
 }
 
@@ -284,9 +270,8 @@ Status StateStore::Commit(int64_t version) {
   if (snapshot) SS_FAILPOINT("state.snapshot.before_write");
   std::string buf;
   if (snapshot) {
-    ForEach([&buf](const std::string& key, const std::string& value) {
-      AppendPut(&buf, key, value);
-    });
+    ForEach([&buf](const std::string& key, const std::string& value,
+                   uint32_t) { AppendPut(&buf, key, value); });
   } else {
     for (const Entry* e : dirty_) {
       if (e->removed) {

@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -43,8 +42,8 @@ namespace sstreaming {
 /// hash is HashKey, so a caller that routed the key already can pass its
 /// hash to the hashed verbs. Each entry also carries a 32-bit mark that the
 /// store never reads: zero when the entry is inserted, then the caller's
-/// (the aggregate keeps its per-epoch touched ordinal there). ForEach and
-/// snapshots visit entries in slab order.
+/// (the keyed operators keep their per-epoch touched ordinal there).
+/// ForEach and snapshots visit entries in slab order.
 ///
 /// Layout under `dir`:
 ///   <version>.snapshot  - full contents at `version`
@@ -73,7 +72,10 @@ class StateStore {
     return HashBytes(key.data(), key.size(), 0);
   }
 
-  std::optional<std::string> Get(const std::string& key) const;
+  /// The value under `key`, read in place, or null when the key is not
+  /// live. The pointer stays valid until that key's Remove, Commit or
+  /// ForgetChanges.
+  const std::string* Get(const std::string& key) const;
   void Put(const std::string& key, std::string value);
   /// Appends `tail` to the value under `key` (creating the entry when
   /// absent) without copying the existing value out. The next commit
@@ -136,10 +138,13 @@ class StateStore {
     return static_cast<int64_t>(dirty_.size());
   }
 
-  /// Visits every live entry. Do not mutate during iteration; collect keys
-  /// first when evicting.
+  /// Visits every live entry in slab order, with its mark. The visitor may
+  /// Remove the visited key or rewrite its value through FindOrCreate, in
+  /// place: entries never move, and a removed entry stays a tombstone until
+  /// the next commit. It must not create or remove any other key.
   void ForEach(const std::function<void(const std::string& key,
-                                        const std::string& value)>& fn) const;
+                                        const std::string& value,
+                                        uint32_t mark)>& fn);
 
   /// Durably commits all changes since the last commit as `version`.
   /// Versions must be strictly increasing across commits. A failed commit

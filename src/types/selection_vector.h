@@ -14,14 +14,12 @@ namespace sstreaming {
 /// 6-column batch writes 1% × one int32 array instead of 1% × six typed
 /// columns (docs/VECTORIZED_EXEC.md).
 ///
-/// Storage is owned via `owner` so the index array may live on the heap or
-/// in a per-epoch Arena chunk; either way the SelectionVector (and any
+/// The index array is owned via `owner`, so the SelectionVector (and any
 /// RecordBatch view holding it) keeps the storage alive by itself.
 struct SelectionVector {
   const int32_t* data = nullptr;
   int64_t size = 0;
-  /// Keepalive for `data` (heap vector or arena chunk). May be null only
-  /// when `data` is null.
+  /// Keepalive for `data`. May be null only when `data` is null.
   std::shared_ptr<const void> owner;
 
   bool empty() const { return size == 0; }
@@ -34,17 +32,6 @@ struct SelectionVector {
     sel.data = owned->data();
     sel.size = static_cast<int64_t>(owned->size());
     sel.owner = std::shared_ptr<const void>(owned, owned->data());
-    return sel;
-  }
-
-  /// Wraps externally owned storage (e.g. an Arena allocation); `keepalive`
-  /// must keep `data` valid for the selection's lifetime.
-  static SelectionVector FromOwned(const int32_t* data, int64_t size,
-                                   std::shared_ptr<const void> keepalive) {
-    SelectionVector sel;
-    sel.data = data;
-    sel.size = size;
-    sel.owner = std::move(keepalive);
     return sel;
   }
 };

@@ -133,16 +133,6 @@ std::string Value::ToString() const {
   return "?";
 }
 
-namespace {
-
-void PutFixed64(std::string* out, uint64_t v) {
-  char buf[8];
-  std::memcpy(buf, &v, 8);
-  out->append(buf, 8);
-}
-
-}  // namespace
-
 void Value::EncodeTo(std::string* out) const {
   out->push_back(static_cast<char>(type_));
   switch (type_) {
@@ -175,12 +165,7 @@ Status ReadEncodedValue(std::string_view data, size_t* pos,
     return Status::InvalidArgument("value decode: truncated type byte");
   }
   out->type = static_cast<TypeId>(data[(*pos)++]);
-  auto fixed64 = [&]() {
-    if (data.size() - *pos < 8) return false;
-    std::memcpy(&out->bits, data.data() + *pos, 8);
-    *pos += 8;
-    return true;
-  };
+  auto fixed64 = [&]() { return GetFixed64(data, pos, &out->bits); };
   switch (out->type) {
     case TypeId::kNull:
       return Status::OK();
@@ -213,6 +198,19 @@ Status ReadEncodedValue(std::string_view data, size_t* pos,
       return Status::OK();
   }
   return Status::InvalidArgument("value decode: bad type byte");
+}
+
+void PutFixed64(std::string* out, uint64_t v) {
+  char buf[8];
+  std::memcpy(buf, &v, 8);
+  out->append(buf, 8);
+}
+
+bool GetFixed64(std::string_view data, size_t* pos, uint64_t* v) {
+  if (*pos + 8 > data.size()) return false;
+  std::memcpy(v, data.data() + *pos, 8);
+  *pos += 8;
+  return true;
 }
 
 Result<Value> Value::DecodeFrom(const std::string& data, size_t* pos) {

@@ -92,6 +92,12 @@ struct EncodedValue {
 /// appends it to a typed column.
 Status ReadEncodedValue(std::string_view data, size_t* pos, EncodedValue* out);
 
+/// The codecs' fixed-width integer (values, state records, state files):
+/// 8 bytes in host order. GetFixed64 reads it at data[*pos] and advances
+/// *pos past it; false when fewer than 8 bytes remain.
+void PutFixed64(std::string* out, uint64_t v);
+bool GetFixed64(std::string_view data, size_t* pos, uint64_t* v);
+
 /// FNV-1a style mix used by Value::Hash and the columnar hash kernels; kept
 /// here so row and column hashing agree (required: both sides of a shuffle
 /// must agree on partitioning). Inline: every hash kernel calls it per row.

@@ -69,6 +69,44 @@ DataFrame ChaosJoinQuery(const std::shared_ptr<MemoryStream>& left,
             {"country"});
 }
 
+/// flatMapGroupsWithState per latency value (100 keys, so most go quiet
+/// within the run): count and latency sum, emitted on every call, with an
+/// event-time timeout 3 s after the latest event; a timed-out key emits
+/// its totals once and drops its state.
+DataFrame ChaosMapGroupsQuery(const std::shared_ptr<MemoryStream>& stream) {
+  GroupUpdateFn count_until_idle =
+      [](const Row& key, const std::vector<Row>& values,
+         GroupState* state) -> Result<std::vector<Row>> {
+    int64_t n = state->exists() ? state->get()[0].int64_value() : 0;
+    int64_t total = state->exists() ? state->get()[1].int64_value() : 0;
+    const bool timed_out = state->HasTimedOut();
+    if (timed_out) {
+      state->remove();
+    } else {
+      int64_t latest = INT64_MIN;
+      for (const Row& v : values) {
+        ++n;
+        total += v[1].int64_value();
+        latest = std::max(latest, v[2].int64_value());
+      }
+      state->update({Value::Int64(n), Value::Int64(total)});
+      state->SetTimeoutTimestamp(latest + 3 * kSec);
+    }
+    return std::vector<Row>{{key[0], Value::Int64(n), Value::Int64(total),
+                             Value::Bool(timed_out)}};
+  };
+  return DataFrame::ReadStream(stream)
+      .WithWatermark("time", 5 * kSec)
+      .GroupByKey({As(Col("latency"), "latency")})
+      .FlatMapGroupsWithState(
+          count_until_idle,
+          Schema::Make({{"latency", TypeId::kInt64, false},
+                        {"n", TypeId::kInt64, false},
+                        {"total", TypeId::kInt64, false},
+                        {"timed_out", TypeId::kBool, false}}),
+          GroupStateTimeout::kEventTime);
+}
+
 /// After a drained run the durable artifacts must agree: every planned
 /// epoch committed, the WAL tail matches the engine's last epoch, and each
 /// state-store partition restores to the expected checkpointed version.
@@ -227,7 +265,9 @@ ChaosHarness::RunResult ChaosHarness::Run(const std::string& failpoint,
                                                options_.num_partitions);
   std::shared_ptr<MemoryStream> right_stream;
   auto sink = std::make_shared<VerifyingSink>();
-  DataFrame df = ChaosQuery(stream);
+  DataFrame df = options_.workload == Workload::kMapGroups
+                     ? ChaosMapGroupsQuery(stream)
+                     : ChaosQuery(stream);
   if (join) {
     right_stream = std::make_shared<MemoryStream>(
         "views", ChaosRightSchema(), options_.num_partitions);
@@ -235,7 +275,7 @@ ChaosHarness::RunResult ChaosHarness::Run(const std::string& failpoint,
   }
   QueryOptions opts;
   // Stream-stream join output is append-only; the aggregation workload
-  // upserts per-window counts.
+  // upserts per-window counts, and flatMapGroupsWithState emits per call.
   opts.mode = join ? OutputMode::kAppend : OutputMode::kUpdate;
   opts.num_partitions = options_.num_partitions;
   opts.checkpoint_dir = result.checkpoint_dir;

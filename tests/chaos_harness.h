@@ -59,8 +59,10 @@ class ChaosHarness {
   /// Which stateful pipeline the harness drives. The aggregation workload
   /// rewrites per-key state every epoch; the stream-stream join workload
   /// also exercises the shard Append fast path (grow-only join state), so
-  /// the state.shard.append failpoint only fires under kJoin.
-  enum class Workload { kAgg, kJoin };
+  /// the state.shard.append failpoint only fires under kJoin. The
+  /// flatMapGroupsWithState workload keeps a count per key behind an
+  /// event-time timeout, so keys are created, rewritten and timed out.
+  enum class Workload { kAgg, kJoin, kMapGroups };
 
   struct Options {
     Options() {}

@@ -171,6 +171,40 @@ TEST_F(ChaosRecoveryTest, ShardSeamSweepUnderJoinWorkload) {
   }
 }
 
+/// The flatMapGroupsWithState workload under the same shard seams: keys
+/// are created, rewritten and timed out behind the watermark, and a fault
+/// in one shard's checkpoint or restore must leave every key's state and
+/// deadline as the fault-free run has them.
+TEST_F(ChaosRecoveryTest, ShardSeamSweepUnderMapGroupsWorkload) {
+  ChaosHarness::Options opts;
+  opts.workload = ChaosHarness::Workload::kMapGroups;
+  ChaosHarness harness{opts};
+  auto golden = harness.RunFaultFree();
+  ASSERT_TRUE(golden.status.ok()) << golden.status.ToString();
+  EXPECT_GT(golden.last_epoch, 0);
+  // Some key times out within the run.
+  bool timed_out = false;
+  for (const Row& row : golden.final_rows) {
+    timed_out = timed_out || row[3] == Value::Bool(true);
+  }
+  EXPECT_TRUE(timed_out);
+
+  for (const char* seam : {"state.shard.checkpoint", "state.shard.restore"}) {
+    int fired = 0;
+    for (int hit = 1; hit <= 3; ++hit) {
+      SCOPED_TRACE(std::string(seam) + "@" + std::to_string(hit));
+      auto chaos = harness.RunWithFault(seam, hit);
+      Status verdict = ChaosHarness::CheckInvariants(golden, chaos);
+      EXPECT_TRUE(verdict.ok())
+          << seam << "@" << hit << ": " << verdict.ToString()
+          << " (crashes=" << chaos.crashes
+          << " triggers=" << chaos.triggers << ")";
+      if (chaos.triggers > 0) ++fired;
+    }
+    EXPECT_GT(fired, 0) << seam << " never fired under the map workload";
+  }
+}
+
 /// Satellite: the agg workload also sweeps the shard checkpoint/restore
 /// seams at a different shard count (7, coprime with partitions and rounds)
 /// so uneven shard layouts recover too.

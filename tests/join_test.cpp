@@ -510,7 +510,8 @@ std::vector<std::string> StateEntries(const std::string& dir) {
         const std::string where = op.path().filename().string() + "/" +
                                   part.path().filename().string() + "/" +
                                   shard.path().filename().string() + " ";
-        (*store)->ForEach([&](const std::string& k, const std::string& v) {
+        (*store)->ForEach([&](const std::string& k, const std::string& v,
+                              uint32_t) {
           lines.push_back(where + Hex(k) + " " + Hex(v));
         });
       }

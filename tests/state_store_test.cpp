@@ -38,7 +38,7 @@ class StateStoreTest : public ::testing::Test {
 using Model = std::map<std::string, std::string>;
 
 /// The store's live view (size, ApproxBytes, ForEach) equals `model`.
-void ExpectMatchesModel(const StateStore& store, const Model& model) {
+void ExpectMatchesModel(StateStore& store, const Model& model) {
   EXPECT_EQ(store.size(), static_cast<int64_t>(model.size()));
   int64_t bytes = 0;
   for (const auto& [k, v] : model) {
@@ -47,7 +47,7 @@ void ExpectMatchesModel(const StateStore& store, const Model& model) {
   }
   EXPECT_EQ(store.ApproxBytes(), bytes);
   Model seen;
-  store.ForEach([&](const std::string& k, const std::string& v) {
+  store.ForEach([&](const std::string& k, const std::string& v, uint32_t) {
     EXPECT_TRUE(seen.emplace(k, v).second) << "visited twice: " << k;
   });
   EXPECT_EQ(seen, model);
@@ -58,7 +58,7 @@ TEST_F(StateStoreTest, EmptyOpen) {
   ASSERT_TRUE(store.ok());
   EXPECT_EQ((*store)->size(), 0);
   EXPECT_EQ((*store)->loaded_version(), 0);
-  EXPECT_FALSE((*store)->Get("k").has_value());
+  EXPECT_EQ((*store)->Get("k"), nullptr);
 }
 
 TEST_F(StateStoreTest, PutGetRemove) {
@@ -66,9 +66,9 @@ TEST_F(StateStoreTest, PutGetRemove) {
   store->Put("a", "1");
   store->Put("b", "2");
   EXPECT_EQ(*store->Get("a"), "1");
-  EXPECT_TRUE(store->Get("b").has_value());
+  EXPECT_NE(store->Get("b"), nullptr);
   store->Remove("a");
-  EXPECT_FALSE(store->Get("a").has_value());
+  EXPECT_EQ(store->Get("a"), nullptr);
   EXPECT_EQ(store->size(), 1);
 }
 
@@ -84,11 +84,11 @@ TEST_F(StateStoreTest, CommitAndRecoverExactVersion) {
   auto v1 = StateStore::Open(dir_, 1).TakeValue();
   EXPECT_EQ(v1->loaded_version(), 1);
   EXPECT_EQ(*v1->Get("k1"), "v1");
-  EXPECT_FALSE(v1->Get("k2").has_value());
+  EXPECT_EQ(v1->Get("k2"), nullptr);
 
   auto v2 = StateStore::Open(dir_, 2).TakeValue();
   EXPECT_EQ(v2->loaded_version(), 2);
-  EXPECT_FALSE(v2->Get("k1").has_value());
+  EXPECT_EQ(v2->Get("k1"), nullptr);
   EXPECT_EQ(*v2->Get("k2"), "v2");
 }
 
@@ -129,7 +129,7 @@ TEST_F(StateStoreTest, DeltaChainAcrossManyCommits) {
     EXPECT_EQ(store->size(), static_cast<int64_t>(model.size()))
         << "at version " << target;
     for (const auto& [k, v] : model) {
-      ASSERT_TRUE(store->Get(k).has_value()) << k;
+      ASSERT_NE(store->Get(k), nullptr) << k;
       EXPECT_EQ(*store->Get(k), v);
     }
   }
@@ -198,7 +198,7 @@ TEST_F(StateStoreTest, BinaryValuesSurvive) {
     ASSERT_TRUE(store->Commit(1).ok());
   }
   auto store = StateStore::Open(dir_, 1).TakeValue();
-  ASSERT_TRUE(store->Get(key).has_value());
+  ASSERT_NE(store->Get(key), nullptr);
   EXPECT_EQ(*store->Get(key), value);
 }
 
@@ -207,8 +207,66 @@ TEST_F(StateStoreTest, ForEachVisitsAll) {
   store->Put("a", "1");
   store->Put("b", "2");
   int count = 0;
-  store->ForEach([&](const std::string&, const std::string&) { ++count; });
+  store->ForEach(
+      [&](const std::string&, const std::string&, uint32_t) { ++count; });
   EXPECT_EQ(count, 2);
+}
+
+// A walk may remove or rewrite the key it visits: the live contents and the
+// next delta's bytes are those of collecting the keys first and applying
+// the same edits afterwards.
+TEST_F(StateStoreTest, EditingTheVisitedKeyMatchesCollectThenApply) {
+  auto key_of = [](int i) {
+    std::string key = "k";
+    key += std::to_string(i);
+    return key;
+  };
+  // Keys k0, k3, ... go, k1, k4, ... are rewritten, the rest stay.
+  auto edit_of = [](const std::string& key) {
+    return std::stoi(key.substr(1)) % 3;
+  };
+  std::string deltas[2];
+  Model contents[2];
+  for (int in_place = 0; in_place < 2; ++in_place) {
+    const std::string dir = dir_ + "/" + std::to_string(in_place);
+    auto store = StateStore::Open(dir, 0).TakeValue();
+    for (int i = 0; i < 40; ++i) {
+      store->Put(key_of(i), std::string(i % 7, 'v'));
+    }
+    ASSERT_TRUE(store->Commit(1).ok());
+    for (int i = 0; i < 40; i += 5) store->Remove(key_of(i));
+    store->Put("k7", "changed before the walk");
+    store->Put("new", "n");
+    std::vector<std::string> collected;
+    store->ForEach([&](const std::string& key, const std::string& value,
+                       uint32_t) {
+      if (key == "new" || edit_of(key) == 2) return;
+      if (!in_place) {
+        collected.push_back(key);
+      } else if (edit_of(key) == 0) {
+        store->Remove(key);
+      } else {
+        *store->FindOrCreate(key).value = value + "+";
+      }
+    });
+    for (const std::string& key : collected) {
+      if (edit_of(key) == 0) {
+        store->Remove(key);
+      } else {
+        store->Put(key, *store->Get(key) + "+");
+      }
+    }
+    ASSERT_TRUE(store->Commit(2).ok());
+    deltas[in_place] = ReadFile(dir + "/2.delta").TakeValue();
+    store->ForEach([&](const std::string& key, const std::string& value,
+                       uint32_t) {
+      contents[in_place].emplace(key, value);
+    });
+  }
+  EXPECT_FALSE(deltas[0].empty());
+  EXPECT_EQ(deltas[1], deltas[0]);
+  EXPECT_EQ(contents[1], contents[0]);
+  EXPECT_EQ(contents[0].size(), 40u - 8u - 11u + 1u);
 }
 
 TEST_F(StateStoreTest, FindOrCreateUpdatesInPlace) {
@@ -309,7 +367,7 @@ TEST_F(StateStoreTest, ShardAppendSeamChangesNothing) {
   }
   Failpoints::Instance().DisarmAll();
   EXPECT_EQ(*store->Get("k"), "head+1");
-  EXPECT_FALSE(store->Get("new").has_value());
+  EXPECT_EQ(store->Get("new"), nullptr);
   EXPECT_EQ(store->tracked_changes(), 1);
   ASSERT_TRUE(store->Commit(2).ok());
   ExpectMatchesModel(*StateStore::Open(dir_, 2).TakeValue(),
@@ -433,7 +491,7 @@ TEST_P(StateStoreFuzzTest, RandomOpsMatchModel) {
     ASSERT_EQ(store->loaded_version(), version);
     ExpectMatchesModel(*store, model);
     for (const auto& [k, v] : model) {
-      ASSERT_TRUE(store->Get(k).has_value());
+      ASSERT_NE(store->Get(k), nullptr);
       EXPECT_EQ(*store->Get(k), v);
     }
   }
@@ -510,10 +568,11 @@ TEST_P(StateStoreFuzzTest, LargeKeySpaceMatchesModel) {
         break;
       case 8: {
         auto it = model.find(key);
-        ASSERT_EQ(store->Get(key).has_value(), it != model.end()) << key;
-        ASSERT_EQ(store->Get(key),
-                  it == model.end() ? std::nullopt
-                                    : std::optional<std::string>(it->second));
+        const std::string* got = store->Get(key);
+        ASSERT_EQ(got != nullptr, it != model.end()) << key;
+        if (got != nullptr) {
+          ASSERT_EQ(*got, it->second) << key;
+        }
         break;
       }
       case 9:
@@ -655,7 +714,11 @@ TEST_F(StateStoreTest, RestoresCheckedInFixture) {
     auto store = StateStore::Open(dir_, v, opts).TakeValue();
     ASSERT_EQ(store->loaded_version(), v);
     ExpectMatchesModel(*store, model);
-    for (const auto& [k, val] : model) EXPECT_EQ(store->Get(k), val);
+    for (const auto& [k, val] : model) {
+      const std::string* got = store->Get(k);
+      ASSERT_NE(got, nullptr) << k;
+      EXPECT_EQ(*got, val);
+    }
   }
 }
 

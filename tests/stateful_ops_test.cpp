@@ -1,12 +1,16 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <iterator>
 #include <limits>
+#include <mutex>
+#include <string>
 
 #include "common/clock.h"
 #include "connectors/memory.h"
 #include "exec/batch_executor.h"
 #include "exec/streaming_query.h"
+#include "storage/fs.h"
 
 namespace sstreaming {
 namespace {
@@ -203,6 +207,188 @@ TEST(MapGroupsWithStateTest, WorksInBatchMode) {
   EXPECT_EQ((*rows)[0][0], Value::Str("a"));
   EXPECT_EQ((*rows)[0][1], Value::Int64(2));
   EXPECT_EQ((*rows)[1][1], Value::Int64(1));
+}
+
+// One call of an update function: the key, how many rows it got, and
+// whether it was a timeout.
+struct Invocation {
+  std::string key;
+  size_t rows;
+  bool timed_out;
+  bool operator==(const Invocation&) const = default;
+};
+
+/// An update function that records its calls and keeps a row count per
+/// key, re-armed `delay` after each call (processing time) or after the
+/// latest event time it got (event time).
+GroupUpdateFn RecordingCounter(GroupStateTimeout timeout, int64_t delay,
+                               std::mutex* mu,
+                               std::vector<Invocation>* calls) {
+  return [=](const Row& key, const std::vector<Row>& values,
+             GroupState* state) -> Result<std::vector<Row>> {
+    {
+      std::lock_guard<std::mutex> lock(*mu);
+      calls->push_back(
+          {key[0].string_value(), values.size(), state->HasTimedOut()});
+    }
+    if (state->HasTimedOut()) {
+      state->remove();
+      return std::vector<Row>{};
+    }
+    int64_t n = state->exists() ? state->get()[0].int64_value() : 0;
+    n += static_cast<int64_t>(values.size());
+    state->update({Value::Int64(n)});
+    if (timeout == GroupStateTimeout::kProcessingTime) {
+      state->SetTimeoutDuration(delay);
+    } else {
+      int64_t latest = INT64_MIN;
+      for (const Row& v : values) latest = std::max(latest, v[2].int64_value());
+      state->SetTimeoutTimestamp(latest + delay);
+    }
+    return std::vector<Row>{{key[0], Value::Int64(n)}};
+  };
+}
+
+// A key whose stored deadline has passed but that gets rows in that very
+// epoch is invoked once, with its rows, and is not timed out; a key with
+// no rows whose deadline passed times out.
+TEST(MapGroupsWithStateTest, RowsAtThePassedDeadlineAreNotATimeout) {
+  for (GroupStateTimeout timeout :
+       {GroupStateTimeout::kProcessingTime, GroupStateTimeout::kEventTime}) {
+    const bool event_time = timeout == GroupStateTimeout::kEventTime;
+    SCOPED_TRACE(event_time ? "event time" : "processing time");
+    ManualClock clock(0);
+    std::mutex mu;
+    std::vector<Invocation> calls;
+    auto stream = std::make_shared<MemoryStream>("events", EventSchema(), 2);
+    auto sink = std::make_shared<MemorySink>();
+    DataFrame df = DataFrame::ReadStream(stream);
+    if (event_time) df = df.WithWatermark("time", 2 * kSec);
+    df = df.GroupByKey({As(Col("user"), "user")})
+             .FlatMapGroupsWithState(
+                 RecordingCounter(timeout, 10 * kSec, &mu, &calls),
+                 SessionOutSchema(), timeout);
+    QueryOptions opts;
+    opts.mode = OutputMode::kUpdate;
+    opts.clock = &clock;
+    opts.num_partitions = 2;
+    auto query = StreamingQuery::Start(df, sink, opts);
+    ASSERT_TRUE(query.ok()) << query.status().ToString();
+
+    // Epoch 1: alice and bob arm deadlines at 10 s (processing time) or
+    // 15 s (event time); carol's event at 30 s moves the watermark to 28 s.
+    ASSERT_TRUE(stream->AddData({Event("alice", "a", 5), Event("bob", "b", 5),
+                                 Event("carol", "c", 30)})
+                    .ok());
+    ASSERT_TRUE((*query)->ProcessAllAvailable().ok());
+    clock.AdvanceMicros(20 * kSec);
+    // Epoch 2: both deadlines have passed; only alice has rows.
+    calls.clear();
+    ASSERT_TRUE(
+        stream->AddData({Event("alice", "d", 31), Event("alice", "e", 32)})
+            .ok());
+    ASSERT_TRUE((*query)->ProcessAllAvailable().ok());
+    std::sort(calls.begin(), calls.end(),
+              [](const Invocation& a, const Invocation& b) {
+                return a.key < b.key;
+              });
+    std::vector<Invocation> want = {{"alice", 2, false}, {"bob", 0, true}};
+    if (!event_time) want.push_back({"carol", 0, true});
+    EXPECT_EQ(calls, want);
+  }
+}
+
+// An update function that never sets state stores nothing, and its query
+// restarts from the checkpoint.
+TEST(MapGroupsWithStateTest, StatelessUpdateLeavesNoStateAndRestores) {
+  auto dir = MakeTempDir("map_groups_stateless");
+  ASSERT_TRUE(dir.ok());
+  auto stream = std::make_shared<MemoryStream>("events", EventSchema(), 2);
+  auto sink = std::make_shared<MemorySink>();
+  GroupUpdateFn fn = [](const Row& key, const std::vector<Row>& values,
+                        GroupState* state) -> Result<std::vector<Row>> {
+    if (state->exists()) return Status::Internal("state was never set");
+    return std::vector<Row>{
+        {key[0], Value::Int64(static_cast<int64_t>(values.size()))}};
+  };
+  DataFrame df = DataFrame::ReadStream(stream)
+                     .GroupByKey({As(Col("user"), "user")})
+                     .FlatMapGroupsWithState(fn, SessionOutSchema(),
+                                             GroupStateTimeout::kNone);
+  QueryOptions opts;
+  opts.mode = OutputMode::kAppend;
+  opts.num_partitions = 2;
+  opts.num_state_shards = 2;
+  opts.checkpoint_dir = *dir;
+  auto expect_stateless = [](StreamingQuery& q) {
+    QueryProgress last;
+    ASSERT_TRUE(q.GetLastProgress(&last));
+    int64_t state_rows = 0;
+    for (const OperatorProgress& op : last.operators) {
+      state_rows += op.state_rows;
+    }
+    EXPECT_EQ(state_rows, 0);
+  };
+  {
+    auto query = StreamingQuery::Start(df, sink, opts);
+    ASSERT_TRUE(query.ok()) << query.status().ToString();
+    ASSERT_TRUE(stream->AddData({Event("a", "p", 1), Event("b", "q", 2),
+                                 Event("a", "r", 3)})
+                    .ok());
+    ASSERT_TRUE((*query)->ProcessAllAvailable().ok());
+    expect_stateless(**query);
+  }
+  auto query = StreamingQuery::Start(df, sink, opts);
+  ASSERT_TRUE(query.ok()) << query.status().ToString();
+  ASSERT_TRUE(stream->AddData({Event("a", "s", 4), Event("c", "t", 5)}).ok());
+  ASSERT_TRUE((*query)->ProcessAllAvailable().ok());
+  EXPECT_EQ((*query)->last_epoch(), 2);
+  expect_stateless(**query);
+  auto rows = sink->SortedSnapshot();
+  ASSERT_EQ(rows.size(), 4u);
+  EXPECT_EQ(rows[0], (Row{Value::Str("a"), Value::Int64(1)}));
+  EXPECT_EQ(rows[1], (Row{Value::Str("a"), Value::Int64(2)}));
+  EXPECT_EQ(rows[2], (Row{Value::Str("b"), Value::Int64(1)}));
+  EXPECT_EQ(rows[3], (Row{Value::Str("c"), Value::Int64(1)}));
+  query->reset();
+  RemoveDirRecursive(*dir).ok();
+}
+
+// Rows whose group key is NULL form one group of their own.
+TEST(MapGroupsWithStateTest, NullGroupKeyFormsItsOwnGroup) {
+  auto stream = std::make_shared<MemoryStream>("events", EventSchema(), 2);
+  auto sink = std::make_shared<MemorySink>();
+  GroupUpdateFn fn = [](const Row& key, const std::vector<Row>& values,
+                        GroupState* state) -> Result<std::vector<Row>> {
+    int64_t n = state->exists() ? state->get()[0].int64_value() : 0;
+    n += static_cast<int64_t>(values.size());
+    state->update({Value::Int64(n)});
+    return std::vector<Row>{{key[0], Value::Int64(n)}};
+  };
+  DataFrame df =
+      DataFrame::ReadStream(stream)
+          .GroupByKey({As(Col("page"), "page")})
+          .FlatMapGroupsWithState(
+              fn,
+              Schema::Make({{"page", TypeId::kString, true},
+                            {"events", TypeId::kInt64, false}}),
+              GroupStateTimeout::kNone);
+  QueryOptions opts;
+  opts.mode = OutputMode::kAppend;
+  opts.num_partitions = 2;
+  auto query = StreamingQuery::Start(df, sink, opts);
+  ASSERT_TRUE(query.ok()) << query.status().ToString();
+  Row no_page = {Value::Str("u"), Value::Null(), Value::Timestamp(0)};
+  ASSERT_TRUE(
+      stream->AddData({no_page, Event("u", "p", 1), no_page, no_page}).ok());
+  ASSERT_TRUE((*query)->ProcessAllAvailable().ok());
+  ASSERT_TRUE(stream->AddData({no_page}).ok());
+  ASSERT_TRUE((*query)->ProcessAllAvailable().ok());
+  auto rows = sink->SortedSnapshot();
+  ASSERT_EQ(rows.size(), 3u);
+  EXPECT_EQ(rows[0], (Row{Value::Null(), Value::Int64(3)}));
+  EXPECT_EQ(rows[1], (Row{Value::Null(), Value::Int64(4)}));
+  EXPECT_EQ(rows[2], (Row{Value::Str("p"), Value::Int64(1)}));
 }
 
 TEST(BatchExecutorTest, BatchAndStreamShareOperators) {

@@ -1,7 +1,6 @@
 // Vectorized hot path: selection-vector semantics on RecordBatch, the
-// filter stage's zero-copy contract, the per-epoch Arena, how the
-// incrementalizer builds fused pipelines and their per-stage accounting,
-// and the golden battery: all four stateful pipelines must reproduce the
+// filter stage's zero-copy contract, how the incrementalizer builds fused
+// pipelines and their per-stage accounting, and the golden battery: all four stateful pipelines must reproduce the
 // checked-in outputs in tests/golden/ byte for byte, including across a
 // crash-restart and on a thread pool (docs/VECTORIZED_EXEC.md).
 
@@ -15,7 +14,6 @@
 #include <set>
 #include <vector>
 
-#include "common/arena.h"
 #include "common/random.h"
 #include "connectors/memory.h"
 #include "analysis/analyzer.h"
@@ -205,14 +203,12 @@ class FixedOp : public PhysOp {
 struct ExecHarness {
   InlineScheduler scheduler;
   StateManager state{"", 0, ShardedStateStore::Options()};
-  Arena arena;
   ExecContext ctx;
 
   ExecHarness() {
     ctx.epoch = 1;
     ctx.scheduler = &scheduler;
     ctx.state = &state;
-    ctx.arena = &arena;
   }
 };
 
@@ -276,59 +272,6 @@ TEST(FilterStageSelectionTest, NoSurvivorsYieldsAnEmptyLogicalBatch) {
   ASSERT_TRUE(out.ok()) << out.status().ToString();
   EXPECT_EQ((*out)[0]->num_rows(), 0);
   EXPECT_TRUE(RecordBatch::Materialize((*out)[0])->ToRows().empty());
-}
-
-// ---------------------------------------------------------------------------
-// Arena.
-// ---------------------------------------------------------------------------
-
-TEST(ArenaTest, BumpAllocationsAreDistinctAlignedAndWritable) {
-  Arena arena(1024);
-  auto [a, ka] = arena.AllocSpan<int32_t>(10);
-  auto [b, kb] = arena.AllocSpan<int64_t>(10);
-  ASSERT_NE(a, nullptr);
-  ASSERT_NE(b, nullptr);
-  EXPECT_EQ(reinterpret_cast<uintptr_t>(a) % alignof(int32_t), 0u);
-  EXPECT_EQ(reinterpret_cast<uintptr_t>(b) % alignof(int64_t), 0u);
-  for (int i = 0; i < 10; ++i) a[i] = i;
-  for (int i = 0; i < 10; ++i) b[i] = 100 + i;
-  for (int i = 0; i < 10; ++i) {
-    EXPECT_EQ(a[i], i);
-    EXPECT_EQ(b[i], 100 + i);
-  }
-  EXPECT_GE(arena.bytes_allocated(),
-            static_cast<int64_t>(10 * sizeof(int32_t) + 10 * sizeof(int64_t)));
-}
-
-TEST(ArenaTest, ResetRecyclesTheChunkWhenNoKeepaliveIsLive) {
-  Arena arena(1 << 16);
-  {
-    auto [p, keep] = arena.AllocSpan<int32_t>(100);
-    p[0] = 1;  // touch
-  }  // keepalive dropped -> arena holds the only reference
-  int64_t reserved = arena.bytes_reserved();
-  EXPECT_GT(reserved, 0);
-  arena.Reset();
-  // The newest chunk is kept for reuse; reservation does not grow across
-  // epochs of identical demand.
-  EXPECT_EQ(arena.bytes_reserved(), reserved);
-  auto [q, keep2] = arena.AllocSpan<int32_t>(100);
-  ASSERT_NE(q, nullptr);
-  EXPECT_EQ(arena.bytes_reserved(), reserved);
-}
-
-TEST(ArenaTest, LiveKeepaliveSurvivesResetUncorrupted) {
-  Arena arena(1 << 12);
-  auto [old_ptr, old_keep] = arena.AllocSpan<int32_t>(64);
-  for (int i = 0; i < 64; ++i) old_ptr[i] = 7000 + i;
-  // A buffer (incorrectly) held across the epoch boundary: Reset() must not
-  // hand its chunk to the next epoch while the keepalive is live.
-  arena.Reset();
-  auto [new_ptr, new_keep] = arena.AllocSpan<int32_t>(64);
-  for (int i = 0; i < 64; ++i) new_ptr[i] = -1;
-  for (int i = 0; i < 64; ++i) {
-    ASSERT_EQ(old_ptr[i], 7000 + i) << "stale buffer was recycled while live";
-  }
 }
 
 // ---------------------------------------------------------------------------

@@ -4,7 +4,9 @@
 # scratch files, misplaced outputs — e.g. the historical stray `e`) fails
 # CI until it is either removed or added to the allowlist below on purpose.
 # Second, no function declared in a src/ header may go unreferenced (see
-# UNUSED_ALLOWLIST below).
+# UNUSED_ALLOWLIST below). Third, no std::unordered_map or unordered_set in
+# src/ outside src/baselines: keyed state is indexed by the state store's
+# KeyIndex, and a private index beside it does not come back.
 #
 # Usage: tools/check_repo_hygiene.sh   (from the repo root; uses git ls-tree
 # so only *committed* top-level entries are checked)
@@ -131,3 +133,15 @@ if [[ -n "$UNUSED" ]]; then
   exit 1
 fi
 echo "PASS: every header-declared function in src/ has a reference"
+
+# No private key index: the engine's one hash index is KeyIndex (the state
+# store, the stream-static join, the memory sink); std::unordered_map and
+# unordered_set stay in the simulated baselines (src/baselines).
+HASHED=$(git grep -n -E 'unordered_(map|set)' -- src ':!src/baselines' || true)
+if [[ -n "$HASHED" ]]; then
+  echo "FAIL: std::unordered_map / unordered_set under src/ (outside" >&2
+  echo "      src/baselines); index keyed state through the state store:" >&2
+  echo "$HASHED" >&2
+  exit 1
+fi
+echo "PASS: no unordered_map or unordered_set in src/ outside src/baselines"
